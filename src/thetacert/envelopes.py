@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .certify import CertificationReport, Check, Status, certify_sign
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, as_enclosure
-from .theta import geometric_tail, theta2_series
+from .theta import certified_sum, geometric_tail, theta2_series
 
 __all__ = [
     "EnvelopeConstants",
@@ -257,25 +257,28 @@ def _excess_sum_bound(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:
     """Upper enclosure of sum_{n>=5 odd} n^(2 nu) e^{-pi n^2 y/4} (partial + certified tail)."""
     pi = Enclosure.pi()
     quarter = Enclosure(Fraction(1, 4))
-    total = Enclosure(0)
-    m = 5
-    while True:
-        term = Enclosure(m) ** (2 * nu) * (-(pi * Enclosure(m * m) * y * quarter)).exp()
-        total = total + term
-        if term.hi <= cfg.tail_tolerance:
-            mn = m + 2
-            first = Enclosure(mn) ** (2 * nu) * (-(pi * Enclosure(mn * mn) * y * quarter)).exp()
-            ratio = Enclosure(Fraction(mn + 2, mn)) ** (2 * nu) * (-(Enclosure(mn + 1) * pi * y)).exp()
-            return total + Enclosure(0, geometric_tail(first, ratio).hi)
-        m += 2
+
+    def term(m):
+        return Enclosure(m) ** (2 * nu) * (-(pi * Enclosure(m * m) * y * quarter)).exp()
+
+    def step(k):  # m = 5, 7, 9, ...
+        t = term(2 * k + 3)
+        return (t,), t.hi
+
+    def tail(k):
+        mn = 2 * k + 5
+        ratio = Enclosure(Fraction(mn + 2, mn)) ** (2 * nu) * (-(Enclosure(mn + 1) * pi * y)).exp()
+        return (geometric_tail(term(mn), ratio),)
+
+    return certified_sum("excess sum", cfg, (Enclosure(0),), step, tail, (1,))[0]
 
 
-def _comparison_sum_lower(nu: int, y: Enclosure, cfg: EvalConfig, n_terms: int = 60) -> Enclosure:
-    """Lower enclosure of sum_{n>=25} n^nu e^{-pi n y/4} (partial sum only; tail >= 0)."""
+def _comparison_sum_lower(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:
+    """Lower enclosure of sum_{n>=25} n^nu e^{-pi n y/4} (60-term partial sum; tail >= 0)."""
     pi = Enclosure.pi()
     quarter = Enclosure(Fraction(1, 4))
     total = Enclosure(0)
-    for n in range(25, 25 + n_terms):
+    for n in range(25, 85):
         total = total + Enclosure(n) ** nu * (-(pi * Enclosure(n) * y * quarter)).exp()
     return total
 

@@ -34,13 +34,12 @@ from fractions import Fraction
 from .certify import CertificationReport, Check, Status
 from .enclosure import (
     DEFAULT_CONFIG,
-    ConvergenceError,
     DomainError,
     Enclosure,
     EvalConfig,
     as_enclosure,
 )
-from .theta import geometric_tail, theta2_series, theta4_series, _check_order, _check_positive
+from .theta import _check_order, _check_positive, certified_sum, geometric_tail, theta2_series, theta4_series
 
 __all__ = [
     "MODULAR_COEFFICIENTS",
@@ -158,7 +157,7 @@ def verify_modular_identity(
     )
 
 
-def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG, orders: int = 3):
+def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG):
     """Enclosures of Q, Q', Q'', Q''' for Q(x) = 1 + sum_{j>=1} e^{-pi j(j+1) x}.
 
     The r-th derivative term is (-pi j(j+1))^r e^{-pi j(j+1) x}; all terms of
@@ -169,49 +168,34 @@ def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG, orders: int = 3):
         x = _check_positive(as_enclosure(x), "q_series_derivatives")
         pi = Enclosure.pi()
         xlo = Enclosure._from_mpi((x._lo, x._lo))
-        sums = [Enclosure(1)] + [Enclosure(0) for _ in range(orders)]
-        for j in range(1, cfg.max_terms + 1):
-            c = j * (j + 1)
-            base = (-(Enclosure(c) * pi * x)).exp()
+
+        def step(j):
+            c = Enclosure(j * (j + 1))
+            base = (-(c * pi * x)).exp()
+            down = -(c * pi)
             factor = Enclosure(1)
-            for r in range(orders + 1):
-                if r:
-                    factor = factor * -(Enclosure(c) * pi)
-                sums[r] = sums[r] + factor * base
-            if base.hi <= cfg.tol / 4:
-                c_next = (j + 1) * (j + 2)
-                ok = True
-                bounds = []
-                for r in range(orders + 1):
-                    first = (Enclosure(c_next) * pi) ** r * (-(Enclosure(c_next) * pi * xlo)).exp()
-                    ratio = Enclosure(Fraction(j + 3, j + 1)) ** r * (
-                        -(2 * Enclosure(j + 2) * pi * xlo)
-                    ).exp()
-                    try:
-                        b = geometric_tail(first, ratio)
-                    except ConvergenceError:
-                        ok = False
-                        break
-                    if b.hi > cfg.tol:
-                        ok = False
-                        break
-                    bounds.append(b.hi)
-                if ok:
-                    out = []
-                    for r in range(orders + 1):
-                        tail = Enclosure(0, bounds[r])
-                        if r % 2 == 1:
-                            tail = -tail
-                        out.append(sums[r] + tail)
-                    return tuple(out)
-        raise ConvergenceError(
-            f"Q-series did not reach tail tolerance within {cfg.max_terms} terms"
-        )
+            terms = [factor * base]
+            for _ in range(3):
+                factor = factor * down
+                terms.append(factor * base)
+            return terms, base.hi
+
+        def tail(j):
+            c_next = Enclosure((j + 1) * (j + 2)) * pi
+            first = (-(c_next * xlo)).exp()
+            ratio = (-(2 * Enclosure(j + 2) * pi * xlo)).exp()
+            return [
+                geometric_tail(c_next ** r * first, Enclosure(Fraction(j + 3, j + 1)) ** r * ratio)
+                for r in range(4)
+            ]
+
+        start = (Enclosure(1), Enclosure(0), Enclosure(0), Enclosure(0))
+        return tuple(certified_sum("Q-series", cfg, start, step, tail, (1, -1, 1, -1), gate_divisor=4))
 
 
 def _g_derivatives(x, cfg: EvalConfig):
     """G' and G'' for G = Q'/Q (the exponentially small part of (log theta2)')."""
-    q0, q1, q2, q3 = q_series_derivatives(x, cfg, orders=3)
+    q0, q1, q2, q3 = q_series_derivatives(x, cfg)
     g = q1 / q0
     g1 = q2 / q0 - g * g
     g2 = q3 / q0 - 3 * (q2 / q0) * g + 2 * g ** 3

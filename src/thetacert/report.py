@@ -11,10 +11,11 @@ from floats.
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 from mpmath import libmp as _lm
 
@@ -49,6 +50,7 @@ def _print_directed(raw, digits: int, direction: int) -> str:
     s = _lm.to_str(raw, digits)
     with localcontext() as ctx:
         ctx.prec = digits + 10  # the +-ulp nudges must not be rounded away
+        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX  # f'' at y = 1e-6 is ~1e-2728727
         d = Decimal(s)
         for _ in range(4):
             if direction < 0:
@@ -187,7 +189,8 @@ class ReportDocument:
             command=data["command"],
             config=EvalConfig(
                 precision_bits=data["config"]["precision_bits"],
-                tail_tolerance=float(data["config"]["tail_tolerance"]),
+                # written with repr: a float, or a quoted decimal string
+                tail_tolerance=ast.literal_eval(data["config"]["tail_tolerance"]),
                 max_terms=data["config"]["max_terms"],
             ),
             results=data["results"],

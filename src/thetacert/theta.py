@@ -1,12 +1,21 @@
 """Rigorous evaluation of theta_2, theta_4 and the log-derivative series.
 
-All sums are truncated adaptively: terms are accumulated until a *proved*
-bound on the omitted tail drops below ``cfg.tail_tolerance``, and that
-bound is then added to the result as an interval inflation.  Tail bounds
-use a ratio test: past the truncation index the term magnitudes are
-dominated by a geometric sequence (the polynomial growth k^(2*nu) is
-absorbed into the ratio, which is computed with enclosures and checked to
-be < 1), so the tail is at most first_omitted / (1 - ratio).
+Every sum is truncated adaptively by one kernel, ``certified_sum``: terms
+are accumulated until a *proved* bound on the omitted tail is at most
+``cfg.tail_tolerance``, and that bound is then attached to the result.
+Tail bounds use a ratio test: past the truncation index the term
+magnitudes are dominated by a geometric sequence (the polynomial growth
+k^(2*nu) is absorbed into the ratio, which is computed with enclosures and
+checked to be < 1), so the tail is at most first_omitted / (1 - ratio).
+
+A caller of the kernel owns its term formula, the gate that says when a
+tail bound is worth trying, and the tail-bound formula.  The kernel owns
+the ``cfg.max_terms`` cap, every comparison with ``cfg.tol`` (float and
+decimal-string tolerances alike), the retry while a ratio is not yet below
+1, and the tail's sign: it attaches [0, b], [-b, 0] or [-b, b], negating
+b exactly.  :mod:`thetacert.modular` and :mod:`thetacert.envelopes` sum
+through it too.  ``theta4_product`` keeps its own loop: it is a product,
+and the tests use it as an independent reference for ``theta4_series``.
 
 Evaluators:
 
@@ -25,6 +34,8 @@ as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular`.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from mpmath import libmp as _lm
 
 from .enclosure import (
     DEFAULT_CONFIG,
@@ -71,8 +82,35 @@ def geometric_tail(first: Enclosure, ratio: Enclosure) -> Enclosure:
     return first / (one - ratio)
 
 
-def _tol_reached(bound: Enclosure, cfg: EvalConfig) -> bool:
-    return bound.hi <= cfg.tol
+def _tail_enclosure(b, sign: int) -> Enclosure:
+    """[0, b], [-b, 0] or [-b, b] for a raw b; negating an mpf would round to 53 bits."""
+    neg = _lm.mpf_neg(b)
+    return Enclosure._from_mpi((_lm.fzero if sign > 0 else neg, _lm.fzero if sign < 0 else b))
+
+
+def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_divisor: int = 1):
+    """The series kernel; its contract is in the module docstring.
+
+    start: the partial sums before term 1.  step(k) for k = 1 ..
+    cfg.max_terms: (terms, gate), the k-th term of each sum and a number;
+    the tails are tried once gate <= tol / gate_divisor.  tail(k):
+    enclosures whose upper ends bound the omitted |tails| past term k.
+    signs: +1 or -1 where every omitted term has that sign, 0 where signs mix.
+    """
+    tol = cfg.tol
+    gate_tol = tol / gate_divisor
+    sums = start
+    for k in range(1, cfg.max_terms + 1):
+        terms, gate = step(k)
+        sums = [s + t for s, t in zip(sums, terms)]
+        if gate <= gate_tol:
+            try:
+                bounds = tail(k)
+            except ConvergenceError:
+                continue
+            if all(b.hi <= tol for b in bounds):
+                return [s + _tail_enclosure(b._hi, sign) for s, b, sign in zip(sums, bounds, signs)]
+    raise ConvergenceError(f"{what} did not reach tail tolerance within {cfg.max_terms} terms")
 
 
 def theta4_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -88,36 +126,29 @@ def theta4_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
         y = _check_positive(as_enclosure(y), "theta4_series")
         pi = Enclosure.pi()
         ylo = Enclosure._from_mpi((y._lo, y._lo))
-        total = Enclosure(1 if nu == 0 else 0)
-        for k in range(1, cfg.max_terms + 1):
+
+        def step(k):
             kk = Enclosure(k * k)
             mag = (-(pi * kk * y)).exp()
             if nu:
                 mag = mag * (pi * kk) ** nu
-            term = 2 * mag
-            if (k + nu) % 2 == 1:
-                term = -term
-            total = total + term
-            # Tail check once terms are small: ratio of successive magnitudes
-            # ((k+1)/k)^(2 nu) e^{-(2k+1) pi y} is decreasing in k.
-            if abs(term).hi <= cfg.tol / 4:
-                knext = Enclosure((k + 1) * (k + 1))
-                first = 2 * (-(pi * knext * ylo)).exp()
-                if nu:
-                    first = first * (pi * knext) ** nu
-                ratio = (-(Enclosure(2 * k + 3) * pi * ylo)).exp()
-                if nu:
-                    ratio = ratio * Enclosure(Fraction(k + 2, k + 1)) ** (2 * nu)
-                try:
-                    bound = geometric_tail(first, ratio)
-                except ConvergenceError:
-                    continue  # ratio not yet below 1: keep summing
-                if _tol_reached(bound, cfg):
-                    b = bound.hi
-                    return total + Enclosure(-b, b)
-        raise ConvergenceError(
-            f"theta4_series did not reach tail tolerance within {cfg.max_terms} terms"
-        )
+            term = mag * Enclosure(-2 if (k + nu) % 2 else 2)
+            return (term,), abs(term).hi
+
+        def tail(k):
+            # ratio of successive magnitudes ((k+1)/k)^(2 nu) e^{-(2k+1) pi y}
+            # is decreasing in k
+            knext = Enclosure((k + 1) * (k + 1))
+            first = 2 * (-(pi * knext * ylo)).exp()
+            if nu:
+                first = first * (pi * knext) ** nu
+            ratio = (-(Enclosure(2 * k + 3) * pi * ylo)).exp()
+            if nu:
+                ratio = ratio * Enclosure(Fraction(k + 2, k + 1)) ** (2 * nu)
+            return (geometric_tail(first, ratio),)
+
+        start = (Enclosure(1 if nu == 0 else 0),)
+        return certified_sum("theta4_series", cfg, start, step, tail, (0,), gate_divisor=4)[0]
 
 
 def theta4_product(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -148,7 +179,7 @@ def theta4_product(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
                 if not (one - xmax).is_strictly_positive():
                     continue
                 log_lo = -(ssum / (one - xmax))
-                if _tol_reached(abs(log_lo), cfg):
+                if abs(log_lo).hi <= cfg.tol:
                     tail = Enclosure(log_lo.lo, 0)
                     return prod * tail.exp()
         raise ConvergenceError(
@@ -171,47 +202,28 @@ def theta2_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
         pi = Enclosure.pi()
         ylo = Enclosure._from_mpi((y._lo, y._lo))
         quarter = Enclosure(Fraction(1, 4))
-        total = Enclosure(0)
-        m = 1
-        while m <= 2 * cfg.max_terms:
+        two = Enclosure(-2 if nu % 2 else 2)
+
+        def step(k):
+            m = 2 * k - 1
             mm = Enclosure(m * m)
             mag = (-(pi * mm * y * quarter)).exp()
             if nu:
                 mag = mag * (pi * mm * quarter) ** nu
-            total = total + 2 * mag
-            if mag.hi <= cfg.tol / 4:
-                mnxt = m + 2
-                first = 2 * (-(pi * Enclosure(mnxt * mnxt) * ylo * quarter)).exp()
-                if nu:
-                    first = first * (pi * Enclosure(mnxt * mnxt) * quarter) ** nu
-                ratio = (-(Enclosure(mnxt + 1) * pi * ylo)).exp()
-                if nu:
-                    ratio = ratio * Enclosure(Fraction(mnxt + 2, mnxt)) ** (2 * nu)
-                try:
-                    bound = geometric_tail(first, ratio)
-                except ConvergenceError:
-                    m += 2
-                    continue
-                if _tol_reached(bound, cfg):
-                    total = total + Enclosure(0, bound.hi)
-                    if nu % 2 == 1:
-                        total = -total
-                    return total
-            m += 2
-        raise ConvergenceError(
-            f"theta2_series did not reach tail tolerance within {cfg.max_terms} terms"
-        )
+            return (mag * two,), mag.hi
 
+        def tail(k):
+            mnxt = 2 * k + 1
+            first = 2 * (-(pi * Enclosure(mnxt * mnxt) * ylo * quarter)).exp()
+            if nu:
+                first = first * (pi * Enclosure(mnxt * mnxt) * quarter) ** nu
+            ratio = (-(Enclosure(mnxt + 1) * pi * ylo)).exp()
+            if nu:
+                ratio = ratio * Enclosure(Fraction(mnxt + 2, mnxt)) ** (2 * nu)
+            return (geometric_tail(first, ratio),)
 
-def _poly_geom_tail(amp: Enclosure, power: int, ratio: Enclosure, n_last: int) -> Enclosure:
-    """Certified bound for sum_{n > n_last} amp * n^power * ratio^n.
-
-    Uses the ratio test: for n > n_last the term ratio is at most
-    ((n_last+2)/(n_last+1))^power * ratio, which must be < 1.
-    """
-    first = amp * Enclosure((n_last + 1) ** power) * ratio ** (n_last + 1)
-    q = Enclosure(Fraction(n_last + 2, n_last + 1)) ** power * ratio
-    return geometric_tail(first, q)
+        sign = -1 if nu % 2 else 1
+        return certified_sum("theta2_series", cfg, (Enclosure(0),), step, tail, (sign,), gate_divisor=4)[0]
 
 
 def _lambert_sum(y, order: int, cfg: EvalConfig) -> Enclosure:
@@ -222,8 +234,8 @@ def _lambert_sum(y, order: int, cfg: EvalConfig) -> Enclosure:
         one = Enclosure(1)
         ylo = Enclosure._from_mpi((y._lo, y._lo))
         y2 = y * y
-        total = Enclosure(0)
-        for n in range(1, cfg.max_terms + 1):
+
+        def step(n):
             ne = Enclosure(n)
             no = Enclosure(2 * n - 1)
             e_even = (-(2 * ne * pi * y)).exp()          # e^{-2 n pi y}
@@ -249,38 +261,32 @@ def _lambert_sum(y, order: int, cfg: EvalConfig) -> Enclosure:
                         - 8 * y * pi ** 2 * (2 * ne ** 2 * v_even + no ** 2 * v_odd)
                         + 2 * y2 * pi ** 3 * (4 * ne ** 3 * w_even + no ** 3 * w_odd)
                     )
-            total = total + term
-            if e_odd.hi <= cfg.tol / 16 or abs(term).hi <= cfg.tol / 16:
-                # Magnitude bound amp * n^p * r^n with r = e^{-2 pi y}: both the
-                # even exponent 2n pi y and the odd one (2n-1) pi y are absorbed
-                # into r^n after the factor e^{pi y}; D bounds every 1/(1-e^{-x}).
-                r = (-(2 * pi * ylo)).exp()
-                d_min = one - (-(Enclosure(2 * n + 1) * pi * ylo)).exp()
-                if not d_min.is_strictly_positive():
-                    continue
-                d = one / d_min
-                boost = (pi * y).exp()
-                if order == 0:
-                    amp = 6 * pi * y2 * d * boost
-                    p = 1
-                elif order == 1:
-                    amp = 12 * (y * pi * d + y2 * pi ** 2 * d ** 2) * boost
-                    p = 2
-                else:
-                    amp = (12 * pi * d + 48 * y * pi ** 2 * d ** 2 + 48 * y2 * pi ** 3 * d ** 3) * boost
-                    p = 3
-                try:
-                    bound = _poly_geom_tail(amp, p, r, n)
-                except ConvergenceError:
-                    continue
-                if _tol_reached(bound, cfg):
-                    if order == 0:
-                        return total + Enclosure(0, bound.hi)  # all terms positive
-                    b = bound.hi
-                    return total + Enclosure(-b, b)
-        raise ConvergenceError(
-            f"lambert series (order {order}) did not converge within {cfg.max_terms} terms"
-        )
+            return (term,), min(e_odd.hi, abs(term).hi)
+
+        def tail(n):
+            # Magnitude bound amp * m^p * r^m (m > n) with r = e^{-2 pi y}: both
+            # the even exponent 2m pi y and the odd one (2m-1) pi y are absorbed
+            # into r^m after the factor e^{pi y}; d = sum_j e^{-j (2n+1) pi y}
+            # bounds every 1/(1-e^{-x}).
+            r = (-(2 * pi * ylo)).exp()
+            d = geometric_tail(one, (-(Enclosure(2 * n + 1) * pi * ylo)).exp())
+            boost = (pi * y).exp()
+            if order == 0:
+                amp = 6 * pi * y2 * d * boost
+                p = 1
+            elif order == 1:
+                amp = 12 * (y * pi * d + y2 * pi ** 2 * d ** 2) * boost
+                p = 2
+            else:
+                amp = (12 * pi * d + 48 * y * pi ** 2 * d ** 2 + 48 * y2 * pi ** 3 * d ** 3) * boost
+                p = 3
+            # for m > n the term ratio is at most ((n+2)/(n+1))^p * r
+            first = amp * Enclosure((n + 1) ** p) * r ** (n + 1)
+            return (geometric_tail(first, Enclosure(Fraction(n + 2, n + 1)) ** p * r),)
+
+        what = f"lambert series (order {order})"
+        sign = 1 if order == 0 else 0  # all terms of f are positive
+        return certified_sum(what, cfg, (Enclosure(0),), step, tail, (sign,), gate_divisor=16)[0]
 
 
 def f_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:

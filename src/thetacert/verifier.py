@@ -95,7 +95,7 @@ class TranscriptionError(EnclosureError):
 # ---------------------------------------------------------------------------
 
 
-def _g_parts(y: Enclosure, cfg: EvalConfig, middle_sign: int):
+def _g_parts(y: Enclosure, middle_sign: int):
     pi = Enclosure.pi()
     e = (pi * y).exp()
     return pi, e, Enclosure(middle_sign)
@@ -109,7 +109,7 @@ def g_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclos
     """
     with cfg.scope():
         y = as_enclosure(y)
-        pi, e, s = _g_parts(y, cfg, middle_sign)
+        pi, e, s = _g_parts(y, middle_sign)
         one = Enclosure(1)
         return (
             2 * (e - one) ** 2
@@ -123,7 +123,7 @@ def g_prime(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclo
     -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1) for the genuine sign)."""
     with cfg.scope():
         y = as_enclosure(y)
-        pi, e, s = _g_parts(y, cfg, middle_sign)
+        pi, e, s = _g_parts(y, middle_sign)
         one = Enclosure(1)
         part1 = 4 * pi * e * (e - one)
         part2 = s * 4 * pi * (e * (e - one) + pi * y * e * (2 * e - one))
@@ -135,7 +135,7 @@ def g_second(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Encl
     """g''(y), differentiated part by part."""
     with cfg.scope():
         y = as_enclosure(y)
-        pi, e, s = _g_parts(y, cfg, middle_sign)
+        pi, e, s = _g_parts(y, middle_sign)
         one = Enclosure(1)
         part1 = 4 * pi ** 2 * e * (2 * e - one)
         part2 = s * 4 * pi * (2 * pi * e * (2 * e - one) + pi ** 2 * y * e * (4 * e - one))
@@ -319,18 +319,15 @@ def verify_even_terms_large_y(
         interval = default_large_y_interval(cfg)
     checks: list[Check] = []
     subreports = []
-    with cfg.scope():
-        start = (2 / Enclosure.pi()).hi  # >= 2/pi by outward rounding
-        checks.append(
-            Check(
-                "n-uniform corner argument",
-                True,
-                "for y >= 2/pi and n >= 1, n pi y >= 2, so the bracket is at "
-                "least (n pi y - 2) e^{2 n pi y} + n pi y + 2 >= 4; the "
-                "subdivision below covers the rounding sliver at the corner",
-            )
+    checks.append(
+        Check(
+            "n-uniform corner argument",
+            True,
+            "for y >= 2/pi and n >= 1, n pi y >= 2, so the bracket is at "
+            "least (n pi y - 2) e^{2 n pi y} + n pi y + 2 >= 4; the "
+            "subdivision below covers the rounding sliver at the corner",
         )
-        _ = start
+    )
     for n in range(1, n_max + 1):
         sub = certify_sign(_even_bracket(n), interval, +1, cfg, name=f"even-term-n{n}")
         subreports.append(sub)

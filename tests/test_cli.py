@@ -4,7 +4,9 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import thetacert
 from thetacert.cli import main
 
 
@@ -117,6 +119,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "thetacert.cli", "eval", "theta2", "--y", "2"],
         capture_output=True,
         text=True,
+        cwd=Path(thetacert.__file__).parents[1],  # importable without PYTHONPATH
     )
     assert proc.returncode == 0
     assert "0.41576" in proc.stdout

@@ -9,6 +9,7 @@ from thetacert import (
     DomainError,
     Enclosure,
     EnvelopeConstants,
+    EvalConfig,
     Status,
     admissibility_factor,
     certify_sign,
@@ -122,6 +123,11 @@ def test_admissibility_certified_for_paper_constants(cfg):
     for nu in range(4):
         report = check_c_admissible(nu, cfg)
         assert report.status is Status.CERTIFIED, report.summary()
+
+
+def test_admissibility_with_decimal_string_tolerance():
+    report = check_c_admissible(0, EvalConfig(tail_tolerance="1e-40"))
+    assert report.status is Status.CERTIFIED, report.summary()
 
 
 def test_admissibility_fails_for_too_small_candidate(cfg):

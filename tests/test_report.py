@@ -2,7 +2,21 @@
 
 import json
 
-from thetacert import CertificationReport, Enclosure, EvalConfig, Status, Witness, precision
+import pytest
+
+from thetacert import (
+    CertificationReport,
+    Enclosure,
+    EvalConfig,
+    Status,
+    Witness,
+    f_eval,
+    f_prime,
+    f_second,
+    precision,
+    theta2_series,
+    theta4_eval,
+)
 from thetacert.report import (
     ReportDocument,
     certification_record,
@@ -57,6 +71,26 @@ def test_document_round_trip_preserves_strings():
     data = json.loads(text)
     assert data["schema_version"] == "1"
     assert data["summary"]["ok"] is True
+
+
+@pytest.mark.parametrize("y", ["1e-8", "1e-6", "1e6", "1e8"])
+def test_decimal_bounds_outside_default_exponent_range(cfg, y):
+    # f'' at 1e-6 is ~1e-2728727 and f at 1e8 ~1e-136437619, far outside
+    # Decimal's default exponent range
+    for fn in (f_eval, f_prime, f_second, theta4_eval, theta2_series):
+        e = fn(Enclosure(y), cfg=cfg)
+        lo, hi = decimal_bounds(e, 40)
+        with precision(300):
+            assert enclosure_from_decimal(lo, hi).contains(e)
+
+
+@pytest.mark.parametrize("tolerance", [2.0 ** -100, "1e-900"])
+def test_document_round_trip_rebuilds_config(tolerance):
+    config = EvalConfig(precision_bits=256, tail_tolerance=tolerance, max_terms=500)
+    text = ReportDocument(command="verify demo", config=config).to_json()
+    parsed = ReportDocument.from_json(text)
+    assert parsed.config == config
+    assert parsed.to_json() == text
 
 
 def test_witness_and_failure_records():

@@ -8,6 +8,7 @@ from thetacert import (
     DomainError,
     Enclosure,
     EvalConfig,
+    check_c_admissible,
     f_lambert,
     f_prime_lambert,
     f_second_lambert,
@@ -16,6 +17,7 @@ from thetacert import (
     theta4_product,
     theta4_series,
 )
+from thetacert.modular import q_series_derivatives
 
 from conftest import (
     F_AT_1,
@@ -53,14 +55,39 @@ def test_theta4_derivative_signs_and_values(cfg):
         assert_contains(theta4_series(1, nu, cfg), oracle)
 
 
-def test_theta4_domain_and_convergence_errors(cfg):
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda y, c: theta4_series(y, 0, c),
+        lambda y, c: theta2_series(y, 0, c),
+        f_lambert,
+        f_prime_lambert,
+        f_second_lambert,
+        q_series_derivatives,
+        lambda y, c: check_c_admissible(0, c),  # the excess sum at y = 1
+    ],
+    ids=["theta4", "theta2", "f", "f_prime", "f_second", "q_series", "excess_sum"],
+)
+def test_theta4_domain_and_convergence_errors(cfg, series):
     with pytest.raises(DomainError):
         theta4_series(Enclosure(-1, 1), 0, cfg)
     with pytest.raises(DomainError):
         theta4_series(0, 0, cfg)
     tiny = EvalConfig(precision_bits=128, max_terms=3)
     with pytest.raises(ConvergenceError):
-        theta4_series(Enclosure("0.01"), 0, tiny)
+        series(Enclosure("0.01"), tiny)
+
+
+def test_theta4_symmetric_tail_is_negated_exactly():
+    # the tail [-b, b] needs -b exactly: -b rounded to 53 bits puts the
+    # lower end above theta4'(y) here, by a relative 8e-117
+    y = mp.mpf("24.4375")
+    e = theta4_series(y, 1, EvalConfig(precision_bits=512))
+    with mp.workprec(1536):
+        ref = mp.mpf(0)
+        for k in range(1, 8):  # the k = 8 term is below e^{-4900}
+            ref += 2 * (-1) ** (k + 1) * mp.pi * k * k * mp.exp(-mp.pi * k * k * y)
+        assert e.lo <= ref <= e.hi
 
 
 @pytest.mark.parametrize("y", ["0.5", "1", "2", "5"])
