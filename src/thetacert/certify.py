@@ -44,6 +44,22 @@ class Status(enum.Enum):
     FAILED = "failed"
     INCONCLUSIVE = "inconclusive"
 
+    @property
+    def passed(self) -> bool | None:
+        """This status as a :class:`Check` outcome (None when undecided)."""
+        return None if self is Status.INCONCLUSIVE else self is Status.CERTIFIED
+
+    @classmethod
+    def of(cls, checks, subreports=()) -> "Status":
+        """The status a chain earns from its parts: failed if any part is
+        disproved, inconclusive if any is undecided, certified otherwise."""
+        outcomes = [c.passed for c in checks] + [r.status.passed for r in subreports]
+        if False in outcomes:
+            return cls.FAILED
+        if None in outcomes:
+            return cls.INCONCLUSIVE
+        return cls.CERTIFIED
+
 
 @dataclass(frozen=True)
 class Witness:

@@ -24,7 +24,8 @@ from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, as_enclosure
 from .envelopes import log_grid
 from .verifier import f_eval, f_prime, f_second
 
-__all__ = ["ExponentQuery", "f_a_value", "f_a_prime", "f_a_second", "scan_rows", "find_nonconvex_witness"]
+__all__ = ["ExponentQuery", "f_a_value", "f_a_prime", "f_a_second", "scan_rows",
+           "find_nonconvex_witness", "find_witness_in_rows"]
 
 
 def _as_fraction(a) -> Fraction:
@@ -98,10 +99,17 @@ def find_nonconvex_witness(
 
     Grid scan first; if the most negative enclosure is not already strict,
     golden-section-style shrinking around the running minimum for up to
-    `refinements` extra evaluations.  Soundness is asymmetric: Some(witness)
-    is a proof, None is just a failed search.
+    2 * `refinements` extra evaluations.  Soundness is asymmetric:
+    Some(witness) is a proof, None is just a failed search.
     """
-    rows = scan_rows(query, cfg)
+    return find_witness_in_rows(query, scan_rows(query, cfg), cfg, refinements)
+
+
+def find_witness_in_rows(
+    query: ExponentQuery, rows, cfg: EvalConfig = DEFAULT_CONFIG, refinements: int = 40
+) -> Witness | None:
+    """:func:`find_nonconvex_witness` on grid rows already computed by
+    :func:`scan_rows` for the same query."""
     best_idx = min(range(len(rows)), key=lambda i: rows[i][1].mid)
     best_y, best_val = rows[best_idx]
     if best_val.is_strictly_negative():

@@ -6,8 +6,10 @@ convex and strictly decreasing on (0, oo).  The proof splits at y = 1:
 * large y (Lambert route): each term of the recombined f'' series is
   positive once its bracket is, which reduces to the auxiliary function
   g(y) = 2(E-1)^2 - 4 y pi E (E-1) + pi^2 y^2 E (E+1), E = e^{pi y},
-  being positive for y >= 1 (n = 1 odd term) plus elementary per-n
-  brackets for everything else;
+  being positive for y >= 1 (n = 1 odd term) plus elementary brackets for
+  everything else.  Each bracket depends on n and y only through
+  t = n pi y or s = (2n-1) pi y, so one claim in that variable covers
+  every n: subdivision up to x = 16 and one enclosure of bracket/x beyond;
 
 * small y (modular route): f''(y) = h(y)/theta4(y)^3 and h(1/y) is a
   five-term combination of theta2 derivatives which the envelope bounds
@@ -17,8 +19,8 @@ convex and strictly decreasing on (0, oo).  The proof splits at y = 1:
   whose positivity for y >= 1 follows from integer-rounded coefficients
   and one easy exponential inequality;
 
-* decreasing: termwise negativity of f' for y >= 2/pi, extended to all of
-  (0, oo) by convexity.
+* decreasing: termwise negativity of f' for y >= 2/pi, again one claim per
+  bracket in its scaled variable, extended to all of (0, oo) by convexity.
 
 Every step above is certified with enclosures; nothing is trusted from a
 printout.  The adaptive engine behind interval claims is
@@ -55,6 +57,7 @@ from .theta import (
 
 __all__ = [
     "TranscriptionError",
+    "LooseCancellationError",
     "GreekConstants",
     "collect_constants",
     "g_eval",
@@ -88,6 +91,11 @@ class TranscriptionError(EnclosureError):
     sign/order invariants: both can only happen if a formula was copied
     wrongly, never from rounding.
     """
+
+
+class LooseCancellationError(TranscriptionError):
+    """The leading coefficients enclose 0, but too widely to confirm that
+    they cancel: undecided at this precision, not a disproof."""
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +242,7 @@ def verify_g_chain(
         checks.append(
             Check(
                 "g'' > 0 on [(1+sqrt3)/pi, y_cap]",
-                sub.certified,
+                sub.status.passed,
                 f"boxes={sub.boxes_examined}",
             )
         )
@@ -256,135 +264,116 @@ def verify_g_chain(
         checks.append(
             Check(
                 "conclusion: g > 0 on [1, oo)",
-                True,
+                Status.of(checks, subreports).passed,
                 "g'' > 0 on [1, oo) makes g' increasing; g'(1) > 0 makes g "
                 "increasing; g(1) > 0 finishes",
             )
         )
 
-    ok = all(c.passed for c in checks) and all(r.certified for r in subreports)
     return CertificationReport(
         name="g-chain",
-        status=Status.CERTIFIED if ok else Status.FAILED,
+        status=Status.of(checks, subreports),
         checks=checks,
         subreports=subreports,
     )
 
 
 # ---------------------------------------------------------------------------
-# termwise large-y brackets
+# termwise large-y brackets, each in its scaled variable
 # ---------------------------------------------------------------------------
 
+#: subdivision certifies each bracket claim up to this value of its scaled
+#: variable; one enclosure of bracket/x covers everything beyond it
+_T = 16
 
-def _even_bracket(n: int):
-    """Normalized even-index f'' bracket: n pi y (1+e^{-x}) - 2(1-e^{-x}),
-    x = 2 n pi y; same sign as n pi y (e^x+1) - 2(e^x-1)."""
 
-    def quantity(box: Enclosure, cfg: EvalConfig) -> Enclosure:
+@dataclass(frozen=True)
+class _Bracket:
+    """c0 + c1 x + e^{-k x}(d0 + d1 x), claimed to have `sign` past a corner.
+
+    x is t = n pi y or s = (2n-1) pi y, so one claim covers every index n.
+    """
+
+    name: str
+    var: str
+    sign: int
+    c0: int
+    c1: int
+    k: int = 1
+    d0: int = 0
+    d1: int = 0
+
+    def homogeneous(self, x, w, decay: Enclosure) -> Enclosure:
+        """c0 w + c1 x + decay (d0 w + d1 x): the bracket at (x, 1, e^{-kx}),
+        the bracket divided by x at (1, 1/x, e^{-kx})."""
+        return self.c0 * w + self.c1 * x + decay * (self.d0 * w + self.d1 * x)
+
+    def __call__(self, x: Enclosure, cfg: EvalConfig) -> Enclosure:
+        """The bracket at x (the quantity signature of certify_sign)."""
         with cfg.scope():
-            pi = Enclosure.pi()
-            one = Enclosure(1)
-            em = (-(2 * Enclosure(n) * pi * box)).exp()
-            return Enclosure(n) * pi * box * (one + em) - 2 * (one - em)
-
-    return quantity
+            return self.homogeneous(x, 1, (-(self.k * x)).exp())
 
 
-def _odd_final_bracket(n: int):
-    """(2n-1) pi y - 4: positivity gives the odd-index bracket for n >= 2."""
+#: f'' even index: t(1+e^{-2t}) - 2(1-e^{-2t}) = t - 2 + e^{-2t}(t + 2) > 0 for t >= 2
+_EVEN_CONVEX = _Bracket("even-terms-large-y", "t", +1, c0=-2, c1=1, k=2, d0=2, d1=1)
+#: f'' odd index n >= 2: s - 4 > 0 for s >= 3 pi
+_ODD_CONVEX = _Bracket("odd-terms-large-y", "s", +1, c0=-4, c1=1)
+#: f' even index: 1 - t - e^{-2t} < 0 for t >= 2
+_EVEN_DECREASING = _Bracket("decreasing-even-bracket", "t", -1, c0=1, c1=-1, k=2, d0=-1)
+#: f' odd index: 2 - s - 2 e^{-s} < 0 for s >= 2
+_ODD_DECREASING = _Bracket("decreasing-odd-bracket", "s", -1, c0=2, c1=-1, k=1, d0=-2)
 
-    def quantity(box: Enclosure, cfg: EvalConfig) -> Enclosure:
-        with cfg.scope():
-            return Enclosure(2 * n - 1) * Enclosure.pi() * box - 4
 
-    return quantity
+def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Check):
+    """Prove `bracket` has its sign for every x >= corner, given `premises`.
 
-
-def default_large_y_interval(cfg: EvalConfig = DEFAULT_CONFIG, hi: float = 30.0):
-    """[2/pi rounded down, hi]: the rounded-down start makes certification
-    cover slightly more than the stated corner."""
+    Subdivision covers [corner, _T]; past _T, bracket/x is enclosed once with
+    1/x in [0, 1/_T] and e^{-kx} in [0, e^{-k _T}].
+    """
+    report = certify_sign(bracket, (corner, _T), bracket.sign, cfg, name=bracket.name)
     with cfg.scope():
-        start = 2 / Enclosure.pi()
-        return (start.lo, hi)
+        decay = Enclosure(0, Enclosure(-bracket.k * _T).exp().hi)
+        past = bracket.homogeneous(1, Enclosure(0, Fraction(1, _T)), decay)
+    strict = past.is_strictly_positive() if bracket.sign > 0 else past.is_strictly_negative()
+    claim = f"bracket {'>' if bracket.sign > 0 else '<'} 0 for {bracket.var}"
+    report.checks = [
+        *premises,
+        Check(f"{claim} in [corner, {_T}]", report.status.passed, f"boxes={report.boxes_examined}"),
+        Check(f"{claim} >= {_T}", strict, f"bracket/{bracket.var} in {past!r}"),
+    ]
+    report.status = Status.of(report.checks)
+    return report
 
 
 def verify_even_terms_large_y(
-    n_max: int = 50,
-    interval=None,
-    cfg: EvalConfig = DEFAULT_CONFIG,
+    n_max: int = 50, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> CertificationReport:
-    """Certify n pi y (e^{2 n pi y}+1) - 2(e^{2 n pi y}-1) > 0 on [2/pi, hi]
-    for n = 1..n_max, plus the n-uniform collapse at the corner."""
-    if interval is None:
-        interval = default_large_y_interval(cfg)
-    checks: list[Check] = []
-    subreports = []
-    checks.append(
-        Check(
-            "n-uniform corner argument",
-            True,
-            "for y >= 2/pi and n >= 1, n pi y >= 2, so the bracket is at "
-            "least (n pi y - 2) e^{2 n pi y} + n pi y + 2 >= 4; the "
-            "subdivision below covers the rounding sliver at the corner",
-        )
-    )
-    for n in range(1, n_max + 1):
-        sub = certify_sign(_even_bracket(n), interval, +1, cfg, name=f"even-term-n{n}")
-        subreports.append(sub)
-        if not sub.certified:
-            checks.append(Check(f"even bracket n={n}", False, sub.summary()))
-    ok = all(r.certified for r in subreports) and all(c.passed for c in checks)
-    checks.append(Check(f"all even brackets n<={n_max} certified", ok, ""))
-    return CertificationReport(
-        name="even-terms-large-y",
-        status=Status.CERTIFIED if ok else Status.FAILED,
-        interval=subreports[0].interval if subreports else None,
-        checks=checks,
-        subreports=subreports,
-    )
+    """Certify the even-index f'' bracket for every n >= 1 and y >= 2/pi.
+
+    In t = n pi y the bracket is t(1+e^{-2t}) - 2(1-e^{-2t}), and y >= 2/pi
+    gives t >= 2 for every n, so one claim on t >= 2 covers all terms.
+    `n_max` is accepted for existing callers; it no longer changes the result.
+    """
+    return _certify_bracket(_EVEN_CONVEX, 2, cfg)
 
 
 def verify_odd_terms_large_y(
-    n_max: int = 50,
-    interval=(1, 30),
-    cfg: EvalConfig = DEFAULT_CONFIG,
+    n_max: int = 50, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> CertificationReport:
-    """Certify the n >= 2 odd-index chain on y >= 1.
+    """Certify the odd-index f'' chain for every n >= 2 and y >= 1.
 
-    The chain drops the positive summand (2n-1) pi y + 4 and then needs
-    (2n-1) pi y e^{w} - 4 e^{w} > 0, i.e. (2n-1) pi y > 4, which at the
-    corner n = 2, y = 1 is 3 pi - 4 > 0.
+    With s = (2n-1) pi y >= 3 pi the chain drops the positive summand s + 4
+    and then needs s e^{w} - 4 e^{w} > 0, i.e. s - 4 > 0 for s >= 3 pi.
+    `n_max` is accepted for existing callers; it no longer changes the result.
     """
-    checks: list[Check] = []
-    subreports = []
     with cfg.scope():
-        corner = 3 * Enclosure.pi() - 4
-        checks.append(
-            Check("corner 3 pi - 4 > 0", corner.is_strictly_positive(), f"{corner!r}")
+        corner = 3 * Enclosure.pi()
+        drop = Check(
+            "dropped summand positive",
+            (corner + 4).is_strictly_positive(),
+            "s + 4 > 0 at s = 3 pi and increasing, so dropping it only weakens the bracket",
         )
-        lo = as_enclosure(interval[0])
-        drop = Enclosure(3) * Enclosure.pi() * lo + 4
-        checks.append(
-            Check(
-                "dropped summand positive",
-                drop.is_strictly_positive(),
-                "(2n-1) pi y + 4 > 0, so dropping it only weakens the bracket",
-            )
-        )
-    for n in range(2, n_max + 1):
-        sub = certify_sign(_odd_final_bracket(n), interval, +1, cfg, name=f"odd-term-n{n}")
-        subreports.append(sub)
-        if not sub.certified:
-            checks.append(Check(f"odd bracket n={n}", False, sub.summary()))
-    ok = all(r.certified for r in subreports) and all(c.passed for c in checks)
-    checks.append(Check(f"all odd brackets 2<=n<={n_max} certified", ok, ""))
-    return CertificationReport(
-        name="odd-terms-large-y",
-        status=Status.CERTIFIED if ok else Status.FAILED,
-        interval=subreports[0].interval if subreports else None,
-        checks=checks,
-        subreports=subreports,
-    )
+    return _certify_bracket(_ODD_CONVEX, corner, cfg, drop)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +443,9 @@ def collect_constants(poly: ExpPoly) -> GreekConstants:
     """Read the six constants off an expanded bracket, enforcing the guards.
 
     The leading coefficients at e^{6 pi y} (exponent key -3) vanish exactly in
-    exact arithmetic; an enclosure that misses 0, or is wide, is a hard error,
-    as are violations of the sign/order invariants.  Sign convention:
+    exact arithmetic; an enclosure that misses 0 is a hard error, as are
+    violations of the sign/order invariants, and one that is too wide raises
+    :class:`LooseCancellationError`.  Sign convention:
     +(alpha y - beta) on e^{4 pi y}, -(gamma y + delta) on e^{2 pi y},
     -(eps y + zeta) on e^0.
     """
@@ -466,7 +456,7 @@ def collect_constants(poly: ExpPoly) -> GreekConstants:
                 f"e^(6 pi y) {label} coefficient does not cancel: {coeff!r}"
             )
         if not coeff.width <= _CANCEL_WIDTH:
-            raise TranscriptionError(
+            raise LooseCancellationError(
                 f"e^(6 pi y) {label} coefficient cancels too loosely: {coeff!r}"
             )
     a11, b11 = poly.coefficient(-11)
@@ -534,15 +524,19 @@ def verify_small_y_chain(
         rep = check_c_admissible(nu, cfg, constants=constants)
         subreports.append(rep)
         if not rep.certified:
-            checks.append(Check(f"envelope admissibility nu={nu}", False, rep.summary()))
+            checks.append(Check(f"envelope admissibility nu={nu}", rep.status.passed, rep.summary()))
 
     try:
         greek = compute_greek_constants(cfg, constants)
         checks.append(Check("leading e^(6 pi y) cancellation", True, "both coefficients enclose 0"))
     except TranscriptionError as exc:
-        checks.append(Check("leading e^(6 pi y) cancellation", False, str(exc)))
+        loose = isinstance(exc, LooseCancellationError)
+        checks.append(Check("leading e^(6 pi y) cancellation", None if loose else False, str(exc)))
         return CertificationReport(
-            name="small-y-chain", status=Status.FAILED, checks=checks, subreports=subreports
+            name="small-y-chain",
+            status=Status.of(checks, subreports),
+            checks=checks,
+            subreports=subreports,
         )
 
     with cfg.scope():
@@ -595,7 +589,7 @@ def verify_small_y_chain(
     checks.append(
         Check(
             "final bracket > 0 on [1, y_cap]",
-            bracket_rep.certified,
+            bracket_rep.status.passed,
             f"boxes={bracket_rep.boxes_examined}",
         )
     )
@@ -616,16 +610,15 @@ def verify_small_y_chain(
         checks.append(
             Check(
                 "conclusion: f'' > 0 on (0, 1]",
-                True,
+                Status.of(checks, subreports).passed,
                 "h(1/y) >= y^(9/2) e^(-27 pi y/4) * bracket > 0 for y >= 1 and "
                 "f''(y) = h(y)/theta4(y)^3 with theta4 > 0",
             )
         )
 
-    ok = all(c.passed for c in checks) and all(r.certified for r in subreports)
     return CertificationReport(
         name="small-y-chain",
-        status=Status.CERTIFIED if ok else Status.FAILED,
+        status=Status.of(checks, subreports),
         checks=checks,
         subreports=subreports,
     )
@@ -761,102 +754,43 @@ def verify_convexity(
     )
 
 
-def _decreasing_bracket_even(n: int):
-    """Normalized f' even bracket: (1 - y n pi) - e^{-2 n pi y}; negative
-    wherever y n pi >= 1."""
-
-    def quantity(box: Enclosure, cfg: EvalConfig) -> Enclosure:
-        with cfg.scope():
-            one = Enclosure(1)
-            em = (-(2 * Enclosure(n) * Enclosure.pi() * box)).exp()
-            return one - Enclosure(n) * Enclosure.pi() * box - em
-
-    return quantity
-
-
-def _decreasing_bracket_odd(n: int):
-    """Normalized f' odd bracket: (2 - (2n-1) pi y) - 2 e^{-(2n-1) pi y};
-    negative wherever (2n-1) pi y >= 2."""
-
-    def quantity(box: Enclosure, cfg: EvalConfig) -> Enclosure:
-        with cfg.scope():
-            em = (-(Enclosure(2 * n - 1) * Enclosure.pi() * box)).exp()
-            return Enclosure(2) - Enclosure(2 * n - 1) * Enclosure.pi() * box - 2 * em
-
-    return quantity
-
-
 def verify_decreasing_argument(
     cfg: EvalConfig = DEFAULT_CONFIG,
     n_max: int = 50,
-    y_cap: float = 30.0,
     convexity_report: CertificationReport | None = None,
 ) -> CertificationReport:
     """Certify that f is strictly decreasing on (0, oo).
 
-    Termwise, both normalized f' brackets are negative for y >= 2/pi and
-    every n (the corner collapses: n pi y >= 2 >= 1 and (2n-1) pi y >= 2),
-    and beyond y_cap the linear parts alone dominate.  Convexity (f'' > 0,
-    taken from `convexity_report` or re-derived from the small-y chain)
-    makes f' increasing, so negativity on [2/pi, oo) forces negativity on
-    all of (0, oo).
+    Termwise, the even f' bracket 1 - t - e^{-2t} (t = n pi y) and the odd
+    one 2 - s - 2 e^{-s} (s = (2n-1) pi y) are negative for t, s >= 2, which
+    y >= 2/pi gives for every n >= 1.  Convexity (f'' > 0, taken from
+    `convexity_report` or re-derived from the small-y chain) makes f'
+    increasing, so negativity on [2/pi, oo) forces negativity on all of
+    (0, oo).  `n_max` is accepted for existing callers; it no longer changes
+    the result.
     """
-    checks: list[Check] = []
-    subreports: list[CertificationReport] = []
-    interval = default_large_y_interval(cfg, y_cap)
-
-    checks.append(
-        Check(
-            "n-uniform negativity",
-            True,
-            "for y >= 2/pi: 1 - y n pi <= 1 - 2n < 0 and "
-            "2 - (2n-1) pi y <= 2 - 2(2n-1) <= 0 with the exponential term "
-            "strictly negative, for every n >= 1",
-        )
-    )
-    with cfg.scope():
-        cap = Enclosure(y_cap)
-        beyond = Enclosure(1) - Enclosure.pi() * cap
-        checks.append(
-            Check(
-                "beyond y_cap",
-                beyond.is_strictly_negative(),
-                "1 - y n pi and 2 - (2n-1) pi y only decrease in y and n",
-            )
-        )
-    for n in range(1, n_max + 1):
-        se = certify_sign(
-            _decreasing_bracket_even(n), interval, -1, cfg, name=f"decreasing-even-n{n}"
-        )
-        so = certify_sign(
-            _decreasing_bracket_odd(n), interval, -1, cfg, name=f"decreasing-odd-n{n}"
-        )
-        subreports.extend((se, so))
-        if not (se.certified and so.certified):
-            checks.append(Check(f"brackets at n={n}", False, se.summary() + "; " + so.summary()))
-
+    subreports = [_certify_bracket(b, 2, cfg) for b in (_EVEN_DECREASING, _ODD_DECREASING)]
     if convexity_report is None:
         convexity_report = verify_small_y_chain(cfg)
     subreports.append(convexity_report)
-    checks.append(
+    checks = [
         Check(
             "convexity input",
-            convexity_report.certified,
+            convexity_report.status.passed,
             f"uses report {convexity_report.report_id}",
         )
-    )
+    ]
     checks.append(
         Check(
             "conclusion: f strictly decreasing on (0, oo)",
-            True,
+            Status.of(checks, subreports).passed,
             "f' < 0 termwise on [2/pi, oo); f'' > 0 makes f' increasing, so "
             "f'(y) <= f'(t) < 0 for y <= t in [2/pi, 1]",
         )
     )
-    ok = all(c.passed for c in checks) and all(r.certified for r in subreports)
     return CertificationReport(
         name="decreasing-argument",
-        status=Status.CERTIFIED if ok else Status.FAILED,
+        status=Status.of(checks, subreports),
         checks=checks,
         subreports=subreports,
     )

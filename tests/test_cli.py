@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import thetacert
+from thetacert import scanner
 from thetacert.cli import main
 
 
@@ -100,6 +103,33 @@ def test_scan_no_witness_at_2(tmp_path, capsys):
     text = out.read_text()
     assert "# witness" not in text
     assert "no witness" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("a, calls", [("2.5", 16), ("2", 16 + 80)])
+def test_scan_evaluates_grid_once(monkeypatch, capsys, a, calls):
+    # the witness search reuses the CLI's grid rows: one grid of 16, plus
+    # two refinement evaluations per step when the grid holds no witness
+    count = 0
+    inner = scanner.f_a_second
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(scanner, "f_a_second", counting)
+    assert run_cli("scan", "--a", a, "--resolution", "16") == 0
+    assert count == calls
+
+
+@pytest.mark.parametrize("suite", ["greek", "small-y"])
+def test_loose_cancellation_is_inconclusive(capsys, suite):
+    # at 60 bits the e^(6 pi y) coefficients enclose 0 but are too wide to
+    # confirm the cancellation: undecided, not disproved
+    assert run_cli("--precision", "60", "verify", suite) == 1
+    out = capsys.readouterr().out
+    assert "[INCONCLUSIVE]" in out
+    assert "FAILED" not in out
 
 
 def test_scan_bad_exponent_usage_error():

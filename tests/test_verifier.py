@@ -31,7 +31,14 @@ from thetacert import (
     verify_small_y_chain,
 )
 from thetacert.envelopes import log_grid
-from thetacert.verifier import g_second_display, greek_bracket, _even_bracket, _odd_final_bracket
+from thetacert.verifier import (
+    _EVEN_CONVEX,
+    _ODD_CONVEX,
+    _Bracket,
+    _certify_bracket,
+    g_second_display,
+    greek_bracket,
+)
 
 from conftest import (
     G_AT_1,
@@ -128,8 +135,46 @@ def test_even_bracket_boundary_collapse(cfg):
 
 def test_even_bracket_negative_below_corner(cfg):
     # the 2/pi condition matters: at y = 0.1 the n = 1 bracket is negative
-    val = _even_bracket(1)(Enclosure("0.1"), cfg)
+    with precision(cfg.precision_bits):
+        t = Enclosure("0.1") * Enclosure.pi()
+    val = _EVEN_CONVEX(t, cfg)
     assert val.is_strictly_negative()
+
+
+def test_scaled_brackets_certified_from_exact_corners(cfg):
+    decreasing = verify_decreasing_argument(cfg, convexity_report=verify_small_y_chain(cfg))
+    claims = [
+        verify_even_terms_large_y(cfg=cfg),
+        verify_odd_terms_large_y(cfg=cfg),
+        *decreasing.subreports[:2],
+    ]
+    with precision(cfg.precision_bits):
+        three_pi = 3 * Enclosure.pi()
+    corners = [2, three_pi.lo, 2, 2]
+    for report, corner in zip(claims, corners):
+        assert report.status is Status.CERTIFIED, report.summary()
+        assert report.interval[0] == corner
+        assert report.interval[1] == 16
+        past = [c for c in report.checks if c.name.endswith(">= 16")]
+        assert len(past) == 1 and past[0].passed is True
+        assert all(c.passed is True for c in report.checks)
+
+
+def test_even_bracket_from_below_its_root_fails(cfg):
+    # the bracket's root sits near t = 1.92, so starting at t = 1 is false
+    report = _certify_bracket(_EVEN_CONVEX, 1, cfg)
+    assert report.status is Status.FAILED
+    assert report.witness is not None
+    assert report.witness.value.is_strictly_negative()
+    assert report.witness.y.hi < 2
+
+
+def test_past_cap_check_catches_late_sign_change(cfg):
+    # 20 - t is positive on [2, 16] but not beyond: only the past-16
+    # enclosure can see that, and it must not pass
+    report = _certify_bracket(_Bracket("late-change", "t", +1, c0=20, c1=-1), 2, cfg)
+    assert report.status is Status.FAILED
+    assert [c.passed for c in report.checks] == [True, False]
 
 
 def test_odd_terms_certify(cfg):
@@ -146,7 +191,9 @@ def test_odd_corner_value(cfg):
 
 def test_odd_final_bracket_negative_below_condition(cfg):
     # (2n-1) pi y - 4 at n = 2, y = 0.4 < 4/(3 pi): negative
-    val = _odd_final_bracket(2)(Enclosure("0.4"), cfg)
+    with precision(cfg.precision_bits):
+        s = Enclosure("1.2") * Enclosure.pi()
+    val = _ODD_CONVEX(s, cfg)
     assert val.is_strictly_negative()
 
 
