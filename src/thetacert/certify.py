@@ -141,8 +141,19 @@ def _parse_sign(target_sign) -> int:
     raise ValueError(f"target sign must be +1/-1 or 'positive'/'negative', got {target_sign!r}")
 
 
-def _strict(v: Enclosure, sign: int) -> bool:
-    return v.is_strictly_positive() if sign > 0 else v.is_strictly_negative()
+def _evaluate(fn, box: Enclosure, cfg: EvalConfig) -> Enclosure | None:
+    """fn on the box, or None when its evaluation does not converge there."""
+    try:
+        return fn(box, cfg)
+    except ConvergenceError:
+        return None
+
+
+def _sign_of(v: Enclosure | None) -> int:
+    """+1 or -1 for a strictly signed enclosure, 0 when undecided or missing."""
+    if v is None:
+        return 0
+    return 1 if v.is_strictly_positive() else -1 if v.is_strictly_negative() else 0
 
 
 def _margin(v: Enclosure, sign: int):
@@ -156,7 +167,6 @@ def certify_sign(
     cfg: EvalConfig = DEFAULT_CONFIG,
     max_depth: int = 60,
     max_boxes: int = 50_000,
-    escalate: bool = True,
     name: str = "certify-sign",
 ) -> CertificationReport:
     """Prove fn(y) has the strict target sign for every y in [a, b].
@@ -204,37 +214,21 @@ def certify_sign(
             report.status = Status.INCONCLUSIVE
             report.unresolved_box = box
             break
-        value = None
-        try:
-            value = fn(box, cfg)
-        except ConvergenceError:
-            pass
-        if value is not None:
-            if _strict(value, sign):
-                m = _margin(value, sign)
-                if worst is None or m < worst:
-                    worst = m
-                continue
-            if _strict(value, -sign):
-                # Opposite sign holds on the entire box: rigorous disproof.
-                report.status = Status.FAILED
-                report.witness = Witness(y=box, value=value, context=name)
-                break
+        value = _evaluate(fn, box, cfg)
+        if depth >= max_depth and not _sign_of(value):
+            value = _evaluate(fn, box, cfg.escalated())
+        got = _sign_of(value)
+        if got == sign:
+            m = _margin(value, sign)
+            if worst is None or m < worst:
+                worst = m
+            continue
+        if got == -sign:
+            # Opposite sign holds on the entire box: rigorous disproof.
+            report.status = Status.FAILED
+            report.witness = Witness(y=box, value=value, context=name)
+            break
         if depth >= max_depth:
-            if escalate:
-                try:
-                    value = fn(box, cfg.escalated())
-                except ConvergenceError:
-                    value = None
-                if value is not None and _strict(value, sign):
-                    m = _margin(value, sign)
-                    if worst is None or m < worst:
-                        worst = m
-                    continue
-                if value is not None and _strict(value, -sign):
-                    report.status = Status.FAILED
-                    report.witness = Witness(y=box, value=value, context=name)
-                    break
             report.status = Status.INCONCLUSIVE
             report.unresolved_box = box
             break

@@ -16,6 +16,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,8 +29,7 @@ from .scanner import ExponentQuery, find_witness_in_rows, scan_rows
 from .theta import theta2_series
 from .verifier import (
     QUANTITIES,
-    LooseCancellationError,
-    compute_greek_constants,
+    checked_greek_constants,
     f_eval,
     f_prime,
     f_second,
@@ -162,43 +162,19 @@ def _suite_envelopes(args, cfg) -> list[CertificationReport]:
     return reports
 
 
-def _suite_modular(args, cfg) -> list[CertificationReport]:
-    return [verify_modular_identity(("0.5", "2"), nu, cfg) for nu in range(4)]
-
-
-def _suite_g_chain(args, cfg):
-    return [verify_g_chain(cfg)]
-
-
-def _suite_large_y(args, cfg):
-    return [verify_even_terms_large_y(cfg=cfg), verify_odd_terms_large_y(cfg=cfg)]
-
-
-def _suite_small_y(args, cfg):
-    return [verify_small_y_chain(cfg)]
-
-
 def _suite_greek(args, cfg, doc: ReportDocument | None):
-    checks = []
-    try:
-        greek = compute_greek_constants(cfg)
-        checks.append(Check("leading-order cancellation", True, ""))
+    checks, greek = checked_greek_constants(cfg)
+    if greek is not None:
         for name, value in greek.as_dict().items():
             checks.append(Check(f"{name} strictly positive", value.is_strictly_positive(), ""))
             if doc is not None:
                 doc.add_value(name, value)
+            else:
+                lo, hi = decimal_bounds(value, args.digits)
+                print(f"  {name} in [{lo}, {hi}]")
         checks.append(Check("alpha < gamma", greek.alpha.hi < greek.gamma.lo, ""))
         checks.append(Check("beta < delta", greek.beta.hi < greek.delta.lo, ""))
-    except EnclosureError as exc:
-        loose = isinstance(exc, LooseCancellationError)
-        checks.append(Check("constant collection", None if loose else False, str(exc)))
-        greek = None
-    report = CertificationReport(name="greek-constants", status=Status.of(checks), checks=checks)
-    if greek is not None and doc is None:
-        for name, value in greek.as_dict().items():
-            lo, hi = decimal_bounds(value, args.digits)
-            print(f"  {name} in [{lo}, {hi}]")
-    return [report]
+    return [CertificationReport(name="greek-constants", status=Status.of(checks), checks=checks)]
 
 
 def _suite_convexity(args, cfg):
@@ -213,23 +189,22 @@ def _suite_convexity(args, cfg):
     return [verify_convexity(cfg)]
 
 
-def _suite_decreasing(args, cfg):
-    return [verify_decreasing_argument(cfg)]
-
-
 def _cmd_verify(args, cfg: EvalConfig) -> int:
     suite = SUITE_ALIASES.get(args.suite, args.suite)
     doc = ReportDocument(command=f"verify {suite}", config=cfg,
                          decimal_digits=args.digits).start()
+    # the small-y chain is both a suite and the decreasing suite's premise:
+    # derive it at most once per invocation
+    small_y = functools.cache(lambda: verify_small_y_chain(cfg))
     runners = {
         "envelopes": lambda: _suite_envelopes(args, cfg),
-        "modular": lambda: _suite_modular(args, cfg),
-        "g-chain": lambda: _suite_g_chain(args, cfg),
-        "large-y": lambda: _suite_large_y(args, cfg),
-        "small-y": lambda: _suite_small_y(args, cfg),
+        "modular": lambda: [verify_modular_identity(("0.5", "2"), nu, cfg) for nu in range(4)],
+        "g-chain": lambda: [verify_g_chain(cfg)],
+        "large-y": lambda: [verify_even_terms_large_y(cfg=cfg), verify_odd_terms_large_y(cfg=cfg)],
+        "small-y": lambda: [small_y()],
         "greek": lambda: _suite_greek(args, cfg, doc if args.json_path else None),
         "convexity": lambda: _suite_convexity(args, cfg),
-        "decreasing": lambda: _suite_decreasing(args, cfg),
+        "decreasing": lambda: [verify_decreasing_argument(cfg, convexity_report=small_y())],
     }
     order = list(runners) if suite == "all" else [suite]
     all_ok = True

@@ -104,19 +104,23 @@ def theta4_eval(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
         return theta4_series(y, nu, cfg)
 
 
+#: sample points and combined-width bound of the modular identity check
+_IDENTITY_SAMPLES = 9
+_IDENTITY_WIDTH = 2.0 ** -80
+
+
 def verify_modular_identity(
     interval,
     nu: int,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    samples: int = 9,
     coefficients=None,
-    width_bound: float = 2.0 ** -80,
 ) -> CertificationReport:
     """Certify that the modular and direct routes agree on sampled points.
 
-    At each sample the two enclosures must intersect (they both contain the
-    exact value, so disjointness proves a formula error) with combined width
-    below `width_bound`.  Overly wide enclosures yield `inconclusive`.
+    At each of the log-spaced samples the two enclosures must intersect
+    (they both contain the exact value, so disjointness proves a formula
+    error) with combined width below 2^-80.  Overly wide enclosures yield
+    `inconclusive`.
     """
     nu = _check_order(nu)
     with cfg.scope():
@@ -125,33 +129,21 @@ def verify_modular_identity(
         if not lo.is_strictly_positive():
             raise DomainError("modular identity check requires a positive interval")
         checks = []
-        status = Status.CERTIFIED
         la, lb = math.log(float(lo.lo)), math.log(float(hi.hi))
-        for i in range(samples):
-            t = la + (lb - la) * i / max(samples - 1, 1)
-            y = Enclosure(math.exp(t))
+        for i in range(_IDENTITY_SAMPLES):
+            y = Enclosure(math.exp(la + (lb - la) * i / (_IDENTITY_SAMPLES - 1)))
             via_flip = theta4_via_modular(y, nu, cfg, coefficients)
             direct = theta4_series(y, nu, cfg)
-            agree = via_flip.intersects(direct)
-            widths_ok = (via_flip.width + direct.width) < width_bound
-            if agree and widths_ok:
-                checks.append(Check(f"agreement at y={y.lo}", True, ""))
-            elif not agree:
-                status = Status.FAILED
-                checks.append(
-                    Check(
-                        f"agreement at y={y.lo}",
-                        False,
-                        f"modular={via_flip!r} direct={direct!r} are disjoint",
-                    )
-                )
+            if not via_flip.intersects(direct):
+                outcome, detail = False, f"modular={via_flip!r} direct={direct!r} are disjoint"
+            elif via_flip.width + direct.width < _IDENTITY_WIDTH:
+                outcome, detail = True, ""
             else:
-                if status is Status.CERTIFIED:
-                    status = Status.INCONCLUSIVE
-                checks.append(Check(f"agreement at y={y.lo}", None, "combined width too large"))
+                outcome, detail = None, "combined width too large"
+            checks.append(Check(f"agreement at y={y.lo}", outcome, detail))
     return CertificationReport(
         name=f"modular-identity-nu{nu}",
-        status=status,
+        status=Status.of(checks),
         interval=(lo.lo, hi.hi),
         checks=checks,
     )

@@ -92,21 +92,25 @@ def scan_rows(query: ExponentQuery, cfg: EvalConfig = DEFAULT_CONFIG):
     return [(y, f_a_second(query.a, y, cfg)) for y in log_grid(lo, hi, query.resolution)]
 
 
+#: golden-section refinement steps after the grid scan (two evaluations each)
+_REFINEMENTS = 40
+
+
 def find_nonconvex_witness(
-    query: ExponentQuery, cfg: EvalConfig = DEFAULT_CONFIG, refinements: int = 40
+    query: ExponentQuery, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> Witness | None:
     """Search for a point where f_a'' is certifiably negative.
 
     Grid scan first; if the most negative enclosure is not already strict,
     golden-section-style shrinking around the running minimum for up to
-    2 * `refinements` extra evaluations.  Soundness is asymmetric:
+    2 * _REFINEMENTS extra evaluations.  Soundness is asymmetric:
     Some(witness) is a proof, None is just a failed search.
     """
-    return find_witness_in_rows(query, scan_rows(query, cfg), cfg, refinements)
+    return find_witness_in_rows(query, scan_rows(query, cfg), cfg)
 
 
 def find_witness_in_rows(
-    query: ExponentQuery, rows, cfg: EvalConfig = DEFAULT_CONFIG, refinements: int = 40
+    query: ExponentQuery, rows, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> Witness | None:
     """:func:`find_nonconvex_witness` on grid rows already computed by
     :func:`scan_rows` for the same query."""
@@ -120,7 +124,7 @@ def find_witness_in_rows(
     lo = rows[max(best_idx - 1, 0)][0].lo
     hi = rows[min(best_idx + 1, len(rows) - 1)][0].hi
     with cfg.scope():
-        for _ in range(refinements):
+        for _ in range(_REFINEMENTS):
             span = hi - lo
             for t in (ratio, 1 - ratio):
                 y = Enclosure(lo + span * t)

@@ -7,9 +7,9 @@ convex and strictly decreasing on (0, oo).  The proof splits at y = 1:
   positive once its bracket is, which reduces to the auxiliary function
   g(y) = 2(E-1)^2 - 4 y pi E (E-1) + pi^2 y^2 E (E+1), E = e^{pi y},
   being positive for y >= 1 (n = 1 odd term) plus elementary brackets for
-  everything else.  Each bracket depends on n and y only through
+  everything else.  Each termwise bracket depends on n and y only through
   t = n pi y or s = (2n-1) pi y, so one claim in that variable covers
-  every n: subdivision up to x = 16 and one enclosure of bracket/x beyond;
+  every n;
 
 * small y (modular route): f''(y) = h(y)/theta4(y)^3 and h(1/y) is a
   five-term combination of theta2 derivatives which the envelope bounds
@@ -17,14 +17,17 @@ convex and strictly decreasing on (0, oo).  The proof splits at y = 1:
   y^{9/2} e^{-27 pi y/4} ( e^{4 pi y}(alpha y - beta)
                          + e^{2 pi y}(-gamma y - delta) - eps y - zeta )
   whose positivity for y >= 1 follows from integer-rounded coefficients
-  and one easy exponential inequality;
+  and one final bracket;
 
 * decreasing: termwise negativity of f' for y >= 2/pi, again one claim per
   bracket in its scaled variable, extended to all of (0, oo) by convexity.
 
-Every step above is certified with enclosures; nothing is trusted from a
-printout.  The adaptive engine behind interval claims is
-:func:`thetacert.certify.certify_sign`.
+Every claim that must hold for all y past a corner (the termwise brackets,
+g'' and the small-y final bracket) has one form, :func:`_certify_bracket`:
+subdivision up to x = 16 in the bracket's variable, then one enclosure of
+bracket/x^deg over all x >= 16.  Every step is certified with enclosures;
+nothing is trusted from a printout.  The adaptive engine behind interval
+claims is :func:`thetacert.certify.certify_sign`.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ __all__ = [
     "verify_odd_terms_large_y",
     "greek_bracket",
     "compute_greek_constants",
+    "checked_greek_constants",
     "envelope_lower_bound",
     "small_y_bracket",
     "verify_small_y_chain",
@@ -96,6 +100,77 @@ class TranscriptionError(EnclosureError):
 class LooseCancellationError(TranscriptionError):
     """The leading coefficients enclose 0, but too widely to confirm that
     they cancel: undecided at this precision, not a disproof."""
+
+
+# ---------------------------------------------------------------------------
+# half-line claims: a bracket in one variable, certified past a corner
+# ---------------------------------------------------------------------------
+
+#: subdivision certifies each bracket claim up to this value of its
+#: variable; one enclosure of bracket/x^deg covers everything beyond it
+_T = 16
+
+
+@dataclass(frozen=True)
+class _Bracket:
+    """c0 + c1 x + c2 x^2 + e^{-k x}(d0 + d1 x + d2 x^2), claimed to have
+    `sign` past a corner.
+
+    Coefficients and the rate k are rationals or enclosures.  For the
+    termwise brackets x is t = n pi y or s = (2n-1) pi y, so one claim
+    covers every index n.
+    """
+
+    name: str
+    var: str
+    sign: int
+    c0: object
+    c1: object
+    k: object = 1
+    d0: object = 0
+    d1: object = 0
+    c2: object = 0
+    d2: object = 0
+
+    @property
+    def degree(self) -> int:
+        return 2 if self.c2 != 0 or self.d2 != 0 else 1
+
+    def homogeneous(self, x, w, decay: Enclosure) -> Enclosure:
+        """sum_i (c_i + decay d_i) x^i w^(deg-i): the bracket at (x, 1, e^{-kx}),
+        the bracket divided by x^deg at (1, 1/x, e^{-kx})."""
+        deg = self.degree
+        cs = (self.c0, self.c1, self.c2)[: deg + 1]
+        ds = (self.d0, self.d1, self.d2)[: deg + 1]
+        return sum(
+            (c + decay * d) * x ** i * w ** (deg - i) for i, (c, d) in enumerate(zip(cs, ds))
+        )
+
+    def __call__(self, x: Enclosure, cfg: EvalConfig) -> Enclosure:
+        """The bracket at x (the quantity signature of certify_sign)."""
+        with cfg.scope():
+            return self.homogeneous(x, 1, (-(self.k * x)).exp())
+
+
+def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Check):
+    """Prove `bracket` has its sign for every x >= corner, given `premises`.
+
+    Subdivision covers [corner, _T]; past _T, bracket/x^deg is enclosed once
+    with 1/x in [0, 1/_T] and e^{-kx} in [0, e^{-k _T}].
+    """
+    report = certify_sign(bracket, (corner, _T), bracket.sign, cfg, name=bracket.name)
+    with cfg.scope():
+        decay = Enclosure(0, as_enclosure(-bracket.k * _T).exp().hi)
+        past = bracket.homogeneous(1, Enclosure(0, Fraction(1, _T)), decay)
+    strict = past.is_strictly_positive() if bracket.sign > 0 else past.is_strictly_negative()
+    claim = f"bracket {'>' if bracket.sign > 0 else '<'} 0 for {bracket.var}"
+    report.checks = [
+        *premises,
+        Check(f"{claim} in [corner, {_T}]", report.status.passed, f"boxes={report.boxes_examined}"),
+        Check(f"{claim} >= {_T}", strict, f"bracket/{bracket.var}^{bracket.degree} in {past!r}"),
+    ]
+    report.status = Status.of(report.checks)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -176,84 +251,43 @@ def g_second_display(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
         )
 
 
-def _quad(y: Enclosure) -> Enclosure:
-    """pi^3 y^2 - 2 pi^2 y - 2 pi: the combined E^2 coefficient group of g''."""
-    pi = Enclosure.pi()
-    return pi ** 3 * y ** 2 - 2 * pi ** 2 * y - 2 * pi
+#: the displayed grouping collected in x = pi y: g'' = pi^2 e^{2x} B(x) with
+#: B(x) = 4x^2 - 8x - 6 + e^{-x}(x^2 + 8x + 6)
+_G_BRACKET = _Bracket("g-second-positive", "x", +1, c0=-6, c1=-8, c2=4, d0=6, d1=8, d2=1)
 
 
-def _last_quad(y: Enclosure) -> Enclosure:
-    """pi^2 y^2 + 4 pi y - 4: the last displayed g'' group's bracket."""
-    pi = Enclosure.pi()
-    return pi ** 2 * y ** 2 + 4 * pi * y - 4
-
-
-def verify_g_chain(
-    cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1, y_cap: float = 30.0
-) -> CertificationReport:
-    """Certify the whole g-argument: g''(y) > 0 past (1+sqrt 3)/pi, g'(1) > 0,
-    g(1) > 0, hence g(y) > 0 for all y >= 1."""
+def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> CertificationReport:
+    """Certify the whole g-argument: g''(y) > 0 for pi y >= 1 + sqrt 3,
+    g'(1) > 0, g(1) > 0, hence g(y) > 0 for all y >= 1."""
     checks: list[Check] = []
-    subreports: list[CertificationReport] = []
     with cfg.scope():
         one = Enclosure(1)
         pi = Enclosure.pi()
 
-        # transcription anchor: the part-by-part derivative must agree with
-        # the fixed display grouping (a corrupted g breaks this, not the
-        # positivity below, which would only get easier).
+        # transcription anchor: the part-by-part derivative, the fixed display
+        # grouping and the bracket B certified below must agree (a corrupted g
+        # or B breaks this, not the positivity, which would only get easier).
         agree = True
         for pt in ("0.9", "1", "2", "5"):
-            a = g_second(Enclosure(pt), cfg, middle_sign)
-            b = g_second_display(Enclosure(pt), cfg)
-            if not a.intersects(b):
-                agree = False
-        checks.append(Check("g'' matches its displayed grouping", agree, "sampled at 0.9,1,2,5"))
-
-        root = (one + Enclosure(3).sqrt()) / pi
+            y = Enclosure(pt)
+            a = g_second(y, cfg, middle_sign)
+            b = g_second_display(y, cfg)
+            via_bracket = pi ** 2 * (2 * pi * y).exp() * _G_BRACKET(pi * y, cfg)
+            agree &= a.intersects(b) and via_bracket.intersects(a) and via_bracket.intersects(b)
         checks.append(
             Check(
-                "quadratic root located",
-                _quad(root).contains_zero(),
-                f"(1+sqrt3)/pi in {root!r}",
-            )
-        )
-        quad_deriv_pos = (2 * pi ** 3 * root - 2 * pi ** 2).is_strictly_positive()
-        checks.append(
-            Check(
-                "quadratic increasing past its root",
-                quad_deriv_pos,
-                "d/dy[pi^3 y^2 - 2 pi^2 y - 2 pi] = 2 pi^3 y - 2 pi^2 > 0 at the root",
-            )
-        )
-        inv_pi = one / pi
-        checks.append(
-            Check(
-                "last bracket positive from 1/pi on",
-                _last_quad(inv_pi).is_strictly_positive()
-                and (2 * pi ** 2 * inv_pi + 4 * pi).is_strictly_positive(),
-                "pi^2 y^2 + 4 pi y - 4 equals 1 at y = 1/pi and increases",
+                "g'' matches its displayed grouping",
+                agree,
+                "g_second, g_second_display and pi^2 e^{2 pi y} B(pi y) sampled at 0.9,1,2,5",
             )
         )
 
-        g2 = lambda box, c: g_second(box, c, middle_sign)
-        sub = certify_sign(g2, (root.lo, y_cap), +1, cfg, name="g-second-positive")
-        subreports.append(sub)
+        corner = one + Enclosure(3).sqrt()
         checks.append(
             Check(
-                "g'' > 0 on [(1+sqrt3)/pi, y_cap]",
-                sub.status.passed,
-                f"boxes={sub.boxes_examined}",
-            )
-        )
-
-        cap = Enclosure(y_cap)
-        checks.append(
-            Check(
-                "g'' > 0 beyond y_cap",
-                _quad(cap).is_strictly_positive() and _last_quad(cap).is_strictly_positive(),
-                "both bracket groups are positive and increasing at y_cap; the "
-                "remaining g'' groups have positive coefficients for y > 0",
+                "corner 1 + sqrt 3 below pi",
+                (pi - corner).is_strictly_positive(),
+                f"y >= 1 gives x = pi y >= {pi!r} > {corner!r}",
             )
         )
 
@@ -261,15 +295,16 @@ def verify_g_chain(
         g1 = g_eval(one, cfg, middle_sign)
         checks.append(Check("g'(1) > 0", gp1.is_strictly_positive(), f"g'(1) = {gp1!r}"))
         checks.append(Check("g(1) > 0", g1.is_strictly_positive(), f"g(1) = {g1!r}"))
-        checks.append(
-            Check(
-                "conclusion: g > 0 on [1, oo)",
-                Status.of(checks, subreports).passed,
-                "g'' > 0 on [1, oo) makes g' increasing; g'(1) > 0 makes g "
-                "increasing; g(1) > 0 finishes",
-            )
-        )
 
+    subreports = [_certify_bracket(_G_BRACKET, corner, cfg)]
+    checks.append(
+        Check(
+            "conclusion: g > 0 on [1, oo)",
+            Status.of(checks, subreports).passed,
+            "g'' > 0 on [1, oo) makes g' increasing; g'(1) > 0 makes g "
+            "increasing; g(1) > 0 finishes",
+        )
+    )
     return CertificationReport(
         name="g-chain",
         status=Status.of(checks, subreports),
@@ -282,38 +317,6 @@ def verify_g_chain(
 # termwise large-y brackets, each in its scaled variable
 # ---------------------------------------------------------------------------
 
-#: subdivision certifies each bracket claim up to this value of its scaled
-#: variable; one enclosure of bracket/x covers everything beyond it
-_T = 16
-
-
-@dataclass(frozen=True)
-class _Bracket:
-    """c0 + c1 x + e^{-k x}(d0 + d1 x), claimed to have `sign` past a corner.
-
-    x is t = n pi y or s = (2n-1) pi y, so one claim covers every index n.
-    """
-
-    name: str
-    var: str
-    sign: int
-    c0: int
-    c1: int
-    k: int = 1
-    d0: int = 0
-    d1: int = 0
-
-    def homogeneous(self, x, w, decay: Enclosure) -> Enclosure:
-        """c0 w + c1 x + decay (d0 w + d1 x): the bracket at (x, 1, e^{-kx}),
-        the bracket divided by x at (1, 1/x, e^{-kx})."""
-        return self.c0 * w + self.c1 * x + decay * (self.d0 * w + self.d1 * x)
-
-    def __call__(self, x: Enclosure, cfg: EvalConfig) -> Enclosure:
-        """The bracket at x (the quantity signature of certify_sign)."""
-        with cfg.scope():
-            return self.homogeneous(x, 1, (-(self.k * x)).exp())
-
-
 #: f'' even index: t(1+e^{-2t}) - 2(1-e^{-2t}) = t - 2 + e^{-2t}(t + 2) > 0 for t >= 2
 _EVEN_CONVEX = _Bracket("even-terms-large-y", "t", +1, c0=-2, c1=1, k=2, d0=2, d1=1)
 #: f'' odd index n >= 2: s - 4 > 0 for s >= 3 pi
@@ -322,27 +325,6 @@ _ODD_CONVEX = _Bracket("odd-terms-large-y", "s", +1, c0=-4, c1=1)
 _EVEN_DECREASING = _Bracket("decreasing-even-bracket", "t", -1, c0=1, c1=-1, k=2, d0=-1)
 #: f' odd index: 2 - s - 2 e^{-s} < 0 for s >= 2
 _ODD_DECREASING = _Bracket("decreasing-odd-bracket", "s", -1, c0=2, c1=-1, k=1, d0=-2)
-
-
-def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Check):
-    """Prove `bracket` has its sign for every x >= corner, given `premises`.
-
-    Subdivision covers [corner, _T]; past _T, bracket/x is enclosed once with
-    1/x in [0, 1/_T] and e^{-kx} in [0, e^{-k _T}].
-    """
-    report = certify_sign(bracket, (corner, _T), bracket.sign, cfg, name=bracket.name)
-    with cfg.scope():
-        decay = Enclosure(0, Enclosure(-bracket.k * _T).exp().hi)
-        past = bracket.homogeneous(1, Enclosure(0, Fraction(1, _T)), decay)
-    strict = past.is_strictly_positive() if bracket.sign > 0 else past.is_strictly_negative()
-    claim = f"bracket {'>' if bracket.sign > 0 else '<'} 0 for {bracket.var}"
-    report.checks = [
-        *premises,
-        Check(f"{claim} in [corner, {_T}]", report.status.passed, f"boxes={report.boxes_examined}"),
-        Check(f"{claim} >= {_T}", strict, f"bracket/{bracket.var} in {past!r}"),
-    ]
-    report.status = Status.of(report.checks)
-    return report
 
 
 def verify_even_terms_large_y(
@@ -439,26 +421,34 @@ def greek_bracket(
 _CANCEL_WIDTH = 2.0 ** -80
 
 
+def _cancellation_check(poly: ExpPoly) -> Check:
+    """The e^{6 pi y} coefficients (exponent key -3) vanish in exact
+    arithmetic: an enclosure that misses 0 disproves the transcription, one
+    wider than _CANCEL_WIDTH leaves it undecided at this precision."""
+    coeffs = poly.coefficient(-3)
+    passed = all(c.contains_zero() for c in coeffs) and (
+        True if all(c.width <= _CANCEL_WIDTH for c in coeffs) else None
+    )
+    return Check(
+        "leading e^(6 pi y) cancellation",
+        passed,
+        "y coefficient {!r}, constant coefficient {!r}".format(*coeffs),
+    )
+
+
 def collect_constants(poly: ExpPoly) -> GreekConstants:
     """Read the six constants off an expanded bracket, enforcing the guards.
 
-    The leading coefficients at e^{6 pi y} (exponent key -3) vanish exactly in
-    exact arithmetic; an enclosure that misses 0 is a hard error, as are
-    violations of the sign/order invariants, and one that is too wide raises
+    A failed e^{6 pi y} cancellation is a hard error, as are violations of
+    the sign/order invariants; a cancellation too wide to confirm raises
     :class:`LooseCancellationError`.  Sign convention:
     +(alpha y - beta) on e^{4 pi y}, -(gamma y + delta) on e^{2 pi y},
     -(eps y + zeta) on e^0.
     """
-    a3, b3 = poly.coefficient(-3)
-    for label, coeff in (("y", a3), ("const", b3)):
-        if not coeff.contains_zero():
-            raise TranscriptionError(
-                f"e^(6 pi y) {label} coefficient does not cancel: {coeff!r}"
-            )
-        if not coeff.width <= _CANCEL_WIDTH:
-            raise LooseCancellationError(
-                f"e^(6 pi y) {label} coefficient cancels too loosely: {coeff!r}"
-            )
+    cancel = _cancellation_check(poly)
+    if not cancel.passed:
+        error = TranscriptionError if cancel.passed is False else LooseCancellationError
+        raise error(f"e^(6 pi y) coefficients do not cancel tightly: {cancel.detail}")
     a11, b11 = poly.coefficient(-11)
     a19, b19 = poly.coefficient(-19)
     a27, b27 = poly.coefficient(-27)
@@ -483,6 +473,22 @@ def compute_greek_constants(
         return collect_constants(greek_bracket(cfg, constants))
 
 
+def checked_greek_constants(
+    cfg: EvalConfig = DEFAULT_CONFIG, constants: EnvelopeConstants = PAPER_CONSTANTS
+) -> tuple[list[Check], GreekConstants | None]:
+    """:func:`compute_greek_constants` as checks: the e^{6 pi y} cancellation,
+    plus the guard that rejected the constants when they come back None."""
+    with cfg.scope():
+        poly = greek_bracket(cfg, constants)
+        checks = [_cancellation_check(poly)]
+        if not checks[0].passed:
+            return checks, None
+        try:
+            return checks, collect_constants(poly)
+        except TranscriptionError as exc:
+            return checks + [Check("sign/order invariants", False, str(exc))], None
+
+
 def envelope_lower_bound(
     y,
     cfg: EvalConfig = DEFAULT_CONFIG,
@@ -494,44 +500,57 @@ def envelope_lower_bound(
         return y ** Fraction(9, 2) * greek_bracket(cfg, constants).eval(y, cfg)
 
 
+#: the constants rounded in the weakening direction: alpha down, the rest up
+_ROUNDED = {
+    "alpha": 1984,
+    "beta": 632,
+    "gamma": 1986,
+    "delta": 632,
+    "epsilon": 2,
+    "zeta": Fraction(2, 25),
+}
+#: an integer below e^{2 pi}, which bounds e^{2 pi y} from below on y >= 1
+_E2PI_FLOOR = 535
+
+
+def _final_bracket() -> _Bracket:
+    """The final small-y bracket divided by e^{2 pi y}, in y with rate 2 pi:
+    (E-2) alpha y - (E-1) beta - e^{-2 pi y}(eps y + zeta), E = _E2PI_FLOOR,
+    on the rounded constants.  Call inside a precision scope."""
+    r = _ROUNDED
+    return _Bracket(
+        "small-y-final-bracket",
+        "y",
+        +1,
+        c0=-(_E2PI_FLOOR - 1) * r["beta"],
+        c1=(_E2PI_FLOOR - 2) * r["alpha"],
+        k=2 * Enclosure.pi(),
+        d0=-r["zeta"],
+        d1=-r["epsilon"],
+    )
+
+
 def small_y_bracket(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """The integer-rounded final bracket e^{2 pi y}(533*1984 y - 534*632) - 2y - 0.08."""
     with cfg.scope():
         y = as_enclosure(y)
-        e2 = (2 * Enclosure.pi() * y).exp()
-        return e2 * (Enclosure(533 * 1984) * y - Enclosure(534 * 632)) - 2 * y - Enclosure(
-            Fraction(2, 25)
-        )
+        return (2 * Enclosure.pi() * y).exp() * _final_bracket()(y, cfg)
 
 
 def verify_small_y_chain(
     cfg: EvalConfig = DEFAULT_CONFIG,
     constants: EnvelopeConstants = PAPER_CONSTANTS,
-    y_cap: float = 30.0,
 ) -> CertificationReport:
     """Certify h(1/y) > 0 for y >= 1 (equivalently f'' > 0 on (0, 1]).
 
     Chain: envelope admissibility (four orders) -> exponential-polynomial
     bracket with constants enclosed -> integer rounding in the weakening
     direction -> multiply the e^{4 pi y} term down by e^{2 pi y} > 535 ->
-    exact integer absorption -> positive final bracket on [1, y_cap] by
-    subdivision and beyond y_cap by an explicit exponential domination.
+    exact integer absorption -> positive final bracket for every y >= 1.
     """
-    checks: list[Check] = []
-    subreports: list[CertificationReport] = []
-
-    for nu in range(4):
-        rep = check_c_admissible(nu, cfg, constants=constants)
-        subreports.append(rep)
-        if not rep.certified:
-            checks.append(Check(f"envelope admissibility nu={nu}", rep.status.passed, rep.summary()))
-
-    try:
-        greek = compute_greek_constants(cfg, constants)
-        checks.append(Check("leading e^(6 pi y) cancellation", True, "both coefficients enclose 0"))
-    except TranscriptionError as exc:
-        loose = isinstance(exc, LooseCancellationError)
-        checks.append(Check("leading e^(6 pi y) cancellation", None if loose else False, str(exc)))
+    subreports = [check_c_admissible(nu, cfg, constants=constants) for nu in range(4)]
+    checks, greek = checked_greek_constants(cfg, constants)
+    if greek is None:
         return CertificationReport(
             name="small-y-chain",
             status=Status.of(checks, subreports),
@@ -539,83 +558,52 @@ def verify_small_y_chain(
             subreports=subreports,
         )
 
+    r = _ROUNDED
     with cfg.scope():
-        directions = [
-            ("alpha >= 1984", greek.alpha.lo > 1984),
-            ("beta <= 632", greek.beta.hi < 632),
-            ("gamma <= 1986", greek.gamma.hi < 1986),
-            ("delta <= 632", greek.delta.hi < 632),
-            ("eps <= 2", greek.epsilon.hi < 2),
-            ("zeta <= 0.08", (greek.zeta - Enclosure(Fraction(2, 25))).is_strictly_negative()),
-        ]
-        for name, ok in directions:
+        for name, value in greek.as_dict().items():
+            down = name == "alpha"
             checks.append(
                 Check(
-                    f"rounding direction {name}",
-                    bool(ok),
-                    "integer rounding must weaken the lower bound",
+                    f"rounding direction {name} {'>=' if down else '<='} {r[name]}",
+                    (value - r[name] if down else r[name] - value).is_strictly_positive(),
+                    f"{name} = {value!r}; integer rounding must weaken the lower bound",
                 )
             )
-
         e2pi = (2 * Enclosure.pi()).exp()
         checks.append(
-            Check("e^(2 pi) > 535", (e2pi - 535).is_strictly_positive(), f"e^(2 pi) = {e2pi!r}")
+            Check(
+                f"e^(2 pi) > {_E2PI_FLOOR}",
+                (e2pi - _E2PI_FLOOR).is_strictly_positive(),
+                f"e^(2 pi) = {e2pi!r}",
+            )
         )
         checks.append(
             Check(
                 "e^(4 pi y) coefficient positive",
-                1984 - 632 > 0,
-                "1984 y - 632 >= 1352 > 0 for y >= 1, so multiplying it by "
-                "e^(2 pi y) >= 535 only shrinks the e^(4 pi y) term",
+                r["alpha"] > r["beta"],
+                f"{r['alpha']} y - {r['beta']} >= {r['alpha'] - r['beta']} for y >= 1, so "
+                f"multiplying it by e^(2 pi y) >= {_E2PI_FLOOR} only shrinks the e^(4 pi y) term",
             )
         )
-        # 535(1984 y - 632) - 1986 y - 632 >= 533*1984 y - 534*632 for y >= 1:
-        # surplus (2*1984 - 1986) y - 2*632 = 1982 y - 1264 >= 0.
-        surplus_slope = (535 - 533) * 1984 - 1986
-        surplus_const = (535 + 1 - 534) * 632
+        # E(alpha y - beta) - gamma y - delta - ((E-2) alpha y - (E-1) beta)
+        # = (2 alpha - gamma) y - (beta + delta) >= 0 for y >= 1
+        slope, const = 2 * r["alpha"] - r["gamma"], r["beta"] + r["delta"]
         checks.append(
             Check(
                 "integer absorption",
-                surplus_slope >= surplus_const and 533 * 1984 == 1057472 and 534 * 632 == 337488,
-                f"(2*1984 - 1986) y - 2*632 = {surplus_slope} y - {surplus_const} >= 0 for y >= 1; "
-                "products 533*1984 = 1057472, 534*632 = 337488 exact",
+                slope >= const,
+                f"the surplus {slope} y - {const} over the final bracket is >= 0 for y >= 1",
             )
         )
-
-    bracket_rep = certify_sign(
-        lambda box, c: small_y_bracket(box, c), (1, y_cap), +1, cfg, name="small-y-final-bracket"
-    )
-    subreports.append(bracket_rep)
+        subreports.append(_certify_bracket(_final_bracket(), 1, cfg))
     checks.append(
         Check(
-            "final bracket > 0 on [1, y_cap]",
-            bracket_rep.status.passed,
-            f"boxes={bracket_rep.boxes_examined}",
+            "conclusion: f'' > 0 on (0, 1]",
+            Status.of(checks, subreports).passed,
+            "h(1/y) >= y^(9/2) e^(-27 pi y/4) * bracket > 0 for y >= 1 and "
+            "f''(y) = h(y)/theta4(y)^3 with theta4 > 0",
         )
     )
-
-    with cfg.scope():
-        cap = Enclosure(y_cap)
-        coeff_at_cap = Enclosure(1057472) * cap - Enclosure(337488)
-        dom = (2 * Enclosure.pi() * cap).exp() - (2 * cap + Enclosure("1.08"))
-        checks.append(
-            Check(
-                "final bracket > 0 beyond y_cap",
-                (coeff_at_cap - 1).is_strictly_positive() and dom.is_strictly_positive(),
-                "for y >= y_cap the linear coefficient exceeds 1 and grows, and "
-                "e^(2 pi y) - (2y + 1.08) is positive at y_cap with derivative "
-                "2 pi e^(2 pi y) - 2 > 0, so e^(2 pi y)(...) - 2y - 0.08 > 1",
-            )
-        )
-        checks.append(
-            Check(
-                "conclusion: f'' > 0 on (0, 1]",
-                Status.of(checks, subreports).passed,
-                "h(1/y) >= y^(9/2) e^(-27 pi y/4) * bracket > 0 for y >= 1 and "
-                "f''(y) = h(y)/theta4(y)^3 with theta4 > 0",
-            )
-        )
-
     return CertificationReport(
         name="small-y-chain",
         status=Status.of(checks, subreports),
@@ -718,36 +706,37 @@ QUANTITIES = {
 }
 
 
-def verify_convexity(
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    interval=("0.05", 20),
-    overlap=("0.8", "1.25"),
-) -> CertificationReport:
+#: the working interval of the desk-scale convexity certification
+_INTERVAL = ("0.05", 20)
+#: the window on which both evaluation routes are certified separately
+_OVERLAP = ("0.8", "1.25")
+
+
+def verify_convexity(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Desk-scale convexity: f'' > 0 and f' < 0 on the working interval, with
     the two evaluation routes certified independently on the overlap window."""
     subreports = [
-        certify_sign(QUANTITIES["f_second"], interval, +1, cfg, name="f-second-positive"),
-        certify_sign(QUANTITIES["f_prime"], interval, -1, cfg, name="f-prime-negative"),
+        certify_sign(QUANTITIES["f_second"], _INTERVAL, +1, cfg, name="f-second-positive"),
+        certify_sign(QUANTITIES["f_prime"], _INTERVAL, -1, cfg, name="f-prime-negative"),
         certify_sign(
             lambda b, c: f_second(b, c, route="lambert"),
-            overlap,
+            _OVERLAP,
             +1,
             cfg,
             name="f-second-positive-lambert-overlap",
         ),
         certify_sign(
             lambda b, c: f_second(b, c, route="modular"),
-            overlap,
+            _OVERLAP,
             +1,
             cfg,
             name="f-second-positive-modular-overlap",
         ),
     ]
-    ok = all(r.certified for r in subreports)
-    checks = [Check(r.name, r.certified, r.summary()) for r in subreports]
+    checks = [Check(r.name, r.status.passed, r.summary()) for r in subreports]
     return CertificationReport(
         name="convexity-desk-scale",
-        status=Status.CERTIFIED if ok else Status.FAILED,
+        status=Status.of(checks, subreports),
         interval=subreports[0].interval,
         checks=checks,
         subreports=subreports,
@@ -757,21 +746,19 @@ def verify_convexity(
 def verify_decreasing_argument(
     cfg: EvalConfig = DEFAULT_CONFIG,
     n_max: int = 50,
-    convexity_report: CertificationReport | None = None,
+    *,
+    convexity_report: CertificationReport,
 ) -> CertificationReport:
     """Certify that f is strictly decreasing on (0, oo).
 
     Termwise, the even f' bracket 1 - t - e^{-2t} (t = n pi y) and the odd
     one 2 - s - 2 e^{-s} (s = (2n-1) pi y) are negative for t, s >= 2, which
-    y >= 2/pi gives for every n >= 1.  Convexity (f'' > 0, taken from
-    `convexity_report` or re-derived from the small-y chain) makes f'
-    increasing, so negativity on [2/pi, oo) forces negativity on all of
-    (0, oo).  `n_max` is accepted for existing callers; it no longer changes
-    the result.
+    y >= 2/pi gives for every n >= 1.  Convexity (f'' > 0, the premise
+    `convexity_report`, a small-y chain) makes f' increasing, so negativity
+    on [2/pi, oo) forces negativity on all of (0, oo).  `n_max` is accepted
+    for existing callers; it no longer changes the result.
     """
     subreports = [_certify_bracket(b, 2, cfg) for b in (_EVEN_DECREASING, _ODD_DECREASING)]
-    if convexity_report is None:
-        convexity_report = verify_small_y_chain(cfg)
     subreports.append(convexity_report)
     checks = [
         Check(

@@ -153,3 +153,29 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "0.41576" in proc.stdout
+
+
+def test_verify_all_derives_small_y_chain_once(monkeypatch, capsys):
+    from thetacert import cli, verifier
+
+    count = 0
+    inner = verifier.verify_small_y_chain
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_small_y_chain", counting)
+    monkeypatch.setattr(verifier, "verify_small_y_chain", counting)
+    assert run_cli("verify", "all") == 0
+    assert count == 1
+
+
+def test_greek_cancellation_check_is_computed(tmp_path, capsys):
+    path = tmp_path / "greek.json"
+    assert run_cli("verify", "greek", "--json", str(path)) == 0
+    (report,) = [r for r in json.loads(path.read_text())["results"] if r["type"] == "certification"]
+    (check,) = [c for c in report["checks"] if "cancellation" in c["name"]]
+    assert check["passed"] is True
+    assert check["detail"].count("Enclosure[") == 2

@@ -167,3 +167,17 @@ def test_log_grid_shape():
     assert all(b.lo > a.lo for a, b in zip(grid, grid[1:]))
     with pytest.raises(ValueError):
         log_grid(1.0, 2.0, 1)
+
+
+def test_admissibility_runs_no_subdivision(cfg, monkeypatch):
+    # the signs of the factor's bases already prove it decreasing on y > 0
+    from thetacert import envelopes
+
+    def subdivision(*args, **kwargs):
+        raise AssertionError("check_c_admissible must not subdivide")
+
+    monkeypatch.setattr(envelopes, "certify_sign", subdivision, raising=False)
+    for nu in range(4):
+        report = check_c_admissible(nu, cfg)
+        assert report.status is Status.CERTIFIED, report.summary()
+        assert report.subreports == []

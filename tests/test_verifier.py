@@ -343,3 +343,68 @@ def test_f_dispatch_orders(cfg):
         lam = fn(Enclosure("1.5"), cfg, route="lambert")
         mod = fn(Enclosure("1.5"), cfg, route="modular")
         assert lam.intersects(mod), name
+
+
+# -- every half-line claim is a scaled bracket ---------------------------------
+
+
+def _past_corner_checks(report):
+    return [c for c in report.checks if c.name.endswith(">= 16")]
+
+
+def test_g_second_is_a_bracket_record_from_the_corner(cfg):
+    report = verify_g_chain(cfg)
+    (sub,) = [r for r in report.subreports if r.name == "g-second-positive"]
+    with precision(cfg.precision_bits):
+        corner = 1 + Enclosure(3).sqrt()
+    assert sub.status is Status.CERTIFIED, sub.summary()
+    assert sub.interval == (corner.lo, 16)
+    past = _past_corner_checks(sub)
+    assert len(past) == 1 and past[0].passed is True
+    assert not any("y_cap" in c.name for r in (report, sub) for c in r.checks)
+
+
+def test_g_chain_wrong_bracket_coefficient_breaks_anchor(cfg, monkeypatch):
+    # B with d2 = 2 instead of 1 is still positive past the corner, so only
+    # the transcription anchor can catch it
+    from dataclasses import replace
+
+    from thetacert import verifier
+
+    monkeypatch.setattr(verifier, "_G_BRACKET", replace(verifier._G_BRACKET, d2=2))
+    report = verify_g_chain(cfg)
+    assert report.status is Status.FAILED
+    broken = [c.name for c in report.checks if c.passed is False]
+    assert any("displayed grouping" in name for name in broken)
+    assert all(r.certified for r in report.subreports)
+
+
+def test_small_y_final_bracket_is_a_bracket_record(cfg):
+    report = verify_small_y_chain(cfg)
+    (sub,) = [r for r in report.subreports if r.name == "small-y-final-bracket"]
+    assert sub.status is Status.CERTIFIED, sub.summary()
+    assert sub.interval == (1, 16)
+    past = _past_corner_checks(sub)
+    assert len(past) == 1 and past[0].passed is True
+    assert not any("y_cap" in c.name for c in report.checks)
+
+
+def test_quadratic_bracket_past_cap_check_catches_late_sign_change(cfg):
+    # 20 x - x^2 is positive on [2, 16] but not past 20: the degree-2
+    # past-16 enclosure of bracket/x^2 must see it
+    report = _certify_bracket(_Bracket("late-change", "x", +1, c0=0, c1=20, c2=-1), 2, cfg)
+    assert report.status is Status.FAILED
+    assert [c.passed for c in report.checks] == [True, False]
+
+
+def test_convexity_inconclusive_part_is_inconclusive(monkeypatch):
+    from thetacert import CertificationReport, verifier
+
+    def fake(fn, interval, sign, cfg, name="", **kwargs):
+        status = Status.INCONCLUSIVE if name == "f-prime-negative" else Status.CERTIFIED
+        return CertificationReport(name=name, status=status)
+
+    monkeypatch.setattr(verifier, "certify_sign", fake)
+    report = verify_convexity()
+    assert report.status is Status.INCONCLUSIVE
+    assert [c.passed for c in report.checks] == [True, None, True, True]
