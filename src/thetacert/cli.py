@@ -22,7 +22,7 @@ import sys
 
 from .certify import CertificationReport, Check, Status, certify_sign
 from .enclosure import DomainError, Enclosure, EnclosureError, EvalConfig
-from .envelopes import check_c_admissible, log_grid, verify_sandwich
+from .envelopes import log_grid, verify_sandwich
 from .modular import theta4_eval, verify_modular_identity
 from .report import ReportDocument, decimal_bounds
 from .scanner import ExponentQuery, find_witness_in_rows, scan_rows
@@ -155,13 +155,6 @@ def _cmd_eval(args, cfg: EvalConfig) -> int:
     return EXIT_OK
 
 
-def _suite_envelopes(args, cfg) -> list[CertificationReport]:
-    grid = log_grid(1.0, 100.0, 40)
-    reports = [verify_sandwich(grid, nu, cfg) for nu in range(4)]
-    reports += [check_c_admissible(nu, cfg) for nu in range(4)]
-    return reports
-
-
 def _suite_greek(args, cfg, doc: ReportDocument | None):
     checks, greek = checked_greek_constants(cfg)
     if greek is not None:
@@ -193,18 +186,25 @@ def _cmd_verify(args, cfg: EvalConfig) -> int:
     suite = SUITE_ALIASES.get(args.suite, args.suite)
     doc = ReportDocument(command=f"verify {suite}", config=cfg,
                          decimal_digits=args.digits).start()
-    # the small-y chain is both a suite and the decreasing suite's premise:
-    # derive it at most once per invocation
+    # the small-y chain is a suite, the decreasing suite's premise and, as its
+    # first four subreports, the envelope admissibility: derive it at most once
+    # per invocation and emit it once
     small_y = functools.cache(lambda: verify_small_y_chain(cfg))
     runners = {
-        "envelopes": lambda: _suite_envelopes(args, cfg),
+        "envelopes": lambda: (
+            [verify_sandwich(log_grid(1.0, 100.0, 40), nu, cfg) for nu in range(4)]
+            + small_y().subreports[:4]  # check_c_admissible at orders 0-3
+        ),
         "modular": lambda: [verify_modular_identity(("0.5", "2"), nu, cfg) for nu in range(4)],
         "g-chain": lambda: [verify_g_chain(cfg)],
         "large-y": lambda: [verify_even_terms_large_y(cfg=cfg), verify_odd_terms_large_y(cfg=cfg)],
         "small-y": lambda: [small_y()],
         "greek": lambda: _suite_greek(args, cfg, doc if args.json_path else None),
         "convexity": lambda: _suite_convexity(args, cfg),
-        "decreasing": lambda: [verify_decreasing_argument(cfg, convexity_report=small_y())],
+        "decreasing": lambda: (
+            ([] if suite == "all" else [small_y()])
+            + [verify_decreasing_argument(cfg, convexity_report=small_y())]
+        ),
     }
     order = list(runners) if suite == "all" else [suite]
     all_ok = True

@@ -61,10 +61,6 @@ MODULAR_COEFFICIENTS: dict[int, tuple[Fraction, ...]] = {
     3: (Fraction(-15, 8), Fraction(-45, 4), Fraction(-15, 2), Fraction(-1)),
 }
 
-#: below this argument the public theta4 evaluator switches to the modular route
-SMALL_Y_SPLIT = Fraction(1, 5)
-
-
 def theta4_via_modular(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG, coefficients=None) -> Enclosure:
     """theta4^(nu)(y) through theta2 derivatives at 1/y.
 
@@ -99,7 +95,7 @@ def theta4_eval(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_eval")
-        if y.hi * 5 < 1:  # y < SMALL_Y_SPLIT = 1/5
+        if y.hi * 5 < 1:  # y < 0.2
             return theta4_via_modular(y, nu, cfg)
         return theta4_series(y, nu, cfg)
 

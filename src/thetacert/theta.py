@@ -22,10 +22,13 @@ Evaluators:
   theta4_series(y, nu)   nu-th derivative of theta4(y) = sum (-1)^k exp(-pi k^2 y)
   theta4_product(y)      theta4 via prod (1-q^(2n))(1-q^(2n-1))^2, q = exp(-pi y)
   theta2_series(y, nu)   nu-th derivative of theta2(y) = sum exp(-pi y (n+1/2)^2)
+  psi(s, k)              the Lambert term psi(s) = s^2/(e^s - 1) and its derivatives
+                         psi^(k)(s) = u N_k(s, 1-u, u)/(1-u)^(k+1), u = e^{-s}, k <= 2
   f_lambert(y)           f(y) = y^2 theta4'(y)/theta4(y) as the Lambert-type sum
-                         2 y^2 sum ( n pi/(e^{2n pi y}-1) + (2n-1) pi/(e^{(2n-1) pi y}-1) )
+                         sum_{m>=1} w_m psi(m pi y)/(m pi), w_m = 2 (m odd), 1 (m even)
   f_prime_lambert(y), f_second_lambert(y)
-                         termwise derivatives of that sum
+                         f^(k)(y) = sum w_m (m pi)^(k-1) psi^(k)(m pi y), one term
+                         formula and one tail bound for every order
 
 The direct series are primitives valid for any y > 0 but converge slowly
 as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular`.
@@ -53,6 +56,7 @@ __all__ = [
     "f_lambert",
     "f_prime_lambert",
     "f_second_lambert",
+    "psi",
     "DERIVATIVE_ORDERS",
 ]
 
@@ -226,66 +230,55 @@ def theta2_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
         return certified_sum("theta2_series", cfg, (Enclosure(0),), step, tail, (sign,), gate_divisor=4)[0]
 
 
+#: N_k(s, v, u) with psi^(k)(s) = u N_k / v^(k+1), u = e^{-s}, v = 1 - u; each |N_k| <= 2(1+s)^2
+_PSI_NUMERATORS = (
+    lambda s, v, u: s * s,
+    lambda s, v, u: s * (2 * v - s),
+    lambda s, v, u: 2 * v * v - 4 * s * v + s * s * (1 + u),
+)
+
+
+def _psi(s: Enclosure, order: int) -> Enclosure:
+    """psi^(order)(s) at the working precision, for an enclosure s > 0."""
+    u = (-s).exp()
+    v = 1 - u
+    return u * _PSI_NUMERATORS[order](s, v, u) / v ** (order + 1)
+
+
+def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
+    """The Lambert term psi(s) = s^2/(e^s - 1) (order 0) or its derivative of order 1 or 2."""
+    if order not in range(len(_PSI_NUMERATORS)):
+        raise ValueError(f"psi order must be 0, 1 or 2, got {order}")
+    with cfg.scope():
+        return _psi(_check_positive(as_enclosure(s), "psi"), order)
+
+
 def _lambert_sum(y, order: int, cfg: EvalConfig) -> Enclosure:
-    """Shared evaluator for f (order 0), f' (order 1), f'' (order 2)."""
+    """f^(k) = sum_m w_m (m pi)^(k-1) psi^(k)(m pi y), k = order; w_m is 2 for odd m, else 1."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "lambert series")
         pi = Enclosure.pi()
-        one = Enclosure(1)
+        piy = pi * y
         ylo = Enclosure._from_mpi((y._lo, y._lo))
-        y2 = y * y
+        scale = pi ** (order - 1)
+        p = order + 1
 
-        def step(n):
-            ne = Enclosure(n)
-            no = Enclosure(2 * n - 1)
-            e_even = (-(2 * ne * pi * y)).exp()          # e^{-2 n pi y}
-            e_odd = (-(no * pi * y)).exp()               # e^{-(2n-1) pi y}
-            u_even = e_even / (one - e_even)             # 1/(e^{2n pi y} - 1)
-            u_odd = e_odd / (one - e_odd)
-            if order == 0:
-                term = 2 * y2 * pi * (ne * u_even + no * u_odd)
-            else:
-                v_even = e_even / (one - e_even) ** 2    # e^x/(e^x-1)^2 at x=2n pi y
-                v_odd = e_odd / (one - e_odd) ** 2
-                if order == 1:
-                    term = 4 * y * pi * (ne * u_even + no * u_odd) - 2 * y2 * pi ** 2 * (
-                        2 * ne ** 2 * v_even + no ** 2 * v_odd
-                    )
-                else:
-                    # recombined second derivative: the cubic-denominator pieces
-                    # carry the factor (e^x + 1)
-                    w_even = e_even * (one + e_even) / (one - e_even) ** 3
-                    w_odd = e_odd * (one + e_odd) / (one - e_odd) ** 3
-                    term = (
-                        4 * pi * (ne * u_even + no * u_odd)
-                        - 8 * y * pi ** 2 * (2 * ne ** 2 * v_even + no ** 2 * v_odd)
-                        + 2 * y2 * pi ** 3 * (4 * ne ** 3 * w_even + no ** 3 * w_odd)
-                    )
-            return (term,), min(e_odd.hi, abs(term).hi)
+        def step(m):
+            weight = Enclosure(Fraction((2 if m % 2 else 1) * m ** order, m))
+            term = weight * scale * _psi(m * piy, order)
+            return (term,), abs(term).hi
 
         def tail(n):
-            # Magnitude bound amp * m^p * r^m (m > n) with r = e^{-2 pi y}: both
-            # the even exponent 2m pi y and the odd one (2m-1) pi y are absorbed
-            # into r^m after the factor e^{pi y}; d = sum_j e^{-j (2n+1) pi y}
-            # bounds every 1/(1-e^{-x}).
-            r = (-(2 * pi * ylo)).exp()
-            d = geometric_tail(one, (-(Enclosure(2 * n + 1) * pi * ylo)).exp())
-            boost = (pi * y).exp()
-            if order == 0:
-                amp = 6 * pi * y2 * d * boost
-                p = 1
-            elif order == 1:
-                amp = 12 * (y * pi * d + y2 * pi ** 2 * d ** 2) * boost
-                p = 2
-            else:
-                amp = (12 * pi * d + 48 * y * pi ** 2 * d ** 2 + 48 * y2 * pi ** 3 * d ** 3) * boost
-                p = 3
-            # for m > n the term ratio is at most ((n+2)/(n+1))^p * r
+            # for m > n: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2,
+            # so a term is at most amp m^p r^m and the term ratio at most ((n+2)/(n+1))^p r
+            r = (-(pi * ylo)).exp()
+            d = geometric_tail(Enclosure(1), r ** (n + 1))
+            amp = 4 * scale * d ** p * (1 + piy) ** 2
             first = amp * Enclosure((n + 1) ** p) * r ** (n + 1)
             return (geometric_tail(first, Enclosure(Fraction(n + 2, n + 1)) ** p * r),)
 
         what = f"lambert series (order {order})"
-        sign = 1 if order == 0 else 0  # all terms of f are positive
+        sign = 1 if order == 0 else 0  # psi > 0, so all terms of f are positive
         return certified_sum(what, cfg, (Enclosure(0),), step, tail, (sign,), gate_divisor=16)[0]
 
 
@@ -300,5 +293,5 @@ def f_prime_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 
 
 def f_second_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f''(y) in the recombined termwise form (cubic denominators carry e^x + 1)."""
+    """f''(y) by termwise differentiation of the Lambert-type series."""
     return _lambert_sum(y, 2, cfg)

@@ -3,13 +3,13 @@
 The target statement is that f(y) = y^2 theta4'(y)/theta4(y) is strictly
 convex and strictly decreasing on (0, oo).  The proof splits at y = 1:
 
-* large y (Lambert route): each term of the recombined f'' series is
-  positive once its bracket is, which reduces to the auxiliary function
-  g(y) = 2(E-1)^2 - 4 y pi E (E-1) + pi^2 y^2 E (E+1), E = e^{pi y},
-  being positive for y >= 1 (n = 1 odd term) plus elementary brackets for
-  everything else.  Each termwise bracket depends on n and y only through
-  t = n pi y or s = (2n-1) pi y, so one claim in that variable covers
-  every n;
+* large y (Lambert route): f''(y) = sum_m w_m m pi psi''(m pi y), psi(s) =
+  s^2/(e^s - 1); its m = 1 term is positive because
+  g(y) = 2(E-1)^2 - 4 y pi E (E-1) + pi^2 y^2 E (E+1) = (E-1)^3 psi''(pi y),
+  E = e^{pi y}, is positive for y >= 1 (psi'' > 0 on [pi, oo)), every other
+  term by an elementary bracket.  Each termwise bracket depends on n and y
+  only through t = n pi y or s = (2n-1) pi y, so one claim in that
+  variable covers every n;
 
 * small y (modular route): f''(y) = h(y)/theta4(y)^3 and h(1/y) is a
   five-term combination of theta2 derivatives which the envelope bounds
@@ -55,6 +55,7 @@ from .theta import (
     f_lambert,
     f_prime_lambert,
     f_second_lambert,
+    psi,
     theta2_series,
 )
 
@@ -185,7 +186,7 @@ def _g_parts(y: Enclosure, middle_sign: int):
 
 
 def g_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclosure:
-    """g(y) = 2(E-1)^2 - 4 y pi E(E-1) + pi^2 y^2 E(E+1), E = e^{pi y}.
+    """g(y) = 2(E-1)^2 - 4 y pi E(E-1) + pi^2 y^2 E(E+1) = (E-1)^3 psi''(pi y), E = e^{pi y}.
 
     `middle_sign` flips the middle term (mutation hook for the tests; the
     genuine function has sign -1).
@@ -258,27 +259,30 @@ _G_BRACKET = _Bracket("g-second-positive", "x", +1, c0=-6, c1=-8, c2=4, d0=6, d1
 
 def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> CertificationReport:
     """Certify the whole g-argument: g''(y) > 0 for pi y >= 1 + sqrt 3,
-    g'(1) > 0, g(1) > 0, hence g(y) > 0 for all y >= 1."""
+    g'(1) > 0, g(1) > 0, hence g(y) > 0 for all y >= 1: psi'' > 0 on [pi, oo)."""
     checks: list[Check] = []
     with cfg.scope():
         one = Enclosure(1)
         pi = Enclosure.pi()
 
         # transcription anchor: the part-by-part derivative, the fixed display
-        # grouping and the bracket B certified below must agree (a corrupted g
-        # or B breaks this, not the positivity, which would only get easier).
+        # grouping and the bracket B certified below must agree, and g must be
+        # (E-1)^3 psi''(pi y), the term the Lambert evaluator sums (a corrupted
+        # g or B breaks this, not the positivity, which would only get easier).
         agree = True
         for pt in ("0.9", "1", "2", "5"):
             y = Enclosure(pt)
             a = g_second(y, cfg, middle_sign)
             b = g_second_display(y, cfg)
             via_bracket = pi ** 2 * (2 * pi * y).exp() * _G_BRACKET(pi * y, cfg)
+            via_psi = ((pi * y).exp() - one) ** 3 * psi(pi * y, 2, cfg)
             agree &= a.intersects(b) and via_bracket.intersects(a) and via_bracket.intersects(b)
+            agree &= g_eval(y, cfg, middle_sign).intersects(via_psi)
         checks.append(
             Check(
                 "g'' matches its displayed grouping",
                 agree,
-                "g_second, g_second_display and pi^2 e^{2 pi y} B(pi y) sampled at 0.9,1,2,5",
+                "g'', its display, pi^2 e^{2 pi y} B(pi y); g, (E-1)^3 psi''(pi y); at 0.9,1,2,5",
             )
         )
 
@@ -753,13 +757,12 @@ def verify_decreasing_argument(
 
     Termwise, the even f' bracket 1 - t - e^{-2t} (t = n pi y) and the odd
     one 2 - s - 2 e^{-s} (s = (2n-1) pi y) are negative for t, s >= 2, which
-    y >= 2/pi gives for every n >= 1.  Convexity (f'' > 0, the premise
-    `convexity_report`, a small-y chain) makes f' increasing, so negativity
+    y >= 2/pi gives for every n >= 1.  Convexity (f'' > 0: `convexity_report`,
+    a small-y chain, cited by report id) makes f' increasing, so negativity
     on [2/pi, oo) forces negativity on all of (0, oo).  `n_max` is accepted
     for existing callers; it no longer changes the result.
     """
     subreports = [_certify_bracket(b, 2, cfg) for b in (_EVEN_DECREASING, _ODD_DECREASING)]
-    subreports.append(convexity_report)
     checks = [
         Check(
             "convexity input",

@@ -179,3 +179,44 @@ def test_greek_cancellation_check_is_computed(tmp_path, capsys):
     (check,) = [c for c in report["checks"] if "cancellation" in c["name"]]
     assert check["passed"] is True
     assert check["detail"].count("Enclosure[") == 2
+
+
+def test_verify_all_runs_admissibility_once_per_order(monkeypatch, capsys):
+    from thetacert import cli, envelopes, verifier
+
+    orders = []
+    inner = envelopes.check_c_admissible
+
+    def counting(nu, *args, **kwargs):
+        orders.append(nu)
+        return inner(nu, *args, **kwargs)
+
+    for module in (cli, envelopes, verifier):
+        monkeypatch.setattr(module, "check_c_admissible", counting, raising=False)
+    assert run_cli("verify", "all") == 0
+    assert sorted(orders) == [0, 1, 2, 3]
+
+
+def _certification_names(records):
+    for rec in records:
+        yield rec["name"]
+        yield from _certification_names(rec.get("subreports", []))
+
+
+def _top_level_certifications(path):
+    return [r for r in json.loads(path.read_text())["results"] if r["type"] == "certification"]
+
+
+def test_verify_all_json_holds_one_small_y_chain(tmp_path, capsys):
+    path = tmp_path / "all.json"
+    assert run_cli("verify", "all", "--json", str(path)) == 0
+    names = list(_certification_names(_top_level_certifications(path)))
+    assert names.count("small-y-chain") == 1
+
+
+def test_verify_decreasing_emits_its_premise_first(tmp_path, capsys):
+    path = tmp_path / "decreasing.json"
+    assert run_cli("verify", "decreasing", "--json", str(path)) == 0
+    records = _top_level_certifications(path)
+    assert [r["name"] for r in records] == ["small-y-chain", "decreasing-argument"]
+    assert list(_certification_names(records)).count("small-y-chain") == 1

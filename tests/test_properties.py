@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_series
+from thetacert.theta import psi
 from thetacert.verifier import f_eval, f_prime, f_second
 
 CFG = EvalConfig()
@@ -74,3 +75,11 @@ def test_bisection_halves_tighten(a, w):
     parent = f_second(box, CFG)
     halves = f_second(left, CFG).hull(f_second(right, CFG))
     assert parent.contains(halves) or parent.intersects(halves)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(min_value=0.05, max_value=60.0, allow_nan=False), w=_width, t=_frac,
+       order=st.integers(min_value=0, max_value=2))
+def test_psi_box_contains_points(a, w, t, order):
+    box, point = _box_and_point(a, w, t)
+    assert psi(box, order, CFG).contains(psi(point, order, CFG))

@@ -1,5 +1,7 @@
 """Theta series, product form, and the Lambert-type log-derivative sums."""
 
+import random
+
 import pytest
 from mpmath import mp
 
@@ -18,6 +20,7 @@ from thetacert import (
     theta4_series,
 )
 from thetacert.modular import q_series_derivatives
+from thetacert.theta import psi
 
 from conftest import (
     F_AT_1,
@@ -222,3 +225,49 @@ def test_prime_lambert_against_finite_difference(cfg):
             m4 = abs(mp_scalar(f_scalar, mp.mpf(y), 4, dps=30))
             assert err1 <= 10 * h ** 2 * max(m3, mp.mpf(1))
             assert err2 <= 10 * h ** 2 * max(m4, mp.mpf(1))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_psi_contains_mpmath_oracle(cfg, order):
+    # psi(s) = s^2/(e^s - 1) differentiated by mpmath at 4x the working
+    # precision; s = 3.0861 sits next to the root of psi''
+    def oracle(s):
+        return s ** 2 / mp.expm1(s)
+
+    dps = 4 * cfg.precision_bits * 3 // 10
+    for s in ("0.1", "1", "3.0861", "pi", "10", "100"):
+        with cfg.scope():
+            box = Enclosure.pi() if s == "pi" else Enclosure(s)
+        enc = psi(box, order, cfg)
+        value = mp_scalar(oracle, mp.pi if s == "pi" else s, order, dps=dps)
+        assert enc.lo <= value <= enc.hi, f"psi^({order})({s}) = {enc!r} misses {value}"
+
+
+def _f_jtheta(y):
+    """y^2 theta4'(y)/theta4(y) from mpmath's jtheta and the direct theta4' series."""
+    dtheta4, k = mp.mpf(0), 1
+    while True:
+        term = 2 * (-1) ** (k + 1) * mp.pi * k * k * mp.exp(-mp.pi * k * k * y)
+        dtheta4 += term
+        if abs(term) < mp.eps * abs(dtheta4):
+            return y ** 2 * dtheta4 / mp_theta4(y)
+        k += 1
+
+
+_ROUTE_RNG = random.Random(6)
+_ROUTE_YS = [60.0 ** _ROUTE_RNG.random() for _ in range(40)]
+
+
+@pytest.mark.parametrize("order, fn", enumerate([f_lambert, f_prime_lambert, f_second_lambert]))
+def test_lambert_route_contains_jtheta_oracle(order, fn):
+    # y log-uniform on [1, 60], both precisions, against an oracle that never
+    # forms the Lambert term psi
+    for y in _ROUTE_YS:
+        value = mp_scalar(_f_jtheta, y, order, dps=160)
+        for bits in (128, 256):
+            enc = fn(Enclosure(y), EvalConfig(precision_bits=bits))
+            with mp.workdps(160):
+                slack = abs(value) * mp.mpf(10) ** -140
+                assert enc.lo <= value + slack and value - slack <= enc.hi, (
+                    f"order {order} at y = {y!r}, {bits} bits: {enc!r} misses {value}"
+                )

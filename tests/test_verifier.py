@@ -408,3 +408,21 @@ def test_convexity_inconclusive_part_is_inconclusive(monkeypatch):
     report = verify_convexity()
     assert report.status is Status.INCONCLUSIVE
     assert [c.passed for c in report.checks] == [True, None, True, True]
+
+
+def test_g_chain_anchor_ties_g_to_psi_second(monkeypatch, cfg):
+    # g = (E-1)^3 psi''(pi y): a psi'' off by a factor 1 + 2^-40 breaks the anchor
+    from thetacert import verifier
+
+    inner = verifier.psi
+
+    def scaled(s, order, cfg):
+        value = inner(s, order, cfg)
+        return value * (1 + Enclosure(2) ** -40) if order == 2 else value
+
+    monkeypatch.setattr(verifier, "psi", scaled)
+    report = verify_g_chain(cfg)
+    assert report.status is Status.FAILED
+    broken = [c.name for c in report.checks if c.passed is False]
+    assert broken[0] == "g'' matches its displayed grouping"
+    assert all(c.passed for c in report.checks if c.name in ("g'(1) > 0", "g(1) > 0"))
