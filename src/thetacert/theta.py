@@ -246,7 +246,9 @@ def _psi(s: Enclosure, order: int) -> Enclosure:
 
 
 def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """The Lambert term psi(s) = s^2/(e^s - 1) (order 0) or its derivative of order 1 or 2."""
+    """The Lambert term psi(s) = s^2/(e^s - 1) (order 0) or its derivative of order 1 or 2.
+    Sound for s > 0 but wide as s -> 0, as v = 1 - e^-s is off by ~2^-prec: at 128 bits psi''
+    is 4.6e-20 wide at s = 1e-10 and 4.6e20 at s = 1e-30.  The Lambert sums use s >= pi y."""
     if order not in range(len(_PSI_NUMERATORS)):
         raise ValueError(f"psi order must be 0, 1 or 2, got {order}")
     with cfg.scope():

@@ -671,6 +671,8 @@ _ROUTES = {
 
 
 def _f_dispatch(order: int, y, cfg: EvalConfig, route: str) -> Enclosure:
+    """f^(order) on y by `route`; `auto` is modular on y <= 1 and Lambert on y >= 1, so a
+    box [lo, hi] around 1 is the hull of the two routes on [lo, 1] and [1, hi] (exact 1)."""
     lambert, modular = _ROUTES[order]
     if route == "lambert":
         return lambert(y, cfg)
@@ -684,11 +686,12 @@ def _f_dispatch(order: int, y, cfg: EvalConfig, route: str) -> Enclosure:
             return modular(y, cfg)
         if y.lo >= 1:
             return lambert(y, cfg)
-        return modular(y, cfg).intersection(lambert(y, cfg))
+        return modular(Enclosure(y.lo, 1), cfg).hull(lambert(Enclosure(1, y.hi), cfg))
 
 
 def f_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> Enclosure:
-    """f(y) = y^2 theta4'(y)/theta4(y); modular form below 1, Lambert above."""
+    """f(y) = y^2 theta4'(y)/theta4(y); modular form below 1, Lambert above,
+    and a box straddling 1 is modular on [lo, 1] hulled with Lambert on [1, hi]."""
     return _f_dispatch(0, y, cfg, route)
 
 

@@ -220,3 +220,11 @@ def test_verify_decreasing_emits_its_premise_first(tmp_path, capsys):
     records = _top_level_certifications(path)
     assert [r["name"] for r in records] == ["small-y-chain", "decreasing-argument"]
     assert list(_certification_names(records)).count("small-y-chain") == 1
+
+
+def test_verify_convexity_across_route_boundary(capsys):
+    # [0.5, 2] straddles the route boundary y = 1
+    code = run_cli("verify", "convexity", "--interval", "0.5", "2", "--target-sign", "positive")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[ok]" in out and ": certified" in out

@@ -49,6 +49,27 @@ def test_f_family_box_contains_points(a, w, t):
             assert fn(box, CFG, route=route).contains(fn(point, CFG, route=route))
 
 
+_below_one = st.floats(min_value=0.5, max_value=1.0, exclude_max=True)
+_above_one = st.floats(min_value=1.0, max_value=2.0, exclude_min=True)
+_around_one = st.one_of(
+    st.tuples(_below_one, _above_one),
+    st.tuples(_below_one, st.just(1.0)),
+    st.tuples(st.just(1.0), _above_one),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ends=_around_one, t=_frac)
+def test_f_family_auto_box_around_one_contains_points(ends, t):
+    # auto splits a box across 1 into modular on [lo, 1] and Lambert on [1, hi]
+    lo, hi = ends
+    box = Enclosure(lo, hi)
+    for y in (min(max(lo + (hi - lo) * t, lo), hi), 1):
+        point = Enclosure(y)
+        for fn in (f_eval, f_prime, f_second):
+            assert fn(box, CFG, route="auto").contains(fn(point, CFG, route="auto"))
+
+
 @settings(max_examples=20, deadline=None)
 @given(a=st.floats(min_value=1.0, max_value=8.0, allow_nan=False), w=_width, t=_frac)
 def test_h_reciprocal_box_contains_points(a, w, t):

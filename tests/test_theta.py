@@ -243,6 +243,23 @@ def test_psi_contains_mpmath_oracle(cfg, order):
         assert enc.lo <= value <= enc.hi, f"psi^({order})({s}) = {enc!r} misses {value}"
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_psi_small_s_contains_bernoulli_oracle(cfg, order):
+    # psi(s) = sum_n B_n s^(n+1)/n!, differentiated termwise, at 4x the
+    # working precision; the enclosure is sound but wide here (see `psi`)
+    dps = 4 * cfg.precision_bits * 3 // 10
+    for s in ("1e-10", "1e-30"):
+        with mp.workdps(dps):
+            x = mp.mpf(s)
+            value = mp.fsum(
+                mp.bernoulli(n) * mp.ff(n + 1, order) * x ** (n + 1 - order) / mp.factorial(n)
+                for n in range(max(order - 1, 0), 40)
+            )
+        with cfg.scope():
+            enc = psi(Enclosure(s), order, cfg)
+        assert enc.lo <= value <= enc.hi, f"psi^({order})({s}) = {enc!r} misses {value}"
+
+
 def _f_jtheta(y):
     """y^2 theta4'(y)/theta4(y) from mpmath's jtheta and the direct theta4' series."""
     dtheta4, k = mp.mpf(0), 1

@@ -426,3 +426,58 @@ def test_g_chain_anchor_ties_g_to_psi_second(monkeypatch, cfg):
     broken = [c.name for c in report.checks if c.passed is False]
     assert broken[0] == "g'' matches its displayed grouping"
     assert all(c.passed for c in report.checks if c.name in ("g'(1) > 0", "g(1) > 0"))
+
+
+# -- the auto route splits a box that straddles 1 ------------------------------
+
+
+def _record_route_arguments(monkeypatch):
+    """Record the y of every Lambert sum and the x = 1/y of every modular G."""
+    from thetacert import modular, theta
+
+    lambert_ys, modular_xs = [], []
+    lambert_sum, g_derivatives = theta._lambert_sum, modular._g_derivatives
+
+    def lambert(y, order, cfg):
+        lambert_ys.append(Enclosure(y))
+        return lambert_sum(y, order, cfg)
+
+    def g(x, cfg):
+        modular_xs.append(Enclosure(x))
+        return g_derivatives(x, cfg)
+
+    monkeypatch.setattr(theta, "_lambert_sum", lambert)
+    monkeypatch.setattr(modular, "_g_derivatives", g)
+    return lambert_ys, modular_xs
+
+
+def test_auto_route_runs_each_route_on_its_side_of_one(monkeypatch, cfg):
+    # a box across 1 is modular on [lo, 1] and Lambert on [1, hi]: the
+    # Lambert sum never sees y < 1, the modular G never sees x = 1/y < 1
+    lambert_ys, modular_xs = _record_route_arguments(monkeypatch)
+    box = Enclosure("0.05", "20")
+    for fn in (f_eval, f_prime, f_second):
+        value = fn(box, cfg)
+        for y in ("0.5", "1", "5"):
+            assert value.contains(fn(Enclosure(y), cfg)), f"{fn.__name__} misses y = {y}"
+    assert lambert_ys and all(y.lo >= 1 for y in lambert_ys)
+    assert modular_xs and all(x.lo >= 1 for x in modular_xs)
+
+
+def test_convexity_overlap_still_cross_checks_both_routes(monkeypatch, cfg):
+    # the auto records cover the working interval, and the Lambert overlap
+    # still runs the Lambert sum below 1, where auto no longer takes it
+    lambert_ys, _ = _record_route_arguments(monkeypatch)
+    report = verify_convexity(cfg)
+    assert report.status is Status.CERTIFIED, report.summary()
+    covers = {
+        "f-second-positive": ("0.05", 20),
+        "f-prime-negative": ("0.05", 20),
+        "f-second-positive-lambert-overlap": ("0.8", "1.25"),
+        "f-second-positive-modular-overlap": ("0.8", "1.25"),
+    }
+    assert [r.name for r in report.subreports] == list(covers)
+    with cfg.scope():
+        for r in report.subreports:
+            assert Enclosure(*r.interval).contains(Enclosure(*covers[r.name])), r.name
+    assert any(y.lo < 1 for y in lambert_ys)
