@@ -7,10 +7,11 @@ Three subcommands:
   thetacert scan --a A [--interval LO HI] [--resolution N] [--csv PATH]
 
 Exit codes are stable across subcommands: 0 = success / fully certified,
-1 = verification failure, inconclusive result or evaluation error,
-2 = usage error (bad arguments).  The default working precision is 128
-bits and can be overridden with --precision or the THETACERT_PRECISION
-environment variable.
+1 = verification failure, inconclusive result or evaluation error (a value
+beyond the decimal exponent range included), 2 = usage error (bad arguments:
+a non-finite number, --digits below 1, a convexity option on another suite).
+The default working precision is 128 bits and can be overridden with
+--precision or the THETACERT_PRECISION environment variable.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import argparse
 import functools
 import os
 import sys
+
+from mpmath import mp
 
 from .certify import CertificationReport, Check, Status, certify_sign
 from .enclosure import DomainError, Enclosure, EnclosureError, EvalConfig
@@ -89,8 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="override the certification interval (convexity suite)")
     p_verify.add_argument("--target-sign", choices=("positive", "negative"), default=None,
                           help="certify this sign instead of the suite default (convexity suite)")
-    p_verify.add_argument("--quantity", choices=tuple(QUANTITIES), default="f_second",
-                          help="quantity for a custom convexity certification")
+    p_verify.add_argument("--quantity", choices=tuple(QUANTITIES), default=None,
+                          help="certify this quantity (default f_second) instead of the "
+                               "suite (convexity suite)")
     p_verify.add_argument("--digits", type=int, default=40)
 
     p_scan = sub.add_parser("scan", help="scan an exponent family member for convexity failures")
@@ -110,12 +114,14 @@ def _make_config(args) -> EvalConfig:
     return EvalConfig(precision_bits=bits)
 
 
-def _parse_positive(text: str, what: str) -> Enclosure:
+def _parse_number(text: str, what: str, positive: bool = True) -> Enclosure:
     try:
         enc = Enclosure(text)
     except Exception:
         raise SystemExit(_usage_error(f"{what} must be a decimal number, got {text!r}"))
-    if not enc.is_strictly_positive():
+    if not (mp.isfinite(enc.lo) and mp.isfinite(enc.hi)):
+        raise SystemExit(_usage_error(f"{what} must be finite, got {text}"))
+    if positive and not enc.is_strictly_positive():
         raise SystemExit(_usage_error(f"{what} must be positive, got {text}"))
     return enc
 
@@ -126,7 +132,7 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_eval(args, cfg: EvalConfig) -> int:
-    y = _parse_positive(args.y, "--y")
+    y = _parse_number(args.y, "--y")
     try:
         if args.function == "theta4":
             value = theta4_eval(y, args.order, cfg)
@@ -170,20 +176,29 @@ def _suite_greek(args, cfg, doc: ReportDocument | None):
     return [CertificationReport(name="greek-constants", status=Status.of(checks), checks=checks)]
 
 
+def _custom(args) -> bool:
+    """Whether a convexity-only option selects a custom certification."""
+    return any(v is not None for v in (args.interval, args.target_sign, args.quantity))
+
+
 def _suite_convexity(args, cfg):
-    if args.interval is not None or args.target_sign is not None:
+    if _custom(args):
         interval = args.interval if args.interval is not None else ("0.05", "20")
         sign = args.target_sign or "positive"
-        quantity = QUANTITIES[args.quantity]
+        quantity = args.quantity or "f_second"
         return [
-            certify_sign(quantity, tuple(interval), sign, cfg,
-                         name=f"{args.quantity}-{sign}")
+            certify_sign(QUANTITIES[quantity], tuple(interval), sign, cfg,
+                         name=f"{quantity}-{sign}")
         ]
     return [verify_convexity(cfg)]
 
 
 def _cmd_verify(args, cfg: EvalConfig) -> int:
     suite = SUITE_ALIASES.get(args.suite, args.suite)
+    if _custom(args) and suite != "convexity":
+        return _usage_error("--interval, --target-sign and --quantity need the convexity suite")
+    for text in args.interval or ():
+        _parse_number(text, "--interval", positive=False)
     doc = ReportDocument(command=f"verify {suite}", config=cfg,
                          decimal_digits=args.digits).start()
     # the small-y chain is a suite, the decreasing suite's premise and, as its
@@ -275,6 +290,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if args.digits < 1:
+        return _usage_error(f"--digits must be at least 1, got {args.digits}")
     try:
         cfg = _make_config(args)
     except ValueError as exc:

@@ -9,9 +9,11 @@ holds with
     lower = (2 pi^nu / 4^nu) (e^{-pi y/4} + 9^nu e^{-9 pi y/4})
     upper = (2 pi^nu / 4^nu) (e^{-pi y/4} + (1 + c_nu) 9^nu e^{-9 pi y/4})
 
-and the inflation constants c_0 = 0.00001, c_1 = 0.00003, c_2 = 0.00008,
-c_3 = 0.0003.  The admissibility of the c_nu is itself re-proved here:
-the omitted odd terms m >= 5 of the theta2 sum are bounded first by the
+(one ExpPoly form, which the envelope-product bracket of
+:mod:`thetacert.verifier` shares) and the inflation constants c_0 = 0.00001,
+c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  The admissibility of the c_nu
+is itself re-proved here: the omitted odd terms m >= 5 of the theta2 sum
+(theta's quadratic-exponent series from m = 5) are bounded first by the
 discrete comparison sum_{n>=25} n^nu e^{-pi n y/4} (m^2 >= 5m moves the
 start from 5 to 25) and then by the explicit integral
 int_24^oo t^nu e^{-pi t y/4} dt, whose closed form is evaluated with
@@ -28,7 +30,8 @@ from fractions import Fraction
 
 from .certify import CertificationReport, Check, Status
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, as_enclosure
-from .theta import certified_sum, geometric_tail, theta2_series
+from .exppoly import ExpPoly
+from .theta import _quadratic_series, theta2_series
 
 __all__ = [
     "EnvelopeConstants",
@@ -74,22 +77,22 @@ def _check_domain(y: Enclosure) -> Enclosure:
     return y
 
 
-def _envelope(y, nu: int, inflation: Fraction | None, cfg: EvalConfig) -> Enclosure:
+def _envelope_poly(nu: int, inflation=0) -> ExpPoly:
+    """amp (e^{-pi y/4} + (1 + inflation) 9^nu e^{-9 pi y/4}), amp = 2 pi^nu / 4^nu, as an
+    ExpPoly with exponent keys -1 and -9; inflation 0 is the lower envelope.  Call inside
+    a precision scope."""
+    amp = 2 * Enclosure.pi() ** nu / Enclosure(4 ** nu)
+    return ExpPoly({-1: (0, amp), -9: (0, amp * Enclosure(9 ** nu) * (1 + Enclosure(inflation)))})
+
+
+def _envelope(y, nu: int, inflation, cfg: EvalConfig) -> Enclosure:
     with cfg.scope():
-        y = _check_domain(as_enclosure(y))
-        pi = Enclosure.pi()
-        amp = 2 * pi ** nu / Enclosure(4 ** nu)
-        quarter = Enclosure(Fraction(1, 4))
-        first = (-(pi * y * quarter)).exp()
-        second = Enclosure(9 ** nu) * (-(9 * pi * y * quarter)).exp()
-        if inflation is not None:
-            second = second * (1 + Enclosure(inflation))
-        return amp * (first + second)
+        return _envelope_poly(nu, inflation).eval(_check_domain(as_enclosure(y)), cfg)
 
 
 def lower_envelope(y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """The two-term lower envelope of (-1)^nu theta2^(nu) on [1, oo)."""
-    return _envelope(y, nu, None, cfg)
+    return _envelope(y, nu, 0, cfg)
 
 
 def upper_envelope(
@@ -106,17 +109,13 @@ def envelope_derivative(
     upper: bool = False,
     constants: EnvelopeConstants = PAPER_CONSTANTS,
 ) -> Enclosure:
-    """d/dy of an envelope; both terms decay, so this is strictly negative."""
+    """d/dy of an envelope: each b_k e^{k pi y/4} scaled by k pi/4.  Both terms decay, so
+    this is strictly negative."""
     with cfg.scope():
         y = _check_domain(as_enclosure(y))
+        poly = _envelope_poly(nu, constants.for_order(nu) if upper else 0)
         pi = Enclosure.pi()
-        amp = 2 * pi ** nu / Enclosure(4 ** nu)
-        quarter = Enclosure(Fraction(1, 4))
-        first = -(pi * quarter) * (-(pi * y * quarter)).exp()
-        second = -(9 * pi * quarter) * Enclosure(9 ** nu) * (-(9 * pi * y * quarter)).exp()
-        if upper:
-            second = second * (1 + Enclosure(constants.for_order(nu)))
-        return amp * (first + second)
+        return ExpPoly({k: (a, b * k * pi / 4) for k, (a, b) in poly.terms().items()}).eval(y, cfg)
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[Enclosure]:
@@ -225,23 +224,12 @@ def admissibility_factor(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclos
 
 
 def _excess_sum_bound(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:
-    """Upper enclosure of sum_{n>=5 odd} n^(2 nu) e^{-pi n^2 y/4} (partial + certified tail)."""
-    pi = Enclosure.pi()
-    quarter = Enclosure(Fraction(1, 4))
-
-    def term(m):
-        return Enclosure(m) ** (2 * nu) * (-(pi * Enclosure(m * m) * y * quarter)).exp()
-
-    def step(k):  # m = 5, 7, 9, ...
-        t = term(2 * k + 3)
-        return (t,), t.hi
-
-    def tail(k):
-        mn = 2 * k + 5
-        ratio = Enclosure(Fraction(mn + 2, mn)) ** (2 * nu) * (-(Enclosure(mn + 1) * pi * y)).exp()
-        return (geometric_tail(term(mn), ratio),)
-
-    return certified_sum("excess sum", cfg, (Enclosure(0),), step, tail, (1,))[0]
+    """Upper enclosure of sum_{m>=5 odd} m^(2 nu) e^{-pi m^2 y/4} (partial + certified tail):
+    theta2's terms from m = 2k+3 = 5 on, with weight 1 and the factor (-pi/4)^nu divided out."""
+    quarter = Fraction(1, 4)
+    odd_from_5 = lambda k: (2 * k + 3) ** 2  # noqa: E731
+    (terms,) = _quadratic_series("excess sum", y, odd_from_5, range(nu, nu + 1), cfg, scale=quarter)
+    return terms / (-Enclosure.pi() * quarter) ** nu
 
 
 def _comparison_sum_lower(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:

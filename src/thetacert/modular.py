@@ -24,6 +24,9 @@ Two things live here:
   series level, so these forms keep full relative accuracy where the
   direct Lambert sums lose all significance to cancellation (f'' near 0
   is a ~1e-47-sized difference of O(1) quantities already at y = 0.05).
+
+Both sum through theta's quadratic-exponent series, all their orders in one
+pass: theta2^(j)(1/y) for j <= nu, and Q^(r) with a(j) = j(j+1).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .enclosure import (
     EvalConfig,
     as_enclosure,
 )
-from .theta import _check_order, _check_positive, certified_sum, geometric_tail, theta2_series, theta4_series
+from .theta import _check_order, _check_positive, _quadratic_series, _theta2, theta4_series
 
 __all__ = [
     "MODULAR_COEFFICIENTS",
@@ -71,11 +74,10 @@ def theta4_via_modular(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG, coeffic
     table = MODULAR_COEFFICIENTS if coefficients is None else coefficients
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_via_modular")
-        x = 1 / y
+        derivatives = _theta2(1 / y, range(len(table[nu])), cfg)
         total = Enclosure(0)
-        for j, coeff in enumerate(table[nu]):
-            power = y ** (Fraction(-1, 2) - nu - j)
-            total = total + Enclosure(coeff) * power * theta2_series(x, j, cfg)
+        for j, (coeff, theta2_j) in enumerate(zip(table[nu], derivatives)):
+            total = total + Enclosure(coeff) * y ** (Fraction(-1, 2) - nu - j) * theta2_j
         return total
 
 
@@ -148,37 +150,13 @@ def verify_modular_identity(
 def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG):
     """Enclosures of Q, Q', Q'', Q''' for Q(x) = 1 + sum_{j>=1} e^{-pi j(j+1) x}.
 
-    The r-th derivative term is (-pi j(j+1))^r e^{-pi j(j+1) x}; all terms of
-    a given order share the sign (-1)^r, and the tail ratio between
-    consecutive j is ((j+2)/j)^r e^{-2 pi (j+1) x} < 1.
+    The r-th derivative term is (-pi j(j+1))^r e^{-pi j(j+1) x}, so this is
+    the quadratic-exponent series with a(j) = j(j+1): theta2 with e^{-pi x/4}
+    divided out, all four orders in one pass.
     """
     with cfg.scope():
         x = _check_positive(as_enclosure(x), "q_series_derivatives")
-        pi = Enclosure.pi()
-        xlo = Enclosure._from_mpi((x._lo, x._lo))
-
-        def step(j):
-            c = Enclosure(j * (j + 1))
-            base = (-(c * pi * x)).exp()
-            down = -(c * pi)
-            factor = Enclosure(1)
-            terms = [factor * base]
-            for _ in range(3):
-                factor = factor * down
-                terms.append(factor * base)
-            return terms, base.hi
-
-        def tail(j):
-            c_next = Enclosure((j + 1) * (j + 2)) * pi
-            first = (-(c_next * xlo)).exp()
-            ratio = (-(2 * Enclosure(j + 2) * pi * xlo)).exp()
-            return [
-                geometric_tail(c_next ** r * first, Enclosure(Fraction(j + 3, j + 1)) ** r * ratio)
-                for r in range(4)
-            ]
-
-        start = (Enclosure(1), Enclosure(0), Enclosure(0), Enclosure(0))
-        return tuple(certified_sum("Q-series", cfg, start, step, tail, (1, -1, 1, -1), gate_divisor=4))
+        return tuple(_quadratic_series("Q-series", x, lambda j: j * (j + 1), range(4), cfg, start=1))
 
 
 def _g_derivatives(x, cfg: EvalConfig):

@@ -15,12 +15,12 @@ import ast
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, localcontext
 
 from mpmath import libmp as _lm
 
 from .certify import CertificationReport, Status, Witness
-from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig
+from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -51,7 +51,10 @@ def _print_directed(raw, digits: int, direction: int) -> str:
     with localcontext() as ctx:
         ctx.prec = digits + 10  # the +-ulp nudges must not be rounded away
         ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX  # f'' at y = 1e-6 is ~1e-2728727
-        d = Decimal(s)
+        try:
+            d = Decimal(s)
+        except InvalidOperation:  # |f'| at y = 1e20 is about 10^(-1.36e20)
+            raise DomainError("cannot print a value beyond the decimal exponent range") from None
         for _ in range(4):
             if direction < 0:
                 back = _lm.from_str(str(d), prec, "c")  # ceiling of printed value

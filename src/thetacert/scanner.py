@@ -16,6 +16,7 @@ grid plus refinement, not a covering).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,8 +52,8 @@ class ExponentQuery:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_fraction(self.a))
         lo, hi = self.interval
-        if not (0 < lo < hi):
-            raise ValueError("scan interval must satisfy 0 < lo < hi")
+        if not (0 < lo < hi < math.inf):
+            raise ValueError("scan interval must satisfy 0 < lo < hi < inf")
         if self.resolution < 8:
             raise ValueError("resolution must be at least 8")
 

@@ -1,27 +1,28 @@
 """Rigorous evaluation of theta_2, theta_4 and the log-derivative series.
 
-Every sum is truncated adaptively by one kernel, ``certified_sum``: terms
-are accumulated until a *proved* bound on the omitted tail is at most
-``cfg.tail_tolerance``, and that bound is then attached to the result.
-Tail bounds use a ratio test: past the truncation index the term
-magnitudes are dominated by a geometric sequence (the polynomial growth
-k^(2*nu) is absorbed into the ratio, which is computed with enclosures and
-checked to be < 1), so the tail is at most first_omitted / (1 - ratio).
-
-A caller of the kernel owns its term formula, the gate that says when a
-tail bound is worth trying, and the tail-bound formula.  The kernel owns
-the ``cfg.max_terms`` cap, every comparison with ``cfg.tol`` (float and
-decimal-string tolerances alike), the retry while a ratio is not yet below
-1, and the tail's sign: it attaches [0, b], [-b, 0] or [-b, b], negating
-b exactly.  :mod:`thetacert.modular` and :mod:`thetacert.envelopes` sum
-through it too.  ``theta4_product`` keeps its own loop: it is a product,
-and the tests use it as an independent reference for ``theta4_series``.
+Every sum is truncated adaptively by one kernel, ``certified_sum``: terms are
+accumulated until a *proved* bound on the omitted tail is at most
+``cfg.tail_tolerance``, and that bound is attached to the result.  The kernel
+owns the ``cfg.max_terms`` cap, every comparison with ``cfg.tol``, the retry
+while a tail ratio is not yet below 1, and the tail's sign: [0, b], [-b, 0]
+or [-b, b], negating b exactly.  Two callers own the term and tail formulas.
+``_quadratic_series`` sums w_n (-c a(n))^r e^{-c a(n) y} for an integer
+quadratic a(n), several orders r at one exp per term: theta4 (a = k^2,
+alternating), theta2 (a = (2k-1)^2, c = pi/4), the modular Q-series
+(a = j(j+1)) and the envelope excess sum (a = (2k+3)^2).  As a(n+1) - a(n)
+grows and a(n+1)/a(n) falls, every term ratio past term n is at most
+(a(n+2)/a(n+1))^r e^{-c (a(n+2) - a(n+1)) y.lo}, which bounds the tail
+geometrically from the first omitted term at y.lo; it is tried once the first
+requested order's term is below tol/4.  ``_lambert_sum`` sums the Lambert
+terms.  ``theta4_product`` keeps its own loop: it is a product, and the tests
+use it as an independent reference for ``theta4_series``.
 
 Evaluators:
 
   theta4_series(y, nu)   nu-th derivative of theta4(y) = sum (-1)^k exp(-pi k^2 y)
   theta4_product(y)      theta4 via prod (1-q^(2n))(1-q^(2n-1))^2, q = exp(-pi y)
-  theta2_series(y, nu)   nu-th derivative of theta2(y) = sum exp(-pi y (n+1/2)^2)
+  theta2_series(y, nu)   nu-th derivative of theta2(y) = sum exp(-pi y (n+1/2)^2);
+                         _theta2(y, orders) gives several orders in one pass
   psi(s, k)              the Lambert term psi(s) = s^2/(e^s - 1) and its derivatives
                          psi^(k)(s) = u N_k(s, 1-u, u)/(1-u)^(k+1), u = e^{-s}, k <= 2
   f_lambert(y)           f(y) = y^2 theta4'(y)/theta4(y) as the Lambert-type sum
@@ -117,42 +118,53 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
     raise ConvergenceError(f"{what} did not reach tail tolerance within {cfg.max_terms} terms")
 
 
+def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alternating=False, start=0):
+    """start + sum_{n>=1} w_n (-c a(n))^r e^{-c a(n) y} for each order r; start is for r = 0.
+
+    c = pi * scale with a dyadic scale, so y * scale is exact; a(n) is an integer with
+    a(n+1) - a(n) increasing and a(n+1)/a(n) decreasing; w_n = weight, times (-1)^n if
+    `alternating`.  Call inside cfg.scope().
+    """
+    pi, s, w = Enclosure.pi(), Enclosure(scale), Enclosure(weight)
+    ys = y * s
+    ylos = Enclosure._from_mpi((ys._lo, ys._lo))
+
+    def step(n):
+        pa = pi * a(n)
+        mag = w * (-(pa * ys)).exp()
+        ca = pa * s
+        if orders[0]:
+            mag = mag * ca ** orders[0]
+        terms = [mag]
+        for _ in orders[1:]:
+            terms.append(terms[-1] * ca)
+        return [-t if (r + n * alternating) % 2 else t for r, t in zip(orders, terms)], mag.hi
+
+    def tail(n):
+        a1, a2 = a(n + 1), a(n + 2)
+        pa1 = pi * a1
+        first = w * (-(pa1 * ylos)).exp()
+        decay = (-(pi * (a2 - a1) * ylos)).exp()
+        growth = Enclosure(Fraction(a2, a1))
+        return [geometric_tail(first * (pa1 * s) ** r, growth ** r * decay) for r in orders]
+
+    sums = [Enclosure(start if r == 0 else 0) for r in orders]
+    signs = [0 if alternating else (-1) ** r for r in orders]
+    return certified_sum(what, cfg, sums, step, tail, signs, gate_divisor=4)
+
+
 def theta4_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """Enclosure of theta4^(nu)(y) by the termwise-differentiated sum.
 
     The nu-th derivative term at index k is (-1)^k (-pi k^2)^nu exp(-pi k^2 y);
     the symmetric sum over all integers collapses to 1 (for nu = 0) plus twice
-    the k >= 1 terms.  The truncation tail is enclosed by a certified
-    geometric bound evaluated at y.lo.
+    the k >= 1 terms.
     """
     nu = _check_order(nu)
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_series")
-        pi = Enclosure.pi()
-        ylo = Enclosure._from_mpi((y._lo, y._lo))
-
-        def step(k):
-            kk = Enclosure(k * k)
-            mag = (-(pi * kk * y)).exp()
-            if nu:
-                mag = mag * (pi * kk) ** nu
-            term = mag * Enclosure(-2 if (k + nu) % 2 else 2)
-            return (term,), abs(term).hi
-
-        def tail(k):
-            # ratio of successive magnitudes ((k+1)/k)^(2 nu) e^{-(2k+1) pi y}
-            # is decreasing in k
-            knext = Enclosure((k + 1) * (k + 1))
-            first = 2 * (-(pi * knext * ylo)).exp()
-            if nu:
-                first = first * (pi * knext) ** nu
-            ratio = (-(Enclosure(2 * k + 3) * pi * ylo)).exp()
-            if nu:
-                ratio = ratio * Enclosure(Fraction(k + 2, k + 1)) ** (2 * nu)
-            return (geometric_tail(first, ratio),)
-
-        start = (Enclosure(1 if nu == 0 else 0),)
-        return certified_sum("theta4_series", cfg, start, step, tail, (0,), gate_divisor=4)[0]
+        return _quadratic_series("theta4_series", y, lambda k: k * k, range(nu, nu + 1), cfg,
+                                 weight=2, alternating=True, start=1)[0]
 
 
 def theta4_product(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -191,6 +203,14 @@ def theta4_product(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
         )
 
 
+def _theta2(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+    """theta2^(r)(y) for each order r of `orders`, in one pass over the terms."""
+    with cfg.scope():
+        y = _check_positive(as_enclosure(y), "theta2_series")
+        return _quadratic_series("theta2_series", y, lambda k: (2 * k - 1) ** 2, orders, cfg,
+                                 scale=Fraction(1, 4), weight=2)
+
+
 def theta2_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """Enclosure of theta2^(nu)(y) from the half-integer Gaussian sum.
 
@@ -201,33 +221,7 @@ def theta2_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
     attached on the correct side.
     """
     nu = _check_order(nu)
-    with cfg.scope():
-        y = _check_positive(as_enclosure(y), "theta2_series")
-        pi = Enclosure.pi()
-        ylo = Enclosure._from_mpi((y._lo, y._lo))
-        quarter = Enclosure(Fraction(1, 4))
-        two = Enclosure(-2 if nu % 2 else 2)
-
-        def step(k):
-            m = 2 * k - 1
-            mm = Enclosure(m * m)
-            mag = (-(pi * mm * y * quarter)).exp()
-            if nu:
-                mag = mag * (pi * mm * quarter) ** nu
-            return (mag * two,), mag.hi
-
-        def tail(k):
-            mnxt = 2 * k + 1
-            first = 2 * (-(pi * Enclosure(mnxt * mnxt) * ylo * quarter)).exp()
-            if nu:
-                first = first * (pi * Enclosure(mnxt * mnxt) * quarter) ** nu
-            ratio = (-(Enclosure(mnxt + 1) * pi * ylo)).exp()
-            if nu:
-                ratio = ratio * Enclosure(Fraction(mnxt + 2, mnxt)) ** (2 * nu)
-            return (geometric_tail(first, ratio),)
-
-        sign = -1 if nu % 2 else 1
-        return certified_sum("theta2_series", cfg, (Enclosure(0),), step, tail, (sign,), gate_divisor=4)[0]
+    return _theta2(y, range(nu, nu + 1), cfg)[0]
 
 
 #: N_k(s, v, u) with psi^(k)(s) = u N_k / v^(k+1), u = e^{-s}, v = 1 - u; each |N_k| <= 2(1+s)^2

@@ -43,7 +43,7 @@ from .enclosure import (
     EvalConfig,
     as_enclosure,
 )
-from .envelopes import EnvelopeConstants, PAPER_CONSTANTS, check_c_admissible
+from .envelopes import EnvelopeConstants, PAPER_CONSTANTS, _envelope_poly, check_c_admissible
 from .exppoly import ExpPoly
 from .modular import (
     f_modular,
@@ -51,13 +51,7 @@ from .modular import (
     f_second_modular,
     theta4_eval,
 )
-from .theta import (
-    f_lambert,
-    f_prime_lambert,
-    f_second_lambert,
-    psi,
-    theta2_series,
-)
+from .theta import _theta2, f_lambert, f_prime_lambert, f_second_lambert, psi
 
 __all__ = [
     "TranscriptionError",
@@ -389,16 +383,6 @@ class GreekConstants:
         }
 
 
-def _envelope_poly(nu: int, upper: bool, constants: EnvelopeConstants) -> ExpPoly:
-    """A two-term envelope as an ExpPoly in E = e^{-pi y/4} (constant coefficients)."""
-    pi = Enclosure.pi()
-    amp = 2 * pi ** nu / Enclosure(4 ** nu)
-    second = amp * Enclosure(9 ** nu)
-    if upper:
-        second = second * (1 + Enclosure(constants.for_order(nu)))
-    return ExpPoly({-1: (Enclosure(0), amp), -9: (Enclosure(0), second)})
-
-
 def greek_bracket(
     cfg: EvalConfig = DEFAULT_CONFIG, constants: EnvelopeConstants = PAPER_CONSTANTS
 ) -> ExpPoly:
@@ -408,12 +392,8 @@ def greek_bracket(
     exponents e^{k pi y/4}, k in {-3, -11, -19, -27}.
     """
     with cfg.scope():
-        l0 = _envelope_poly(0, False, constants)
-        l1 = _envelope_poly(1, False, constants)
-        l3 = _envelope_poly(3, False, constants)
-        u0 = _envelope_poly(0, True, constants)
-        u1 = _envelope_poly(1, True, constants)
-        u2 = _envelope_poly(2, True, constants)
+        l0, l1, l3 = (_envelope_poly(nu) for nu in (0, 1, 3))
+        u0, u1, u2 = (_envelope_poly(nu, constants.for_order(nu)) for nu in range(3))
         t1 = (l1 * l1 * l0).scale(2)
         t2 = (u2 * u0 * u0).scale(-2)
         t3 = (l1 * l1 * l1).scale(2).mul_y()
@@ -644,10 +624,7 @@ def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     intended for y >= 1 where the envelope bound applies)."""
     with cfg.scope():
         y = as_enclosure(y)
-        s0 = theta2_series(y, 0, cfg)
-        s1 = theta2_series(y, 1, cfg)
-        s2 = theta2_series(y, 2, cfg)
-        s3 = theta2_series(y, 3, cfg)
+        s0, s1, s2, s3 = _theta2(y, range(4), cfg)
         y92 = y ** Fraction(9, 2)
         y112 = y ** Fraction(11, 2)
         return (

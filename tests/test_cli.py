@@ -228,3 +228,68 @@ def test_verify_convexity_across_route_boundary(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[ok]" in out and ": certified" in out
+
+
+@pytest.mark.parametrize("function", ["f", "theta4"])
+def test_eval_non_finite_argument_usage_error(capsys, function):
+    assert run_cli("eval", function, "--y", "inf") == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_verify_infinite_interval_usage_error(capsys):
+    code = run_cli("verify", "convexity", "--interval", "0.5", "inf", "--target-sign", "positive")
+    assert code == 2
+
+
+def test_scan_infinite_interval_usage_error(capsys):
+    assert run_cli("scan", "--a", "2", "--interval", "0.5", "inf") == 2
+    assert "nan" not in capsys.readouterr().err
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "function, y",
+    [("f'", "1e20"), ("f", "1e400"), ("theta2", "1e400"), ("theta4", "1e-400")],
+)
+def test_eval_beyond_decimal_exponent_range_exits_one(capsys, function, y, fmt):
+    assert run_cli("eval", function, "--y", y, "--format", fmt) == 1
+    assert "decimal exponent range" in _one_line_error(capsys)
+
+
+def test_scan_beyond_decimal_exponent_range_exits_one(capsys):
+    assert run_cli("scan", "--a", "2", "--interval", "1e19", "1e20", "--resolution", "8") == 1
+    assert "decimal exponent range" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("digits", ["-3", "0"])
+def test_digits_below_one_usage_error(capsys, digits):
+    assert run_cli("eval", "f", "--y", "1", "--digits", digits) == 2
+    assert run_cli("scan", "--a", "2.1", "--digits", digits) == 2
+    assert run_cli("verify", "greek", "--digits", digits) == 2
+
+
+def test_verify_quantity_alone_selects_custom_certification(capsys):
+    # f' < 0, so certifying it positive on the default interval fails
+    assert run_cli("verify", "convexity", "--quantity", "f_prime") == 1
+    out = capsys.readouterr().out
+    assert "f_prime-positive" in out and "convexity-desk-scale" not in out
+
+
+@pytest.mark.parametrize(
+    "suite, option",
+    [
+        ("greek", ["--interval", "0.5", "1"]),
+        ("all", ["--target-sign", "positive"]),
+        ("modular", ["--quantity", "f_prime"]),
+    ],
+)
+def test_convexity_options_rejected_for_other_suites(capsys, suite, option):
+    assert run_cli("verify", suite, *option) == 2
+    assert "convexity" in capsys.readouterr().err

@@ -181,3 +181,22 @@ def test_admissibility_runs_no_subdivision(cfg, monkeypatch):
         report = check_c_admissible(nu, cfg)
         assert report.status is Status.CERTIFIED, report.summary()
         assert report.subreports == []
+
+
+@pytest.mark.parametrize("nu", range(4))
+@pytest.mark.parametrize("y", [1, 2, 5])
+def test_excess_sum_contains_direct_sum(cfg, nu, y):
+    # sum over odd m >= 5 of m^(2 nu) e^{-pi m^2 y/4}, summed directly at 512 bits
+    from thetacert.envelopes import _excess_sum_bound
+
+    with mp.workprec(512):
+        direct, m = mp.mpf(0), 5
+        while True:
+            term = mp.mpf(m) ** (2 * nu) * mp.exp(-mp.pi * m * m * y / 4)
+            direct += term
+            if term < direct * mp.mpf(2) ** -520:
+                break
+            m += 2
+    with cfg.scope():
+        enc = _excess_sum_bound(nu, Enclosure(y), cfg)
+    assert enc.lo <= direct <= enc.hi, f"{enc!r} misses {direct}"

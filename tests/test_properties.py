@@ -7,8 +7,10 @@ tested generatively across all evaluators and derivative orders.
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
-from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_series
+from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
+from thetacert.modular import q_series_derivatives
 from thetacert.theta import psi
 from thetacert.verifier import f_eval, f_prime, f_second
 
@@ -104,3 +106,87 @@ def test_bisection_halves_tighten(a, w):
 def test_psi_box_contains_points(a, w, t, order):
     box, point = _box_and_point(a, w, t)
     assert psi(box, order, CFG).contains(psi(point, order, CFG))
+
+
+# --- the quadratic-exponent series against direct mpmath sums at 4x precision ---
+
+_log_y = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)  # y = 10^u
+
+
+def _direct_sum(term, past_peak, prec):
+    """sum_{n>=0} term(n) at `prec` bits, stopped past the terms' peak once a term is
+    below 2^-prec of the partial sum."""
+    with mp.workprec(prec):
+        total, n = mp.mpf(0), 0
+        while True:
+            t = term(n)
+            total += t
+            if past_peak(n) and abs(t) <= abs(total) * mp.mpf(2) ** -prec:
+                return total
+            n += 1
+
+
+def _theta2_direct(y, r, prec):
+    """theta2^(r)(y) = sum over odd m of 2 (-pi m^2/4)^r e^{-pi m^2 y/4}."""
+    def term(n):
+        x = mp.pi * (2 * n + 1) ** 2 / 4
+        return 2 * (-x) ** r * mp.exp(-x * y)
+
+    return _direct_sum(term, lambda n: mp.pi * (2 * n + 1) ** 2 * y / 4 > r, prec)
+
+
+def _theta4_direct(y, r, prec):
+    """theta4^(r)(y) = sum over all integers k of (-1)^k (-pi k^2)^r e^{-pi k^2 y}; the
+    terms cancel to about e^{-pi/(4y)}, so the precision grows by 1.2/y bits."""
+    def term(n):
+        x = mp.pi * n * n
+        return (1 if n == 0 else 2) * (-1) ** n * (-x) ** r * mp.exp(-x * y)
+
+    return _direct_sum(term, lambda n: mp.pi * n * n * y > r, prec + int(1.2 / y) + 64)
+
+
+def _q_direct(x, r, prec):
+    """Q^(r)(x) = sum_{j>=0} (-pi j(j+1))^r e^{-pi j(j+1) x}."""
+    def term(j):
+        c = mp.pi * j * (j + 1)
+        return (-c) ** r * mp.exp(-c * x)
+
+    return _direct_sum(term, lambda j: mp.pi * j * (j + 1) * x > r, prec)
+
+
+def _thin_and_box(u, t):
+    """A thin point y = 10^u, a 1%-wide box [y, 1.01 y], and a point of that box."""
+    y = 10.0 ** u
+    return Enclosure(y), Enclosure(y, 1.01 * y), y * (1 + 0.01 * t)
+
+
+def _assert_contains_direct(enc, value, what):
+    assert enc.lo <= value <= enc.hi, f"{what}: {enc!r} misses {mp.nstr(value, 30)}"
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=_log_y, t=_frac, r=_order)
+def test_theta2_contains_direct_sum(u, t, r):
+    thin, box, inside = _thin_and_box(u, t)
+    prec = 4 * CFG.precision_bits
+    _assert_contains_direct(theta2_series(thin, r, CFG), _theta2_direct(thin.lo, r, prec), "thin")
+    _assert_contains_direct(theta2_series(box, r, CFG), _theta2_direct(mp.mpf(inside), r, prec), "box")
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=_log_y, t=_frac, r=_order)
+def test_theta4_eval_contains_direct_sum(u, t, r):
+    thin, box, inside = _thin_and_box(u, t)
+    prec = 4 * CFG.precision_bits
+    _assert_contains_direct(theta4_eval(thin, r, CFG), _theta4_direct(thin.lo, r, prec), "thin")
+    _assert_contains_direct(theta4_eval(box, r, CFG), _theta4_direct(mp.mpf(inside), r, prec), "box")
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=_log_y, t=_frac)
+def test_q_series_contains_direct_sum(u, t):
+    thin, box, inside = _thin_and_box(u, t)
+    prec = 4 * CFG.precision_bits
+    for r, (at_thin, on_box) in enumerate(zip(q_series_derivatives(thin, CFG), q_series_derivatives(box, CFG))):
+        _assert_contains_direct(at_thin, _q_direct(thin.lo, r, prec), f"thin, order {r}")
+        _assert_contains_direct(on_box, _q_direct(mp.mpf(inside), r, prec), f"box, order {r}")

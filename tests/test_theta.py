@@ -14,10 +14,12 @@ from thetacert import (
     f_lambert,
     f_prime_lambert,
     f_second_lambert,
+    h_reciprocal,
     precision,
     theta2_series,
     theta4_product,
     theta4_series,
+    theta4_via_modular,
 )
 from thetacert.modular import q_series_derivatives
 from thetacert.theta import psi
@@ -288,3 +290,27 @@ def test_lambert_route_contains_jtheta_oracle(order, fn):
                 assert enc.lo <= value + slack and value - slack <= enc.hi, (
                     f"order {order} at y = {y!r}, {bits} bits: {enc!r} misses {value}"
                 )
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda cfg: theta4_via_modular(Enclosure("0.05"), 3, cfg),
+        lambda cfg: h_reciprocal(Enclosure("1.5"), cfg),
+    ],
+    ids=["theta4_via_modular", "h_reciprocal"],
+)
+def test_several_theta2_orders_take_one_pass(cfg, monkeypatch, evaluate):
+    # theta2 and its first three derivatives share one exp per term
+    from thetacert import theta
+
+    calls = []
+    inner = theta.certified_sum
+
+    def counting(what, *args, **kwargs):
+        calls.append(what)
+        return inner(what, *args, **kwargs)
+
+    monkeypatch.setattr(theta, "certified_sum", counting)
+    evaluate(cfg)
+    assert calls == ["theta2_series"]
