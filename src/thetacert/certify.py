@@ -190,6 +190,8 @@ def certify_sign(
         lo_enc = as_enclosure(interval[0])
         hi_enc = as_enclosure(interval[1])
         a, b = lo_enc._lo, hi_enc._hi
+        if any(end in (_lm.finf, _lm.fninf, _lm.fnan) for end in (a, b)):
+            raise ValueError("certification interval endpoints must be finite")
         if _lm.mpf_cmp(a, b) >= 0:
             raise ValueError("empty certification interval")
     mid_prec = cfg.precision_bits + 16

@@ -25,8 +25,8 @@ from mpmath import mp
 
 from .certify import CertificationReport, Check, Status, certify_sign
 from .enclosure import DomainError, Enclosure, EnclosureError, EvalConfig
-from .envelopes import log_grid, verify_sandwich
-from .modular import theta4_eval, verify_modular_identity
+from .envelopes import _verify_sandwiches, log_grid
+from .modular import _verify_modular_identities, theta4_eval
 from .report import ReportDocument, decimal_bounds
 from .scanner import ExponentQuery, find_witness_in_rows, scan_rows
 from .theta import theta2_series
@@ -207,10 +207,10 @@ def _cmd_verify(args, cfg: EvalConfig) -> int:
     small_y = functools.cache(lambda: verify_small_y_chain(cfg))
     runners = {
         "envelopes": lambda: (
-            [verify_sandwich(log_grid(1.0, 100.0, 40), nu, cfg) for nu in range(4)]
+            _verify_sandwiches(log_grid(1.0, 100.0, 40), range(4), cfg)
             + small_y().subreports[:4]  # check_c_admissible at orders 0-3
         ),
-        "modular": lambda: [verify_modular_identity(("0.5", "2"), nu, cfg) for nu in range(4)],
+        "modular": lambda: _verify_modular_identities(("0.5", "2"), range(4), cfg),
         "g-chain": lambda: [verify_g_chain(cfg)],
         "large-y": lambda: [verify_even_terms_large_y(cfg=cfg), verify_odd_terms_large_y(cfg=cfg)],
         "small-y": lambda: [small_y()],

@@ -163,6 +163,8 @@ class Enclosure:
         else:
             hi_d, hi_u = _to_raw_pair(hi, prec)
             self._lo, self._hi = lo_d, hi_u
+        if _lm.fnan in (self._lo, self._hi):
+            raise ValueError("an enclosure endpoint cannot be NaN")
         if _lm.mpf_cmp(self._lo, self._hi) > 0:
             raise ValueError(f"invalid enclosure endpoints: lo={_mpf(self._lo)} > hi={_mpf(self._hi)}")
 

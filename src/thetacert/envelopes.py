@@ -11,7 +11,9 @@ holds with
 
 (one ExpPoly form, which the envelope-product bracket of
 :mod:`thetacert.verifier` shares) and the inflation constants c_0 = 0.00001,
-c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  The admissibility of the c_nu
+c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  ``verify_sandwich`` checks it on
+a grid, one theta2 pass and one e^{-pi y/4}, e^{-9 pi y/4} pair per point serving
+every order checked there.  The admissibility of the c_nu
 is itself re-proved here: the omitted odd terms m >= 5 of the theta2 sum
 (theta's quadratic-exponent series from m = 5) are bounded first by the
 discrete comparison sum_{n>=25} n^nu e^{-pi n y/4} (m^2 >= 5m moves the
@@ -31,7 +33,7 @@ from fractions import Fraction
 from .certify import CertificationReport, Check, Status
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, as_enclosure
 from .exppoly import ExpPoly
-from .theta import _quadratic_series, theta2_series
+from .theta import _check_order, _quadratic_series, _theta2
 
 __all__ = [
     "EnvelopeConstants",
@@ -85,9 +87,21 @@ def _envelope_poly(nu: int, inflation=0) -> ExpPoly:
     return ExpPoly({-1: (0, amp), -9: (0, amp * Enclosure(9 ** nu) * (1 + Enclosure(inflation)))})
 
 
+def _envelope_exponentials(y: Enclosure) -> dict[int, Enclosure]:
+    """e^{k pi y/4} for the envelope exponents k = -1, -9.  Call inside a precision scope."""
+    pi = Enclosure.pi()
+    return {k: (Enclosure(k) * pi * y / 4).exp() for k in (-1, -9)}
+
+
+def _envelope_at(nu: int, inflation, exponentials: dict[int, Enclosure]) -> Enclosure:
+    """_envelope_poly(nu, inflation) at the y of _envelope_exponentials.  Call inside a scope."""
+    terms = sorted(_envelope_poly(nu, inflation).terms().items())
+    return sum((b * exponentials[k] for k, (_, b) in terms), Enclosure(0))
+
+
 def _envelope(y, nu: int, inflation, cfg: EvalConfig) -> Enclosure:
     with cfg.scope():
-        return _envelope_poly(nu, inflation).eval(_check_domain(as_enclosure(y)), cfg)
+        return _envelope_at(nu, inflation, _envelope_exponentials(_check_domain(as_enclosure(y))))
 
 
 def lower_envelope(y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -144,28 +158,33 @@ def _sandwich_config(y_hi: float, cfg: EvalConfig) -> EvalConfig:
     )
 
 
-def _sandwich_point(y: Enclosure, nu: int, cfg: EvalConfig, constants: EnvelopeConstants):
-    """True / False / None (undecided) for the strict sandwich at one point."""
+def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig, constants: EnvelopeConstants):
+    """(True / False / None (undecided), detail) for the strict sandwich at one point, per order.
+
+    Each precision attempt makes one theta2 pass over the orders up to the highest undecided
+    one and computes the two envelope exponentials once; an undecided order escalates alone.
+    """
     point_cfg = _sandwich_config(float(y.hi), cfg)
+    verdicts = {}
     for _ in range(3):
+        pending = [nu for nu in orders if nu not in verdicts]
+        if not pending:
+            break
         with point_cfg.scope():
-            mid = theta2_series(y, nu, point_cfg)
-            if nu % 2 == 1:
-                mid = -mid
-            low = lower_envelope(y, nu, point_cfg)
-            upp = upper_envelope(y, nu, point_cfg, constants)
-            if low.is_strictly_positive() and low.hi < mid.lo and mid.hi < upp.lo:
-                return True, "strict on both sides"
-            # a disproof needs the wrong ordering to hold on whole enclosures
-            violated = (
-                mid.hi < low.lo
-                or upp.hi < mid.lo
-                or low.hi <= 0
-            )
-            if violated:
-                return False, f"lower={low!r} mid={mid!r} upper={upp!r}"
+            thetas = _theta2(y, range(max(pending) + 1), point_cfg)
+            exponentials = _envelope_exponentials(y)
+            for nu in pending:
+                mid = -thetas[nu] if nu % 2 == 1 else thetas[nu]
+                low = _envelope_at(nu, 0, exponentials)
+                upp = _envelope_at(nu, constants.for_order(nu), exponentials)
+                if low.is_strictly_positive() and low.hi < mid.lo and mid.hi < upp.lo:
+                    verdicts[nu] = True, "strict on both sides"
+                # a disproof needs the wrong ordering to hold on whole enclosures
+                elif mid.hi < low.lo or upp.hi < mid.lo or low.hi <= 0:
+                    verdicts[nu] = False, f"lower={low!r} mid={mid!r} upper={upp!r}"
         point_cfg = point_cfg.escalated()
-    return None, "enclosures still overlap after precision escalation"
+    undecided = None, "enclosures still overlap after precision escalation"
+    return [verdicts.get(nu, undecided) for nu in orders]
 
 
 def verify_sandwich(
@@ -181,18 +200,22 @@ def verify_sandwich(
     y = 100 even though the inequalities are comfortably true.  Widths too
     large to decide after escalation produce an `inconclusive` report
     (distinct from a disproof, which records the offending point).
+    ``_verify_sandwiches`` checks several orders with one theta2 pass per point.
     """
+    return _verify_sandwiches(grid, (_check_order(nu),), cfg, constants)[0]
+
+
+def _verify_sandwiches(grid, orders, cfg: EvalConfig, constants=PAPER_CONSTANTS):
+    """One sandwich report per order of `orders`, each grid point evaluated once for all."""
     with cfg.scope():
-        points = [as_enclosure(y) for y in grid]
-    checks = [
-        Check(f"sandwich at y={y.lo}", *_sandwich_point(y, nu, cfg, constants)) for y in points
-    ]
-    return CertificationReport(
-        name=f"theta2-envelope-sandwich-nu{nu}",
-        interval=(points[0].lo, points[-1].hi),
-        status=Status.of(checks),
-        checks=checks,
-    )
+        points = [_check_domain(as_enclosure(y)) for y in grid]
+    per_point = [_sandwich_point(y, orders, cfg, constants) for y in points]
+    reports = []
+    for nu, outcomes in zip(orders, zip(*per_point)):
+        checks = [Check(f"sandwich at y={y.lo}", *o) for y, o in zip(points, outcomes)]
+        reports.append(CertificationReport(f"theta2-envelope-sandwich-nu{nu}", Status.of(checks),
+                                           (points[0].lo, points[-1].hi), checks=checks))
+    return reports
 
 
 _FACTORIALS = (1, 1, 2, 6)

@@ -27,6 +27,8 @@ Two things live here:
 
 Both sum through theta's quadratic-exponent series, all their orders in one
 pass: theta2^(j)(1/y) for j <= nu, and Q^(r) with a(j) = j(j+1).
+``verify_modular_identity`` cross-checks the table against the direct theta4
+series; each sample takes one theta2 and one theta4 pass for every order.
 """
 
 from __future__ import annotations
@@ -35,14 +37,9 @@ import math
 from fractions import Fraction
 
 from .certify import CertificationReport, Check, Status
-from .enclosure import (
-    DEFAULT_CONFIG,
-    DomainError,
-    Enclosure,
-    EvalConfig,
-    as_enclosure,
-)
-from .theta import _check_order, _check_positive, _quadratic_series, _theta2, theta4_series
+from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, as_enclosure
+from .theta import (_check_order, _check_positive, _quadratic_series, _theta2, _theta4,
+                    theta4_series)
 
 __all__ = [
     "MODULAR_COEFFICIENTS",
@@ -74,11 +71,16 @@ def theta4_via_modular(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG, coeffic
     table = MODULAR_COEFFICIENTS if coefficients is None else coefficients
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_via_modular")
-        derivatives = _theta2(1 / y, range(len(table[nu])), cfg)
-        total = Enclosure(0)
-        for j, (coeff, theta2_j) in enumerate(zip(table[nu], derivatives)):
-            total = total + Enclosure(coeff) * y ** (Fraction(-1, 2) - nu - j) * theta2_j
-        return total
+        return _modular_combination(y, table[nu], nu, _theta2(1 / y, range(len(table[nu])), cfg))
+
+
+def _modular_combination(y: Enclosure, row, nu: int, derivatives) -> Enclosure:
+    """sum_j row[j] y^(-1/2 - nu - j) theta2^(j)(1/y), given derivatives[j] = theta2^(j)(1/y)
+    for j < len(row).  Call inside a precision scope."""
+    total = Enclosure(0)
+    for j, (coeff, theta2_j) in enumerate(zip(row, derivatives)):
+        total = total + Enclosure(coeff) * y ** (Fraction(-1, 2) - nu - j) * theta2_j
+    return total
 
 
 def theta2_via_modular(x, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -118,33 +120,36 @@ def verify_modular_identity(
     At each of the log-spaced samples the two enclosures must intersect
     (they both contain the exact value, so disjointness proves a formula
     error) with combined width below 2^-80.  Overly wide enclosures yield
-    `inconclusive`.
+    `inconclusive`.  ``_verify_modular_identities`` checks several orders at once.
     """
     nu = _check_order(nu)
+    return _verify_modular_identities(interval, range(nu, nu + 1), cfg, coefficients)[0]
+
+
+def _verify_modular_identities(interval, orders: range, cfg: EvalConfig, coefficients=None):
+    """One modular-identity report per order of `orders`; each sample makes one theta2 pass
+    at 1/y and one theta4 pass at y for all of them."""
+    table = MODULAR_COEFFICIENTS if coefficients is None else coefficients
     with cfg.scope():
-        lo = as_enclosure(interval[0])
-        hi = as_enclosure(interval[1])
+        lo, hi = (as_enclosure(end) for end in interval)
         if not lo.is_strictly_positive():
             raise DomainError("modular identity check requires a positive interval")
-        checks = []
+        checks = {nu: [] for nu in orders}
         la, lb = math.log(float(lo.lo)), math.log(float(hi.hi))
         for i in range(_IDENTITY_SAMPLES):
             y = Enclosure(math.exp(la + (lb - la) * i / (_IDENTITY_SAMPLES - 1)))
-            via_flip = theta4_via_modular(y, nu, cfg, coefficients)
-            direct = theta4_series(y, nu, cfg)
-            if not via_flip.intersects(direct):
-                outcome, detail = False, f"modular={via_flip!r} direct={direct!r} are disjoint"
-            elif via_flip.width + direct.width < _IDENTITY_WIDTH:
-                outcome, detail = True, ""
-            else:
-                outcome, detail = None, "combined width too large"
-            checks.append(Check(f"agreement at y={y.lo}", outcome, detail))
-    return CertificationReport(
-        name=f"modular-identity-nu{nu}",
-        status=Status.of(checks),
-        interval=(lo.lo, hi.hi),
-        checks=checks,
-    )
+            flipped = _theta2(1 / y, range(max(len(table[nu]) for nu in orders)), cfg)
+            for nu, direct in zip(orders, _theta4(y, orders, cfg)):
+                via_flip = _modular_combination(y, table[nu], nu, flipped)
+                if not via_flip.intersects(direct):
+                    outcome, detail = False, f"modular={via_flip!r} direct={direct!r} are disjoint"
+                elif via_flip.width + direct.width < _IDENTITY_WIDTH:
+                    outcome, detail = True, ""
+                else:
+                    outcome, detail = None, "combined width too large"
+                checks[nu].append(Check(f"agreement at y={y.lo}", outcome, detail))
+    return [CertificationReport(f"modular-identity-nu{nu}", Status.of(checks[nu]), (lo.lo, hi.hi),
+                                checks=checks[nu]) for nu in orders]
 
 
 def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG):

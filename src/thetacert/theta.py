@@ -19,7 +19,8 @@ use it as an independent reference for ``theta4_series``.
 
 Evaluators:
 
-  theta4_series(y, nu)   nu-th derivative of theta4(y) = sum (-1)^k exp(-pi k^2 y)
+  theta4_series(y, nu)   nu-th derivative of theta4(y) = sum (-1)^k exp(-pi k^2 y);
+                         _theta4(y, orders) gives several orders in one pass
   theta4_product(y)      theta4 via prod (1-q^(2n))(1-q^(2n-1))^2, q = exp(-pi y)
   theta2_series(y, nu)   nu-th derivative of theta2(y) = sum exp(-pi y (n+1/2)^2);
                          _theta2(y, orders) gives several orders in one pass
@@ -161,10 +162,15 @@ def theta4_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
     the k >= 1 terms.
     """
     nu = _check_order(nu)
+    return _theta4(y, range(nu, nu + 1), cfg)[0]
+
+
+def _theta4(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+    """theta4^(r)(y) for each order r of `orders`, in one pass over the terms."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_series")
-        return _quadratic_series("theta4_series", y, lambda k: k * k, range(nu, nu + 1), cfg,
-                                 weight=2, alternating=True, start=1)[0]
+        return _quadratic_series("theta4_series", y, lambda k: k * k, orders, cfg,
+                                 weight=2, alternating=True, start=1)
 
 
 def theta4_product(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:

@@ -1,5 +1,8 @@
 """The adaptive bisection engine: certified / failed / inconclusive paths."""
 
+import contextlib
+import signal
+
 import pytest
 
 from thetacert import Enclosure, EvalConfig, Status, Witness, certify_sign
@@ -106,3 +109,40 @@ def test_box_budget_bounds_work(cfg):
     # a short window near 1 stays comfortably inside the budget
     short = certify_sign(QUANTITIES["h_reciprocal"], (1, "1.2"), +1, cfg, name="short")
     assert short.certified and short.boxes_examined < 500
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _never_called(box, cfg):
+    raise AssertionError(f"evaluated a box {box!r}")
+
+
+def test_infinite_endpoint_rejected_before_bisection(cfg):
+    # bisecting [0.5, inf] gives inf again, so this used to run forever
+    from thetacert import QUANTITIES
+
+    with _time_limit(10), pytest.raises(ValueError, match="finite"):
+        certify_sign(QUANTITIES["f_second"], ("0.5", "inf"), +1, cfg)
+
+
+def test_nan_endpoint_rejected(cfg):
+    with pytest.raises(ValueError):
+        certify_sign(_never_called, ("nan", "1"), +1, cfg)
+
+
+def test_infinite_endpoint_not_certified(cfg):
+    # one box [1, inf] has a positive enclosure, which certified nothing finite
+    with pytest.raises(ValueError, match="finite"):
+        certify_sign(lambda box, c: box, ("1", "inf"), +1, cfg)

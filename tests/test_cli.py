@@ -293,3 +293,39 @@ def test_verify_quantity_alone_selects_custom_certification(capsys):
 def test_convexity_options_rejected_for_other_suites(capsys, suite, option):
     assert run_cli("verify", suite, *option) == 2
     assert "convexity" in capsys.readouterr().err
+
+
+def _count_kernel_runs(monkeypatch):
+    from thetacert import theta
+
+    calls = []
+    inner = theta.certified_sum
+
+    def counting(what, *args, **kwargs):
+        calls.append(what)
+        return inner(what, *args, **kwargs)
+
+    monkeypatch.setattr(theta, "certified_sum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("suite, passes", [("envelopes", 40), ("modular", 9)])
+def test_sampled_suites_take_one_theta2_pass_per_point(monkeypatch, capsys, suite, passes):
+    # every sample point serves all four derivative orders from one theta2 pass
+    calls = _count_kernel_runs(monkeypatch)
+    assert run_cli("verify", suite) == 0
+    assert calls.count("theta2_series") == passes
+
+
+def test_envelope_suite_shares_envelope_exponentials(monkeypatch, capsys):
+    # two envelope exponentials per point, not two per envelope and order
+    exps = []
+    inner = thetacert.Enclosure.exp
+
+    def counting(self):
+        exps.append(1)
+        return inner(self)
+
+    monkeypatch.setattr(thetacert.Enclosure, "exp", counting)
+    assert run_cli("verify", "envelopes") == 0
+    assert len(exps) <= 700

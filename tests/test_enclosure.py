@@ -169,3 +169,9 @@ def test_eval_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(max_terms=0)
     assert EvalConfig(tail_tolerance="1e-500").tol > 0
+
+
+@pytest.mark.parametrize("endpoints", [("nan",), (float("nan"),), (1, "nan"), ("nan", 1)])
+def test_nan_endpoint_rejected(endpoints):
+    with pytest.raises(ValueError, match="NaN"):
+        Enclosure(*endpoints)

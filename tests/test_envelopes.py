@@ -200,3 +200,30 @@ def test_excess_sum_contains_direct_sum(cfg, nu, y):
     with cfg.scope():
         enc = _excess_sum_bound(nu, Enclosure(y), cfg)
     assert enc.lo <= direct <= enc.hi, f"{enc!r} misses {direct}"
+
+
+def _same_report(a, b):
+    return (a.name, a.status, a.interval, a.checks) == (b.name, b.status, b.interval, b.checks)
+
+
+def test_multi_order_sandwich_matches_single_order_reports(cfg):
+    from thetacert.envelopes import _verify_sandwiches
+
+    grid = log_grid(1.0, 100.0, 40)
+    together = _verify_sandwiches(grid, range(4), cfg)
+    assert [r.name for r in together] == [f"theta2-envelope-sandwich-nu{nu}" for nu in range(4)]
+    for nu, report in enumerate(together):
+        assert _same_report(report, verify_sandwich(grid, nu, cfg)), nu
+
+
+def test_deflating_one_constant_fails_only_its_order(cfg):
+    from thetacert.envelopes import _verify_sandwiches
+
+    grid = log_grid(1.0, 100.0, 40)
+    deflated = EnvelopeConstants(c3=Fraction(1, 10 ** 30))
+    together = _verify_sandwiches(grid, range(4), cfg, deflated)
+    assert [r.status for r in together[:3]] == [Status.CERTIFIED] * 3
+    alone = verify_sandwich(grid, 3, cfg, constants=deflated)
+    assert together[3].status is Status.FAILED
+    assert _same_report(together[3], alone)
+    assert together[3].checks[0].detail.startswith("lower=")

@@ -134,3 +134,25 @@ def test_q_route_against_jtheta_oracle(cfg):
                 oracle = mp_scalar(f_scalar, mp.mpf(y), order, dps=60)
                 # the oracle's numerical differentiation is the accuracy floor
                 assert abs(enc - Enclosure(oracle)).hi < 1e-12
+
+
+def test_multi_order_identity_matches_single_order_reports(cfg):
+    from thetacert.modular import _verify_modular_identities
+
+    together = _verify_modular_identities(("0.5", "2"), range(4), cfg)
+    for nu, report in enumerate(together):
+        alone = verify_modular_identity(("0.5", "2"), nu, cfg)
+        assert (report.name, report.status, report.interval, report.checks) == (
+            alone.name, alone.status, alone.interval, alone.checks
+        ), nu
+
+
+def test_corrupted_row_fails_only_its_order(cfg):
+    from thetacert.modular import _verify_modular_identities
+
+    corrupted = dict(MODULAR_COEFFICIENTS)
+    corrupted[1] = (Fraction(1, 2), Fraction(-1))
+    together = _verify_modular_identities(("0.5", "2"), range(4), cfg, coefficients=corrupted)
+    assert [r.status for r in together] == [
+        Status.CERTIFIED, Status.FAILED, Status.CERTIFIED, Status.CERTIFIED
+    ]
