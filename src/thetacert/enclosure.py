@@ -7,7 +7,9 @@ is preserved through arbitrary compositions.  The heavy lifting is done by
 mpmath's ``libmp`` interval primitives (backed by gmpy2 when available);
 this module adds precision scoping, domain checking and a small, explicit
 operation set: +, -, *, /, exp, log, sqrt, rational powers of positive
-enclosures, and pi.
+enclosures, and pi.  :class:`Jet` carries a value with its first two
+derivatives through +, -, *, / and exp, so derivatives of a formula come out
+of its arithmetic rather than being differentiated by hand.
 
 Working precision is scoped with :func:`precision`::
 
@@ -31,6 +33,7 @@ from mpmath import libmp as _lm
 
 __all__ = [
     "Enclosure",
+    "Jet",
     "EvalConfig",
     "DEFAULT_CONFIG",
     "EnclosureError",
@@ -208,9 +211,6 @@ class Enclosure:
         """Upper bound on hi - lo."""
         return _mpf(_lm.mpf_sub(self._hi, self._lo, current_precision(), "u"))
 
-    def endpoints(self):
-        return self.lo, self.hi
-
     # -- predicates --------------------------------------------------------
 
     def is_strictly_positive(self) -> bool:
@@ -237,14 +237,6 @@ class Enclosure:
         return (
             _lm.mpf_cmp(self._lo, o._hi) <= 0 and _lm.mpf_cmp(o._lo, self._hi) <= 0
         )
-
-    def intersection(self, other) -> "Enclosure":
-        o = as_enclosure(other)
-        if not self.intersects(o):
-            raise ValueError("enclosures are disjoint; no common value exists")
-        lo = self._lo if _lm.mpf_cmp(self._lo, o._lo) >= 0 else o._lo
-        hi = self._hi if _lm.mpf_cmp(self._hi, o._hi) <= 0 else o._hi
-        return Enclosure._from_mpi((lo, hi))
 
     def hull(self, other) -> "Enclosure":
         o = as_enclosure(other)
@@ -351,6 +343,56 @@ def as_enclosure(value) -> Enclosure:
     if isinstance(value, Enclosure):
         return value
     return Enclosure(value)
+
+
+class Jet:
+    """A function of one variable to second order: (value, first, second derivative),
+    each an Enclosure.
+
+    ``+``, ``-``, ``*``, ``/`` and :meth:`exp` apply the sum, product, quotient and
+    exponential rules (forward-mode differentiation), so a formula evaluated on Jets
+    encloses its own derivatives.  ``Jet(y, 1)`` is the variable y.  Any other operand
+    (int, Fraction, Enclosure) is a constant and stands to the right of the Jet, as
+    Enclosure's operators do not know Jets; an int or Fraction may also multiply from
+    the left.  Unpacks as (v, d1, d2).
+    """
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v, d1=0, d2=0):
+        self.v, self.d1, self.d2 = as_enclosure(v), as_enclosure(d1), as_enclosure(d2)
+
+    def __iter__(self):
+        return iter((self.v, self.d1, self.d2))
+
+    def __add__(self, other):
+        o = other if isinstance(other, Jet) else Jet(other)
+        return Jet(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+
+    def __sub__(self, other):
+        o = other if isinstance(other, Jet) else Jet(other)
+        return Jet(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.v * other, self.d1 * other, self.d2 * other)
+        return Jet(
+            self.v * other.v,
+            self.d1 * other.v + self.v * other.d1,
+            self.d2 * other.v + 2 * self.d1 * other.d1 + self.v * other.d2,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = other if isinstance(other, Jet) else Jet(other)
+        q = self.v / o.v
+        q1 = (self.d1 - q * o.d1) / o.v
+        return Jet(q, q1, (self.d2 - 2 * q1 * o.d1 - q * o.d2) / o.v)
+
+    def exp(self) -> "Jet":
+        e = self.v.exp()
+        return Jet(e, e * self.d1, e * (self.d2 + self.d1 * self.d1))
 
 
 @dataclass(frozen=True)

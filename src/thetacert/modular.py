@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .certify import CertificationReport, Check, Status
-from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, as_enclosure
+from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, Jet, as_enclosure
 from .theta import (_check_order, _check_positive, _quadratic_series, _theta2, _theta4,
                     theta4_series)
 
@@ -164,13 +164,11 @@ def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG):
         return tuple(_quadratic_series("Q-series", x, lambda j: j * (j + 1), range(4), cfg, start=1))
 
 
-def _g_derivatives(x, cfg: EvalConfig):
-    """G' and G'' for G = Q'/Q (the exponentially small part of (log theta2)')."""
+def _g_derivatives(x, cfg: EvalConfig) -> Jet:
+    """(G, G', G'') for G = Q'/Q (the exponentially small part of (log theta2)'):
+    the Jet quotient of (Q', Q'', Q''') by (Q, Q', Q'')."""
     q0, q1, q2, q3 = q_series_derivatives(x, cfg)
-    g = q1 / q0
-    g1 = q2 / q0 - g * g
-    g2 = q3 / q0 - 3 * (q2 / q0) * g + 2 * g ** 3
-    return g, g1, g2
+    return Jet(q1, q2, q3) / Jet(q0, q1, q2)
 
 
 def f_modular(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:

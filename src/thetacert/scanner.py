@@ -1,12 +1,10 @@
 """Convexity scanning for the exponent family f_a(y) = y^a theta4'(y)/theta4(y).
 
-Since f_a = y^(a-2) f with f the a = 2 member, two product-rule steps give
-
-    f_a''(y) = y^(a-4) [ (a-2)(a-3) f(y) + 2 (a-2) y f'(y) + y^2 f''(y) ]
-
-with f, f', f'' evaluated by the certified routes.  At a = 2 the bracket
-collapses to y^2 f''(y), so the family evaluator specializes exactly to the
-proven-convex member.
+Since f_a = y^(a-2) f with f the a = 2 member, f_a and its first two
+derivatives are one Jet product: the power y^r (1, r/y, r(r-1)/y^2), r = a - 2,
+times (f, f', f'') from the certified routes.  At a = 2 the power is the
+constant 1, so the family evaluator specializes exactly to the proven-convex
+member.
 
 The search is one-sided by design: a returned :class:`Witness` carries a
 strictly negative enclosure of f_a'' and rigorously disproves convexity at
@@ -21,24 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import Witness
-from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, as_enclosure
+from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, as_enclosure
 from .envelopes import log_grid
 from .verifier import f_eval, f_prime, f_second
 
 __all__ = ["ExponentQuery", "f_a_value", "f_a_prime", "f_a_second", "scan_rows",
            "find_nonconvex_witness", "find_witness_in_rows"]
-
-
-def _as_fraction(a) -> Fraction:
-    if isinstance(a, Fraction):
-        return a
-    if isinstance(a, int):
-        return Fraction(a)
-    if isinstance(a, str):
-        return Fraction(a)
-    if isinstance(a, float):
-        return Fraction(a)
-    raise TypeError(f"exponent must be rational-like, got {type(a).__name__}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +36,7 @@ class ExponentQuery:
     resolution: int = 48
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
+        object.__setattr__(self, "a", Fraction(self.a))
         lo, hi = self.interval
         if not (0 < lo < hi < math.inf):
             raise ValueError("scan interval must satisfy 0 < lo < hi < inf")
@@ -58,33 +44,31 @@ class ExponentQuery:
             raise ValueError("resolution must be at least 8")
 
 
-def f_a_value(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f_a(y) = y^(a-2) f(y)."""
-    a = _as_fraction(a)
+def _f_a(a, y, order: int, cfg: EvalConfig) -> Enclosure:
+    """Entry `order` of the Jet y^(a-2) (f, f', f''); the derivatives of f above
+    `order` are left at 0, which changes no entry up to `order`."""
+    r = Fraction(a) - 2
     with cfg.scope():
         y = as_enclosure(y)
-        return y ** (a - 2) * f_eval(y, cfg)
+        p = y ** r
+        power = Jet(p, p * r / y, p * (r * (r - 1)) / (y * y))
+        f = Jet(*(fn(y, cfg) for fn in (f_eval, f_prime, f_second)[: order + 1]))
+        return tuple(power * f)[order]
+
+
+def f_a_value(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
+    """f_a(y) = y^(a-2) f(y)."""
+    return _f_a(a, y, 0, cfg)
 
 
 def f_a_prime(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f_a'(y) = (a-2) y^(a-3) f(y) + y^(a-2) f'(y)."""
-    a = _as_fraction(a)
-    with cfg.scope():
-        y = as_enclosure(y)
-        return Enclosure(a - 2) * y ** (a - 3) * f_eval(y, cfg) + y ** (a - 2) * f_prime(y, cfg)
+    """f_a'(y), from the Jet of y^(a-2) f."""
+    return _f_a(a, y, 1, cfg)
 
 
 def f_a_second(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """Second derivative of the exponent-a family member."""
-    a = _as_fraction(a)
-    with cfg.scope():
-        y = as_enclosure(y)
-        bracket = (
-            Enclosure((a - 2) * (a - 3)) * f_eval(y, cfg)
-            + Enclosure(2 * (a - 2)) * y * f_prime(y, cfg)
-            + y * y * f_second(y, cfg)
-        )
-        return y ** (a - 4) * bracket
+    """f_a''(y), the second derivative of the exponent-a family member."""
+    return _f_a(a, y, 2, cfg)
 
 
 def scan_rows(query: ExponentQuery, cfg: EvalConfig = DEFAULT_CONFIG):

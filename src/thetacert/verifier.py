@@ -41,6 +41,7 @@ from .enclosure import (
     Enclosure,
     EnclosureError,
     EvalConfig,
+    Jet,
     as_enclosure,
 )
 from .envelopes import EnvelopeConstants, PAPER_CONSTANTS, _envelope_poly, check_c_admissible
@@ -173,10 +174,17 @@ def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Chec
 # ---------------------------------------------------------------------------
 
 
-def _g_parts(y: Enclosure, middle_sign: int):
-    pi = Enclosure.pi()
-    e = (pi * y).exp()
-    return pi, e, Enclosure(middle_sign)
+def _g_jet(y, cfg: EvalConfig, middle_sign: int) -> Jet:
+    """g and its first two derivatives in y: g written once, evaluated on a Jet."""
+    with cfg.scope():
+        y = Jet(as_enclosure(y), 1)
+        pi = Enclosure.pi()
+        e = (y * pi).exp()
+        return (
+            2 * (e - 1) * (e - 1)
+            + middle_sign * 4 * y * pi * e * (e - 1)
+            + y * y * pi ** 2 * e * (e + 1)
+        )
 
 
 def g_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclosure:
@@ -185,44 +193,18 @@ def g_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclos
     `middle_sign` flips the middle term (mutation hook for the tests; the
     genuine function has sign -1).
     """
-    with cfg.scope():
-        y = as_enclosure(y)
-        pi, e, s = _g_parts(y, middle_sign)
-        one = Enclosure(1)
-        return (
-            2 * (e - one) ** 2
-            + s * 4 * y * pi * e * (e - one)
-            + pi ** 2 * y ** 2 * e * (e + one)
-        )
+    return _g_jet(y, cfg, middle_sign).v
 
 
 def g_prime(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclosure:
-    """g'(y), differentiated part by part (the sum collapses to
-    -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1) for the genuine sign)."""
-    with cfg.scope():
-        y = as_enclosure(y)
-        pi, e, s = _g_parts(y, middle_sign)
-        one = Enclosure(1)
-        part1 = 4 * pi * e * (e - one)
-        part2 = s * 4 * pi * (e * (e - one) + pi * y * e * (2 * e - one))
-        part3 = 2 * pi ** 2 * y * e * (e + one) + pi ** 3 * y ** 2 * e * (2 * e + one)
-        return part1 + part2 + part3
+    """g'(y) from the Jet of g (for the genuine sign it equals
+    -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1))."""
+    return _g_jet(y, cfg, middle_sign).d1
 
 
 def g_second(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclosure:
-    """g''(y), differentiated part by part."""
-    with cfg.scope():
-        y = as_enclosure(y)
-        pi, e, s = _g_parts(y, middle_sign)
-        one = Enclosure(1)
-        part1 = 4 * pi ** 2 * e * (2 * e - one)
-        part2 = s * 4 * pi * (2 * pi * e * (2 * e - one) + pi ** 2 * y * e * (4 * e - one))
-        part3 = (
-            2 * pi ** 2 * e * (e + one)
-            + 4 * pi ** 3 * y * e * (2 * e + one)
-            + pi ** 4 * y ** 2 * e * (4 * e + one)
-        )
-        return part1 + part2 + part3
+    """g''(y) from the Jet of g."""
+    return _g_jet(y, cfg, middle_sign).d2
 
 
 def g_second_display(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -259,7 +241,7 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> C
         one = Enclosure(1)
         pi = Enclosure.pi()
 
-        # transcription anchor: the part-by-part derivative, the fixed display
+        # transcription anchor: the Jet derivative of g, the fixed display
         # grouping and the bracket B certified below must agree, and g must be
         # (E-1)^3 psi''(pi y), the term the Lambert evaluator sums (a corrupted
         # g or B breaks this, not the positivity, which would only get easier).
@@ -325,26 +307,20 @@ _EVEN_DECREASING = _Bracket("decreasing-even-bracket", "t", -1, c0=1, c1=-1, k=2
 _ODD_DECREASING = _Bracket("decreasing-odd-bracket", "s", -1, c0=2, c1=-1, k=1, d0=-2)
 
 
-def verify_even_terms_large_y(
-    n_max: int = 50, cfg: EvalConfig = DEFAULT_CONFIG
-) -> CertificationReport:
+def verify_even_terms_large_y(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Certify the even-index f'' bracket for every n >= 1 and y >= 2/pi.
 
     In t = n pi y the bracket is t(1+e^{-2t}) - 2(1-e^{-2t}), and y >= 2/pi
     gives t >= 2 for every n, so one claim on t >= 2 covers all terms.
-    `n_max` is accepted for existing callers; it no longer changes the result.
     """
     return _certify_bracket(_EVEN_CONVEX, 2, cfg)
 
 
-def verify_odd_terms_large_y(
-    n_max: int = 50, cfg: EvalConfig = DEFAULT_CONFIG
-) -> CertificationReport:
+def verify_odd_terms_large_y(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Certify the odd-index f'' chain for every n >= 2 and y >= 1.
 
     With s = (2n-1) pi y >= 3 pi the chain drops the positive summand s + 4
     and then needs s e^{w} - 4 e^{w} > 0, i.e. s - 4 > 0 for s >= 3 pi.
-    `n_max` is accepted for existing callers; it no longer changes the result.
     """
     with cfg.scope():
         corner = 3 * Enclosure.pi()
@@ -602,21 +578,13 @@ def verify_small_y_chain(
 
 
 def h_direct(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """h(y) = f''(y) theta4(y)^3 as the six-term theta4 combination."""
+    """h(y) = f''(y) theta4(y)^3, with f'' from f = y^2 theta4'/theta4 evaluated on Jets."""
     with cfg.scope():
         y = as_enclosure(y)
-        t0 = theta4_eval(y, 0, cfg)
-        t1 = theta4_eval(y, 1, cfg)
-        t2 = theta4_eval(y, 2, cfg)
-        t3 = theta4_eval(y, 3, cfg)
-        return (
-            2 * t1 * t0 ** 2
-            + 4 * y * t2 * t0 ** 2
-            + y ** 2 * t3 * t0 ** 2
-            - 4 * y * t1 ** 2 * t0
-            - 3 * y ** 2 * t2 * t1 * t0
-            + 2 * y ** 2 * t1 ** 3
-        )
+        t = [theta4_eval(y, nu, cfg) for nu in range(4)]
+        y = Jet(y, 1)
+        f = y * y * (Jet(*t[1:]) / Jet(*t[:3]))
+        return f.d2 * t[0] ** 3
 
 
 def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -729,7 +697,6 @@ def verify_convexity(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
 
 def verify_decreasing_argument(
     cfg: EvalConfig = DEFAULT_CONFIG,
-    n_max: int = 50,
     *,
     convexity_report: CertificationReport,
 ) -> CertificationReport:
@@ -739,8 +706,7 @@ def verify_decreasing_argument(
     one 2 - s - 2 e^{-s} (s = (2n-1) pi y) are negative for t, s >= 2, which
     y >= 2/pi gives for every n >= 1.  Convexity (f'' > 0: `convexity_report`,
     a small-y chain, cited by report id) makes f' increasing, so negativity
-    on [2/pi, oo) forces negativity on all of (0, oo).  `n_max` is accepted
-    for existing callers; it no longer changes the result.
+    on [2/pi, oo) forces negativity on all of (0, oo).
     """
     subreports = [_certify_bracket(b, 2, cfg) for b in (_EVEN_DECREASING, _ODD_DECREASING)]
     checks = [

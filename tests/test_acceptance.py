@@ -164,14 +164,12 @@ def test_acceptance_4_theorem_at_desk_scale():
 def test_acceptance_5_termwise_chains():
     t0 = time.perf_counter()
     chains = {
-        "even": verify_even_terms_large_y(50, cfg=CFG),
-        "odd": verify_odd_terms_large_y(50, cfg=CFG),
+        "even": verify_even_terms_large_y(cfg=CFG),
+        "odd": verify_odd_terms_large_y(cfg=CFG),
         "g-chain": verify_g_chain(CFG),
         "small-y": verify_small_y_chain(CFG),
     }
-    chains["decreasing"] = verify_decreasing_argument(
-        CFG, n_max=50, convexity_report=chains["small-y"]
-    )
+    chains["decreasing"] = verify_decreasing_argument(CFG, convexity_report=chains["small-y"])
     chain_ok = all(r.status is Status.CERTIFIED for r in chains.values())
 
     # mutation tests must fail in the specified ways

@@ -8,11 +8,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import prec_to_dps
 
+from conftest import mp_scalar, mp_theta4
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
 from thetacert.modular import q_series_derivatives
 from thetacert.theta import psi
-from thetacert.verifier import f_eval, f_prime, f_second
+from thetacert.verifier import f_eval, f_prime, f_second, g_prime, g_second, h_direct
 
 CFG = EvalConfig()
 
@@ -190,3 +192,42 @@ def test_q_series_contains_direct_sum(u, t):
     for r, (at_thin, on_box) in enumerate(zip(q_series_derivatives(thin, CFG), q_series_derivatives(box, CFG))):
         _assert_contains_direct(at_thin, _q_direct(thin.lo, r, prec), f"thin, order {r}")
         _assert_contains_direct(on_box, _q_direct(mp.mpf(inside), r, prec), f"box, order {r}")
+
+
+# --- Jet derivatives on 1%-wide boxes against mpmath differentiation at 4x precision ---
+
+
+def _mp_g(y):
+    e = mp.exp(mp.pi * y)
+    return 2 * (e - 1) ** 2 - 4 * y * mp.pi * e * (e - 1) + mp.pi ** 2 * y ** 2 * e * (e + 1)
+
+
+def _mp_f_a(a):
+    """y^a theta4'(y)/theta4(y)."""
+    return lambda y: y ** mp.mpf(a) * mp.diff(mp_theta4, y) / mp_theta4(y)
+
+
+def _mp_h(y):
+    """f''(y) theta4(y)^3 for f = y^2 theta4'/theta4."""
+    return mp.diff(_mp_f_a(2), y, 2) * mp_theta4(y) ** 3
+
+
+_JET_QUANTITIES = [
+    ("g'", lambda box: g_prime(box, CFG), _mp_g, 1),
+    ("g''", lambda box: g_second(box, CFG), _mp_g, 2),
+    ("h", lambda box: h_direct(box, CFG), _mp_h, 0),
+] + [
+    (f"f_a'' at a = {a}", lambda box, a=a: f_a_second(Fraction(a), box, CFG), _mp_f_a(a), 2)
+    for a in ("1.9", "2", "2.5")
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(u=st.floats(min_value=-0.52, max_value=0.69, allow_nan=False), t=_frac,
+       quantity=st.sampled_from(_JET_QUANTITIES))
+def test_jet_derivatives_on_boxes_contain_oracle(u, t, quantity):
+    # u spans [log10 0.3, log10(5/1.01)], so every box lies in [0.3, 5]
+    what, fn, oracle, order = quantity
+    _, box, inside = _thin_and_box(u, t)
+    value = mp_scalar(oracle, inside, order, dps=prec_to_dps(4 * CFG.precision_bits))
+    _assert_contains_direct(fn(box), value, what)

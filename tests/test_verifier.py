@@ -118,7 +118,7 @@ def test_g_chain_mutation_detected(cfg):
 
 
 def test_even_terms_certify(cfg):
-    report = verify_even_terms_large_y(12, cfg=cfg)
+    report = verify_even_terms_large_y(cfg=cfg)
     assert report.status is Status.CERTIFIED
 
 
@@ -178,7 +178,7 @@ def test_past_cap_check_catches_late_sign_change(cfg):
 
 
 def test_odd_terms_certify(cfg):
-    report = verify_odd_terms_large_y(12, cfg=cfg)
+    report = verify_odd_terms_large_y(cfg=cfg)
     assert report.status is Status.CERTIFIED
 
 
@@ -320,7 +320,7 @@ def test_convexity_report(cfg):
 
 def test_decreasing_argument(cfg):
     small_y = verify_small_y_chain(cfg)
-    report = verify_decreasing_argument(cfg, n_max=12, convexity_report=small_y)
+    report = verify_decreasing_argument(cfg, convexity_report=small_y)
     assert report.status is Status.CERTIFIED, report.summary()
     # the conclusion references the convexity certification it uses
     ref = [c for c in report.checks if c.name == "convexity input"]
