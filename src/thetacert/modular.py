@@ -12,7 +12,8 @@ Two things live here:
       nu=2:  (3/4,  3,  1)
       nu=3:  (-15/8, -45/4, -15/2, -1)
 
-* Cancellation-free small-y evaluators for f, f', f''.  Writing
+* Cancellation-free small-y evaluators for f, f', f'', every requested
+  order read off one Jet by ``_f_modular(y, orders)``.  Writing
   theta2(x) = 2 e^{-pi x/4} Q(x) with Q(x) = 1 + sum_j e^{-pi j(j+1) x}
   and G = Q'/Q gives, for x = 1/y,
 
@@ -27,8 +28,9 @@ Two things live here:
 
 Both sum through theta's quadratic-exponent series, all their orders in one
 pass: theta2^(j)(1/y) for j <= nu, and Q^(r) with a(j) = j(j+1).
-``verify_modular_identity`` cross-checks the table against the direct theta4
-series; each sample takes one theta2 and one theta4 pass for every order.
+``_theta4_eval(y, orders)`` gives theta4 orders in one pass, direct for
+y >= 0.2 and flipped below; ``verify_modular_identity`` cross-checks the
+table against the direct theta4 series, one pass of each per sample.
 """
 
 from __future__ import annotations
@@ -68,19 +70,19 @@ def theta4_via_modular(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG, coeffic
     corrupted coefficient is caught by the cross-representation check).
     """
     nu = _check_order(nu)
-    table = MODULAR_COEFFICIENTS if coefficients is None else coefficients
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_via_modular")
-        return _modular_combination(y, table[nu], nu, _theta2(1 / y, range(len(table[nu])), cfg))
+        return _theta4_flipped(y, range(nu, nu + 1), cfg, coefficients)[0]
 
 
-def _modular_combination(y: Enclosure, row, nu: int, derivatives) -> Enclosure:
-    """sum_j row[j] y^(-1/2 - nu - j) theta2^(j)(1/y), given derivatives[j] = theta2^(j)(1/y)
-    for j < len(row).  Call inside a precision scope."""
-    total = Enclosure(0)
-    for j, (coeff, theta2_j) in enumerate(zip(row, derivatives)):
-        total = total + Enclosure(coeff) * y ** (Fraction(-1, 2) - nu - j) * theta2_j
-    return total
+def _theta4_flipped(y: Enclosure, orders: range, cfg: EvalConfig, table=None):
+    """theta4^(nu)(y) = sum_j table[nu][j] y^(-1/2 - nu - j) theta2^(j)(1/y) for each nu of
+    `orders`, from one theta2 pass at 1/y; table defaults to MODULAR_COEFFICIENTS.  Call inside
+    a precision scope."""
+    table = MODULAR_COEFFICIENTS if table is None else table
+    flipped = _theta2(1 / y, range(max(len(table[nu]) for nu in orders)), cfg)
+    return [sum((Enclosure(c) * y ** (Fraction(-1, 2) - nu - j) * flipped[j]
+                 for j, c in enumerate(table[nu])), Enclosure(0)) for nu in orders]
 
 
 def theta2_via_modular(x, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -97,11 +99,18 @@ def theta4_eval(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     like 1/y; the modular route maps y < 0.2 to arguments 1/y > 5 where a
     handful of terms suffice.
     """
+    nu = _check_order(nu)
+    return _theta4_eval(y, range(nu, nu + 1), cfg)[0]
+
+
+def _theta4_eval(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+    """theta4^(nu)(y) for each order nu of `orders` in one series pass, routed as
+    :func:`theta4_eval`."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_eval")
         if y.hi * 5 < 1:  # y < 0.2
-            return theta4_via_modular(y, nu, cfg)
-        return theta4_series(y, nu, cfg)
+            return _theta4_flipped(y, orders, cfg)
+        return _theta4(y, orders, cfg)
 
 
 #: sample points and combined-width bound of the modular identity check
@@ -129,7 +138,6 @@ def verify_modular_identity(
 def _verify_modular_identities(interval, orders: range, cfg: EvalConfig, coefficients=None):
     """One modular-identity report per order of `orders`; each sample makes one theta2 pass
     at 1/y and one theta4 pass at y for all of them."""
-    table = MODULAR_COEFFICIENTS if coefficients is None else coefficients
     with cfg.scope():
         lo, hi = (as_enclosure(end) for end in interval)
         if not lo.is_strictly_positive():
@@ -138,9 +146,8 @@ def _verify_modular_identities(interval, orders: range, cfg: EvalConfig, coeffic
         la, lb = math.log(float(lo.lo)), math.log(float(hi.hi))
         for i in range(_IDENTITY_SAMPLES):
             y = Enclosure(math.exp(la + (lb - la) * i / (_IDENTITY_SAMPLES - 1)))
-            flipped = _theta2(1 / y, range(max(len(table[nu]) for nu in orders)), cfg)
-            for nu, direct in zip(orders, _theta4(y, orders, cfg)):
-                via_flip = _modular_combination(y, table[nu], nu, flipped)
+            flips = _theta4_flipped(y, orders, cfg, coefficients)
+            for nu, via_flip, direct in zip(orders, flips, _theta4(y, orders, cfg)):
                 if not via_flip.intersects(direct):
                     outcome, detail = False, f"modular={via_flip!r} direct={direct!r} are disjoint"
                 elif via_flip.width + direct.width < _IDENTITY_WIDTH:
@@ -164,40 +171,31 @@ def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG):
         return tuple(_quadratic_series("Q-series", x, lambda j: j * (j + 1), range(4), cfg, start=1))
 
 
-def _g_derivatives(x, cfg: EvalConfig) -> Jet:
-    """(G, G', G'') for G = Q'/Q (the exponentially small part of (log theta2)'):
-    the Jet quotient of (Q', Q'', Q''') by (Q, Q', Q'')."""
-    q0, q1, q2, q3 = q_series_derivatives(x, cfg)
-    return Jet(q1, q2, q3) / Jet(q0, q1, q2)
+def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+    """f^(k)(y) for each order k of `orders` by the forms in the module docstring, all read off
+    the Jet (G, G', G'') = (Q', Q'', Q''')/(Q, Q', Q'') at x = 1/y.  G' > 0 and G'' < 0 share
+    the scale e^{-2 pi x}, so f'' loses only the benign factor (pi x - 1)/(pi x)."""
+    with cfg.scope():
+        y = _check_positive(as_enclosure(y), "f_modular")
+        x = 1 / y
+        q0, q1, q2, q3 = q_series_derivatives(x, cfg)
+        g, g1, g2 = Jet(q1, q2, q3) / Jet(q0, q1, q2)
+        forms = (lambda: -y / 2 + Enclosure.pi() / 4 - g,  # formed only when requested
+                 lambda: Enclosure(Fraction(-1, 2)) + x * x * g1,
+                 lambda: -(2 * x ** 3 * g1) - x ** 3 * x * g2)
+        return [forms[k]() for k in orders]
 
 
 def f_modular(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """f(y) = -y/2 + pi/4 - G(1/y); exact form of y^2 (log theta4)' under the flip."""
-    with cfg.scope():
-        y = _check_positive(as_enclosure(y), "f_modular")
-        g, _, _ = _g_derivatives(1 / y, cfg)
-        return -y / 2 + Enclosure.pi() / 4 - g
+    return _f_modular(y, range(1), cfg)[0]
 
 
 def f_prime_modular(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """f'(y) = -1/2 + x^2 G'(x) at x = 1/y."""
-    with cfg.scope():
-        y = _check_positive(as_enclosure(y), "f_prime_modular")
-        x = 1 / y
-        _, g1, _ = _g_derivatives(x, cfg)
-        return Enclosure(Fraction(-1, 2)) + x * x * g1
+    return _f_modular(y, range(1, 2), cfg)[0]
 
 
 def f_second_modular(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f''(y) = -2 x^3 G'(x) - x^4 G''(x) at x = 1/y.
-
-    G' > 0 and G'' < 0 are each one-signed sums sharing the common scale
-    e^{-2 pi x}, so the combination loses only the benign factor
-    (pi x - 1)/(pi x); no catastrophic cancellation for x >= 1/2.
-    """
-    with cfg.scope():
-        y = _check_positive(as_enclosure(y), "f_second_modular")
-        x = 1 / y
-        _, g1, g2 = _g_derivatives(x, cfg)
-        x3 = x ** 3
-        return -(2 * x3 * g1) - x3 * x * g2
+    """f''(y) = -2 x^3 G'(x) - x^4 G''(x) at x = 1/y."""
+    return _f_modular(y, range(2, 3), cfg)[0]

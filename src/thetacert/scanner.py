@@ -21,7 +21,7 @@ from fractions import Fraction
 from .certify import Witness
 from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, as_enclosure
 from .envelopes import log_grid
-from .verifier import f_eval, f_prime, f_second
+from .verifier import _f
 
 __all__ = ["ExponentQuery", "f_a_value", "f_a_prime", "f_a_second", "scan_rows",
            "find_nonconvex_witness", "find_witness_in_rows"]
@@ -52,7 +52,7 @@ def _f_a(a, y, order: int, cfg: EvalConfig) -> Enclosure:
         y = as_enclosure(y)
         p = y ** r
         power = Jet(p, p * r / y, p * (r * (r - 1)) / (y * y))
-        f = Jet(*(fn(y, cfg) for fn in (f_eval, f_prime, f_second)[: order + 1]))
+        f = Jet(*_f(y, range(order + 1), cfg))
         return tuple(power * f)[order]
 
 

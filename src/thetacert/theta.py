@@ -14,8 +14,10 @@ grows and a(n+1)/a(n) falls, every term ratio past term n is at most
 (a(n+2)/a(n+1))^r e^{-c (a(n+2) - a(n+1)) y.lo}, which bounds the tail
 geometrically from the first omitted term at y.lo; it is tried once the first
 requested order's term is below tol/4.  ``_lambert_sum`` sums the Lambert
-terms.  ``theta4_product`` keeps its own loop: it is a product, and the tests
-use it as an independent reference for ``theta4_series``.
+terms, every requested order at one exp per term, with one tail bound per
+order tried once the largest term is below tol/16.  ``theta4_product`` keeps
+its own loop: it is a product, and the tests use it as an independent
+reference for ``theta4_series``.
 
 Evaluators:
 
@@ -30,7 +32,7 @@ Evaluators:
                          sum_{m>=1} w_m psi(m pi y)/(m pi), w_m = 2 (m odd), 1 (m even)
   f_prime_lambert(y), f_second_lambert(y)
                          f^(k)(y) = sum w_m (m pi)^(k-1) psi^(k)(m pi y), one term
-                         formula and one tail bound for every order
+                         formula; _lambert_sum(y, orders) gives several orders in one pass
 
 The direct series are primitives valid for any y > 0 but converge slowly
 as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular`.
@@ -241,11 +243,12 @@ _PSI_NUMERATORS = (
 )
 
 
-def _psi(s: Enclosure, order: int) -> Enclosure:
-    """psi^(order)(s) at the working precision, for an enclosure s > 0."""
+def _psi(s: Enclosure, orders: range) -> list[Enclosure]:
+    """psi^(k)(s) for each order k of `orders` at the working precision, for an enclosure
+    s > 0; one exp serves every order."""
     u = (-s).exp()
     v = 1 - u
-    return u * _PSI_NUMERATORS[order](s, v, u) / v ** (order + 1)
+    return [u * _PSI_NUMERATORS[k](s, v, u) / v ** (k + 1) for k in orders]
 
 
 def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -255,48 +258,53 @@ def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     if order not in range(len(_PSI_NUMERATORS)):
         raise ValueError(f"psi order must be 0, 1 or 2, got {order}")
     with cfg.scope():
-        return _psi(_check_positive(as_enclosure(s), "psi"), order)
+        return _psi(_check_positive(as_enclosure(s), "psi"), range(order, order + 1))[0]
 
 
-def _lambert_sum(y, order: int, cfg: EvalConfig) -> Enclosure:
-    """f^(k) = sum_m w_m (m pi)^(k-1) psi^(k)(m pi y), k = order; w_m is 2 for odd m, else 1."""
+def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+    """f^(k) = sum_m w_m (m pi)^(k-1) psi^(k)(m pi y) for each order k of `orders`, in one
+    pass; w_m is 2 for odd m, else 1.  Each order has its own tail bound, and the tails are
+    tried once the largest requested |term| is small."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "lambert series")
         pi = Enclosure.pi()
         piy = pi * y
         ylo = Enclosure._from_mpi((y._lo, y._lo))
-        scale = pi ** (order - 1)
-        p = order + 1
+        scales = [pi ** (k - 1) for k in orders]
 
         def step(m):
-            weight = Enclosure(Fraction((2 if m % 2 else 1) * m ** order, m))
-            term = weight * scale * _psi(m * piy, order)
-            return (term,), abs(term).hi
+            terms = [Enclosure(Fraction((2 if m % 2 else 1) * m ** k, m)) * scale * psi_k
+                     for k, scale, psi_k in zip(orders, scales, _psi(m * piy, orders))]
+            return terms, max(abs(term).hi for term in terms)
 
         def tail(n):
-            # for m > n: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2,
-            # so a term is at most amp m^p r^m and the term ratio at most ((n+2)/(n+1))^p r
+            # for m > n: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2, so
+            # with p = k + 1 and w_m <= 2 a term is at most 4 scale d^p (1+pi y)^2 m^p r^m and
+            # a term ratio at most ((n+2)/(n+1))^p r
             r = (-(pi * ylo)).exp()
-            d = geometric_tail(Enclosure(1), r ** (n + 1))
-            amp = 4 * scale * d ** p * (1 + piy) ** 2
-            first = amp * Enclosure((n + 1) ** p) * r ** (n + 1)
-            return (geometric_tail(first, Enclosure(Fraction(n + 2, n + 1)) ** p * r),)
+            rn = r ** (n + 1)
+            d = geometric_tail(Enclosure(1), rn)
+            spread = (1 + piy) ** 2
+            return [geometric_tail(4 * scale * d ** p * spread * Enclosure((n + 1) ** p) * rn,
+                                   Enclosure(Fraction(n + 2, n + 1)) ** p * r)
+                    for p, scale in zip((k + 1 for k in orders), scales)]
 
-        what = f"lambert series (order {order})"
-        sign = 1 if order == 0 else 0  # psi > 0, so all terms of f are positive
-        return certified_sum(what, cfg, (Enclosure(0),), step, tail, (sign,), gate_divisor=16)[0]
+        what = f"lambert series (orders {orders[0]}..{orders[-1]})"
+        signs = [1 if k == 0 else 0 for k in orders]  # psi > 0, so all terms of f are positive
+        return certified_sum(what, cfg, [Enclosure(0)] * len(orders), step, tail, signs,
+                             gate_divisor=16)
 
 
 def f_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """f(y) = y^2 theta4'(y)/theta4(y) via its positive Lambert-type series."""
-    return _lambert_sum(y, 0, cfg)
+    return _lambert_sum(y, range(1), cfg)[0]
 
 
 def f_prime_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """f'(y) by termwise differentiation of the Lambert-type series."""
-    return _lambert_sum(y, 1, cfg)
+    return _lambert_sum(y, range(1, 2), cfg)[0]
 
 
 def f_second_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """f''(y) by termwise differentiation of the Lambert-type series."""
-    return _lambert_sum(y, 2, cfg)
+    return _lambert_sum(y, range(2, 3), cfg)[0]

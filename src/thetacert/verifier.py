@@ -46,13 +46,8 @@ from .enclosure import (
 )
 from .envelopes import EnvelopeConstants, PAPER_CONSTANTS, _envelope_poly, check_c_admissible
 from .exppoly import ExpPoly
-from .modular import (
-    f_modular,
-    f_prime_modular,
-    f_second_modular,
-    theta4_eval,
-)
-from .theta import _theta2, f_lambert, f_prime_lambert, f_second_lambert, psi
+from .modular import _f_modular, _theta4_eval
+from .theta import _lambert_sum, _theta2, psi
 
 __all__ = [
     "TranscriptionError",
@@ -581,7 +576,7 @@ def h_direct(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """h(y) = f''(y) theta4(y)^3, with f'' from f = y^2 theta4'/theta4 evaluated on Jets."""
     with cfg.scope():
         y = as_enclosure(y)
-        t = [theta4_eval(y, nu, cfg) for nu in range(4)]
+        t = _theta4_eval(y, range(4), cfg)
         y = Jet(y, 1)
         f = y * y * (Jet(*t[1:]) / Jet(*t[:3]))
         return f.d2 * t[0] ** 3
@@ -608,44 +603,41 @@ def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 # dispatching f evaluators and the certified-quantity registry
 # ---------------------------------------------------------------------------
 
-_ROUTES = {
-    0: (f_lambert, f_modular),
-    1: (f_prime_lambert, f_prime_modular),
-    2: (f_second_lambert, f_second_modular),
-}
-
-
-def _f_dispatch(order: int, y, cfg: EvalConfig, route: str) -> Enclosure:
-    """f^(order) on y by `route`; `auto` is modular on y <= 1 and Lambert on y >= 1, so a
-    box [lo, hi] around 1 is the hull of the two routes on [lo, 1] and [1, hi] (exact 1)."""
-    lambert, modular = _ROUTES[order]
+def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure]:
+    """f^(k)(y) for each order k of `orders`, from one series pass per route.  `auto` is
+    modular on y <= 1 and Lambert on y >= 1, so a box [lo, hi] around 1 is, entry by
+    entry, the hull of the two routes on [lo, 1] and [1, hi] (exact 1)."""
     if route == "lambert":
-        return lambert(y, cfg)
+        return _lambert_sum(y, orders, cfg)
     if route == "modular":
-        return modular(y, cfg)
+        return _f_modular(y, orders, cfg)
     if route != "auto":
         raise ValueError(f"unknown route {route!r}")
     with cfg.scope():
         y = as_enclosure(y)
         if y.hi <= 1:
-            return modular(y, cfg)
+            return _f_modular(y, orders, cfg)
         if y.lo >= 1:
-            return lambert(y, cfg)
-        return modular(Enclosure(y.lo, 1), cfg).hull(lambert(Enclosure(1, y.hi), cfg))
+            return _lambert_sum(y, orders, cfg)
+        below = _f_modular(Enclosure(y.lo, 1), orders, cfg)
+        above = _lambert_sum(Enclosure(1, y.hi), orders, cfg)
+        return [m.hull(lam) for m, lam in zip(below, above)]
 
 
 def f_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> Enclosure:
     """f(y) = y^2 theta4'(y)/theta4(y); modular form below 1, Lambert above,
     and a box straddling 1 is modular on [lo, 1] hulled with Lambert on [1, hi]."""
-    return _f_dispatch(0, y, cfg, route)
+    return _f(y, range(1), cfg, route)[0]
 
 
 def f_prime(y, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> Enclosure:
-    return _f_dispatch(1, y, cfg, route)
+    """f'(y), routed as :func:`f_eval`; f' < 0 on (0, oo) is one of the two claims."""
+    return _f(y, range(1, 2), cfg, route)[0]
 
 
 def f_second(y, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> Enclosure:
-    return _f_dispatch(2, y, cfg, route)
+    """f''(y), routed as :func:`f_eval`; f'' > 0 on (0, oo) is the convexity claim."""
+    return _f(y, range(2, 3), cfg, route)[0]
 
 
 #: quantities available to sign certification (CLI and tests)

@@ -14,7 +14,7 @@ from conftest import mp_scalar, mp_theta4
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
 from thetacert.modular import q_series_derivatives
 from thetacert.theta import psi
-from thetacert.verifier import f_eval, f_prime, f_second, g_prime, g_second, h_direct
+from thetacert.verifier import _f, f_eval, f_prime, f_second, g_prime, g_second, h_direct
 
 CFG = EvalConfig()
 
@@ -231,3 +231,22 @@ def test_jet_derivatives_on_boxes_contain_oracle(u, t, quantity):
     _, box, inside = _thin_and_box(u, t)
     value = mp_scalar(oracle, inside, order, dps=prec_to_dps(4 * CFG.precision_bits))
     _assert_contains_direct(fn(box), value, what)
+
+
+#: 10^u for 1%-wide boxes in [0.3, 5], or boxes that straddle 1
+_f_box_u = st.one_of(st.floats(min_value=-0.52, max_value=0.69, allow_nan=False),
+                     st.floats(min_value=-0.0043, max_value=0.0, allow_nan=False))
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=_f_box_u, t=_frac, route=st.sampled_from(("auto", "lambert", "modular")))
+def test_f_orders_from_one_pass_meet_single_orders_and_oracle(u, t, route):
+    # f, f', f'' from one series pass per route, on a thin point and a 1%-wide box
+    thin, box, inside = _thin_and_box(u, t)
+    dps = prec_to_dps(4 * CFG.precision_bits)
+    for y, point in ((thin, thin.lo), (box, inside)):
+        orders = _f(y, range(3), CFG, route)
+        for k, (fn, value) in enumerate(zip((f_eval, f_prime, f_second), orders)):
+            what = f"{route} order {k} on {y!r}"
+            assert value.intersects(fn(y, CFG, route=route)), what
+            _assert_contains_direct(value, mp_scalar(_mp_f_a(2), point, k, dps=dps), what)

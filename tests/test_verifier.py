@@ -11,6 +11,7 @@ from thetacert import (
     certify_sign,
     compute_greek_constants,
     envelope_lower_bound,
+    f_a_second,
     f_eval,
     f_prime,
     f_second,
@@ -291,6 +292,32 @@ def test_h_reciprocal_positive_at_2(cfg):
     assert h_reciprocal(2, cfg).is_strictly_positive()
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda cfg: f_a_second(2.5, 0.5, cfg),
+        lambda cfg: f_a_second(2.5, 3, cfg),
+        lambda cfg: h_direct(1, cfg),
+        lambda cfg: h_direct(0.1, cfg),
+    ],
+    ids=["f_a_second-modular", "f_a_second-lambert", "h_direct-theta4", "h_direct-flipped"],
+)
+def test_every_order_comes_from_one_series_pass(cfg, monkeypatch, evaluate):
+    # f, f', f'' (or theta4 and its first three derivatives) share one series pass
+    from thetacert import theta
+
+    calls = []
+    inner = theta.certified_sum
+
+    def counting(what, *args, **kwargs):
+        calls.append(what)
+        return inner(what, *args, **kwargs)
+
+    monkeypatch.setattr(theta, "certified_sum", counting)
+    evaluate(cfg)
+    assert len(calls) == 1, calls
+
+
 def test_h_over_theta4_cubed_equals_f_second(cfg):
     yvals = log_grid(0.3, 5.0, 20)
     with precision(256):
@@ -433,21 +460,21 @@ def test_g_chain_anchor_ties_g_to_psi_second(monkeypatch, cfg):
 
 def _record_route_arguments(monkeypatch):
     """Record the y of every Lambert sum and the x = 1/y of every modular G."""
-    from thetacert import modular, theta
+    from thetacert import verifier
 
     lambert_ys, modular_xs = [], []
-    lambert_sum, g_derivatives = theta._lambert_sum, modular._g_derivatives
+    lambert_sum, f_modular = verifier._lambert_sum, verifier._f_modular
 
-    def lambert(y, order, cfg):
+    def lambert(y, orders, cfg):
         lambert_ys.append(Enclosure(y))
-        return lambert_sum(y, order, cfg)
+        return lambert_sum(y, orders, cfg)
 
-    def g(x, cfg):
-        modular_xs.append(Enclosure(x))
-        return g_derivatives(x, cfg)
+    def modular(y, orders, cfg):
+        modular_xs.append(1 / Enclosure(y))
+        return f_modular(y, orders, cfg)
 
-    monkeypatch.setattr(theta, "_lambert_sum", lambert)
-    monkeypatch.setattr(modular, "_g_derivatives", g)
+    monkeypatch.setattr(verifier, "_lambert_sum", lambert)
+    monkeypatch.setattr(verifier, "_f_modular", modular)
     return lambert_ys, modular_xs
 
 
