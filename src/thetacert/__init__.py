@@ -28,28 +28,18 @@ from .envelopes import (
     lower_envelope,
     tail_integral,
     upper_envelope,
-    verify_sandwich,
+    verify_sandwiches,
 )
 from .exppoly import DegreeError, ExpPoly
 from .modular import (
     MODULAR_COEFFICIENTS,
-    f_modular,
-    f_prime_modular,
-    f_second_modular,
     theta2_via_modular,
     theta4_eval,
     theta4_via_modular,
-    verify_modular_identity,
+    verify_modular_identities,
 )
 from .scanner import ExponentQuery, f_a_second, find_nonconvex_witness, scan_rows
-from .theta import (
-    f_lambert,
-    f_prime_lambert,
-    f_second_lambert,
-    theta2_series,
-    theta4_product,
-    theta4_series,
-)
+from .theta import theta2_series, theta4_product, theta4_series
 from .verifier import (
     GreekConstants,
     QUANTITIES,

@@ -11,9 +11,9 @@ holds with
 
 (one ExpPoly form, which the envelope-product bracket of
 :mod:`thetacert.verifier` shares) and the inflation constants c_0 = 0.00001,
-c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  ``verify_sandwich`` checks it on
-a grid, one theta2 pass and one e^{-pi y/4}, e^{-9 pi y/4} pair per point serving
-every order checked there.  The admissibility of the c_nu
+c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  ``verify_sandwiches`` checks it on
+a grid, one report per order, with one theta2 pass and one e^{-pi y/4},
+e^{-9 pi y/4} pair per point for all orders.  The admissibility of the c_nu
 is itself re-proved here: the omitted odd terms m >= 5 of the theta2 sum
 (theta's quadratic-exponent series from m = 5) are bounded first by the
 discrete comparison sum_{n>=25} n^nu e^{-pi n y/4} (m^2 >= 5m moves the
@@ -41,7 +41,7 @@ __all__ = [
     "lower_envelope",
     "upper_envelope",
     "envelope_derivative",
-    "verify_sandwich",
+    "verify_sandwiches",
     "tail_integral",
     "admissibility_factor",
     "check_c_admissible",
@@ -187,26 +187,22 @@ def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig, constants: EnvelopeCo
     return [verdicts.get(nu, undecided) for nu in orders]
 
 
-def verify_sandwich(
+def verify_sandwiches(
     grid,
-    nu: int,
+    orders,
     cfg: EvalConfig = DEFAULT_CONFIG,
     constants: EnvelopeConstants = PAPER_CONSTANTS,
-) -> CertificationReport:
-    """Certify lower < (-1)^nu theta2^(nu) < upper strictly at each grid point.
+) -> list[CertificationReport]:
+    """Certify lower < (-1)^nu theta2^(nu) < upper strictly at each grid point, one report
+    per order nu of `orders`; each grid point is evaluated once for all of them.
 
     The working precision scales with y: the strict gaps shrink like
     e^{-6 pi y}, so a fixed precision would go inconclusive long before
     y = 100 even though the inequalities are comfortably true.  Widths too
     large to decide after escalation produce an `inconclusive` report
     (distinct from a disproof, which records the offending point).
-    ``_verify_sandwiches`` checks several orders with one theta2 pass per point.
     """
-    return _verify_sandwiches(grid, (_check_order(nu),), cfg, constants)[0]
-
-
-def _verify_sandwiches(grid, orders, cfg: EvalConfig, constants=PAPER_CONSTANTS):
-    """One sandwich report per order of `orders`, each grid point evaluated once for all."""
+    orders = [_check_order(nu) for nu in orders]
     with cfg.scope():
         points = [_check_domain(as_enclosure(y)) for y in grid]
     per_point = [_sandwich_point(y, orders, cfg, constants) for y in points]
@@ -226,8 +222,7 @@ def tail_integral(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 
     Integration by parts gives e^{-24 s} * sum_{j=0}^{nu} (nu!/(nu-j)!) 24^(nu-j) / s^(j+1).
     """
-    if nu not in (0, 1, 2, 3):
-        raise ValueError("nu must be in {0,1,2,3}")
+    nu = _check_order(nu)
     with cfg.scope():
         y = _check_domain(as_enclosure(y))
         s = Enclosure.pi() * y / 4

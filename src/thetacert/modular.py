@@ -13,7 +13,9 @@ Two things live here:
       nu=3:  (-15/8, -45/4, -15/2, -1)
 
 * Cancellation-free small-y evaluators for f, f', f'', every requested
-  order read off one Jet by ``_f_modular(y, orders)``.  Writing
+  order read off one Jet by ``_f_modular(y, orders)``, which
+  ``verifier.f_eval``/``f_prime``/``f_second`` reach with ``route="modular"``
+  (and with ``"auto"`` for y <= 1).  Writing
   theta2(x) = 2 e^{-pi x/4} Q(x) with Q(x) = 1 + sum_j e^{-pi j(j+1) x}
   and G = Q'/Q gives, for x = 1/y,
 
@@ -29,17 +31,18 @@ Two things live here:
 Both sum through theta's quadratic-exponent series, all their orders in one
 pass: theta2^(j)(1/y) for j <= nu, and Q^(r) with a(j) = j(j+1).
 ``_theta4_eval(y, orders)`` gives theta4 orders in one pass, direct for
-y >= 0.2 and flipped below; ``verify_modular_identity`` cross-checks the
-table against the direct theta4 series, one pass of each per sample.
+y >= 0.2 and flipped below; ``verify_modular_identities`` cross-checks the
+table against the direct theta4 series, one report per order and one pass of
+each route per sample for all orders.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .certify import CertificationReport, Check, Status
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, Jet, as_enclosure
+from .envelopes import log_grid
 from .theta import (_check_order, _check_positive, _quadratic_series, _theta2, _theta4,
                     theta4_series)
 
@@ -48,10 +51,7 @@ __all__ = [
     "theta4_via_modular",
     "theta2_via_modular",
     "theta4_eval",
-    "verify_modular_identity",
-    "f_modular",
-    "f_prime_modular",
-    "f_second_modular",
+    "verify_modular_identities",
     "q_series_derivatives",
 ]
 
@@ -118,45 +118,41 @@ _IDENTITY_SAMPLES = 9
 _IDENTITY_WIDTH = 2.0 ** -80
 
 
-def verify_modular_identity(
+def verify_modular_identities(
     interval,
-    nu: int,
+    orders,
     cfg: EvalConfig = DEFAULT_CONFIG,
     coefficients=None,
-) -> CertificationReport:
-    """Certify that the modular and direct routes agree on sampled points.
+) -> list[CertificationReport]:
+    """Certify, for each order of `orders`, that the modular and direct routes agree on
+    sampled points; one report per order.
 
     At each of the log-spaced samples the two enclosures must intersect
     (they both contain the exact value, so disjointness proves a formula
     error) with combined width below 2^-80.  Overly wide enclosures yield
-    `inconclusive`.  ``_verify_modular_identities`` checks several orders at once.
+    `inconclusive`.  Each sample makes one theta2 pass at 1/y and one theta4
+    pass at y for all orders.
     """
-    nu = _check_order(nu)
-    return _verify_modular_identities(interval, range(nu, nu + 1), cfg, coefficients)[0]
-
-
-def _verify_modular_identities(interval, orders: range, cfg: EvalConfig, coefficients=None):
-    """One modular-identity report per order of `orders`; each sample makes one theta2 pass
-    at 1/y and one theta4 pass at y for all of them."""
+    orders = [_check_order(nu) for nu in orders]
     with cfg.scope():
         lo, hi = (as_enclosure(end) for end in interval)
         if not lo.is_strictly_positive():
             raise DomainError("modular identity check requires a positive interval")
-        checks = {nu: [] for nu in orders}
-        la, lb = math.log(float(lo.lo)), math.log(float(hi.hi))
-        for i in range(_IDENTITY_SAMPLES):
-            y = Enclosure(math.exp(la + (lb - la) * i / (_IDENTITY_SAMPLES - 1)))
+        checks = [[] for _ in orders]
+        for y in log_grid(float(lo.lo), float(hi.hi), _IDENTITY_SAMPLES):
             flips = _theta4_flipped(y, orders, cfg, coefficients)
-            for nu, via_flip, direct in zip(orders, flips, _theta4(y, orders, cfg)):
+            directs = _theta4(y, range(max(orders) + 1), cfg)
+            for nu, via_flip, order_checks in zip(orders, flips, checks):
+                direct = directs[nu]
                 if not via_flip.intersects(direct):
                     outcome, detail = False, f"modular={via_flip!r} direct={direct!r} are disjoint"
                 elif via_flip.width + direct.width < _IDENTITY_WIDTH:
                     outcome, detail = True, ""
                 else:
                     outcome, detail = None, "combined width too large"
-                checks[nu].append(Check(f"agreement at y={y.lo}", outcome, detail))
-    return [CertificationReport(f"modular-identity-nu{nu}", Status.of(checks[nu]), (lo.lo, hi.hi),
-                                checks=checks[nu]) for nu in orders]
+                order_checks.append(Check(f"agreement at y={y.lo}", outcome, detail))
+    return [CertificationReport(f"modular-identity-nu{nu}", Status.of(c), (lo.lo, hi.hi), checks=c)
+            for nu, c in zip(orders, checks)]
 
 
 def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -176,7 +172,7 @@ def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
     the Jet (G, G', G'') = (Q', Q'', Q''')/(Q, Q', Q'') at x = 1/y.  G' > 0 and G'' < 0 share
     the scale e^{-2 pi x}, so f'' loses only the benign factor (pi x - 1)/(pi x)."""
     with cfg.scope():
-        y = _check_positive(as_enclosure(y), "f_modular")
+        y = _check_positive(as_enclosure(y), "modular f series")
         x = 1 / y
         q0, q1, q2, q3 = q_series_derivatives(x, cfg)
         g, g1, g2 = Jet(q1, q2, q3) / Jet(q0, q1, q2)
@@ -184,18 +180,3 @@ def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
                  lambda: Enclosure(Fraction(-1, 2)) + x * x * g1,
                  lambda: -(2 * x ** 3 * g1) - x ** 3 * x * g2)
         return [forms[k]() for k in orders]
-
-
-def f_modular(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f(y) = -y/2 + pi/4 - G(1/y); exact form of y^2 (log theta4)' under the flip."""
-    return _f_modular(y, range(1), cfg)[0]
-
-
-def f_prime_modular(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f'(y) = -1/2 + x^2 G'(x) at x = 1/y."""
-    return _f_modular(y, range(1, 2), cfg)[0]
-
-
-def f_second_modular(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f''(y) = -2 x^3 G'(x) - x^4 G''(x) at x = 1/y."""
-    return _f_modular(y, range(2, 3), cfg)[0]

@@ -28,14 +28,14 @@ Evaluators:
                          _theta2(y, orders) gives several orders in one pass
   psi(s, k)              the Lambert term psi(s) = s^2/(e^s - 1) and its derivatives
                          psi^(k)(s) = u N_k(s, 1-u, u)/(1-u)^(k+1), u = e^{-s}, k <= 2
-  f_lambert(y)           f(y) = y^2 theta4'(y)/theta4(y) as the Lambert-type sum
-                         sum_{m>=1} w_m psi(m pi y)/(m pi), w_m = 2 (m odd), 1 (m even)
-  f_prime_lambert(y), f_second_lambert(y)
-                         f^(k)(y) = sum w_m (m pi)^(k-1) psi^(k)(m pi y), one term
-                         formula; _lambert_sum(y, orders) gives several orders in one pass
+  _lambert_sum(y, orders) f^(k)(y) for f(y) = y^2 theta4'(y)/theta4(y), as the Lambert-type
+                         sum f^(k)(y) = sum_{m>=1} w_m (m pi)^(k-1) psi^(k)(m pi y),
+                         w_m = 2 (m odd), 1 (m even): one term formula, several orders in
+                         one pass; reached through f_eval/f_prime/f_second(route="lambert")
 
 The direct series are primitives valid for any y > 0 but converge slowly
-as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular`.
+as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular` (theta4)
+and :mod:`thetacert.verifier` (f).
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ __all__ = [
     "theta4_series",
     "theta4_product",
     "theta2_series",
-    "f_lambert",
-    "f_prime_lambert",
-    "f_second_lambert",
     "psi",
     "DERIVATIVE_ORDERS",
 ]
@@ -293,18 +290,3 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
         signs = [1 if k == 0 else 0 for k in orders]  # psi > 0, so all terms of f are positive
         return certified_sum(what, cfg, [Enclosure(0)] * len(orders), step, tail, signs,
                              gate_divisor=16)
-
-
-def f_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f(y) = y^2 theta4'(y)/theta4(y) via its positive Lambert-type series."""
-    return _lambert_sum(y, range(1), cfg)[0]
-
-
-def f_prime_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f'(y) by termwise differentiation of the Lambert-type series."""
-    return _lambert_sum(y, range(1, 2), cfg)[0]
-
-
-def f_second_lambert(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f''(y) by termwise differentiation of the Lambert-type series."""
-    return _lambert_sum(y, range(2, 3), cfg)[0]

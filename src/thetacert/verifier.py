@@ -243,12 +243,12 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> C
         agree = True
         for pt in ("0.9", "1", "2", "5"):
             y = Enclosure(pt)
-            a = g_second(y, cfg, middle_sign)
+            g, _, a = _g_jet(y, cfg, middle_sign)
             b = g_second_display(y, cfg)
             via_bracket = pi ** 2 * (2 * pi * y).exp() * _G_BRACKET(pi * y, cfg)
             via_psi = ((pi * y).exp() - one) ** 3 * psi(pi * y, 2, cfg)
             agree &= a.intersects(b) and via_bracket.intersects(a) and via_bracket.intersects(b)
-            agree &= g_eval(y, cfg, middle_sign).intersects(via_psi)
+            agree &= g.intersects(via_psi)
         checks.append(
             Check(
                 "g'' matches its displayed grouping",
@@ -266,8 +266,7 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> C
             )
         )
 
-        gp1 = g_prime(one, cfg, middle_sign)
-        g1 = g_eval(one, cfg, middle_sign)
+        g1, gp1, _ = _g_jet(one, cfg, middle_sign)
         checks.append(Check("g'(1) > 0", gp1.is_strictly_positive(), f"g'(1) = {gp1!r}"))
         checks.append(Check("g(1) > 0", g1.is_strictly_positive(), f"g(1) = {g1!r}"))
 
@@ -391,33 +390,40 @@ def _cancellation_check(poly: ExpPoly) -> Check:
     )
 
 
+def _greek_checks(poly: ExpPoly) -> tuple[list[Check], GreekConstants | None]:
+    """The e^{6 pi y} cancellation, then the constants read off the bracket and their
+    sign/order invariants; the constants come back None unless every check passed.
+    Sign convention: +(alpha y - beta) on e^{4 pi y}, -(gamma y + delta) on
+    e^{2 pi y}, -(eps y + zeta) on e^0."""
+    checks = [_cancellation_check(poly)]
+    if not checks[0].passed:
+        return checks, None
+    a11, b11 = poly.coefficient(-11)
+    a19, b19 = poly.coefficient(-19)
+    a27, b27 = poly.coefficient(-27)
+    greek = GreekConstants(
+        alpha=a11, beta=-b11, gamma=-a19, delta=-b19, epsilon=-a27, zeta=-b27
+    )
+    checks += [Check(f"{name} strictly positive", value.is_strictly_positive(), "")
+               for name, value in greek.as_dict().items()]
+    checks.append(Check("alpha < gamma", greek.alpha.hi < greek.gamma.lo, ""))
+    checks.append(Check("beta < delta", greek.beta.hi < greek.delta.lo, ""))
+    return checks, greek if all(c.passed for c in checks) else None
+
+
 def collect_constants(poly: ExpPoly) -> GreekConstants:
     """Read the six constants off an expanded bracket, enforcing the guards.
 
     A failed e^{6 pi y} cancellation is a hard error, as are violations of
     the sign/order invariants; a cancellation too wide to confirm raises
-    :class:`LooseCancellationError`.  Sign convention:
-    +(alpha y - beta) on e^{4 pi y}, -(gamma y + delta) on e^{2 pi y},
-    -(eps y + zeta) on e^0.
+    :class:`LooseCancellationError`.
     """
-    cancel = _cancellation_check(poly)
-    if not cancel.passed:
-        error = TranscriptionError if cancel.passed is False else LooseCancellationError
-        raise error(f"e^(6 pi y) coefficients do not cancel tightly: {cancel.detail}")
-    a11, b11 = poly.coefficient(-11)
-    a19, b19 = poly.coefficient(-19)
-    a27, b27 = poly.coefficient(-27)
-    out = GreekConstants(
-        alpha=a11, beta=-b11, gamma=-a19, delta=-b19, epsilon=-a27, zeta=-b27
-    )
-    for name, value in out.as_dict().items():
-        if not value.is_strictly_positive():
-            raise TranscriptionError(f"{name} is not strictly positive: {value!r}")
-    if not out.alpha.hi < out.gamma.lo:
-        raise TranscriptionError("expected alpha < gamma")
-    if not out.beta.hi < out.delta.lo:
-        raise TranscriptionError("expected beta < delta")
-    return out
+    checks, greek = _greek_checks(poly)
+    if greek is None:
+        failed = next(c for c in checks if not c.passed)
+        error = LooseCancellationError if failed.passed is None else TranscriptionError
+        raise error(f"{failed.name} fails" + (f": {failed.detail}" if failed.detail else ""))
+    return greek
 
 
 def compute_greek_constants(
@@ -431,17 +437,11 @@ def compute_greek_constants(
 def checked_greek_constants(
     cfg: EvalConfig = DEFAULT_CONFIG, constants: EnvelopeConstants = PAPER_CONSTANTS
 ) -> tuple[list[Check], GreekConstants | None]:
-    """:func:`compute_greek_constants` as checks: the e^{6 pi y} cancellation,
-    plus the guard that rejected the constants when they come back None."""
+    """:func:`compute_greek_constants` as checks: the e^{6 pi y} cancellation, then the six
+    "strictly positive" checks, alpha < gamma and beta < delta; the constants come back
+    None when a check did not pass."""
     with cfg.scope():
-        poly = greek_bracket(cfg, constants)
-        checks = [_cancellation_check(poly)]
-        if not checks[0].passed:
-            return checks, None
-        try:
-            return checks, collect_constants(poly)
-        except TranscriptionError as exc:
-            return checks + [Check("sign/order invariants", False, str(exc))], None
+        return _greek_checks(greek_bracket(cfg, constants))
 
 
 def envelope_lower_bound(

@@ -24,8 +24,9 @@ from thetacert import (
     Status,
     certify_sign,
     check_c_admissible,
+    f_eval,
+    f_prime,
     f_second,
-    f_second_lambert,
     find_nonconvex_witness,
     g_eval,
     g_prime,
@@ -38,15 +39,14 @@ from thetacert import (
     verify_decreasing_argument,
     verify_even_terms_large_y,
     verify_g_chain,
-    verify_modular_identity,
+    verify_modular_identities,
     verify_odd_terms_large_y,
-    verify_sandwich,
+    verify_sandwiches,
     verify_small_y_chain,
 )
 from thetacert.cli import main as cli_main
 from thetacert.envelopes import log_grid
 from thetacert.modular import MODULAR_COEFFICIENTS
-from thetacert.theta import f_prime_lambert, f_lambert
 from thetacert.scanner import f_a_second, f_a_prime
 from thetacert.verifier import g_second, h_direct
 
@@ -130,7 +130,7 @@ def test_acceptance_3_envelope_sandwich():
     grid = log_grid(1.0, 100.0, 40)
     sandwich_ok = True
     for nu in range(4):
-        rep = verify_sandwich(grid, nu, CFG)
+        rep = verify_sandwiches(grid, (nu,), CFG)[0]
         sandwich_ok &= rep.status is Status.CERTIFIED
     admissible_ok = all(
         check_c_admissible(nu, CFG).status is Status.CERTIFIED for nu in range(4)
@@ -176,16 +176,18 @@ def test_acceptance_5_termwise_chains():
     corrupted = dict(MODULAR_COEFFICIENTS)
     corrupted[1] = (Fraction(1, 2), Fraction(-1))
     mutations = {
-        "modular sign flip": verify_modular_identity(("0.5", "2"), 1, CFG, coefficients=corrupted).status
+        "modular sign flip": verify_modular_identities(
+            ("0.5", "2"), (1,), CFG, coefficients=corrupted
+        )[0].status
         is Status.FAILED,
         "g middle-term flip": verify_g_chain(CFG, middle_sign=+1).status is Status.FAILED,
         "wrong-sign target": certify_sign(
             QUANTITIES["f_second"], ("0.5", "1"), -1, CFG, name="mutation"
         ).status
         is Status.FAILED,
-        "deflated envelope constants": verify_sandwich(
+        "deflated envelope constants": verify_sandwiches(
             [Enclosure(1)],
-            0,
+            (0,),
             CFG,
             constants=EnvelopeConstants(
                 c0=Fraction(1, 10 ** 30),
@@ -193,7 +195,7 @@ def test_acceptance_5_termwise_chains():
                 c2=Fraction(1, 10 ** 30),
                 c3=Fraction(1, 10 ** 30),
             ),
-        ).status
+        )[0].status
         is Status.FAILED,
     }
     elapsed = time.perf_counter() - t0
@@ -228,7 +230,7 @@ def test_acceptance_6_cross_representation():
             assert (product.width + series0.width) < mp.mpf(2) ** -80
         for y in log_grid(0.3, 5.0, 20):
             lhs = h_direct(y, CFG) / theta4_series(y, 0, CFG) ** 3
-            rhs = f_second_lambert(y, CFG)
+            rhs = f_second(y, CFG, route="lambert")
             assert lhs.intersects(rhs), f"h/theta4^3 vs f'' at y={y.lo}"
     elapsed = time.perf_counter() - t0
     _report(6, "cross-representation consistency", True, f"{elapsed:.2f}s")
@@ -307,9 +309,21 @@ def test_acceptance_8_finite_difference_suite():
                     nu + 3,
                 )
             )
-        pairs.append((lambda y: f_lambert(y, CFG), lambda y: f_prime_lambert(y, CFG), f_scalar, 3))
         pairs.append(
-            (lambda y: f_prime_lambert(y, CFG), lambda y: f_second_lambert(y, CFG), f_scalar, 4)
+            (
+                lambda y: f_eval(y, CFG, route="lambert"),
+                lambda y: f_prime(y, CFG, route="lambert"),
+                f_scalar,
+                3,
+            )
+        )
+        pairs.append(
+            (
+                lambda y: f_prime(y, CFG, route="lambert"),
+                lambda y: f_second(y, CFG, route="lambert"),
+                f_scalar,
+                4,
+            )
         )
         pairs.append((lambda y: g_eval(y, CFG), lambda y: g_prime(y, CFG), g_scalar, 3))
         pairs.append((lambda y: g_prime(y, CFG), lambda y: g_second(y, CFG), g_scalar, 4))

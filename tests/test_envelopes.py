@@ -19,7 +19,7 @@ from thetacert import (
     precision,
     tail_integral,
     upper_envelope,
-    verify_sandwich,
+    verify_sandwiches,
 )
 from thetacert.envelopes import envelope_derivative
 
@@ -65,12 +65,12 @@ def test_upper_envelope_definitional_identities(cfg):
 def test_sandwich_on_default_grid(cfg):
     grid = log_grid(1.0, 100.0, 40)
     for nu in range(4):
-        report = verify_sandwich(grid, nu, cfg)
+        report = verify_sandwiches(grid, (nu,), cfg)[0]
         assert report.status is Status.CERTIFIED, report.summary()
 
 
 def test_sandwich_single_point_high_order(cfg):
-    report = verify_sandwich([Enclosure(1)], 3, cfg)
+    report = verify_sandwiches([Enclosure(1)], (3,), cfg)[0]
     assert report.status is Status.CERTIFIED
 
 
@@ -84,7 +84,7 @@ def test_sandwich_fails_without_inflation(cfg):
         c3=Fraction(1, 10 ** 30),
     )
     for nu in range(4):
-        report = verify_sandwich([Enclosure(1)], nu, cfg, constants=zeroish)
+        report = verify_sandwiches([Enclosure(1)], (nu,), cfg, constants=zeroish)[0]
         assert report.status is Status.FAILED, f"nu={nu} should fail with deflated constants"
 
 
@@ -207,23 +207,25 @@ def _same_report(a, b):
 
 
 def test_multi_order_sandwich_matches_single_order_reports(cfg):
-    from thetacert.envelopes import _verify_sandwiches
-
     grid = log_grid(1.0, 100.0, 40)
-    together = _verify_sandwiches(grid, range(4), cfg)
+    together = verify_sandwiches(grid, range(4), cfg)
     assert [r.name for r in together] == [f"theta2-envelope-sandwich-nu{nu}" for nu in range(4)]
     for nu, report in enumerate(together):
-        assert _same_report(report, verify_sandwich(grid, nu, cfg)), nu
+        assert _same_report(report, verify_sandwiches(grid, (nu,), cfg)[0]), nu
 
 
 def test_deflating_one_constant_fails_only_its_order(cfg):
-    from thetacert.envelopes import _verify_sandwiches
-
     grid = log_grid(1.0, 100.0, 40)
     deflated = EnvelopeConstants(c3=Fraction(1, 10 ** 30))
-    together = _verify_sandwiches(grid, range(4), cfg, deflated)
+    together = verify_sandwiches(grid, range(4), cfg, deflated)
     assert [r.status for r in together[:3]] == [Status.CERTIFIED] * 3
-    alone = verify_sandwich(grid, 3, cfg, constants=deflated)
+    alone = verify_sandwiches(grid, (3,), cfg, constants=deflated)[0]
     assert together[3].status is Status.FAILED
     assert _same_report(together[3], alone)
     assert together[3].checks[0].detail.startswith("lower=")
+
+
+@pytest.mark.parametrize("nu", [4, -1])
+def test_sandwich_rejects_unknown_order(cfg, nu):
+    with pytest.raises(ValueError):
+        verify_sandwiches(log_grid(1.0, 100.0, 40), [nu], cfg)

@@ -16,9 +16,9 @@ from thetacert import (
     theta4_product,
     theta4_series,
     theta4_via_modular,
-    verify_modular_identity,
+    verify_modular_identities,
 )
-from thetacert.modular import f_modular, f_prime_modular, f_second_modular
+from thetacert.verifier import f_eval, f_prime, f_second
 
 from conftest import (
     F_SECOND_AT_HALF,
@@ -78,14 +78,14 @@ def test_modular_vs_series_at_1(cfg, nu):
 
 @pytest.mark.parametrize("nu", [0, 1, 2, 3])
 def test_identity_report_certifies(cfg, nu):
-    report = verify_modular_identity(("0.5", "2"), nu, cfg)
+    report = verify_modular_identities(("0.5", "2"), (nu,), cfg)[0]
     assert report.status is Status.CERTIFIED, report.summary()
 
 
 def test_identity_detects_corrupted_coefficient(cfg):
     corrupted = dict(MODULAR_COEFFICIENTS)
     corrupted[1] = (Fraction(1, 2), Fraction(-1))  # sign flip on the first entry
-    report = verify_modular_identity(("0.5", "2"), 1, cfg, coefficients=corrupted)
+    report = verify_modular_identities(("0.5", "2"), (1,), cfg, coefficients=corrupted)[0]
     assert report.status is Status.FAILED
 
 
@@ -109,9 +109,9 @@ def test_public_dispatch_continuity(cfg):
 
 
 def test_q_route_f_values(cfg):
-    assert_contains(f_second_modular(Enclosure("0.5"), cfg), F_SECOND_AT_HALF)
+    assert_contains(f_second(Enclosure("0.5"), cfg, route="modular"), F_SECOND_AT_HALF)
     # deep into the small-y regime the Q-route keeps full relative precision
-    e = f_second_modular(Enclosure("0.05"), cfg)
+    e = f_second(Enclosure("0.05"), cfg, route="modular")
     assert e.is_strictly_positive()
     assert e.hi < 1e-40
     assert (e.width / e.hi) < 1e-30
@@ -129,30 +129,32 @@ def test_q_route_against_jtheta_oracle(cfg):
     with precision(256):
         for y in ("0.2", "0.5", "0.8"):
             ye = Enclosure(y)
-            for fn, order in ((f_modular, 0), (f_prime_modular, 1), (f_second_modular, 2)):
-                enc = fn(ye, cfg)
+            for fn, order in ((f_eval, 0), (f_prime, 1), (f_second, 2)):
+                enc = fn(ye, cfg, route="modular")
                 oracle = mp_scalar(f_scalar, mp.mpf(y), order, dps=60)
                 # the oracle's numerical differentiation is the accuracy floor
                 assert abs(enc - Enclosure(oracle)).hi < 1e-12
 
 
 def test_multi_order_identity_matches_single_order_reports(cfg):
-    from thetacert.modular import _verify_modular_identities
-
-    together = _verify_modular_identities(("0.5", "2"), range(4), cfg)
+    together = verify_modular_identities(("0.5", "2"), range(4), cfg)
     for nu, report in enumerate(together):
-        alone = verify_modular_identity(("0.5", "2"), nu, cfg)
+        alone = verify_modular_identities(("0.5", "2"), (nu,), cfg)[0]
         assert (report.name, report.status, report.interval, report.checks) == (
             alone.name, alone.status, alone.interval, alone.checks
         ), nu
 
 
 def test_corrupted_row_fails_only_its_order(cfg):
-    from thetacert.modular import _verify_modular_identities
-
     corrupted = dict(MODULAR_COEFFICIENTS)
     corrupted[1] = (Fraction(1, 2), Fraction(-1))
-    together = _verify_modular_identities(("0.5", "2"), range(4), cfg, coefficients=corrupted)
+    together = verify_modular_identities(("0.5", "2"), range(4), cfg, coefficients=corrupted)
     assert [r.status for r in together] == [
         Status.CERTIFIED, Status.FAILED, Status.CERTIFIED, Status.CERTIFIED
     ]
+
+
+@pytest.mark.parametrize("nu", [4, -1])
+def test_identity_rejects_unknown_order(cfg, nu):
+    with pytest.raises(ValueError):
+        verify_modular_identities(("0.5", "2"), [nu], cfg)

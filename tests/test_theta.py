@@ -11,9 +11,9 @@ from thetacert import (
     Enclosure,
     EvalConfig,
     check_c_admissible,
-    f_lambert,
-    f_prime_lambert,
-    f_second_lambert,
+    f_eval,
+    f_prime,
+    f_second,
     h_reciprocal,
     precision,
     theta2_series,
@@ -65,9 +65,9 @@ def test_theta4_derivative_signs_and_values(cfg):
     [
         lambda y, c: theta4_series(y, 0, c),
         lambda y, c: theta2_series(y, 0, c),
-        f_lambert,
-        f_prime_lambert,
-        f_second_lambert,
+        lambda y, c: f_eval(y, c, route="lambert"),
+        lambda y, c: f_prime(y, c, route="lambert"),
+        lambda y, c: f_second(y, c, route="lambert"),
         q_series_derivatives,
         lambda y, c: check_c_admissible(0, c),  # the excess sum at y = 1
     ],
@@ -139,10 +139,10 @@ def test_theta2_two_term_hand_bound(cfg):
 
 
 def test_f_lambert_matches_log_derivative(cfg):
-    f1 = f_lambert(1, cfg)
+    f1 = f_eval(1, cfg, route="lambert")
     assert_contains(f1, F_AT_1)
     for y in ("0.3", "1", "3"):
-        direct = f_lambert(Enclosure(y), cfg)
+        direct = f_eval(Enclosure(y), cfg, route="lambert")
         with precision(256):
             ye = Enclosure(y)
             ratio = ye * ye * theta4_series(ye, 1, cfg) / theta4_series(ye, 0, cfg)
@@ -150,14 +150,14 @@ def test_f_lambert_matches_log_derivative(cfg):
 
 
 def test_f_at_10_small_positive(cfg):
-    e = f_lambert(10, cfg)
+    e = f_eval(10, cfg, route="lambert")
     assert_contains(e, F_AT_10)
     assert e.is_strictly_positive()
     assert e.hi < 1e-10
 
 
 def test_f_decreases_toward_zero(cfg):
-    values = [f_lambert(y, cfg) for y in (5, 10, 15, 20)]
+    values = [f_eval(y, cfg, route="lambert") for y in (5, 10, 15, 20)]
     for v in values:
         assert v.is_strictly_positive()
     for a, b in zip(values, values[1:]):
@@ -165,7 +165,7 @@ def test_f_decreases_toward_zero(cfg):
 
 
 def test_f_second_positive_at_2(cfg):
-    e = f_second_lambert(2, cfg)
+    e = f_second(2, cfg, route="lambert")
     assert_contains(e, F_SECOND_AT_2)
     assert e.is_strictly_positive()
 
@@ -173,8 +173,6 @@ def test_f_second_positive_at_2(cfg):
 def test_f_limit_behavior_near_zero(cfg):
     # f(y) = pi/4 - y/2 - G(1/y) with G super-exponentially small, so the
     # gap to pi/4 at y = 0.01 is exactly the linear term 0.005...
-    from thetacert import f_eval
-
     with precision(256):
         pi4 = Enclosure.pi() / 4
         at_001 = f_eval(Enclosure("0.01"), cfg)
@@ -203,8 +201,8 @@ def test_wide_box_evaluation_contains_point_values(cfg):
     e = theta4_series(box, 0, cfg)
     for y in ("1", "1.5", "2"):
         assert e.contains(theta4_series(Enclosure(y), 0, cfg))
-    fbox = f_second_lambert(box, cfg)
-    assert fbox.contains(f_second_lambert(Enclosure("1.5"), cfg))
+    fbox = f_second(box, cfg, route="lambert")
+    assert fbox.contains(f_second(Enclosure("1.5"), cfg, route="lambert"))
 
 
 def test_prime_lambert_against_finite_difference(cfg):
@@ -217,12 +215,12 @@ def test_prime_lambert_against_finite_difference(cfg):
     with precision(320):
         for y in ("0.5", "1", "2"):
             ye = Enclosure(y)
-            fd = (f_lambert(ye + Enclosure(h), cfg) - f_lambert(ye - Enclosure(h), cfg)) / Enclosure(2 * h)
-            err1 = abs(fd - f_prime_lambert(ye, cfg)).hi
+            fd = (f_eval(ye + Enclosure(h), cfg, route="lambert") - f_eval(ye - Enclosure(h), cfg, route="lambert")) / Enclosure(2 * h)
+            err1 = abs(fd - f_prime(ye, cfg, route="lambert")).hi
             fd2 = (
-                f_prime_lambert(ye + Enclosure(h), cfg) - f_prime_lambert(ye - Enclosure(h), cfg)
+                f_prime(ye + Enclosure(h), cfg, route="lambert") - f_prime(ye - Enclosure(h), cfg, route="lambert")
             ) / Enclosure(2 * h)
-            err2 = abs(fd2 - f_second_lambert(ye, cfg)).hi
+            err2 = abs(fd2 - f_second(ye, cfg, route="lambert")).hi
             m3 = abs(mp_scalar(f_scalar, mp.mpf(y), 3, dps=30))
             m4 = abs(mp_scalar(f_scalar, mp.mpf(y), 4, dps=30))
             assert err1 <= 10 * h ** 2 * max(m3, mp.mpf(1))
@@ -277,14 +275,18 @@ _ROUTE_RNG = random.Random(6)
 _ROUTE_YS = [60.0 ** _ROUTE_RNG.random() for _ in range(40)]
 
 
-@pytest.mark.parametrize("order, fn", enumerate([f_lambert, f_prime_lambert, f_second_lambert]))
+@pytest.mark.parametrize(
+    "order, fn",
+    enumerate([f_eval, f_prime, f_second]),
+    ids=["0-f_lambert", "1-f_prime_lambert", "2-f_second_lambert"],
+)
 def test_lambert_route_contains_jtheta_oracle(order, fn):
     # y log-uniform on [1, 60], both precisions, against an oracle that never
     # forms the Lambert term psi
     for y in _ROUTE_YS:
         value = mp_scalar(_f_jtheta, y, order, dps=160)
         for bits in (128, 256):
-            enc = fn(Enclosure(y), EvalConfig(precision_bits=bits))
+            enc = fn(Enclosure(y), EvalConfig(precision_bits=bits), route="lambert")
             with mp.workdps(160):
                 slack = abs(value) * mp.mpf(10) ** -140
                 assert enc.lo <= value + slack and value - slack <= enc.hi, (

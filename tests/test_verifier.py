@@ -15,7 +15,6 @@ from thetacert import (
     f_eval,
     f_prime,
     f_second,
-    f_second_lambert,
     g_eval,
     g_prime,
     g_second,
@@ -323,7 +322,7 @@ def test_h_over_theta4_cubed_equals_f_second(cfg):
     with precision(256):
         for y in yvals:
             lhs = h_direct(y, cfg) / theta4_eval(y, 0, cfg) ** 3
-            rhs = f_second_lambert(y, cfg)
+            rhs = f_second(y, cfg, route="lambert")
             assert lhs.intersects(rhs), f"mismatch at y={y.lo}"
             assert (lhs.width + rhs.width) < mp.mpf(2) ** -60
 
