@@ -33,7 +33,6 @@ from .envelopes import (
 from .exppoly import DegreeError, ExpPoly
 from .modular import (
     MODULAR_COEFFICIENTS,
-    theta2_via_modular,
     theta4_eval,
     theta4_via_modular,
     verify_modular_identities,

@@ -13,6 +13,10 @@ records the deepest undecided box without asserting anything.
 Reports are deterministic functions of the evaluated box set: the
 traversal order is fixed, and accepted boxes contribute only their count
 and the worst certified margin.
+
+Every other report is a chain of :class:`Check` results and subreports,
+built by :meth:`CertificationReport.chain`, which derives its status from
+those parts and gives an optional conclusion check that same outcome.
 """
 
 from __future__ import annotations
@@ -103,6 +107,17 @@ class CertificationReport:
     unresolved_box: Enclosure | None = None
     checks: list[Check] = field(default_factory=list)
     subreports: list["CertificationReport"] = field(default_factory=list)
+
+    @classmethod
+    def chain(cls, name, checks, subreports=(), conclusion=None, **fields) -> "CertificationReport":
+        """A chain's report, with the status its checks and subreports earn (:meth:`Status.of`);
+        `conclusion=(name, detail)` appends a check whose outcome is that status.  Other
+        report fields (interval, boxes_examined, ...) pass through `fields`."""
+        checks, subreports = list(checks), list(subreports)
+        status = Status.of(checks, subreports)
+        if conclusion is not None:
+            checks.append(Check(conclusion[0], status.passed, conclusion[1]))
+        return cls(name, status, checks=checks, subreports=subreports, **fields)
 
     @property
     def certified(self) -> bool:

@@ -23,7 +23,7 @@ import sys
 
 from mpmath import mp
 
-from .certify import CertificationReport, Status, certify_sign
+from .certify import CertificationReport, certify_sign
 from .enclosure import DomainError, Enclosure, EnclosureError, EvalConfig
 from .envelopes import log_grid, verify_sandwiches
 from .modular import theta4_eval, verify_modular_identities
@@ -170,7 +170,7 @@ def _suite_greek(args, cfg, doc: ReportDocument | None):
             else:
                 lo, hi = decimal_bounds(value, args.digits)
                 print(f"  {name} in [{lo}, {hi}]")
-    return [CertificationReport(name="greek-constants", status=Status.of(checks), checks=checks)]
+    return [CertificationReport.chain("greek-constants", checks)]
 
 
 def _custom(args) -> bool:

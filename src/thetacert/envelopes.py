@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import CertificationReport, Check, Status
+from .certify import CertificationReport, Check
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, as_enclosure
 from .exppoly import ExpPoly
 from .theta import _check_order, _quadratic_series, _theta2
@@ -67,7 +67,7 @@ class EnvelopeConstants:
         return (self.c0, self.c1, self.c2, self.c3)
 
     def for_order(self, nu: int) -> Fraction:
-        return self.as_tuple()[nu]
+        return self.as_tuple()[_check_order(nu)]
 
 
 PAPER_CONSTANTS = EnvelopeConstants()
@@ -83,7 +83,7 @@ def _envelope_poly(nu: int, inflation=0) -> ExpPoly:
     """amp (e^{-pi y/4} + (1 + inflation) 9^nu e^{-9 pi y/4}), amp = 2 pi^nu / 4^nu, as an
     ExpPoly with exponent keys -1 and -9; inflation 0 is the lower envelope.  Call inside
     a precision scope."""
-    amp = 2 * Enclosure.pi() ** nu / Enclosure(4 ** nu)
+    amp = 2 * Enclosure.pi() ** _check_order(nu) / Enclosure(4 ** nu)
     return ExpPoly({-1: (0, amp), -9: (0, amp * Enclosure(9 ** nu) * (1 + Enclosure(inflation)))})
 
 
@@ -209,8 +209,8 @@ def verify_sandwiches(
     reports = []
     for nu, outcomes in zip(orders, zip(*per_point)):
         checks = [Check(f"sandwich at y={y.lo}", *o) for y, o in zip(points, outcomes)]
-        reports.append(CertificationReport(f"theta2-envelope-sandwich-nu{nu}", Status.of(checks),
-                                           (points[0].lo, points[-1].hi), checks=checks))
+        reports.append(CertificationReport.chain(f"theta2-envelope-sandwich-nu{nu}", checks,
+                                                 interval=(points[0].lo, points[-1].hi)))
     return reports
 
 
@@ -307,8 +307,4 @@ def check_c_admissible(
             f"{bases!r}",
         )
     )
-    return CertificationReport(
-        name=f"c-admissibility-nu{nu}",
-        status=Status.of(checks),
-        checks=checks,
-    )
+    return CertificationReport.chain(f"c-admissibility-nu{nu}", checks)

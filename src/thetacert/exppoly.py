@@ -11,6 +11,8 @@ in that derivation, so any product that would create one raises
 
 from __future__ import annotations
 
+from mpmath.libmp import fzero
+
 from .enclosure import DEFAULT_CONFIG, Enclosure, EnclosureError, EvalConfig, as_enclosure
 
 __all__ = ["ExpPoly", "DegreeError"]
@@ -20,20 +22,12 @@ class DegreeError(EnclosureError):
     """A product tried to create a y^2 coefficient."""
 
 
+#: the zero coefficient; exact at any precision
+_ZERO = Enclosure(0)
+
+
 def _is_exact_zero(e: Enclosure) -> bool:
-    from mpmath.libmp import fzero
-
     return e._lo == fzero and e._hi == fzero
-
-
-_ZERO = None
-
-
-def _zero() -> Enclosure:
-    global _ZERO
-    if _ZERO is None:
-        _ZERO = Enclosure(0)
-    return _ZERO
 
 
 class ExpPoly:
@@ -50,7 +44,7 @@ class ExpPoly:
     @classmethod
     def exponential(cls, k: int, coeff=1) -> "ExpPoly":
         """coeff * e^{k pi y / 4} as an ExpPoly."""
-        return cls({k: (_zero(), as_enclosure(coeff))})
+        return cls({k: (_ZERO, as_enclosure(coeff))})
 
     def terms(self):
         return dict(self._terms)
@@ -60,7 +54,7 @@ class ExpPoly:
 
     def coefficient(self, k: int) -> tuple[Enclosure, Enclosure]:
         """(a_k, b_k); zeros when the exponent is absent."""
-        return self._terms.get(k, (_zero(), _zero()))
+        return self._terms.get(k, (_ZERO, _ZERO))
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         out = dict(self._terms)
@@ -106,7 +100,7 @@ class ExpPoly:
         for k, (a, b) in self._terms.items():
             if not _is_exact_zero(a):
                 raise DegreeError("multiplying a linear-in-y coefficient by y gives degree 2")
-            out[k] = (b, _zero())
+            out[k] = (b, _ZERO)
         return ExpPoly(out)
 
     def shift(self, dk: int) -> "ExpPoly":

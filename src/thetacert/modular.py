@@ -40,16 +40,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certify import CertificationReport, Check, Status
+from .certify import CertificationReport, Check
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, Jet, as_enclosure
 from .envelopes import log_grid
-from .theta import (_check_order, _check_positive, _quadratic_series, _theta2, _theta4,
-                    theta4_series)
+from .theta import _check_order, _check_positive, _quadratic_series, _theta2, _theta4
 
 __all__ = [
     "MODULAR_COEFFICIENTS",
     "theta4_via_modular",
-    "theta2_via_modular",
     "theta4_eval",
     "verify_modular_identities",
     "q_series_derivatives",
@@ -83,13 +81,6 @@ def _theta4_flipped(y: Enclosure, orders: range, cfg: EvalConfig, table=None):
     flipped = _theta2(1 / y, range(max(len(table[nu]) for nu in orders)), cfg)
     return [sum((Enclosure(c) * y ** (Fraction(-1, 2) - nu - j) * flipped[j]
                  for j, c in enumerate(table[nu])), Enclosure(0)) for nu in orders]
-
-
-def theta2_via_modular(x, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """theta2(x) = x^(-1/2) theta4(1/x); the same relation read backwards."""
-    with cfg.scope():
-        x = _check_positive(as_enclosure(x), "theta2_via_modular")
-        return x ** Fraction(-1, 2) * theta4_series(1 / x, 0, cfg)
 
 
 def theta4_eval(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -151,7 +142,7 @@ def verify_modular_identities(
                 else:
                     outcome, detail = None, "combined width too large"
                 order_checks.append(Check(f"agreement at y={y.lo}", outcome, detail))
-    return [CertificationReport(f"modular-identity-nu{nu}", Status.of(c), (lo.lo, hi.hi), checks=c)
+    return [CertificationReport.chain(f"modular-identity-nu{nu}", c, interval=(lo.lo, hi.hi))
             for nu, c in zip(orders, checks)]
 
 

@@ -123,8 +123,11 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
 
     c = pi * scale with a dyadic scale, so y * scale is exact; a(n) is an integer with
     a(n+1) - a(n) increasing and a(n+1)/a(n) decreasing; w_n = weight, times (-1)^n if
-    `alternating`.  Call inside cfg.scope().
+    `alternating`.  Each order after the first is the previous term times c a(n), so the
+    orders must be consecutive.  Call inside cfg.scope().
     """
+    if tuple(orders) != tuple(range(orders[0], orders[-1] + 1)):
+        raise ValueError(f"{what}: orders must be consecutive, got {tuple(orders)}")
     pi, s, w = Enclosure.pi(), Enclosure(scale), Enclosure(weight)
     ys = y * s
     ylos = Enclosure._from_mpi((ys._lo, ys._lo))

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import CertificationReport, Check, Status, certify_sign
+from .certify import CertificationReport, Check, certify_sign
 from .enclosure import (
     DEFAULT_CONFIG,
     Enclosure,
@@ -155,13 +155,13 @@ def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Chec
         past = bracket.homogeneous(1, Enclosure(0, Fraction(1, _T)), decay)
     strict = past.is_strictly_positive() if bracket.sign > 0 else past.is_strictly_negative()
     claim = f"bracket {'>' if bracket.sign > 0 else '<'} 0 for {bracket.var}"
-    report.checks = [
+    checks = [
         *premises,
         Check(f"{claim} in [corner, {_T}]", report.status.passed, f"boxes={report.boxes_examined}"),
         Check(f"{claim} >= {_T}", strict, f"bracket/{bracket.var}^{bracket.degree} in {past!r}"),
     ]
-    report.status = Status.of(report.checks)
-    return report
+    subdivision = {k: v for k, v in vars(report).items() if k not in ("status", "checks")}
+    return CertificationReport.chain(checks=checks, **subdivision)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +271,9 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> C
         checks.append(Check("g(1) > 0", g1.is_strictly_positive(), f"g(1) = {g1!r}"))
 
     subreports = [_certify_bracket(_G_BRACKET, corner, cfg)]
-    checks.append(
-        Check(
-            "conclusion: g > 0 on [1, oo)",
-            Status.of(checks, subreports).passed,
-            "g'' > 0 on [1, oo) makes g' increasing; g'(1) > 0 makes g "
-            "increasing; g(1) > 0 finishes",
-        )
-    )
-    return CertificationReport(
-        name="g-chain",
-        status=Status.of(checks, subreports),
-        checks=checks,
-        subreports=subreports,
-    )
+    return CertificationReport.chain("g-chain", checks, subreports, (
+        "conclusion: g > 0 on [1, oo)",
+        "g'' > 0 on [1, oo) makes g' increasing; g'(1) > 0 makes g increasing; g(1) > 0 finishes"))
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +495,7 @@ def verify_small_y_chain(
     subreports = [check_c_admissible(nu, cfg, constants=constants) for nu in range(4)]
     checks, greek = checked_greek_constants(cfg, constants)
     if greek is None:
-        return CertificationReport(
-            name="small-y-chain",
-            status=Status.of(checks, subreports),
-            checks=checks,
-            subreports=subreports,
-        )
+        return CertificationReport.chain("small-y-chain", checks, subreports)
 
     r = _ROUNDED
     with cfg.scope():
@@ -551,20 +535,10 @@ def verify_small_y_chain(
             )
         )
         subreports.append(_certify_bracket(_final_bracket(), 1, cfg))
-    checks.append(
-        Check(
-            "conclusion: f'' > 0 on (0, 1]",
-            Status.of(checks, subreports).passed,
-            "h(1/y) >= y^(9/2) e^(-27 pi y/4) * bracket > 0 for y >= 1 and "
-            "f''(y) = h(y)/theta4(y)^3 with theta4 > 0",
-        )
-    )
-    return CertificationReport(
-        name="small-y-chain",
-        status=Status.of(checks, subreports),
-        checks=checks,
-        subreports=subreports,
-    )
+    return CertificationReport.chain("small-y-chain", checks, subreports, (
+        "conclusion: f'' > 0 on (0, 1]",
+        "h(1/y) >= y^(9/2) e^(-27 pi y/4) * bracket > 0 for y >= 1 and "
+        "f''(y) = h(y)/theta4(y)^3 with theta4 > 0"))
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +652,8 @@ def verify_convexity(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
         ),
     ]
     checks = [Check(r.name, r.status.passed, r.summary()) for r in subreports]
-    return CertificationReport(
-        name="convexity-desk-scale",
-        status=Status.of(checks, subreports),
-        interval=subreports[0].interval,
-        checks=checks,
-        subreports=subreports,
-    )
+    return CertificationReport.chain("convexity-desk-scale", checks, subreports,
+                                     interval=subreports[0].interval)
 
 
 def verify_decreasing_argument(
@@ -700,25 +669,10 @@ def verify_decreasing_argument(
     a small-y chain, cited by report id) makes f' increasing, so negativity
     on [2/pi, oo) forces negativity on all of (0, oo).
     """
+    premise = Check("convexity input", convexity_report.status.passed,
+                    f"uses report {convexity_report.report_id}")
     subreports = [_certify_bracket(b, 2, cfg) for b in (_EVEN_DECREASING, _ODD_DECREASING)]
-    checks = [
-        Check(
-            "convexity input",
-            convexity_report.status.passed,
-            f"uses report {convexity_report.report_id}",
-        )
-    ]
-    checks.append(
-        Check(
-            "conclusion: f strictly decreasing on (0, oo)",
-            Status.of(checks, subreports).passed,
-            "f' < 0 termwise on [2/pi, oo); f'' > 0 makes f' increasing, so "
-            "f'(y) <= f'(t) < 0 for y <= t in [2/pi, 1]",
-        )
-    )
-    return CertificationReport(
-        name="decreasing-argument",
-        status=Status.of(checks, subreports),
-        checks=checks,
-        subreports=subreports,
-    )
+    return CertificationReport.chain("decreasing-argument", [premise], subreports, (
+        "conclusion: f strictly decreasing on (0, oo)",
+        "f' < 0 termwise on [2/pi, oo); f'' > 0 makes f' increasing, so "
+        "f'(y) <= f'(t) < 0 for y <= t in [2/pi, 1]"))

@@ -5,7 +5,15 @@ import signal
 
 import pytest
 
-from thetacert import Enclosure, EvalConfig, Status, Witness, certify_sign
+from thetacert import (
+    CertificationReport,
+    Check,
+    Enclosure,
+    EvalConfig,
+    Status,
+    Witness,
+    certify_sign,
+)
 
 
 def _parabola(box, cfg):
@@ -146,3 +154,35 @@ def test_infinite_endpoint_not_certified(cfg):
     # one box [1, inf] has a positive enclosure, which certified nothing finite
     with pytest.raises(ValueError, match="finite"):
         certify_sign(lambda box, c: box, ("1", "inf"), +1, cfg)
+
+
+@pytest.mark.parametrize("as_subreport", [False, True], ids=["check", "subreport"])
+@pytest.mark.parametrize(
+    "outcome, status",
+    [(True, Status.CERTIFIED), (None, Status.INCONCLUSIVE), (False, Status.FAILED)],
+)
+def test_chain_status_and_conclusion_come_from_the_parts(outcome, status, as_subreport):
+    part = Check("part", outcome)
+    if as_subreport:
+        checks, subreports = [Check("premise", True)], [CertificationReport.chain("sub", [part])]
+    else:
+        checks, subreports = [Check("premise", True), part], []
+    report = CertificationReport.chain("chain", checks, subreports, ("conclusion: claim", "why"))
+    assert report.status is status
+    assert report.checks[-1] == Check("conclusion: claim", outcome, "why")
+    # the parts are kept as given; the caller's list does not gain the conclusion
+    assert report.checks[:-1] == checks and report.subreports == subreports
+
+
+def test_chain_failure_outranks_undecided_part():
+    report = CertificationReport.chain("chain", [Check("a", None), Check("b", False)])
+    assert report.status is Status.FAILED
+
+
+def test_chain_passes_report_fields_through():
+    report = CertificationReport.chain("chain", [Check("part", True)], interval=(1, 2),
+                                       boxes_examined=7)
+    assert report.status is Status.CERTIFIED
+    assert report.interval == (1, 2) and report.boxes_examined == 7
+    assert report.report_id == "chain@[1,2]"
+    assert [c.name for c in report.checks] == ["part"]  # no conclusion unless one is given

@@ -229,3 +229,19 @@ def test_deflating_one_constant_fails_only_its_order(cfg):
 def test_sandwich_rejects_unknown_order(cfg, nu):
     with pytest.raises(ValueError):
         verify_sandwiches(log_grid(1.0, 100.0, 40), [nu], cfg)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: lower_envelope(1, 4, cfg),
+        lambda cfg: upper_envelope(1, -1, cfg),
+        lambda cfg: envelope_derivative(1, 5, cfg),
+        lambda cfg: check_c_admissible(4, cfg),
+    ],
+    ids=["lower_envelope", "upper_envelope", "envelope_derivative", "check_c_admissible"],
+)
+def test_envelope_functions_reject_unknown_order(cfg, call):
+    # the sandwich is established for nu in {0, 1, 2, 3} only
+    with pytest.raises(ValueError, match="derivative order"):
+        call(cfg)

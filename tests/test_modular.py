@@ -11,7 +11,6 @@ from thetacert import (
     Status,
     precision,
     theta2_series,
-    theta2_via_modular,
     theta4_eval,
     theta4_product,
     theta4_series,
@@ -87,18 +86,6 @@ def test_identity_detects_corrupted_coefficient(cfg):
     corrupted[1] = (Fraction(1, 2), Fraction(-1))  # sign flip on the first entry
     report = verify_modular_identities(("0.5", "2"), (1,), cfg, coefficients=corrupted)[0]
     assert report.status is Status.FAILED
-
-
-def test_composition_round_trip(cfg):
-    # theta2 via theta4(1/x), then theta4 via that theta2: back to the start
-    for y in ("0.4", "1.3"):
-        ye = Enclosure(y)
-        direct = theta4_series(ye, 0, cfg)
-        with precision(192):
-            x = 1 / ye
-            t2 = theta2_via_modular(x, cfg)
-            rebuilt = ye ** Fraction(-1, 2) * t2
-        assert rebuilt.intersects(direct)
 
 
 def test_public_dispatch_continuity(cfg):

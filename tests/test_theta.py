@@ -316,3 +316,14 @@ def test_several_theta2_orders_take_one_pass(cfg, monkeypatch, evaluate):
     monkeypatch.setattr(theta, "certified_sum", counting)
     evaluate(cfg)
     assert calls == ["theta2_series"]
+
+
+@pytest.mark.parametrize("orders", [(0, 2), (1, 3), (2, 1)])
+def test_quadratic_series_rejects_non_consecutive_orders(cfg, orders):
+    # each order after the first is the previous term times c a(n), so a gap would
+    # return a lower derivative under a higher order's name
+    from thetacert.theta import _theta4
+
+    with pytest.raises(ValueError, match="consecutive"):
+        _theta4(1, orders, cfg)
+    assert_contains(_theta4(1, (1, 2), cfg)[1], THETA4_DERIVS_AT_1[2])
