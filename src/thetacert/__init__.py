@@ -42,9 +42,7 @@ from .theta import theta2_series, theta4_product, theta4_series
 from .verifier import (
     GreekConstants,
     QUANTITIES,
-    TranscriptionError,
-    collect_constants,
-    compute_greek_constants,
+    checked_greek_constants,
     envelope_lower_bound,
     f_eval,
     f_prime,

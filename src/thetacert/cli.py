@@ -9,7 +9,8 @@ Three subcommands:
 Exit codes are stable across subcommands: 0 = success / fully certified,
 1 = verification failure, inconclusive result or evaluation error (a value
 beyond the decimal exponent range included), 2 = usage error (bad arguments:
-a non-finite number, --digits below 1, a convexity option on another suite).
+a non-finite number, an --interval with LO >= HI, --digits below 1, a
+convexity option on another suite).
 The default working precision is 128 bits and can be overridden with
 --precision or the THETACERT_PRECISION environment variable.
 """
@@ -194,8 +195,10 @@ def _cmd_verify(args, cfg: EvalConfig) -> int:
     suite = SUITE_ALIASES.get(args.suite, args.suite)
     if _custom(args) and suite != "convexity":
         return _usage_error("--interval, --target-sign and --quantity need the convexity suite")
-    for text in args.interval or ():
-        _parse_number(text, "--interval", positive=False)
+    if args.interval is not None:
+        lo, hi = (_parse_number(text, "--interval", positive=False) for text in args.interval)
+        if not lo.hi < hi.lo:
+            return _usage_error(f"--interval needs LO < HI, got {' '.join(args.interval)}")
     doc = ReportDocument(command=f"verify {suite}", config=cfg,
                          decimal_digits=args.digits).start()
     # the small-y chain is a suite, the decreasing suite's premise and, as its

@@ -40,7 +40,6 @@ __all__ = [
     "PAPER_CONSTANTS",
     "lower_envelope",
     "upper_envelope",
-    "envelope_derivative",
     "verify_sandwiches",
     "tail_integral",
     "admissibility_factor",
@@ -109,27 +108,9 @@ def lower_envelope(y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     return _envelope(y, nu, 0, cfg)
 
 
-def upper_envelope(
-    y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG, constants: EnvelopeConstants = PAPER_CONSTANTS
-) -> Enclosure:
+def upper_envelope(y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """The inflated two-term upper envelope of (-1)^nu theta2^(nu) on [1, oo)."""
-    return _envelope(y, nu, constants.for_order(nu), cfg)
-
-
-def envelope_derivative(
-    y,
-    nu: int,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    upper: bool = False,
-    constants: EnvelopeConstants = PAPER_CONSTANTS,
-) -> Enclosure:
-    """d/dy of an envelope: each b_k e^{k pi y/4} scaled by k pi/4.  Both terms decay, so
-    this is strictly negative."""
-    with cfg.scope():
-        y = _check_domain(as_enclosure(y))
-        poly = _envelope_poly(nu, constants.for_order(nu) if upper else 0)
-        pi = Enclosure.pi()
-        return ExpPoly({k: (a, b * k * pi / 4) for k, (a, b) in poly.terms().items()}).eval(y, cfg)
+    return _envelope(y, nu, PAPER_CONSTANTS.for_order(nu), cfg)
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[Enclosure]:
@@ -260,11 +241,14 @@ def _comparison_sum_lower(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:
     return total
 
 
+def _below(a: Enclosure, b: Enclosure) -> bool | None:
+    """a < b as a Check outcome: True when it holds on the whole enclosures, False when
+    a > b does, None when they overlap."""
+    return True if a.hi < b.lo else False if a.lo > b.hi else None
+
+
 def check_c_admissible(
-    nu: int,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    candidate: Fraction | None = None,
-    constants: EnvelopeConstants = PAPER_CONSTANTS,
+    nu: int, cfg: EvalConfig = DEFAULT_CONFIG, candidate: Fraction | None = None
 ) -> CertificationReport:
     """Certify that c_nu dominates the envelope error for every y >= 1.
 
@@ -277,23 +261,23 @@ def check_c_admissible(
          base_j = C_j (4/pi)^(j+1), so it decreases on all of y > 0 once
          every base_j is positive, and y = 1 is the worst case.
     """
-    c = constants.for_order(nu) if candidate is None else candidate
+    c = PAPER_CONSTANTS.for_order(nu) if candidate is None else candidate
     checks = []
     with cfg.scope():
         one = Enclosure(1)
         excess = _excess_sum_bound(nu, one, cfg)
         comparison = _comparison_sum_lower(nu, one, cfg)
-        step1 = excess.hi < comparison.lo
+        step1 = _below(excess, comparison)
         checks.append(
             Check(
                 "discrete comparison at y=1",
-                bool(step1),
+                step1,
                 f"excess<= {excess.hi}, comparison>= {comparison.lo}",
             )
         )
         factor = admissibility_factor(nu, one, cfg)
-        step2 = factor.hi < Enclosure(c).lo
-        checks.append(Check("factor below c at y=1", bool(step2), f"factor={factor!r}, c={float(c)}"))
+        step2 = _below(factor, Enclosure(c))
+        checks.append(Check("factor below c at y=1", step2, f"factor={factor!r}, c={float(c)}"))
         bases = [
             Enclosure(_FACTORIALS[nu] // _FACTORIALS[nu - j] * 24 ** (nu - j))
             * (4 / Enclosure.pi()) ** (j + 1)

@@ -61,16 +61,12 @@ MODULAR_COEFFICIENTS: dict[int, tuple[Fraction, ...]] = {
     3: (Fraction(-15, 8), Fraction(-45, 4), Fraction(-15, 2), Fraction(-1)),
 }
 
-def theta4_via_modular(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG, coefficients=None) -> Enclosure:
-    """theta4^(nu)(y) through theta2 derivatives at 1/y.
-
-    `coefficients` may override the table (used by mutation tests to show a
-    corrupted coefficient is caught by the cross-representation check).
-    """
+def theta4_via_modular(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
+    """theta4^(nu)(y) through theta2 derivatives at 1/y."""
     nu = _check_order(nu)
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_via_modular")
-        return _theta4_flipped(y, range(nu, nu + 1), cfg, coefficients)[0]
+        return _theta4_flipped(y, range(nu, nu + 1), cfg)[0]
 
 
 def _theta4_flipped(y: Enclosure, orders: range, cfg: EvalConfig, table=None):
@@ -122,7 +118,8 @@ def verify_modular_identities(
     (they both contain the exact value, so disjointness proves a formula
     error) with combined width below 2^-80.  Overly wide enclosures yield
     `inconclusive`.  Each sample makes one theta2 pass at 1/y and one theta4
-    pass at y for all orders.
+    pass at y for all orders.  `coefficients` replaces MODULAR_COEFFICIENTS
+    (mutation hook: a corrupted entry must fail its order).
     """
     orders = [_check_order(nu) for nu in orders]
     with cfg.scope():

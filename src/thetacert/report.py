@@ -25,7 +25,6 @@ from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig
 __all__ = [
     "SCHEMA_VERSION",
     "decimal_bounds",
-    "enclosure_from_decimal",
     "ReportDocument",
 ]
 
@@ -75,11 +74,6 @@ def decimal_bounds(enc: Enclosure, digits: int = DEFAULT_DECIMAL_DIGITS) -> tupl
         _print_directed(enc._lo, digits, -1),
         _print_directed(enc._hi, digits, +1),
     )
-
-
-def enclosure_from_decimal(lo: str, hi: str) -> Enclosure:
-    """Rebuild an enclosure from decimal bounds (rounded outward again)."""
-    return Enclosure(lo, hi)
 
 
 def _witness_record(w: Witness, digits: int) -> dict:

@@ -36,24 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import CertificationReport, Check, certify_sign
-from .enclosure import (
-    DEFAULT_CONFIG,
-    Enclosure,
-    EnclosureError,
-    EvalConfig,
-    Jet,
-    as_enclosure,
-)
-from .envelopes import EnvelopeConstants, PAPER_CONSTANTS, _envelope_poly, check_c_admissible
+from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, as_enclosure
+from .envelopes import PAPER_CONSTANTS, _envelope_poly, check_c_admissible
 from .exppoly import ExpPoly
 from .modular import _f_modular, _theta4_eval
 from .theta import _lambert_sum, _theta2, psi
 
 __all__ = [
-    "TranscriptionError",
-    "LooseCancellationError",
     "GreekConstants",
-    "collect_constants",
     "g_eval",
     "g_prime",
     "g_second",
@@ -62,7 +52,6 @@ __all__ = [
     "verify_even_terms_large_y",
     "verify_odd_terms_large_y",
     "greek_bracket",
-    "compute_greek_constants",
     "checked_greek_constants",
     "envelope_lower_bound",
     "small_y_bracket",
@@ -76,21 +65,6 @@ __all__ = [
     "verify_convexity",
     "verify_decreasing_argument",
 ]
-
-
-class TranscriptionError(EnclosureError):
-    """A structural identity that must hold exactly failed to hold.
-
-    Raised when the leading e^{6 pi y} coefficients of the envelope-product
-    bracket fail to cancel, or when the collected constants violate their
-    sign/order invariants: both can only happen if a formula was copied
-    wrongly, never from rounding.
-    """
-
-
-class LooseCancellationError(TranscriptionError):
-    """The leading coefficients enclose 0, but too widely to confirm that
-    they cancel: undecided at this precision, not a disproof."""
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +121,18 @@ def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Chec
     """Prove `bracket` has its sign for every x >= corner, given `premises`.
 
     Subdivision covers [corner, _T]; past _T, bracket/x^deg is enclosed once
-    with 1/x in [0, 1/_T] and e^{-kx} in [0, e^{-k _T}].
+    with 1/x in [0, 1/_T] and e^{-kx} in [0, e^{-k _T}], which proves the
+    claim if it has the claimed sign throughout.  Only a leading coefficient
+    of the opposite sign disproves it there: bracket/x^deg tends to it as
+    x -> oo, so the bracket has the wrong sign for all large x.
     """
     report = certify_sign(bracket, (corner, _T), bracket.sign, cfg, name=bracket.name)
     with cfg.scope():
         decay = Enclosure(0, as_enclosure(-bracket.k * _T).exp().hi)
         past = bracket.homogeneous(1, Enclosure(0, Fraction(1, _T)), decay)
-    strict = past.is_strictly_positive() if bracket.sign > 0 else past.is_strictly_negative()
+        limit = as_enclosure((bracket.c0, bracket.c1, bracket.c2)[bracket.degree])
+    strict = (True if (bracket.sign * past).is_strictly_positive()
+              else False if (bracket.sign * limit).is_strictly_negative() else None)
     claim = f"bracket {'>' if bracket.sign > 0 else '<'} 0 for {bracket.var}"
     checks = [
         *premises,
@@ -169,7 +148,7 @@ def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Chec
 # ---------------------------------------------------------------------------
 
 
-def _g_jet(y, cfg: EvalConfig, middle_sign: int) -> Jet:
+def _g_jet(y, cfg: EvalConfig, middle_sign: int = -1) -> Jet:
     """g and its first two derivatives in y: g written once, evaluated on a Jet."""
     with cfg.scope():
         y = Jet(as_enclosure(y), 1)
@@ -182,24 +161,19 @@ def _g_jet(y, cfg: EvalConfig, middle_sign: int) -> Jet:
         )
 
 
-def g_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclosure:
-    """g(y) = 2(E-1)^2 - 4 y pi E(E-1) + pi^2 y^2 E(E+1) = (E-1)^3 psi''(pi y), E = e^{pi y}.
-
-    `middle_sign` flips the middle term (mutation hook for the tests; the
-    genuine function has sign -1).
-    """
-    return _g_jet(y, cfg, middle_sign).v
+def g_eval(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
+    """g(y) = 2(E-1)^2 - 4 y pi E(E-1) + pi^2 y^2 E(E+1) = (E-1)^3 psi''(pi y), E = e^{pi y}."""
+    return _g_jet(y, cfg).v
 
 
-def g_prime(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclosure:
-    """g'(y) from the Jet of g (for the genuine sign it equals
-    -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1))."""
-    return _g_jet(y, cfg, middle_sign).d1
+def g_prime(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
+    """g'(y) from the Jet of g; it equals -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1)."""
+    return _g_jet(y, cfg).d1
 
 
-def g_second(y, cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> Enclosure:
+def g_second(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """g''(y) from the Jet of g."""
-    return _g_jet(y, cfg, middle_sign).d2
+    return _g_jet(y, cfg).d2
 
 
 def g_second_display(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -230,7 +204,10 @@ _G_BRACKET = _Bracket("g-second-positive", "x", +1, c0=-6, c1=-8, c2=4, d0=6, d1
 
 def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> CertificationReport:
     """Certify the whole g-argument: g''(y) > 0 for pi y >= 1 + sqrt 3,
-    g'(1) > 0, g(1) > 0, hence g(y) > 0 for all y >= 1: psi'' > 0 on [pi, oo)."""
+    g'(1) > 0, g(1) > 0, hence g(y) > 0 for all y >= 1: psi'' > 0 on [pi, oo).
+
+    `middle_sign` = +1 flips the middle term of g, a transcription error the
+    anchor against psi'' must catch (mutation hook); the genuine g has -1."""
     checks: list[Check] = []
     with cfg.scope():
         one = Enclosure(1)
@@ -342,9 +319,7 @@ class GreekConstants:
         }
 
 
-def greek_bracket(
-    cfg: EvalConfig = DEFAULT_CONFIG, constants: EnvelopeConstants = PAPER_CONSTANTS
-) -> ExpPoly:
+def greek_bracket(cfg: EvalConfig = DEFAULT_CONFIG) -> ExpPoly:
     """The five-product envelope lower bound for h(1/y), divided by y^{9/2}.
 
     2 l1^2 l0 - 2 u2 u0^2 + y (2 l1^3 - 3 u2 u1 u0 + l3 l0^2), expanded over
@@ -352,7 +327,7 @@ def greek_bracket(
     """
     with cfg.scope():
         l0, l1, l3 = (_envelope_poly(nu) for nu in (0, 1, 3))
-        u0, u1, u2 = (_envelope_poly(nu, constants.for_order(nu)) for nu in range(3))
+        u0, u1, u2 = (_envelope_poly(nu, PAPER_CONSTANTS.for_order(nu)) for nu in range(3))
         t1 = (l1 * l1 * l0).scale(2)
         t2 = (u2 * u0 * u0).scale(-2)
         t3 = (l1 * l1 * l1).scale(2).mul_y()
@@ -400,48 +375,23 @@ def _greek_checks(poly: ExpPoly) -> tuple[list[Check], GreekConstants | None]:
     return checks, greek if all(c.passed for c in checks) else None
 
 
-def collect_constants(poly: ExpPoly) -> GreekConstants:
-    """Read the six constants off an expanded bracket, enforcing the guards.
-
-    A failed e^{6 pi y} cancellation is a hard error, as are violations of
-    the sign/order invariants; a cancellation too wide to confirm raises
-    :class:`LooseCancellationError`.
-    """
-    checks, greek = _greek_checks(poly)
-    if greek is None:
-        failed = next(c for c in checks if not c.passed)
-        error = LooseCancellationError if failed.passed is None else TranscriptionError
-        raise error(f"{failed.name} fails" + (f": {failed.detail}" if failed.detail else ""))
-    return greek
-
-
-def compute_greek_constants(
-    cfg: EvalConfig = DEFAULT_CONFIG, constants: EnvelopeConstants = PAPER_CONSTANTS
-) -> GreekConstants:
-    """Expand the envelope-product bracket and collect its six constants."""
-    with cfg.scope():
-        return collect_constants(greek_bracket(cfg, constants))
-
-
 def checked_greek_constants(
-    cfg: EvalConfig = DEFAULT_CONFIG, constants: EnvelopeConstants = PAPER_CONSTANTS
-) -> tuple[list[Check], GreekConstants | None]:
-    """:func:`compute_greek_constants` as checks: the e^{6 pi y} cancellation, then the six
-    "strictly positive" checks, alpha < gamma and beta < delta; the constants come back
-    None when a check did not pass."""
-    with cfg.scope():
-        return _greek_checks(greek_bracket(cfg, constants))
-
-
-def envelope_lower_bound(
-    y,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    constants: EnvelopeConstants = PAPER_CONSTANTS,
-) -> Enclosure:
+) -> tuple[list[Check], GreekConstants | None]:
+    """Expand the envelope-product bracket and collect its six constants, with their checks:
+    the e^{6 pi y} cancellation (False when the coefficients miss 0, a transcription error;
+    None when they enclose 0 too widely to confirm it), then the six "strictly positive"
+    checks, alpha < gamma and beta < delta; the constants come back None when a check did
+    not pass."""
+    with cfg.scope():
+        return _greek_checks(greek_bracket(cfg))
+
+
+def envelope_lower_bound(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """y^{9/2} times the bracket: a certified lower bound for h(1/y) on y >= 1."""
     with cfg.scope():
         y = as_enclosure(y)
-        return y ** Fraction(9, 2) * greek_bracket(cfg, constants).eval(y, cfg)
+        return y ** Fraction(9, 2) * greek_bracket(cfg).eval(y, cfg)
 
 
 #: the constants rounded in the weakening direction: alpha down, the rest up
@@ -481,10 +431,7 @@ def small_y_bracket(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
         return (2 * Enclosure.pi() * y).exp() * _final_bracket()(y, cfg)
 
 
-def verify_small_y_chain(
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    constants: EnvelopeConstants = PAPER_CONSTANTS,
-) -> CertificationReport:
+def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Certify h(1/y) > 0 for y >= 1 (equivalently f'' > 0 on (0, 1]).
 
     Chain: envelope admissibility (four orders) -> exponential-polynomial
@@ -492,8 +439,8 @@ def verify_small_y_chain(
     direction -> multiply the e^{4 pi y} term down by e^{2 pi y} > 535 ->
     exact integer absorption -> positive final bracket for every y >= 1.
     """
-    subreports = [check_c_admissible(nu, cfg, constants=constants) for nu in range(4)]
-    checks, greek = checked_greek_constants(cfg, constants)
+    subreports = [check_c_admissible(nu, cfg) for nu in range(4)]
+    checks, greek = checked_greek_constants(cfg)
     if greek is None:
         return CertificationReport.chain("small-y-chain", checks, subreports)
 

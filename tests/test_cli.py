@@ -137,6 +137,12 @@ def test_scan_bad_exponent_usage_error():
     assert run_cli("scan", "--a", "2.1", "--interval", "5", "1") == 2
 
 
+@pytest.mark.parametrize("interval", [("2", "1"), ("1", "1"), ("0.1", "0.1")])
+def test_verify_empty_interval_usage_error(capsys, interval):
+    assert run_cli("verify", "convexity", "--interval", *interval) == 2
+    assert "LO < HI" in capsys.readouterr().err
+
+
 def test_precision_env_override(capsys, monkeypatch):
     monkeypatch.setenv("THETACERT_PRECISION", "96")
     assert run_cli("eval", "theta4", "--y", "1", "--digits", "20") == 0

@@ -12,7 +12,6 @@ from thetacert import (
     EvalConfig,
     Status,
     admissibility_factor,
-    certify_sign,
     check_c_admissible,
     log_grid,
     lower_envelope,
@@ -21,7 +20,6 @@ from thetacert import (
     upper_envelope,
     verify_sandwiches,
 )
-from thetacert.envelopes import envelope_derivative
 
 from conftest import ADMISSIBILITY_FACTORS, LOWER_ENVELOPE_1_0, assert_contains
 
@@ -146,17 +144,14 @@ def test_admissibility_tightness_third_fails(cfg):
     assert fails == 4
 
 
-def test_envelopes_strictly_decreasing(cfg):
-    for nu in range(4):
-        for upper in (False, True):
-            rep = certify_sign(
-                lambda box, c, nu=nu, upper=upper: envelope_derivative(box, nu, c, upper=upper),
-                (1, 100),
-                -1,
-                cfg,
-                name=f"envelope-decay-nu{nu}-{'upper' if upper else 'lower'}",
-            )
-            assert rep.certified
+def test_admissibility_candidate_inside_factor_is_inconclusive(cfg):
+    # a candidate inside the factor's enclosure neither proves nor disproves
+    # "factor < c": undecided, not a disproof
+    factor = admissibility_factor(0, 1, cfg)
+    man, exp = factor.mid.man_exp
+    report = check_c_admissible(0, cfg, candidate=Fraction(man) * Fraction(2) ** exp)
+    assert report.status is Status.INCONCLUSIVE
+    assert [c.passed for c in report.checks] == [True, None, True]
 
 
 def test_log_grid_shape():
@@ -236,10 +231,9 @@ def test_sandwich_rejects_unknown_order(cfg, nu):
     [
         lambda cfg: lower_envelope(1, 4, cfg),
         lambda cfg: upper_envelope(1, -1, cfg),
-        lambda cfg: envelope_derivative(1, 5, cfg),
         lambda cfg: check_c_admissible(4, cfg),
     ],
-    ids=["lower_envelope", "upper_envelope", "envelope_derivative", "check_c_admissible"],
+    ids=["lower_envelope", "upper_envelope", "check_c_admissible"],
 )
 def test_envelope_functions_reject_unknown_order(cfg, call):
     # the sandwich is established for nu in {0, 1, 2, 3} only

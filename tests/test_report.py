@@ -21,7 +21,6 @@ from thetacert.report import (
     ReportDocument,
     certification_record,
     decimal_bounds,
-    enclosure_from_decimal,
 )
 
 
@@ -41,7 +40,7 @@ def test_decimal_bounds_round_trip_contains():
     with precision(128):
         e = Enclosure(1) / Enclosure(3)
         lo, hi = decimal_bounds(e, 30)
-        rebuilt = enclosure_from_decimal(lo, hi)
+        rebuilt = Enclosure(lo, hi)
         assert rebuilt.contains(e)
 
 
@@ -81,7 +80,7 @@ def test_decimal_bounds_outside_default_exponent_range(cfg, y):
         e = fn(Enclosure(y), cfg=cfg)
         lo, hi = decimal_bounds(e, 40)
         with precision(300):
-            assert enclosure_from_decimal(lo, hi).contains(e)
+            assert Enclosure(lo, hi).contains(e)
 
 
 @pytest.mark.parametrize("tolerance", [2.0 ** -100, "1e-900"])

@@ -1,5 +1,7 @@
 """The proof chains: g, termwise brackets, Greek constants, h, sign certification."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
@@ -7,9 +9,8 @@ from thetacert import (
     Enclosure,
     QUANTITIES,
     Status,
-    TranscriptionError,
     certify_sign,
-    compute_greek_constants,
+    checked_greek_constants,
     envelope_lower_bound,
     f_a_second,
     f_eval,
@@ -201,7 +202,7 @@ def test_odd_final_bracket_negative_below_condition(cfg):
 
 
 def test_greek_constants_equal_exact_rationals(cfg):
-    greek = compute_greek_constants(cfg)
+    greek = checked_greek_constants(cfg)[1]
     with precision(256):
         pi = Enclosure.pi()
         for name, (rational, pi_power) in GREEK_EXACT.items():
@@ -219,7 +220,7 @@ def test_greek_leading_cancellation(cfg):
 
 
 def test_greek_order_invariants(cfg):
-    greek = compute_greek_constants(cfg)
+    greek = checked_greek_constants(cfg)[1]
     assert greek.alpha.hi < greek.gamma.lo
     assert greek.beta.hi < greek.delta.lo
     for value in greek.as_dict().values():
@@ -228,18 +229,19 @@ def test_greek_order_invariants(cfg):
 
 def test_greek_transcription_guard(cfg):
     # perturbing the expanded bracket at the leading exponent destroys the
-    # e^{6 pi y} cancellation and must be a hard error, not a warning
-    from thetacert import ExpPoly, collect_constants
+    # e^{6 pi y} cancellation: a disproof, and no constants come back
+    from thetacert import ExpPoly
+    from thetacert.verifier import _greek_checks
 
     with precision(cfg.precision_bits):
         poly = greek_bracket(cfg)
         corrupted = poly + ExpPoly.exponential(-3, Enclosure("0.001"))
-        with pytest.raises(TranscriptionError):
-            collect_constants(corrupted)
-        # a wide-but-zero-containing coefficient is also rejected
+        checks, greek = _greek_checks(corrupted)
+        assert checks[0].passed is False and greek is None
+        # a wide-but-zero-containing coefficient is undecided, not disproved
         fuzzy = poly + ExpPoly.exponential(-3, Enclosure("-1e-10", "1e-10"))
-        with pytest.raises(TranscriptionError):
-            collect_constants(fuzzy)
+        checks, greek = _greek_checks(fuzzy)
+        assert checks[0].passed is None and greek is None
 
 
 def test_envelope_lower_bound_is_really_lower(cfg):
@@ -421,6 +423,22 @@ def test_quadratic_bracket_past_cap_check_catches_late_sign_change(cfg):
     report = _certify_bracket(_Bracket("late-change", "x", +1, c0=0, c1=20, c2=-1), 2, cfg)
     assert report.status is Status.FAILED
     assert [c.passed for c in report.checks] == [True, False]
+
+
+def test_straddling_past_cap_enclosure_is_inconclusive(cfg):
+    # x^2 - 31x + 241 = (x - 15.5)^2 + 0.75 > 0 everywhere, but its past-16
+    # enclosure of bracket/x^2 straddles 0: undecided, not a disproof
+    probe = _Bracket("probe", "x", +1, c0=241, c1=-31, c2=1)
+    report = _certify_bracket(probe, Fraction(31, 2), cfg)
+    assert report.status is Status.INCONCLUSIVE
+    assert [c.passed for c in report.checks] == [True, None]
+
+
+def test_wrong_signed_bracket_fails(cfg):
+    # -1 - x < 0 everywhere: both the subdivision and the past-16 enclosure disprove "> 0"
+    report = _certify_bracket(_Bracket("wrong-sign", "x", +1, c0=-1, c1=-1), 2, cfg)
+    assert report.status is Status.FAILED
+    assert [c.passed for c in report.checks] == [False, False]
 
 
 def test_convexity_inconclusive_part_is_inconclusive(monkeypatch):
