@@ -31,6 +31,7 @@ from .enclosure import (
     ConvergenceError,
     Enclosure,
     EvalConfig,
+    _sign,
     as_enclosure,
 )
 
@@ -164,11 +165,9 @@ def _evaluate(fn, box: Enclosure, cfg: EvalConfig) -> Enclosure | None:
         return None
 
 
-def _sign_of(v: Enclosure | None) -> int:
-    """+1 or -1 for a strictly signed enclosure, 0 when undecided or missing."""
-    if v is None:
-        return 0
-    return 1 if v.is_strictly_positive() else -1 if v.is_strictly_negative() else 0
+def _sign_of(v: Enclosure | None) -> int | None:
+    """+1 or -1 for a strictly signed enclosure, None when undecided or missing."""
+    return None if v is None else _sign(v)
 
 
 def _margin(v: Enclosure, sign: int):
@@ -232,7 +231,7 @@ def certify_sign(
             report.unresolved_box = box
             break
         value = _evaluate(fn, box, cfg)
-        if depth >= max_depth and not _sign_of(value):
+        if depth >= max_depth and _sign_of(value) is None:
             value = _evaluate(fn, box, cfg.escalated())
         got = _sign_of(value)
         if got == sign:

@@ -115,9 +115,10 @@ def _make_config(args) -> EvalConfig:
     return EvalConfig(precision_bits=bits)
 
 
-def _parse_number(text: str, what: str, positive: bool = True) -> Enclosure:
+def _parse_number(text: str, what: str, cfg: EvalConfig, positive: bool = True) -> Enclosure:
     try:
-        enc = Enclosure(text)
+        with cfg.scope():
+            enc = Enclosure(text)
     except Exception:
         raise SystemExit(_usage_error(f"{what} must be a decimal number, got {text!r}"))
     if not (mp.isfinite(enc.lo) and mp.isfinite(enc.hi)):
@@ -133,7 +134,7 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_eval(args, cfg: EvalConfig) -> int:
-    y = _parse_number(args.y, "--y")
+    y = _parse_number(args.y, "--y", cfg)
     try:
         if args.function == "theta4":
             value = theta4_eval(y, args.order, cfg)
@@ -196,7 +197,7 @@ def _cmd_verify(args, cfg: EvalConfig) -> int:
     if _custom(args) and suite != "convexity":
         return _usage_error("--interval, --target-sign and --quantity need the convexity suite")
     if args.interval is not None:
-        lo, hi = (_parse_number(text, "--interval", positive=False) for text in args.interval)
+        lo, hi = (_parse_number(text, "--interval", cfg, positive=False) for text in args.interval)
         if not lo.hi < hi.lo:
             return _usage_error(f"--interval needs LO < HI, got {' '.join(args.interval)}")
     doc = ReportDocument(command=f"verify {suite}", config=cfg,

@@ -345,6 +345,18 @@ def as_enclosure(value) -> Enclosure:
     return Enclosure(value)
 
 
+def _below(a, b) -> bool | None:
+    """a < b as a Check outcome: True when it holds on the whole enclosures, False when
+    a > b does, None when they overlap."""
+    a, b = as_enclosure(a), as_enclosure(b)
+    return True if a.hi < b.lo else False if a.lo > b.hi else None
+
+
+def _sign(v: Enclosure) -> int | None:
+    """+1 or -1 for a strictly signed enclosure, None when it contains 0."""
+    return 1 if v.is_strictly_positive() else -1 if v.is_strictly_negative() else None
+
+
 class Jet:
     """A function of one variable to second order: (value, first, second derivative),
     each an Enclosure.

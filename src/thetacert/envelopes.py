@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import CertificationReport, Check
-from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, as_enclosure
+from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, _below, as_enclosure
 from .exppoly import ExpPoly
 from .theta import _check_order, _quadratic_series, _theta2
 
@@ -241,12 +241,6 @@ def _comparison_sum_lower(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:
     return total
 
 
-def _below(a: Enclosure, b: Enclosure) -> bool | None:
-    """a < b as a Check outcome: True when it holds on the whole enclosures, False when
-    a > b does, None when they overlap."""
-    return True if a.hi < b.lo else False if a.lo > b.hi else None
-
-
 def check_c_admissible(
     nu: int, cfg: EvalConfig = DEFAULT_CONFIG, candidate: Fraction | None = None
 ) -> CertificationReport:
@@ -283,10 +277,11 @@ def check_c_admissible(
             * (4 / Enclosure.pi()) ** (j + 1)
             for j in range(nu + 1)
         ]
+    positive = {_below(0, b) for b in bases}  # every base_j > 0, three-valued
     checks.append(
         Check(
             "factor decreasing on y > 0",
-            all(b.is_strictly_positive() for b in bases),
+            False if False in positive else None if None in positive else True,
             "factor = 9^-nu e^{-15 pi y/4} sum_j base_j y^-(j+1) with every base_j > 0: "
             f"{bases!r}",
         )

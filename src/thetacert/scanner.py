@@ -2,9 +2,9 @@
 
 Since f_a = y^(a-2) f with f the a = 2 member, f_a and its first two
 derivatives are one Jet product: the power y^r (1, r/y, r(r-1)/y^2), r = a - 2,
-times (f, f', f'') from the certified routes.  At a = 2 the power is the
-constant 1, so the family evaluator specializes exactly to the proven-convex
-member.
+times (f, f', f'') from the certified routes (the scan's points are thin: one
+theta4 pass on [1, 8]).  At a = 2 the power is the constant 1, so the family
+evaluator specializes exactly to the proven-convex member.
 
 The search is one-sided by design: a returned :class:`Witness` carries a
 strictly negative enclosure of f_a'' and rigorously disproves convexity at

@@ -31,7 +31,8 @@ Evaluators:
   _lambert_sum(y, orders) f^(k)(y) for f(y) = y^2 theta4'(y)/theta4(y), as the Lambert-type
                          sum f^(k)(y) = sum_{m>=1} w_m (m pi)^(k-1) psi^(k)(m pi y),
                          w_m = 2 (m odd), 1 (m even): one term formula, several orders in
-                         one pass; reached through f_eval/f_prime/f_second(route="lambert")
+                         one pass; f_eval/f_prime/f_second take it on boxes in [1, oo), on
+                         thin y > 8 and with route="lambert" (a thin y in [1, 8]: _theta4)
 
 The direct series are primitives valid for any y > 0 but converge slowly
 as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular` (theta4)

@@ -36,11 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import CertificationReport, Check, certify_sign
-from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, as_enclosure
+from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, _below, as_enclosure
 from .envelopes import PAPER_CONSTANTS, _envelope_poly, check_c_admissible
 from .exppoly import ExpPoly
 from .modular import _f_modular, _theta4_eval
-from .theta import _lambert_sum, _theta2, psi
+from .theta import _lambert_sum, _theta2, _theta4, psi
 
 __all__ = [
     "GreekConstants",
@@ -238,14 +238,14 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> C
         checks.append(
             Check(
                 "corner 1 + sqrt 3 below pi",
-                (pi - corner).is_strictly_positive(),
+                _below(corner, pi),
                 f"y >= 1 gives x = pi y >= {pi!r} > {corner!r}",
             )
         )
 
         g1, gp1, _ = _g_jet(one, cfg, middle_sign)
-        checks.append(Check("g'(1) > 0", gp1.is_strictly_positive(), f"g'(1) = {gp1!r}"))
-        checks.append(Check("g(1) > 0", g1.is_strictly_positive(), f"g(1) = {g1!r}"))
+        checks.append(Check("g'(1) > 0", _below(0, gp1), f"g'(1) = {gp1!r}"))
+        checks.append(Check("g(1) > 0", _below(0, g1), f"g(1) = {g1!r}"))
 
     subreports = [_certify_bracket(_G_BRACKET, corner, cfg)]
     return CertificationReport.chain("g-chain", checks, subreports, (
@@ -286,7 +286,7 @@ def verify_odd_terms_large_y(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationR
         corner = 3 * Enclosure.pi()
         drop = Check(
             "dropped summand positive",
-            (corner + 4).is_strictly_positive(),
+            _below(0, corner + 4),
             "s + 4 > 0 at s = 3 pi and increasing, so dropping it only weakens the bracket",
         )
     return _certify_bracket(_ODD_CONVEX, corner, cfg, drop)
@@ -368,10 +368,10 @@ def _greek_checks(poly: ExpPoly) -> tuple[list[Check], GreekConstants | None]:
     greek = GreekConstants(
         alpha=a11, beta=-b11, gamma=-a19, delta=-b19, epsilon=-a27, zeta=-b27
     )
-    checks += [Check(f"{name} strictly positive", value.is_strictly_positive(), "")
+    checks += [Check(f"{name} strictly positive", _below(0, value), "")
                for name, value in greek.as_dict().items()]
-    checks.append(Check("alpha < gamma", greek.alpha.hi < greek.gamma.lo, ""))
-    checks.append(Check("beta < delta", greek.beta.hi < greek.delta.lo, ""))
+    checks.append(Check("alpha < gamma", _below(greek.alpha, greek.gamma), ""))
+    checks.append(Check("beta < delta", _below(greek.beta, greek.delta), ""))
     return checks, greek if all(c.passed for c in checks) else None
 
 
@@ -451,7 +451,7 @@ def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationRepor
             checks.append(
                 Check(
                     f"rounding direction {name} {'>=' if down else '<='} {r[name]}",
-                    (value - r[name] if down else r[name] - value).is_strictly_positive(),
+                    _below(r[name], value) if down else _below(value, r[name]),
                     f"{name} = {value!r}; integer rounding must weaken the lower bound",
                 )
             )
@@ -459,7 +459,7 @@ def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationRepor
         checks.append(
             Check(
                 f"e^(2 pi) > {_E2PI_FLOOR}",
-                (e2pi - _E2PI_FLOOR).is_strictly_positive(),
+                _below(_E2PI_FLOOR, e2pi),
                 f"e^(2 pi) = {e2pi!r}",
             )
         )
@@ -493,14 +493,19 @@ def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationRepor
 # ---------------------------------------------------------------------------
 
 
+def _f_jet(y: Enclosure, t) -> Jet:
+    """f = y^2 theta4'/theta4 as a Jet in y, from t = (theta4, theta4', ...) at y; its
+    entries are f, f', f'' up to order len(t) - 2.  Call inside a precision scope."""
+    y = Jet(y, 1)
+    return y * y * (Jet(*t[1:]) / Jet(*t[:3]))
+
+
 def h_direct(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """h(y) = f''(y) theta4(y)^3, with f'' from f = y^2 theta4'/theta4 evaluated on Jets."""
+    """h(y) = f''(y) theta4(y)^3, with f'' from :func:`_f_jet` on one theta4 pass."""
     with cfg.scope():
         y = as_enclosure(y)
         t = _theta4_eval(y, range(4), cfg)
-        y = Jet(y, 1)
-        f = y * y * (Jet(*t[1:]) / Jet(*t[:3]))
-        return f.d2 * t[0] ** 3
+        return _f_jet(y, t).d2 * t[0] ** 3
 
 
 def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -524,10 +529,20 @@ def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 # dispatching f evaluators and the certified-quantity registry
 # ---------------------------------------------------------------------------
 
+#: the working interval of the desk-scale convexity certification
+_INTERVAL = ("0.05", 20)
+#: the window on which both evaluation routes are certified separately
+_OVERLAP = ("0.8", "1.25")
+#: `auto` reads a thin y in [1, _THIN_CAP] off the theta4 Jet, 5 terms at y = 1 to the Lambert
+#: sum's 28; past y = 10 the Lambert sum is cheaper, and on boxes it certifies in fewer boxes
+_THIN_CAP = 8
+
+
 def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure]:
     """f^(k)(y) for each order k of `orders`, from one series pass per route.  `auto` is
     modular on y <= 1 and Lambert on y >= 1, so a box [lo, hi] around 1 is, entry by
-    entry, the hull of the two routes on [lo, 1] and [1, hi] (exact 1)."""
+    entry, the hull of the two routes on [lo, 1] and [1, hi] (exact 1); a thin y (width
+    <= cfg.tol) in [1, _THIN_CAP] is read off :func:`_f_jet` on one theta4 pass instead."""
     if route == "lambert":
         return _lambert_sum(y, orders, cfg)
     if route == "modular":
@@ -538,6 +553,9 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
         y = as_enclosure(y)
         if y.hi <= 1:
             return _f_modular(y, orders, cfg)
+        if y.lo >= 1 and y.hi <= _THIN_CAP and y.width <= cfg.tol:
+            jet = tuple(_f_jet(y, _theta4(y, range(orders[-1] + 2), cfg)))
+            return [jet[k] for k in orders]
         if y.lo >= 1:
             return _lambert_sum(y, orders, cfg)
         below = _f_modular(Enclosure(y.lo, 1), orders, cfg)
@@ -546,8 +564,8 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
 
 
 def f_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> Enclosure:
-    """f(y) = y^2 theta4'(y)/theta4(y); modular form below 1, Lambert above,
-    and a box straddling 1 is modular on [lo, 1] hulled with Lambert on [1, hi]."""
+    """f(y) = y^2 theta4'(y)/theta4(y) routed as :func:`_f`: modular below 1, Lambert above
+    (a thin y up to _THIN_CAP from the theta4 Jet), a box across 1 split there and hulled."""
     return _f(y, range(1), cfg, route)[0]
 
 
@@ -569,12 +587,6 @@ QUANTITIES = {
     "g_second": lambda box, cfg: g_second(box, cfg),
     "bracket": lambda box, cfg: small_y_bracket(box, cfg),
 }
-
-
-#: the working interval of the desk-scale convexity certification
-_INTERVAL = ("0.05", 20)
-#: the window on which both evaluation routes are certified separately
-_OVERLAP = ("0.8", "1.25")
 
 
 def verify_convexity(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import thetacert
 from thetacert import scanner
 from thetacert.cli import main
+from thetacert.report import decimal_bounds
 
 
 def run_cli(*argv):
@@ -148,6 +150,22 @@ def test_precision_env_override(capsys, monkeypatch):
     assert run_cli("eval", "theta4", "--y", "1", "--digits", "20") == 0
     monkeypatch.setenv("THETACERT_PRECISION", "12")  # below the 53-bit floor
     assert run_cli("eval", "theta4", "--y", "1") == 2
+
+
+@pytest.mark.parametrize("function, y, evaluate, digits", [
+    ("f", "1.1", thetacert.f_eval, 45),
+    ("theta4", "0.3", thetacert.theta4_eval, 39),
+])
+def test_precision_reaches_parsed_argument(capsys, function, y, evaluate, digits):
+    # --y is enclosed at the working precision: at 256 bits the printed bounds are the
+    # library's on a 256-bit enclosure of y, not those of a 128-bit one (34 and 36
+    # shared leading digits); the 2^-100 tail tolerance, not y, then sets their width
+    assert run_cli("--precision", "256", "eval", function, "--y", y, "--digits", "60") == 0
+    cfg = thetacert.EvalConfig(precision_bits=256)
+    with cfg.scope():
+        lo, hi = decimal_bounds(evaluate(thetacert.Enclosure(y), cfg=cfg), 60)
+    assert capsys.readouterr().out == f"{function}({y}) in [{lo}, {hi}]\n"
+    assert len(os.path.commonprefix([lo, hi])) - len("0.") >= digits
 
 
 def test_console_entry_point():

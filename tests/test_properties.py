@@ -250,3 +250,19 @@ def test_f_orders_from_one_pass_meet_single_orders_and_oracle(u, t, route):
             what = f"{route} order {k} on {y!r}"
             assert value.intersects(fn(y, CFG, route=route)), what
             _assert_contains_direct(value, mp_scalar(_mp_f_a(2), point, k, dps=dps), what)
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=0.903, allow_nan=False),
+       bits=st.sampled_from((128, 256)))
+def test_thin_points_on_the_theta4_jet_meet_oracle_and_lambert(u, bits):
+    # u spans [0, log10 8], so y = 10^u is a width-0 point of [1, 8]: `auto` reads f, f',
+    # f'' off the theta4 Jet, which must meet the Lambert sum and the 4x-precision oracle
+    cfg = EvalConfig(precision_bits=bits)
+    y = Enclosure(min(10.0 ** u, 8.0))
+    dps = prec_to_dps(4 * bits)
+    lambert = _f(y, range(3), cfg, "lambert")
+    for k, value in enumerate(_f(y, range(3), cfg)):
+        what = f"order {k} at {bits} bits on {y!r}"
+        assert value.intersects(lambert[k]), what
+        _assert_contains_direct(value, mp_scalar(_mp_f_a(2), y.lo, k, dps=dps), what)

@@ -244,6 +244,23 @@ def test_greek_transcription_guard(cfg):
         assert checks[0].passed is None and greek is None
 
 
+def test_straddling_greek_constant_is_inconclusive(cfg, monkeypatch):
+    # adding [-2 alpha, 0] y e^{-11 pi y/4} to the bracket leaves alpha's enclosure
+    # around 0: undecided, so the small-y chain is inconclusive, not disproved
+    from thetacert import ExpPoly, verifier
+
+    with precision(cfg.precision_bits):
+        poly = greek_bracket(cfg)
+        alpha = poly.coefficient(-11)[0]
+        straddle = poly + ExpPoly({-11: (Enclosure(-2 * alpha.hi, 0), 0)})
+    monkeypatch.setattr(verifier, "greek_bracket", lambda cfg: straddle)
+    checks, greek = verifier.checked_greek_constants(cfg)
+    assert greek is None
+    assert {c.name: c.passed for c in checks}["alpha strictly positive"] is None
+    assert all(c.passed is not False for c in checks)
+    assert verify_small_y_chain(cfg).status is Status.INCONCLUSIVE
+
+
 def test_envelope_lower_bound_is_really_lower(cfg):
     # at 20 points on [1, 10] the exponential-polynomial bound must sit
     # strictly below h(1/y)
@@ -300,8 +317,10 @@ def test_h_reciprocal_positive_at_2(cfg):
         lambda cfg: f_a_second(2.5, 3, cfg),
         lambda cfg: h_direct(1, cfg),
         lambda cfg: h_direct(0.1, cfg),
+        lambda cfg: f_a_second(2.5, Enclosure(3, "3.03"), cfg),
     ],
-    ids=["f_a_second-modular", "f_a_second-lambert", "h_direct-theta4", "h_direct-flipped"],
+    ids=["f_a_second-modular", "f_a_second-lambert", "h_direct-theta4", "h_direct-flipped",
+         "f_a_second-lambert-box"],
 )
 def test_every_order_comes_from_one_series_pass(cfg, monkeypatch, evaluate):
     # f, f', f'' (or theta4 and its first three derivatives) share one series pass
@@ -525,3 +544,50 @@ def test_convexity_overlap_still_cross_checks_both_routes(monkeypatch, cfg):
         for r in report.subreports:
             assert Enclosure(*r.interval).contains(Enclosure(*covers[r.name])), r.name
     assert any(y.lo < 1 for y in lambert_ys)
+
+
+# -- thin points in [1, _THIN_CAP] take the theta4 Jet, boxes never do ----------
+
+
+def _record_theta4_jet(monkeypatch):
+    """Record the y of every f read off the theta4 Jet."""
+    from thetacert import verifier
+
+    jet_ys = []
+    f_jet = verifier._f_jet
+
+    def recording(y, t):
+        jet_ys.append(y)
+        return f_jet(y, t)
+
+    monkeypatch.setattr(verifier, "_f_jet", recording)
+    return jet_ys
+
+
+def test_auto_route_takes_thin_points_up_to_the_cap_from_the_theta4_jet(monkeypatch, cfg):
+    from thetacert.verifier import _THIN_CAP
+
+    jet_ys = _record_theta4_jet(monkeypatch)
+    lambert_ys, modular_xs = _record_route_arguments(monkeypatch)
+    f_second(Enclosure(_THIN_CAP), cfg)
+    assert len(jet_ys) == 1 and not lambert_ys
+    just_above = Enclosure(f"{_THIN_CAP}.000000000000000000001")
+    assert just_above.lo > _THIN_CAP
+    f_second(just_above, cfg)
+    assert len(jet_ys) == 1 and lambert_ys == [just_above]
+    f_second(Enclosure(1), cfg)  # exactly 1 stays modular
+    assert len(jet_ys) == 1 and len(modular_xs) == 1
+
+
+def test_boxes_never_take_the_theta4_jet(monkeypatch, cfg):
+    # the Lambert sum's termwise enclosures certify in far fewer boxes; the box
+    # counts of the desk-scale certification stay as they were
+    jet_ys = _record_theta4_jet(monkeypatch)
+    lambert_ys, _ = _record_route_arguments(monkeypatch)
+    report = verify_convexity(cfg)
+    assert report.status is Status.CERTIFIED, report.summary()
+    assert [r.boxes_examined for r in report.subreports] == [149, 13, 41, 9]
+    assert not jet_ys
+    box = Enclosure(3, "3.03")
+    f_second(box, cfg)
+    assert not jet_ys and lambert_ys[-1] == box
