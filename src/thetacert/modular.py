@@ -17,19 +17,23 @@ Two things live here:
   ``verifier.f_eval``/``f_prime``/``f_second`` reach with ``route="modular"``
   (and with ``"auto"`` for y <= 1).  Writing
   theta2(x) = 2 e^{-pi x/4} Q(x) with Q(x) = 1 + sum_j e^{-pi j(j+1) x}
-  and G = Q'/Q gives, for x = 1/y,
+  and G = Q'/Q gives, for x = 1/y and eps = e^{-2 pi x},
 
-      f(y)   = -y/2 + pi/4 - G(x)
-      f'(y)  = -1/2 + x^2 G'(x)
-      f''(y) = -2 x^3 G'(x) - x^4 G''(x)
+      f(y)   = -y/2 + pi/4 - G(x)         = -y/2 + pi/4 - eps Gh
+      f'(y)  = -1/2 + x^2 G'(x)           = -1/2 + x^2 eps Gh'
+      f''(y) = -2 x^3 G'(x) - x^4 G''(x)  = x^3 eps (-2 Gh' - x Gh'')
 
   The constant -pi/4 part of (log theta2)' is subtracted exactly at the
   series level, so these forms keep full relative accuracy where the
   direct Lambert sums lose all significance to cancellation (f'' near 0
   is a ~1e-47-sized difference of O(1) quantities already at y = 0.05).
+  eps swings by orders of magnitude across a box, so it is factored out:
+  with P_r = e^{2 pi x} Q^(r), (Gh, Gh', Gh'') = (G, G', G'')/eps is the Jet
+  (P1, P2, P3)/(1 + eps P0, eps P1, eps P2).  -2 Gh' - x Gh'' is about
+  8 pi^2 (pi x - 1), so one box encloses f'' > 0 on all of [0.05, 1].
 
 Both sum through theta's quadratic-exponent series, all their orders in one
-pass: theta2^(j)(1/y) for j <= nu, and Q^(r) with a(j) = j(j+1).
+pass: theta2^(j)(1/y) for j <= nu, and P_r with a(j) = j(j+1) and offset 2.
 ``_theta4_eval(y, orders)`` gives theta4 orders in one pass, direct for
 y >= 0.2 and flipped below; ``verify_modular_identities`` cross-checks the
 table against the direct theta4 series, one report per order and one pass of
@@ -156,15 +160,17 @@ def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG):
 
 
 def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
-    """f^(k)(y) for each order k of `orders` by the forms in the module docstring, all read off
-    the Jet (G, G', G'') = (Q', Q'', Q''')/(Q, Q', Q'') at x = 1/y.  G' > 0 and G'' < 0 share
-    the scale e^{-2 pi x}, so f'' loses only the benign factor (pi x - 1)/(pi x)."""
+    """f^(k)(y) for each order k of `orders` by the scaled forms in the module docstring, all
+    read off the Jet (G, G', G'')/eps = (P1, P2, P3)/(1 + eps P0, eps P1, eps P2) at x = 1/y,
+    from one pass over P_r for r <= max(orders) + 1."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "modular f series")
         x = 1 / y
-        q0, q1, q2, q3 = q_series_derivatives(x, cfg)
-        g, g1, g2 = Jet(q1, q2, q3) / Jet(q0, q1, q2)
-        forms = (lambda: -y / 2 + Enclosure.pi() / 4 - g,  # formed only when requested
-                 lambda: Enclosure(Fraction(-1, 2)) + x * x * g1,
-                 lambda: -(2 * x ** 3 * g1) - x ** 3 * x * g2)
+        eps = (-(2 * Enclosure.pi() * x)).exp()
+        p = _quadratic_series("Q-series", x, lambda j: j * (j + 1), range(orders[-1] + 2), cfg,
+                              a0=2)
+        g, g1, g2 = Jet(*p[1:]) / Jet(1 + eps * p[0], *(eps * q for q in p[1:-1]))
+        forms = (lambda: -y / 2 + Enclosure.pi() / 4 - eps * g,  # formed only when requested
+                 lambda: Enclosure(Fraction(-1, 2)) + x * x * eps * g1,
+                 lambda: x ** 3 * eps * (-(2 * g1) - x * g2))
         return [forms[k]() for k in orders]

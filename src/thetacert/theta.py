@@ -6,18 +6,19 @@ accumulated until a *proved* bound on the omitted tail is at most
 owns the ``cfg.max_terms`` cap, every comparison with ``cfg.tol``, the retry
 while a tail ratio is not yet below 1, and the tail's sign: [0, b], [-b, 0]
 or [-b, b], negating b exactly.  Two callers own the term and tail formulas.
-``_quadratic_series`` sums w_n (-c a(n))^r e^{-c a(n) y} for an integer
+``_quadratic_series`` sums w_n (-c a(n))^r e^{-c (a(n) - a0) y} for an integer
 quadratic a(n), several orders r at one exp per term: theta4 (a = k^2,
 alternating), theta2 (a = (2k-1)^2, c = pi/4), the modular Q-series
-(a = j(j+1)) and the envelope excess sum (a = (2k+3)^2).  As a(n+1) - a(n)
-grows and a(n+1)/a(n) falls, every term ratio past term n is at most
-(a(n+2)/a(n+1))^r e^{-c (a(n+2) - a(n+1)) y.lo}, which bounds the tail
-geometrically from the first omitted term at y.lo; it is tried once the first
-requested order's term is below tol/4.  ``_lambert_sum`` sums the Lambert
-terms, every requested order at one exp per term, with one tail bound per
-order tried once the largest term is below tol/16.  ``theta4_product`` keeps
-its own loop: it is a product, and the tests use it as an independent
-reference for ``theta4_series``.
+(a = j(j+1)) and the envelope excess sum (a = (2k+3)^2); the offset a0 keeps
+e^{-c a0 y}, which swings by orders of magnitude across a box, out of the sum.
+As a(n+1) - a(n) grows and a(n+1)/a(n) falls, every term ratio past term n is
+at most (a(n+2)/a(n+1))^r e^{-c (a(n+2) - a(n+1)) y.lo}, whatever a0, which
+bounds the tail geometrically from the first omitted term at y.lo; it is tried
+once the first requested order's term is below tol/4.  ``_lambert_sum`` sums
+the Lambert terms, every requested order at one exp per term, with one tail
+bound per order tried once the largest term is below tol/16.
+``theta4_product`` keeps its own loop: it is a product, and the tests use it
+as an independent reference for ``theta4_series``.
 
 Evaluators:
 
@@ -119,13 +120,15 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
     raise ConvergenceError(f"{what} did not reach tail tolerance within {cfg.max_terms} terms")
 
 
-def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alternating=False, start=0):
-    """start + sum_{n>=1} w_n (-c a(n))^r e^{-c a(n) y} for each order r; start is for r = 0.
+def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alternating=False, start=0,
+                      a0=0):
+    """start + sum_{n>=1} w_n (-c a(n))^r e^{-c (a(n) - a0) y} for each order r (start: r = 0).
 
     c = pi * scale with a dyadic scale, so y * scale is exact; a(n) is an integer with
     a(n+1) - a(n) increasing and a(n+1)/a(n) decreasing; w_n = weight, times (-1)^n if
-    `alternating`.  Each order after the first is the previous term times c a(n), so the
-    orders must be consecutive.  Call inside cfg.scope().
+    `alternating`.  The offset a0 <= a(1) multiplies every term by e^{c a0 y}; with
+    a0 = a(1) the first term is exact and takes no exp.  Each order after the first is the
+    previous term times c a(n), so the orders must be consecutive.  Call inside cfg.scope().
     """
     if tuple(orders) != tuple(range(orders[0], orders[-1] + 1)):
         raise ValueError(f"{what}: orders must be consecutive, got {tuple(orders)}")
@@ -134,8 +137,10 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     ylos = Enclosure._from_mpi((ys._lo, ys._lo))
 
     def step(n):
-        pa = pi * a(n)
-        mag = w * (-(pa * ys)).exp()
+        an = a(n)
+        pa = pi * an
+        pe = pi * (an - a0) if a0 else pa  # a0 = 0 costs no multiply
+        mag = w if an == a0 else w * (-(pe * ys)).exp()
         ca = pa * s
         if orders[0]:
             mag = mag * ca ** orders[0]
@@ -147,7 +152,7 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     def tail(n):
         a1, a2 = a(n + 1), a(n + 2)
         pa1 = pi * a1
-        first = w * (-(pa1 * ylos)).exp()
+        first = w * (-(pi * (a1 - a0) * ylos)).exp()
         decay = (-(pi * (a2 - a1) * ylos)).exp()
         growth = Enclosure(Fraction(a2, a1))
         return [geometric_tail(first * (pa1 * s) ** r, growth ** r * decay) for r in orders]

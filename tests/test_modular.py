@@ -9,6 +9,7 @@ from thetacert import (
     Enclosure,
     MODULAR_COEFFICIENTS,
     Status,
+    certify_sign,
     precision,
     theta2_series,
     theta4_eval,
@@ -102,6 +103,15 @@ def test_q_route_f_values(cfg):
     assert e.is_strictly_positive()
     assert e.hi < 1e-40
     assert (e.width / e.hi) < 1e-30
+
+
+def test_q_route_f_second_decides_the_whole_modular_range_in_one_box(cfg):
+    # with e^{-2 pi x} factored out, f''/(x^3 e^{-2 pi x}) is about 8 pi^2 (pi x - 1) > 0
+    # over all of x in [1, 20]; without it the box enclosure was [-1595, 74125]
+    modular = lambda box, c: f_second(box, c, route="modular")
+    assert modular(Enclosure("0.05", 1), cfg).is_strictly_positive()
+    report = certify_sign(modular, ("0.05", 1), +1, cfg)
+    assert report.status is Status.CERTIFIED and report.boxes_examined == 1
 
 
 def test_q_route_against_jtheta_oracle(cfg):

@@ -266,3 +266,25 @@ def test_thin_points_on_the_theta4_jet_meet_oracle_and_lambert(u, bits):
         what = f"order {k} at {bits} bits on {y!r}"
         assert value.intersects(lambert[k]), what
         _assert_contains_direct(value, mp_scalar(_mp_f_a(2), y.lo, k, dps=dps), what)
+
+
+# --- the modular route on boxes up to a decade wide in (0, 1] ---
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=st.floats(min_value=-2.0, max_value=0.0, exclude_max=True),
+       w=st.floats(min_value=0.0, max_value=1.0, exclude_min=True), t=_frac)
+def test_modular_f_on_wide_small_y_boxes_contains_points_and_oracle(u, w, t):
+    # [lo, hi] with lo = 10^u log-uniform on [0.01, 1) and hi = min(1, lo 10^w): e^{-2 pi/y}
+    # swings by a factor of up to e^{180 pi} across one box, which the scaled forms factor out
+    lo = 10.0 ** u
+    hi = min(1.0, lo * 10.0 ** w)
+    box, point = Enclosure(lo, hi), min(hi, lo + (hi - lo) * t)
+    dps = prec_to_dps(4 * CFG.precision_bits)
+    for k, fn in enumerate((f_eval, f_prime, f_second)):
+        on_box, at_point = fn(box, CFG, route="modular"), fn(Enclosure(point), CFG, route="modular")
+        assert on_box.contains(at_point), f"order {k} on {box!r} at {point}"
+        if point >= 0.05:
+            value = mp_scalar(_mp_f_a(2), point, k, dps=dps)
+            for enc in (on_box, at_point):
+                _assert_contains_direct(enc, value, f"order {k} on {enc!r} at {point}")

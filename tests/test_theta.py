@@ -327,3 +327,20 @@ def test_quadratic_series_rejects_non_consecutive_orders(cfg, orders):
     with pytest.raises(ValueError, match="consecutive"):
         _theta4(1, orders, cfg)
     assert_contains(_theta4(1, (1, 2), cfg)[1], THETA4_DERIVS_AT_1[2])
+
+
+@pytest.mark.parametrize("y", [Enclosure("0.7"), Enclosure(3), Enclosure("0.7", "0.707"),
+                               Enclosure(3, "3.03")],
+                         ids=["thin-0.7", "thin-3", "box-0.7", "box-3"])
+@pytest.mark.parametrize("a0", [1, 2])
+def test_offset_pass_times_its_scale_meets_the_q_series(cfg, y, a0):
+    # sum (-pi a_j)^r e^{-pi (a_j - a0) x} times e^{-pi a0 x} is Q^(r) without Q's leading 1;
+    # a0 = a(1) = 2 takes the exact first term, a0 = 1 the exp of every term
+    from thetacert.theta import _quadratic_series
+
+    with cfg.scope():
+        scaled = _quadratic_series("Q-series", y, lambda j: j * (j + 1), range(4), cfg, a0=a0)
+        factor = (-(a0 * Enclosure.pi() * y)).exp()
+        for r, (p, q) in enumerate(zip(scaled, q_series_derivatives(y, cfg))):
+            assert (factor * p).intersects(q - (1 if r == 0 else 0)), r
+

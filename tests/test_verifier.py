@@ -580,13 +580,13 @@ def test_auto_route_takes_thin_points_up_to_the_cap_from_the_theta4_jet(monkeypa
 
 
 def test_boxes_never_take_the_theta4_jet(monkeypatch, cfg):
-    # the Lambert sum's termwise enclosures certify in far fewer boxes; the box
-    # counts of the desk-scale certification stay as they were
+    # the Lambert sum's termwise enclosures certify in far fewer boxes; the modular
+    # f'' with e^{-2 pi/y} factored out decides [0.05, 1] in one box
     jet_ys = _record_theta4_jet(monkeypatch)
     lambert_ys, _ = _record_route_arguments(monkeypatch)
     report = verify_convexity(cfg)
     assert report.status is Status.CERTIFIED, report.summary()
-    assert [r.boxes_examined for r in report.subreports] == [149, 13, 41, 9]
+    assert [r.boxes_examined for r in report.subreports] == [29, 13, 41, 1]
     assert not jet_ys
     box = Enclosure(3, "3.03")
     f_second(box, cfg)
