@@ -79,28 +79,17 @@ def _check_domain(y: Enclosure) -> Enclosure:
 
 
 def _envelope_poly(nu: int, inflation=0) -> ExpPoly:
-    """amp (e^{-pi y/4} + (1 + inflation) 9^nu e^{-9 pi y/4}), amp = 2 pi^nu / 4^nu, as an
-    ExpPoly with exponent keys -1 and -9; inflation 0 is the lower envelope.  Call inside
-    a precision scope."""
-    amp = 2 * Enclosure.pi() ** _check_order(nu) / Enclosure(4 ** nu)
-    return ExpPoly({-1: (0, amp), -9: (0, amp * Enclosure(9 ** nu) * (1 + Enclosure(inflation)))})
-
-
-def _envelope_exponentials(y: Enclosure) -> dict[int, Enclosure]:
-    """e^{k pi y/4} for the envelope exponents k = -1, -9.  Call inside a precision scope."""
+    """amp (e^{-pi y/4} + (1 + inflation) 9^nu e^{-9 pi y/4}), amp = 2 pi^nu / 4^nu: rate pi/4,
+    keys -1 and -9; inflation 0 is the lower envelope.  Call inside a precision scope."""
     pi = Enclosure.pi()
-    return {k: (Enclosure(k) * pi * y / 4).exp() for k in (-1, -9)}
-
-
-def _envelope_at(nu: int, inflation, exponentials: dict[int, Enclosure]) -> Enclosure:
-    """_envelope_poly(nu, inflation) at the y of _envelope_exponentials.  Call inside a scope."""
-    terms = sorted(_envelope_poly(nu, inflation).terms().items())
-    return sum((b * exponentials[k] for k, (_, b) in terms), Enclosure(0))
+    amp = 2 * pi ** _check_order(nu) / Enclosure(4 ** nu)
+    return ExpPoly({-1: (amp,), -9: (amp * Enclosure(9 ** nu) * (1 + Enclosure(inflation)),)},
+                   pi / 4)
 
 
 def _envelope(y, nu: int, inflation, cfg: EvalConfig) -> Enclosure:
     with cfg.scope():
-        return _envelope_at(nu, inflation, _envelope_exponentials(_check_domain(as_enclosure(y))))
+        return _envelope_poly(nu, inflation).eval(_check_domain(as_enclosure(y)), cfg)
 
 
 def lower_envelope(y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -143,7 +132,7 @@ def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig, constants: EnvelopeCo
     """(True / False / None (undecided), detail) for the strict sandwich at one point, per order.
 
     Each precision attempt makes one theta2 pass over the orders up to the highest undecided
-    one and computes the two envelope exponentials once; an undecided order escalates alone.
+    one, and its envelopes share the two exponentials; an undecided order escalates alone.
     """
     point_cfg = _sandwich_config(float(y.hi), cfg)
     verdicts = {}
@@ -153,11 +142,11 @@ def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig, constants: EnvelopeCo
             break
         with point_cfg.scope():
             thetas = _theta2(y, range(max(pending) + 1), point_cfg)
-            exponentials = _envelope_exponentials(y)
+            shared = {}  # e^{-pi y/4}, e^{-9 pi y/4}, filled by the first envelope
             for nu in pending:
                 mid = -thetas[nu] if nu % 2 == 1 else thetas[nu]
-                low = _envelope_at(nu, 0, exponentials)
-                upp = _envelope_at(nu, constants.for_order(nu), exponentials)
+                low = _envelope_poly(nu).eval(y, point_cfg, shared)
+                upp = _envelope_poly(nu, constants.for_order(nu)).eval(y, point_cfg, shared)
                 if low.is_strictly_positive() and low.hi < mid.lo and mid.hi < upp.lo:
                     verdicts[nu] = True, "strict on both sides"
                 # a disproof needs the wrong ordering to hold on whole enclosures

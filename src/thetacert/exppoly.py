@@ -1,17 +1,16 @@
-"""Finite sums  sum_k (a_k y + b_k) e^{k pi y / 4}  with enclosure coefficients.
+"""Exponential polynomials  sum_k p_k(x) e^{k r x}  with enclosure coefficients.
 
-This is the exact vehicle for collecting the envelope-product bracket: the
-two-term envelopes are ExpPolys with constant coefficients, products add
-exponents exactly and multiply coefficients with enclosure arithmetic, and
-the single allowed multiplication by y promotes constants to linear
-coefficients.  Coefficients of degree 2 in y can never legitimately arise
-in that derivation, so any product that would create one raises
-:class:`DegreeError` -- it means a formula was transcribed wrongly.
+One type holds the theta2 envelopes, the envelope-product bracket (rate r =
+pi/4) and every half-line bracket of the verifier; each p_k is a polynomial of
+any degree.  :meth:`ExpPoly.sign_from` is the zero-sign-change case of the
+rule of signs for exponential sums (Polya-Szego II, Part V).
 """
 
 from __future__ import annotations
 
-from mpmath.libmp import fzero
+from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .enclosure import DEFAULT_CONFIG, Enclosure, EnclosureError, EvalConfig, as_enclosure
 
@@ -19,32 +18,55 @@ __all__ = ["ExpPoly", "DegreeError"]
 
 
 class DegreeError(EnclosureError):
-    """A product tried to create a y^2 coefficient."""
+    """A sum has a coefficient of higher degree than its derivation allows."""
 
 
 #: the zero coefficient; exact at any precision
 _ZERO = Enclosure(0)
 
 
-def _is_exact_zero(e: Enclosure) -> bool:
-    return e._lo == fzero and e._hi == fzero
+def _add(p, q):
+    """p + q on ascending coefficient tuples of any lengths."""
+    short, long = sorted((p, q), key=len)
+    return tuple(a + b for a, b in zip(long, short)) + long[len(short):]
+
+
+def _mul(p, q):
+    return tuple(reduce(add, (a * q[i - j] for j, a in enumerate(p) if 0 <= i - j < len(q)))
+                 for i in range(len(p) + len(q) - 1))
+
+
+def _collect(pairs) -> dict:
+    """{k: sum of the p with key k} over (k, p) pairs, in their order."""
+    out = {}
+    for k, p in pairs:
+        out[k] = _add(out[k], p) if k in out else p
+    return out
+
+
+def _taylor(p, corner: Enclosure) -> list[Enclosure]:
+    """The coefficients of p(corner + u) in ascending powers of u (repeated Horner steps)."""
+    a = list(p)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] = a[j] + corner * a[j + 1]
+    return a
 
 
 class ExpPoly:
-    """Immutable map  k -> (a_k, b_k)  representing sum (a_k y + b_k) e^{k pi y/4}."""
+    """Immutable map  k -> p_k (ascending coefficients) standing for  sum_k p_k(x) e^{k r x};
+    the rate r is a rational, or an enclosure such as pi/4 built in the evaluating scope."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "rate")
 
-    def __init__(self, terms=None):
-        self._terms = {}
-        if terms:
-            for k, (a, b) in terms.items():
-                self._terms[int(k)] = (as_enclosure(a), as_enclosure(b))
+    def __init__(self, terms, rate=1):
+        self._terms = {int(k): tuple(map(as_enclosure, p)) for k, p in terms.items()}
+        self.rate = as_enclosure(rate)
 
     @classmethod
-    def exponential(cls, k: int, coeff=1) -> "ExpPoly":
-        """coeff * e^{k pi y / 4} as an ExpPoly."""
-        return cls({k: (_ZERO, as_enclosure(coeff))})
+    def exponential(cls, k: int, coeff=1, rate=1) -> "ExpPoly":
+        """coeff * e^{k r x} as an ExpPoly."""
+        return cls({k: (coeff,)}, rate)
 
     def terms(self):
         return dict(self._terms)
@@ -52,73 +74,91 @@ class ExpPoly:
     def exponents(self):
         return sorted(self._terms)
 
-    def coefficient(self, k: int) -> tuple[Enclosure, Enclosure]:
-        """(a_k, b_k); zeros when the exponent is absent."""
-        return self._terms.get(k, (_ZERO, _ZERO))
+    @property
+    def degree(self) -> int:
+        return max(map(len, self._terms.values()), default=1) - 1
+
+    def coefficient(self, k: int) -> tuple[Enclosure, ...]:
+        """(c_0, ..., c_degree) of p_k, padded with zeros; all zeros when k is absent."""
+        p = self._terms.get(k, ())
+        return p + (_ZERO,) * (self.degree + 1 - len(p))
+
+    def _rate_with(self, other: "ExpPoly") -> Enclosure:
+        if self.rate != other.rate:
+            raise ValueError(f"sums of rates {self.rate!r} and {other.rate!r} do not combine")
+        return self.rate
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        out = dict(self._terms)
-        for k, (a, b) in other._terms.items():
-            if k in out:
-                oa, ob = out[k]
-                out[k] = (oa + a, ob + b)
-            else:
-                out[k] = (a, b)
-        return ExpPoly(out)
+        pairs = [*self._terms.items(), *other._terms.items()]
+        return ExpPoly(_collect(pairs), self._rate_with(other))
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly({k: (-a, -b) for k, (a, b) in self._terms.items()})
+        return ExpPoly({k: [-c for c in p] for k, p in self._terms.items()}, self.rate)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
     def scale(self, factor) -> "ExpPoly":
         f = as_enclosure(factor)
-        return ExpPoly({k: (a * f, b * f) for k, (a, b) in self._terms.items()})
+        return ExpPoly({k: [c * f for c in p] for k, p in self._terms.items()}, self.rate)
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
-        out: dict[int, tuple[Enclosure, Enclosure]] = {}
-        for k1, (a1, b1) in self._terms.items():
-            for k2, (a2, b2) in other._terms.items():
-                if not (_is_exact_zero(a1) or _is_exact_zero(a2)):
-                    raise DegreeError(
-                        "product of two linear-in-y coefficients would have degree 2"
-                    )
-                k = k1 + k2
-                a = a1 * b2 + a2 * b1
-                b = b1 * b2
-                if k in out:
-                    oa, ob = out[k]
-                    out[k] = (oa + a, ob + b)
-                else:
-                    out[k] = (a, b)
-        return ExpPoly(out)
+        pairs = [(k1 + k2, _mul(p1, p2)) for k1, p1 in self._terms.items()
+                 for k2, p2 in other._terms.items()]
+        return ExpPoly(_collect(pairs), self._rate_with(other))
 
     def mul_y(self) -> "ExpPoly":
-        """Multiply by y; requires every coefficient to be constant."""
-        out = {}
-        for k, (a, b) in self._terms.items():
-            if not _is_exact_zero(a):
-                raise DegreeError("multiplying a linear-in-y coefficient by y gives degree 2")
-            out[k] = (b, _ZERO)
-        return ExpPoly(out)
+        """Multiply by the variable."""
+        return ExpPoly({k: (_ZERO, *p) for k, p in self._terms.items()}, self.rate)
 
     def shift(self, dk: int) -> "ExpPoly":
-        """Multiply by e^{dk pi y / 4} (exact on exponents)."""
-        return ExpPoly({k + dk: ab for k, ab in self._terms.items()})
+        """Multiply by e^{dk r x} (exact on exponent keys)."""
+        return ExpPoly({k + dk: p for k, p in self._terms.items()}, self.rate)
 
-    def eval(self, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
+    def _exponentials(self, x: Enclosure, exps: dict) -> dict:
+        for k in self._terms:
+            if k not in exps:
+                exps[k] = 1 if k == 0 else (k * self.rate * x).exp()
+        return exps
+
+    def _at(self, x, w, exps) -> Enclosure:
+        """sum_i (sum_k p_{k,i} E_k) x^i w^(deg-i), E_k = exps[k], key 0 first: the sum at x
+        for (x, 1, e^{k r x}); the sum divided by x^deg for (1, 1/x, e^{k r x})."""
+        deg = self.degree
+        keys = sorted(self._terms, key=lambda k: (k != 0, k))
+        parts = [reduce(add, (exps[k] * self._terms[k][i] for k in keys if i < len(self._terms[k])))
+                 for i in range(deg + 1)]
+        if deg == 0:
+            return parts[0]
+        return reduce(add, (part * x ** i * w ** (deg - i) for i, part in enumerate(parts)))
+
+    def eval(self, x, cfg: EvalConfig = DEFAULT_CONFIG, shared: dict | None = None) -> Enclosure:
+        """The sum at x.  `shared` maps k to e^{k r x} and is filled as needed, so sums of
+        one rate evaluated at one x can share their exponentials."""
         with cfg.scope():
-            y = as_enclosure(y)
-            pi = Enclosure.pi()
-            total = Enclosure(0)
-            for k, (a, b) in sorted(self._terms.items()):
-                total = total + (a * y + b) * (Enclosure(k) * pi * y / 4).exp()
-            return total
+            x = as_enclosure(x)
+            return self._at(x, 1, self._exponentials(x, {} if shared is None else shared))
+
+    def beyond(self, cap) -> Enclosure:
+        """The sum over x^degree for every x >= cap > 0 (1/x in [0, 1/cap], e^{k r x} in
+        [0, e^{k r cap}]); needs keys k <= 0 and rate > 0.  Call inside a precision scope."""
+        if max(self._terms, default=0) > 0 or not self.rate.is_strictly_positive():
+            raise ValueError("a growing exponential has no enclosure past a cap")
+        exps = {k: 1 if k == 0 else Enclosure(0, (k * self.rate * cap).exp().hi)
+                for k in self._terms}
+        return self._at(1, Enclosure(0, Fraction(1, cap)), exps)
+
+    def sign_from(self, corner, sign: int) -> bool | None:
+        """The sum has `sign` on x >= corner: True when every coefficient of every p_k(corner + u)
+        has it and one constant coefficient strictly (sufficient, not necessary); False when
+        the sum has the opposite strict sign at the corner; else None.  Call inside a scope."""
+        corner = as_enclosure(corner)
+        signed = [[sign * c for c in _taylor(p, corner)] for p in self._terms.values()]
+        strict = any(p[0].is_strictly_positive() for p in signed)
+        if strict and all(c.lo >= 0 for p in signed for c in p):
+            return True
+        at_corner = self._at(corner, 1, self._exponentials(corner, {}))
+        return False if (sign * at_corner).is_strictly_negative() else None
 
     def __repr__(self):
-        bits = []
-        for k in self.exponents():
-            a, b = self._terms[k]
-            bits.append(f"({a!r}*y + {b!r})*e^({k}pi y/4)")
-        return "ExpPoly[" + " + ".join(bits) + "]"
+        return f"ExpPoly[rate {self.rate!r}; {self._terms!r}]"

@@ -55,6 +55,9 @@ def test_tracer_hooks_resolve_and_uninstall():
         assert tracer.counts["scanner.refine_evals"] == 1
         thetacert.verifier.f_second(Enclosure(2))
         assert tracer.counts["verifier.dispatch_calls"] == 1
+        # the bracket derivation reaches ExpPoly methods the tracer wraps by name
+        thetacert.verifier.greek_bracket()
+        assert tracer.entries["exppoly"] > 0
     finally:
         tracer.uninstall()
     for (layer, name), fn in originals.items():

@@ -1,6 +1,9 @@
-"""Exact exponential-polynomial algebra and its degree guard."""
+"""Exact exponential-polynomial algebra and the coefficient-sign rule."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetacert import DegreeError, Enclosure, ExpPoly, precision
 
@@ -10,7 +13,7 @@ def test_addition_merges_exponents():
     b = ExpPoly.exponential(-1, 3) + ExpPoly.exponential(-9, 1)
     s = a + b
     assert s.exponents() == [-9, -1]
-    _, const = s.coefficient(-1)
+    (const,) = s.coefficient(-1)
     assert const.contains(5)
 
 
@@ -19,37 +22,39 @@ def test_product_adds_exponents_exactly():
     b = ExpPoly.exponential(-9, 4)
     p = a * b
     assert p.exponents() == [-10]
-    _, const = p.coefficient(-10)
+    (const,) = p.coefficient(-10)
     assert const.contains(8)
 
 
 def test_mul_y_promotes_constants():
     p = ExpPoly.exponential(-1, 7).mul_y()
-    lin, const = p.coefficient(-1)
+    const, lin = p.coefficient(-1)
     assert lin.contains(7)
     assert const.contains(0)
 
 
-def test_degree_guard_on_products():
-    p = ExpPoly.exponential(-1, 1).mul_y()
+def test_greek_bracket_degree_guard(monkeypatch):
+    # linear envelopes make y^2 (and higher) coefficients in the five products: the
+    # bracket derivation refuses them instead of collecting wrong constants
+    from thetacert import verifier
+
+    monkeypatch.setattr(verifier, "_envelope_poly", lambda nu, inflation=0: ExpPoly({-1: (0, 1)}))
     with pytest.raises(DegreeError):
-        _ = p * p
-    with pytest.raises(DegreeError):
-        p.mul_y()
+        verifier.greek_bracket()
 
 
 def test_linear_times_constant_is_allowed():
     lin = ExpPoly.exponential(-1, 3).mul_y()
     const = ExpPoly.exponential(-2, 5)
     p = lin * const
-    a, b = p.coefficient(-3)
+    b, a = p.coefficient(-3)
     assert a.contains(15)
     assert b.contains(0)
 
 
 def test_eval_matches_direct_formula(cfg):
     # (2y + 3) e^{-pi y} + 5 e^{-2 pi y}  at y = 1.25, via exponent key -4/-8
-    poly = ExpPoly({-4: (Enclosure(2), Enclosure(3)), -8: (Enclosure(0), Enclosure(5))})
+    poly = ExpPoly({-4: (Enclosure(3), Enclosure(2)), -8: (Enclosure(5),)}, Enclosure.pi() / 4)
     y = Enclosure("1.25")
     got = poly.eval(y, cfg)
     with precision(256):
@@ -59,7 +64,7 @@ def test_eval_matches_direct_formula(cfg):
 
 
 def test_shift_multiplies_by_quarter_exponent(cfg):
-    poly = ExpPoly.exponential(-3, 1)
+    poly = ExpPoly.exponential(-3, 1, Enclosure.pi() / 4)
     shifted = poly.shift(27)
     assert shifted.exponents() == [24]
     y = Enclosure(1)
@@ -70,9 +75,67 @@ def test_shift_multiplies_by_quarter_exponent(cfg):
 
 def test_scale_and_negate():
     p = (ExpPoly.exponential(-1, 2) + ExpPoly.exponential(-9, 4)).scale(-3)
-    _, c1 = p.coefficient(-1)
-    _, c9 = p.coefficient(-9)
+    (c1,) = p.coefficient(-1)
+    (c9,) = p.coefficient(-9)
     assert c1.contains(-6) and c9.contains(-12)
     q = -p
-    _, c1n = q.coefficient(-1)
+    (c1n,) = q.coefficient(-1)
     assert c1n.contains(6)
+
+
+def test_sums_of_different_rates_do_not_combine():
+    with pytest.raises(ValueError):
+        ExpPoly.exponential(-1, 1, 2) + ExpPoly.exponential(-1, 1)
+
+
+# -- the coefficient-sign rule ------------------------------------------------
+
+
+def test_sign_from_positive_taylor_coefficients():
+    # 4x^2 - 8x - 6 at x = 1 + sqrt 3 + u is 2 + 8 sqrt(3) u + 4 u^2: all positive
+    from thetacert.exppoly import _taylor
+
+    p = ExpPoly({0: (-6, -8, 4)})
+    with precision(128):
+        corner = 1 + Enclosure(3).sqrt()
+        shifted = _taylor(p.coefficient(0), corner)
+        assert all(c.intersects(v) for c, v in zip(shifted, (2, 8 * Enclosure(3).sqrt(), 4)))
+        assert p.sign_from(corner, +1) is True
+        assert p.sign_from(corner, -1) is False
+
+
+def test_sign_from_is_sufficient_not_necessary():
+    # (x - 2)^2 + 0.1 > 0 everywhere, but its coefficients at 0 change sign
+    p = ExpPoly({0: (Fraction(41, 10), -4, 1)})
+    with precision(128):
+        assert p.sign_from(0, +1) is None
+
+
+def test_sign_from_disproves_the_wrong_sign():
+    # -1 - x is -3 at x = 2: a disproof of "> 0 from 2", a proof of "< 0 from 2"
+    p = ExpPoly({0: (-1, -1)})
+    with precision(128):
+        assert p.sign_from(2, +1) is False
+        assert p.sign_from(2, -1) is True
+
+
+#: coefficients leaning positive, so that a fair share of draws (flipped by `sign`) pass
+_coeff = st.integers(-4, 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.dictionaries(st.integers(-3, 2), st.lists(_coeff, min_size=1, max_size=4),
+                          min_size=1, max_size=3),
+    corner=st.fractions(-2, 5, max_denominator=8),
+    sign=st.sampled_from([1, -1]),
+    offsets=st.lists(st.fractions(0, 20, max_denominator=16), min_size=1, max_size=5),
+)
+def test_sign_from_true_means_strictly_signed_past_the_corner(terms, corner, sign, offsets):
+    poly = ExpPoly(terms).scale(sign)
+    with precision(128):
+        if poly.sign_from(corner, sign) is not True:
+            return
+        for u in [0, *offsets]:
+            value = sign * poly.eval(Enclosure(corner + u))
+            assert value.is_strictly_positive(), (terms, corner, u)

@@ -7,6 +7,7 @@ from mpmath import mp
 
 from thetacert import (
     Enclosure,
+    ExpPoly,
     QUANTITIES,
     Status,
     certify_sign,
@@ -173,7 +174,7 @@ def test_even_bracket_from_below_its_root_fails(cfg):
 def test_past_cap_check_catches_late_sign_change(cfg):
     # 20 - t is positive on [2, 16] but not beyond: only the past-16
     # enclosure can see that, and it must not pass
-    report = _certify_bracket(_Bracket("late-change", "t", +1, c0=20, c1=-1), 2, cfg)
+    report = _certify_bracket(_Bracket("late-change", "t", +1, ExpPoly({0: (20, -1)})), 2, cfg)
     assert report.status is Status.FAILED
     assert [c.passed for c in report.checks] == [True, False]
 
@@ -214,7 +215,7 @@ def test_greek_constants_equal_exact_rationals(cfg):
 
 def test_greek_leading_cancellation(cfg):
     poly = greek_bracket(cfg)
-    a3, b3 = poly.coefficient(-3)
+    b3, a3 = poly.coefficient(-3)
     assert a3.contains(0) and b3.contains(0)
     assert a3.width < 2.0 ** -80 and b3.width < 2.0 ** -80
 
@@ -235,11 +236,11 @@ def test_greek_transcription_guard(cfg):
 
     with precision(cfg.precision_bits):
         poly = greek_bracket(cfg)
-        corrupted = poly + ExpPoly.exponential(-3, Enclosure("0.001"))
+        corrupted = poly + ExpPoly.exponential(-3, Enclosure("0.001"), poly.rate)
         checks, greek = _greek_checks(corrupted)
         assert checks[0].passed is False and greek is None
         # a wide-but-zero-containing coefficient is undecided, not disproved
-        fuzzy = poly + ExpPoly.exponential(-3, Enclosure("-1e-10", "1e-10"))
+        fuzzy = poly + ExpPoly.exponential(-3, Enclosure("-1e-10", "1e-10"), poly.rate)
         checks, greek = _greek_checks(fuzzy)
         assert checks[0].passed is None and greek is None
 
@@ -251,8 +252,8 @@ def test_straddling_greek_constant_is_inconclusive(cfg, monkeypatch):
 
     with precision(cfg.precision_bits):
         poly = greek_bracket(cfg)
-        alpha = poly.coefficient(-11)[0]
-        straddle = poly + ExpPoly({-11: (Enclosure(-2 * alpha.hi, 0), 0)})
+        alpha = poly.coefficient(-11)[1]
+        straddle = poly + ExpPoly({-11: (0, Enclosure(-2 * alpha.hi, 0))}, poly.rate)
     monkeypatch.setattr(verifier, "greek_bracket", lambda cfg: straddle)
     checks, greek = verifier.checked_greek_constants(cfg)
     assert greek is None
@@ -287,6 +288,13 @@ def test_small_y_bracket_value(cfg):
     val = small_y_bracket(1, cfg)
     assert val.is_strictly_positive()
     assert 3.8e8 < float(val.mid) < 3.9e8
+
+
+def test_small_y_bracket_decides_a_wide_box_in_one_enclosure(cfg):
+    # e^{2 pi y} times the final bracket, not its expansion over e^{2 pi y}: the
+    # expanded form splits 533*1984 y e^{2 pi y} from -534*632 e^{2 pi y} and straddles 0
+    # on [1, 20], so `certify --quantity bracket` would need 113 boxes instead of 1
+    assert small_y_bracket(Enclosure(1, 20), cfg).is_strictly_positive()
 
 
 # -- h in both variables ------------------------------------------------------
@@ -418,7 +426,8 @@ def test_g_chain_wrong_bracket_coefficient_breaks_anchor(cfg, monkeypatch):
 
     from thetacert import verifier
 
-    monkeypatch.setattr(verifier, "_G_BRACKET", replace(verifier._G_BRACKET, d2=2))
+    wrong = ExpPoly({0: (-6, -8, 4), -1: (6, 8, 2)})
+    monkeypatch.setattr(verifier, "_G_BRACKET", replace(verifier._G_BRACKET, poly=wrong))
     report = verify_g_chain(cfg)
     assert report.status is Status.FAILED
     broken = [c.name for c in report.checks if c.passed is False]
@@ -436,10 +445,53 @@ def test_small_y_final_bracket_is_a_bracket_record(cfg):
     assert not any("y_cap" in c.name for c in report.checks)
 
 
+def _weakening_outcomes(report):
+    names = ("e^(4 pi y) coefficient positive", "integer absorption")
+    return {c.name: c.passed for c in report.checks if c.name in names}
+
+
+def test_small_y_weakening_steps_are_computed(cfg):
+    report = verify_small_y_chain(cfg)
+    assert _weakening_outcomes(report) == {
+        "e^(4 pi y) coefficient positive": True,
+        "integer absorption": True,
+    }
+
+
+def test_too_strong_final_bracket_fails_absorption(cfg, monkeypatch):
+    # the final e^(2 pi y) polynomial typed with constant -532*632 instead of -534*632 is
+    # still positive, so only the computed absorption step can refuse it
+    from thetacert import verifier
+
+    monkeypatch.setattr(verifier, "_absorbed", lambda r: (-532 * 632, 533 * r["alpha"]))
+    report = verify_small_y_chain(cfg)
+    assert report.status is Status.FAILED
+    assert _weakening_outcomes(report)["integer absorption"] is False
+    assert report.subreports[-1].status is Status.CERTIFIED
+
+
+def test_rounded_gamma_too_large_fails_absorption(cfg, monkeypatch):
+    from thetacert import verifier
+
+    monkeypatch.setitem(verifier._ROUNDED, "gamma", 3970)
+    report = verify_small_y_chain(cfg)
+    assert report.status is Status.FAILED
+    assert _weakening_outcomes(report)["integer absorption"] is False
+
+
+def test_rounded_beta_too_large_fails_e4pi_step(cfg, monkeypatch):
+    from thetacert import verifier
+
+    monkeypatch.setitem(verifier._ROUNDED, "beta", 2000)
+    report = verify_small_y_chain(cfg)
+    assert report.status is Status.FAILED
+    assert _weakening_outcomes(report)["e^(4 pi y) coefficient positive"] is False
+
+
 def test_quadratic_bracket_past_cap_check_catches_late_sign_change(cfg):
     # 20 x - x^2 is positive on [2, 16] but not past 20: the degree-2
     # past-16 enclosure of bracket/x^2 must see it
-    report = _certify_bracket(_Bracket("late-change", "x", +1, c0=0, c1=20, c2=-1), 2, cfg)
+    report = _certify_bracket(_Bracket("late-change", "x", +1, ExpPoly({0: (0, 20, -1)})), 2, cfg)
     assert report.status is Status.FAILED
     assert [c.passed for c in report.checks] == [True, False]
 
@@ -447,7 +499,7 @@ def test_quadratic_bracket_past_cap_check_catches_late_sign_change(cfg):
 def test_straddling_past_cap_enclosure_is_inconclusive(cfg):
     # x^2 - 31x + 241 = (x - 15.5)^2 + 0.75 > 0 everywhere, but its past-16
     # enclosure of bracket/x^2 straddles 0: undecided, not a disproof
-    probe = _Bracket("probe", "x", +1, c0=241, c1=-31, c2=1)
+    probe = _Bracket("probe", "x", +1, ExpPoly({0: (241, -31, 1)}))
     report = _certify_bracket(probe, Fraction(31, 2), cfg)
     assert report.status is Status.INCONCLUSIVE
     assert [c.passed for c in report.checks] == [True, None]
@@ -455,7 +507,7 @@ def test_straddling_past_cap_enclosure_is_inconclusive(cfg):
 
 def test_wrong_signed_bracket_fails(cfg):
     # -1 - x < 0 everywhere: both the subdivision and the past-16 enclosure disprove "> 0"
-    report = _certify_bracket(_Bracket("wrong-sign", "x", +1, c0=-1, c1=-1), 2, cfg)
+    report = _certify_bracket(_Bracket("wrong-sign", "x", +1, ExpPoly({0: (-1, -1)})), 2, cfg)
     assert report.status is Status.FAILED
     assert [c.passed for c in report.checks] == [False, False]
 
