@@ -2,13 +2,13 @@
 
 One type holds the theta2 envelopes, the envelope-product bracket (rate r =
 pi/4) and every half-line bracket of the verifier; each p_k is a polynomial of
-any degree.  :meth:`ExpPoly.sign_from` is the zero-sign-change case of the
-rule of signs for exponential sums (Polya-Szego II, Part V).
+any degree.  :meth:`ExpPoly.sign_from` decides every half-line claim: the
+zero-sign-change case of the rule of signs for exponential sums (Polya-Szego
+II, Part V), and for a decaying sum one enclosure of sum/x^deg past the corner.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -139,26 +139,33 @@ class ExpPoly:
             x = as_enclosure(x)
             return self._at(x, 1, self._exponentials(x, {} if shared is None else shared))
 
-    def beyond(self, cap) -> Enclosure:
-        """The sum over x^degree for every x >= cap > 0 (1/x in [0, 1/cap], e^{k r x} in
-        [0, e^{k r cap}]); needs keys k <= 0 and rate > 0.  Call inside a precision scope."""
-        if max(self._terms, default=0) > 0 or not self.rate.is_strictly_positive():
-            raise ValueError("a growing exponential has no enclosure past a cap")
-        exps = {k: 1 if k == 0 else Enclosure(0, (k * self.rate * cap).exp().hi)
+    def _past(self, corner: Enclosure) -> Enclosure:
+        """The sum over x^degree for every x >= corner > 0: 1/x in [0, 1/corner] and
+        e^{k r x} in [0, e^{k r corner}], which needs keys k <= 0 and rate > 0."""
+        exps = {k: 1 if k == 0 else Enclosure(0, (k * self.rate * corner).exp().hi)
                 for k in self._terms}
-        return self._at(1, Enclosure(0, Fraction(1, cap)), exps)
+        return self._at(1, Enclosure(0, (1 / corner).hi), exps)
 
     def sign_from(self, corner, sign: int) -> bool | None:
         """The sum has `sign` on x >= corner: True when every coefficient of every p_k(corner + u)
-        has it and one constant coefficient strictly (sufficient, not necessary); False when
-        the sum has the opposite strict sign at the corner; else None.  Call inside a scope."""
+        has it and one constant coefficient strictly (sufficient, not necessary), or, for a
+        decaying sum (keys k <= 0, rate > 0) and corner > 0, when one enclosure of sum/x^degree
+        over all x >= corner has it strictly; False when the sum has the opposite strict sign at
+        the corner, or a decaying sum's limit of sum/x^degree (the key-0 leading coefficient)
+        does; else None.  Call inside a precision scope."""
         corner = as_enclosure(corner)
         signed = [[sign * c for c in _taylor(p, corner)] for p in self._terms.values()]
         strict = any(p[0].is_strictly_positive() for p in signed)
         if strict and all(c.lo >= 0 for p in signed for c in p):
             return True
         at_corner = self._at(corner, 1, self._exponentials(corner, {}))
-        return False if (sign * at_corner).is_strictly_negative() else None
+        if (sign * at_corner).is_strictly_negative():
+            return False
+        if max(self._terms, default=0) > 0 or not self.rate.is_strictly_positive():
+            return None
+        if corner.is_strictly_positive() and (sign * self._past(corner)).is_strictly_positive():
+            return True
+        return False if (sign * self.coefficient(0)[self.degree]).is_strictly_negative() else None
 
     def __repr__(self):
         return f"ExpPoly[rate {self.rate!r}; {self._terms!r}]"

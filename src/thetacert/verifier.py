@@ -23,13 +23,12 @@ convex and strictly decreasing on (0, oo).  The proof splits at y = 1:
 * decreasing: termwise negativity of f' for y >= 2/pi, again one claim per
   bracket in its scaled variable, extended to all of (0, oo) by convexity.
 
-Every bracket is an ExpPoly.  A claim that must hold for all y past a corner
-(the termwise brackets, g'' and the small-y final bracket) has one form,
-:func:`_certify_bracket`: subdivision up to x = 16, then one enclosure of
-bracket/x^deg over all x >= 16; a side step (a dropped summand, a weakening)
-is :meth:`ExpPoly.sign_from`.  Every step is certified with enclosures;
-nothing is trusted from a printout.  The adaptive engine behind interval
-claims is :func:`thetacert.certify.certify_sign`.
+Every bracket is an ExpPoly, and every claim that must hold for all x past a
+corner (the termwise brackets, g'', the small-y final bracket, a dropped
+summand, a weakening step) is one :meth:`ExpPoly.sign_from` call, with no
+subdivision; a bracket's record is :func:`_certify_bracket`.  Every step is
+certified with enclosures; nothing is trusted from a printout.  The adaptive
+engine behind interval claims is :func:`thetacert.certify.certify_sign`.
 """
 
 from __future__ import annotations
@@ -73,11 +72,6 @@ __all__ = [
 # half-line claims: a bracket in one variable, certified past a corner
 # ---------------------------------------------------------------------------
 
-#: subdivision certifies each bracket claim up to this value of its
-#: variable; one enclosure of bracket/x^deg covers everything beyond it
-_T = 16
-
-
 @dataclass(frozen=True)
 class _Bracket:
     """An exponential polynomial claimed to have `sign` past a corner.  For the termwise
@@ -88,35 +82,17 @@ class _Bracket:
     sign: int
     poly: ExpPoly
 
-    def __call__(self, x: Enclosure, cfg: EvalConfig) -> Enclosure:
-        """The bracket at x (the quantity signature of certify_sign)."""
-        return self.poly.eval(x, cfg)
-
 
 def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Check):
-    """Prove `bracket` has its sign for every x >= corner, given `premises`.
-
-    Subdivision covers [corner, _T]; past _T, bracket/x^deg is enclosed once
-    (:meth:`ExpPoly.beyond`), which proves the claim if it has the claimed sign
-    throughout.  Only a leading coefficient of the opposite sign disproves it
-    there: bracket/x^deg tends to it as x -> oo, so the bracket has the wrong
-    sign for all large x.
-    """
-    poly = bracket.poly
-    report = certify_sign(bracket, (corner, _T), bracket.sign, cfg, name=bracket.name)
+    """Prove `bracket` has its sign for every x >= corner, given `premises`: one check,
+    decided by :meth:`ExpPoly.sign_from`."""
     with cfg.scope():
-        past = poly.beyond(_T)
-        limit = poly.coefficient(0)[poly.degree]
-    strict = (True if (bracket.sign * past).is_strictly_positive()
-              else False if (bracket.sign * limit).is_strictly_negative() else None)
-    claim = f"bracket {'>' if bracket.sign > 0 else '<'} 0 for {bracket.var}"
-    checks = [
-        *premises,
-        Check(f"{claim} in [corner, {_T}]", report.status.passed, f"boxes={report.boxes_examined}"),
-        Check(f"{claim} >= {_T}", strict, f"bracket/{bracket.var}^{poly.degree} in {past!r}"),
-    ]
-    subdivision = {k: v for k, v in vars(report).items() if k not in ("status", "checks")}
-    return CertificationReport.chain(checks=checks, **subdivision)
+        corner = as_enclosure(corner)
+        passed = bracket.poly.sign_from(corner, bracket.sign)
+    claim = f"bracket {'>' if bracket.sign > 0 else '<'} 0 for {bracket.var} >= corner"
+    detail = (f"{bracket.var} from {corner!r}: coefficient signs at the corner, else "
+              f"bracket/{bracket.var}^{bracket.poly.degree} enclosed past it")
+    return CertificationReport.chain(bracket.name, [*premises, Check(claim, passed, detail)])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +174,7 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> C
             y = Enclosure(pt)
             g, _, a = _g_jet(y, cfg, middle_sign)
             b = g_second_display(y, cfg)
-            via_bracket = pi ** 2 * (2 * pi * y).exp() * _G_BRACKET(pi * y, cfg)
+            via_bracket = pi ** 2 * (2 * pi * y).exp() * _G_BRACKET.poly.eval(pi * y, cfg)
             via_psi = ((pi * y).exp() - one) ** 3 * psi(pi * y, 2, cfg)
             agree &= a.intersects(b) and via_bracket.intersects(a) and via_bracket.intersects(b)
             agree &= g.intersects(via_psi)
@@ -387,23 +363,29 @@ def _absorbed(r) -> tuple:
     return -(_E2PI_FLOOR - 1) * r["beta"], (_E2PI_FLOOR - 2) * r["alpha"]
 
 
-def _final_bracket() -> tuple[list[Check], _Bracket]:
-    """The final small-y bracket, with the three checks that derive it from the rounded one.
+def _small_y_brackets() -> tuple[ExpPoly, _Bracket]:
+    """The rounded bracket (_ROUNDED placed by _SLOTS) and the final bracket derived from it.
 
-    With _ROUNDED placed by _SLOTS, e^{27 pi y/4} times the bracket is e^{4 pi y} A +
-    e^{2 pi y} B + C, A = alpha y - beta.  A >= 0 and e^{2 pi y} > E on y >= 1 shrink
-    e^{4 pi y} A to e^{2 pi y} E A; E A + B - P >= 0 there (P = _absorbed) replaces E A + B
-    by P.  The result over e^{2 pi y} is P + e^{-2 pi y} C.  Call inside a precision scope.
+    e^{27 pi y/4} times the rounded bracket is e^{4 pi y} A + e^{2 pi y} B + C, A = alpha y
+    - beta; the final bracket over e^{2 pi y} is P + e^{-2 pi y} C, P = _absorbed, which
+    :func:`_weakening_checks` justifies.  Call inside a precision scope.
     """
-    r, e2pi = _ROUNDED, (2 * Enclosure.pi()).exp()
     terms: dict[int, list] = {}
     for name, (k, i, sign) in _SLOTS.items():
-        terms.setdefault(k, [0, 0])[i] = sign * r[name]
+        terms.setdefault(k, [0, 0])[i] = sign * _ROUNDED[name]
     rounded = ExpPoly(terms, Enclosure.pi() / 4)
+    final = ExpPoly({-19: _absorbed(_ROUNDED), -27: rounded.coefficient(-27)}, rounded.rate)
+    return rounded, _Bracket("small-y-final-bracket", "y", +1, final.shift(19))
+
+
+def _weakening_checks(rounded: ExpPoly, final: _Bracket) -> list[Check]:
+    """The computed steps from the rounded bracket to the final one.  A >= 0 and e^{2 pi y} > E
+    on y >= 1 shrink e^{4 pi y} A to e^{2 pi y} E A; E A + B - P >= 0 there (P the final
+    bracket's e^{2 pi y} polynomial) replaces E A + B by P.  Call inside a precision scope."""
+    e2pi = (2 * Enclosure.pi()).exp()
     quartic, square = (ExpPoly({0: rounded.coefficient(k)}) for k in (-11, -19))
-    paper = ExpPoly({0: _absorbed(r)})
-    surplus = quartic.scale(_E2PI_FLOOR) + square - paper
-    checks = [
+    surplus = quartic.scale(_E2PI_FLOOR) + square - ExpPoly({0: final.poly.coefficient(0)})
+    return [
         Check(f"e^(2 pi) > {_E2PI_FLOOR}", _below(_E2PI_FLOOR, e2pi), f"e^(2 pi) = {e2pi!r}"),
         Check("e^(4 pi y) coefficient positive", quartic.sign_from(1, +1),
               f"alpha y - beta = {quartic.coefficient(0)} (ascending) keeps its sign from y = 1, "
@@ -412,15 +394,13 @@ def _final_bracket() -> tuple[list[Check], _Bracket]:
               f"the surplus {surplus.coefficient(0)} of {_E2PI_FLOOR}(alpha y - beta) - gamma y "
               "- delta over (E-2) alpha y - (E-1) beta keeps its sign from y = 1"),
     ]
-    final = ExpPoly({-19: paper.coefficient(0), -27: rounded.coefficient(-27)}, rounded.rate)
-    return checks, _Bracket("small-y-final-bracket", "y", +1, final.shift(19))
 
 
 def small_y_bracket(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """The integer-rounded final bracket e^{2 pi y}(533*1984 y - 534*632) - 2y - 0.08."""
     with cfg.scope():
         y = as_enclosure(y)
-        return (2 * Enclosure.pi() * y).exp() * _final_bracket()[1](y, cfg)
+        return (2 * Enclosure.pi() * y).exp() * _small_y_brackets()[1].poly.eval(y, cfg)
 
 
 def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
@@ -430,7 +410,7 @@ def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationRepor
     bracket with constants enclosed -> integer rounding in the weakening
     direction -> multiply the e^{4 pi y} term down by e^{2 pi y} > 535 ->
     integer absorption -> positive final bracket for every y >= 1; the
-    weakening steps are :func:`_final_bracket`'s computed checks.
+    weakening steps are :func:`_weakening_checks`.
     """
     subreports = [check_c_admissible(nu, cfg) for nu in range(4)]
     checks, greek = checked_greek_constants(cfg)
@@ -448,8 +428,8 @@ def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationRepor
                     f"{name} = {value!r}; integer rounding must weaken the lower bound",
                 )
             )
-        weakening, final = _final_bracket()
-        checks += weakening
+        rounded, final = _small_y_brackets()
+        checks += _weakening_checks(rounded, final)
         subreports.append(_certify_bracket(final, 1, cfg))
     return CertificationReport.chain("small-y-chain", checks, subreports, (
         "conclusion: f'' > 0 on (0, 1]",

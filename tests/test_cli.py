@@ -221,10 +221,14 @@ def test_verify_all_runs_admissibility_once_per_order(monkeypatch, capsys):
     assert sorted(orders) == [0, 1, 2, 3]
 
 
-def _certification_names(records):
+def _certification_records(records):
     for rec in records:
-        yield rec["name"]
-        yield from _certification_names(rec.get("subreports", []))
+        yield rec
+        yield from _certification_records(rec.get("subreports", []))
+
+
+def _certification_names(records):
+    return (rec["name"] for rec in _certification_records(records))
 
 
 def _top_level_certifications(path):
@@ -236,6 +240,38 @@ def test_verify_all_json_holds_one_small_y_chain(tmp_path, capsys):
     assert run_cli("verify", "all", "--json", str(path)) == 0
     names = list(_certification_names(_top_level_certifications(path)))
     assert names.count("small-y-chain") == 1
+
+
+#: the certification records of `verify all --json`, depth first (27 distinct names: the
+#: small-y chain cites the four admissibility records again as its premises)
+_VERIFY_ALL_RECORDS = [
+    *(f"theta2-envelope-sandwich-nu{nu}" for nu in range(4)),
+    *(f"c-admissibility-nu{nu}" for nu in range(4)),
+    *(f"modular-identity-nu{nu}" for nu in range(4)),
+    "g-chain", "g-second-positive",
+    "even-terms-large-y",
+    "odd-terms-large-y",
+    "small-y-chain", *(f"c-admissibility-nu{nu}" for nu in range(4)), "small-y-final-bracket",
+    "greek-constants",
+    "convexity-desk-scale", "f-second-positive", "f-prime-negative",
+    "f-second-positive-lambert-overlap", "f-second-positive-modular-overlap",
+    "decreasing-argument", "decreasing-even-bracket", "decreasing-odd-bracket",
+]
+
+
+def test_verify_all_json_passes_the_proof_gate(tmp_path, capsys):
+    # the benchmark's `proof` correctness gate: a byte-for-byte round trip, every record
+    # certified, and the full record list
+    from thetacert.report import ReportDocument
+
+    path = tmp_path / "all.json"
+    assert run_cli("verify", "all", "--json", str(path)) == 0
+    text = path.read_text()
+    assert ReportDocument.from_json(text).to_json() == text
+    records = list(_certification_records(_top_level_certifications(path)))
+    assert [r["status"] for r in records] == ["certified"] * len(records)
+    assert [r["name"] for r in records] == _VERIFY_ALL_RECORDS
+    assert len(set(_VERIFY_ALL_RECORDS)) == 27
 
 
 def test_verify_decreasing_emits_its_premise_first(tmp_path, capsys):

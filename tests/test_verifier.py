@@ -139,7 +139,7 @@ def test_even_bracket_negative_below_corner(cfg):
     # the 2/pi condition matters: at y = 0.1 the n = 1 bracket is negative
     with precision(cfg.precision_bits):
         t = Enclosure("0.1") * Enclosure.pi()
-    val = _EVEN_CONVEX(t, cfg)
+    val = _EVEN_CONVEX.poly.eval(t, cfg)
     assert val.is_strictly_negative()
 
 
@@ -152,31 +152,32 @@ def test_scaled_brackets_certified_from_exact_corners(cfg):
     ]
     with precision(cfg.precision_bits):
         three_pi = 3 * Enclosure.pi()
-    corners = [2, three_pi.lo, 2, 2]
-    for report, corner in zip(claims, corners):
+    corners = [("t", Enclosure(2)), ("s", three_pi), ("t", Enclosure(2)), ("s", Enclosure(2))]
+    for report, (var, corner) in zip(claims, corners):
         assert report.status is Status.CERTIFIED, report.summary()
-        assert report.interval[0] == corner
-        assert report.interval[1] == 16
-        past = [c for c in report.checks if c.name.endswith(">= 16")]
-        assert len(past) == 1 and past[0].passed is True
+        assert report.interval is None and report.boxes_examined == 0
+        (claim,) = _half_line_checks(report)
+        assert claim.passed is True
+        assert claim.name.endswith(f"0 for {var} >= corner")
+        assert claim.detail.startswith(f"{var} from {corner!r}:")
         assert all(c.passed is True for c in report.checks)
 
 
 def test_even_bracket_from_below_its_root_fails(cfg):
-    # the bracket's root sits near t = 1.92, so starting at t = 1 is false
+    # the bracket's root sits near t = 1.92, so starting at t = 1 is false: the
+    # bracket is negative at the corner itself
     report = _certify_bracket(_EVEN_CONVEX, 1, cfg)
     assert report.status is Status.FAILED
-    assert report.witness is not None
-    assert report.witness.value.is_strictly_negative()
-    assert report.witness.y.hi < 2
+    assert [c.passed for c in report.checks] == [False]
+    assert _EVEN_CONVEX.poly.eval(1, cfg).is_strictly_negative()
 
 
 def test_past_cap_check_catches_late_sign_change(cfg):
-    # 20 - t is positive on [2, 16] but not beyond: only the past-16
-    # enclosure can see that, and it must not pass
+    # 20 - t is positive at the corner 2 but not past 20: its limit -1 of
+    # bracket/t has the wrong sign, so the claim is disproved
     report = _certify_bracket(_Bracket("late-change", "t", +1, ExpPoly({0: (20, -1)})), 2, cfg)
     assert report.status is Status.FAILED
-    assert [c.passed for c in report.checks] == [True, False]
+    assert [c.passed for c in report.checks] == [False]
 
 
 def test_odd_terms_certify(cfg):
@@ -195,7 +196,7 @@ def test_odd_final_bracket_negative_below_condition(cfg):
     # (2n-1) pi y - 4 at n = 2, y = 0.4 < 4/(3 pi): negative
     with precision(cfg.precision_bits):
         s = Enclosure("1.2") * Enclosure.pi()
-    val = _ODD_CONVEX(s, cfg)
+    val = _ODD_CONVEX.poly.eval(s, cfg)
     assert val.is_strictly_negative()
 
 
@@ -403,8 +404,8 @@ def test_f_dispatch_orders(cfg):
 # -- every half-line claim is a scaled bracket ---------------------------------
 
 
-def _past_corner_checks(report):
-    return [c for c in report.checks if c.name.endswith(">= 16")]
+def _half_line_checks(report):
+    return [c for c in report.checks if c.name.endswith(">= corner")]
 
 
 def test_g_second_is_a_bracket_record_from_the_corner(cfg):
@@ -413,9 +414,9 @@ def test_g_second_is_a_bracket_record_from_the_corner(cfg):
     with precision(cfg.precision_bits):
         corner = 1 + Enclosure(3).sqrt()
     assert sub.status is Status.CERTIFIED, sub.summary()
-    assert sub.interval == (corner.lo, 16)
-    past = _past_corner_checks(sub)
-    assert len(past) == 1 and past[0].passed is True
+    assert sub.interval is None and sub.boxes_examined == 0
+    (claim,) = _half_line_checks(sub)
+    assert claim.passed is True and claim.detail.startswith(f"x from {corner!r}:")
     assert not any("y_cap" in c.name for r in (report, sub) for c in r.checks)
 
 
@@ -439,9 +440,9 @@ def test_small_y_final_bracket_is_a_bracket_record(cfg):
     report = verify_small_y_chain(cfg)
     (sub,) = [r for r in report.subreports if r.name == "small-y-final-bracket"]
     assert sub.status is Status.CERTIFIED, sub.summary()
-    assert sub.interval == (1, 16)
-    past = _past_corner_checks(sub)
-    assert len(past) == 1 and past[0].passed is True
+    assert sub.interval is None and sub.boxes_examined == 0
+    (claim,) = _half_line_checks(sub)
+    assert claim.passed is True and claim.detail.startswith(f"y from {Enclosure(1)!r}:")
     assert not any("y_cap" in c.name for c in report.checks)
 
 
@@ -489,27 +490,107 @@ def test_rounded_beta_too_large_fails_e4pi_step(cfg, monkeypatch):
 
 
 def test_quadratic_bracket_past_cap_check_catches_late_sign_change(cfg):
-    # 20 x - x^2 is positive on [2, 16] but not past 20: the degree-2
-    # past-16 enclosure of bracket/x^2 must see it
+    # 20 x - x^2 is positive at the corner 2 but not past 20: the limit -1 of
+    # the degree-2 bracket/x^2 must see it
     report = _certify_bracket(_Bracket("late-change", "x", +1, ExpPoly({0: (0, 20, -1)})), 2, cfg)
     assert report.status is Status.FAILED
-    assert [c.passed for c in report.checks] == [True, False]
+    assert [c.passed for c in report.checks] == [False]
 
 
 def test_straddling_past_cap_enclosure_is_inconclusive(cfg):
-    # x^2 - 31x + 241 = (x - 15.5)^2 + 0.75 > 0 everywhere, but its past-16
-    # enclosure of bracket/x^2 straddles 0: undecided, not a disproof
-    probe = _Bracket("probe", "x", +1, ExpPoly({0: (241, -31, 1)}))
-    report = _certify_bracket(probe, Fraction(31, 2), cfg)
+    # x^2 - 34x + 289.75 = (x - 17)^2 + 0.75 > 0 everywhere, but from 2 its
+    # coefficients change sign and its enclosure of bracket/x^2 past 2 straddles 0:
+    # undecided, not a disproof
+    probe = _Bracket("probe", "x", +1, ExpPoly({0: (Fraction(1159, 4), -34, 1)}))
+    report = _certify_bracket(probe, 2, cfg)
     assert report.status is Status.INCONCLUSIVE
-    assert [c.passed for c in report.checks] == [True, None]
+    assert [c.passed for c in report.checks] == [None]
 
 
 def test_wrong_signed_bracket_fails(cfg):
-    # -1 - x < 0 everywhere: both the subdivision and the past-16 enclosure disprove "> 0"
+    # -1 - x < 0 everywhere: its value at the corner disproves "> 0"
     report = _certify_bracket(_Bracket("wrong-sign", "x", +1, ExpPoly({0: (-1, -1)})), 2, cfg)
     assert report.status is Status.FAILED
-    assert [c.passed for c in report.checks] == [False, False]
+    assert [c.passed for c in report.checks] == [False]
+
+
+def test_interior_dip_is_inconclusive(cfg):
+    # (x - 5)^2 - 1 is negative on (4, 6) only: positive at the corner 2 and in the limit,
+    # so no rule disproves "> 0 from 2", and none may prove it
+    dip = _Bracket("dip", "x", +1, ExpPoly({0: (24, -10, 1)}))
+    report = _certify_bracket(dip, 2, cfg)
+    assert report.status is Status.INCONCLUSIVE
+    assert [c.passed for c in report.checks] == [None]
+
+
+def test_past_corner_enclosure_takes_an_enclosure_corner(cfg):
+    # x - 2 - e^{-x} from 3 pi: the e^{-x} coefficient is negative, so only the enclosure
+    # of bracket/x over x >= 3 pi (an enclosed corner, not a rational) can decide it
+    bracket = _Bracket("enclosed-corner", "x", +1, ExpPoly({0: (-2, 1), -1: (-1,)}))
+    with precision(cfg.precision_bits):
+        corner = 3 * Enclosure.pi()
+    report = _certify_bracket(bracket, corner, cfg)
+    assert report.status is Status.CERTIFIED, report.summary()
+
+
+def test_small_y_final_bracket_is_certified_by_the_past_corner_enclosure(cfg, monkeypatch):
+    # e^{-2 pi y}(-2y - 0.08) has negative coefficients, so the coefficient-sign rule cannot
+    # decide the final bracket: the one enclosure of bracket/y over y >= 1 does, and a
+    # straddling enclosure leaves the record undecided
+    past, seen = ExpPoly._past, []
+
+    def recording(self, corner):
+        seen.append(past(self, corner))
+        return seen[-1]
+
+    def final_record():
+        report = verify_small_y_chain(cfg)
+        (sub,) = [r for r in report.subreports if r.name == "small-y-final-bracket"]
+        return report, sub
+
+    monkeypatch.setattr(ExpPoly, "_past", recording)
+    report, sub = final_record()
+    assert sub.status is Status.CERTIFIED and report.status is Status.CERTIFIED
+    assert len(seen) == 1 and seen[0].is_strictly_positive()
+    monkeypatch.setattr(ExpPoly, "_past", lambda self, corner: Enclosure(-1, 1))
+    report, sub = final_record()
+    assert sub.status is Status.INCONCLUSIVE and report.status is Status.INCONCLUSIVE
+
+
+def test_half_line_chains_make_no_certify_sign_call(cfg, monkeypatch):
+    from thetacert import certify, verifier
+
+    calls = []
+
+    def recording(fn, interval, *args, **kwargs):
+        calls.append(interval)
+        return certify.certify_sign(fn, interval, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "certify_sign", recording)
+    small_y = verify_small_y_chain(cfg)
+    reports = [verify_g_chain(cfg), verify_even_terms_large_y(cfg), verify_odd_terms_large_y(cfg),
+               small_y, verify_decreasing_argument(cfg, convexity_report=small_y)]
+    assert all(r.status is Status.CERTIFIED for r in reports)
+    assert calls == []
+
+
+def test_bracket_quantity_runs_no_weakening_check(cfg, monkeypatch):
+    # `verify --quantity bracket` evaluates the final bracket only: the e^(2 pi) and
+    # coefficient-sign checks belong to the small-y chain
+    calls = []
+    sign_from = ExpPoly.sign_from
+
+    def recording(self, corner, sign):
+        calls.append(corner)
+        return sign_from(self, corner, sign)
+
+    monkeypatch.setattr(ExpPoly, "sign_from", recording)
+    value = QUANTITIES["bracket"](Enclosure(1, 2), cfg)
+    assert calls == []
+    assert [mp.nstr(value.lo, 50), mp.nstr(value.hi, 50)] == [
+        "385545422.03134221404641146851484054590349605400447",
+        "509687842038.54322755455550860371457565160588334805",
+    ]
 
 
 def test_convexity_inconclusive_part_is_inconclusive(monkeypatch):
