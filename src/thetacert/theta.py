@@ -7,16 +7,21 @@ owns the ``cfg.max_terms`` cap, every comparison with ``cfg.tol``, the retry
 while a tail ratio is not yet below 1, and the tail's sign: [0, b], [-b, 0]
 or [-b, b], negating b exactly.  Two callers own the term and tail formulas.
 ``_quadratic_series`` sums w_n (-c a(n))^r e^{-c (a(n) - a0) y} for an integer
-quadratic a(n), several orders r at one exp per term: theta4 (a = k^2,
-alternating), theta2 (a = (2k-1)^2, c = pi/4), the modular Q-series
-(a = j(j+1)) and the envelope excess sum (a = (2k+3)^2); the offset a0 keeps
-e^{-c a0 y}, which swings by orders of magnitude across a box, out of the sum.
+quadratic a(n), several orders r in one pass: theta4 (a = k^2, alternating),
+theta2 (a = (2k-1)^2, c = pi/4), the modular Q-series (a = j(j+1)) and the
+envelope excess sum (a = (2k+3)^2); the offset a0 keeps e^{-c a0 y}, which
+swings by orders of magnitude across a box, out of the sum.
 As a(n+1) - a(n) grows and a(n+1)/a(n) falls, every term ratio past term n is
 at most (a(n+2)/a(n+1))^r e^{-c (a(n+2) - a(n+1)) y.lo}, whatever a0, which
 bounds the tail geometrically from the first omitted term at y.lo; it is tried
 once the first requested order's term is below tol/4.  ``_lambert_sum`` sums
-the Lambert terms, every requested order at one exp per term, with one tail
-bound per order tried once the largest term is below tol/16.
+the Lambert terms, every requested order in one pass, with one tail bound per
+order tried once the largest term is below tol/16.
+Both take every exponential of a pass from one exp, q = e^{-c y} or u_1 = e^{-pi y},
+by q^{a(n+1)} = q^{a(n)} q^{a(n+1) - a(n)} (u_m = u_{m-1} u_1).  Every factor is a
+positive enclosure decreasing in y, so an outward-rounded product's lower end bounds
+its value at y.hi from below and its upper end its value at y.lo from above: it
+encloses the exact range on any box, and its upper end bounds the omitted terms.
 ``theta4_product`` keeps its own loop: it is a product, and the tests use it
 as an independent reference for ``theta4_series``.
 
@@ -53,6 +58,8 @@ from .enclosure import (
     Enclosure,
     EvalConfig,
     as_enclosure,
+    current_precision,
+    precision,
 )
 
 __all__ = [
@@ -98,10 +105,10 @@ def _tail_enclosure(b, sign: int) -> Enclosure:
 def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_divisor: int = 1):
     """The series kernel; its contract is in the module docstring.
 
-    start: the partial sums before term 1.  step(k) for k = 1 ..
-    cfg.max_terms: (terms, gate), the k-th term of each sum and a number;
-    the tails are tried once gate <= tol / gate_divisor.  tail(k):
-    enclosures whose upper ends bound the omitted |tails| past term k.
+    start: the partial sums before term 1.  step(k) for k = 1 .. cfg.max_terms: (terms,
+    gate), the k-th term of each sum and a number; the tails are tried once gate <=
+    tol / gate_divisor.  tail(k), called right after step(k): enclosures whose upper
+    ends bound the omitted |tails| past term k.
     signs: +1 or -1 where every omitted term has that sign, 0 where signs mix.
     """
     tol = cfg.tol
@@ -124,24 +131,35 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
                       a0=0):
     """start + sum_{n>=1} w_n (-c a(n))^r e^{-c (a(n) - a0) y} for each order r (start: r = 0).
 
-    c = pi * scale with a dyadic scale, so y * scale is exact; a(n) is an integer with
-    a(n+1) - a(n) increasing and a(n+1)/a(n) decreasing; w_n = weight, times (-1)^n if
+    c = pi * scale with a dyadic scale, so y * scale is exact; a(n) is an integer quadratic
+    with a(n+1) - a(n) increasing and a(n+1)/a(n) decreasing; w_n = weight, times (-1)^n if
     `alternating`.  The offset a0 <= a(1) multiplies every term by e^{c a0 y}; with
-    a0 = a(1) the first term is exact and takes no exp.  Each order after the first is the
-    previous term times c a(n), so the orders must be consecutive.  Call inside cfg.scope().
+    a0 = a(1) the first term is exact.  Each order after the first is the previous term
+    times c a(n), so the orders must be consecutive.  Call inside cfg.scope().
+    One exp per call: q = e^{-c y}, E_n = q^(a(n) - a0), R_n = q^(a(n+1) - a(n)), and
+    E_{n+1} = E_n R_n, R_{n+1} = R_n D with D = q^(a(3) - 2 a(2) + a(1)), the constant second
+    difference.  These positive factors decrease in y, so each outward-rounded product
+    encloses the exact range on a box, and the upper ends of E_{n+1} and R_{n+1} bound the tail.
     """
     if tuple(orders) != tuple(range(orders[0], orders[-1] + 1)):
         raise ValueError(f"{what}: orders must be consecutive, got {tuple(orders)}")
+    a1, a2, a3 = a(1), a(2), a(3)
+    if a(4) - 3 * a3 + 3 * a2 - a1:
+        raise ValueError(f"{what}: the exponents a(n) must be quadratic in n")
     pi, s, w = Enclosure.pi(), Enclosure(scale), Enclosure(weight)
-    ys = y * s
-    ylos = Enclosure._from_mpi((ys._lo, ys._lo))
+    # q^a(n) has a(n) times q's relative width and the products' roundings add up to about
+    # n^2/2 ulps: 32 more bits keep both below a working ulp while a(n) < 2^24 (theta2 at 1e-5)
+    chain_bits = current_precision() + 32
+    with precision(chain_bits):
+        q = (-(Enclosure.pi() * (y * s))).exp()
+        powers = (q ** (a1 - a0), q ** (a2 - a1), q ** (a3 - 2 * a2 + a1))
+    e, ratio, d = ((p._lo, p._hi) for p in powers)  # E_1, R_1, D as raw intervals
 
     def step(n):
-        an = a(n)
-        pa = pi * an
-        pe = pi * (an - a0) if a0 else pa  # a0 = 0 costs no multiply
-        mag = w if an == a0 else w * (-(pe * ys)).exp()
-        ca = pa * s
+        nonlocal e, ratio
+        mag = w * Enclosure._from_mpi(e)
+        e, ratio = _lm.mpi_mul(e, ratio, chain_bits), _lm.mpi_mul(ratio, d, chain_bits)
+        ca = pi * a(n) * s if orders[-1] else None  # order 0 alone needs no c a(n)
         if orders[0]:
             mag = mag * ca ** orders[0]
         terms = [mag]
@@ -149,13 +167,11 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
             terms.append(terms[-1] * ca)
         return [-t if (r + n * alternating) % 2 else t for r, t in zip(orders, terms)], mag.hi
 
-    def tail(n):
-        a1, a2 = a(n + 1), a(n + 2)
-        pa1 = pi * a1
-        first = w * (-(pi * (a1 - a0) * ylos)).exp()
-        decay = (-(pi * (a2 - a1) * ylos)).exp()
-        growth = Enclosure(Fraction(a2, a1))
-        return [geometric_tail(first * (pa1 * s) ** r, growth ** r * decay) for r in orders]
+    def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}
+        b1, b2 = a(n + 1), a(n + 2)
+        first, decay = w * Enclosure._from_mpi(e), Enclosure._from_mpi(ratio)
+        growth = Enclosure(Fraction(b2, b1))
+        return [geometric_tail(first * (pi * b1 * s) ** r, growth ** r * decay) for r in orders]
 
     sums = [Enclosure(start if r == 0 else 0) for r in orders]
     signs = [0 if alternating else (-1) ** r for r in orders]
@@ -249,10 +265,9 @@ _PSI_NUMERATORS = (
 )
 
 
-def _psi(s: Enclosure, orders: range) -> list[Enclosure]:
+def _psi(s: Enclosure, u: Enclosure, orders: range) -> list[Enclosure]:
     """psi^(k)(s) for each order k of `orders` at the working precision, for an enclosure
-    s > 0; one exp serves every order."""
-    u = (-s).exp()
+    s > 0 and an enclosure u of e^{-s} over s; one u serves every order."""
     v = 1 - u
     return [u * _PSI_NUMERATORS[k](s, v, u) / v ** (k + 1) for k in orders]
 
@@ -264,30 +279,34 @@ def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     if order not in range(len(_PSI_NUMERATORS)):
         raise ValueError(f"psi order must be 0, 1 or 2, got {order}")
     with cfg.scope():
-        return _psi(_check_positive(as_enclosure(s), "psi"), range(order, order + 1))[0]
+        s = _check_positive(as_enclosure(s), "psi")
+        return _psi(s, (-s).exp(), range(order, order + 1))[0]
 
 
 def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
     """f^(k) = sum_m w_m (m pi)^(k-1) psi^(k)(m pi y) for each order k of `orders`, in one
     pass; w_m is 2 for odd m, else 1.  Each order has its own tail bound, and the tails are
-    tried once the largest requested |term| is small."""
+    tried once the largest requested |term| is small.  One exp per call: u_m = u_{m-1} u_1
+    with u_1 = e^{-pi y}, positive factors decreasing in y, so the outward-rounded product
+    encloses e^{-m pi y} on a box and u_1's upper end bounds the tails."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "lambert series")
         pi = Enclosure.pi()
         piy = pi * y
-        ylo = Enclosure._from_mpi((y._lo, y._lo))
+        r = u = (-piy).exp()  # u_1 = e^{-pi y}; u_m = u_{m-1} u_1 = e^{-m pi y}
         scales = [pi ** (k - 1) for k in orders]
 
         def step(m):
+            nonlocal u
+            u = u * r if m > 1 else u
             terms = [Enclosure(Fraction((2 if m % 2 else 1) * m ** k, m)) * scale * psi_k
-                     for k, scale, psi_k in zip(orders, scales, _psi(m * piy, orders))]
+                     for k, scale, psi_k in zip(orders, scales, _psi(m * piy, u, orders))]
             return terms, max(abs(term).hi for term in terms)
 
         def tail(n):
             # for m > n: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2, so
             # with p = k + 1 and w_m <= 2 a term is at most 4 scale d^p (1+pi y)^2 m^p r^m and
-            # a term ratio at most ((n+2)/(n+1))^p r
-            r = (-(pi * ylo)).exp()
+            # a term ratio at most ((n+2)/(n+1))^p r, all at r's upper end e^{-pi y.lo}
             rn = r ** (n + 1)
             d = geometric_tail(Enclosure(1), rn)
             spread = (1 + piy) ** 2

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thetacert import DegreeError, Enclosure, ExpPoly, precision
 
@@ -137,5 +137,39 @@ def test_sign_from_true_means_strictly_signed_past_the_corner(terms, corner, sig
         if poly.sign_from(corner, sign) is not True:
             return
         for u in [0, *offsets]:
+            value = sign * poly.eval(Enclosure(corner + u))
+            assert value.is_strictly_positive(), (terms, corner, u)
+
+
+def _coefficient_rule_holds(poly, corner, sign):
+    from thetacert.exppoly import _taylor
+
+    signed = [[sign * c for c in _taylor(p, Enclosure(corner))] for p in poly.terms().values()]
+    return (any(p[0].is_strictly_positive() for p in signed)
+            and all(c.lo >= 0 for p in signed for c in p))
+
+
+_poly = st.lists(st.integers(-20, 20), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # p_0 of degree 1 or 2 sets the limit of sum/x^deg; the decaying keys -3..-1 come on top
+    terms=st.builds(lambda p0, rest: {0: p0, **rest}, _poly.filter(lambda p: len(p) > 1),
+                    st.dictionaries(st.integers(-3, -1), _poly, max_size=2)),
+    corner=st.fractions(Fraction(1, 8), 5, max_denominator=8),
+    sign=st.sampled_from([1, -1]),
+    offsets=st.lists(st.fractions(0, 40, max_denominator=4), min_size=1, max_size=5),
+)
+def test_sign_from_past_the_corner_means_strictly_signed(terms, corner, sign, offsets):
+    # decaying sums past a positive corner that the coefficient rule leaves open: True can
+    # only come from the enclosure of sum/x^deg over all x >= corner, so every x >= corner
+    # up to the far point 2^10 must have the sign
+    poly = ExpPoly(terms)
+    with precision(128):
+        assume(not _coefficient_rule_holds(poly, corner, sign))
+        if poly.sign_from(corner, sign) is not True:
+            return
+        for u in [0, *offsets, 2 ** 10]:
             value = sign * poly.eval(Enclosure(corner + u))
             assert value.is_strictly_positive(), (terms, corner, u)

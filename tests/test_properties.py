@@ -6,6 +6,7 @@ tested generatively across all evaluators and derivative orders.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
@@ -13,7 +14,7 @@ from mpmath.libmp import prec_to_dps
 from conftest import mp_scalar, mp_theta4
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
 from thetacert.modular import q_series_derivatives
-from thetacert.theta import psi
+from thetacert.theta import _quadratic_series, psi
 from thetacert.verifier import _f, f_eval, f_prime, f_second, g_prime, g_second, h_direct
 
 CFG = EvalConfig()
@@ -288,3 +289,52 @@ def test_modular_f_on_wide_small_y_boxes_contains_points_and_oracle(u, w, t):
             value = mp_scalar(_mp_f_a(2), point, k, dps=dps)
             for enc in (on_box, at_point):
                 _assert_contains_direct(enc, value, f"order {k} on {enc!r} at {point}")
+
+
+# --- the longest running-product chains against direct sums at 4x precision ---
+
+
+def _q_offset_direct(x, r, prec):
+    """sum_{j>=1} (-pi j(j+1))^r e^{-pi (j(j+1) - 2) x}: the Q-series terms past the 1, times
+    e^{2 pi x}."""
+    def term(n):
+        c = mp.pi * (n + 1) * (n + 2)
+        return (-c) ** r * mp.exp(-(c - 2 * mp.pi) * x)
+
+    return _direct_sum(term, lambda n: mp.pi * (n + 1) * (n + 2) * x > r, prec)
+
+
+def _assert_deep_chain(y, thin, box, direct, cfg):
+    """thin, taken at y.lo, and box, taken on y, contain the direct sums at y's ends; thin is at
+    most 2 tol plus 2^-(bits - 16) of its value wide."""
+    at_lo = direct(y.lo)
+    _assert_contains_direct(thin, at_lo, "thin")
+    _assert_contains_direct(box, at_lo, "box at y.lo")
+    _assert_contains_direct(box, direct(y.hi), "box at y.hi")
+    assert thin.width <= 2 * cfg.tol + abs(at_lo) * mp.mpf(2) ** (16 - cfg.precision_bits)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("y", ["1e-5", "3e-5", "1e-4"])
+def test_theta2_deep_chains_contain_direct_sum(y, bits):
+    # about 1,500 terms at y = 1e-5, every exponential from one running product
+    cfg = EvalConfig(precision_bits=bits)
+    with cfg.scope():
+        thin, box = Enclosure(y), Enclosure(y, mp.mpf(y) * mp.mpf("1.01"))
+    for r in range(4):
+        _assert_deep_chain(box, theta2_series(thin, r, cfg), theta2_series(box, r, cfg),
+                           lambda v: _theta2_direct(v, r, 4 * bits), cfg)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("x", [1, 20, 50])
+def test_offset_q_series_contains_direct_sum(x, bits):
+    # a0 = a(1) = 2: the first term is the exact 1 and the chain starts at E_1 = q^0
+    cfg = EvalConfig(precision_bits=bits)
+    with cfg.scope():
+        thin, box = Enclosure(x), Enclosure(x, mp.mpf(x) * mp.mpf("1.01"))
+        on_thin, on_box = (_quadratic_series("Q-series", v, lambda j: j * (j + 1), range(4), cfg,
+                                             a0=2) for v in (thin, box))
+    for r in range(4):
+        _assert_deep_chain(box, on_thin[r], on_box[r], lambda v: _q_offset_direct(v, r, 4 * bits),
+                           cfg)

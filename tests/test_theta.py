@@ -22,7 +22,7 @@ from thetacert import (
     theta4_via_modular,
 )
 from thetacert.modular import q_series_derivatives
-from thetacert.theta import psi
+from thetacert.theta import _lambert_sum, _quadratic_series, _theta4, psi
 
 from conftest import (
     F_AT_1,
@@ -344,3 +344,49 @@ def test_offset_pass_times_its_scale_meets_the_q_series(cfg, y, a0):
         for r, (p, q) in enumerate(zip(scaled, q_series_derivatives(y, cfg))):
             assert (factor * p).intersects(q - (1 if r == 0 else 0)), r
 
+
+# --- one exp per series pass ---
+
+
+def _count_exps(monkeypatch):
+    calls = []
+    inner = Enclosure.exp
+
+    def counting(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(Enclosure, "exp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_theta2_at_small_y_takes_one_exp(monkeypatch, nu, bits):
+    # about 1,500 terms, each from the running product E_n R_n
+    cfg = EvalConfig(precision_bits=bits)
+    calls = _count_exps(monkeypatch)
+    theta2_series(1e-5, nu, cfg)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda cfg: _theta4(3, range(3), cfg),
+        lambda cfg: q_series_derivatives(2, cfg),
+        lambda cfg: _lambert_sum(Enclosure(1, "1.01"), range(3), cfg),
+        lambda cfg: _lambert_sum(Enclosure(30), range(3), cfg),
+    ],
+    ids=["theta4", "q_series", "lambert-box", "lambert-thin-30"],
+)
+def test_a_series_pass_takes_one_exp(cfg, monkeypatch, evaluate):
+    calls = _count_exps(monkeypatch)
+    evaluate(cfg)
+    assert len(calls) == 1
+
+
+def test_quadratic_series_rejects_non_quadratic_exponents(cfg):
+    # E_{n+1} = E_n R_n, R_{n+1} = R_n D needs the constant second difference D
+    with cfg.scope(), pytest.raises(ValueError, match="quadratic"):
+        _quadratic_series("cubic", Enclosure(1), lambda k: k ** 3, range(1), cfg)
