@@ -5,7 +5,13 @@ accumulated until a *proved* bound on the omitted tail is at most
 ``cfg.tail_tolerance``, and that bound is attached to the result.  The kernel
 owns the ``cfg.max_terms`` cap, every comparison with ``cfg.tol``, the retry
 while a tail ratio is not yet below 1, and the tail's sign: [0, b], [-b, 0]
-or [-b, b], negating b exactly.  Two callers own the term and tail formulas.
+or [-b, b], negating b exactly.  A box takes terms until the upper ends of its
+gate and tail bounds pass, as y.lo would, so it can take more terms than a
+point of the box; in a sum whose terms share one sign those terms would carry
+the box's near-zero end past the point's.  So that end stops where the lower
+ends pass the same tests: they are inclusion isotone in y, so a box stops that
+end no later than any of its points, and its enclosure contains theirs.
+Two callers own the term and tail formulas.
 ``_quadratic_series`` sums w_n (-c a(n))^r e^{-c (a(n) - a0) y} for an integer
 quadratic a(n), several orders r in one pass: theta4 (a = k^2, alternating),
 theta2 (a = (2k-1)^2, c = pi/4), the modular Q-series (a = j(j+1)) and the
@@ -106,25 +112,53 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
     """The series kernel; its contract is in the module docstring.
 
     start: the partial sums before term 1.  step(k) for k = 1 .. cfg.max_terms: (terms,
-    gate), the k-th term of each sum and a number; the tails are tried once gate <=
-    tol / gate_divisor.  tail(k), called right after step(k): enclosures whose upper
-    ends bound the omitted |tails| past term k.
-    signs: +1 or -1 where every omitted term has that sign, 0 where signs mix.
+    gate), the k-th term of each sum and a positive enclosure; the tails are tried once
+    gate.hi <= tol / gate_divisor.  tail(k), called right after step(k): enclosures whose
+    upper ends bound the omitted |tails| past term k.  Gate and tails must be inclusion
+    isotone in y, and tail raises ConvergenceError on a box wherever it does on a point.
+    signs: +1 or -1 where every term has that sign, 0 where signs mix.
     """
-    tol = cfg.tol
-    gate_tol = tol / gate_divisor
-    sums = start
+    tol = cfg.tol._mpf_
+    gate_tol = (cfg.tol / gate_divisor)._mpf_
+    sums = near = start
+    near_open = any(signs)  # near: the sums up to where the near-zero ends stop
     for k in range(1, cfg.max_terms + 1):
         terms, gate = step(k)
         sums = [s + t for s, t in zip(sums, terms)]
-        if gate <= gate_tol:
-            try:
-                bounds = tail(k)
-            except ConvergenceError:
-                continue
-            if all(b.hi <= tol for b in bounds):
-                return [s + _tail_enclosure(b._hi, sign) for s, b, sign in zip(sums, bounds, signs)]
+        if near_open:
+            near = sums
+        if _lm.mpf_cmp(gate._lo if near_open else gate._hi, gate_tol) > 0:
+            continue
+        try:
+            bounds = tail(k)
+        except ConvergenceError:  # a box raises wherever its points do: stop with them
+            near_open = False
+            continue
+        if near_open:
+            near_open = any(_lm.mpf_cmp(b._lo, tol) > 0 for b in bounds)
+        if _lm.mpf_cmp(gate._hi, gate_tol) <= 0 and all(_lm.mpf_cmp(b._hi, tol) <= 0 for b in bounds):
+            return [_settle(s + _tail_enclosure(b._hi, sign), n, sign)
+                    for s, n, b, sign in zip(sums, near, bounds, signs)]
     raise ConvergenceError(f"{what} did not reach tail tolerance within {cfg.max_terms} terms")
+
+
+def _settle(total: Enclosure, near: Enclosure, sign: int) -> Enclosure:
+    """total with the near-zero end of a one-signed sum taken from its shorter partial sum
+    `near`; the terms between them share the sign, so the true sum lies beyond near's end."""
+    if sign > 0 and _lm.mpf_cmp(near._lo, total._lo) < 0:
+        return Enclosure._from_mpi((near._lo, total._hi))
+    if sign < 0 and _lm.mpf_cmp(near._hi, total._hi) > 0:
+        return Enclosure._from_mpi((total._lo, near._hi))
+    return total
+
+
+def _largest(sizes: list[Enclosure]) -> Enclosure:
+    """[largest lower end, largest upper end] of `sizes`: inclusion isotone in each."""
+    lo, hi = sizes[0]._lo, sizes[0]._hi
+    for m in sizes[1:]:
+        lo = m._lo if _lm.mpf_cmp(m._lo, lo) > 0 else lo
+        hi = m._hi if _lm.mpf_cmp(m._hi, hi) > 0 else hi
+    return Enclosure._from_mpi((lo, hi))
 
 
 def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alternating=False, start=0,
@@ -165,7 +199,7 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
         terms = [mag]
         for _ in orders[1:]:
             terms.append(terms[-1] * ca)
-        return [-t if (r + n * alternating) % 2 else t for r, t in zip(orders, terms)], mag.hi
+        return [-t if (r + n * alternating) % 2 else t for r, t in zip(orders, terms)], mag
 
     def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}
         b1, b2 = a(n + 1), a(n + 2)
@@ -301,7 +335,7 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
             u = u * r if m > 1 else u
             terms = [Enclosure(Fraction((2 if m % 2 else 1) * m ** k, m)) * scale * psi_k
                      for k, scale, psi_k in zip(orders, scales, _psi(m * piy, u, orders))]
-            return terms, max(abs(term).hi for term in terms)
+            return terms, _largest([abs(term) for term in terms])
 
         def tail(n):
             # for m > n: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2, so

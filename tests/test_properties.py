@@ -45,6 +45,16 @@ def test_theta2_box_contains_points(a, w, t, nu):
     assert theta2_series(box, nu, CFG).contains(theta2_series(point, nu, CFG))
 
 
+@pytest.mark.parametrize("lo, hi", [(0.1015625, 0.1328125), (0.03125, 0.0625), (0.09375, 0.1015625),
+                                    (0.15625, 0.171875)])
+def test_theta2_box_contains_its_upper_end(lo, hi):
+    # the box stops its far ends where y.lo does, terms after y.hi stops: those terms must not
+    # carry its near-zero end past the enclosure at y.hi
+    box = Enclosure(lo, hi)
+    for nu in range(4):
+        assert theta2_series(box, nu, CFG).contains(theta2_series(Enclosure(hi), nu, CFG))
+
+
 @settings(max_examples=30, deadline=None)
 @given(a=_anchor, w=_width, t=_frac)
 def test_f_family_box_contains_points(a, w, t):
