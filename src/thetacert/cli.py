@@ -32,6 +32,7 @@ from .report import ReportDocument, decimal_bounds
 from .scanner import ExponentQuery, find_witness_in_rows, scan_rows
 from .theta import theta2_series
 from .verifier import (
+    _INTERVAL,
     QUANTITIES,
     checked_greek_constants,
     f_eval,
@@ -182,7 +183,7 @@ def _custom(args) -> bool:
 
 def _suite_convexity(args, cfg):
     if _custom(args):
-        interval = args.interval if args.interval is not None else ("0.05", "20")
+        interval = args.interval if args.interval is not None else _INTERVAL
         sign = args.target_sign or "positive"
         quantity = args.quantity or "f_second"
         return [
@@ -260,7 +261,7 @@ def _cmd_scan(args, cfg: EvalConfig) -> int:
     except (ValueError, TypeError) as exc:
         return _usage_error(str(exc))
     rows = scan_rows(query, cfg)
-    witness = find_witness_in_rows(query, rows, cfg)
+    witness = find_witness_in_rows(query, rows)
     lines = ["y,f_second_lo,f_second_hi"]
     for y, enc in rows:
         lo, hi = decimal_bounds(enc, args.digits)

@@ -129,32 +129,26 @@ def _sandwich_config(y_hi: float, cfg: EvalConfig) -> EvalConfig:
 
 
 def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig, constants: EnvelopeConstants):
-    """(True / False / None (undecided), detail) for the strict sandwich at one point, per order.
-
-    Each precision attempt makes one theta2 pass over the orders up to the highest undecided
-    one, and its envelopes share the two exponentials; an undecided order escalates alone.
-    """
+    """(True / False / None (undecided), detail) for the strict sandwich at one point, per order:
+    one theta2 pass over the orders at the :func:`_sandwich_config` precision, whose
+    envelopes share the two exponentials."""
     point_cfg = _sandwich_config(float(y.hi), cfg)
-    verdicts = {}
-    for _ in range(3):
-        pending = [nu for nu in orders if nu not in verdicts]
-        if not pending:
-            break
-        with point_cfg.scope():
-            thetas = _theta2(y, range(max(pending) + 1), point_cfg)
-            shared = {}  # e^{-pi y/4}, e^{-9 pi y/4}, filled by the first envelope
-            for nu in pending:
-                mid = -thetas[nu] if nu % 2 == 1 else thetas[nu]
-                low = _envelope_poly(nu).eval(y, point_cfg, shared)
-                upp = _envelope_poly(nu, constants.for_order(nu)).eval(y, point_cfg, shared)
-                if low.is_strictly_positive() and low.hi < mid.lo and mid.hi < upp.lo:
-                    verdicts[nu] = True, "strict on both sides"
-                # a disproof needs the wrong ordering to hold on whole enclosures
-                elif mid.hi < low.lo or upp.hi < mid.lo or low.hi <= 0:
-                    verdicts[nu] = False, f"lower={low!r} mid={mid!r} upper={upp!r}"
-        point_cfg = point_cfg.escalated()
-    undecided = None, "enclosures still overlap after precision escalation"
-    return [verdicts.get(nu, undecided) for nu in orders]
+    with point_cfg.scope():
+        thetas = _theta2(y, range(max(orders, default=0) + 1), point_cfg)
+        shared = {}  # e^{-pi y/4}, e^{-9 pi y/4}, filled by the first envelope
+        verdicts = []
+        for nu in orders:
+            mid = -thetas[nu] if nu % 2 == 1 else thetas[nu]
+            low = _envelope_poly(nu).eval(y, point_cfg, shared)
+            upp = _envelope_poly(nu, constants.for_order(nu)).eval(y, point_cfg, shared)
+            if low.is_strictly_positive() and low.hi < mid.lo and mid.hi < upp.lo:
+                verdicts.append((True, "strict on both sides"))
+            # a disproof needs the wrong ordering to hold on whole enclosures
+            elif mid.hi < low.lo or upp.hi < mid.lo or low.hi <= 0:
+                verdicts.append((False, f"lower={low!r} mid={mid!r} upper={upp!r}"))
+            else:
+                verdicts.append((None, f"enclosures overlap at {point_cfg.precision_bits} bits"))
+    return verdicts
 
 
 def verify_sandwiches(
@@ -166,11 +160,11 @@ def verify_sandwiches(
     """Certify lower < (-1)^nu theta2^(nu) < upper strictly at each grid point, one report
     per order nu of `orders`; each grid point is evaluated once for all of them.
 
-    The working precision scales with y: the strict gaps shrink like
-    e^{-6 pi y}, so a fixed precision would go inconclusive long before
-    y = 100 even though the inequalities are comfortably true.  Widths too
-    large to decide after escalation produce an `inconclusive` report
-    (distinct from a disproof, which records the offending point).
+    The working precision scales with y (:func:`_sandwich_config`): the strict
+    gaps shrink like e^{-6 pi y}, so a fixed precision would go inconclusive
+    long before y = 100 even though the inequalities are comfortably true.
+    Enclosures that still overlap at that precision produce an `inconclusive`
+    report (distinct from a disproof, which records the offending point).
     """
     orders = [_check_order(nu) for nu in orders]
     with cfg.scope():
@@ -184,21 +178,24 @@ def verify_sandwiches(
     return reports
 
 
-_FACTORIALS = (1, 1, 2, 6)
+def _tail_coefficients(nu: int) -> list[int]:
+    """C_j = nu!/(nu-j)! 24^(nu-j), j = 0..nu: the integration-by-parts coefficients of
+    int_24^oo t^nu e^{-s t} dt = e^{-24 s} sum_j C_j / s^(j+1)."""
+    return [math.perm(nu, j) * 24 ** (nu - j) for j in range(nu + 1)]
 
 
 def tail_integral(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """Closed form of int_24^oo t^nu e^{-s t} dt with s = pi y / 4.
 
-    Integration by parts gives e^{-24 s} * sum_{j=0}^{nu} (nu!/(nu-j)!) 24^(nu-j) / s^(j+1).
+    Integration by parts gives e^{-24 s} * sum_{j=0}^{nu} C_j / s^(j+1), C_j from
+    :func:`_tail_coefficients`.
     """
     nu = _check_order(nu)
     with cfg.scope():
         y = _check_domain(as_enclosure(y))
         s = Enclosure.pi() * y / 4
         total = Enclosure(0)
-        for j in range(nu + 1):
-            coeff = _FACTORIALS[nu] // _FACTORIALS[nu - j] * 24 ** (nu - j)
+        for j, coeff in enumerate(_tail_coefficients(nu)):
             total = total + Enclosure(coeff) / s ** (j + 1)
         return (-(24 * s)).exp() * total
 
@@ -261,11 +258,8 @@ def check_c_admissible(
         factor = admissibility_factor(nu, one, cfg)
         step2 = _below(factor, Enclosure(c))
         checks.append(Check("factor below c at y=1", step2, f"factor={factor!r}, c={float(c)}"))
-        bases = [
-            Enclosure(_FACTORIALS[nu] // _FACTORIALS[nu - j] * 24 ** (nu - j))
-            * (4 / Enclosure.pi()) ** (j + 1)
-            for j in range(nu + 1)
-        ]
+        bases = [Enclosure(coeff) * (4 / Enclosure.pi()) ** (j + 1)
+                 for j, coeff in enumerate(_tail_coefficients(nu))]
     positive = {_below(0, b) for b in bases}  # every base_j > 0, three-valued
     checks.append(
         Check(

@@ -9,7 +9,7 @@ evaluator specializes exactly to the proven-convex member.
 The search is one-sided by design: a returned :class:`Witness` carries a
 strictly negative enclosure of f_a'' and rigorously disproves convexity at
 that exponent, while an empty result proves nothing (the scan is a finite
-grid plus refinement, not a covering).
+grid, not a covering; a finer search is a larger ``resolution``).
 """
 
 from __future__ import annotations
@@ -77,48 +77,21 @@ def scan_rows(query: ExponentQuery, cfg: EvalConfig = DEFAULT_CONFIG):
     return [(y, f_a_second(query.a, y, cfg)) for y in log_grid(lo, hi, query.resolution)]
 
 
-#: golden-section refinement steps after the grid scan (two evaluations each)
-_REFINEMENTS = 40
-
-
 def find_nonconvex_witness(
     query: ExponentQuery, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> Witness | None:
-    """Search for a point where f_a'' is certifiably negative.
+    """Search the query's grid for a point where f_a'' is certifiably negative.
 
-    Grid scan first; if the most negative enclosure is not already strict,
-    golden-section-style shrinking around the running minimum for up to
-    2 * _REFINEMENTS extra evaluations.  Soundness is asymmetric:
-    Some(witness) is a proof, None is just a failed search.
+    Soundness is asymmetric: Some(witness) is a proof, None is just a failed
+    search of the grid, which a larger ``resolution`` refines.
     """
-    return find_witness_in_rows(query, scan_rows(query, cfg), cfg)
+    return find_witness_in_rows(query, scan_rows(query, cfg))
 
 
-def find_witness_in_rows(
-    query: ExponentQuery, rows, cfg: EvalConfig = DEFAULT_CONFIG
-) -> Witness | None:
-    """:func:`find_nonconvex_witness` on grid rows already computed by
-    :func:`scan_rows` for the same query."""
-    best_idx = min(range(len(rows)), key=lambda i: rows[i][1].mid)
-    best_y, best_val = rows[best_idx]
+def find_witness_in_rows(query: ExponentQuery, rows) -> Witness | None:
+    """The grid point of `rows` (from :func:`scan_rows` for the same query) with the most
+    negative f_a'', as a :class:`Witness` if its enclosure is strictly negative."""
+    best_y, best_val = min(rows, key=lambda row: row[1].mid)
     if best_val.is_strictly_negative():
         return Witness(y=best_y, value=best_val, context=f"f_a'' at a={query.a}")
-
-    # refine inside the bracket around the grid minimum
-    ratio = 0.381966  # 2 - golden ratio
-    lo = rows[max(best_idx - 1, 0)][0].lo
-    hi = rows[min(best_idx + 1, len(rows) - 1)][0].hi
-    with cfg.scope():
-        for _ in range(_REFINEMENTS):
-            span = hi - lo
-            for t in (ratio, 1 - ratio):
-                y = Enclosure(lo + span * t)
-                val = f_a_second(query.a, y, cfg)
-                if val.is_strictly_negative():
-                    return Witness(y=y, value=val, context=f"f_a'' at a={query.a}")
-                if val.mid < best_val.mid:
-                    best_y, best_val = y, val
-            mid = best_y.mid
-            quarter = span / 4
-            lo, hi = mid - quarter, mid + quarter
     return None

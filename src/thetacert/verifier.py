@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .certify import CertificationReport, Check, certify_sign
 from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, _below, as_enclosure
@@ -263,22 +265,30 @@ class GreekConstants:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+#: h(1/y) = y^{9/2} sum_terms coeff y^power a_i a_j a_k over (coeff, power, (i, j, k)), with
+#: a_nu = (-1)^nu theta2^(nu)(y) > 0: :func:`h_reciprocal` sums it on theta2 values,
+#: :func:`greek_bracket` on envelopes
+_H_TERMS = ((2, 0, (1, 1, 0)), (-2, 0, (2, 0, 0)), (2, 1, (1, 1, 1)), (-3, 1, (2, 1, 0)),
+            (1, 1, (3, 0, 0)))
+
+
 def greek_bracket(cfg: EvalConfig = DEFAULT_CONFIG) -> ExpPoly:
-    """The five-product envelope lower bound for h(1/y), divided by y^{9/2}.
+    """The five-product envelope lower bound for h(1/y), divided by y^{9/2}: _H_TERMS with
+    lower envelopes in its positive terms and upper ones in its negative terms:
 
     2 l1^2 l0 - 2 u2 u0^2 + y (2 l1^3 - 3 u2 u1 u0 + l3 l0^2), expanded over
     exponents e^{k pi y/4}, k in {-3, -11, -19, -27}.  These products make no y^2
     coefficient, so one raises :class:`DegreeError`: a formula was mistranscribed.
     """
     with cfg.scope():
-        l0, l1, l3 = (_envelope_poly(nu) for nu in (0, 1, 3))
-        u0, u1, u2 = (_envelope_poly(nu, PAPER_CONSTANTS.for_order(nu)) for nu in range(3))
-        t1 = (l1 * l1 * l0).scale(2)
-        t2 = (u2 * u0 * u0).scale(-2)
-        t3 = (l1 * l1 * l1).scale(2).mul_y()
-        t4 = (u2 * u1 * u0).scale(-3).mul_y()
-        t5 = (l3 * l0 * l0).mul_y()
-        poly = t1 + t2 + t3 + t4 + t5
+        lower = [_envelope_poly(nu) for nu in range(4)]
+        upper = [_envelope_poly(nu, PAPER_CONSTANTS.for_order(nu)) for nu in range(4)]
+        terms = []
+        for coeff, power, (i, j, k) in _H_TERMS:
+            env = lower if coeff > 0 else upper
+            term = (env[i] * env[j] * env[k]).scale(coeff)
+            terms.append(term.mul_y() if power else term)
+        poly = reduce(add, terms)
     if poly.degree > 1:
         raise DegreeError(f"the envelope-product bracket has a y^{poly.degree} coefficient")
     return poly
@@ -458,20 +468,14 @@ def h_direct(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 
 
 def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """h(1/y) as the five-term theta2 combination at y (valid for y > 0,
+    """h(1/y) as the five-term theta2 combination _H_TERMS at y (valid for y > 0,
     intended for y >= 1 where the envelope bound applies)."""
     with cfg.scope():
         y = as_enclosure(y)
-        s0, s1, s2, s3 = _theta2(y, range(4), cfg)
-        y92 = y ** Fraction(9, 2)
-        y112 = y ** Fraction(11, 2)
-        return (
-            2 * y92 * s1 ** 2 * s0
-            - 2 * y92 * s2 * s0 ** 2
-            - 2 * y112 * s1 ** 3
-            + 3 * y112 * s2 * s1 * s0
-            - y112 * s3 * s0 ** 2
-        )
+        a = [-t if nu % 2 else t for nu, t in enumerate(_theta2(y, range(4), cfg))]
+        powers = (y ** Fraction(9, 2), y ** Fraction(11, 2))
+        return reduce(add, (coeff * powers[power] * a[i] * a[j] * a[k]
+                            for coeff, power, (i, j, k) in _H_TERMS))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from thetacert import (
     CertificationReport,
     Check,
+    ConvergenceError,
     Enclosure,
     EvalConfig,
     Status,
@@ -186,3 +187,22 @@ def test_chain_passes_report_fields_through():
     assert report.interval == (1, 2) and report.boxes_examined == 7
     assert report.report_id == "chain@[1,2]"
     assert [c.name for c in report.checks] == ["part"]  # no conclusion unless one is given
+
+
+def test_quantity_raising_on_wide_boxes_certifies_by_splitting(cfg):
+    # an evaluation that does not converge on a box is undecided: the box splits
+    def narrow_only(box, cfg):
+        if box.width > 0.1:
+            raise ConvergenceError("box too wide")
+        return _parabola(box, cfg)
+
+    report = certify_sign(narrow_only, (1, 2), +1, cfg, name="narrow-only")
+    assert report.certified
+    assert report.boxes_examined > 16  # 16 leaves of width 1/16, and the boxes above them
+
+
+def test_failed_chain_summary_lists_failed_checks():
+    report = CertificationReport.chain("demo", [Check("holds", True, ""), Check("breaks", False, ""),
+                                                Check("open", None, "")])
+    assert report.status is Status.FAILED
+    assert report.summary().endswith("failed checks: breaks")

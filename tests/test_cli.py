@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -107,10 +108,10 @@ def test_scan_no_witness_at_2(tmp_path, capsys):
     assert "no witness" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("a, calls", [("2.5", 16), ("2", 16 + 80)])
+@pytest.mark.parametrize("a, calls", [("2.5", 16), ("2", 16)])
 def test_scan_evaluates_grid_once(monkeypatch, capsys, a, calls):
-    # the witness search reuses the CLI's grid rows: one grid of 16, plus
-    # two refinement evaluations per step when the grid holds no witness
+    # the witness search reuses the CLI's grid rows: one grid of 16, and
+    # nothing more when the grid holds no witness
     count = 0
     inner = scanner.f_a_second
 
@@ -122,6 +123,53 @@ def test_scan_evaluates_grid_once(monkeypatch, capsys, a, calls):
     monkeypatch.setattr(scanner, "f_a_second", counting)
     assert run_cli("scan", "--a", a, "--resolution", "16") == 0
     assert count == calls
+
+
+def test_scan_without_grid_witness_reports_none(capsys):
+    # f_a'' > 0 on all of [0.8, 3] at a = 2.1 (certify_sign proves it), so no
+    # witness may come from outside the requested interval either
+    assert run_cli("scan", "--a", "2.1", "--interval", "0.8", "3", "--resolution", "8") == 0
+    out = capsys.readouterr().out
+    assert "# witness" not in out
+    assert "no witness found" in out
+
+
+@pytest.mark.parametrize("a, lo, hi, res", [
+    ("2.1", "0.8", "3", "8"),
+    ("2.1", "0.05", "5", "16"),
+    ("2.5", "0.3", "10", "8"),
+    ("3", "0.01", "50", "16"),
+    ("4", "0.5", "2", "8"),
+])
+def test_scan_witness_lies_in_interval(capsys, a, lo, hi, res):
+    assert run_cli("scan", "--a", a, "--interval", lo, hi, "--resolution", res) == 0
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("# witness"):
+            _, ylo, yhi, vlo, vhi = line.split(",")
+            assert float(lo) <= float(ylo) <= float(yhi) <= float(hi), line
+            assert float(vhi) < 0
+
+
+#: the decades of y outside [1e-5, 1e5]; theta2 only at large y, where it is fast
+_SMALL_Y, _LARGE_Y = ("1e-8", "1e-7", "1e-6"), ("1e6", "1e7", "1e8")
+
+
+def _extreme_evaluations():
+    for fn in ("theta2", "theta4", "f", "f'", "f''"):
+        ys = _LARGE_Y if fn == "theta2" else _SMALL_Y + _LARGE_Y
+        orders = ("0", "1", "2", "3") if fn.startswith("theta") else ("0",)
+        yield from ((fn, y, nu) for y in ys for nu in orders)
+
+
+def test_eval_at_extreme_y_prints_ordered_bounds(capsys):
+    evaluations = list(_extreme_evaluations())
+    assert len(evaluations) == 54
+    for fn, y, nu in evaluations:
+        argv = ["--precision", "128", "eval", fn, "--y", y] + (["--order", nu] if nu != "0" else [])
+        assert run_cli(*argv) == 0, argv
+        out = capsys.readouterr().out.strip()
+        lo, hi = out.rsplit(" in [", 1)[1].removesuffix("]").split(", ")
+        assert Decimal(lo) <= Decimal(hi), out
 
 
 @pytest.mark.parametrize("suite", ["greek", "small-y"])

@@ -7,6 +7,7 @@ from mpmath import mp
 
 from thetacert import (
     Enclosure,
+    EvalConfig,
     MODULAR_COEFFICIENTS,
     Status,
     certify_sign,
@@ -149,6 +150,14 @@ def test_corrupted_row_fails_only_its_order(cfg):
     assert [r.status for r in together] == [
         Status.CERTIFIED, Status.FAILED, Status.CERTIFIED, Status.CERTIFIED
     ]
+
+
+@pytest.mark.parametrize("bits", [53, 64, 80])
+def test_low_precision_identity_is_inconclusive_not_failed(bits):
+    # at these precisions the two routes intersect but are too wide to confirm
+    reports = verify_modular_identities(("0.5", "2"), range(4), EvalConfig(precision_bits=bits))
+    assert [r.status for r in reports] == [Status.INCONCLUSIVE] * 4
+    assert all(c.passed is not False for r in reports for c in r.checks)
 
 
 @pytest.mark.parametrize("nu", [4, -1])

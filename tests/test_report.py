@@ -10,6 +10,7 @@ from thetacert import (
     EvalConfig,
     Status,
     Witness,
+    certify_sign,
     f_eval,
     f_prime,
     f_second,
@@ -110,3 +111,17 @@ def test_summary_counts():
         doc.add_certification(CertificationReport(name="b", status=Status.INCONCLUSIVE))
     s = doc.summary
     assert s == {"certified": 1, "failed": 0, "inconclusive": 1, "ok": False}
+
+
+def test_inconclusive_report_round_trips_with_unresolved_box(cfg):
+    undecided = lambda box, cfg: Enclosure(-1, 1)  # noqa: E731
+    report = certify_sign(undecided, (1, 2), +1, cfg, max_boxes=5, name="budget")
+    assert report.status is Status.INCONCLUSIVE and report.unresolved_box is not None
+    doc = ReportDocument(command="verify demo", config=cfg).start()
+    doc.add_certification(report)
+    text = doc.finish().to_json()
+    assert ReportDocument.from_json(text).to_json() == text
+    (record,) = json.loads(text)["results"]
+    assert record["status"] == "inconclusive"
+    lo, hi = record["unresolved_box"]
+    assert 1 <= float(lo) < float(hi) <= 2

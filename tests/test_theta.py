@@ -22,7 +22,7 @@ from thetacert import (
     theta4_via_modular,
 )
 from thetacert.modular import q_series_derivatives
-from thetacert.theta import _lambert_sum, _quadratic_series, _theta4, psi
+from thetacert.theta import _lambert_sum, _quadratic_series, _theta4, certified_sum, psi
 
 from conftest import (
     F_AT_1,
@@ -390,3 +390,34 @@ def test_quadratic_series_rejects_non_quadratic_exponents(cfg):
     # E_{n+1} = E_n R_n, R_{n+1} = R_n D needs the constant second difference D
     with cfg.scope(), pytest.raises(ValueError, match="quadratic"):
         _quadratic_series("cubic", Enclosure(1), lambda k: k ** 3, range(1), cfg)
+
+
+def _halving_sum(y, cfg, attempts):
+    """certified_sum of y 2^-k over k >= 1 (exactly y), one-signed, whose tail bound raises
+    ConvergenceError below term 103 whatever y is; `attempts` records each tail call."""
+    def step(k):
+        term = y / Enclosure(2) ** k
+        return [term], term
+
+    def tail(k):
+        attempts.append(k)
+        if k < 103:
+            raise ConvergenceError("tail not certified yet")
+        return [y / Enclosure(2) ** k]
+
+    with cfg.scope():
+        return certified_sum("halving", cfg, [Enclosure(0)], step, tail, [+1])[0]
+
+
+def test_a_raising_tail_stops_the_near_end(cfg):
+    # the first tail attempt raises: the near-zero end stops there, for a box
+    # no later than for any of its points
+    box_attempts = []
+    box = _halving_sum(Enclosure(1, 2), cfg, box_attempts)
+    assert box_attempts[0] < 103 <= box_attempts[-1]
+    for y in (1, "1.5", 2):
+        attempts = []
+        point = _halving_sum(Enclosure(y), cfg, attempts)
+        assert attempts[0] < 103
+        assert point.contains(Enclosure(y))
+        assert box.contains(point), f"box {box!r} misses the point {y}: {point!r}"
