@@ -28,6 +28,8 @@ by q^{a(n+1)} = q^{a(n)} q^{a(n+1) - a(n)} (u_m = u_{m-1} u_1).  Every factor is
 positive enclosure decreasing in y, so an outward-rounded product's lower end bounds
 its value at y.hi from below and its upper end its value at y.lo from above: it
 encloses the exact range on any box, and its upper end bounds the omitted terms.
+Both term steps run on raw libmp interval pairs at one precision read per pass and make
+each term an Enclosure once, rounding each operation as its Enclosure form: the same bits.
 ``theta4_product`` keeps its own loop: it is a product, and the tests use it
 as an independent reference for ``theta4_series``.
 
@@ -63,6 +65,7 @@ from .enclosure import (
     DomainError,
     Enclosure,
     EvalConfig,
+    _to_raw_pair,
     as_enclosure,
     current_precision,
     precision,
@@ -152,12 +155,12 @@ def _settle(total: Enclosure, near: Enclosure, sign: int) -> Enclosure:
     return total
 
 
-def _largest(sizes: list[Enclosure]) -> Enclosure:
-    """[largest lower end, largest upper end] of `sizes`: inclusion isotone in each."""
-    lo, hi = sizes[0]._lo, sizes[0]._hi
-    for m in sizes[1:]:
-        lo = m._lo if _lm.mpf_cmp(m._lo, lo) > 0 else lo
-        hi = m._hi if _lm.mpf_cmp(m._hi, hi) > 0 else hi
+def _largest(sizes: list[tuple]) -> Enclosure:
+    """[largest lower end, largest upper end] of raw intervals: inclusion isotone in each."""
+    lo, hi = sizes[0]
+    for a, b in sizes[1:]:
+        lo = a if _lm.mpf_cmp(a, lo) > 0 else lo
+        hi = b if _lm.mpf_cmp(b, hi) > 0 else hi
     return Enclosure._from_mpi((lo, hi))
 
 
@@ -183,23 +186,27 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     pi, s, w = Enclosure.pi(), Enclosure(scale), Enclosure(weight)
     # q^a(n) has a(n) times q's relative width and the products' roundings add up to about
     # n^2/2 ulps: 32 more bits keep both below a working ulp while a(n) < 2^24 (theta2 at 1e-5)
-    chain_bits = current_precision() + 32
+    prec = current_precision()
+    chain_bits = prec + 32
     with precision(chain_bits):
         q = (-(Enclosure.pi() * (y * s))).exp()
         powers = (q ** (a1 - a0), q ** (a2 - a1), q ** (a3 - 2 * a2 + a1))
     e, ratio, d = ((p._lo, p._hi) for p in powers)  # E_1, R_1, D as raw intervals
+    mul, pi_r, s_r, w_r = _lm.mpi_mul, (pi._lo, pi._hi), (s._lo, s._hi), (w._lo, w._hi)
 
-    def step(n):
+    def step(n):  # on raw intervals, as w * E_n * (pi * a(n) * s)^r would round
         nonlocal e, ratio
-        mag = w * Enclosure._from_mpi(e)
-        e, ratio = _lm.mpi_mul(e, ratio, chain_bits), _lm.mpi_mul(ratio, d, chain_bits)
-        ca = pi * a(n) * s if orders[-1] else None  # order 0 alone needs no c a(n)
+        mag = mul(w_r, e, prec)
+        e, ratio = mul(e, ratio, chain_bits), mul(ratio, d, chain_bits)
+        if orders[-1]:  # order 0 alone needs no c a(n)
+            ca = mul(mul(pi_r, _to_raw_pair(a(n), prec), prec), s_r, prec)
         if orders[0]:
-            mag = mag * ca ** orders[0]
+            mag = mul(mag, _lm.mpi_pow_int(ca, orders[0], prec), prec)
         terms = [mag]
         for _ in orders[1:]:
-            terms.append(terms[-1] * ca)
-        return [-t if (r + n * alternating) % 2 else t for r, t in zip(orders, terms)], mag
+            terms.append(mul(terms[-1], ca, prec))
+        return [Enclosure._from_mpi(_lm.mpi_neg(t, prec) if (r + n * alternating) % 2 else t)
+                for r, t in zip(orders, terms)], Enclosure._from_mpi(mag)
 
     def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}
         b1, b2 = a(n + 1), a(n + 2)
@@ -289,6 +296,8 @@ def theta2_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
 
 
 #: N_k(s, v, u) with psi^(k)(s) = u N_k / v^(k+1), u = e^{-s}, v = 1 - u; each |N_k| <= 2(1+s)^2.
+#: The reference transcription: `_psi` runs this grouping on raw intervals, the tests hold it to
+#: these lambdas, and a derivation of N_k from N_0 = s^2 would be checked against them.
 #: Written by hand rather than as a Jet of s^2 u/(1 - u): on s in pi [1, 1.01] that Jet's psi''
 #: is 0.054 wide against 0.018 here, and at 128 bits it takes 238 us against 109 us (one core
 #: of a 2-core x86 machine, Python 3.11, pure-Python mpmath 1.3)
@@ -297,24 +306,37 @@ _PSI_NUMERATORS = (
     lambda s, v, u: s * (2 * v - s),
     lambda s, v, u: 2 * v * v - 4 * s * v + s * s * (1 + u),
 )
+_ONE = (_lm.fone, _lm.fone)
 
 
-def _psi(s: Enclosure, u: Enclosure, orders: range) -> list[Enclosure]:
-    """psi^(k)(s) for each order k of `orders` at the working precision, for an enclosure
-    s > 0 and an enclosure u of e^{-s} over s; one u serves every order."""
-    v = 1 - u
-    return [u * _PSI_NUMERATORS[k](s, v, u) / v ** (k + 1) for k in orders]
+def _psi(s, u, orders: range, prec: int) -> list[tuple]:
+    """psi^(k)(s) for each order k of `orders` as raw intervals at `prec` bits, for raw s > 0
+    and u of e^{-s} over s; one u serves every order.  The _PSI_NUMERATORS grouping rounded as
+    on Enclosures, 2v and 4s exact: for s within `prec` bits, the reference's endpoints."""
+    mul, sub, shift = _lm.mpi_mul, _lm.mpi_sub, _lm.mpf_shift
+    v = sub(_ONE, u, prec)
+    if _lm.mpf_sign(v[0]) <= 0:  # v's upper end 1 - u.lo is positive, as u.lo < 1
+        raise DomainError("division by an enclosure containing zero")
+    v2, s4 = (shift(v[0], 1), shift(v[1], 1)), (shift(s[0], 2), shift(s[1], 2))
+    numerators = (lambda: mul(s, s, prec), lambda: mul(s, sub(v2, s, prec), prec),  # N_0, N_1
+                  lambda: _lm.mpi_add(sub(mul(v2, v, prec), mul(s4, v, prec), prec),
+                                      mul(mul(s, s, prec), _lm.mpi_add(u, _ONE, prec), prec), prec))
+    return [_lm.mpi_div(mul(u, numerators[k](), prec), _lm.mpi_pow_int(v, k + 1, prec), prec)
+            for k in orders]
 
 
 def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """The Lambert term psi(s) = s^2/(e^s - 1) (order 0) or its derivative of order 1 or 2.
+    """The Lambert term psi(s) = s^2/(e^s - 1) (order 0) or its derivative of order 1 or 2,
+    from the raw-interval `_psi` of the Lambert sums.
     Sound for s > 0 but wide as s -> 0, as v = 1 - e^-s is off by ~2^-prec: at 128 bits psi''
     is 4.6e-20 wide at s = 1e-10 and 4.6e20 at s = 1e-30.  The Lambert sums use s >= pi y."""
     if order not in range(len(_PSI_NUMERATORS)):
         raise ValueError(f"psi order must be 0, 1 or 2, got {order}")
     with cfg.scope():
         s = _check_positive(as_enclosure(s), "psi")
-        return _psi(s, (-s).exp(), range(order, order + 1))[0]
+        u = (-s).exp()
+        (value,) = _psi((s._lo, s._hi), (u._lo, u._hi), (order,), current_precision())
+        return Enclosure._from_mpi(value)
 
 
 def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
@@ -322,20 +344,27 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
     pass; w_m is 2 for odd m, else 1.  Each order has its own tail bound, and the tails are
     tried once the largest requested |term| is small.  One exp per call: u_m = u_{m-1} u_1
     with u_1 = e^{-pi y}, positive factors decreasing in y, so the outward-rounded product
-    encloses e^{-m pi y} on a box and u_1's upper end bounds the tails."""
+    encloses e^{-m pi y} on a box and u_1's upper end bounds the tails.  The step runs on raw
+    intervals: s_m = pi y times the exact m, and the term w_m m^(k-1) * pi^(k-1) * psi^(k)."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "lambert series")
+        prec = current_precision()
         pi = Enclosure.pi()
         piy = pi * y
-        r = u = (-piy).exp()  # u_1 = e^{-pi y}; u_m = u_{m-1} u_1 = e^{-m pi y}
+        r = (-piy).exp()  # u_1 = e^{-pi y}; u_m = u_{m-1} u_1 = e^{-m pi y}
         scales = [pi ** (k - 1) for k in orders]
+        mul, raw, piy_r, u = _lm.mpi_mul, _to_raw_pair, (piy._lo, piy._hi), (r._lo, r._hi)
+        r_r, scale_rs = u, [(c._lo, c._hi) for c in scales]
 
         def step(m):
             nonlocal u
-            u = u * r if m > 1 else u
-            terms = [Enclosure(Fraction((2 if m % 2 else 1) * m ** k, m)) * scale * psi_k
-                     for k, scale, psi_k in zip(orders, scales, _psi(m * piy, u, orders))]
-            return terms, _largest([abs(term) for term in terms])
+            u = mul(u, r_r, prec) if m > 1 else u
+            w = 2 if m % 2 else 1  # w_m m^(k-1): exact for k >= 1, w_m/m rounded outward for k = 0
+            psis = _psi(mul(piy_r, raw(m, prec), prec), u, orders, prec)
+            terms = [mul(mul(raw(w * m ** (k - 1) if k else Fraction(w, m), prec), scale, prec),
+                         psi_k, prec) for k, scale, psi_k in zip(orders, scale_rs, psis)]
+            return ([Enclosure._from_mpi(t) for t in terms],
+                    _largest([_lm.mpi_abs(t, prec) for t in terms]))
 
         def tail(n):
             # for m > n: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2, so

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, report files, CSV format."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thetacert
 from thetacert import scanner
@@ -170,6 +173,29 @@ def test_eval_at_extreme_y_prints_ordered_bounds(capsys):
         out = capsys.readouterr().out.strip()
         lo, hi = out.rsplit(" in [", 1)[1].removesuffix("]").split(", ")
         assert Decimal(lo) <= Decimal(hi), out
+
+
+def _eval_bounds(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli(*argv) == 0, argv
+    lo, hi = out.getvalue().strip().rsplit(" in [", 1)[1].removesuffix("]").split(", ")
+    return Decimal(lo), Decimal(hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fn=st.sampled_from(["f", "f'", "f''", "theta4", "theta2"]), t=st.floats(0, 1),
+       nu=st.sampled_from(["0", "1", "2", "3"]))
+def test_eval_bounds_are_ordered_and_agree_across_precisions(fn, t, nu):
+    # y log-uniform on [1e-8, 1e8], theta2 on [1e-5, 1e8] (its direct series is slow below);
+    # the 128-bit and 192-bit enclosures both hold the value, so they must meet
+    low = -5 if fn == "theta2" else -8
+    y = f"{10 ** (low + (8 - low) * t):.6g}"
+    order = ["--order", nu] if fn.startswith("theta") else []
+    lo, hi = _eval_bounds("eval", fn, "--y", y, *order)
+    lo192, hi192 = _eval_bounds("--precision", "192", "eval", fn, "--y", y, *order)
+    assert lo <= hi and lo192 <= hi192
+    assert lo <= hi192 and lo192 <= hi, (fn, y, nu)
 
 
 @pytest.mark.parametrize("suite", ["greek", "small-y"])

@@ -1,6 +1,7 @@
 """Theta series, product form, and the Lambert-type log-derivative sums."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -22,7 +23,14 @@ from thetacert import (
     theta4_via_modular,
 )
 from thetacert.modular import q_series_derivatives
-from thetacert.theta import _lambert_sum, _quadratic_series, _theta4, certified_sum, psi
+from thetacert.theta import (
+    _PSI_NUMERATORS,
+    _lambert_sum,
+    _quadratic_series,
+    _theta4,
+    certified_sum,
+    psi,
+)
 
 from conftest import (
     F_AT_1,
@@ -384,6 +392,86 @@ def test_a_series_pass_takes_one_exp(cfg, monkeypatch, evaluate):
     calls = _count_exps(monkeypatch)
     evaluate(cfg)
     assert len(calls) == 1
+
+
+def test_a_lambert_pass_builds_enclosures_independent_of_its_terms(cfg, monkeypatch):
+    # the step runs on raw intervals: only the setup and the tail attempts build Enclosures,
+    # whether the pass sums dozens of terms ([0.8, 0.808]) or two (y = 30)
+    boxes = [Enclosure(1, "1.01"), Enclosure("0.8", "0.808"), Enclosure(30)]
+    calls, inner = [], Enclosure.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        inner(self, *args)
+
+    monkeypatch.setattr(Enclosure, "__init__", counting)
+    counts = []
+    for box in boxes:
+        calls.clear()
+        _lambert_sum(box, range(2, 3), cfg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+# --- the raw-interval psi and Lambert steps against the _PSI_NUMERATORS reference ---
+
+
+def _reference_psi(s, u, k):
+    """psi^(k)(s) from the _PSI_NUMERATORS transcription in Enclosure arithmetic."""
+    v = 1 - u
+    return u * _PSI_NUMERATORS[k](s, v, u) / v ** (k + 1)
+
+
+def _psi_arguments(pi):
+    """Thin s and 1 %-wide boxes with s in [0.8 pi, 60], from float endpoints, and pi at the
+    working precision (Enclosure.pi carries guard bits, which the exact 4s would keep)."""
+    rng = random.Random(23)
+    low = float(0.8 * mp.pi)
+    starts = [low, 60 / 1.01] + [low * (60 / 1.01 / low) ** rng.random() for _ in range(6)]
+    return [Enclosure(a) for a in starts] + [Enclosure(a, a * 1.01) for a in starts] + [pi * 1]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_raw_psi_matches_the_reference_numerators(bits):
+    cfg = EvalConfig(precision_bits=bits)
+    with cfg.scope():
+        for s in _psi_arguments(Enclosure.pi()):
+            for k in range(3):
+                assert psi(s, k, cfg) == _reference_psi(s, (-s).exp(), k), (s, k)
+
+
+@pytest.mark.parametrize("orders", [range(3), range(1), range(1, 2), range(2, 3), range(1, 3)],
+                         ids=str)
+@pytest.mark.parametrize("bits", [128, 256])
+def test_raw_lambert_terms_match_the_reference_numerators(monkeypatch, bits, orders):
+    # terms m = 1, 2, 3 of the pass: the odd and even weights, and w_m/m both exact and rounded
+    from thetacert import theta
+
+    def first_terms(what, cfg, start, step, tail, signs, gate_divisor=1):
+        return [step(m)[0] for m in (1, 2, 3)]
+
+    monkeypatch.setattr(theta, "certified_sum", first_terms)
+    cfg = EvalConfig(precision_bits=bits)
+    with cfg.scope():
+        pi = Enclosure.pi()
+        for s in _psi_arguments(pi):
+            y = s / pi
+            piy = pi * y
+            r = u = (-piy).exp()
+            for m, terms in enumerate(_lambert_sum(y, orders, cfg), start=1):
+                u = u * r if m > 1 else u
+                for k, term in zip(orders, terms):
+                    weight = Enclosure(Fraction((2 if m % 2 else 1) * m ** k, m))
+                    assert term == weight * pi ** (k - 1) * _reference_psi(m * piy, u, k), (y, m, k)
+
+
+def test_v_containing_zero_raises_domain_error():
+    # at s = 1e-45 the enclosure of e^-s reaches past 1, so v = 1 - e^-s contains 0; without
+    # the check psi would return [-inf, inf] and the sum would run into its term cap
+    with pytest.raises(DomainError):
+        psi(Enclosure("1e-45"), 2)
+    with pytest.raises(DomainError):
+        _lambert_sum(Enclosure("1e-45"), range(1), EvalConfig(max_terms=50))
 
 
 def test_quadratic_series_rejects_non_quadratic_exponents(cfg):
