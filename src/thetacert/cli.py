@@ -21,6 +21,7 @@ import argparse
 import functools
 import os
 import sys
+from decimal import Decimal
 
 from mpmath import mp
 
@@ -263,9 +264,9 @@ def _cmd_scan(args, cfg: EvalConfig) -> int:
     rows = scan_rows(query, cfg)
     witness = find_witness_in_rows(query, rows)
     lines = ["y,f_second_lo,f_second_hi"]
-    for y, enc in rows:
+    for y, enc in rows:  # y exactly: a grid point is a float, whose decimal expansion is finite
         lo, hi = decimal_bounds(enc, args.digits)
-        lines.append(f"{y.lo},{lo},{hi}")
+        lines.append(f"{Decimal(float(y.lo))},{lo},{hi}")
     if witness is not None:
         ylo, yhi = decimal_bounds(witness.y, args.digits)
         vlo, vhi = decimal_bounds(witness.value, args.digits)
@@ -278,9 +279,7 @@ def _cmd_scan(args, cfg: EvalConfig) -> int:
     else:
         sys.stdout.write(text)
     if witness is not None:
-        vlo, vhi = decimal_bounds(witness.value, args.digits)
-        print(f"witness: f_a'' < 0 certified at y in [{witness.y.lo}, {witness.y.hi}] "
-              f"(value in [{vlo}, {vhi}])")
+        print(f"witness: f_a'' < 0 certified at y in [{ylo}, {yhi}] (value in [{vlo}, {vhi}])")
     else:
         print("no witness found (this does not certify convexity)")
     return EXIT_OK

@@ -1,9 +1,10 @@
 """Convexity scanning for the exponent family f_a(y) = y^a theta4'(y)/theta4(y).
 
 Since f_a = y^(a-2) f with f the a = 2 member, f_a and its first two
-derivatives are one Jet product: the power y^r (1, r/y, r(r-1)/y^2), r = a - 2,
-times (f, f', f'') from the certified routes (the scan's points are thin: one
-theta4 pass on [1, 8]).  At a = 2 the power is the constant 1, so the family
+derivatives are the entries of one Jet product: the power y^r (1, r/y, r(r-1)/y^2),
+r = a - 2, times (f, f', f'') from the certified routes (the scan's points are thin:
+one theta4 pass on [1, 8]).  Each entry is formed alone, by the product rule with the
+Jet's operations in its order.  At a = 2 the power is the constant 1, so the family
 evaluator specializes exactly to the proven-convex member.
 
 The search is one-sided by design: a returned :class:`Witness` carries a
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import Witness
-from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, as_enclosure
+from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, as_enclosure
 from .envelopes import log_grid
 from .verifier import _f
 
@@ -45,15 +46,18 @@ class ExponentQuery:
 
 
 def _f_a(a, y, order: int, cfg: EvalConfig) -> Enclosure:
-    """Entry `order` of the Jet y^(a-2) (f, f', f''); the derivatives of f above
-    `order` are left at 0, which changes no entry up to `order`."""
+    """Entry `order` of the Jet y^(a-2) (f, f', f''), formed alone with the Jet product's
+    operations in its order: the power's entries and f's derivatives up to `order` only."""
     r = Fraction(a) - 2
     with cfg.scope():
         y = as_enclosure(y)
-        p = y ** r
-        power = Jet(p, p * r / y, p * (r * (r - 1)) / (y * y))
-        f = Jet(*_f(y, range(order + 1), cfg))
-        return tuple(power * f)[order]
+        f, p = _f(y, range(order + 1), cfg), y ** r
+        if order == 0:
+            return p * f[0]
+        p1 = p * r / y
+        if order == 1:
+            return p1 * f[0] + p * f[1]
+        return p * (r * (r - 1)) / (y * y) * f[0] + 2 * p1 * f[1] + p * f[2]
 
 
 def f_a_value(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -62,7 +66,7 @@ def f_a_value(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 
 
 def f_a_prime(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f_a'(y), from the Jet of y^(a-2) f."""
+    """f_a'(y), by the product rule on y^(a-2) f."""
     return _f_a(a, y, 1, cfg)
 
 

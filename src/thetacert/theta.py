@@ -28,8 +28,9 @@ by q^{a(n+1)} = q^{a(n)} q^{a(n+1) - a(n)} (u_m = u_{m-1} u_1).  Every factor is
 positive enclosure decreasing in y, so an outward-rounded product's lower end bounds
 its value at y.hi from below and its upper end its value at y.lo from above: it
 encloses the exact range on any box, and its upper end bounds the omitted terms.
-Both term steps run on raw libmp interval pairs at one precision read per pass and make
-each term an Enclosure once, rounding each operation as its Enclosure form: the same bits.
+Term steps, tail bounds and the kernel's partial sums run on raw libmp interval pairs at one
+precision read per pass, rounding each operation as its Enclosure form: the same bits.  Each
+term, tail bound and result becomes an Enclosure once, for the kernel's Enclosure contract.
 ``theta4_product`` keeps its own loop: it is a product, and the tests use it
 as an independent reference for ``theta4_series``.
 
@@ -94,21 +95,16 @@ def _check_positive(y: Enclosure, what: str) -> Enclosure:
     return y
 
 
-def geometric_tail(first: Enclosure, ratio: Enclosure) -> Enclosure:
-    """Upper bound for first * (1 + r + r^2 + ...) given an enclosed ratio < 1.
+_ONE = (_lm.fone, _lm.fone)
 
-    Raises ConvergenceError if the ratio cannot be certified below 1.
-    """
-    one = Enclosure(1)
-    if not (one - ratio).is_strictly_positive():
+
+def _geometric_tail(first, ratio, prec: int) -> tuple:
+    """first * (1 + r + r^2 + ...) on raw intervals, rounded as first / (1 - r), for a ratio r
+    certified below 1; raises ConvergenceError when 1 - r's lower end is not positive."""
+    rest = _lm.mpi_sub(_ONE, ratio, prec)
+    if _lm.mpf_sign(rest[0]) <= 0:
         raise ConvergenceError("tail ratio not certified below 1")
-    return first / (one - ratio)
-
-
-def _tail_enclosure(b, sign: int) -> Enclosure:
-    """[0, b], [-b, 0] or [-b, b] for a raw b; negating an mpf would round to 53 bits."""
-    neg = _lm.mpf_neg(b)
-    return Enclosure._from_mpi((_lm.fzero if sign > 0 else neg, _lm.fzero if sign < 0 else b))
+    return _lm.mpi_div(first, rest, prec)
 
 
 def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_divisor: int = 1):
@@ -120,17 +116,20 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
     upper ends bound the omitted |tails| past term k.  Gate and tails must be inclusion
     isotone in y, and tail raises ConvergenceError on a box wherever it does on a point.
     signs: +1 or -1 where every term has that sign, 0 where signs mix.
+    Enclosures in and out; the sums run on raw pairs at one precision read, rounding as
+    Enclosure addition does, and each result becomes an Enclosure once.
     """
+    prec, add, cmp = current_precision(), _lm.mpi_add, _lm.mpf_cmp
     tol = cfg.tol._mpf_
     gate_tol = (cfg.tol / gate_divisor)._mpf_
-    sums = near = start
+    sums = near = [(s._lo, s._hi) for s in start]
     near_open = any(signs)  # near: the sums up to where the near-zero ends stop
     for k in range(1, cfg.max_terms + 1):
         terms, gate = step(k)
-        sums = [s + t for s, t in zip(sums, terms)]
+        sums = [add(s, (t._lo, t._hi), prec) for s, t in zip(sums, terms)]
         if near_open:
             near = sums
-        if _lm.mpf_cmp(gate._lo if near_open else gate._hi, gate_tol) > 0:
+        if cmp(gate._lo if near_open else gate._hi, gate_tol) > 0:
             continue
         try:
             bounds = tail(k)
@@ -138,21 +137,24 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
             near_open = False
             continue
         if near_open:
-            near_open = any(_lm.mpf_cmp(b._lo, tol) > 0 for b in bounds)
-        if _lm.mpf_cmp(gate._hi, gate_tol) <= 0 and all(_lm.mpf_cmp(b._hi, tol) <= 0 for b in bounds):
-            return [_settle(s + _tail_enclosure(b._hi, sign), n, sign)
+            near_open = any(cmp(b._lo, tol) > 0 for b in bounds)
+        if cmp(gate._hi, gate_tol) <= 0 and all(cmp(b._hi, tol) <= 0 for b in bounds):
+            return [_settle(s, b._hi, n, sign, prec)
                     for s, n, b, sign in zip(sums, near, bounds, signs)]
     raise ConvergenceError(f"{what} did not reach tail tolerance within {cfg.max_terms} terms")
 
 
-def _settle(total: Enclosure, near: Enclosure, sign: int) -> Enclosure:
-    """total with the near-zero end of a one-signed sum taken from its shorter partial sum
+def _settle(total: tuple, b, near: tuple, sign: int, prec: int) -> Enclosure:
+    """total + [0, b], [-b, 0] or [-b, b] on raw pairs (negating an mpf b would round to 53
+    bits), with the near-zero end of a one-signed sum taken from its shorter partial sum
     `near`; the terms between them share the sign, so the true sum lies beyond near's end."""
-    if sign > 0 and _lm.mpf_cmp(near._lo, total._lo) < 0:
-        return Enclosure._from_mpi((near._lo, total._hi))
-    if sign < 0 and _lm.mpf_cmp(near._hi, total._hi) > 0:
-        return Enclosure._from_mpi((total._lo, near._hi))
-    return total
+    tail = (_lm.fzero if sign > 0 else _lm.mpf_neg(b), _lm.fzero if sign < 0 else b)
+    lo, hi = _lm.mpi_add(total, tail, prec)
+    if sign > 0 and _lm.mpf_cmp(near[0], lo) < 0:
+        lo = near[0]
+    if sign < 0 and _lm.mpf_cmp(near[1], hi) > 0:
+        hi = near[1]
+    return Enclosure._from_mpi((lo, hi))
 
 
 def _largest(sizes: list[tuple]) -> Enclosure:
@@ -192,7 +194,8 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
         q = (-(Enclosure.pi() * (y * s))).exp()
         powers = (q ** (a1 - a0), q ** (a2 - a1), q ** (a3 - 2 * a2 + a1))
     e, ratio, d = ((p._lo, p._hi) for p in powers)  # E_1, R_1, D as raw intervals
-    mul, pi_r, s_r, w_r = _lm.mpi_mul, (pi._lo, pi._hi), (s._lo, s._hi), (w._lo, w._hi)
+    mul, pow_int = _lm.mpi_mul, _lm.mpi_pow_int
+    pi_r, s_r, w_r = (pi._lo, pi._hi), (s._lo, s._hi), (w._lo, w._hi)
 
     def step(n):  # on raw intervals, as w * E_n * (pi * a(n) * s)^r would round
         nonlocal e, ratio
@@ -201,18 +204,21 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
         if orders[-1]:  # order 0 alone needs no c a(n)
             ca = mul(mul(pi_r, _to_raw_pair(a(n), prec), prec), s_r, prec)
         if orders[0]:
-            mag = mul(mag, _lm.mpi_pow_int(ca, orders[0], prec), prec)
+            mag = mul(mag, pow_int(ca, orders[0], prec), prec)
         terms = [mag]
         for _ in orders[1:]:
             terms.append(mul(terms[-1], ca, prec))
         return [Enclosure._from_mpi(_lm.mpi_neg(t, prec) if (r + n * alternating) % 2 else t)
                 for r, t in zip(orders, terms)], Enclosure._from_mpi(mag)
 
-    def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}
-        b1, b2 = a(n + 1), a(n + 2)
-        first, decay = w * Enclosure._from_mpi(e), Enclosure._from_mpi(ratio)
-        growth = Enclosure(Fraction(b2, b1))
-        return [geometric_tail(first * (pi * b1 * s) ** r, growth ** r * decay) for r in orders]
+    def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}; on raw intervals,
+        # as the geometric tail of w * E_{n+1} * (pi * a(n+1) * s)^r, ratio growth^r * R_{n+1}
+        b1 = a(n + 1)
+        first, ca = mul(w_r, e, prec), mul(mul(pi_r, _to_raw_pair(b1, prec), prec), s_r, prec)
+        growth = _to_raw_pair(Fraction(a(n + 2), b1), prec)
+        return [Enclosure._from_mpi(_geometric_tail(mul(first, pow_int(ca, r, prec), prec),
+                                                    mul(pow_int(growth, r, prec), ratio, prec),
+                                                    prec)) for r in orders]
 
     sums = [Enclosure(start if r == 0 else 0) for r in orders]
     signs = [0 if alternating else (-1) ** r for r in orders]
@@ -306,7 +312,6 @@ _PSI_NUMERATORS = (
     lambda s, v, u: s * (2 * v - s),
     lambda s, v, u: 2 * v * v - 4 * s * v + s * s * (1 + u),
 )
-_ONE = (_lm.fone, _lm.fone)
 
 
 def _psi(s, u, orders: range, prec: int) -> list[tuple]:
@@ -354,7 +359,9 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
         r = (-piy).exp()  # u_1 = e^{-pi y}; u_m = u_{m-1} u_1 = e^{-m pi y}
         scales = [pi ** (k - 1) for k in orders]
         mul, raw, piy_r, u = _lm.mpi_mul, _to_raw_pair, (piy._lo, piy._hi), (r._lo, r._hi)
-        r_r, scale_rs = u, [(c._lo, c._hi) for c in scales]
+        r_r, scale_rs, pow_int = u, [(c._lo, c._hi) for c in scales], _lm.mpi_pow_int
+        spread = pow_int(_lm.mpi_add(piy_r, _ONE, prec), 2, prec)  # (1 + pi y)^2
+        bases = [mul(c, raw(4, prec), prec) for c in scale_rs]  # 4 scale
 
         def step(m):
             nonlocal u
@@ -369,13 +376,17 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
         def tail(n):
             # for m > n: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2, so
             # with p = k + 1 and w_m <= 2 a term is at most 4 scale d^p (1+pi y)^2 m^p r^m and
-            # a term ratio at most ((n+2)/(n+1))^p r, all at r's upper end e^{-pi y.lo}
-            rn = r ** (n + 1)
-            d = geometric_tail(Enclosure(1), rn)
-            spread = (1 + piy) ** 2
-            return [geometric_tail(4 * scale * d ** p * spread * Enclosure((n + 1) ** p) * rn,
-                                   Enclosure(Fraction(n + 2, n + 1)) ** p * r)
-                    for p, scale in zip((k + 1 for k in orders), scales)]
+            # a term ratio at most ((n+2)/(n+1))^p r, all at r's upper end e^{-pi y.lo}; on raw
+            # intervals, each product rounded left to right as on Enclosures
+            rn = pow_int(r_r, n + 1, prec)
+            d, growth = _geometric_tail(_ONE, rn, prec), raw(Fraction(n + 2, n + 1), prec)
+            tails = []
+            for p, first in zip((k + 1 for k in orders), bases):
+                for factor in (pow_int(d, p, prec), spread, raw((n + 1) ** p, prec), rn):
+                    first = mul(first, factor, prec)
+                tails.append(Enclosure._from_mpi(
+                    _geometric_tail(first, mul(pow_int(growth, p, prec), r_r, prec), prec)))
+            return tails
 
         what = f"lambert series (orders {orders[0]}..{orders[-1]})"
         signs = [1 if k == 0 else 0 for k in orders]  # psi > 0, so all terms of f are positive

@@ -137,6 +137,25 @@ def test_scan_without_grid_witness_reports_none(capsys):
     assert "no witness found" in out
 
 
+def test_scan_rows_print_the_evaluated_y(capsys):
+    # the first grid point of [0.013, 37] is the float 0.012999999999999998, and at the
+    # 15 digits "0.0220916036959086" of the second f_a'' lies outside that row's bounds
+    assert run_cli("scan", "--a", "2", "--interval", "0.013", "37", "--resolution", "16") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 16
+    for y, lo, hi in rows:
+        point = thetacert.Enclosure(y)
+        assert point.lo == point.hi, y  # printed exactly
+        assert scanner.f_a_second(2, point).intersects(thetacert.Enclosure(lo, hi)), y
+    # at a = 2.1 the witness is that first point: both witness lines bound it outward
+    assert run_cli("scan", "--a", "2.1", "--interval", "0.013", "37", "--resolution", "16") == 0
+    out = capsys.readouterr().out
+    witness = next(line for line in out.splitlines() if line.startswith("# witness,"))
+    _, ylo, yhi, _, _ = witness.split(",")
+    assert f"at y in [{ylo}, {yhi}]" in out
+    assert thetacert.Enclosure(ylo, yhi).contains(thetacert.Enclosure(rows[0][0]))
+
+
 @pytest.mark.parametrize("a, lo, hi, res", [
     ("2.1", "0.8", "3", "8"),
     ("2.1", "0.05", "5", "16"),

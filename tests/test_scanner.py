@@ -8,6 +8,7 @@ from mpmath import mp
 
 from thetacert import (
     Enclosure,
+    EvalConfig,
     ExponentQuery,
     f_a_second,
     f_second,
@@ -15,7 +16,9 @@ from thetacert import (
     precision,
     scan_rows,
 )
-from thetacert.scanner import f_a_prime, f_a_value
+from thetacert.enclosure import Jet
+from thetacert.scanner import _f_a, f_a_prime, f_a_value
+from thetacert.verifier import _f
 
 from conftest import WITNESS_21_VALUE, WITNESS_21_Y, assert_contains, mp_theta4, mp_scalar
 
@@ -108,3 +111,18 @@ def test_family_value_and_slope_compose(cfg):
             f_a_prime(a, y + Enclosure(h), cfg) - f_a_prime(a, y - Enclosure(h), cfg)
         ) / Enclosure(2 * h)
         assert abs(fd - f_a_second(a, y, cfg)).hi < 1e-9
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_each_entry_is_the_jet_products(bits):
+    # _f_a forms one entry alone; the Jet product y^(a-2) (f, f', f'') is its reference
+    cfg = EvalConfig(precision_bits=bits)
+    for a in ("1", "2", "2.1", "3.7"):
+        r = Fraction(a) - 2
+        for y in (Enclosure(0.013), Enclosure("0.5", "0.505"), Enclosure(2.5), Enclosure(12)):
+            with cfg.scope():
+                p = y ** r
+                power = Jet(p, p * r / y, p * (r * (r - 1)) / (y * y))
+                reference = tuple(power * Jet(*_f(y, range(3), cfg)))
+            for order in range(3):
+                assert _f_a(a, y, order, cfg) == reference[order], (a, y, order)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
 from thetacert import (
     ConvergenceError,
@@ -22,11 +22,14 @@ from thetacert import (
     theta4_series,
     theta4_via_modular,
 )
+from thetacert.enclosure import current_precision
 from thetacert.modular import q_series_derivatives
 from thetacert.theta import (
     _PSI_NUMERATORS,
+    _geometric_tail,
     _lambert_sum,
     _quadratic_series,
+    _theta2,
     _theta4,
     certified_sum,
     psi,
@@ -509,3 +512,142 @@ def test_a_raising_tail_stops_the_near_end(cfg):
         assert attempts[0] < 103
         assert point.contains(Enclosure(y))
         assert box.contains(point), f"box {box!r} misses the point {y}: {point!r}"
+
+
+# --- the raw-interval tails and partial sums against their Enclosure forms ---
+
+
+def _reference_geometric_tail(first, ratio):
+    """first * (1 + r + r^2 + ...) in Enclosure arithmetic: first / (1 - r), r below 1."""
+    one = Enclosure(1)
+    if not (one - ratio).is_strictly_positive():
+        raise ConvergenceError("tail ratio not certified below 1")
+    return first / (one - ratio)
+
+
+def _reference_quadratic_tails(y, a, orders, n, scale=1, weight=1, a0=0):
+    """The _quadratic_series tail bounds past term n in Enclosure arithmetic: E_{n+1} and
+    R_{n+1} from the running products at 32 more bits, then the geometric tail of
+    w E_{n+1} (pi a(n+1) s)^r with ratio (a(n+2)/a(n+1))^r R_{n+1}."""
+    pi, s, w = Enclosure.pi(), Enclosure(scale), Enclosure(weight)
+    with precision(current_precision() + 32):
+        q = (-(Enclosure.pi() * (y * s))).exp()
+        e, ratio, d = q ** (a(1) - a0), q ** (a(2) - a(1)), q ** (a(3) - 2 * a(2) + a(1))
+        for _ in range(n):
+            e, ratio = e * ratio, ratio * d
+    b1, b2 = a(n + 1), a(n + 2)
+    first, growth = w * e, Enclosure(Fraction(b2, b1))
+    return [_reference_geometric_tail(first * (pi * b1 * s) ** r, growth ** r * ratio)
+            for r in orders]
+
+
+def _reference_lambert_tails(y, orders, n):
+    """The _lambert_sum tail bounds past term n in Enclosure arithmetic (see its tail)."""
+    pi = Enclosure.pi()
+    piy = pi * y
+    r = (-piy).exp()
+    rn = r ** (n + 1)
+    d = _reference_geometric_tail(Enclosure(1), rn)
+    spread = (1 + piy) ** 2
+    return [_reference_geometric_tail(4 * pi ** (k - 1) * d ** (k + 1) * spread
+                                      * Enclosure((n + 1) ** (k + 1)) * rn,
+                                      Enclosure(Fraction(n + 2, n + 1)) ** (k + 1) * r)
+            for k in orders]
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ConvergenceError:
+        return ConvergenceError
+
+
+_TAIL_YS = [Enclosure(lo) for lo in ("0.05", "0.7", "3", "30")] + [
+    Enclosure(lo, hi) for lo, hi in (("0.05", "0.0505"), ("0.7", "0.707"), ("3", "3.03"),
+                                     ("30", "30.3"))]
+_TAIL_SERIES = {
+    "theta4": (lambda y, cfg: _theta4(y, range(4), cfg),
+               lambda y, n: _reference_quadratic_tails(y, lambda k: k * k, range(4), n,
+                                                       weight=2)),
+    "theta2": (lambda y, cfg: _theta2(y, range(4), cfg),
+               lambda y, n: _reference_quadratic_tails(y, lambda k: (2 * k - 1) ** 2, range(4),
+                                                       n, scale=Fraction(1, 4), weight=2)),
+    "q_series_offset": (
+        lambda y, cfg: _quadratic_series("Q-series", y, lambda j: j * (j + 1), range(4), cfg,
+                                         a0=2),
+        lambda y, n: _reference_quadratic_tails(y, lambda j: j * (j + 1), range(4), n, a0=2)),
+    "lambert": (lambda y, cfg: _lambert_sum(y, range(3), cfg),
+                lambda y, n: _reference_lambert_tails(y, range(3), n)),
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("series", list(_TAIL_SERIES))
+def test_raw_tails_match_their_enclosure_forms(monkeypatch, series, bits):
+    # the tail bounds right after steps 1, 2 and 6, endpoint for endpoint, or both raising
+    # ConvergenceError where a ratio is not below 1 (every series at y = 0.05, early on)
+    from thetacert import theta
+
+    evaluate, reference = _TAIL_SERIES[series]
+    cfg = EvalConfig(precision_bits=bits)
+    raised = 0
+    for n in (1, 2, 6):
+        def tails_after_n(what, cfg, start, step, tail, signs, gate_divisor=1):
+            for k in range(1, n + 1):
+                step(k)
+            return tail(n)
+
+        monkeypatch.setattr(theta, "certified_sum", tails_after_n)
+        for y in _TAIL_YS:
+            with cfg.scope():
+                got, want = _outcome(lambda: evaluate(y, cfg)), _outcome(lambda: reference(y, n))
+            assert got == want, (series, y, n)
+            raised += got is ConvergenceError
+    assert 0 < raised < 3 * len(_TAIL_YS), raised
+
+
+@pytest.mark.parametrize("ratio", [(1, 1), ("0.5", 1), ("0.5", 2), (2, 3)])
+def test_geometric_tail_needs_a_ratio_below_one(ratio):
+    with pytest.raises(ConvergenceError):
+        r = Enclosure(*ratio)
+        _geometric_tail((libmp.fone, libmp.fone), (r._lo, r._hi), 128)
+
+
+def _count_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
+        def counting(self, *args, _inner=getattr(Enclosure, name), _name=name):
+            calls.append(_name)
+            return _inner(self, *args)
+
+        monkeypatch.setattr(Enclosure, name, counting)
+    return calls
+
+
+def test_a_thin_quadratic_pass_does_enclosure_arithmetic_independent_of_its_terms(
+        cfg, monkeypatch):
+    # the partial sums and the tails run on raw intervals: only the setup does Enclosure
+    # arithmetic, whether the offset Q-series pass of f's modular route at x = 1/y takes
+    # two terms (x = 50) or five (x = 1.1)
+    from thetacert import theta
+
+    steps, inner = [], theta.certified_sum
+
+    def counting_steps(what, cfg, start, step, tail, signs, gate_divisor=1):
+        return inner(what, cfg, start, lambda k: steps.append(k) or step(k), tail, signs,
+                     gate_divisor)
+
+    monkeypatch.setattr(theta, "certified_sum", counting_steps)
+    calls = _count_arithmetic(monkeypatch)
+    counts, terms = [], []
+    for x in (50, "1.1"):
+        calls.clear()
+        steps.clear()
+        with cfg.scope():
+            _quadratic_series("Q-series", Enclosure(x), lambda j: j * (j + 1), range(4), cfg,
+                              a0=2)
+        counts.append(len(calls))
+        terms.append(len(steps))
+    assert terms == [2, 5]
+    assert counts[0] == counts[1], counts
