@@ -1,0 +1,4 @@
+"""``python -m thetacert``: the ``thetacert`` command line."""
+from .cli import main
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -103,15 +103,15 @@ def upper_envelope(y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[Enclosure]:
-    """count log-spaced point enclosures on [lo, hi] (endpoints included)."""
+    """count log-spaced point enclosures on [lo, hi]: lo and hi exactly, and the interior
+    points strictly increasing between them, or ValueError where [lo, hi] is too narrow."""
     if count < 2:
         raise ValueError("need at least two grid points")
-    pts = []
     llo, lhi = math.log(lo), math.log(hi)
-    for i in range(count):
-        t = llo + (lhi - llo) * i / (count - 1)
-        pts.append(Enclosure(math.exp(t)))  # floats convert exactly: width-0 points
-    return pts
+    pts = [lo, *(math.exp(llo + (lhi - llo) * i / (count - 1)) for i in range(1, count - 1)), hi]
+    if not all(a < b for a, b in zip(pts, pts[1:])):
+        raise ValueError(f"[{lo!r}, {hi!r}] is too narrow for {count} log-spaced floats")
+    return [Enclosure(x) for x in pts]  # floats convert exactly: width-0 points
 
 
 def _sandwich_config(y_hi: float, cfg: EvalConfig) -> EvalConfig:

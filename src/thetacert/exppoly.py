@@ -98,6 +98,12 @@ class ExpPoly:
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
+    def __radd__(self, other) -> "ExpPoly":  # an int or Fraction constant on the left
+        return ExpPoly.exponential(0, other, self.rate) + self
+
+    def __rsub__(self, other) -> "ExpPoly":
+        return ExpPoly.exponential(0, other, self.rate) - self
+
     def scale(self, factor) -> "ExpPoly":
         f = as_enclosure(factor)
         return ExpPoly({k: [c * f for c in p] for k, p in self._terms.items()}, self.rate)
@@ -106,6 +112,8 @@ class ExpPoly:
         pairs = [(k1 + k2, _mul(p1, p2)) for k1, p1 in self._terms.items()
                  for k2, p2 in other._terms.items()]
         return ExpPoly(_collect(pairs), self._rate_with(other))
+
+    __rmul__ = scale
 
     def mul_y(self) -> "ExpPoly":
         """Multiply by the variable."""

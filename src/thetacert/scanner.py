@@ -43,6 +43,7 @@ class ExponentQuery:
             raise ValueError("scan interval must satisfy 0 < lo < hi < inf")
         if self.resolution < 8:
             raise ValueError("resolution must be at least 8")
+        log_grid(lo, hi, self.resolution)  # raises when [lo, hi] is too narrow for the grid
 
 
 def _f_a(a, y, order: int, cfg: EvalConfig) -> Enclosure:

@@ -46,8 +46,9 @@ Evaluators:
   _lambert_sum(y, orders) f^(k)(y) for f(y) = y^2 theta4'(y)/theta4(y), as the Lambert-type
                          sum f^(k)(y) = sum_{m>=1} w_m (m pi)^(k-1) psi^(k)(m pi y),
                          w_m = 2 (m odd), 1 (m even): one term formula, several orders in
-                         one pass; f_eval/f_prime/f_second take it on boxes in [1, oo), on
-                         thin y > 8 and with route="lambert" (a thin y in [1, 8]: _theta4)
+                         one pass; f_eval/f_prime/f_second take it on thin y > 8, on boxes
+                         in [1, oo) and with route="lambert" (a thin y in [1, 8]: _theta4);
+                         a box sums it from m = 2 after _lambert_leading's m = 1 term
 
 The direct series are primitives valid for any y > 0 but converge slowly
 as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular` (theta4)
@@ -66,6 +67,7 @@ from .enclosure import (
     DomainError,
     Enclosure,
     EvalConfig,
+    Jet,
     _to_raw_pair,
     as_enclosure,
     current_precision,
@@ -344,9 +346,32 @@ def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
         return Enclosure._from_mpi(value)
 
 
-def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
-    """f^(k) = sum_m w_m (m pi)^(k-1) psi^(k)(m pi y) for each order k of `orders`, in one
-    pass; w_m is 2 for odd m, else 1.  Each order has its own tail bound, and the tails are
+def _lambert_leading(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+    """The m = 1 term 2 pi^(k-1) psi^(k)(S) of `_lambert_sum` for each order k on a box S = pi y:
+    its natural form (s, u, v taken as independent) met with its mean-value form psi^(k)(s0) +
+    psi^(k+1)(S)(S - s0), s0 = pi times the midpoint rounded to nearest; psi^(k+1) from one Jet of
+    psi' = u N_1/v^2 over the hull of S and s0, whose value entry u serves the natural form."""
+    with cfg.scope():
+        y = _check_positive(as_enclosure(y), "lambert series")
+        prec, pi = current_precision(), Enclosure.pi()
+        s0 = pi * Enclosure(y.mid)
+        s = Jet((pi * y).hull(s0), 1)
+        u = (-s).exp()
+        v = 1 - u
+        slopes = tuple(u * _PSI_NUMERATORS[1](s, v, u) / (v * v))
+        natural = _psi(_to_raw_pair(s.v, prec), _to_raw_pair(u.v, prec), orders, prec)
+        centre = _psi(_to_raw_pair(s0, prec), _to_raw_pair((-s0).exp(), prec), orders, prec)
+        terms = []
+        for k, n, c in zip(orders, map(Enclosure._from_mpi, natural), centre):
+            m = Enclosure._from_mpi(c) + slopes[k] * (s.v - s0)  # both contain psi^(k)(S): meet
+            terms.append(2 * pi ** (k - 1) * Enclosure(max(m.lo, n.lo), min(m.hi, n.hi)))
+        return terms
+
+
+def _lambert_sum(y, orders: range, cfg: EvalConfig, first: int = 1) -> list[Enclosure]:
+    """f^(k) = sum_{m >= first} w_m (m pi)^(k-1) psi^(k)(m pi y) for each order k of `orders`,
+    in one pass; w_m is 2 for odd m, else 1, and first = 2 leaves the m = 1 term to
+    :func:`_lambert_leading`.  Each order has its own tail bound, and the tails are
     tried once the largest requested |term| is small.  One exp per call: u_m = u_{m-1} u_1
     with u_1 = e^{-pi y}, positive factors decreasing in y, so the outward-rounded product
     encloses e^{-m pi y} on a box and u_1's upper end bounds the tails.  The step runs on raw
@@ -390,5 +415,5 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
 
         what = f"lambert series (orders {orders[0]}..{orders[-1]})"
         signs = [1 if k == 0 else 0 for k in orders]  # psi > 0, so all terms of f are positive
-        return certified_sum(what, cfg, [Enclosure(0)] * len(orders), step, tail, signs,
-                             gate_divisor=16)
+        return certified_sum(what, cfg, [Enclosure(0)] * len(orders), lambda n: step(n + first - 1),
+                             lambda n: tail(n + first - 1), signs, gate_divisor=16)

@@ -43,7 +43,7 @@ from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, _below, as_en
 from .envelopes import PAPER_CONSTANTS, _envelope_poly, check_c_admissible
 from .exppoly import DegreeError, ExpPoly
 from .modular import _f_modular, _theta4_eval
-from .theta import _lambert_sum, _theta2, _theta4, psi
+from .theta import _lambert_leading, _lambert_sum, _theta2, _theta4, psi
 
 __all__ = [
     "GreekConstants",
@@ -495,25 +495,33 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
     """f^(k)(y) for each order k of `orders`, from one series pass per route.  `auto` is
     modular on y <= 1 and Lambert on y >= 1, so a box [lo, hi] around 1 is, entry by
     entry, the hull of the two routes on [lo, 1] and [1, hi] (exact 1); a thin y (width
-    <= cfg.tol) in [1, _THIN_CAP] is read off :func:`_f_jet` on one theta4 pass instead."""
-    if route == "lambert":
-        return _lambert_sum(y, orders, cfg)
+    <= cfg.tol) in [1, _THIN_CAP] is read off :func:`_f_jet` on one theta4 pass instead.  A
+    Lambert box takes m = 1 from :func:`_lambert_leading`, then the pass from m = 2."""
     if route == "modular":
         return _f_modular(y, orders, cfg)
-    if route != "auto":
+    if route not in ("auto", "lambert"):
         raise ValueError(f"unknown route {route!r}")
     with cfg.scope():
         y = as_enclosure(y)
+        if route == "lambert":
+            return _lambert(y, orders, cfg)
         if y.hi <= 1:
             return _f_modular(y, orders, cfg)
         if y.lo >= 1 and y.hi <= _THIN_CAP and y.width <= cfg.tol:
             jet = tuple(_f_jet(y, _theta4(y, range(orders[-1] + 2), cfg)))
             return [jet[k] for k in orders]
         if y.lo >= 1:
-            return _lambert_sum(y, orders, cfg)
+            return _lambert(y, orders, cfg)
         below = _f_modular(Enclosure(y.lo, 1), orders, cfg)
-        above = _lambert_sum(Enclosure(1, y.hi), orders, cfg)
+        above = _lambert(Enclosure(1, y.hi), orders, cfg)
         return [m.hull(lam) for m, lam in zip(below, above)]
+
+
+def _lambert(y: Enclosure, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+    """The Lambert route of :func:`_f`, inside cfg.scope()."""
+    if y.width <= cfg.tol:
+        return _lambert_sum(y, orders, cfg)
+    return list(map(add, _lambert_leading(y, orders, cfg), _lambert_sum(y, orders, cfg, 2)))
 
 
 def f_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> Enclosure:

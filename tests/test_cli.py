@@ -138,7 +138,7 @@ def test_scan_without_grid_witness_reports_none(capsys):
 
 
 def test_scan_rows_print_the_evaluated_y(capsys):
-    # the first grid point of [0.013, 37] is the float 0.012999999999999998, and at the
+    # the first grid point of [0.013, 37] is the float 0.013, 0.01299999999999999940..., and at the
     # 15 digits "0.0220916036959086" of the second f_a'' lies outside that row's bounds
     assert run_cli("scan", "--a", "2", "--interval", "0.013", "37", "--resolution", "16") == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
@@ -162,6 +162,7 @@ def test_scan_rows_print_the_evaluated_y(capsys):
     ("2.5", "0.3", "10", "8"),
     ("3", "0.01", "50", "16"),
     ("4", "0.5", "2", "8"),
+    ("2.1", "0.013", "37", "16"),
 ])
 def test_scan_witness_lies_in_interval(capsys, a, lo, hi, res):
     assert run_cli("scan", "--a", a, "--interval", lo, hi, "--resolution", res) == 0
@@ -170,6 +171,12 @@ def test_scan_witness_lies_in_interval(capsys, a, lo, hi, res):
             _, ylo, yhi, vlo, vhi = line.split(",")
             assert float(lo) <= float(ylo) <= float(yhi) <= float(hi), line
             assert float(vhi) < 0
+
+
+def test_scan_interval_too_narrow_for_its_grid_usage_error(capsys):
+    # [0.5, 0.5000000000000001] holds two floats, too few for 8 distinct rows
+    assert run_cli("scan", "--a", "2", "--interval", "0.5", "0.5000000000000001", "--resolution", "8") == 2
+    assert "too narrow" in capsys.readouterr().err
 
 
 #: the decades of y outside [1e-5, 1e5]; theta2 only at large y, where it is fast
@@ -270,6 +277,16 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "0.41576" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(thetacert.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "thetacert", "eval", "f", "--y", "1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli("eval", "f", "--y", "1") == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_verify_all_derives_small_y_chain_once(monkeypatch, capsys):

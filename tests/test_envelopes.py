@@ -1,5 +1,6 @@
 """Envelope formulas, the sandwich certification, and c_nu admissibility."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,32 @@ def test_log_grid_shape():
     assert all(b.lo > a.lo for a, b in zip(grid, grid[1:]))
     with pytest.raises(ValueError):
         log_grid(1.0, 2.0, 1)
+
+
+def _scan_like_grids(draws):
+    """scan-like queries: lo in [0.01, 0.5] and hi in [2, 50] at 6 digits, 16-96 points."""
+    rng = random.Random(11)
+    for _ in range(draws):
+        lo, hi = (float(f"{rng.uniform(*span):.6g}") for span in ((0.01, 0.5), (2, 50)))
+        yield lo, hi, rng.randint(16, 96)
+
+
+@pytest.mark.parametrize("grids", [[(0.013, 37.0, 16)], [(1.0, 100.0, 40)], list(_scan_like_grids(1000))],
+                         ids=["scan", "sandwich", "scan-like"])
+def test_log_grid_ends_on_its_interval(grids):
+    # computed in floats, exp(log lo) and exp(log hi) round off lo and hi: 0.013 became
+    # 0.012999999999999998 and 100 became 100.00000000000004
+    for lo, hi, count in grids:
+        grid = [float(p.lo) for p in log_grid(lo, hi, count)]
+        assert len(grid) == count and grid[0] == lo and grid[-1] == hi, (lo, hi, count)
+        assert all(a < b for a, b in zip(grid, grid[1:])), (lo, hi, count)
+
+
+def test_log_grid_rejects_intervals_too_narrow_for_its_points():
+    # [0.5, 0.5000000000000001] holds two floats: 8 points would repeat 6 of them
+    assert [float(p.lo) for p in log_grid(0.5, 0.5000000000000001, 2)] == [0.5, 0.5000000000000001]
+    with pytest.raises(ValueError):
+        log_grid(0.5, 0.5000000000000001, 8)
 
 
 def test_admissibility_runs_no_subdivision(cfg, monkeypatch):

@@ -173,3 +173,17 @@ def test_sign_from_past_the_corner_means_strictly_signed(terms, corner, sign, of
         for u in [0, *offsets, 2 ** 10]:
             value = sign * poly.eval(Enclosure(corner + u))
             assert value.is_strictly_positive(), (terms, corner, u)
+
+
+def test_psi_numerators_run_on_exp_polys():
+    # s = x, u = e^-x, v = 1 - u: int constants on the left, and N_1 = s (2v - s) exactly
+    from thetacert.theta import _PSI_NUMERATORS
+
+    s = ExpPoly({0: (0, 1)})
+    u = ExpPoly.exponential(-1)
+    n1 = _PSI_NUMERATORS[1](s, 1 - u, u)
+    assert n1.exponents() == [-1, 0]
+    assert n1.coefficient(0) == tuple(map(Enclosure, (0, 2, -1)))
+    assert n1.coefficient(-1) == tuple(map(Enclosure, (0, -2, 0)))
+    assert (2 * u).coefficient(-1) == (Enclosure(2),)
+    assert (Fraction(1, 2) + u).coefficient(0) == (Enclosure(Fraction(1, 2)),)

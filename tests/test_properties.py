@@ -7,7 +7,7 @@ tested generatively across all evaluators and derivative orders.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
@@ -277,6 +277,33 @@ def test_thin_points_on_the_theta4_jet_meet_oracle_and_lambert(u, bits):
         what = f"order {k} at {bits} bits on {y!r}"
         assert value.intersects(lambert[k]), what
         _assert_contains_direct(value, mp_scalar(_mp_f_a(2), y.lo, k, dps=dps), what)
+
+
+# --- Lambert-route boxes, whose leading term takes its mean-value form ---
+
+
+@settings(max_examples=12, deadline=None)
+@given(u=st.floats(min_value=-0.097, max_value=1.28, allow_nan=False),
+       w=st.floats(min_value=0.001, max_value=0.05, allow_nan=False),
+       bits=st.sampled_from((128, 256)))
+@example(u=-0.097, w=0.05, bits=128)  # [0.8, 0.84]
+@example(u=0.0, w=0.01, bits=256)  # [1, 1.01]
+@example(u=0.3, w=0.05, bits=128)  # [2, 2.1]
+@example(u=1.0, w=0.02, bits=128)  # [10, 10.2]
+def test_lambert_boxes_contain_oracle_at_ends_and_midpoint(u, w, bits):
+    # y = 10^u in [0.8, 19]: a box [y, (1 + w) y] on the Lambert route ("lambert", and "auto"
+    # from 1 on) contains f, f', f'' at both ends and the midpoint
+    cfg = EvalConfig(precision_bits=bits)
+    lo = 10.0 ** u
+    hi = lo * (1 + w)
+    box = Enclosure(lo, hi)
+    dps = prec_to_dps(4 * bits)
+    for k, fn in enumerate((f_eval, f_prime, f_second)):
+        values = [mp_scalar(_mp_f_a(2), y, k, dps=dps) for y in (lo, (lo + hi) / 2, hi)]
+        for route in ("lambert", "auto") if lo >= 1 else ("lambert",):
+            enc = fn(box, cfg, route=route)
+            for value in values:
+                _assert_contains_direct(enc, value, f"{route} order {k} on {box!r} at {bits} bits")
 
 
 # --- the modular route on boxes up to a decade wide in (0, 1] ---

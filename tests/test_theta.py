@@ -27,6 +27,7 @@ from thetacert.modular import q_series_derivatives
 from thetacert.theta import (
     _PSI_NUMERATORS,
     _geometric_tail,
+    _lambert_leading,
     _lambert_sum,
     _quadratic_series,
     _theta2,
@@ -388,13 +389,23 @@ def test_theta2_at_small_y_takes_one_exp(monkeypatch, nu, bits):
         lambda cfg: q_series_derivatives(2, cfg),
         lambda cfg: _lambert_sum(Enclosure(1, "1.01"), range(3), cfg),
         lambda cfg: _lambert_sum(Enclosure(30), range(3), cfg),
+        lambda cfg: _lambert_sum(Enclosure(1, "1.01"), range(3), cfg, 2),
     ],
-    ids=["theta4", "q_series", "lambert-box", "lambert-thin-30"],
+    ids=["theta4", "q_series", "lambert-box", "lambert-thin-30", "lambert-box-from-2"],
 )
 def test_a_series_pass_takes_one_exp(cfg, monkeypatch, evaluate):
     calls = _count_exps(monkeypatch)
     evaluate(cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("y, exps", [(Enclosure(1, "1.01"), 3), (Enclosure("0.8", "0.807"), 3),
+                                     (Enclosure(30), 1)], ids=["box", "overlap-box", "thin"])
+def test_a_lambert_box_adds_two_exps_for_its_leading_term(cfg, monkeypatch, y, exps):
+    # the Jet's exp over the box and one at the midpoint; a thin y keeps the single pass
+    calls = _count_exps(monkeypatch)
+    f_second(y, cfg, route="lambert")
+    assert len(calls) == exps
 
 
 def test_a_lambert_pass_builds_enclosures_independent_of_its_terms(cfg, monkeypatch):
@@ -466,6 +477,39 @@ def test_raw_lambert_terms_match_the_reference_numerators(monkeypatch, bits, ord
                 for k, term in zip(orders, terms):
                     weight = Enclosure(Fraction((2 if m % 2 else 1) * m ** k, m))
                     assert term == weight * pi ** (k - 1) * _reference_psi(m * piy, u, k), (y, m, k)
+
+
+# --- the leading Lambert term on a box: natural form met with the mean-value form ---
+
+
+def _natural_leading(y, k):
+    """The pass's m = 1 term 2 pi^(k-1) psi^(k)(pi y) in its natural form."""
+    pi = Enclosure.pi()
+    return 2 * pi ** (k - 1) * psi(pi * y, k, EvalConfig(precision_bits=current_precision()))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("lo, hi", [("0.8", "0.807"), ("1", "1.01"), ("1.4", "1.414"), ("3", "3.03"),
+                                    ("12", "12.6")])
+def test_leading_lambert_term_lies_inside_its_natural_form(bits, lo, hi):
+    cfg = EvalConfig(precision_bits=bits)
+    with cfg.scope():
+        y = Enclosure(lo, hi)
+        for orders in (range(3), range(1), range(1, 2), range(2, 3)):
+            for k, lead in zip(orders, _lambert_leading(y, orders, cfg)):
+                natural = _natural_leading(y, k)
+                assert natural.contains(lead), (orders, k)
+                if lo == "0.8":  # 6x narrower in every order
+                    assert lead.width * 4 <= natural.width, (k, lead, natural)
+
+
+def test_leading_lambert_term_plus_the_pass_from_two_meets_the_whole_pass(cfg):
+    with cfg.scope():
+        for y in (Enclosure("0.8", "0.807"), Enclosure(1, "1.01"), Enclosure(5, "5.05")):
+            whole = _lambert_sum(y, range(3), cfg)
+            for k, (lead, rest) in enumerate(zip(_lambert_leading(y, range(3), cfg),
+                                                 _lambert_sum(y, range(3), cfg, 2))):
+                assert whole[k].contains(lead + rest), (y, k)
 
 
 def test_v_containing_zero_raises_domain_error():
