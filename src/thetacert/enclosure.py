@@ -247,8 +247,6 @@ class Enclosure:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented  # a Jet takes an Enclosure as a constant, on either side
         o = as_enclosure(other)
         return Enclosure._from_mpi(
             _lm.mpi_add((self._lo, self._hi), (o._lo, o._hi), current_precision())
@@ -257,8 +255,6 @@ class Enclosure:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented
         o = as_enclosure(other)
         return Enclosure._from_mpi(
             _lm.mpi_sub((self._lo, self._hi), (o._lo, o._hi), current_precision())
@@ -268,8 +264,6 @@ class Enclosure:
         return as_enclosure(other).__sub__(self)
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented
         o = as_enclosure(other)
         return Enclosure._from_mpi(
             _lm.mpi_mul((self._lo, self._hi), (o._lo, o._hi), current_precision())
@@ -370,8 +364,8 @@ class Jet:
     ``+``, ``-``, ``*``, ``/`` and :meth:`exp` apply the sum, product, quotient and
     exponential rules (forward-mode differentiation), so a formula evaluated on Jets
     encloses its own derivatives.  ``Jet(y, 1)`` is the variable y.  Any other operand
-    (int, Fraction, Enclosure) is a constant and may stand on either side of ``+``, ``-``
-    and ``*``.  Unpacks as (v, d1, d2).
+    (int, Fraction, Enclosure) is a constant: it stands on the right of ``+``, ``-`` and
+    ``*``, and an int or Fraction also on the left of ``*``.  Unpacks as (v, d1, d2).
     """
 
     __slots__ = ("v", "d1", "d2")
@@ -386,17 +380,9 @@ class Jet:
         o = other if isinstance(other, Jet) else Jet(other)
         return Jet(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = other if isinstance(other, Jet) else Jet(other)
         return Jet(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __rsub__(self, other):
-        return Jet(other) - self
-
-    def __neg__(self):
-        return Jet(-self.v, -self.d1, -self.d2)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):

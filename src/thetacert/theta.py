@@ -42,7 +42,7 @@ Evaluators:
   theta2_series(y, nu)   nu-th derivative of theta2(y) = sum exp(-pi y (n+1/2)^2);
                          _theta2(y, orders) gives several orders in one pass
   psi(s, k)              the Lambert term psi(s) = s^2/(e^s - 1) and its derivatives
-                         psi^(k)(s) = u N_k(s, 1-u, u)/(1-u)^(k+1), u = e^{-s}, k <= 2
+                         psi^(k)(s) = u N_k(s, 1-u, u)/(1-u)^(k+1), u = e^{-s}, k <= 3
   _lambert_sum(y, orders) f^(k)(y) for f(y) = y^2 theta4'(y)/theta4(y), as the Lambert-type
                          sum f^(k)(y) = sum_{m>=1} w_m (m pi)^(k-1) psi^(k)(m pi y),
                          w_m = 2 (m odd), 1 (m even): one term formula, several orders in
@@ -67,7 +67,6 @@ from .enclosure import (
     DomainError,
     Enclosure,
     EvalConfig,
-    Jet,
     _to_raw_pair,
     as_enclosure,
     current_precision,
@@ -98,6 +97,7 @@ def _check_positive(y: Enclosure, what: str) -> Enclosure:
 
 
 _ONE = (_lm.fone, _lm.fone)
+_SIX, _MINUS_SIX, _TWELVE = ((_lm.from_int(c),) * 2 for c in (6, -6, 12))
 
 
 def _geometric_tail(first, ratio, prec: int) -> tuple:
@@ -303,16 +303,18 @@ def theta2_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
     return _theta2(y, range(nu, nu + 1), cfg)[0]
 
 
-#: N_k(s, v, u) with psi^(k)(s) = u N_k / v^(k+1), u = e^{-s}, v = 1 - u; each |N_k| <= 2(1+s)^2.
-#: The reference transcription: `_psi` runs this grouping on raw intervals, the tests hold it to
-#: these lambdas, and a derivation of N_k from N_0 = s^2 would be checked against them.
-#: Written by hand rather than as a Jet of s^2 u/(1 - u): on s in pi [1, 1.01] that Jet's psi''
-#: is 0.054 wide against 0.018 here, and at 128 bits it takes 238 us against 109 us (one core
-#: of a 2-core x86 machine, Python 3.11, pure-Python mpmath 1.3)
+#: N_k(s, v, u) with psi^(k)(s) = u N_k / v^(k+1), u = e^{-s}, v = 1 - u, and N_{k+1} =
+#: v(N_k' - N_k) - (k+1) u N_k; the triangle inequality gives |N_k| <= 2(1+s)^2 for k <= 2, which
+#: the Lambert tails use.  The reference transcription, bare constants on the left so that it also
+#: runs on ExpPoly: `_psi` runs this grouping on raw intervals, and the tests hold it to these
+#: lambdas and the recursion.  Written by hand rather than as a Jet of s^2 u/(1 - u): on s in
+#: pi [1, 1.01] that Jet's psi'' is 0.054 wide against 0.018 here, and at 128 bits it takes
+#: 238 us against 109 us (one core of a 2-core x86 machine, Python 3.11, pure-Python mpmath 1.3)
 _PSI_NUMERATORS = (
     lambda s, v, u: s * s,
     lambda s, v, u: s * (2 * v - s),
     lambda s, v, u: 2 * v * v - 4 * s * v + s * s * (1 + u),
+    lambda s, v, u: -6 + 6 * s - s * s + u * (12 - 4 * s * s) - u * u * (6 + 6 * s + s * s),
 )
 
 
@@ -320,25 +322,31 @@ def _psi(s, u, orders: range, prec: int) -> list[tuple]:
     """psi^(k)(s) for each order k of `orders` as raw intervals at `prec` bits, for raw s > 0
     and u of e^{-s} over s; one u serves every order.  The _PSI_NUMERATORS grouping rounded as
     on Enclosures, 2v and 4s exact: for s within `prec` bits, the reference's endpoints."""
-    mul, sub, shift = _lm.mpi_mul, _lm.mpi_sub, _lm.mpf_shift
+    mul, add, sub, shift = _lm.mpi_mul, _lm.mpi_add, _lm.mpi_sub, _lm.mpf_shift
     v = sub(_ONE, u, prec)
     if _lm.mpf_sign(v[0]) <= 0:  # v's upper end 1 - u.lo is positive, as u.lo < 1
         raise DomainError("division by an enclosure containing zero")
     v2, s4 = (shift(v[0], 1), shift(v[1], 1)), (shift(s[0], 2), shift(s[1], 2))
+
+    def n3():  # the N_3 lambda's operations in its order
+        s6, ss = mul(s, _SIX, prec), mul(s, s, prec)
+        lead = add(sub(add(s6, _MINUS_SIX, prec), ss, prec),
+                   mul(u, sub(_TWELVE, mul(s4, s, prec), prec), prec), prec)
+        return sub(lead, mul(mul(u, u, prec), add(add(s6, _SIX, prec), ss, prec), prec), prec)
     numerators = (lambda: mul(s, s, prec), lambda: mul(s, sub(v2, s, prec), prec),  # N_0, N_1
-                  lambda: _lm.mpi_add(sub(mul(v2, v, prec), mul(s4, v, prec), prec),
-                                      mul(mul(s, s, prec), _lm.mpi_add(u, _ONE, prec), prec), prec))
+                  lambda: add(sub(mul(v2, v, prec), mul(s4, v, prec), prec),
+                              mul(mul(s, s, prec), add(u, _ONE, prec), prec), prec), n3)
     return [_lm.mpi_div(mul(u, numerators[k](), prec), _lm.mpi_pow_int(v, k + 1, prec), prec)
             for k in orders]
 
 
 def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """The Lambert term psi(s) = s^2/(e^s - 1) (order 0) or its derivative of order 1 or 2,
+    """The Lambert term psi(s) = s^2/(e^s - 1) (order 0) or its derivative of order 1, 2 or 3,
     from the raw-interval `_psi` of the Lambert sums.
     Sound for s > 0 but wide as s -> 0, as v = 1 - e^-s is off by ~2^-prec: at 128 bits psi''
     is 4.6e-20 wide at s = 1e-10 and 4.6e20 at s = 1e-30.  The Lambert sums use s >= pi y."""
     if order not in range(len(_PSI_NUMERATORS)):
-        raise ValueError(f"psi order must be 0, 1 or 2, got {order}")
+        raise ValueError(f"psi order must be 0, 1, 2 or 3, got {order}")
     with cfg.scope():
         s = _check_positive(as_enclosure(s), "psi")
         u = (-s).exp()
@@ -349,21 +357,19 @@ def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 def _lambert_leading(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
     """The m = 1 term 2 pi^(k-1) psi^(k)(S) of `_lambert_sum` for each order k on a box S = pi y:
     its natural form (s, u, v taken as independent) met with its mean-value form psi^(k)(s0) +
-    psi^(k+1)(S)(S - s0), s0 = pi times the midpoint rounded to nearest; psi^(k+1) from one Jet of
-    psi' = u N_1/v^2 over the hull of S and s0, whose value entry u serves the natural form."""
+    psi^(k+1)(S)(S - s0), s0 = pi times the midpoint rounded to nearest.  One `_psi` pass over
+    the hull of S and s0 gives the natural form and the slope psi^(k+1), one at s0 the centre."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "lambert series")
         prec, pi = current_precision(), Enclosure.pi()
         s0 = pi * Enclosure(y.mid)
-        s = Jet((pi * y).hull(s0), 1)
-        u = (-s).exp()
-        v = 1 - u
-        slopes = tuple(u * _PSI_NUMERATORS[1](s, v, u) / (v * v))
-        natural = _psi(_to_raw_pair(s.v, prec), _to_raw_pair(u.v, prec), orders, prec)
-        centre = _psi(_to_raw_pair(s0, prec), _to_raw_pair((-s0).exp(), prec), orders, prec)
+        s = (pi * y).hull(s0)
+        u, u0 = (-s).exp(), (-s0).exp()
+        box = _psi((s._lo, s._hi), (u._lo, u._hi), range(orders[0], orders[-1] + 2), prec)
+        centre = _psi((s0._lo, s0._hi), (u0._lo, u0._hi), orders, prec)
         terms = []
-        for k, n, c in zip(orders, map(Enclosure._from_mpi, natural), centre):
-            m = Enclosure._from_mpi(c) + slopes[k] * (s.v - s0)  # both contain psi^(k)(S): meet
+        for k, n, slope, c in zip(orders, map(Enclosure._from_mpi, box), box[1:], centre):
+            m = Enclosure._from_mpi(c) + Enclosure._from_mpi(slope) * (s - s0)  # holds psi^(k)(S)
             terms.append(2 * pi ** (k - 1) * Enclosure(max(m.lo, n.lo), min(m.hi, n.hi)))
         return terms
 
@@ -376,6 +382,8 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig, first: int = 1) -> list[Encl
     with u_1 = e^{-pi y}, positive factors decreasing in y, so the outward-rounded product
     encloses e^{-m pi y} on a box and u_1's upper end bounds the tails.  The step runs on raw
     intervals: s_m = pi y times the exact m, and the term w_m m^(k-1) * pi^(k-1) * psi^(k)."""
+    if max(orders) > 2:  # the tails take |N_k| <= 2(1+s)^2, see _PSI_NUMERATORS
+        raise ValueError(f"lambert series: orders must be at most 2, got {tuple(orders)}")
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "lambert series")
         prec = current_precision()
@@ -385,6 +393,8 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig, first: int = 1) -> list[Encl
         scales = [pi ** (k - 1) for k in orders]
         mul, raw, piy_r, u = _lm.mpi_mul, _to_raw_pair, (piy._lo, piy._hi), (r._lo, r._hi)
         r_r, scale_rs, pow_int = u, [(c._lo, c._hi) for c in scales], _lm.mpi_pow_int
+        if first > 2:  # step(first) multiplies u once more, to u_first
+            u = pow_int(r_r, first - 1, prec)
         spread = pow_int(_lm.mpi_add(piy_r, _ONE, prec), 2, prec)  # (1 + pi y)^2
         bases = [mul(c, raw(4, prec), prec) for c in scale_rs]  # 4 scale
 

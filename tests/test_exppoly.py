@@ -187,3 +187,22 @@ def test_psi_numerators_run_on_exp_polys():
     assert n1.coefficient(-1) == tuple(map(Enclosure, (0, -2, 0)))
     assert (2 * u).coefficient(-1) == (Enclosure(2),)
     assert (Fraction(1, 2) + u).coefficient(0) == (Enclosure(Fraction(1, 2)),)
+
+
+def _derivative(poly):
+    """d/dx of a rate-1 sum: p_k' + k p_k for each key k."""
+    return ExpPoly({k: [k * c + ((i + 1) * p[i + 1] if i + 1 < len(p) else 0)
+                        for i, c in enumerate(p)] for k, p in poly.terms().items()})
+
+
+def test_psi_numerators_are_one_derivation():
+    # psi^(k) = u N_k/v^(k+1) with u = e^-s, v = 1 - u, so N_{k+1} = v(N_k' - N_k) - (k+1) u N_k:
+    # every coefficient of the difference is exactly 0
+    from thetacert.theta import _PSI_NUMERATORS
+
+    s, u = ExpPoly({0: (0, 1)}), ExpPoly.exponential(-1)
+    v = 1 - u
+    for k in range(3):  # N_1, N_2 and N_3 from the entry before
+        n, following = _PSI_NUMERATORS[k](s, v, u), _PSI_NUMERATORS[k + 1](s, v, u)
+        gap = following - (v * (_derivative(n) - n) - (k + 1) * u * n)
+        assert all(c.lo == 0 == c.hi for p in gap.terms().values() for c in p), (k, gap)

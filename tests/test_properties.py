@@ -14,7 +14,7 @@ from mpmath.libmp import prec_to_dps
 from conftest import mp_scalar, mp_theta4
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
 from thetacert.modular import q_series_derivatives
-from thetacert.theta import _quadratic_series, psi
+from thetacert.theta import _lambert_sum, _quadratic_series, psi
 from thetacert.verifier import _f, f_eval, f_prime, f_second, g_prime, g_second, h_direct
 
 CFG = EvalConfig()
@@ -119,6 +119,18 @@ def test_bisection_halves_tighten(a, w):
 def test_psi_box_contains_points(a, w, t, order):
     box, point = _box_and_point(a, w, t)
     assert psi(box, order, CFG).contains(psi(point, order, CFG))
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_y=st.floats(min_value=-0.5, max_value=1.3, allow_nan=False),
+       first=st.integers(min_value=2, max_value=7))
+def test_lambert_sum_from_any_first_term_box_contains_its_ends(log_y, first):
+    # y in [0.32, 20]: the pass from m = first on [y, 1.01 y] against its two ends
+    y = 10 ** log_y
+    box = _lambert_sum(Enclosure(y, 1.01 * y), range(3), CFG, first)
+    for end in (y, 1.01 * y):
+        for k, (b, p) in enumerate(zip(box, _lambert_sum(Enclosure(end), range(3), CFG, first))):
+            assert b.contains(p), (y, first, k, end)
 
 
 # --- the quadratic-exponent series against direct mpmath sums at 4x precision ---

@@ -239,7 +239,7 @@ def test_prime_lambert_against_finite_difference(cfg):
             assert err2 <= 10 * h ** 2 * max(m4, mp.mpf(1))
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_psi_contains_mpmath_oracle(cfg, order):
     # psi(s) = s^2/(e^s - 1) differentiated by mpmath at 4x the working
     # precision; s = 3.0861 sits next to the root of psi''
@@ -255,7 +255,7 @@ def test_psi_contains_mpmath_oracle(cfg, order):
         assert enc.lo <= value <= enc.hi, f"psi^({order})({s}) = {enc!r} misses {value}"
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_psi_small_s_contains_bernoulli_oracle(cfg, order):
     # psi(s) = sum_n B_n s^(n+1)/n!, differentiated termwise, at 4x the
     # working precision; the enclosure is sound but wide here (see `psi`)
@@ -402,7 +402,7 @@ def test_a_series_pass_takes_one_exp(cfg, monkeypatch, evaluate):
 @pytest.mark.parametrize("y, exps", [(Enclosure(1, "1.01"), 3), (Enclosure("0.8", "0.807"), 3),
                                      (Enclosure(30), 1)], ids=["box", "overlap-box", "thin"])
 def test_a_lambert_box_adds_two_exps_for_its_leading_term(cfg, monkeypatch, y, exps):
-    # the Jet's exp over the box and one at the midpoint; a thin y keeps the single pass
+    # the leading term's exps over the box and at its midpoint; a thin y keeps the single pass
     calls = _count_exps(monkeypatch)
     f_second(y, cfg, route="lambert")
     assert len(calls) == exps
@@ -450,7 +450,7 @@ def test_raw_psi_matches_the_reference_numerators(bits):
     cfg = EvalConfig(precision_bits=bits)
     with cfg.scope():
         for s in _psi_arguments(Enclosure.pi()):
-            for k in range(3):
+            for k in range(len(_PSI_NUMERATORS)):
                 assert psi(s, k, cfg) == _reference_psi(s, (-s).exp(), k), (s, k)
 
 
@@ -510,6 +510,43 @@ def test_leading_lambert_term_plus_the_pass_from_two_meets_the_whole_pass(cfg):
             for k, (lead, rest) in enumerate(zip(_lambert_leading(y, range(3), cfg),
                                                  _lambert_sum(y, range(3), cfg, 2))):
                 assert whole[k].contains(lead + rest), (y, k)
+
+
+# --- the pass from any first term, for the orders its tail bound covers ---
+
+
+def _lambert_from(y, first, k):
+    """sum_{m >= first} w_m (m pi)^(k-1) psi^(k)(m pi y) at 50 digits, psi^(k) by mpmath's
+    numerical differentiation of s^2/expm1(s)."""
+    with mp.workdps(50):
+        total, m = mp.mpf(0), first
+        while True:
+            s = m * mp.pi * mp.mpf(y)
+            term = (2 if m % 2 else 1) * (m * mp.pi) ** (k - 1) * mp.diff(
+                lambda t: t * t / mp.expm1(t), s, k)
+            total += term
+            if s > 10 and abs(term) < mp.mpf(10) ** -60 * abs(total):
+                return total
+            m += 1
+
+
+@pytest.mark.parametrize("first", [3, 4, 7])
+def test_lambert_sum_from_a_later_first_term_contains_mpmath(cfg, first):
+    # term m = first takes u_first = e^{-first pi y}, not u_2
+    for y in ("0.3", "1", "2.5", "9"):
+        sums = _lambert_sum(Enclosure(y), range(3), cfg, first)
+        for k, enc in enumerate(sums):
+            value = _lambert_from(y, first, k)
+            with mp.workdps(50):
+                slack = abs(value) * mp.mpf(10) ** -45  # the oracle's differentiation error
+                assert enc.lo <= value + slack and value - slack <= enc.hi, (y, first, k, enc)
+
+
+@pytest.mark.parametrize("orders", [range(4), range(3, 4)], ids=str)
+def test_lambert_sum_rejects_orders_past_its_tail_bound(cfg, orders):
+    # the tail bound takes |N_k| <= 2(1+s)^2, which the triangle inequality gives for k <= 2
+    with pytest.raises(ValueError, match="at most 2"):
+        _lambert_sum(Enclosure(2), orders, cfg)
 
 
 def test_v_containing_zero_raises_domain_error():

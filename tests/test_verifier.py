@@ -719,7 +719,7 @@ def test_boxes_never_take_the_theta4_jet(monkeypatch, cfg):
     lambert_ys, _ = _record_route_arguments(monkeypatch)
     report = verify_convexity(cfg)
     assert report.status is Status.CERTIFIED, report.summary()
-    assert [r.boxes_examined for r in report.subreports] == [25, 13, 19, 1]
+    assert [r.boxes_examined for r in report.subreports] == [23, 13, 17, 1]
     assert not jet_ys
     box = Enclosure(3, "3.03")
     f_second(box, cfg)
