@@ -8,8 +8,9 @@ mpmath's ``libmp`` interval primitives (backed by gmpy2 when available);
 this module adds precision scoping, domain checking and a small, explicit
 operation set: +, -, *, /, exp, log, sqrt, rational powers of positive
 enclosures, and pi.  :class:`Jet` carries a value with its first two
-derivatives through +, -, *, / and exp, so derivatives of a formula come out
-of its arithmetic rather than being differentiated by hand.
+derivatives through products and quotients of Jets, so derivatives of a
+quotient such as y^2 theta4'/theta4 come out of its arithmetic rather than
+being differentiated by hand.
 
 Working precision is scoped with :func:`precision`::
 
@@ -361,11 +362,9 @@ class Jet:
     """A function of one variable to second order: (value, first, second derivative),
     each an Enclosure.
 
-    ``+``, ``-``, ``*``, ``/`` and :meth:`exp` apply the sum, product, quotient and
-    exponential rules (forward-mode differentiation), so a formula evaluated on Jets
-    encloses its own derivatives.  ``Jet(y, 1)`` is the variable y.  Any other operand
-    (int, Fraction, Enclosure) is a constant: it stands on the right of ``+``, ``-`` and
-    ``*``, and an int or Fraction also on the left of ``*``.  Unpacks as (v, d1, d2).
+    ``*`` and ``/`` of two Jets apply the product and quotient rules (forward-mode
+    differentiation), so a product or quotient of Jets encloses its own derivatives.
+    ``Jet(y, 1)`` is the variable y and ``Jet(c)`` a constant.  Unpacks as (v, d1, d2).
     """
 
     __slots__ = ("v", "d1", "d2")
@@ -376,34 +375,17 @@ class Jet:
     def __iter__(self):
         return iter((self.v, self.d1, self.d2))
 
-    def __add__(self, other):
-        o = other if isinstance(other, Jet) else Jet(other)
-        return Jet(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
-
-    def __sub__(self, other):
-        o = other if isinstance(other, Jet) else Jet(other)
-        return Jet(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.v * other, self.d1 * other, self.d2 * other)
+    def __mul__(self, other: "Jet") -> "Jet":
         return Jet(
             self.v * other.v,
             self.d1 * other.v + self.v * other.d1,
             self.d2 * other.v + 2 * self.d1 * other.d1 + self.v * other.d2,
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = other if isinstance(other, Jet) else Jet(other)
-        q = self.v / o.v
-        q1 = (self.d1 - q * o.d1) / o.v
-        return Jet(q, q1, (self.d2 - 2 * q1 * o.d1 - q * o.d2) / o.v)
-
-    def exp(self) -> "Jet":
-        e = self.v.exp()
-        return Jet(e, e * self.d1, e * (self.d2 + self.d1 * self.d1))
+    def __truediv__(self, other: "Jet") -> "Jet":
+        q = self.v / other.v
+        q1 = (self.d1 - q * other.d1) / other.v
+        return Jet(q, q1, (self.d2 - 2 * q1 * other.d1 - q * other.d2) / other.v)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,12 @@ class ExpPoly:
         """Multiply by e^{dk r x} (exact on exponent keys)."""
         return ExpPoly({k + dk: p for k, p in self._terms.items()}, self.rate)
 
+    def derivative(self) -> "ExpPoly":
+        """d/dx: p_k' + k r p_k for each key k (exact on integer coefficients at rate 1)."""
+        return ExpPoly({k: _add(tuple(i * c for i, c in enumerate(p) if i),
+                                tuple(k * self.rate * c for c in p))
+                        for k, p in self._terms.items()}, self.rate)
+
     def _exponentials(self, x: Enclosure, exps: dict) -> dict:
         for k in self._terms:
             if k not in exps:

@@ -43,7 +43,7 @@ from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, _below, as_en
 from .envelopes import PAPER_CONSTANTS, _envelope_poly, check_c_admissible
 from .exppoly import DegreeError, ExpPoly
 from .modular import _f_modular, _theta4_eval
-from .theta import _lambert_leading, _lambert_sum, _theta2, _theta4, psi
+from .theta import _PSI_NUMERATORS, _lambert_leading, _lambert_sum, _theta2, _theta4
 
 __all__ = [
     "GreekConstants",
@@ -102,58 +102,62 @@ def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Chec
 # ---------------------------------------------------------------------------
 
 
-def _g_jet(y, cfg: EvalConfig, middle_sign: int = -1) -> Jet:
-    """g and its first two derivatives in y: g written once, evaluated on a Jet."""
+#: x = pi y and e = e^x, the variable and the exponential of the g-chain
+_X, _E = ExpPoly({0: (0, 1)}), ExpPoly.exponential(1)
+
+
+def _g_polys(middle_sign: int = -1) -> tuple[ExpPoly, ExpPoly, ExpPoly]:
+    """g, g' and g'' in x: g = 2(1-e)^2 - middle_sign 4x e(1-e) + x^2 e(1+e), written once,
+    and its derivatives by :meth:`ExpPoly.derivative`.  The genuine g (-1) is (e-1)^3 psi''(x);
+    integer coefficients at rate 1 make all three exact at any precision."""
+    g = 2 * (1 - _E) * (1 - _E) - middle_sign * 4 * _X * _E * (1 - _E) + _X * _X * _E * (1 + _E)
+    gp = g.derivative()
+    return g, gp, gp.derivative()
+
+
+_G = _g_polys()
+
+#: the fixed six-term grouping of g'' used by the positivity argument,
+#: 2 E pi^2 + 2 E^2 pi^2 + 4 E^2 pi(-4 pi + 2 pi^2 y) + 2 E pi(4 pi + 2 pi^2 y)
+#: + 4 E^2 pi^2 (2 - 4 pi y + pi^2 y^2) + E pi^2 (-4 + 4 pi y + pi^2 y^2), over pi^2 in x
+_G_DISPLAY = (2 * _E + 2 * _E * _E + 4 * _E * _E * (-4 + 2 * _X) + 2 * _E * (4 + 2 * _X)
+              + 4 * _E * _E * (2 - 4 * _X + _X * _X) + _E * (-4 + 4 * _X + _X * _X))
+
+
+def _in_y(poly: ExpPoly, order: int, y, cfg: EvalConfig) -> Enclosure:
+    """pi^order poly(pi y): an order-th x-derivative `poly` as the y-derivative, d/dy = pi d/dx."""
     with cfg.scope():
-        y = Jet(as_enclosure(y), 1)
         pi = Enclosure.pi()
-        e = (y * pi).exp()
-        return (
-            2 * (e - 1) * (e - 1)
-            + middle_sign * 4 * y * pi * e * (e - 1)
-            + y * y * pi ** 2 * e * (e + 1)
-        )
+        return pi ** order * poly.eval(pi * as_enclosure(y), cfg)
 
 
 def g_eval(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """g(y) = 2(E-1)^2 - 4 y pi E(E-1) + pi^2 y^2 E(E+1) = (E-1)^3 psi''(pi y), E = e^{pi y}."""
-    return _g_jet(y, cfg).v
+    return _in_y(_G[0], 0, y, cfg)
 
 
 def g_prime(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """g'(y) from the Jet of g; it equals -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1)."""
-    return _g_jet(y, cfg).d1
+    """g'(y) from ExpPoly.derivative; it equals -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1)."""
+    return _in_y(_G[1], 1, y, cfg)
 
 
 def g_second(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """g''(y) from the Jet of g."""
-    return _g_jet(y, cfg).d2
+    """g''(y) from ExpPoly.derivative."""
+    return _in_y(_G[2], 2, y, cfg)
 
 
 def g_second_display(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """The fixed six-term grouping of g'' used by the positivity argument:
-
-    2 E pi^2 + 2 E^2 pi^2 + 4 E^2 pi(-4 pi + 2 pi^2 y) + 2 E pi(4 pi + 2 pi^2 y)
-    + 4 E^2 pi^2 (2 - 4 pi y + pi^2 y^2) + E pi^2 (-4 + 4 pi y + pi^2 y^2).
-    """
-    with cfg.scope():
-        y = as_enclosure(y)
-        pi = Enclosure.pi()
-        e = (pi * y).exp()
-        e2 = e * e
-        return (
-            2 * e * pi ** 2
-            + 2 * e2 * pi ** 2
-            + 4 * e2 * pi * (-(4 * pi) + 2 * pi ** 2 * y)
-            + 2 * e * pi * (4 * pi + 2 * pi ** 2 * y)
-            + 4 * e2 * pi ** 2 * (2 - 4 * pi * y + pi ** 2 * y ** 2)
-            + e * pi ** 2 * (-4 + 4 * pi * y + pi ** 2 * y ** 2)
-        )
+    """g''(y) by its displayed grouping _G_DISPLAY."""
+    return _in_y(_G_DISPLAY, 2, y, cfg)
 
 
 #: the displayed grouping collected in x = pi y: g'' = pi^2 e^{2x} B(x) with
 #: B(x) = 4x^2 - 8x - 6 + e^{-x}(x^2 + 8x + 6)
 _G_BRACKET = _Bracket("g-second-positive", "x", +1, ExpPoly({0: (-6, -8, 4), -1: (6, 8, 1)}))
+
+
+def _vanishes(poly: ExpPoly) -> bool:
+    return all(c.lo == 0 == c.hi for p in poly.terms().values() for c in p)
 
 
 def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> CertificationReport:
@@ -162,33 +166,18 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> C
 
     `middle_sign` = +1 flips the middle term of g, a transcription error the
     anchor against psi'' must catch (mutation hook); the genuine g has -1."""
-    checks: list[Check] = []
+    g, gp, gpp = _g_polys(middle_sign)
+    # transcription anchor, exact in x: g is e^{2x} N_2 = (e^x - 1)^3 psi''(x), the term the
+    # Lambert evaluator sums, and its g'' is both the display and e^{2x} B, B certified below
+    # (a corrupted g or B breaks this, not the positivity, which would only get easier)
+    u = ExpPoly.exponential(-1)
+    n2 = _PSI_NUMERATORS[2](_X, 1 - u, u).shift(2)
+    gaps = (g - n2, gpp - _G_DISPLAY, gpp - _G_BRACKET.poly.shift(2))
+    checks = [Check("g'' matches its displayed grouping", all(map(_vanishes, gaps)),
+                    "g - e^{2x} N_2, g'' - display, g'' - e^{2x} B: every coefficient exactly 0")]
     with cfg.scope():
-        one = Enclosure(1)
         pi = Enclosure.pi()
-
-        # transcription anchor: the Jet derivative of g, the fixed display
-        # grouping and the bracket B certified below must agree, and g must be
-        # (E-1)^3 psi''(pi y), the term the Lambert evaluator sums (a corrupted
-        # g or B breaks this, not the positivity, which would only get easier).
-        agree = True
-        for pt in ("0.9", "1", "2", "5"):
-            y = Enclosure(pt)
-            g, _, a = _g_jet(y, cfg, middle_sign)
-            b = g_second_display(y, cfg)
-            via_bracket = pi ** 2 * (2 * pi * y).exp() * _G_BRACKET.poly.eval(pi * y, cfg)
-            via_psi = ((pi * y).exp() - one) ** 3 * psi(pi * y, 2, cfg)
-            agree &= a.intersects(b) and via_bracket.intersects(a) and via_bracket.intersects(b)
-            agree &= g.intersects(via_psi)
-        checks.append(
-            Check(
-                "g'' matches its displayed grouping",
-                agree,
-                "g'', its display, pi^2 e^{2 pi y} B(pi y); g, (E-1)^3 psi''(pi y); at 0.9,1,2,5",
-            )
-        )
-
-        corner = one + Enclosure(3).sqrt()
+        corner = 1 + Enclosure(3).sqrt()
         checks.append(
             Check(
                 "corner 1 + sqrt 3 below pi",
@@ -196,8 +185,7 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> C
                 f"y >= 1 gives x = pi y >= {pi!r} > {corner!r}",
             )
         )
-
-        g1, gp1, _ = _g_jet(one, cfg, middle_sign)
+        g1, gp1 = _in_y(g, 0, 1, cfg), _in_y(gp, 1, 1, cfg)
         checks.append(Check("g'(1) > 0", _below(0, gp1), f"g'(1) = {gp1!r}"))
         checks.append(Check("g(1) > 0", _below(0, g1), f"g(1) = {g1!r}"))
 

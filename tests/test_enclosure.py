@@ -172,13 +172,3 @@ def test_eval_config_validation():
 def test_nan_endpoint_rejected(endpoints):
     with pytest.raises(ValueError, match="NaN"):
         Enclosure(*endpoints)
-
-
-# --- an int on the left of a Jet product, as g's Jet takes it ---
-
-
-def test_jet_takes_an_int_on_the_left_of_a_product():
-    from thetacert.enclosure import Jet
-
-    x = Jet(Enclosure(3), 1)
-    assert tuple(2 * x * x) == tuple(map(Enclosure, (18, 12, 4)))

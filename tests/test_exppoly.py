@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
 
 from thetacert import DegreeError, Enclosure, ExpPoly, precision
 
@@ -189,10 +190,8 @@ def test_psi_numerators_run_on_exp_polys():
     assert (Fraction(1, 2) + u).coefficient(0) == (Enclosure(Fraction(1, 2)),)
 
 
-def _derivative(poly):
-    """d/dx of a rate-1 sum: p_k' + k p_k for each key k."""
-    return ExpPoly({k: [k * c + ((i + 1) * p[i + 1] if i + 1 < len(p) else 0)
-                        for i, c in enumerate(p)] for k, p in poly.terms().items()})
+def _exactly_zero(poly):
+    return all(c.lo == 0 == c.hi for p in poly.terms().values() for c in p)
 
 
 def test_psi_numerators_are_one_derivation():
@@ -204,5 +203,34 @@ def test_psi_numerators_are_one_derivation():
     v = 1 - u
     for k in range(3):  # N_1, N_2 and N_3 from the entry before
         n, following = _PSI_NUMERATORS[k](s, v, u), _PSI_NUMERATORS[k + 1](s, v, u)
-        gap = following - (v * (_derivative(n) - n) - (k + 1) * u * n)
-        assert all(c.lo == 0 == c.hi for p in gap.terms().values() for c in p), (k, gap)
+        gap = following - (v * (n.derivative() - n) - (k + 1) * u * n)
+        assert _exactly_zero(gap), (k, gap)
+
+
+def test_derivative_at_rate_pi_over_4_encloses_the_exact_coefficients():
+    # d/dx of (3 + 2x) e^{-pi x/4} + 5 e^{-9 pi x/4}
+    # = (2 - 3 pi/4 - (pi/2) x) e^{-pi x/4} - (45 pi/4) e^{-9 pi x/4}
+    with precision(128):
+        poly = ExpPoly({-1: (3, 2), -9: (5,)}, Enclosure.pi() / 4)
+        d = poly.derivative()
+    assert d.exponents() == [-9, -1]
+    with mp.workdps(60):
+        exact = {-1: (2 - 3 * mp.pi / 4, -mp.pi / 2), -9: (-45 * mp.pi / 4, 0)}
+        for k, values in exact.items():
+            for c, value in zip(d.coefficient(k), values):
+                assert c.lo <= value <= c.hi and c.width < 1e-35, (k, c, value)
+
+
+@pytest.mark.parametrize("p, q", [
+    ({0: (1, 2, -3), -1: (4, 0, 5)}, {0: (0, 1), 1: (-2,), -2: (1, 1, 1)}),
+    ({1: (0, 0, 0, 7)}, {-1: (3, -1)}),
+])
+def test_derivative_obeys_the_product_rule_exactly(p, q):
+    p, q = ExpPoly(p), ExpPoly(q)
+    gap = (p * q).derivative() - (p.derivative() * q + p * q.derivative())
+    assert _exactly_zero(gap), gap
+
+
+def test_derivative_of_a_constant_is_zero():
+    d = ExpPoly.exponential(0, 7).derivative()
+    assert d.exponents() == [0] and _exactly_zero(d)

@@ -606,22 +606,38 @@ def test_convexity_inconclusive_part_is_inconclusive(monkeypatch):
     assert [c.passed for c in report.checks] == [True, None, True, True]
 
 
-def test_g_chain_anchor_ties_g_to_psi_second(monkeypatch, cfg):
-    # g = (E-1)^3 psi''(pi y): a psi'' off by a factor 1 + 2^-40 breaks the anchor
-    from thetacert import verifier
-
-    inner = verifier.psi
-
-    def scaled(s, order, cfg):
-        value = inner(s, order, cfg)
-        return value * (1 + Enclosure(2) ** -40) if order == 2 else value
-
-    monkeypatch.setattr(verifier, "psi", scaled)
-    report = verify_g_chain(cfg)
+def _assert_only_the_anchor_breaks(report):
     assert report.status is Status.FAILED
     broken = [c.name for c in report.checks if c.passed is False]
-    assert broken[0] == "g'' matches its displayed grouping"
+    assert broken == ["g'' matches its displayed grouping", "conclusion: g > 0 on [1, oo)"]
     assert all(c.passed for c in report.checks if c.name in ("g'(1) > 0", "g(1) > 0"))
+
+
+def test_g_chain_anchor_ties_g_to_the_psi_numerator(monkeypatch, cfg):
+    # g = e^{2x} N_2 with N_2 the Lambert evaluator's psi'' numerator: s^2(1 + 2u) in place
+    # of s^2(1 + u) breaks the anchor
+    from thetacert import verifier
+
+    numerators = list(verifier._PSI_NUMERATORS)
+    numerators[2] = lambda s, v, u: 2 * v * v - 4 * s * v + s * s * (1 + 2 * u)
+    monkeypatch.setattr(verifier, "_PSI_NUMERATORS", tuple(numerators))
+    _assert_only_the_anchor_breaks(verify_g_chain(cfg))
+
+
+def test_g_chain_anchor_ties_g_second_to_the_display(monkeypatch, cfg):
+    # a display with an extra x e^x no longer equals g''
+    from thetacert import verifier
+
+    extra = ExpPoly({1: (0, 1)})
+    monkeypatch.setattr(verifier, "_G_DISPLAY", verifier._G_DISPLAY + extra)
+    _assert_only_the_anchor_breaks(verify_g_chain(cfg))
+
+
+def test_g_second_certifies_in_few_boxes(cfg):
+    # g'' on ExpPoly groups by powers of x, which keeps its boxes narrow
+    report = certify_sign(QUANTITIES["g_second"], ("1", "3"), +1, cfg)
+    assert report.status is Status.CERTIFIED
+    assert report.boxes_examined <= 60, report.boxes_examined
 
 
 # -- the auto route splits a box that straddles 1 ------------------------------
