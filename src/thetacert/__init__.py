@@ -31,26 +31,17 @@ from .envelopes import (
     verify_sandwiches,
 )
 from .exppoly import DegreeError, ExpPoly
-from .modular import (
-    MODULAR_COEFFICIENTS,
-    theta4_eval,
-    theta4_via_modular,
-    verify_modular_identities,
-)
-from .scanner import ExponentQuery, f_a_second, find_nonconvex_witness, scan_rows
-from .theta import theta2_series, theta4_product, theta4_series
+from .modular import MODULAR_COEFFICIENTS, theta4_eval, verify_modular_identities
+from .scanner import ExponentQuery, f_a_second, scan_rows
+from .theta import theta2_series, theta4_series
 from .verifier import (
     GreekConstants,
     QUANTITIES,
     checked_greek_constants,
-    envelope_lower_bound,
     f_eval,
     f_prime,
     f_second,
-    g_eval,
-    g_prime,
     g_second,
-    h_direct,
     h_reciprocal,
     small_y_bracket,
     verify_convexity,

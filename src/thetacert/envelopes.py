@@ -128,10 +128,10 @@ def _sandwich_config(y_hi: float, cfg: EvalConfig) -> EvalConfig:
     )
 
 
-def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig, constants: EnvelopeConstants):
+def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig):
     """(True / False / None (undecided), detail) for the strict sandwich at one point, per order:
     one theta2 pass over the orders at the :func:`_sandwich_config` precision, whose
-    envelopes share the two exponentials."""
+    envelopes share the two exponentials; the upper ones inflated by PAPER_CONSTANTS."""
     point_cfg = _sandwich_config(float(y.hi), cfg)
     with point_cfg.scope():
         thetas = _theta2(y, range(max(orders, default=0) + 1), point_cfg)
@@ -140,7 +140,7 @@ def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig, constants: EnvelopeCo
         for nu in orders:
             mid = -thetas[nu] if nu % 2 == 1 else thetas[nu]
             low = _envelope_poly(nu).eval(y, point_cfg, shared)
-            upp = _envelope_poly(nu, constants.for_order(nu)).eval(y, point_cfg, shared)
+            upp = _envelope_poly(nu, PAPER_CONSTANTS.for_order(nu)).eval(y, point_cfg, shared)
             if low.is_strictly_positive() and low.hi < mid.lo and mid.hi < upp.lo:
                 verdicts.append((True, "strict on both sides"))
             # a disproof needs the wrong ordering to hold on whole enclosures
@@ -151,12 +151,7 @@ def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig, constants: EnvelopeCo
     return verdicts
 
 
-def verify_sandwiches(
-    grid,
-    orders,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    constants: EnvelopeConstants = PAPER_CONSTANTS,
-) -> list[CertificationReport]:
+def verify_sandwiches(grid, orders, cfg: EvalConfig = DEFAULT_CONFIG) -> list[CertificationReport]:
     """Certify lower < (-1)^nu theta2^(nu) < upper strictly at each grid point, one report
     per order nu of `orders`; each grid point is evaluated once for all of them.
 
@@ -169,7 +164,7 @@ def verify_sandwiches(
     orders = [_check_order(nu) for nu in orders]
     with cfg.scope():
         points = [_check_domain(as_enclosure(y)) for y in grid]
-    per_point = [_sandwich_point(y, orders, cfg, constants) for y in points]
+    per_point = [_sandwich_point(y, orders, cfg) for y in points]
     reports = []
     for nu, outcomes in zip(orders, zip(*per_point)):
         checks = [Check(f"sandwich at y={y.lo}", *o) for y, o in zip(points, outcomes)]
@@ -227,9 +222,7 @@ def _comparison_sum_lower(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:
     return total
 
 
-def check_c_admissible(
-    nu: int, cfg: EvalConfig = DEFAULT_CONFIG, candidate: Fraction | None = None
-) -> CertificationReport:
+def check_c_admissible(nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Certify that c_nu dominates the envelope error for every y >= 1.
 
     Three certified steps:
@@ -241,7 +234,7 @@ def check_c_admissible(
          base_j = C_j (4/pi)^(j+1), so it decreases on all of y > 0 once
          every base_j is positive, and y = 1 is the worst case.
     """
-    c = PAPER_CONSTANTS.for_order(nu) if candidate is None else candidate
+    c = PAPER_CONSTANTS.for_order(nu)
     checks = []
     with cfg.scope():
         one = Enclosure(1)

@@ -55,12 +55,20 @@ def _taylor(p, corner: Enclosure) -> list[Enclosure]:
 
 class ExpPoly:
     """Immutable map  k -> p_k (ascending coefficients) standing for  sum_k p_k(x) e^{k r x};
-    the rate r is a rational, or an enclosure such as pi/4 built in the evaluating scope."""
+    the rate r is a rational, or an enclosure such as pi/4 built in the evaluating scope.
+    Trailing exact-zero coefficients are dropped, and keys left without any, so `degree`
+    counts only coefficients that are there; the zero sum has no keys and evaluates to 0."""
 
     __slots__ = ("_terms", "rate")
 
     def __init__(self, terms, rate=1):
-        self._terms = {int(k): tuple(map(as_enclosure, p)) for k, p in terms.items()}
+        self._terms = {}
+        for k, p in terms.items():
+            p = tuple(map(as_enclosure, p))
+            while p and p[-1] == _ZERO:
+                p = p[:-1]
+            if p:
+                self._terms[int(k)] = p
         self.rate = as_enclosure(rate)
 
     @classmethod
@@ -138,6 +146,8 @@ class ExpPoly:
     def _at(self, x, w, exps) -> Enclosure:
         """sum_i (sum_k p_{k,i} E_k) x^i w^(deg-i), E_k = exps[k], key 0 first: the sum at x
         for (x, 1, e^{k r x}); the sum divided by x^deg for (1, 1/x, e^{k r x})."""
+        if not self._terms:
+            return _ZERO
         deg = self.degree
         keys = sorted(self._terms, key=lambda k: (k != 0, k))
         parts = [reduce(add, (exps[k] * self._terms[k][i] for k in keys if i < len(self._terms[k])))

@@ -2,7 +2,7 @@
 
 Two things live here:
 
-* ``theta4_via_modular`` evaluates theta4 and its first three derivatives
+* ``_theta4_flipped`` evaluates theta4 and its first three derivatives
   at small arguments by differentiating the transformation, with the
   coefficient table re-derived independently (see the unit tests for the
   finite-difference and cross-representation checks):
@@ -49,13 +49,7 @@ from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, Jet, 
 from .envelopes import log_grid
 from .theta import _check_order, _check_positive, _quadratic_series, _theta2, _theta4
 
-__all__ = [
-    "MODULAR_COEFFICIENTS",
-    "theta4_via_modular",
-    "theta4_eval",
-    "verify_modular_identities",
-    "q_series_derivatives",
-]
+__all__ = ["MODULAR_COEFFICIENTS", "theta4_eval", "verify_modular_identities"]
 
 #: coefficient of y^(-1/2 - nu - j) * theta2^(j)(1/y) in theta4^(nu)(y)
 MODULAR_COEFFICIENTS: dict[int, tuple[Fraction, ...]] = {
@@ -65,19 +59,12 @@ MODULAR_COEFFICIENTS: dict[int, tuple[Fraction, ...]] = {
     3: (Fraction(-15, 8), Fraction(-45, 4), Fraction(-15, 2), Fraction(-1)),
 }
 
-def theta4_via_modular(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """theta4^(nu)(y) through theta2 derivatives at 1/y."""
-    nu = _check_order(nu)
-    with cfg.scope():
-        y = _check_positive(as_enclosure(y), "theta4_via_modular")
-        return _theta4_flipped(y, range(nu, nu + 1), cfg)[0]
 
-
-def _theta4_flipped(y: Enclosure, orders: range, cfg: EvalConfig, table=None):
+def _theta4_flipped(y: Enclosure, orders: range, cfg: EvalConfig):
     """theta4^(nu)(y) = sum_j table[nu][j] y^(-1/2 - nu - j) theta2^(j)(1/y) for each nu of
-    `orders`, from one theta2 pass at 1/y; table defaults to MODULAR_COEFFICIENTS.  Call inside
-    a precision scope."""
-    table = MODULAR_COEFFICIENTS if table is None else table
+    `orders`, from one theta2 pass at 1/y; the table is MODULAR_COEFFICIENTS as it stands at
+    the call.  Call inside a precision scope."""
+    table = MODULAR_COEFFICIENTS
     flipped = _theta2(1 / y, range(max(len(table[nu]) for nu in orders)), cfg)
     return [sum((Enclosure(c) * y ** (Fraction(-1, 2) - nu - j) * flipped[j]
                  for j, c in enumerate(table[nu])), Enclosure(0)) for nu in orders]
@@ -110,10 +97,7 @@ _IDENTITY_WIDTH = 2.0 ** -80
 
 
 def verify_modular_identities(
-    interval,
-    orders,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    coefficients=None,
+    interval, orders, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> list[CertificationReport]:
     """Certify, for each order of `orders`, that the modular and direct routes agree on
     sampled points; one report per order.
@@ -122,8 +106,7 @@ def verify_modular_identities(
     (they both contain the exact value, so disjointness proves a formula
     error) with combined width below 2^-80.  Overly wide enclosures yield
     `inconclusive`.  Each sample makes one theta2 pass at 1/y and one theta4
-    pass at y for all orders.  `coefficients` replaces MODULAR_COEFFICIENTS
-    (mutation hook: a corrupted entry must fail its order).
+    pass at y for all orders.
     """
     orders = [_check_order(nu) for nu in orders]
     with cfg.scope():
@@ -132,7 +115,7 @@ def verify_modular_identities(
             raise DomainError("modular identity check requires a positive interval")
         checks = [[] for _ in orders]
         for y in log_grid(float(lo.lo), float(hi.hi), _IDENTITY_SAMPLES):
-            flips = _theta4_flipped(y, orders, cfg, coefficients)
+            flips = _theta4_flipped(y, orders, cfg)
             directs = _theta4(y, range(max(orders) + 1), cfg)
             for nu, via_flip, order_checks in zip(orders, flips, checks):
                 direct = directs[nu]
@@ -145,18 +128,6 @@ def verify_modular_identities(
                 order_checks.append(Check(f"agreement at y={y.lo}", outcome, detail))
     return [CertificationReport.chain(f"modular-identity-nu{nu}", c, interval=(lo.lo, hi.hi))
             for nu, c in zip(orders, checks)]
-
-
-def q_series_derivatives(x, cfg: EvalConfig = DEFAULT_CONFIG):
-    """Enclosures of Q, Q', Q'', Q''' for Q(x) = 1 + sum_{j>=1} e^{-pi j(j+1) x}.
-
-    The r-th derivative term is (-pi j(j+1))^r e^{-pi j(j+1) x}, so this is
-    the quadratic-exponent series with a(j) = j(j+1): theta2 with e^{-pi x/4}
-    divided out, all four orders in one pass.
-    """
-    with cfg.scope():
-        x = _check_positive(as_enclosure(x), "q_series_derivatives")
-        return tuple(_quadratic_series("Q-series", x, lambda j: j * (j + 1), range(4), cfg, start=1))
 
 
 def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:

@@ -24,8 +24,7 @@ from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, as_enclosure
 from .envelopes import log_grid
 from .verifier import _f
 
-__all__ = ["ExponentQuery", "f_a_value", "f_a_prime", "f_a_second", "scan_rows",
-           "find_nonconvex_witness", "find_witness_in_rows"]
+__all__ = ["ExponentQuery", "f_a_second", "scan_rows", "find_witness_in_rows"]
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,6 @@ def _f_a(a, y, order: int, cfg: EvalConfig) -> Enclosure:
         return p * (r * (r - 1)) / (y * y) * f[0] + 2 * p1 * f[1] + p * f[2]
 
 
-def f_a_value(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f_a(y) = y^(a-2) f(y)."""
-    return _f_a(a, y, 0, cfg)
-
-
-def f_a_prime(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """f_a'(y), by the product rule on y^(a-2) f."""
-    return _f_a(a, y, 1, cfg)
-
-
 def f_a_second(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """f_a''(y), the second derivative of the exponent-a family member."""
     return _f_a(a, y, 2, cfg)
@@ -82,20 +71,13 @@ def scan_rows(query: ExponentQuery, cfg: EvalConfig = DEFAULT_CONFIG):
     return [(y, f_a_second(query.a, y, cfg)) for y in log_grid(lo, hi, query.resolution)]
 
 
-def find_nonconvex_witness(
-    query: ExponentQuery, cfg: EvalConfig = DEFAULT_CONFIG
-) -> Witness | None:
-    """Search the query's grid for a point where f_a'' is certifiably negative.
-
-    Soundness is asymmetric: Some(witness) is a proof, None is just a failed
-    search of the grid, which a larger ``resolution`` refines.
-    """
-    return find_witness_in_rows(query, scan_rows(query, cfg))
-
-
 def find_witness_in_rows(query: ExponentQuery, rows) -> Witness | None:
     """The grid point of `rows` (from :func:`scan_rows` for the same query) with the most
-    negative f_a'', as a :class:`Witness` if its enclosure is strictly negative."""
+    negative f_a'', as a :class:`Witness` if its enclosure is strictly negative.
+
+    Soundness is asymmetric: a witness is a proof, None is just a failed
+    search of the grid, which a larger ``resolution`` refines.
+    """
     best_y, best_val = min(rows, key=lambda row: row[1].mid)
     if best_val.is_strictly_negative():
         return Witness(y=best_y, value=best_val, context=f"f_a'' at a={query.a}")

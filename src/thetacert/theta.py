@@ -31,14 +31,11 @@ encloses the exact range on any box, and its upper end bounds the omitted terms.
 Term steps, tail bounds and the kernel's partial sums run on raw libmp interval pairs at one
 precision read per pass, rounding each operation as its Enclosure form: the same bits.  Each
 term, tail bound and result becomes an Enclosure once, for the kernel's Enclosure contract.
-``theta4_product`` keeps its own loop: it is a product, and the tests use it
-as an independent reference for ``theta4_series``.
 
 Evaluators:
 
   theta4_series(y, nu)   nu-th derivative of theta4(y) = sum (-1)^k exp(-pi k^2 y);
                          _theta4(y, orders) gives several orders in one pass
-  theta4_product(y)      theta4 via prod (1-q^(2n))(1-q^(2n-1))^2, q = exp(-pi y)
   theta2_series(y, nu)   nu-th derivative of theta2(y) = sum exp(-pi y (n+1/2)^2);
                          _theta2(y, orders) gives several orders in one pass
   psi(s, k)              the Lambert term psi(s) = s^2/(e^s - 1) and its derivatives
@@ -75,7 +72,6 @@ from .enclosure import (
 
 __all__ = [
     "theta4_series",
-    "theta4_product",
     "theta2_series",
     "psi",
     "DERIVATIVE_ORDERS",
@@ -244,42 +240,6 @@ def _theta4(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
         y = _check_positive(as_enclosure(y), "theta4_series")
         return _quadratic_series("theta4_series", y, lambda k: k * k, orders, cfg,
                                  weight=2, alternating=True, start=1)
-
-
-def theta4_product(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """Enclosure of theta4(y) via the infinite product.
-
-    theta4(y) = prod_{n>=1} (1 - e^{-2n pi y}) (1 - e^{-(2n-1) pi y})^2.
-    The log of the omitted tail is enclosed using
-    -x/(1-x_max) <= log(1-x) <= -x and exact geometric sums of the omitted
-    exponentials, then exponentiated back.
-    """
-    with cfg.scope():
-        y = _check_positive(as_enclosure(y), "theta4_product")
-        pi = Enclosure.pi()
-        one = Enclosure(1)
-        ylo = Enclosure._from_mpi((y._lo, y._lo))
-        prod = one
-        for n in range(1, cfg.max_terms + 1):
-            even = (-(Enclosure(2 * n) * pi * y)).exp()
-            odd = (-(Enclosure(2 * n - 1) * pi * y)).exp()
-            prod = prod * (one - even) * (one - odd) ** 2
-            if odd.hi <= cfg.tol / 8:
-                # Sum of omitted exponents: geometric with ratio e^{-2 pi y}.
-                r = (-(2 * pi * ylo)).exp()
-                e_even = (-(Enclosure(2 * n + 2) * pi * ylo)).exp()
-                e_odd = (-(Enclosure(2 * n + 1) * pi * ylo)).exp()
-                ssum = (e_even + 2 * e_odd) / (one - r)
-                xmax = e_odd
-                if not (one - xmax).is_strictly_positive():
-                    continue
-                log_lo = -(ssum / (one - xmax))
-                if abs(log_lo).hi <= cfg.tol:
-                    tail = Enclosure(log_lo.lo, 0)
-                    return prod * tail.exp()
-        raise ConvergenceError(
-            f"theta4_product did not reach tail tolerance within {cfg.max_terms} terms"
-        )
 
 
 def _theta2(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:

@@ -38,28 +38,24 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 
+from . import envelopes
 from .certify import CertificationReport, Check, certify_sign
 from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, _below, as_enclosure
-from .envelopes import PAPER_CONSTANTS, _envelope_poly, check_c_admissible
+from .envelopes import _envelope_poly, check_c_admissible
 from .exppoly import DegreeError, ExpPoly
-from .modular import _f_modular, _theta4_eval
+from .modular import _f_modular
 from .theta import _PSI_NUMERATORS, _lambert_leading, _lambert_sum, _theta2, _theta4
 
 __all__ = [
     "GreekConstants",
-    "g_eval",
-    "g_prime",
     "g_second",
-    "g_second_display",
     "verify_g_chain",
     "verify_even_terms_large_y",
     "verify_odd_terms_large_y",
     "greek_bracket",
     "checked_greek_constants",
-    "envelope_lower_bound",
     "small_y_bracket",
     "verify_small_y_chain",
-    "h_direct",
     "h_reciprocal",
     "f_eval",
     "f_prime",
@@ -106,15 +102,16 @@ def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Chec
 _X, _E = ExpPoly({0: (0, 1)}), ExpPoly.exponential(1)
 
 
-def _g_polys(middle_sign: int = -1) -> tuple[ExpPoly, ExpPoly, ExpPoly]:
-    """g, g' and g'' in x: g = 2(1-e)^2 - middle_sign 4x e(1-e) + x^2 e(1+e), written once,
-    and its derivatives by :meth:`ExpPoly.derivative`.  The genuine g (-1) is (e-1)^3 psi''(x);
-    integer coefficients at rate 1 make all three exact at any precision."""
-    g = 2 * (1 - _E) * (1 - _E) - middle_sign * 4 * _X * _E * (1 - _E) + _X * _X * _E * (1 + _E)
+def _g_polys() -> tuple[ExpPoly, ExpPoly, ExpPoly]:
+    """g, g' and g'' in x: g = 2(1-e)^2 + 4x e(1-e) + x^2 e(1+e) = (e-1)^3 psi''(x), written
+    once, and its derivatives by :meth:`ExpPoly.derivative`; integer coefficients at rate 1
+    make all three exact at any precision."""
+    g = 2 * (1 - _E) * (1 - _E) + 4 * _X * _E * (1 - _E) + _X * _X * _E * (1 + _E)
     gp = g.derivative()
     return g, gp, gp.derivative()
 
 
+#: g, g', g'' in x, read by the g-chain and g_second at call time
 _G = _g_polys()
 
 #: the fixed six-term grouping of g'' used by the positivity argument,
@@ -131,24 +128,9 @@ def _in_y(poly: ExpPoly, order: int, y, cfg: EvalConfig) -> Enclosure:
         return pi ** order * poly.eval(pi * as_enclosure(y), cfg)
 
 
-def g_eval(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """g(y) = 2(E-1)^2 - 4 y pi E(E-1) + pi^2 y^2 E(E+1) = (E-1)^3 psi''(pi y), E = e^{pi y}."""
-    return _in_y(_G[0], 0, y, cfg)
-
-
-def g_prime(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """g'(y) from ExpPoly.derivative; it equals -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1)."""
-    return _in_y(_G[1], 1, y, cfg)
-
-
 def g_second(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     """g''(y) from ExpPoly.derivative."""
     return _in_y(_G[2], 2, y, cfg)
-
-
-def g_second_display(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """g''(y) by its displayed grouping _G_DISPLAY."""
-    return _in_y(_G_DISPLAY, 2, y, cfg)
 
 
 #: the displayed grouping collected in x = pi y: g'' = pi^2 e^{2x} B(x) with
@@ -156,24 +138,17 @@ def g_second_display(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 _G_BRACKET = _Bracket("g-second-positive", "x", +1, ExpPoly({0: (-6, -8, 4), -1: (6, 8, 1)}))
 
 
-def _vanishes(poly: ExpPoly) -> bool:
-    return all(c.lo == 0 == c.hi for p in poly.terms().values() for c in p)
-
-
-def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG, middle_sign: int = -1) -> CertificationReport:
+def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Certify the whole g-argument: g''(y) > 0 for pi y >= 1 + sqrt 3,
-    g'(1) > 0, g(1) > 0, hence g(y) > 0 for all y >= 1: psi'' > 0 on [pi, oo).
-
-    `middle_sign` = +1 flips the middle term of g, a transcription error the
-    anchor against psi'' must catch (mutation hook); the genuine g has -1."""
-    g, gp, gpp = _g_polys(middle_sign)
+    g'(1) > 0, g(1) > 0, hence g(y) > 0 for all y >= 1: psi'' > 0 on [pi, oo)."""
+    g, gp, gpp = _G
     # transcription anchor, exact in x: g is e^{2x} N_2 = (e^x - 1)^3 psi''(x), the term the
     # Lambert evaluator sums, and its g'' is both the display and e^{2x} B, B certified below
     # (a corrupted g or B breaks this, not the positivity, which would only get easier)
     u = ExpPoly.exponential(-1)
     n2 = _PSI_NUMERATORS[2](_X, 1 - u, u).shift(2)
     gaps = (g - n2, gpp - _G_DISPLAY, gpp - _G_BRACKET.poly.shift(2))
-    checks = [Check("g'' matches its displayed grouping", all(map(_vanishes, gaps)),
+    checks = [Check("g'' matches its displayed grouping", not any(gap.terms() for gap in gaps),
                     "g - e^{2x} N_2, g'' - display, g'' - e^{2x} B: every coefficient exactly 0")]
     with cfg.scope():
         pi = Enclosure.pi()
@@ -266,11 +241,13 @@ def greek_bracket(cfg: EvalConfig = DEFAULT_CONFIG) -> ExpPoly:
 
     2 l1^2 l0 - 2 u2 u0^2 + y (2 l1^3 - 3 u2 u1 u0 + l3 l0^2), expanded over
     exponents e^{k pi y/4}, k in {-3, -11, -19, -27}.  These products make no y^2
-    coefficient, so one raises :class:`DegreeError`: a formula was mistranscribed.
+    coefficient, so one raises :class:`DegreeError`: a formula was mistranscribed.  The upper
+    envelopes take envelopes.PAPER_CONSTANTS as it stands at the call: the table that the
+    admissibility premises of the small-y chain certify.
     """
     with cfg.scope():
         lower = [_envelope_poly(nu) for nu in range(4)]
-        upper = [_envelope_poly(nu, PAPER_CONSTANTS.for_order(nu)) for nu in range(4)]
+        upper = [_envelope_poly(nu, envelopes.PAPER_CONSTANTS.for_order(nu)) for nu in range(4)]
         terms = []
         for coeff, power, (i, j, k) in _H_TERMS:
             env = lower if coeff > 0 else upper
@@ -333,13 +310,6 @@ def checked_greek_constants(
     not pass."""
     with cfg.scope():
         return _greek_checks(greek_bracket(cfg))
-
-
-def envelope_lower_bound(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """y^{9/2} times the bracket: a certified lower bound for h(1/y) on y >= 1."""
-    with cfg.scope():
-        y = as_enclosure(y)
-        return y ** Fraction(9, 2) * greek_bracket(cfg).eval(y, cfg)
 
 
 #: the constants rounded in the weakening direction: alpha down, the rest up
@@ -436,23 +406,8 @@ def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationRepor
 
 
 # ---------------------------------------------------------------------------
-# h in both variables
+# h(1/y)
 # ---------------------------------------------------------------------------
-
-
-def _f_jet(y: Enclosure, t) -> Jet:
-    """f = y^2 theta4'/theta4 as a Jet in y, from t = (theta4, theta4', ...) at y; its
-    entries are f, f', f'' up to order len(t) - 2.  Call inside a precision scope."""
-    y = Jet(y, 1)
-    return y * y * (Jet(*t[1:]) / Jet(*t[:3]))
-
-
-def h_direct(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """h(y) = f''(y) theta4(y)^3, with f'' from :func:`_f_jet` on one theta4 pass."""
-    with cfg.scope():
-        y = as_enclosure(y)
-        t = _theta4_eval(y, range(4), cfg)
-        return _f_jet(y, t).d2 * t[0] ** 3
 
 
 def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -469,6 +424,14 @@ def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 # ---------------------------------------------------------------------------
 # dispatching f evaluators and the certified-quantity registry
 # ---------------------------------------------------------------------------
+
+
+def _f_jet(y: Enclosure, t) -> Jet:
+    """f = y^2 theta4'/theta4 as a Jet in y, from t = (theta4, theta4', ...) at y; its
+    entries are f, f', f'' up to order len(t) - 2.  Call inside a precision scope."""
+    y = Jet(y, 1)
+    return y * y * (Jet(*t[1:]) / Jet(*t[:3]))
+
 
 #: the working interval of the desk-scale convexity certification
 _INTERVAL = ("0.05", 20)

@@ -9,6 +9,10 @@ bracket constants come from an exact symbolic expansion of the envelope
 products (rational coefficients times powers of pi, recorded here as
 exact Fractions).  Tests assert that the library's enclosures contain
 these values; they are never fed back into the library.
+
+Below them are the library's own routes by other means, which the tests compare
+it against: the theta4 product, h = f'' theta4^3, and handles on private routes
+(the modular flip, the Q-series, g and its displayed g'').
 """
 
 from fractions import Fraction
@@ -16,7 +20,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from thetacert import Enclosure, EvalConfig, precision
+from thetacert import ConvergenceError, Enclosure, EvalConfig, precision
+from thetacert.enclosure import DEFAULT_CONFIG, as_enclosure
+from thetacert.modular import _theta4_eval, _theta4_flipped
+from thetacert.theta import _check_positive, _quadratic_series
+from thetacert.verifier import _E, _G, _G_DISPLAY, _X, _f_jet, _in_y
 
 
 @pytest.fixture
@@ -137,3 +145,86 @@ def mp_theta4(y):
 
 def mp_theta2(y):
     return mp.jtheta(2, 0, mp.e ** (-mp.pi * y))
+
+
+# --- the library's routes by other means ---
+
+
+def theta4_product(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
+    """Enclosure of theta4(y) via the infinite product.
+
+    theta4(y) = prod_{n>=1} (1 - e^{-2n pi y}) (1 - e^{-(2n-1) pi y})^2.
+    The log of the omitted tail is enclosed using
+    -x/(1-x_max) <= log(1-x) <= -x and exact geometric sums of the omitted
+    exponentials, then exponentiated back.
+    """
+    with cfg.scope():
+        y = _check_positive(as_enclosure(y), "theta4_product")
+        pi = Enclosure.pi()
+        one = Enclosure(1)
+        ylo = Enclosure._from_mpi((y._lo, y._lo))
+        prod = one
+        for n in range(1, cfg.max_terms + 1):
+            even = (-(Enclosure(2 * n) * pi * y)).exp()
+            odd = (-(Enclosure(2 * n - 1) * pi * y)).exp()
+            prod = prod * (one - even) * (one - odd) ** 2
+            if odd.hi <= cfg.tol / 8:
+                # Sum of omitted exponents: geometric with ratio e^{-2 pi y}.
+                r = (-(2 * pi * ylo)).exp()
+                e_even = (-(Enclosure(2 * n + 2) * pi * ylo)).exp()
+                e_odd = (-(Enclosure(2 * n + 1) * pi * ylo)).exp()
+                ssum = (e_even + 2 * e_odd) / (one - r)
+                xmax = e_odd
+                if not (one - xmax).is_strictly_positive():
+                    continue
+                log_lo = -(ssum / (one - xmax))
+                if abs(log_lo).hi <= cfg.tol:
+                    tail = Enclosure(log_lo.lo, 0)
+                    return prod * tail.exp()
+        raise ConvergenceError(
+            f"theta4_product did not reach tail tolerance within {cfg.max_terms} terms"
+        )
+
+
+def h_direct(y, cfg):
+    """h(y) = f''(y) theta4(y)^3, with f'' from the f Jet on one theta4 pass."""
+    with cfg.scope():
+        y = as_enclosure(y)
+        t = _theta4_eval(y, range(4), cfg)
+        return _f_jet(y, t).d2 * t[0] ** 3
+
+
+def theta4_via_modular(y, nu, cfg):
+    """theta4^(nu)(y) by the modular flip alone, at any y > 0."""
+    with cfg.scope():
+        return _theta4_flipped(as_enclosure(y), range(nu, nu + 1), cfg)[0]
+
+
+def q_series_derivatives(x, cfg):
+    """Q, Q', Q'', Q''' for Q(x) = 1 + sum_{j>=1} e^{-pi j(j+1) x}, in one pass."""
+    with cfg.scope():
+        return _quadratic_series("Q-series", as_enclosure(x), lambda j: j * (j + 1), range(4),
+                                 cfg, start=1)
+
+
+def g_eval(y, cfg):
+    """g(y) = 2(E-1)^2 - 4 y pi E(E-1) + pi^2 y^2 E(E+1) = (E-1)^3 psi''(pi y), E = e^{pi y}."""
+    return _in_y(_G[0], 0, y, cfg)
+
+
+def g_prime(y, cfg):
+    """g'(y); it equals -6 pi^2 y E(E-1) + pi^3 y^2 E(2E+1)."""
+    return _in_y(_G[1], 1, y, cfg)
+
+
+def g_second_display(y, cfg):
+    """g''(y) by the paper's displayed six-term grouping."""
+    return _in_y(_G_DISPLAY, 2, y, cfg)
+
+
+def g_polys_with_middle_term_flipped():
+    """verifier._G with the sign of g's middle term 4x e(1-e) flipped, x = pi y and e = e^x:
+    a transcription error that the g-chain's anchor against psi'' must catch."""
+    g = _G[0] - 8 * _X * _E * (1 - _E)
+    gp = g.derivative()
+    return g, gp, gp.derivative()

@@ -27,14 +27,9 @@ from thetacert import (
     f_eval,
     f_prime,
     f_second,
-    find_nonconvex_witness,
-    g_eval,
-    g_prime,
     precision,
     theta2_series,
-    theta4_product,
     theta4_series,
-    theta4_via_modular,
     verify_convexity,
     verify_decreasing_argument,
     verify_even_terms_large_y,
@@ -44,11 +39,12 @@ from thetacert import (
     verify_sandwiches,
     verify_small_y_chain,
 )
+from thetacert import envelopes, verifier
 from thetacert.cli import main as cli_main
 from thetacert.envelopes import log_grid
 from thetacert.modular import MODULAR_COEFFICIENTS
-from thetacert.scanner import f_a_second, f_a_prime
-from thetacert.verifier import g_second, h_direct
+from thetacert.scanner import _f_a, f_a_second, find_witness_in_rows, scan_rows
+from thetacert.verifier import g_second
 
 from conftest import (
     G_AT_1,
@@ -56,9 +52,15 @@ from conftest import (
     GREEK_PRINTED,
     WITNESS_21_Y,
     assert_contains,
+    g_eval,
+    g_polys_with_middle_term_flipped,
+    g_prime,
+    h_direct,
     mp_scalar,
     mp_theta2,
     mp_theta4,
+    theta4_product,
+    theta4_via_modular,
 )
 
 CFG = EvalConfig()  # 128-bit default, as the criteria specify
@@ -161,7 +163,7 @@ def test_acceptance_4_theorem_at_desk_scale():
     assert elapsed < 300.0
 
 
-def test_acceptance_5_termwise_chains():
+def test_acceptance_5_termwise_chains(monkeypatch):
     t0 = time.perf_counter()
     chains = {
         "even": verify_even_terms_large_y(cfg=CFG),
@@ -172,32 +174,24 @@ def test_acceptance_5_termwise_chains():
     chains["decreasing"] = verify_decreasing_argument(CFG, convexity_report=chains["small-y"])
     chain_ok = all(r.status is Status.CERTIFIED for r in chains.values())
 
-    # mutation tests must fail in the specified ways
-    corrupted = dict(MODULAR_COEFFICIENTS)
-    corrupted[1] = (Fraction(1, 2), Fraction(-1))
-    mutations = {
-        "modular sign flip": verify_modular_identities(
-            ("0.5", "2"), (1,), CFG, coefficients=corrupted
-        )[0].status
-        is Status.FAILED,
-        "g middle-term flip": verify_g_chain(CFG, middle_sign=+1).status is Status.FAILED,
-        "wrong-sign target": certify_sign(
-            QUANTITIES["f_second"], ("0.5", "1"), -1, CFG, name="mutation"
-        ).status
-        is Status.FAILED,
-        "deflated envelope constants": verify_sandwiches(
-            [Enclosure(1)],
-            (0,),
-            CFG,
-            constants=EnvelopeConstants(
-                c0=Fraction(1, 10 ** 30),
-                c1=Fraction(1, 10 ** 30),
-                c2=Fraction(1, 10 ** 30),
-                c3=Fraction(1, 10 ** 30),
-            ),
-        )[0].status
-        is Status.FAILED,
-    }
+    # mutation tests must fail in the specified ways; each mutant is patched in alone
+    mutations = {}
+    with monkeypatch.context() as m:
+        m.setitem(MODULAR_COEFFICIENTS, 1, (Fraction(1, 2), Fraction(-1)))
+        mutations["modular sign flip"] = verify_modular_identities(
+            ("0.5", "2"), (1,), CFG
+        )[0].status is Status.FAILED
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "_G", g_polys_with_middle_term_flipped())
+        mutations["g middle-term flip"] = verify_g_chain(CFG).status is Status.FAILED
+    mutations["wrong-sign target"] = certify_sign(
+        QUANTITIES["f_second"], ("0.5", "1"), -1, CFG, name="mutation"
+    ).status is Status.FAILED
+    with monkeypatch.context() as m:
+        m.setattr(envelopes, "PAPER_CONSTANTS", EnvelopeConstants(*[Fraction(1, 10 ** 30)] * 4))
+        mutations["deflated envelope constants"] = verify_sandwiches(
+            [Enclosure(1)], (0,), CFG
+        )[0].status is Status.FAILED
     elapsed = time.perf_counter() - t0
     ok = chain_ok and all(mutations.values()) and elapsed < 120.0
     _report(
@@ -260,7 +254,8 @@ def test_acceptance_7_exponent_witness(tmp_path, capsys):
     assert "# witness" not in text20, "a=2.0 must not produce a witness"
     assert pinned
     # soundness: re-certify the witness value at doubled precision
-    witness = find_nonconvex_witness(ExponentQuery(a=Fraction(21, 10)), CFG)
+    query = ExponentQuery(a=Fraction(21, 10))
+    witness = find_witness_in_rows(query, scan_rows(query, CFG))
     assert f_a_second(Fraction(21, 10), witness.y, CFG.escalated()).is_strictly_negative()
 
 
@@ -330,7 +325,7 @@ def test_acceptance_8_finite_difference_suite():
         a21 = Fraction(21, 10)
         pairs.append(
             (
-                lambda y: f_a_prime(a21, y, CFG),
+                lambda y: _f_a(a21, y, 1, CFG),
                 lambda y: f_a_second(a21, y, CFG),
                 f21_scalar,
                 3,

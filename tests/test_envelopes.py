@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from thetacert import cli, envelopes
 from thetacert import (
     DomainError,
     Enclosure,
@@ -73,17 +74,13 @@ def test_sandwich_single_point_high_order(cfg):
     assert report.status is Status.CERTIFIED
 
 
-def test_sandwich_fails_without_inflation(cfg):
+def test_sandwich_fails_without_inflation(cfg, monkeypatch):
     # with c_nu = 0 the upper envelope equals the two-term lower bound,
     # which the true value strictly exceeds: the check must fail
-    zeroish = EnvelopeConstants(
-        c0=Fraction(1, 10 ** 30),
-        c1=Fraction(1, 10 ** 30),
-        c2=Fraction(1, 10 ** 30),
-        c3=Fraction(1, 10 ** 30),
-    )
+    zeroish = EnvelopeConstants(*[Fraction(1, 10 ** 30)] * 4)
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", zeroish)
     for nu in range(4):
-        report = verify_sandwiches([Enclosure(1)], (nu,), cfg, constants=zeroish)[0]
+        report = verify_sandwiches([Enclosure(1)], (nu,), cfg)[0]
         assert report.status is Status.FAILED, f"nu={nu} should fail with deflated constants"
 
 
@@ -129,28 +126,48 @@ def test_admissibility_with_decimal_string_tolerance():
     assert report.status is Status.CERTIFIED, report.summary()
 
 
-def test_admissibility_fails_for_too_small_candidate(cfg):
-    report = check_c_admissible(0, cfg, candidate=Fraction(1, 10 ** 7))
+def test_admissibility_fails_for_too_small_candidate(cfg, monkeypatch):
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", EnvelopeConstants(c0=Fraction(1, 10 ** 7)))
+    report = check_c_admissible(0, cfg)
     assert report.status is Status.FAILED
 
 
-def test_admissibility_tightness_third_fails(cfg):
+def _thirds():
+    return EnvelopeConstants(*(c / 3 for c in EnvelopeConstants().as_tuple()))
+
+
+def test_admissibility_tightness_third_fails(cfg, monkeypatch):
     # c_nu / 3 is inadmissible for every order (the factors sit at
     # 0.97, 0.91, 0.96, 0.72 of their constants)
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", _thirds())
     fails = 0
     for nu in range(4):
-        c = EnvelopeConstants().for_order(nu) / 3
-        report = check_c_admissible(nu, cfg, candidate=c)
+        report = check_c_admissible(nu, cfg)
         fails += report.status is Status.FAILED
     assert fails == 4
 
 
-def test_admissibility_candidate_inside_factor_is_inconclusive(cfg):
+def test_both_envelope_checks_read_one_constants_table(monkeypatch, capsys):
+    # the sandwiches and the admissibility read PAPER_CONSTANTS at call time: with c_nu / 3
+    # the sandwich fails where the true value sits above it at y = 1 (nu = 0, 2) and the
+    # admissibility fails at every order
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", _thirds())
+    assert cli.main(["verify", "envelopes"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[1].rstrip(":").split("@")[0] for line in lines
+              if line.startswith("[FAILED]")]
+    assert failed == ["theta2-envelope-sandwich-nu0", "theta2-envelope-sandwich-nu2",
+                      *(f"c-admissibility-nu{nu}" for nu in range(4))]
+
+
+def test_admissibility_candidate_inside_factor_is_inconclusive(cfg, monkeypatch):
     # a candidate inside the factor's enclosure neither proves nor disproves
     # "factor < c": undecided, not a disproof
     factor = admissibility_factor(0, 1, cfg)
     man, exp = factor.mid.man_exp
-    report = check_c_admissible(0, cfg, candidate=Fraction(man) * Fraction(2) ** exp)
+    inside = EnvelopeConstants(c0=Fraction(man) * Fraction(2) ** exp)
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", inside)
+    report = check_c_admissible(0, cfg)
     assert report.status is Status.INCONCLUSIVE
     assert [c.passed for c in report.checks] == [True, None, True]
 
@@ -236,12 +253,12 @@ def test_multi_order_sandwich_matches_single_order_reports(cfg):
         assert _same_report(report, verify_sandwiches(grid, (nu,), cfg)[0]), nu
 
 
-def test_deflating_one_constant_fails_only_its_order(cfg):
+def test_deflating_one_constant_fails_only_its_order(cfg, monkeypatch):
     grid = log_grid(1.0, 100.0, 40)
-    deflated = EnvelopeConstants(c3=Fraction(1, 10 ** 30))
-    together = verify_sandwiches(grid, range(4), cfg, deflated)
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", EnvelopeConstants(c3=Fraction(1, 10 ** 30)))
+    together = verify_sandwiches(grid, range(4), cfg)
     assert [r.status for r in together[:3]] == [Status.CERTIFIED] * 3
-    alone = verify_sandwiches(grid, (3,), cfg, constants=deflated)[0]
+    alone = verify_sandwiches(grid, (3,), cfg)[0]
     assert together[3].status is Status.FAILED
     assert _same_report(together[3], alone)
     assert together[3].checks[0].detail.startswith("lower=")

@@ -14,9 +14,7 @@ from thetacert import (
     precision,
     theta2_series,
     theta4_eval,
-    theta4_product,
     theta4_series,
-    theta4_via_modular,
     verify_modular_identities,
 )
 from thetacert.verifier import f_eval, f_prime, f_second
@@ -26,6 +24,8 @@ from conftest import (
     THETA4_AT_1,
     assert_contains,
     mp_scalar,
+    theta4_product,
+    theta4_via_modular,
 )
 
 
@@ -83,10 +83,10 @@ def test_identity_report_certifies(cfg, nu):
     assert report.status is Status.CERTIFIED, report.summary()
 
 
-def test_identity_detects_corrupted_coefficient(cfg):
-    corrupted = dict(MODULAR_COEFFICIENTS)
-    corrupted[1] = (Fraction(1, 2), Fraction(-1))  # sign flip on the first entry
-    report = verify_modular_identities(("0.5", "2"), (1,), cfg, coefficients=corrupted)[0]
+def test_identity_detects_corrupted_coefficient(cfg, monkeypatch):
+    # sign flip on the first entry
+    monkeypatch.setitem(MODULAR_COEFFICIENTS, 1, (Fraction(1, 2), Fraction(-1)))
+    report = verify_modular_identities(("0.5", "2"), (1,), cfg)[0]
     assert report.status is Status.FAILED
 
 
@@ -143,10 +143,9 @@ def test_multi_order_identity_matches_single_order_reports(cfg):
         ), nu
 
 
-def test_corrupted_row_fails_only_its_order(cfg):
-    corrupted = dict(MODULAR_COEFFICIENTS)
-    corrupted[1] = (Fraction(1, 2), Fraction(-1))
-    together = verify_modular_identities(("0.5", "2"), range(4), cfg, coefficients=corrupted)
+def test_corrupted_row_fails_only_its_order(cfg, monkeypatch):
+    monkeypatch.setitem(MODULAR_COEFFICIENTS, 1, (Fraction(1, 2), Fraction(-1)))
+    together = verify_modular_identities(("0.5", "2"), range(4), cfg)
     assert [r.status for r in together] == [
         Status.CERTIFIED, Status.FAILED, Status.CERTIFIED, Status.CERTIFIED
     ]

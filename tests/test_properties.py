@@ -11,11 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
-from conftest import mp_scalar, mp_theta4
+from conftest import g_prime, h_direct, mp_scalar, mp_theta4, q_series_derivatives
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
-from thetacert.modular import q_series_derivatives
 from thetacert.theta import _lambert_sum, _quadratic_series, psi
-from thetacert.verifier import _f, f_eval, f_prime, f_second, g_prime, g_second, h_direct
+from thetacert.verifier import _f, f_eval, f_prime, f_second, g_second
 
 CFG = EvalConfig()
 

@@ -12,12 +12,11 @@ from thetacert import (
     ExponentQuery,
     f_a_second,
     f_second,
-    find_nonconvex_witness,
     precision,
     scan_rows,
 )
 from thetacert.enclosure import Jet
-from thetacert.scanner import _f_a, f_a_prime, f_a_value
+from thetacert.scanner import _f_a, find_witness_in_rows
 from thetacert.verifier import _f
 
 from conftest import WITNESS_21_VALUE, WITNESS_21_Y, assert_contains, mp_theta4, mp_scalar
@@ -34,7 +33,7 @@ def test_specialization_to_exponent_two(cfg):
 
 def test_witness_found_at_21(cfg):
     query = ExponentQuery(a=Fraction(21, 10))
-    witness = find_nonconvex_witness(query, cfg)
+    witness = find_witness_in_rows(query, scan_rows(query, cfg))
     assert witness is not None
     assert witness.value.is_strictly_negative()
     # regression pin from the pre-build scan: the minimum sits at the left
@@ -46,7 +45,7 @@ def test_witness_found_at_21(cfg):
 
 def test_witness_sound_at_doubled_precision(cfg):
     query = ExponentQuery(a=Fraction(21, 10))
-    witness = find_nonconvex_witness(query, cfg)
+    witness = find_witness_in_rows(query, scan_rows(query, cfg))
     recheck = f_a_second(Fraction(21, 10), witness.y, cfg.escalated())
     assert recheck.is_strictly_negative()
     assert recheck.intersects(witness.value)
@@ -54,12 +53,12 @@ def test_witness_sound_at_doubled_precision(cfg):
 
 def test_no_witness_at_exponent_two(cfg):
     query = ExponentQuery(a=2)
-    assert find_nonconvex_witness(query, cfg) is None
+    assert find_witness_in_rows(query, scan_rows(query, cfg)) is None
 
 
 def test_witness_found_at_three(cfg):
     query = ExponentQuery(a=3)
-    witness = find_nonconvex_witness(query, cfg)
+    witness = find_witness_in_rows(query, scan_rows(query, cfg))
     assert witness is not None
     assert witness.value.is_strictly_negative()
 
@@ -101,14 +100,14 @@ def test_family_value_and_slope_compose(cfg):
     from thetacert import f_eval, f_prime
 
     y = Enclosure("1.7")
-    assert f_a_value(2, y, cfg).intersects(f_eval(y, cfg))
-    assert f_a_prime(2, y, cfg).intersects(f_prime(y, cfg))
+    assert _f_a(2, y, 0, cfg).intersects(f_eval(y, cfg))
+    assert _f_a(2, y, 1, cfg).intersects(f_prime(y, cfg))
     # and the a = 2.1 member's derivative ladder is consistent by finite differences
     h = mp.mpf(2) ** -20
     with precision(320):
         a = Fraction(21, 10)
         fd = (
-            f_a_prime(a, y + Enclosure(h), cfg) - f_a_prime(a, y - Enclosure(h), cfg)
+            _f_a(a, y + Enclosure(h), 1, cfg) - _f_a(a, y - Enclosure(h), 1, cfg)
         ) / Enclosure(2 * h)
         assert abs(fd - f_a_second(a, y, cfg)).hi < 1e-9
 

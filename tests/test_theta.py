@@ -18,12 +18,9 @@ from thetacert import (
     h_reciprocal,
     precision,
     theta2_series,
-    theta4_product,
     theta4_series,
-    theta4_via_modular,
 )
 from thetacert.enclosure import current_precision
-from thetacert.modular import q_series_derivatives
 from thetacert.theta import (
     _PSI_NUMERATORS,
     _geometric_tail,
@@ -49,6 +46,9 @@ from conftest import (
     assert_contains,
     mp_scalar,
     mp_theta4,
+    q_series_derivatives,
+    theta4_product,
+    theta4_via_modular,
 )
 
 

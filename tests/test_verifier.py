@@ -7,20 +7,17 @@ from mpmath import mp
 
 from thetacert import (
     Enclosure,
+    EnvelopeConstants,
     ExpPoly,
     QUANTITIES,
     Status,
     certify_sign,
     checked_greek_constants,
-    envelope_lower_bound,
     f_a_second,
     f_eval,
     f_prime,
     f_second,
-    g_eval,
-    g_prime,
     g_second,
-    h_direct,
     h_reciprocal,
     precision,
     small_y_bracket,
@@ -33,14 +30,7 @@ from thetacert import (
     verify_small_y_chain,
 )
 from thetacert.envelopes import log_grid
-from thetacert.verifier import (
-    _EVEN_CONVEX,
-    _ODD_CONVEX,
-    _Bracket,
-    _certify_bracket,
-    g_second_display,
-    greek_bracket,
-)
+from thetacert.verifier import _EVEN_CONVEX, _ODD_CONVEX, _Bracket, _certify_bracket, greek_bracket
 
 from conftest import (
     G_AT_1,
@@ -51,6 +41,11 @@ from conftest import (
     H_AT_HALF,
     QUAD_ROOT,
     assert_contains,
+    g_eval,
+    g_polys_with_middle_term_flipped,
+    g_prime,
+    g_second_display,
+    h_direct,
     mp_scalar,
 )
 
@@ -92,6 +87,13 @@ def test_g_prime_against_finite_difference(cfg):
             assert abs(fd2 - g_second(ye, cfg)).hi <= 10 * h ** 2 * max(m4, mp.mpf(1))
 
 
+def test_g_derivatives_keep_no_dead_constant_term():
+    # g's constant 2 differentiates to exact zeros, which ExpPoly drops
+    from thetacert import verifier
+
+    assert verifier._G[2].exponents() == [1, 2]
+
+
 def test_g_second_display_equivalence(cfg):
     for y in ("0.87", "1", "3", "10"):
         assert g_second(Enclosure(y), cfg).intersects(g_second_display(Enclosure(y), cfg))
@@ -108,9 +110,12 @@ def test_g_chain_root_enclosure(cfg):
     assert_contains(root, QUAD_ROOT)
 
 
-def test_g_chain_mutation_detected(cfg):
+def test_g_chain_mutation_detected(cfg, monkeypatch):
     # flipping the middle-term sign of g must break the chain
-    report = verify_g_chain(cfg, middle_sign=+1)
+    from thetacert import verifier
+
+    monkeypatch.setattr(verifier, "_G", g_polys_with_middle_term_flipped())
+    report = verify_g_chain(cfg)
     assert report.status is Status.FAILED
     broken = [c for c in report.checks if c.passed is False]
     assert any("displayed grouping" in c.name for c in broken)
@@ -263,11 +268,23 @@ def test_straddling_greek_constant_is_inconclusive(cfg, monkeypatch):
     assert verify_small_y_chain(cfg).status is Status.INCONCLUSIVE
 
 
+def test_greek_bracket_reads_the_envelope_constants_at_call_time(monkeypatch):
+    # the small-y chain certifies the admissibility of envelopes.PAPER_CONSTANTS, so its
+    # bracket must be built from that same table
+    from thetacert import envelopes
+
+    before = greek_bracket().coefficient(-19)
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", EnvelopeConstants(*[Fraction(1, 10)] * 4))
+    assert greek_bracket().coefficient(-19) != before
+
+
 def test_envelope_lower_bound_is_really_lower(cfg):
     # at 20 points on [1, 10] the exponential-polynomial bound must sit
     # strictly below h(1/y)
+    bracket = greek_bracket(cfg)
     for y in log_grid(1.0, 10.0, 20):
-        bound = envelope_lower_bound(y, cfg)
+        with cfg.scope():
+            bound = y ** Fraction(9, 2) * bracket.eval(y, cfg)
         hv = h_reciprocal(y, cfg)
         assert bound.hi < hv.lo, f"bound not below h(1/y) at y={y.lo}"
 
