@@ -294,7 +294,9 @@ class Enclosure:
 
         Integer exponents work on any enclosure (negative integers require
         the base not to contain 0); fractional exponents require a strictly
-        positive base and go through exp(p*log).
+        positive base.  A half-integer n/2 is the square root of the integer
+        power y^n, 32 bits above the working precision (two exact-rounded
+        operations, no log or exp); other fractions go through exp(p*log).
         """
         if isinstance(p, float):
             p = Fraction(p)  # binary floats convert exactly
@@ -309,6 +311,10 @@ class Enclosure:
             raise TypeError("exponent must be an int, float or Fraction")
         if not self.is_strictly_positive():
             raise DomainError("fractional power requires a strictly positive enclosure")
+        if p.denominator == 2:
+            prec = current_precision() + 32
+            return Enclosure._from_mpi(
+                _lm.mpi_sqrt(_lm.mpi_pow_int((self._lo, self._hi), p.numerator, prec), prec))
         return (self.log() * Enclosure(p)).exp()
 
     def exp(self) -> "Enclosure":
@@ -379,13 +385,13 @@ class Jet:
         return Jet(
             self.v * other.v,
             self.d1 * other.v + self.v * other.d1,
-            self.d2 * other.v + 2 * self.d1 * other.d1 + self.v * other.d2,
+            self.d2 * other.v + (self.d1 + self.d1) * other.d1 + self.v * other.d2,
         )
 
     def __truediv__(self, other: "Jet") -> "Jet":
         q = self.v / other.v
         q1 = (self.d1 - q * other.d1) / other.v
-        return Jet(q, q1, (self.d2 - 2 * q1 * other.d1 - q * other.d2) / other.v)
+        return Jet(q, q1, (self.d2 - (q1 + q1) * other.d1 - q * other.d2) / other.v)
 
 
 @dataclass(frozen=True)

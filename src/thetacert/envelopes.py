@@ -12,12 +12,12 @@ holds with
 (one ExpPoly form, which the envelope-product bracket of
 :mod:`thetacert.verifier` shares) and the inflation constants c_0 = 0.00001,
 c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  ``verify_sandwiches`` checks it on
-a grid, one report per order, with one theta2 pass and one e^{-pi y/4},
-e^{-9 pi y/4} pair per point for all orders.  The admissibility of the c_nu
-is itself re-proved here: the omitted odd terms m >= 5 of the theta2 sum
-(theta's quadratic-exponent series from m = 5) are bounded first by the
-discrete comparison sum_{n>=25} n^nu e^{-pi n y/4} (m^2 >= 5m moves the
-start from 5 to 25) and then by the explicit integral
+a grid, one report per order, with the envelope polys built once per call and
+one theta2 pass and one exponential e^{-pi y/4} per point for all orders.  The
+admissibility of the c_nu is itself re-proved here: the omitted odd terms m >= 5
+of the theta2 sum (theta's quadratic-exponent series from m = 5) are bounded
+first by the discrete comparison sum_{n>=25} n^nu e^{-pi n y/4} (m^2 >= 5m moves
+the start from 5 to 25) and then by the explicit integral
 int_24^oo t^nu e^{-pi t y/4} dt, whose closed form is evaluated with
 enclosures; the resulting inflation factor e^{9 pi y/4} 9^(-nu) * integral
 must stay below c_nu, which is checked at y = 1; the factor decreases on
@@ -128,19 +128,18 @@ def _sandwich_config(y_hi: float, cfg: EvalConfig) -> EvalConfig:
     )
 
 
-def _sandwich_point(y: Enclosure, orders, cfg: EvalConfig):
-    """(True / False / None (undecided), detail) for the strict sandwich at one point, per order:
-    one theta2 pass over the orders at the :func:`_sandwich_config` precision, whose
-    envelopes share the two exponentials; the upper ones inflated by PAPER_CONSTANTS."""
+def _sandwich_point(y: Enclosure, envelopes, cfg: EvalConfig):
+    """(True / False / None (undecided), detail) for the strict sandwich at one point, per
+    (nu, lower, upper) envelope-poly triple of `envelopes`: one theta2 pass over the orders at
+    the :func:`_sandwich_config` precision, and one exponential that every envelope shares."""
     point_cfg = _sandwich_config(float(y.hi), cfg)
     with point_cfg.scope():
-        thetas = _theta2(y, range(max(orders, default=0) + 1), point_cfg)
-        shared = {}  # e^{-pi y/4}, e^{-9 pi y/4}, filled by the first envelope
+        thetas = _theta2(y, range(max((nu for nu, _, _ in envelopes), default=0) + 1), point_cfg)
+        shared = {}  # e^{-pi y/4} and its powers, filled by the first envelope
         verdicts = []
-        for nu in orders:
+        for nu, lower, upper in envelopes:
             mid = -thetas[nu] if nu % 2 == 1 else thetas[nu]
-            low = _envelope_poly(nu).eval(y, point_cfg, shared)
-            upp = _envelope_poly(nu, PAPER_CONSTANTS.for_order(nu)).eval(y, point_cfg, shared)
+            low, upp = lower.eval(y, point_cfg, shared), upper.eval(y, point_cfg, shared)
             if low.is_strictly_positive() and low.hi < mid.lo and mid.hi < upp.lo:
                 verdicts.append((True, "strict on both sides"))
             # a disproof needs the wrong ordering to hold on whole enclosures
@@ -164,7 +163,10 @@ def verify_sandwiches(grid, orders, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Ce
     orders = [_check_order(nu) for nu in orders]
     with cfg.scope():
         points = [_check_domain(as_enclosure(y)) for y in grid]
-    per_point = [_sandwich_point(y, orders, cfg) for y in points]
+    with _sandwich_config(max((float(y.hi) for y in points), default=1), cfg).scope():
+        envelopes = [(nu, _envelope_poly(nu), _envelope_poly(nu, PAPER_CONSTANTS.for_order(nu)))
+                     for nu in orders]
+    per_point = [_sandwich_point(y, envelopes, cfg) for y in points]
     reports = []
     for nu, outcomes in zip(orders, zip(*per_point)):
         checks = [Check(f"sandwich at y={y.lo}", *o) for y, o in zip(points, outcomes)]

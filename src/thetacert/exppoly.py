@@ -12,7 +12,8 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from .enclosure import DEFAULT_CONFIG, Enclosure, EnclosureError, EvalConfig, as_enclosure
+from .enclosure import (DEFAULT_CONFIG, Enclosure, EnclosureError, EvalConfig, as_enclosure,
+                        current_precision, precision)
 
 __all__ = ["ExpPoly", "DegreeError"]
 
@@ -138,9 +139,13 @@ class ExpPoly:
                         for k, p in self._terms.items()}, self.rate)
 
     def _exponentials(self, x: Enclosure, exps: dict) -> dict:
-        for k in self._terms:
-            if k not in exps:
-                exps[k] = 1 if k == 0 else (k * self.rate * x).exp()
+        """exps with e^{k r x} for every key k, each the power b^(-k) of b = e^{-r x}, which is
+        exps[-1]: one exp carried 32 bits above the working precision, as the series kernel's q."""
+        missing = [k for k in self._terms if k not in exps]
+        with precision(current_precision() + 32):
+            if any(missing) and -1 not in exps:
+                exps[-1] = (-(self.rate * x)).exp()
+            exps.update((k, exps[-1] ** -k if k else 1) for k in missing)
         return exps
 
     def _at(self, x, w, exps) -> Enclosure:
@@ -157,8 +162,8 @@ class ExpPoly:
         return reduce(add, (part * x ** i * w ** (deg - i) for i, part in enumerate(parts)))
 
     def eval(self, x, cfg: EvalConfig = DEFAULT_CONFIG, shared: dict | None = None) -> Enclosure:
-        """The sum at x.  `shared` maps k to e^{k r x} and is filled as needed, so sums of
-        one rate evaluated at one x can share their exponentials."""
+        """The sum at x, from one exponential at x.  `shared` maps k to e^{k r x} and is filled
+        as needed, so sums of one rate evaluated at one x can share that exponential."""
         with cfg.scope():
             x = as_enclosure(x)
             return self._at(x, 1, self._exponentials(x, {} if shared is None else shared))
@@ -166,8 +171,8 @@ class ExpPoly:
     def _past(self, corner: Enclosure) -> Enclosure:
         """The sum over x^degree for every x >= corner > 0: 1/x in [0, 1/corner] and
         e^{k r x} in [0, e^{k r corner}], which needs keys k <= 0 and rate > 0."""
-        exps = {k: 1 if k == 0 else Enclosure(0, (k * self.rate * corner).exp().hi)
-                for k in self._terms}
+        exps = {k: 1 if k == 0 else Enclosure(0, e.hi)
+                for k, e in self._exponentials(corner, {}).items()}
         return self._at(1, Enclosure(0, (1 / corner).hi), exps)
 
     def sign_from(self, corner, sign: int) -> bool | None:

@@ -62,8 +62,8 @@ MODULAR_COEFFICIENTS: dict[int, tuple[Fraction, ...]] = {
 
 def _theta4_flipped(y: Enclosure, orders: range, cfg: EvalConfig):
     """theta4^(nu)(y) = sum_j table[nu][j] y^(-1/2 - nu - j) theta2^(j)(1/y) for each nu of
-    `orders`, from one theta2 pass at 1/y; the table is MODULAR_COEFFICIENTS as it stands at
-    the call.  Call inside a precision scope."""
+    `orders`, from one theta2 pass at 1/y and half-integer powers of y (square roots, no log);
+    the table is MODULAR_COEFFICIENTS as it stands at the call.  Call inside a precision scope."""
     table = MODULAR_COEFFICIENTS
     flipped = _theta2(1 / y, range(max(len(table[nu]) for nu in orders)), cfg)
     return [sum((Enclosure(c) * y ** (Fraction(-1, 2) - nu - j) * flipped[j]
@@ -143,5 +143,5 @@ def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
         g, g1, g2 = Jet(*p[1:]) / Jet(1 + eps * p[0], *(eps * q for q in p[1:-1]))
         forms = (lambda: -y / 2 + Enclosure.pi() / 4 - eps * g,  # formed only when requested
                  lambda: Enclosure(Fraction(-1, 2)) + x * x * eps * g1,
-                 lambda: x ** 3 * eps * (-(2 * g1) - x * g2))
+                 lambda: x ** 3 * eps * (-(g1 + g1) - x * g2))
         return [forms[k]() for k in orders]

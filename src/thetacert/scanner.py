@@ -57,7 +57,7 @@ def _f_a(a, y, order: int, cfg: EvalConfig) -> Enclosure:
         p1 = p * r / y
         if order == 1:
             return p1 * f[0] + p * f[1]
-        return p * (r * (r - 1)) / (y * y) * f[0] + 2 * p1 * f[1] + p * f[2]
+        return p * (r * (r - 1)) / (y * y) * f[0] + (p1 + p1) * f[1] + p * f[2]
 
 
 def f_a_second(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:

@@ -70,6 +70,24 @@ def test_fractional_power_requires_positive_base():
         Enclosure(0, 1) ** Fraction(9, 2)
 
 
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+@pytest.mark.parametrize("box", [False, True], ids=["point", "box"])
+def test_half_integer_power_contains_mpmath_and_is_no_wider_than_exp_log(bits, box):
+    # y^(n/2) takes a square root of an integer power and no log: it contains mpmath's value at
+    # each end of y, and for odd n is no wider than exp(n/2 log y) (even n is an integer power)
+    for y in (0.0123, 0.05, 0.3, 5 / 7, 1.0, 1 + 2 ** -40, 1.01, 2.0, 7.77, 99.0):
+        ends = (y, y * 1.01) if box else (y,)
+        for n in range(-13, 12):
+            with precision(bits):
+                got = Enclosure(*ends) ** Fraction(n, 2)
+                via_log = (Enclosure(*ends).log() * Fraction(n, 2)).exp()
+            with mp.workprec(4 * bits):
+                for end in ends:
+                    assert got.lo <= mp.mpf(end) ** (mp.mpf(n) / 2) <= got.hi, (bits, y, n)
+            with mp.workprec(16 * bits):
+                assert n % 2 == 0 or got.hi - got.lo <= via_log.hi - via_log.lo, (bits, y, n)
+
+
 def test_negative_integer_power_requires_nonzero():
     with pytest.raises(DomainError):
         Enclosure(-1, 1) ** -2

@@ -264,6 +264,25 @@ def test_deflating_one_constant_fails_only_its_order(cfg, monkeypatch):
     assert together[3].checks[0].detail.startswith("lower=")
 
 
+def test_sandwich_reads_the_envelope_constants_at_each_call(cfg, monkeypatch):
+    # no envelope poly outlives its call: a deflated c_3 fails nu = 3, and once the patch is
+    # undone the same process certifies it again
+    grid = log_grid(1.0, 4.0, 3)
+    assert verify_sandwiches(grid, (3,), cfg)[0].status is Status.CERTIFIED
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", EnvelopeConstants(c3=Fraction(1, 10 ** 30)))
+    assert verify_sandwiches(grid, (3,), cfg)[0].status is not Status.CERTIFIED
+    monkeypatch.undo()
+    assert verify_sandwiches(grid, (3,), cfg)[0].status is Status.CERTIFIED
+
+
+def test_sandwich_suite_takes_two_exponentials_per_point(cfg, monkeypatch):
+    # one for the point's theta2 pass, one that every envelope of every order shares
+    exps, inner = [], Enclosure.exp
+    monkeypatch.setattr(Enclosure, "exp", lambda self: exps.append(self) or inner(self))
+    verify_sandwiches(log_grid(1.0, 100.0, 40), range(4), cfg)
+    assert len(exps) == 80
+
+
 @pytest.mark.parametrize("nu", [4, -1])
 def test_sandwich_rejects_unknown_order(cfg, nu):
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
-from thetacert import DegreeError, Enclosure, ExpPoly, precision
+from thetacert import DegreeError, Enclosure, EvalConfig, ExpPoly, precision
 
 
 def test_addition_merges_exponents():
@@ -64,6 +64,34 @@ def test_eval_matches_direct_formula(cfg):
         pi = Enclosure.pi()
         direct = (2 * y + 3) * (-(pi * y)).exp() + 5 * (-(2 * pi * y)).exp()
         assert got.intersects(direct)
+
+
+_KEYS = (-27, -19, -11, -9, -8, -3, -1, 0, 1, 2)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+@pytest.mark.parametrize("box", [False, True], ids=["point", "box"])
+def test_eval_from_one_exponential_contains_mpmath_and_is_no_wider(bits, box):
+    # every e^{k pi x/4} is an integer power of one exp: the sum contains a 4x-precision
+    # mpmath value at each end of x (thin, or 1 % wide in [1, 100]) and is no wider than the
+    # sum from one exp per key, handed in through `shared`
+    cfg = EvalConfig(precision_bits=bits)
+    coeffs = {k: (Fraction(3 + k, 7), Fraction(2 - 4 * (k % 2), 1 + abs(k))) for k in _KEYS}
+    for y in (1.0, 1.37, 2.5, 9.9, 31.4, 77.7, 99.0):
+        ends = (y, y * 1.01) if box else (y,)
+        with precision(bits):
+            poly = ExpPoly(coeffs, Enclosure.pi() / 4)
+            x = Enclosure(*ends)
+            got = poly.eval(x, cfg)
+            per_key = poly.eval(x, cfg, {k: (k * poly.rate * x).exp() if k else 1 for k in _KEYS})
+        with mp.workprec(4 * bits):
+            mpq = lambda c: mp.mpf(c.numerator) / c.denominator  # noqa: E731
+            for end in map(mp.mpf, ends):
+                exact = sum((mpq(c0) + mpq(c1) * end) * mp.exp(k * mp.pi / 4 * end)
+                            for k, (c0, c1) in coeffs.items())
+                assert got.lo <= exact <= got.hi, (bits, y, box)
+        with mp.workprec(16 * bits):
+            assert got.hi - got.lo <= per_key.hi - per_key.lo, (bits, y, box)
 
 
 def test_shift_multiplies_by_quarter_exponent(cfg):

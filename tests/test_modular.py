@@ -29,6 +29,17 @@ from conftest import (
 )
 
 
+def test_modular_identities_take_no_log(cfg, monkeypatch):
+    # the powers y^(-1/2 - nu - j) are square roots, so each sample's only exponentials are its
+    # theta2 pass at 1/y and its theta4 pass at y
+    calls, inner = [], {name: getattr(Enclosure, name) for name in ("exp", "log")}
+    for name in inner:
+        monkeypatch.setattr(Enclosure, name,
+                            lambda self, name=name: calls.append(name) or inner[name](self))
+    verify_modular_identities(("0.5", "2"), range(4), cfg)
+    assert (calls.count("log"), calls.count("exp")) == (0, 18)
+
+
 def test_coefficient_table_matches_independent_derivation():
     # re-derived by differentiating y^(-1/2) s(1/y) three times by hand;
     # the ladder below re-checks each row against the previous one
