@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 
 from mpmath import libmp as _lm
 
@@ -182,6 +183,7 @@ def certify_sign(
     max_depth: int = 60,
     max_boxes: int = 50_000,
     name: str = "certify-sign",
+    cuts=(),
 ) -> CertificationReport:
     """Prove fn(y) has the strict target sign for every y in [a, b].
 
@@ -198,6 +200,10 @@ def certify_sign(
     the budget and come back `inconclusive` instead of running forever;
     every verification suite in this package stays orders of magnitude
     below the default budget.
+
+    `cuts` inside (a, b) split it into pieces (an inexact cut at its lower
+    bound), examined left to right from depth 0 under one budget and one
+    report; cuts at or past the ends are ignored.
     """
     sign = _parse_sign(target_sign)
     with cfg.scope():
@@ -208,9 +214,12 @@ def certify_sign(
             raise ValueError("certification interval endpoints must be finite")
         if _lm.mpf_cmp(a, b) >= 0:
             raise ValueError("empty certification interval")
+        inner = {c for c in (as_enclosure(cut)._lo for cut in cuts)
+                 if _lm.mpf_lt(a, c) and _lm.mpf_lt(c, b)}
+    ends = [a, *sorted(inner, key=cmp_to_key(_lm.mpf_cmp)), b]
     mid_prec = cfg.precision_bits + 16
 
-    stack = [(a, b, 0)]
+    stack = [(lo, hi, 0) for lo, hi in reversed(list(zip(ends, ends[1:])))]
     boxes = 0
     deepest = 0
     worst = None  # mpf margin, smallest certified distance from zero

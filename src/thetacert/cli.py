@@ -34,6 +34,7 @@ from .scanner import ExponentQuery, find_witness_in_rows, scan_rows
 from .theta import theta2_series
 from .verifier import (
     _INTERVAL,
+    _ROUTE_CUT,
     QUANTITIES,
     checked_greek_constants,
     f_eval,
@@ -187,9 +188,10 @@ def _suite_convexity(args, cfg):
         interval = args.interval if args.interval is not None else _INTERVAL
         sign = args.target_sign or "positive"
         quantity = args.quantity or "f_second"
+        cuts = (_ROUTE_CUT,) if quantity in ("f_second", "f_prime") else ()
         return [
             certify_sign(QUANTITIES[quantity], tuple(interval), sign, cfg,
-                         name=f"{quantity}-{sign}")
+                         name=f"{quantity}-{sign}", cuts=cuts)
         ]
     return [verify_convexity(cfg)]
 

@@ -43,6 +43,7 @@ each route per sample for all orders.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .certify import CertificationReport, Check
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, Jet, as_enclosure
@@ -62,11 +63,12 @@ MODULAR_COEFFICIENTS: dict[int, tuple[Fraction, ...]] = {
 
 def _theta4_flipped(y: Enclosure, orders: range, cfg: EvalConfig):
     """theta4^(nu)(y) = sum_j table[nu][j] y^(-1/2 - nu - j) theta2^(j)(1/y) for each nu of
-    `orders`, from one theta2 pass at 1/y and half-integer powers of y (square roots, no log);
-    the table is MODULAR_COEFFICIENTS as it stands at the call.  Call inside a precision scope."""
+    `orders`, from one theta2 pass at 1/y and each distinct half-integer power of y once (square
+    roots, no log); the table is MODULAR_COEFFICIENTS at the call.  Call in a precision scope."""
     table = MODULAR_COEFFICIENTS
     flipped = _theta2(1 / y, range(max(len(table[nu]) for nu in orders)), cfg)
-    return [sum((Enclosure(c) * y ** (Fraction(-1, 2) - nu - j) * flipped[j]
+    power = cache(lambda k: y ** (Fraction(-1, 2) - k))
+    return [sum((Enclosure(c) * power(nu + j) * flipped[j]
                  for j, c in enumerate(table[nu])), Enclosure(0)) for nu in orders]
 
 

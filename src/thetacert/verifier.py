@@ -437,6 +437,8 @@ def _f_jet(y: Enclosure, t) -> Jet:
 _INTERVAL = ("0.05", 20)
 #: the window on which both evaluation routes are certified separately
 _OVERLAP = ("0.8", "1.25")
+#: the boundary of `auto`'s routes: modular on y <= 1, Lambert on y >= 1
+_ROUTE_CUT = 1
 #: `auto` reads a thin y in [1, _THIN_CAP] off the theta4 Jet, 5 terms at y = 1 to the Lambert
 #: sum's 28; past y = 10 the Lambert sum is cheaper, and on boxes it certifies in fewer boxes
 _THIN_CAP = 8
@@ -444,10 +446,11 @@ _THIN_CAP = 8
 
 def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure]:
     """f^(k)(y) for each order k of `orders`, from one series pass per route.  `auto` is
-    modular on y <= 1 and Lambert on y >= 1, so a box [lo, hi] around 1 is, entry by
-    entry, the hull of the two routes on [lo, 1] and [1, hi] (exact 1); a thin y (width
-    <= cfg.tol) in [1, _THIN_CAP] is read off :func:`_f_jet` on one theta4 pass instead.  A
-    Lambert box takes m = 1 from :func:`_lambert_leading`, then the pass from m = 2."""
+    modular on y <= _ROUTE_CUT = 1 and Lambert on y >= 1, so a caller's box [lo, hi] around 1
+    (:func:`verify_convexity` cuts at 1) is, entry by entry, the hull of the routes on [lo, 1]
+    and [1, hi]; a thin y (width <= cfg.tol) in [1, _THIN_CAP] is read off :func:`_f_jet` on
+    one theta4 pass instead.  A Lambert box takes m = 1 from :func:`_lambert_leading`, then
+    the pass from m = 2."""
     if route == "modular":
         return _f_modular(y, orders, cfg)
     if route not in ("auto", "lambert"):
@@ -456,15 +459,15 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
         y = as_enclosure(y)
         if route == "lambert":
             return _lambert(y, orders, cfg)
-        if y.hi <= 1:
+        if y.hi <= _ROUTE_CUT:
             return _f_modular(y, orders, cfg)
-        if y.lo >= 1 and y.hi <= _THIN_CAP and y.width <= cfg.tol:
+        if y.lo >= _ROUTE_CUT and y.hi <= _THIN_CAP and y.width <= cfg.tol:
             jet = tuple(_f_jet(y, _theta4(y, range(orders[-1] + 2), cfg)))
             return [jet[k] for k in orders]
-        if y.lo >= 1:
+        if y.lo >= _ROUTE_CUT:
             return _lambert(y, orders, cfg)
-        below = _f_modular(Enclosure(y.lo, 1), orders, cfg)
-        above = _lambert(Enclosure(1, y.hi), orders, cfg)
+        below = _f_modular(Enclosure(y.lo, _ROUTE_CUT), orders, cfg)
+        above = _lambert(Enclosure(_ROUTE_CUT, y.hi), orders, cfg)
         return [m.hull(lam) for m, lam in zip(below, above)]
 
 
@@ -502,11 +505,14 @@ QUANTITIES = {
 
 
 def verify_convexity(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
-    """Desk-scale convexity: f'' > 0 and f' < 0 on the working interval, with
-    the two evaluation routes certified independently on the overlap window."""
+    """Desk-scale convexity: f'' > 0 and f' < 0 on the working interval, each record cut at
+    _ROUTE_CUT = 1 so that no box straddles the route boundary ([0.05, 1] is modular, [1, 20]
+    Lambert), with the two evaluation routes certified independently on the overlap window."""
     subreports = [
-        certify_sign(QUANTITIES["f_second"], _INTERVAL, +1, cfg, name="f-second-positive"),
-        certify_sign(QUANTITIES["f_prime"], _INTERVAL, -1, cfg, name="f-prime-negative"),
+        certify_sign(QUANTITIES["f_second"], _INTERVAL, +1, cfg, name="f-second-positive",
+                     cuts=(_ROUTE_CUT,)),
+        certify_sign(QUANTITIES["f_prime"], _INTERVAL, -1, cfg, name="f-prime-negative",
+                     cuts=(_ROUTE_CUT,)),
         certify_sign(
             lambda b, c: f_second(b, c, route="lambert"),
             _OVERLAP,

@@ -85,6 +85,55 @@ def test_deterministic_reports(cfg):
     assert a.min_margin == b.min_margin
 
 
+def _recording(fn, boxes):
+    """fn, appending every box it is evaluated on to `boxes`."""
+    def recording(box, cfg):
+        boxes.append(box)
+        return fn(box, cfg)
+    return recording
+
+
+def _step(box, cfg):
+    """+1 left of 2, -1 right of it, undecided on a box across 2."""
+    return Enclosure(1) if box.hi <= 2 else Enclosure(-1) if box.lo >= 2 else Enclosure(-1, 1)
+
+
+def test_cut_pieces_tile_the_interval_left_to_right(cfg):
+    boxes = []
+    report = certify_sign(_recording(_parabola, boxes), (0, 10), +1, cfg, cuts=("2.5", 1))
+    assert report.certified and report.boxes_examined == len(boxes) > 3
+    assert report.interval == (0, 10)
+    # no evaluated box has a cut in its interior ...
+    assert not [b for b in boxes for c in (1, 2.5) if b.lo < c < b.hi]
+    # ... and the accepted boxes, met left to right, tile [0, 10] exactly
+    leaves = [b for b in boxes if _parabola(b, cfg).is_strictly_positive()]
+    assert leaves[0].lo == 0 and leaves[-1].hi == 10
+    assert all(left.hi == right.lo for left, right in zip(leaves, leaves[1:]))
+    assert boxes[0] == Enclosure(0, 1)
+
+
+@pytest.mark.parametrize("cuts", [(0,), (10,), (-1, 12), (0, 10, "10.5")])
+def test_cuts_at_or_past_the_ends_change_nothing(cfg, cuts):
+    plain = certify_sign(_parabola, (0, 10), +1, cfg, name="p")
+    assert certify_sign(_parabola, (0, 10), +1, cfg, name="p", cuts=cuts) == plain
+
+
+def test_failed_piece_stops_the_run_with_its_witness(cfg):
+    boxes = []
+    report = certify_sign(_recording(_step, boxes), (0, 4), +1, cfg, cuts=(3, 2))
+    assert report.status is Status.FAILED
+    assert report.witness.y == Enclosure(2, 3) and report.witness.value.is_strictly_negative()
+    # [0, 2] certified first; the piece [3, 4] is never examined
+    assert boxes == [Enclosure(0, 2), Enclosure(2, 3)] and report.boxes_examined == 2
+    assert report.min_margin is None
+
+
+def test_cut_reports_are_deterministic(cfg):
+    a = certify_sign(_parabola, (0, 10), +1, cfg, name="det", cuts=(1, "2.5"))
+    assert certify_sign(_parabola, (0, 10), +1, cfg, name="det", cuts=("2.5", 1, 1)) == a
+    assert a != certify_sign(_parabola, (0, 10), +1, cfg, name="det")
+
+
 def test_interval_validation(cfg):
     with pytest.raises(ValueError):
         certify_sign(_parabola, (2, 2), +1, cfg)

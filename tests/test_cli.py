@@ -445,6 +445,15 @@ def test_digits_below_one_usage_error(capsys, digits):
     assert run_cli("verify", "greek", "--digits", digits) == 2
 
 
+def test_verify_quantity_cuts_f_prime_at_the_route_boundary(tmp_path, capsys):
+    # [0.05, 1] on the modular route and [1, 20] on the Lambert route, as in verify_convexity
+    path = tmp_path / "f_prime.json"
+    assert run_cli("verify", "convexity", "--interval", "0.05", "20", "--quantity", "f_prime",
+                   "--target-sign", "negative", "--json", str(path)) == 0
+    (record,) = _top_level_certifications(path)
+    assert (record["status"], record["boxes_examined"]) == ("certified", 4)
+
+
 def test_verify_quantity_alone_selects_custom_certification(capsys):
     # f' < 0, so certifying it positive on the default interval fails
     assert run_cli("verify", "convexity", "--quantity", "f_prime") == 1

@@ -40,6 +40,15 @@ def test_modular_identities_take_no_log(cfg, monkeypatch):
     assert (calls.count("log"), calls.count("exp")) == (0, 18)
 
 
+def test_modular_identities_form_each_power_once_per_sample(cfg, monkeypatch):
+    # a sample's powers y^(-1/2 - nu - j) for nu <= 3 have 7 distinct exponents
+    exponents, power = [], Enclosure.__pow__
+    monkeypatch.setattr(Enclosure, "__pow__",
+                        lambda self, p: exponents.append(Fraction(p)) or power(self, p))
+    verify_modular_identities(("0.5", "2"), range(4), cfg)
+    assert len([p for p in exponents if p.denominator == 2]) == 63
+
+
 def test_coefficient_table_matches_independent_derivation():
     # re-derived by differentiating y^(-1/2) s(1/y) three times by hand;
     # the ladder below re-checks each row against the previous one

@@ -745,6 +745,25 @@ def test_auto_route_takes_thin_points_up_to_the_cap_from_the_theta4_jet(monkeypa
     assert len(jet_ys) == 1 and len(modular_xs) == 1
 
 
+def test_convexity_sign_records_never_straddle_the_route_boundary(monkeypatch, cfg):
+    # f'' > 0 and f' < 0 are cut at y = 1, so no box of theirs pays for _f's hull of both
+    # routes; the overlap records name their route and are left out
+    from thetacert import verifier
+
+    auto, f = [], verifier._f
+
+    def recording(y, orders, cfg, route="auto"):
+        if route == "auto":
+            auto.append(y)
+        return f(y, orders, cfg, route)
+
+    monkeypatch.setattr(verifier, "_f", recording)
+    report = verify_convexity(cfg)
+    assert report.status is Status.CERTIFIED, report.summary()
+    assert len(auto) == sum(r.boxes_examined for r in report.subreports[:2])
+    assert not [y for y in auto if y.lo < 1 < y.hi]
+
+
 def test_boxes_never_take_the_theta4_jet(monkeypatch, cfg):
     # the Lambert sum's termwise enclosures certify in far fewer boxes; the modular
     # f'' with e^{-2 pi/y} factored out decides [0.05, 1] in one box
@@ -752,7 +771,7 @@ def test_boxes_never_take_the_theta4_jet(monkeypatch, cfg):
     lambert_ys, _ = _record_route_arguments(monkeypatch)
     report = verify_convexity(cfg)
     assert report.status is Status.CERTIFIED, report.summary()
-    assert [r.boxes_examined for r in report.subreports] == [23, 13, 17, 1]
+    assert [r.boxes_examined for r in report.subreports] == [22, 4, 17, 1]
     assert not jet_ys
     box = Enclosure(3, "3.03")
     f_second(box, cfg)
