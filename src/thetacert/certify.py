@@ -149,12 +149,8 @@ class CertificationReport:
 def _parse_sign(target_sign) -> int:
     if target_sign in (+1, -1):
         return target_sign
-    if isinstance(target_sign, str):
-        s = target_sign.lower()
-        if s in ("positive", "+", "pos"):
-            return 1
-        if s in ("negative", "-", "neg"):
-            return -1
+    if target_sign in ("positive", "negative"):
+        return 1 if target_sign == "positive" else -1
     raise ValueError(f"target sign must be +1/-1 or 'positive'/'negative', got {target_sign!r}")
 
 

@@ -15,13 +15,14 @@ c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  ``verify_sandwiches`` checks it on
 a grid, one report per order, with the envelope polys built once per call and
 one theta2 pass and one exponential e^{-pi y/4} per point for all orders.  The
 admissibility of the c_nu is itself re-proved here: the omitted odd terms m >= 5
-of the theta2 sum (theta's quadratic-exponent series from m = 5) are bounded
-first by the discrete comparison sum_{n>=25} n^nu e^{-pi n y/4} (m^2 >= 5m moves
-the start from 5 to 25) and then by the explicit integral
-int_24^oo t^nu e^{-pi t y/4} dt, whose closed form is evaluated with
-enclosures; the resulting inflation factor e^{9 pi y/4} 9^(-nu) * integral
-must stay below c_nu, which is checked at y = 1; the factor decreases on
-all of y > 0 because every coefficient of its closed form is positive.
+of the theta2 sum are bounded first by the discrete comparison
+sum_{n>=25} n^nu e^{-pi n y/4} (m^2 >= 5m moves the start from 5 to 25), both
+sums certified with their tails by theta's quadratic-exponent kernel, and then
+by the explicit integral int_24^oo t^nu e^{-pi t y/4} dt, whose closed form is
+evaluated with enclosures; the resulting inflation factor
+e^{9 pi y/4} 9^(-nu) * integral must stay below c_nu, which is checked at y = 1;
+the factor decreases on all of y > 0 because every coefficient of its closed
+form is positive.
 """
 
 from __future__ import annotations
@@ -205,32 +206,21 @@ def admissibility_factor(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclos
         return boost * tail_integral(nu, y, cfg) / Enclosure(9 ** nu)
 
 
-def _excess_sum_bound(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:
-    """Upper enclosure of sum_{m>=5 odd} m^(2 nu) e^{-pi m^2 y/4} (partial + certified tail):
-    theta2's terms from m = 2k+3 = 5 on, with weight 1 and the factor (-pi/4)^nu divided out."""
+def _power_sum(what: str, nu: int, y: Enclosure, a, cfg: EvalConfig) -> Enclosure:
+    """sum_{n>=1} a(n)^nu e^{-pi a(n) y/4}, certified tail included: one order of theta's
+    `_quadratic_series` with c = pi/4, weight 1 and the factor (-pi/4)^nu divided out."""
     quarter = Fraction(1, 4)
-    odd_from_5 = lambda k: (2 * k + 3) ** 2  # noqa: E731
-    (terms,) = _quadratic_series("excess sum", y, odd_from_5, range(nu, nu + 1), cfg, scale=quarter)
+    (terms,) = _quadratic_series(what, y, a, range(nu, nu + 1), cfg, scale=quarter)
     return terms / (-Enclosure.pi() * quarter) ** nu
-
-
-def _comparison_sum_lower(nu: int, y: Enclosure, cfg: EvalConfig) -> Enclosure:
-    """Lower enclosure of sum_{n>=25} n^nu e^{-pi n y/4} (60-term partial sum; tail >= 0)."""
-    pi = Enclosure.pi()
-    quarter = Enclosure(Fraction(1, 4))
-    total = Enclosure(0)
-    for n in range(25, 85):
-        total = total + Enclosure(n) ** nu * (-(pi * Enclosure(n) * y * quarter)).exp()
-    return total
 
 
 def check_c_admissible(nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Certify that c_nu dominates the envelope error for every y >= 1.
 
     Three certified steps:
-      1. the discrete comparison at y = 1: the omitted odd-m excess sum is
-         strictly below sum_{n>=25} n^nu e^{-pi n/4} (partial sums with the
-         excess tail enclosed, the comparison tail dropped on the safe side);
+      1. the discrete comparison at y = 1: the omitted odd-m excess sum
+         sum_{m>=5 odd} m^(2 nu) e^{-pi m^2/4} is strictly below
+         sum_{n>=25} n^nu e^{-pi n/4}, both certified sums with enclosed tails;
       2. the inflation factor at y = 1 is strictly below c_nu;
       3. the factor is 9^-nu e^{-15 pi y/4} sum_j base_j y^-(j+1) with
          base_j = C_j (4/pi)^(j+1), so it decreases on all of y > 0 once
@@ -240,8 +230,8 @@ def check_c_admissible(nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Certificati
     checks = []
     with cfg.scope():
         one = Enclosure(1)
-        excess = _excess_sum_bound(nu, one, cfg)
-        comparison = _comparison_sum_lower(nu, one, cfg)
+        excess = _power_sum("excess sum", nu, one, lambda k: (2 * k + 3) ** 2, cfg)  # m >= 5
+        comparison = _power_sum("comparison sum", nu, one, lambda k: k + 24, cfg)  # n >= 25
         step1 = _below(excess, comparison)
         checks.append(
             Check(

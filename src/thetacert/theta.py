@@ -13,16 +13,17 @@ ends pass the same tests: they are inclusion isotone in y, so a box stops that
 end no later than any of its points, and its enclosure contains theirs.
 Two callers own the term and tail formulas.
 ``_quadratic_series`` sums w_n (-c a(n))^r e^{-c (a(n) - a0) y} for an integer
-quadratic a(n), several orders r in one pass: theta4 (a = k^2, alternating),
-theta2 (a = (2k-1)^2, c = pi/4), the modular Q-series (a = j(j+1)) and the
-envelope excess sum (a = (2k+3)^2); the offset a0 keeps e^{-c a0 y}, which
-swings by orders of magnitude across a box, out of the sum.
-As a(n+1) - a(n) grows and a(n+1)/a(n) falls, every term ratio past term n is
-at most (a(n+2)/a(n+1))^r e^{-c (a(n+2) - a(n+1)) y.lo}, whatever a0, which
-bounds the tail geometrically from the first omitted term at y.lo; it is tried
-once the first requested order's term is below tol/4.  ``_lambert_sum`` sums
-the Lambert terms, every requested order in one pass, with one tail bound per
-order tried once the largest term is below tol/16.
+a(n) of degree at most 2, several orders r in one pass: theta4 (a = k^2,
+alternating), theta2 (a = (2k-1)^2, c = pi/4), the modular Q-series
+(a = j(j+1)), and the envelope excess sum (a = (2k+3)^2) with its comparison
+sum (a = k + 24, linear); the offset a0 keeps e^{-c a0 y}, which swings by
+orders of magnitude across a box, out of the sum.
+As a(n+1) - a(n) never falls and a(n+1)/a(n) never rises, every term ratio
+past term n is at most (a(n+2)/a(n+1))^r e^{-c (a(n+2) - a(n+1)) y.lo},
+whatever a0, which bounds the tail geometrically from the first omitted term
+at y.lo; it is tried once the first requested order's term is below tol/4.
+``_lambert_sum`` sums the Lambert terms, every requested order in one pass,
+with one tail bound per order tried once the largest term is below tol/16.
 Both take every exponential of a pass from one exp, q = e^{-c y} or u_1 = e^{-pi y},
 by q^{a(n+1)} = q^{a(n)} q^{a(n+1) - a(n)} (u_m = u_{m-1} u_1).  Every factor is a
 positive enclosure decreasing in y, so an outward-rounded product's lower end bounds
@@ -168,15 +169,17 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
                       a0=0):
     """start + sum_{n>=1} w_n (-c a(n))^r e^{-c (a(n) - a0) y} for each order r (start: r = 0).
 
-    c = pi * scale with a dyadic scale, so y * scale is exact; a(n) is an integer quadratic
-    with a(n+1) - a(n) increasing and a(n+1)/a(n) decreasing; w_n = weight, times (-1)^n if
-    `alternating`.  The offset a0 <= a(1) multiplies every term by e^{c a0 y}; with
-    a0 = a(1) the first term is exact.  Each order after the first is the previous term
-    times c a(n), so the orders must be consecutive.  Call inside cfg.scope().
+    c = pi * scale with a dyadic scale, so y * scale is exact; a(n) is an integer polynomial of
+    degree at most 2 with a(n+1) - a(n) non-decreasing and a(n+1)/a(n) non-increasing, as the
+    geometric tail bound needs; w_n = weight, times (-1)^n if `alternating`.  The offset
+    a0 <= a(1) multiplies every term by e^{c a0 y}; with a0 = a(1) the first term is exact.
+    Each order after the first is the previous term times c a(n), so the orders must be
+    consecutive.  Call inside cfg.scope().
     One exp per call: q = e^{-c y}, E_n = q^(a(n) - a0), R_n = q^(a(n+1) - a(n)), and
     E_{n+1} = E_n R_n, R_{n+1} = R_n D with D = q^(a(3) - 2 a(2) + a(1)), the constant second
-    difference.  These positive factors decrease in y, so each outward-rounded product
-    encloses the exact range on a box, and the upper ends of E_{n+1} and R_{n+1} bound the tail.
+    difference (D = 1 for a linear a).  These positive factors decrease in y, so each
+    outward-rounded product encloses the exact range on a box, and the upper ends of E_{n+1}
+    and R_{n+1} bound the tail.
     """
     if tuple(orders) != tuple(range(orders[0], orders[-1] + 1)):
         raise ValueError(f"{what}: orders must be consecutive, got {tuple(orders)}")

@@ -12,15 +12,18 @@ these values; they are never fed back into the library.
 
 Below them are the library's own routes by other means, which the tests compare
 it against: the theta4 product, h = f'' theta4^3, and handles on private routes
-(the modular flip, the Q-series, g and its displayed g'').
+(the modular flip, the Q-series, g and its displayed g''); last, the whole
+`verify all --json` report of one in-process run.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from thetacert import ConvergenceError, Enclosure, EvalConfig, precision
+from thetacert.cli import main as cli_main
 from thetacert.enclosure import DEFAULT_CONFIG, as_enclosure
 from thetacert.modular import _theta4_eval, _theta4_flipped
 from thetacert.theta import _check_positive, _quadratic_series
@@ -228,3 +231,12 @@ def g_polys_with_middle_term_flipped():
     g = _G[0] - 8 * _X * _E * (1 - _E)
     gp = g.derivative()
     return g, gp, gp.derivative()
+
+
+def verify_all_document(path, precision_bits: int = 128) -> dict:
+    """The `verify all --json` document of one in-process run at `precision_bits`, written to
+    `path`, without its started_at/finished_at timestamps: all that two runs must share."""
+    assert cli_main(["--precision", str(precision_bits), "verify", "all", "--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    del doc["started_at"], doc["finished_at"]
+    return doc

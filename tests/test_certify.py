@@ -146,6 +146,13 @@ def test_sign_spellings(cfg):
     assert certify_sign(lambda b, c: -_parabola(b, c), (0, 1), "negative", cfg).certified
 
 
+@pytest.mark.parametrize("spelling", ["pos", "+", "POSITIVE", "neg", "-"])
+def test_sign_rejects_other_spellings(cfg, spelling):
+    # +1/-1 and "positive"/"negative" only: what the verifier and the CLI pass
+    with pytest.raises(ValueError, match="target sign"):
+        certify_sign(_parabola, (0, 1), spelling, cfg)
+
+
 def test_witness_requires_strict_sign():
     with pytest.raises(ValueError):
         Witness(y=Enclosure(1), value=Enclosure(-1, 1))

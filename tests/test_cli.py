@@ -18,6 +18,8 @@ from thetacert import scanner
 from thetacert.cli import main
 from thetacert.report import decimal_bounds
 
+from conftest import verify_all_document
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -382,6 +384,13 @@ def test_verify_all_json_passes_the_proof_gate(tmp_path, capsys):
     assert [r["status"] for r in records] == ["certified"] * len(records)
     assert [r["name"] for r in records] == _VERIFY_ALL_RECORDS
     assert len(set(_VERIFY_ALL_RECORDS)) == 27
+
+
+def test_verify_all_document_is_deterministic(tmp_path, capsys):
+    # the whole report of two in-process runs at 128 bits, timestamps aside
+    first = verify_all_document(tmp_path / "first.json")
+    assert verify_all_document(tmp_path / "second.json") == first
+    assert first["summary"] == {"certified": 19, "failed": 0, "inconclusive": 0, "ok": True}
 
 
 def test_verify_decreasing_emits_its_premise_first(tmp_path, capsys):

@@ -8,6 +8,7 @@ from mpmath import mp
 
 from thetacert import cli, envelopes
 from thetacert import (
+    ConvergenceError,
     DomainError,
     Enclosure,
     EnvelopeConstants,
@@ -222,23 +223,35 @@ def test_admissibility_runs_no_subdivision(cfg, monkeypatch):
         assert report.subreports == []
 
 
-@pytest.mark.parametrize("nu", range(4))
-@pytest.mark.parametrize("y", [1, 2, 5])
-def test_excess_sum_contains_direct_sum(cfg, nu, y):
-    # sum over odd m >= 5 of m^(2 nu) e^{-pi m^2 y/4}, summed directly at 512 bits
-    from thetacert.envelopes import _excess_sum_bound
+#: the exponents a(k), k >= 1, of check_c_admissible's step 1: the excess sum's odd squares
+#: m^2, m >= 5, and the comparison sum's integers n >= 25
+_STEP1_SEQUENCES = {"excess sum": lambda k: (2 * k + 3) ** 2, "comparison sum": lambda k: k + 24}
 
+
+def _direct_power_sum(a, nu, y):
+    """sum_{k >= 1} a(k)^nu e^{-pi a(k) y/4}, summed directly at 512 bits."""
     with mp.workprec(512):
-        direct, m = mp.mpf(0), 5
+        direct, k = mp.mpf(0), 1
         while True:
-            term = mp.mpf(m) ** (2 * nu) * mp.exp(-mp.pi * m * m * y / 4)
+            term = mp.mpf(a(k)) ** nu * mp.exp(-mp.pi * a(k) * y / 4)
             direct += term
             if term < direct * mp.mpf(2) ** -520:
-                break
-            m += 2
-    with cfg.scope():
-        enc = _excess_sum_bound(nu, Enclosure(y), cfg)
-    assert enc.lo <= direct <= enc.hi, f"{enc!r} misses {direct}"
+                return direct
+            k += 1
+
+
+@pytest.mark.parametrize("nu", range(4))
+@pytest.mark.parametrize("y", [1, 2, 5, pytest.param((1, 1.01), id="box")])
+def test_excess_sum_contains_direct_sum(cfg, nu, y):
+    # both sums of step 1 through the one helper; the 1 %-wide box at y = 1 must hold the
+    # direct sums at both of its ends (floats, so the box and the direct sums share them)
+    ends = y if isinstance(y, tuple) else (y,)
+    for what, a in _STEP1_SEQUENCES.items():
+        with cfg.scope():
+            enc = envelopes._power_sum(what, nu, Enclosure(*ends), a, cfg)
+        for end in ends:
+            direct = _direct_power_sum(a, nu, mp.mpf(end))
+            assert enc.lo <= direct <= enc.hi, f"{what} at y={end}: {enc!r} misses {direct}"
 
 
 def _same_report(a, b):
@@ -281,6 +294,22 @@ def test_sandwich_suite_takes_two_exponentials_per_point(cfg, monkeypatch):
     monkeypatch.setattr(Enclosure, "exp", lambda self: exps.append(self) or inner(self))
     verify_sandwiches(log_grid(1.0, 100.0, 40), range(4), cfg)
     assert len(exps) == 80
+
+
+@pytest.mark.parametrize("nu", range(4))
+def test_admissibility_takes_four_exponentials(cfg, nu, monkeypatch):
+    # one for each certified sum of step 1, one in the tail integral of step 2 and one for
+    # its boost e^{9 pi y/4}
+    exps, inner = [], Enclosure.exp
+    monkeypatch.setattr(Enclosure, "exp", lambda self: exps.append(self) or inner(self))
+    check_c_admissible(nu, cfg)
+    assert len(exps) == 4
+
+
+def test_admissibility_comparison_sum_obeys_the_term_cap():
+    # the excess sum converges in 4 terms at y = 1; the comparison sum needs far more
+    with pytest.raises(ConvergenceError, match="comparison sum"):
+        check_c_admissible(0, EvalConfig(max_terms=10))
 
 
 @pytest.mark.parametrize("nu", [4, -1])
