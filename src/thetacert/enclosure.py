@@ -289,6 +289,12 @@ class Enclosure:
     def __abs__(self):
         return Enclosure._from_mpi(_lm.mpi_abs((self._lo, self._hi), current_precision()))
 
+    def _scaled(self, k: int) -> "Enclosure":
+        """self * 2^k rounded as a product by the exact 2^k, by shifts: no multiplication."""
+        prec, shift, pos = current_precision(), _lm.mpf_shift, _lm.mpf_pos
+        return Enclosure._from_mpi((shift(pos(self._lo, prec, "f"), k),
+                                    shift(pos(self._hi, prec, "c"), k)))
+
     def __pow__(self, p):
         """Power with an exact rational exponent.
 
@@ -405,6 +411,7 @@ class EvalConfig:
         whose margins decay like e^{-6 pi y}).
     max_terms: hard cap on series/product terms; exceeding it raises
         ConvergenceError rather than returning an unverified value.
+    tol: tail_tolerance as an mpf, parsed once, when the config is made.
     """
 
     precision_bits: int = 128
@@ -414,15 +421,11 @@ class EvalConfig:
     def __post_init__(self):
         if self.precision_bits < 53:
             raise ValueError("precision_bits must be at least 53")
-        if not mp.mpf(self.tail_tolerance) > 0:
+        object.__setattr__(self, "tol", mp.mpf(self.tail_tolerance))  # parsed once, here
+        if not self.tol > 0:
             raise ValueError("tail_tolerance must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be positive")
-
-    @property
-    def tol(self):
-        """tail_tolerance as an mpf."""
-        return mp.mpf(self.tail_tolerance)
 
     def scope(self):
         """Context manager installing this config's working precision."""

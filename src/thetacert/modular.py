@@ -96,6 +96,7 @@ def _theta4_eval(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
 #: sample points and combined-width bound of the modular identity check
 _IDENTITY_SAMPLES = 9
 _IDENTITY_WIDTH = 2.0 ** -80
+_MINUS_HALF = Enclosure(-0.5)  # f' = -1/2 + ..., exact
 
 
 def verify_modular_identities(
@@ -135,15 +136,15 @@ def verify_modular_identities(
 def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
     """f^(k)(y) for each order k of `orders` by the scaled forms in the module docstring, all
     read off the Jet (G, G', G'')/eps = (P1, P2, P3)/(1 + eps P0, eps P1, eps P2) at x = 1/y,
-    from one pass over P_r for r <= max(orders) + 1."""
+    from one pass over P_r for r <= max(orders) + 1; 2 pi, pi/4 and y/2 by rounded shifts."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "modular f series")
-        x = 1 / y
-        eps = (-(2 * Enclosure.pi() * x)).exp()
+        x, pi = 1 / y, Enclosure.pi()
+        eps = (-(pi._scaled(1) * x)).exp()
         p = _quadratic_series("Q-series", x, lambda j: j * (j + 1), range(orders[-1] + 2), cfg,
                               a0=2)
         g, g1, g2 = Jet(*p[1:]) / Jet(1 + eps * p[0], *(eps * q for q in p[1:-1]))
-        forms = (lambda: -y / 2 + Enclosure.pi() / 4 - eps * g,  # formed only when requested
-                 lambda: Enclosure(Fraction(-1, 2)) + x * x * eps * g1,
+        forms = (lambda: pi._scaled(-2) - y._scaled(-1) - eps * g,  # formed only when requested
+                 lambda: _MINUS_HALF + x * x * eps * g1,
                  lambda: x ** 3 * eps * (-(g1 + g1) - x * g2))
         return [forms[k]() for k in orders]

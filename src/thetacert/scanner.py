@@ -1,11 +1,11 @@
 """Convexity scanning for the exponent family f_a(y) = y^a theta4'(y)/theta4(y).
 
-Since f_a = y^(a-2) f with f the a = 2 member, f_a and its first two
-derivatives are the entries of one Jet product: the power y^r (1, r/y, r(r-1)/y^2),
-r = a - 2, times (f, f', f'') from the certified routes (the scan's points are thin:
-one theta4 pass on [1, 8]).  Each entry is formed alone, by the product rule with the
-Jet's operations in its order.  At a = 2 the power is the constant 1, so the family
-evaluator specializes exactly to the proven-convex member.
+Since f_a = y^(a-2) f with f the a = 2 member, f_a and its first two derivatives are the
+entries of one Jet product: the power y^r (1, r/y, r(r-1)/y^2), r = a - 2, times (f, f', f'')
+from the certified routes (the scan's points are thin: one theta4 pass on [1, 8]).  Each entry
+is formed alone, by the product rule with the Jet's operations in its order, from r and
+r(r-1) enclosed once per exponent and precision.  At a = 2 the power is the constant 1, so the
+family evaluator specializes exactly to the proven-convex member.
 
 The search is one-sided by design: a returned :class:`Witness` carries a
 strictly negative enclosure of f_a'' and rigorously disproves convexity at
@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .certify import Witness
-from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, as_enclosure
+from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, as_enclosure, precision
 from .envelopes import log_grid
 from .verifier import _f
 
@@ -45,19 +46,27 @@ class ExponentQuery:
         log_grid(lo, hi, self.resolution)  # raises when [lo, hi] is too narrow for the grid
 
 
+@lru_cache(maxsize=64)
+def _exponent(a, bits: int) -> tuple[Fraction, Enclosure, Enclosure]:
+    """r = a - 2, with r and r(r-1) enclosed at `bits`: once per exponent and precision."""
+    with precision(bits):
+        return (r := Fraction(a) - 2), Enclosure(r), Enclosure(r * (r - 1))
+
+
 def _f_a(a, y, order: int, cfg: EvalConfig) -> Enclosure:
     """Entry `order` of the Jet y^(a-2) (f, f', f''), formed alone with the Jet product's
     operations in its order: the power's entries and f's derivatives up to `order` only."""
-    r = Fraction(a) - 2
+    r, r_enc, r_r1 = _exponent(a, cfg.precision_bits)
     with cfg.scope():
         y = as_enclosure(y)
-        f, p = _f(y, range(order + 1), cfg), y ** r
+        f = _f(y, range(order + 1), cfg)
+        p = y ** r if r.denominator <= 2 else (y.log() * r_enc).exp()  # y ** r's bits
         if order == 0:
             return p * f[0]
-        p1 = p * r / y
+        p1 = p * r_enc / y
         if order == 1:
             return p1 * f[0] + p * f[1]
-        return p * (r * (r - 1)) / (y * y) * f[0] + (p1 + p1) * f[1] + p * f[2]
+        return p * r_r1 / (y * y) * f[0] + (p1 + p1) * f[1] + p * f[2]
 
 
 def f_a_second(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:

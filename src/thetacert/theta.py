@@ -12,16 +12,17 @@ the box's near-zero end past the point's.  So that end stops where the lower
 ends pass the same tests: they are inclusion isotone in y, so a box stops that
 end no later than any of its points, and its enclosure contains theirs.
 Two callers own the term and tail formulas.
-``_quadratic_series`` sums w_n (-c a(n))^r e^{-c (a(n) - a0) y} for an integer
-a(n) of degree at most 2, several orders r in one pass: theta4 (a = k^2,
-alternating), theta2 (a = (2k-1)^2, c = pi/4), the modular Q-series
-(a = j(j+1)), and the envelope excess sum (a = (2k+3)^2) with its comparison
-sum (a = k + 24, linear); the offset a0 keeps e^{-c a0 y}, which swings by
-orders of magnitude across a box, out of the sum.
-As a(n+1) - a(n) never falls and a(n+1)/a(n) never rises, every term ratio
-past term n is at most (a(n+2)/a(n+1))^r e^{-c (a(n+2) - a(n+1)) y.lo},
-whatever a0, which bounds the tail geometrically from the first omitted term
-at y.lo; it is tried once the first requested order's term is below tol/4.
+``_quadratic_series`` sums w_n (-c a(n))^r e^{-c (a(n) - a0) y} for an integer a(n) of degree
+at most 2, several orders r in one pass: theta4 (a = k^2, alternating), theta2 (a = (2k-1)^2,
+c = pi/4), the modular Q-series (a = j(j+1)), and the envelope excess sum (a = (2k+3)^2) with
+its comparison sum (a = k + 24, linear); the offset a0 keeps e^{-c a0 y}, which swings by
+orders of magnitude across a box, out of the sum.  As a(n+1) - a(n) never falls and
+a(n+1)/a(n) never rises, every term ratio past term n is at most (a(n+2)/a(n+1))^r
+e^{-c (a(n+2) - a(n+1)) y.lo}, whatever a0, which bounds the top order R's tail geometrically
+from the first omitted term at y.lo; it is tried once the first requested order's term is
+below tol/4.  A lower order r's tail is at most that bound over (c a(n+1))^(R-r), as
+c a(m) >= c a(n+1) for every omitted m; c = pi * scale, with a scale 2^k, is formed once per
+pass by shifting pi's endpoints.
 ``_lambert_sum`` sums the Lambert terms, every requested order in one pass,
 with one tail bound per order tried once the largest term is below tol/16.
 Both take every exponential of a pass from one exp, q = e^{-c y} or u_1 = e^{-pi y},
@@ -94,6 +95,7 @@ def _check_positive(y: Enclosure, what: str) -> Enclosure:
 
 
 _ONE = (_lm.fone, _lm.fone)
+_ZERO = Enclosure(0)  # exact at any precision
 _SIX, _MINUS_SIX, _TWELVE = ((_lm.from_int(c),) * 2 for c in (6, -6, 12))
 
 
@@ -169,41 +171,45 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
                       a0=0):
     """start + sum_{n>=1} w_n (-c a(n))^r e^{-c (a(n) - a0) y} for each order r (start: r = 0).
 
-    c = pi * scale with a dyadic scale, so y * scale is exact; a(n) is an integer polynomial of
-    degree at most 2 with a(n+1) - a(n) non-decreasing and a(n+1)/a(n) non-increasing, as the
-    geometric tail bound needs; w_n = weight, times (-1)^n if `alternating`.  The offset
-    a0 <= a(1) multiplies every term by e^{c a0 y}; with a0 = a(1) the first term is exact.
-    Each order after the first is the previous term times c a(n), so the orders must be
-    consecutive.  Call inside cfg.scope().
+    c = pi * scale with a scale 2^k, so y * scale and c are exact shifts; a(n) is an integer
+    polynomial of degree at most 2 with a(n+1) - a(n) non-decreasing and a(n+1)/a(n)
+    non-increasing, as the geometric tail bound needs; w_n = weight, times (-1)^n if
+    `alternating`.  The offset a0 <= a(1) multiplies every term by e^{c a0 y}; with a0 = a(1)
+    the first term is exact.  Each order after the first is the previous term times c a(n), so
+    the orders must be consecutive.  Call inside cfg.scope().
     One exp per call: q = e^{-c y}, E_n = q^(a(n) - a0), R_n = q^(a(n+1) - a(n)), and
     E_{n+1} = E_n R_n, R_{n+1} = R_n D with D = q^(a(3) - 2 a(2) + a(1)), the constant second
     difference (D = 1 for a linear a).  These positive factors decrease in y, so each
     outward-rounded product encloses the exact range on a box, and the upper ends of E_{n+1}
-    and R_{n+1} bound the tail.
+    and R_{n+1} bound the tail, geometric at the top order R: tail_r = tail_R / (c a(n+1))^(R-r).
     """
     if tuple(orders) != tuple(range(orders[0], orders[-1] + 1)):
         raise ValueError(f"{what}: orders must be consecutive, got {tuple(orders)}")
+    num, den = scale.as_integer_ratio()
+    if num <= 0 or num & (num - 1) or den & (den - 1):
+        raise ValueError(f"{what}: the scale must be a power of two, got {scale}")
     a1, a2, a3 = a(1), a(2), a(3)
     if a(4) - 3 * a3 + 3 * a2 - a1:
         raise ValueError(f"{what}: the exponents a(n) must be quadratic in n")
-    pi, s, w = Enclosure.pi(), Enclosure(scale), Enclosure(weight)
+    shift, pi = num.bit_length() - den.bit_length(), Enclosure.pi()  # scale = 2^shift
+    c = (_lm.mpf_shift(pi._lo, shift), _lm.mpf_shift(pi._hi, shift))
     # q^a(n) has a(n) times q's relative width and the products' roundings add up to about
     # n^2/2 ulps: 32 more bits keep both below a working ulp while a(n) < 2^24 (theta2 at 1e-5)
     prec = current_precision()
     chain_bits = prec + 32
     with precision(chain_bits):
-        q = (-(Enclosure.pi() * (y * s))).exp()
+        q = (-(Enclosure.pi() * y._scaled(shift))).exp()
         powers = (q ** (a1 - a0), q ** (a2 - a1), q ** (a3 - 2 * a2 + a1))
     e, ratio, d = ((p._lo, p._hi) for p in powers)  # E_1, R_1, D as raw intervals
-    mul, pow_int = _lm.mpi_mul, _lm.mpi_pow_int
-    pi_r, s_r, w_r = (pi._lo, pi._hi), (s._lo, s._hi), (w._lo, w._hi)
+    mul, pow_int, raw, div = _lm.mpi_mul, _lm.mpi_pow_int, _to_raw_pair, _lm.mpi_div
+    w_r, top = raw(weight, prec), orders[-1]
 
-    def step(n):  # on raw intervals, as w * E_n * (pi * a(n) * s)^r would round
+    def step(n):  # on raw intervals, as w * E_n * (c * a(n))^r would round
         nonlocal e, ratio
         mag = mul(w_r, e, prec)
         e, ratio = mul(e, ratio, chain_bits), mul(ratio, d, chain_bits)
-        if orders[-1]:  # order 0 alone needs no c a(n)
-            ca = mul(mul(pi_r, _to_raw_pair(a(n), prec), prec), s_r, prec)
+        if top:  # order 0 alone needs no c a(n)
+            ca = mul(c, raw(a(n), prec), prec)
         if orders[0]:
             mag = mul(mag, pow_int(ca, orders[0], prec), prec)
         terms = [mag]
@@ -213,15 +219,14 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
                 for r, t in zip(orders, terms)], Enclosure._from_mpi(mag)
 
     def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}; on raw intervals,
-        # as the geometric tail of w * E_{n+1} * (pi * a(n+1) * s)^r, ratio growth^r * R_{n+1}
+        # the geometric tail of w * E_{n+1} * (c * a(n+1))^R, ratio growth^R * R_{n+1}
         b1 = a(n + 1)
-        first, ca = mul(w_r, e, prec), mul(mul(pi_r, _to_raw_pair(b1, prec), prec), s_r, prec)
-        growth = _to_raw_pair(Fraction(a(n + 2), b1), prec)
-        return [Enclosure._from_mpi(_geometric_tail(mul(first, pow_int(ca, r, prec), prec),
-                                                    mul(pow_int(growth, r, prec), ratio, prec),
-                                                    prec)) for r in orders]
+        ca, growth = mul(c, raw(b1, prec), prec), raw(Fraction(a(n + 2), b1), prec)
+        b = _geometric_tail(mul(mul(w_r, e, prec), pow_int(ca, top, prec), prec),
+                            mul(pow_int(growth, top, prec), ratio, prec), prec)
+        return [Enclosure._from_mpi(div(b, pow_int(ca, top - r, prec), prec)) for r in orders]
 
-    sums = [Enclosure(start if r == 0 else 0) for r in orders]
+    sums = [Enclosure(start) if r == 0 else _ZERO for r in orders]
     signs = [0 if alternating else (-1) ** r for r in orders]
     return certified_sum(what, cfg, sums, step, tail, signs, gate_divisor=4)
 

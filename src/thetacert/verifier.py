@@ -428,9 +428,9 @@ def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 
 def _f_jet(y: Enclosure, t) -> Jet:
     """f = y^2 theta4'/theta4 as a Jet in y, from t = (theta4, theta4', ...) at y; its
-    entries are f, f', f'' up to order len(t) - 2.  Call inside a precision scope."""
-    y = Jet(y, 1)
-    return y * y * (Jet(*t[1:]) / Jet(*t[:3]))
+    entries are f, f', f'' up to order len(t) - 2.  y^2 is the exact Jet (y^2, 2y, 2): the bits of
+    Jet(y, 1) * Jet(y, 1), without its products by 0 and 1.  Call inside a precision scope."""
+    return Jet(y * y, y + y, 2) * (Jet(*t[1:]) / Jet(*t[:3]))
 
 
 #: the working interval of the desk-scale convexity certification
@@ -440,7 +440,8 @@ _OVERLAP = ("0.8", "1.25")
 #: the boundary of `auto`'s routes: modular on y <= 1, Lambert on y >= 1
 _ROUTE_CUT = 1
 #: `auto` reads a thin y in [1, _THIN_CAP] off the theta4 Jet, 5 terms at y = 1 to the Lambert
-#: sum's 28; past y = 10 the Lambert sum is cheaper, and on boxes it certifies in fewer boxes
+#: sum's 28; the Jet is cheaper to about y = 25 (127 against 203 us at y = 9, 128 bits, 2-core x86)
+#: and tighter, but the cap fixes the route of scan rows past 8; on boxes Lambert takes fewer boxes
 _THIN_CAP = 8
 
 

@@ -8,7 +8,8 @@ from direct high-precision evaluation of their closed forms; the six
 bracket constants come from an exact symbolic expansion of the envelope
 products (rational coefficients times powers of pi, recorded here as
 exact Fractions).  Tests assert that the library's enclosures contain
-these values; they are never fed back into the library.
+these values; they are never fed back into the library.  Above them,
+`count_calls` counts the calls of one function for the work-count tests.
 
 Below them are the library's own routes by other means, which the tests compare
 it against: the theta4 product, h = f'' theta4^3, and handles on private routes
@@ -34,6 +35,18 @@ from thetacert.verifier import _E, _G, _G_DISPLAY, _X, _f_jet, _in_y
 def cfg():
     return EvalConfig()
 
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap owner.name for the test so that each call appends its arguments to the returned
+    list, then runs the original."""
+    calls, inner = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 # transcribed from a standard 50-digit table of pi, independent of this code

@@ -15,7 +15,7 @@ from thetacert import (
     precision,
 )
 
-from conftest import PI_50
+from conftest import PI_50, count_calls
 
 
 def test_exact_integer_addition():
@@ -184,6 +184,17 @@ def test_eval_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(max_terms=0)
     assert EvalConfig(tail_tolerance="1e-500").tol > 0
+
+
+def test_repeated_tol_reads_parse_the_tolerance_once(monkeypatch):
+    # the series kernel reads cfg.tol twice per call: the config parses its decimal string once
+    from thetacert import enclosure
+
+    parses = count_calls(monkeypatch, enclosure.mp, "mpf")
+    cfg = EvalConfig(tail_tolerance="1e-40")
+    assert all(cfg.tol == cfg.tol for _ in range(3))
+    assert len(parses) == 1
+    assert parses[0] == ("1e-40",)
 
 
 @pytest.mark.parametrize("endpoints", [("nan",), (float("nan"),), (1, "nan"), ("nan", 1)])

@@ -4,6 +4,7 @@ This is the property that makes subdivision certification sound, so it is
 tested generatively across all evaluators and derivative orders.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from mpmath.libmp import prec_to_dps
 from conftest import g_prime, h_direct, mp_scalar, mp_theta4, q_series_derivatives
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
 from thetacert.theta import _lambert_sum, _quadratic_series, psi
-from thetacert.verifier import _f, f_eval, f_prime, f_second, g_second
+from thetacert.scanner import _f_a
+from thetacert.verifier import _ROUTE_CUT, _THIN_CAP, _f, f_eval, f_prime, f_second, g_second
 
 CFG = EvalConfig()
 
@@ -253,6 +255,26 @@ def test_jet_derivatives_on_boxes_contain_oracle(u, t, quantity):
     _, box, inside = _thin_and_box(u, t)
     value = mp_scalar(oracle, inside, order, dps=prec_to_dps(4 * CFG.precision_bits))
     _assert_contains_direct(fn(box), value, what)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_f_a_at_thin_points_of_the_scan_range_contains_oracle(bits):
+    # scan's own range: thin y log-uniform on [0.01, 50], which reaches all three thin routes
+    # of f (modular to 1, the theta4 Jet to _THIN_CAP, Lambert past it), for each entry of
+    # the family's Jet against the 4x-precision oracle
+    cfg = EvalConfig(precision_bits=bits)
+    dps = prec_to_dps(4 * bits)
+    rng = random.Random(bits)
+    routes = set()
+    for a in ("1", "2.15", "2.5", "4"):
+        for _ in range(6):
+            y = 0.01 * 5000.0 ** rng.random()
+            routes.add("modular" if y <= _ROUTE_CUT else "jet" if y <= _THIN_CAP else "lambert")
+            for k in range(3):
+                _assert_contains_direct(_f_a(a, Enclosure(y), k, cfg),
+                                        mp_scalar(_mp_f_a(a), y, k, dps=dps),
+                                        f"f_a order {k} at a = {a}, y = {y!r}, {bits} bits")
+    assert routes == {"modular", "jet", "lambert"}
 
 
 #: 10^u for 1%-wide boxes in [0.3, 5], or boxes that straddle 1

@@ -44,6 +44,7 @@ from conftest import (
     THETA4_DERIVS_AT_1,
     THETA2_DERIVS_AT_1,
     assert_contains,
+    count_calls,
     mp_scalar,
     mp_theta4,
     q_series_derivatives,
@@ -609,7 +610,8 @@ def _reference_geometric_tail(first, ratio):
 def _reference_quadratic_tails(y, a, orders, n, scale=1, weight=1, a0=0):
     """The _quadratic_series tail bounds past term n in Enclosure arithmetic: E_{n+1} and
     R_{n+1} from the running products at 32 more bits, then the geometric tail of
-    w E_{n+1} (pi a(n+1) s)^r with ratio (a(n+2)/a(n+1))^r R_{n+1}."""
+    w E_{n+1} (pi a(n+1) s)^R at the top order R with ratio (a(n+2)/a(n+1))^R R_{n+1}, and
+    each order r's bound as that one over (pi a(n+1) s)^(R - r)."""
     pi, s, w = Enclosure.pi(), Enclosure(scale), Enclosure(weight)
     with precision(current_precision() + 32):
         q = (-(Enclosure.pi() * (y * s))).exp()
@@ -617,9 +619,9 @@ def _reference_quadratic_tails(y, a, orders, n, scale=1, weight=1, a0=0):
         for _ in range(n):
             e, ratio = e * ratio, ratio * d
     b1, b2 = a(n + 1), a(n + 2)
-    first, growth = w * e, Enclosure(Fraction(b2, b1))
-    return [_reference_geometric_tail(first * (pi * b1 * s) ** r, growth ** r * ratio)
-            for r in orders]
+    ca, top = pi * b1 * s, orders[-1]
+    bound = _reference_geometric_tail(w * e * ca ** top, Enclosure(Fraction(b2, b1)) ** top * ratio)
+    return [bound / ca ** (top - r) for r in orders]
 
 
 def _reference_lambert_tails(y, orders, n):
@@ -685,6 +687,83 @@ def test_raw_tails_match_their_enclosure_forms(monkeypatch, series, bits):
             assert got == want, (series, y, n)
             raised += got is ConvergenceError
     assert 0 < raised < 3 * len(_TAIL_YS), raised
+
+
+def _tails_after(n):
+    """A stand-in for certified_sum that takes n steps, then returns the tail bounds past n."""
+    def tails_after_n(what, cfg, start, step, tail, signs, gate_divisor=1):
+        for k in range(1, n + 1):
+            step(k)
+        return tail(n)
+    return tails_after_n
+
+
+#: a(n), scale, weight and offset a0 of the _TAIL_SERIES kernel calls
+_TAIL_TERMS = {
+    "theta4": (lambda k: k * k, 1, 2, 0),
+    "theta2": (lambda k: (2 * k - 1) ** 2, Fraction(1, 4), 2, 0),
+    "q_series_offset": (lambda j: j * (j + 1), 1, 1, 2),
+}
+
+
+def _omitted_terms(y, a, scale, weight, a0, n, prec):
+    """sum_{m > n} weight (c a(m))^r e^{-c (a(m) - a0) y}, c = pi scale, for r = 0..3 at
+    `prec` bits, summed term by term until the terms are decreasing and below 2^-prec of
+    the order-3 sum."""
+    with mp.workprec(prec):
+        c, y = mp.pi * scale, mp.mpf(y)
+        sums, last, m = [mp.mpf(0)] * 4, None, n + 1
+        while True:
+            ca = c * a(m)
+            terms = [weight * ca ** r * mp.exp(-ca * y + c * a0 * y) for r in range(4)]
+            sums = [s + t for s, t in zip(sums, terms)]
+            if last is not None and terms[3] < last and terms[3] <= sums[3] * mp.mpf(2) ** -prec:
+                return sums
+            last, m = terms[3], m + 1
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("series", list(_TAIL_TERMS))
+def test_quadratic_tail_bounds_hold_the_omitted_terms(monkeypatch, series, bits):
+    # right after steps 1, 2 and 6, each order's bound holds the direct 4x-precision sum of
+    # the omitted |terms| at y.lo, where those terms are largest on a box; where the bound
+    # raises ConvergenceError there is nothing to hold
+    from thetacert import theta
+
+    evaluate = _TAIL_SERIES[series][0]
+    cfg = EvalConfig(precision_bits=bits)
+    checked = 0
+    for n in (1, 2, 6):
+        monkeypatch.setattr(theta, "certified_sum", _tails_after(n))
+        for y in _TAIL_YS:
+            with cfg.scope():
+                bounds = _outcome(lambda: evaluate(y, cfg))
+            if bounds is ConvergenceError:
+                continue
+            omitted = _omitted_terms(y.lo, *_TAIL_TERMS[series], n, 4 * bits)
+            for r, (bound, direct) in enumerate(zip(bounds, omitted)):
+                assert bound.hi >= direct, (series, y, n, r, mp.nstr(direct, 20))
+            checked += 1
+    assert checked >= 2 * len(_TAIL_YS), checked
+
+
+def test_a_tail_attempt_takes_one_geometric_bound(cfg, monkeypatch):
+    # the top order's geometric bound serves every lower order of a four-order pass
+    from thetacert import theta
+
+    monkeypatch.setattr(theta, "certified_sum", _tails_after(1))
+    calls = count_calls(monkeypatch, theta, "_geometric_tail")
+    assert len(_theta4(3, range(4), cfg)) == 4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 3), Fraction(3, 4), 3, 0, Fraction(-1, 4)],
+                         ids=["1/3", "3/4", "3", "0", "-1/4"])
+def test_quadratic_series_rejects_a_scale_that_is_not_a_power_of_two(cfg, scale):
+    # c = pi * scale is pi's endpoints shifted, exact only for a scale 2^k
+    with cfg.scope(), pytest.raises(ValueError, match="power of two"):
+        _quadratic_series("theta2", Enclosure(1), lambda k: (2 * k - 1) ** 2, range(2), cfg,
+                          scale=scale)
 
 
 @pytest.mark.parametrize("ratio", [(1, 1), ("0.5", 1), ("0.5", 2), (2, 3)])
