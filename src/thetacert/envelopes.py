@@ -14,15 +14,12 @@ holds with
 c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  ``verify_sandwiches`` checks it on
 a grid, one report per order, with the envelope polys built once per call and
 one theta2 pass and one exponential e^{-pi y/4} per point for all orders.  The
-admissibility of the c_nu is itself re-proved here: the omitted odd terms m >= 5
-of the theta2 sum are bounded first by the discrete comparison
-sum_{n>=25} n^nu e^{-pi n y/4} (m^2 >= 5m moves the start from 5 to 25), both
-sums certified with their tails by theta's quadratic-exponent kernel, and then
-by the explicit integral int_24^oo t^nu e^{-pi t y/4} dt, whose closed form is
-evaluated with enclosures; the resulting inflation factor
-e^{9 pi y/4} 9^(-nu) * integral must stay below c_nu, which is checked at y = 1;
-the factor decreases on all of y > 0 because every coefficient of its closed
-form is positive.
+admissibility of the c_nu is itself re-proved here, summing no series: the omitted
+odd terms m >= 5 of the theta2 sum are a sub-sum of sum_{n>=25} n^nu e^{-pi n y/4}, as the
+m^2 are distinct integers >= 25, and that sum is at most the explicit integral
+int_24^oo t^nu e^{-pi t y/4} dt, its terms decreasing past 4 nu/pi < 24; the integral's
+closed form gives the inflation factor e^{9 pi y/4} 9^(-nu) * integral, which must stay below
+c_nu at y = 1 and decreases on all of y > 0 because every coefficient of it is positive.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from fractions import Fraction
 from .certify import CertificationReport, Check
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, _below, as_enclosure
 from .exppoly import ExpPoly
-from .theta import _check_order, _quadratic_series, _theta2
+from .theta import _check_order, _theta2
 
 __all__ = [
     "EnvelopeConstants",
@@ -176,16 +173,23 @@ def verify_sandwiches(grid, orders, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Ce
     return reports
 
 
+#: the lower end of the tail integral, below every omitted theta2 exponent
+_TAIL_START = 24
+#: the omitted theta2 exponents a(k) = (2k + 3)^2 = 9 + 12k + 4k^2, k >= 1 (the odd squares
+#: m^2 >= 25), as their coefficients of k^0, k^1, k^2
+_OMITTED_EXPONENTS = (9, 12, 4)
+
+
 def _tail_coefficients(nu: int) -> list[int]:
-    """C_j = nu!/(nu-j)! 24^(nu-j), j = 0..nu: the integration-by-parts coefficients of
-    int_24^oo t^nu e^{-s t} dt = e^{-24 s} sum_j C_j / s^(j+1)."""
-    return [math.perm(nu, j) * 24 ** (nu - j) for j in range(nu + 1)]
+    """C_j = nu!/(nu-j)! T^(nu-j), j = 0..nu, T = _TAIL_START: the integration-by-parts
+    coefficients of int_T^oo t^nu e^{-s t} dt = e^{-T s} sum_j C_j / s^(j+1)."""
+    return [math.perm(nu, j) * _TAIL_START ** (nu - j) for j in range(nu + 1)]
 
 
 def tail_integral(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """Closed form of int_24^oo t^nu e^{-s t} dt with s = pi y / 4.
+    """Closed form of int_T^oo t^nu e^{-s t} dt with s = pi y / 4 and T = _TAIL_START = 24.
 
-    Integration by parts gives e^{-24 s} * sum_{j=0}^{nu} C_j / s^(j+1), C_j from
+    Integration by parts gives e^{-T s} * sum_{j=0}^{nu} C_j / s^(j+1), C_j from
     :func:`_tail_coefficients`.
     """
     nu = _check_order(nu)
@@ -195,7 +199,7 @@ def tail_integral(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
         total = Enclosure(0)
         for j, coeff in enumerate(_tail_coefficients(nu)):
             total = total + Enclosure(coeff) / s ** (j + 1)
-        return (-(24 * s)).exp() * total
+        return (-(_TAIL_START * s)).exp() * total
 
 
 def admissibility_factor(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -206,43 +210,35 @@ def admissibility_factor(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclos
         return boost * tail_integral(nu, y, cfg) / Enclosure(9 ** nu)
 
 
-def _power_sum(what: str, nu: int, y: Enclosure, a, cfg: EvalConfig) -> Enclosure:
-    """sum_{n>=1} a(n)^nu e^{-pi a(n) y/4}, certified tail included: one order of theta's
-    `_quadratic_series` with c = pi/4, weight 1 and the factor (-pi/4)^nu divided out."""
-    quarter = Fraction(1, 4)
-    (terms,) = _quadratic_series(what, y, a, range(nu, nu + 1), cfg, scale=quarter)
-    return terms / (-Enclosure.pi() * quarter) ** nu
-
-
 def check_c_admissible(nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Certify that c_nu dominates the envelope error for every y >= 1.
 
-    Three certified steps:
-      1. the discrete comparison at y = 1: the omitted odd-m excess sum
-         sum_{m>=5 odd} m^(2 nu) e^{-pi m^2/4} is strictly below
-         sum_{n>=25} n^nu e^{-pi n/4}, both certified sums with enclosed tails;
-      2. the inflation factor at y = 1 is strictly below c_nu;
-      3. the factor is 9^-nu e^{-15 pi y/4} sum_j base_j y^-(j+1) with
+    Four computed steps, none of which sums a series:
+      1. the omitted odd-m excess sum_{m>=5 odd} m^(2 nu) e^{-pi m^2 y/4} is a sub-sum of
+         sum_{n>=25} n^nu e^{-pi n y/4} at every y, strictly smaller as 26 is no odd square:
+         the exponents a(k) are strictly increasing integers > 24 once a(1) is, the first
+         difference at k = 1 is positive and the second is a non-negative constant;
+      2. t^nu e^{-pi t y/4} is non-increasing past 4 nu/(pi y) <= 4 nu/pi < 24 for y >= 1,
+         so that sum is at most :func:`tail_integral`;
+      3. the inflation factor at y = 1 is strictly below c_nu;
+      4. the factor is 9^-nu e^{-15 pi y/4} sum_j base_j y^-(j+1) with
          base_j = C_j (4/pi)^(j+1), so it decreases on all of y > 0 once
          every base_j is positive, and y = 1 is the worst case.
     """
     c = PAPER_CONSTANTS.for_order(nu)
-    checks = []
+    c0, c1, c2 = _OMITTED_EXPONENTS
+    # a(1), a(2) - a(1) and a(k + 2) - 2 a(k + 1) + a(k), which is constant as a is quadratic
+    start, step, bend = c0 + c1 + c2, c1 + 3 * c2, 2 * c2
+    checks = [Check("subset of the integer sum", start > _TAIL_START and step > 0 and bend >= 0,
+                    f"a(k) = (2k + 3)^2 has a(1) = {start}, a(2) - a(1) = {step} and the constant "
+                    f"second difference {bend}: distinct integers > {_TAIL_START}")]
     with cfg.scope():
-        one = Enclosure(1)
-        excess = _power_sum("excess sum", nu, one, lambda k: (2 * k + 3) ** 2, cfg)  # m >= 5
-        comparison = _power_sum("comparison sum", nu, one, lambda k: k + 24, cfg)  # n >= 25
-        step1 = _below(excess, comparison)
-        checks.append(
-            Check(
-                "discrete comparison at y=1",
-                step1,
-                f"excess<= {excess.hi}, comparison>= {comparison.lo}",
-            )
-        )
-        factor = admissibility_factor(nu, one, cfg)
-        step2 = _below(factor, Enclosure(c))
-        checks.append(Check("factor below c at y=1", step2, f"factor={factor!r}, c={float(c)}"))
+        turn = Enclosure(4 * nu) / Enclosure.pi()
+        checks.append(Check("monotone integrand", _below(turn, _TAIL_START),
+                            f"t^nu e^(-pi t y/4) is non-increasing past 4 nu/pi = {turn!r}"))
+        factor = admissibility_factor(nu, Enclosure(1), cfg)
+        checks.append(Check("factor below c at y=1", _below(factor, Enclosure(c)),
+                            f"factor={factor!r}, c={float(c)}"))
         bases = [Enclosure(coeff) * (4 / Enclosure.pi()) ** (j + 1)
                  for j, coeff in enumerate(_tail_coefficients(nu))]
     positive = {_below(0, b) for b in bases}  # every base_j > 0, three-valued

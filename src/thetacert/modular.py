@@ -34,10 +34,9 @@ Two things live here:
 
 Both sum through theta's quadratic-exponent series, all their orders in one
 pass: theta2^(j)(1/y) for j <= nu, and P_r with a(j) = j(j+1) and offset 2.
-``_theta4_eval(y, orders)`` gives theta4 orders in one pass, direct for
-y >= 0.2 and flipped below; ``verify_modular_identities`` cross-checks the
-table against the direct theta4 series, one report per order and one pass of
-each route per sample for all orders.
+``theta4_eval(y, nu)`` gives theta4^(nu), direct for y >= 0.2 and flipped below;
+``verify_modular_identities`` cross-checks the table against the direct theta4
+series, one report per order and one pass of each route per sample for all orders.
 """
 
 from __future__ import annotations
@@ -80,17 +79,10 @@ def theta4_eval(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     handful of terms suffice.
     """
     nu = _check_order(nu)
-    return _theta4_eval(y, range(nu, nu + 1), cfg)[0]
-
-
-def _theta4_eval(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
-    """theta4^(nu)(y) for each order nu of `orders` in one series pass, routed as
-    :func:`theta4_eval`."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta4_eval")
-        if y.hi * 5 < 1:  # y < 0.2
-            return _theta4_flipped(y, orders, cfg)
-        return _theta4(y, orders, cfg)
+        route = _theta4_flipped if y.hi * 5 < 1 else _theta4  # flipped below y = 0.2
+        return route(y, range(nu, nu + 1), cfg)[0]
 
 
 #: sample points and combined-width bound of the modular identity check

@@ -14,9 +14,8 @@ end no later than any of its points, and its enclosure contains theirs.
 Two callers own the term and tail formulas.
 ``_quadratic_series`` sums w_n (-c a(n))^r e^{-c (a(n) - a0) y} for an integer a(n) of degree
 at most 2, several orders r in one pass: theta4 (a = k^2, alternating), theta2 (a = (2k-1)^2,
-c = pi/4), the modular Q-series (a = j(j+1)), and the envelope excess sum (a = (2k+3)^2) with
-its comparison sum (a = k + 24, linear); the offset a0 keeps e^{-c a0 y}, which swings by
-orders of magnitude across a box, out of the sum.  As a(n+1) - a(n) never falls and
+c = pi/4) and the modular Q-series (a = j(j+1)); the offset a0 keeps e^{-c a0 y}, which swings
+by orders of magnitude across a box, out of the sum.  As a(n+1) - a(n) never falls and
 a(n+1)/a(n) never rises, every term ratio past term n is at most (a(n+2)/a(n+1))^r
 e^{-c (a(n+2) - a(n+1)) y.lo}, whatever a0, which bounds the top order R's tail geometrically
 from the first omitted term at y.lo; it is tried once the first requested order's term is

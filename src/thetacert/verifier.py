@@ -440,8 +440,10 @@ _OVERLAP = ("0.8", "1.25")
 #: the boundary of `auto`'s routes: modular on y <= 1, Lambert on y >= 1
 _ROUTE_CUT = 1
 #: `auto` reads a thin y in [1, _THIN_CAP] off the theta4 Jet, 5 terms at y = 1 to the Lambert
-#: sum's 28; the Jet is cheaper to about y = 25 (127 against 203 us at y = 9, 128 bits, 2-core x86)
-#: and tighter, but the cap fixes the route of scan rows past 8; on boxes Lambert takes fewer boxes
+#: sum's 28, and tighter; for all three orders (scan's f, f', f'') the Jet is cheaper to about
+#: y = 25 (127 against 203 us at y = 9), but for one order (eval, points) Lambert is cheaper from
+#: about y = 9 (f: 81 against 106 us, f'': 98 against 131 at y = 16; 128 bits, 2-core x86); the
+#: cap fixes the route of scan rows past 8; on boxes Lambert takes fewer boxes
 _THIN_CAP = 8
 
 

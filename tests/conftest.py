@@ -26,8 +26,8 @@ from mpmath import mp
 from thetacert import ConvergenceError, Enclosure, EvalConfig, precision
 from thetacert.cli import main as cli_main
 from thetacert.enclosure import DEFAULT_CONFIG, as_enclosure
-from thetacert.modular import _theta4_eval, _theta4_flipped
-from thetacert.theta import _check_positive, _quadratic_series
+from thetacert.modular import _theta4_flipped
+from thetacert.theta import _check_positive, _quadratic_series, _theta4
 from thetacert.verifier import _E, _G, _G_DISPLAY, _X, _f_jet, _in_y
 
 
@@ -203,10 +203,11 @@ def theta4_product(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 
 
 def h_direct(y, cfg):
-    """h(y) = f''(y) theta4(y)^3, with f'' from the f Jet on one theta4 pass."""
+    """h(y) = f''(y) theta4(y)^3, with f'' from the f Jet on one theta4 pass, routed as
+    theta4_eval routes y: flipped below 0.2, direct above."""
     with cfg.scope():
         y = as_enclosure(y)
-        t = _theta4_eval(y, range(4), cfg)
+        t = (_theta4_flipped if y.hi * 5 < 1 else _theta4)(y, range(4), cfg)
         return _f_jet(y, t).d2 * t[0] ** 3
 
 

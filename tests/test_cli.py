@@ -393,6 +393,82 @@ def test_verify_all_document_is_deterministic(tmp_path, capsys):
     assert first["summary"] == {"certified": 19, "failed": 0, "inconclusive": 0, "ok": True}
 
 
+#: the sandwich grid and the modular samples of `verify all`, as their check names print them
+_SANDWICH_YS = (
+    "1.0", "1.12533558260076", "1.2663801734674", "1.425102670303", "1.60371874375133",
+    "1.80472176682717", "2.03091762090474", "2.28546386413499", "2.57191380905935",
+    "2.89426612471675", "3.25702065565978", "3.66524123707963", "4.12462638290135",
+    "4.64158883361278", "5.22334507426684", "5.87801607227491", "6.61474064123015",
+    "7.44380301325169", "8.37677640068292", "9.42668455117885", "10.6081835513945",
+    "11.9377664171444", "13.433993325989", "15.1177507061566", "17.0125427985259",
+    "19.1448197616996", "21.5443469003188", "24.2446201708233", "27.2833337648677",
+    "30.7029062975785", "34.5510729459222", "38.8815518030809", "43.7547937507419",
+    "49.2388263170674", "55.4102033000949", "62.3550734127392", "70.1703828670383",
+    "78.9652286849973", "88.8623816274341", "100.0",
+)
+_MODULAR_YS = ("0.5", "0.594603557501361", "0.707106781186548", "0.840896415253715", "1.0",
+               "1.18920711500272", "1.41421356237309", "1.68179283050743", "2.0")
+_ADMISSIBILITY = tuple((f"c-admissibility-nu{nu}", "certified", (
+    "subset of the integer sum", "monotone integrand", "factor below c at y=1",
+    "factor decreasing on y > 0")) for nu in range(4))
+_GREEK_CHECKS = (
+    "leading e^(6 pi y) cancellation", *(f"{name} strictly positive" for name in
+                                         ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")),
+    "alpha < gamma", "beta < delta",
+)
+#: the skeleton of `verify all --json` at 128 bits, depth first: (id, status, check names) of
+#: each certification record and ("value", name) of each value record, with no values
+_VERIFY_ALL_SKELETON = [
+    *((f"theta2-envelope-sandwich-nu{nu}@[1.0,100.0]", "certified",
+       tuple(f"sandwich at y={y}" for y in _SANDWICH_YS)) for nu in range(4)),
+    *_ADMISSIBILITY,
+    *((f"modular-identity-nu{nu}@[0.5,2.0]", "certified",
+       tuple(f"agreement at y={y}" for y in _MODULAR_YS)) for nu in range(4)),
+    ("g-chain", "certified", ("g'' matches its displayed grouping", "corner 1 + sqrt 3 below pi",
+                              "g'(1) > 0", "g(1) > 0", "conclusion: g > 0 on [1, oo)")),
+    ("g-second-positive", "certified", ("bracket > 0 for x >= corner",)),
+    ("even-terms-large-y", "certified", ("bracket > 0 for t >= corner",)),
+    ("odd-terms-large-y", "certified", ("dropped summand positive", "bracket > 0 for s >= corner")),
+    ("small-y-chain", "certified", (
+        *_GREEK_CHECKS, "rounding direction alpha >= 1984", "rounding direction beta <= 632",
+        "rounding direction gamma <= 1986", "rounding direction delta <= 632",
+        "rounding direction epsilon <= 2", "rounding direction zeta <= 2/25", "e^(2 pi) > 535",
+        "e^(4 pi y) coefficient positive", "integer absorption",
+        "conclusion: f'' > 0 on (0, 1]")),
+    *_ADMISSIBILITY,
+    ("small-y-final-bracket", "certified", ("bracket > 0 for y >= corner",)),
+    *(("value", name) for name in ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")),
+    ("greek-constants", "certified", _GREEK_CHECKS),
+    ("convexity-desk-scale@[0.05,20.0]", "certified", (
+        "f-second-positive", "f-prime-negative", "f-second-positive-lambert-overlap",
+        "f-second-positive-modular-overlap")),
+    ("f-second-positive@[0.05,20.0]", "certified", ()),
+    ("f-prime-negative@[0.05,20.0]", "certified", ()),
+    ("f-second-positive-lambert-overlap@[0.8,1.25]", "certified", ()),
+    ("f-second-positive-modular-overlap@[0.8,1.25]", "certified", ()),
+    ("decreasing-argument", "certified",
+     ("convexity input", "conclusion: f strictly decreasing on (0, oo)")),
+    ("decreasing-even-bracket", "certified", ("bracket < 0 for t >= corner",)),
+    ("decreasing-odd-bracket", "certified", ("bracket < 0 for s >= corner",)),
+]
+
+
+def _skeleton(records):
+    for rec in records:
+        if rec["type"] == "value":
+            yield "value", rec["name"]
+            continue
+        yield rec["id"], rec["status"], tuple(check["name"] for check in rec.get("checks", []))
+        yield from _skeleton(rec.get("subreports", []))
+
+
+def test_verify_all_skeleton_is_pinned(tmp_path, capsys):
+    # which records, statuses and checks `verify all` reports, whatever their values: a change
+    # to the proof's shape shows here as a named difference
+    assert list(_skeleton(verify_all_document(tmp_path / "all.json")["results"])) == \
+        _VERIFY_ALL_SKELETON
+
+
 def test_verify_decreasing_emits_its_premise_first(tmp_path, capsys):
     path = tmp_path / "decreasing.json"
     assert run_cli("verify", "decreasing", "--json", str(path)) == 0

@@ -8,7 +8,6 @@ from mpmath import mp
 
 from thetacert import cli, envelopes
 from thetacert import (
-    ConvergenceError,
     DomainError,
     Enclosure,
     EnvelopeConstants,
@@ -20,11 +19,12 @@ from thetacert import (
     lower_envelope,
     precision,
     tail_integral,
+    theta2_series,
     upper_envelope,
     verify_sandwiches,
 )
 
-from conftest import ADMISSIBILITY_FACTORS, LOWER_ENVELOPE_1_0, assert_contains
+from conftest import ADMISSIBILITY_FACTORS, LOWER_ENVELOPE_1_0, assert_contains, count_calls, mp_theta2
 
 
 def test_lower_envelope_values(cfg):
@@ -122,9 +122,17 @@ def test_admissibility_certified_for_paper_constants(cfg):
         assert report.status is Status.CERTIFIED, report.summary()
 
 
-def test_admissibility_with_decimal_string_tolerance():
-    report = check_c_admissible(0, EvalConfig(tail_tolerance="1e-40"))
-    assert report.status is Status.CERTIFIED, report.summary()
+def test_decimal_string_tolerance_drives_a_certified_sum():
+    # theta2(1/8) under "1e-60" at 256 bits: every point of the enclosure within 1e-60 of
+    # mpmath's value, where the default 2^-100 stops with a tail near 1e-37 (at y = 1 the
+    # terms fall so fast that the default's tail is already below 1e-57)
+    strict, default = EvalConfig(256, "1e-60"), EvalConfig(256)
+    with mp.workprec(512):
+        oracle = mp_theta2(mp.mpf(1) / 8)
+        enc = theta2_series(0.125, 0, strict)
+        assert enc.lo <= oracle <= enc.hi
+        assert max(oracle - enc.lo, enc.hi - oracle) <= mp.mpf("1e-60")
+        assert theta2_series(0.125, 0, default).width > mp.mpf("1e-40")
 
 
 def test_admissibility_fails_for_too_small_candidate(cfg, monkeypatch):
@@ -170,7 +178,7 @@ def test_admissibility_candidate_inside_factor_is_inconclusive(cfg, monkeypatch)
     monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", inside)
     report = check_c_admissible(0, cfg)
     assert report.status is Status.INCONCLUSIVE
-    assert [c.passed for c in report.checks] == [True, None, True]
+    assert [c.passed for c in report.checks] == [True, True, None, True]
 
 
 def test_log_grid_shape():
@@ -223,37 +231,6 @@ def test_admissibility_runs_no_subdivision(cfg, monkeypatch):
         assert report.subreports == []
 
 
-#: the exponents a(k), k >= 1, of check_c_admissible's step 1: the excess sum's odd squares
-#: m^2, m >= 5, and the comparison sum's integers n >= 25
-_STEP1_SEQUENCES = {"excess sum": lambda k: (2 * k + 3) ** 2, "comparison sum": lambda k: k + 24}
-
-
-def _direct_power_sum(a, nu, y):
-    """sum_{k >= 1} a(k)^nu e^{-pi a(k) y/4}, summed directly at 512 bits."""
-    with mp.workprec(512):
-        direct, k = mp.mpf(0), 1
-        while True:
-            term = mp.mpf(a(k)) ** nu * mp.exp(-mp.pi * a(k) * y / 4)
-            direct += term
-            if term < direct * mp.mpf(2) ** -520:
-                return direct
-            k += 1
-
-
-@pytest.mark.parametrize("nu", range(4))
-@pytest.mark.parametrize("y", [1, 2, 5, pytest.param((1, 1.01), id="box")])
-def test_excess_sum_contains_direct_sum(cfg, nu, y):
-    # both sums of step 1 through the one helper; the 1 %-wide box at y = 1 must hold the
-    # direct sums at both of its ends (floats, so the box and the direct sums share them)
-    ends = y if isinstance(y, tuple) else (y,)
-    for what, a in _STEP1_SEQUENCES.items():
-        with cfg.scope():
-            enc = envelopes._power_sum(what, nu, Enclosure(*ends), a, cfg)
-        for end in ends:
-            direct = _direct_power_sum(a, nu, mp.mpf(end))
-            assert enc.lo <= direct <= enc.hi, f"{what} at y={end}: {enc!r} misses {direct}"
-
-
 def _same_report(a, b):
     return (a.name, a.status, a.interval, a.checks) == (b.name, b.status, b.interval, b.checks)
 
@@ -297,19 +274,41 @@ def test_sandwich_suite_takes_two_exponentials_per_point(cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("nu", range(4))
-def test_admissibility_takes_four_exponentials(cfg, nu, monkeypatch):
-    # one for each certified sum of step 1, one in the tail integral of step 2 and one for
-    # its boost e^{9 pi y/4}
+def test_admissibility_takes_two_exponentials_and_sums_no_series(cfg, nu, monkeypatch):
+    # one in the tail integral and one for its boost e^{9 pi y/4}; steps 1 and 2 are exact,
+    # so the series kernel, which every quadratic-exponent pass goes through, is never called
+    from thetacert import theta
+
     exps, inner = [], Enclosure.exp
     monkeypatch.setattr(Enclosure, "exp", lambda self: exps.append(self) or inner(self))
+    passes = count_calls(monkeypatch, theta, "certified_sum")
     check_c_admissible(nu, cfg)
-    assert len(exps) == 4
+    assert len(exps) == 2
+    assert passes == []
 
 
-def test_admissibility_comparison_sum_obeys_the_term_cap():
-    # the excess sum converges in 4 terms at y = 1; the comparison sum needs far more
-    with pytest.raises(ConvergenceError, match="comparison sum"):
-        check_c_admissible(0, EvalConfig(max_terms=10))
+def test_omitted_exponents_are_the_odd_squares_from_25():
+    assert [sum(c * k ** i for i, c in enumerate(envelopes._OMITTED_EXPONENTS))
+            for k in range(1, 8)] == [m * m for m in range(5, 19, 2)]
+
+
+def test_tail_start_past_the_omitted_exponents_fails_the_subset_check(cfg, monkeypatch):
+    # integers from 26 on miss the omitted exponent 25: every order fails on step 1
+    monkeypatch.setattr(envelopes, "_TAIL_START", 25)
+    for nu in range(4):
+        report = check_c_admissible(nu, cfg)
+        assert report.status is Status.FAILED
+        assert report.checks[0].name == "subset of the integer sum"
+        assert report.checks[0].passed is False
+
+
+def test_tail_start_below_the_integrand_turn_fails_the_monotone_check(cfg, monkeypatch):
+    # t^nu e^{-pi t/4} turns down at 4 nu/pi: 2.55 and 3.82 for nu = 2 and 3 lie past 2
+    monkeypatch.setattr(envelopes, "_TAIL_START", 2)
+    monotone = [check_c_admissible(nu, cfg).checks[1] for nu in range(4)]
+    assert {c.name for c in monotone} == {"monotone integrand"}
+    assert [c.passed for c in monotone] == [True, True, False, False]
+    assert [check_c_admissible(nu, cfg).status for nu in (2, 3)] == [Status.FAILED] * 2
 
 
 @pytest.mark.parametrize("nu", [4, -1])

@@ -11,7 +11,6 @@ from thetacert import (
     DomainError,
     Enclosure,
     EvalConfig,
-    check_c_admissible,
     f_eval,
     f_prime,
     f_second,
@@ -82,9 +81,8 @@ def test_theta4_derivative_signs_and_values(cfg):
         lambda y, c: f_prime(y, c, route="lambert"),
         lambda y, c: f_second(y, c, route="lambert"),
         q_series_derivatives,
-        lambda y, c: check_c_admissible(0, c),  # the excess sum at y = 1
     ],
-    ids=["theta4", "theta2", "f", "f_prime", "f_second", "q_series", "excess_sum"],
+    ids=["theta4", "theta2", "f", "f_prime", "f_second", "q_series"],
 )
 def test_theta4_domain_and_convergence_errors(cfg, series):
     with pytest.raises(DomainError):
