@@ -27,13 +27,16 @@ Two things live here:
   series level, so these forms keep full relative accuracy where the
   direct Lambert sums lose all significance to cancellation (f'' near 0
   is a ~1e-47-sized difference of O(1) quantities already at y = 0.05).
-  eps swings by orders of magnitude across a box, so it is factored out:
-  with P_r = e^{2 pi x} Q^(r), (Gh, Gh', Gh'') = (G, G', G'')/eps is the Jet
-  (P1, P2, P3)/(1 + eps P0, eps P1, eps P2).  -2 Gh' - x Gh'' is about
-  8 pi^2 (pi x - 1), so one box encloses f'' > 0 on all of [0.05, 1].
+  eps is a box-only device.  It swings by orders of magnitude across a box,
+  so a box factors it out: with P_r = e^{2 pi x} Q^(r), (Gh, Gh', Gh'') =
+  (G, G', G'')/eps is the Jet (P1, P2, P3)/(1 + eps P0, eps P1, eps P2).
+  -2 Gh' - x Gh'' is about 8 pi^2 (pi x - 1), so one box encloses f'' > 0 on
+  all of [0.05, 1].  A thin y takes the plain Jet (P1, P2, P3)/(1 + P0, P1, P2)
+  of P_r = Q^(r) - [r = 0], summed relative to their first term eps, with x to
+  32 more bits: no exp for eps, no products by it, and no wider.
 
 Both sum through theta's quadratic-exponent series, all their orders in one
-pass: theta2^(j)(1/y) for j <= nu, and P_r with a(j) = j(j+1) and offset 2.
+pass: theta2^(j)(1/y) for j <= nu, and P_r with a(j) = j(j+1), offset 2 on a box.
 ``theta4_eval(y, nu)`` gives theta4^(nu), direct for y >= 0.2 and flipped below;
 ``verify_modular_identities`` cross-checks the table against the direct theta4
 series, one report per order and one pass of each route per sample for all orders.
@@ -45,7 +48,8 @@ from fractions import Fraction
 from functools import cache
 
 from .certify import CertificationReport, Check
-from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, Jet, as_enclosure
+from .enclosure import (DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, Jet, as_enclosure,
+                        precision)
 from .envelopes import log_grid
 from .theta import _check_order, _check_positive, _quadratic_series, _theta2, _theta4
 
@@ -126,17 +130,20 @@ def verify_modular_identities(
 
 
 def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
-    """f^(k)(y) for each order k of `orders` by the scaled forms in the module docstring, all
-    read off the Jet (G, G', G'')/eps = (P1, P2, P3)/(1 + eps P0, eps P1, eps P2) at x = 1/y,
-    from one pass over P_r for r <= max(orders) + 1; 2 pi, pi/4 and y/2 by rounded shifts."""
+    """f^(k)(y) for each order k of `orders` by the forms in the module docstring, all read off
+    one Jet quotient at x = 1/y, from one pass over P_r for r <= max(orders) + 1: scaled on a
+    box, plain on a thin y (width <= cfg.tol, as in verifier._f), where 32 more bits on x keep
+    f'' no wider; 2 pi, pi/4 and y/2 by rounded shifts."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "modular f series")
-        x, pi = 1 / y, Enclosure.pi()
-        eps = (-(pi._scaled(1) * x)).exp()
+        thin, pi = y.width <= cfg.tol, Enclosure.pi()
+        with precision(cfg.precision_bits + 32 * thin):
+            x = 1 / y
+        scaled = (lambda v: v) if thin else (-(pi._scaled(1) * x)).exp().__mul__  # v or eps v
         p = _quadratic_series("Q-series", x, lambda j: j * (j + 1), range(orders[-1] + 2), cfg,
-                              a0=2)
-        g, g1, g2 = Jet(*p[1:]) / Jet(1 + eps * p[0], *(eps * q for q in p[1:-1]))
-        forms = (lambda: pi._scaled(-2) - y._scaled(-1) - eps * g,  # formed only when requested
-                 lambda: _MINUS_HALF + x * x * eps * g1,
-                 lambda: x ** 3 * eps * (-(g1 + g1) - x * g2))
+                              a0=0 if thin else 2, relative=thin)
+        g, g1, g2 = Jet(*p[1:]) / Jet(1 + scaled(p[0]), *map(scaled, p[1:-1]))
+        forms = (lambda: pi._scaled(-2) - y._scaled(-1) - scaled(g),  # formed only when requested
+                 lambda: _MINUS_HALF + scaled(x * x) * g1,
+                 lambda: scaled(x ** 3) * (-(g1 + g1) - x * g2))
         return [forms[k]() for k in orders]

@@ -107,21 +107,23 @@ def _geometric_tail(first, ratio, prec: int) -> tuple:
     return _lm.mpi_div(first, rest, prec)
 
 
-def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_divisor: int = 1):
+def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_divisor: int = 1,
+                  tol_shift: int = 0):
     """The series kernel; its contract is in the module docstring.
 
     start: the partial sums before term 1.  step(k) for k = 1 .. cfg.max_terms: (terms,
     gate), the k-th term of each sum and a positive enclosure; the tails are tried once
-    gate.hi <= tol / gate_divisor.  tail(k), called right after step(k): enclosures whose
-    upper ends bound the omitted |tails| past term k.  Gate and tails must be inclusion
-    isotone in y, and tail raises ConvergenceError on a box wherever it does on a point.
+    gate.hi <= tol / gate_divisor, a power of two, where tol = cfg.tol 2^-tol_shift.
+    tail(k), called right after step(k): enclosures whose upper ends bound the omitted |tails|
+    past term k, which must reach tol.  Gate and tails must be inclusion isotone in y, and
+    tail raises ConvergenceError on a box wherever it does on a point.
     signs: +1 or -1 where every term has that sign, 0 where signs mix.
     Enclosures in and out; the sums run on raw pairs at one precision read, rounding as
     Enclosure addition does, and each result becomes an Enclosure once.
     """
     prec, add, cmp = current_precision(), _lm.mpi_add, _lm.mpf_cmp
-    tol = cfg.tol._mpf_
-    gate_tol = (cfg.tol / gate_divisor)._mpf_
+    tol = _lm.mpf_shift(cfg.tol._mpf_, -tol_shift)
+    gate_tol = _lm.mpf_shift(tol, 1 - gate_divisor.bit_length())  # tol / gate_divisor, exact
     sums = near = [(s._lo, s._hi) for s in start]
     near_open = any(signs)  # near: the sums up to where the near-zero ends stop
     for k in range(1, cfg.max_terms + 1):
@@ -166,8 +168,14 @@ def _largest(sizes: list[tuple]) -> Enclosure:
     return Enclosure._from_mpi((lo, hi))
 
 
+#: `_quadratic_series` constants by (a(1), a(2), a(3), scale shift, precision, first and top
+#: order), then by index: a thin pass at 128 bits stops by index 6
+_SERIES_CONSTANTS: dict[tuple, dict[int, tuple]] = {}
+_TABLED_INDICES = 8
+
+
 def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alternating=False, start=0,
-                      a0=0):
+                      a0=0, relative=False):
     """start + sum_{n>=1} w_n (-c a(n))^r e^{-c (a(n) - a0) y} for each order r (start: r = 0).
 
     c = pi * scale with a scale 2^k, so y * scale and c are exact shifts; a(n) is an integer
@@ -181,6 +189,11 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     difference (D = 1 for a linear a).  These positive factors decrease in y, so each
     outward-rounded product encloses the exact range on a box, and the upper ends of E_{n+1}
     and R_{n+1} bound the tail, geometric at the top order R: tail_r = tail_R / (c a(n+1))^(R-r).
+    The y-independent factors c a(k), (c a(k))^first, (c a(k))^R, (a(k+1)/a(k))^R and
+    (c a(k))^(R-r) come from _SERIES_CONSTANTS up to index _TABLED_INDICES, with the bits of a
+    fresh computation, each index stored on its own; past it a step forms c a(n) alone.
+    `relative`: the sums go to tol times a power of two at most E_1 (gate and tails), as
+    sums of size 1 go to tol, and not to tol itself.
     """
     if tuple(orders) != tuple(range(orders[0], orders[-1] + 1)):
         raise ValueError(f"{what}: orders must be consecutive, got {tuple(orders)}")
@@ -201,16 +214,31 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
         powers = (q ** (a1 - a0), q ** (a2 - a1), q ** (a3 - 2 * a2 + a1))
     e, ratio, d = ((p._lo, p._hi) for p in powers)  # E_1, R_1, D as raw intervals
     mul, pow_int, raw, div = _lm.mpi_mul, _lm.mpi_pow_int, _to_raw_pair, _lm.mpi_div
-    w_r, top = raw(weight, prec), orders[-1]
+    w_r, first, top = raw(weight, prec), orders[0], orders[-1]
+    known = _SERIES_CONSTANTS.setdefault((a1, a2, a3, shift, prec, first, top), {})
+
+    def constants(k):  # c a(k), (c a(k))^first, (c a(k))^R, (a(k+1)/a(k))^R, (c a(k))^(R-r)
+        entry = known.get(k)
+        if entry is None:
+            ca = mul(c, raw(a(k), prec), prec)
+            entry = (ca, pow_int(ca, first, prec), pow_int(ca, top, prec),
+                     pow_int(raw(Fraction(a(k + 1), a(k)), prec), top, prec),
+                     [pow_int(ca, top - r, prec) for r in orders])
+            if k <= _TABLED_INDICES:
+                known[k] = entry  # the same bits whichever thread stores them
+        return entry
 
     def step(n):  # on raw intervals, as w * E_n * (c * a(n))^r would round
         nonlocal e, ratio
         mag = mul(w_r, e, prec)
         e, ratio = mul(e, ratio, chain_bits), mul(ratio, d, chain_bits)
-        if top:  # order 0 alone needs no c a(n)
+        if n <= _TABLED_INDICES:
+            ca, ca_first = constants(n)[:2]
+        elif top:  # past the table, c a(n) alone; order 0 alone needs none
             ca = mul(c, raw(a(n), prec), prec)
-        if orders[0]:
-            mag = mul(mag, pow_int(ca, orders[0], prec), prec)
+            ca_first = pow_int(ca, first, prec) if first else None
+        if first:
+            mag = mul(mag, ca_first, prec)
         terms = [mag]
         for _ in orders[1:]:
             terms.append(mul(terms[-1], ca, prec))
@@ -219,15 +247,15 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
 
     def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}; on raw intervals,
         # the geometric tail of w * E_{n+1} * (c * a(n+1))^R, ratio growth^R * R_{n+1}
-        b1 = a(n + 1)
-        ca, growth = mul(c, raw(b1, prec), prec), raw(Fraction(a(n + 2), b1), prec)
-        b = _geometric_tail(mul(mul(w_r, e, prec), pow_int(ca, top, prec), prec),
-                            mul(pow_int(growth, top, prec), ratio, prec), prec)
-        return [Enclosure._from_mpi(div(b, pow_int(ca, top - r, prec), prec)) for r in orders]
+        _, _, ca_top, growth_top, lower = constants(n + 1)
+        b = _geometric_tail(mul(mul(w_r, e, prec), ca_top, prec), mul(growth_top, ratio, prec),
+                            prec)
+        return [Enclosure._from_mpi(div(b, power, prec)) for power in lower]
 
     sums = [Enclosure(start) if r == 0 else _ZERO for r in orders]
     signs = [0 if alternating else (-1) ** r for r in orders]
-    return certified_sum(what, cfg, sums, step, tail, signs, gate_divisor=4)
+    shift = 1 - e[1][2] - e[1][3] if relative else 0  # 2^-shift <= E_1's upper end
+    return certified_sum(what, cfg, sums, step, tail, signs, gate_divisor=4, tol_shift=shift)
 
 
 def theta4_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:

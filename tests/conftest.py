@@ -10,6 +10,8 @@ products (rational coefficients times powers of pi, recorded here as
 exact Fractions).  Tests assert that the library's enclosures contain
 these values; they are never fed back into the library.  Above them,
 `count_calls` counts the calls of one function for the work-count tests.
+Past them, plain-mpmath oracles at any precision: mp_scalar differentiates
+numerically, and mp_f_modular sums f's Q-series form directly.
 
 Below them are the library's own routes by other means, which the tests compare
 it against: the theta4 product, h = f'' theta4^3, and handles on private routes
@@ -153,6 +155,27 @@ def mp_scalar(fn, y, n=0, dps=40):
         return fn(y) if n == 0 else mp.diff(fn, y, n)
     finally:
         mp.dps = old
+
+
+def mp_f_modular(y, prec):
+    """f, f', f'' at y > 0 by plain mpmath at `prec` bits, from direct sums of Q^(r)(x),
+    Q(x) = sum_{j>=0} e^{-pi j(j+1) x} at x = 1/y: with G = Q'/Q, f = pi/4 - y/2 - G,
+    f' = -1/2 + x^2 G' and f'' = -x^3 (2 G' + x G'').  No interval arithmetic and no
+    e^{-2 pi x} factored out, so it reaches y far below the theta4-based mp_scalar oracle."""
+    with mp.workprec(prec):
+        y = mp.mpf(y)
+        x, q, j = 1 / y, [mp.mpf(0)] * 4, 0
+        while True:
+            c = mp.pi * j * (j + 1)
+            terms = [(-c) ** r * mp.exp(-c * x) for r in range(4)]
+            q = [s + t for s, t in zip(q, terms)]
+            if c * x > 3 and all(abs(t) <= abs(s) * mp.mpf(2) ** -prec for s, t in zip(q, terms)):
+                break
+            j += 1
+        g = q[1] / q[0]
+        g1 = q[2] / q[0] - g * g
+        g2 = q[3] / q[0] - 3 * q[1] * q[2] / q[0] ** 2 + 2 * g ** 3
+        return mp.pi / 4 - y / 2 - g, x * x * g1 - mp.mpf(1) / 2, -x ** 3 * (2 * g1 + x * g2)
 
 
 def mp_theta4(y):

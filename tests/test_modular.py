@@ -1,5 +1,6 @@
 """The theta4 <-> theta2 flip: coefficient table, dispatch, consistency."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,18 @@ from thetacert import (
     theta4_series,
     verify_modular_identities,
 )
-from thetacert.verifier import f_eval, f_prime, f_second
+from thetacert.enclosure import Jet
+from thetacert.envelopes import log_grid
+from thetacert.modular import _f_modular
+from thetacert.theta import _quadratic_series
+from thetacert.verifier import _f, f_eval, f_prime, f_second
 
 from conftest import (
     F_SECOND_AT_HALF,
     THETA4_AT_1,
     assert_contains,
+    count_calls,
+    mp_f_modular,
     mp_scalar,
     theta4_product,
     theta4_via_modular,
@@ -183,3 +190,63 @@ def test_low_precision_identity_is_inconclusive_not_failed(bits):
 def test_identity_rejects_unknown_order(cfg, nu):
     with pytest.raises(ValueError):
         verify_modular_identities(("0.5", "2"), [nu], cfg)
+
+
+# --- f on the modular route at thin y: the plain forms, no e^{-2 pi/y} scaling ---
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_thin_modular_f_contains_oracle_and_meets_the_box_form(bits):
+    # thin y log-uniform on [1e-5, 1] through `auto`, and y = 2, 5, 20 forced onto the route;
+    # each of f, f', f'' holds the 4x-precision oracle and meets the scaled form of a box
+    # [y, y + 2^-99] (wider than tol = 2^-100)
+    cfg = EvalConfig(precision_bits=bits)
+    rng = random.Random(bits)
+    points = [(10.0 ** (-5 * rng.random()), "auto") for _ in range(8)]
+    for y, route in points + [(2, "modular"), (5, "modular"), (20, "modular")]:
+        thin = _f(Enclosure(y), range(3), cfg, route)
+        with cfg.scope():
+            box = Enclosure(y, Fraction(y) + Fraction(1, 2 ** 99))
+        assert box.width > cfg.tol
+        on_box = _f(box, range(3), cfg, "modular")
+        for k, (value, exact) in enumerate(zip(thin, mp_f_modular(y, 4 * bits))):
+            what = f"order {k} at y = {y!r}, {bits} bits: {value!r}"
+            assert value.lo <= exact <= value.hi, f"{what} misses {mp.nstr(exact, 30)}"
+            assert value.intersects(on_box[k]), f"{what} and the box's {on_box[k]!r} are disjoint"
+
+
+def test_thin_modular_f_takes_one_exponential(cfg, monkeypatch):
+    # a thin y takes only the Q-series' q = e^{-pi x}; a box takes eps = e^{-2 pi x} as well
+    exps = count_calls(monkeypatch, Enclosure, "exp")
+    for y in (Enclosure("0.3"), Enclosure(0.01), Enclosure(1)):
+        exps.clear()
+        _f_modular(y, range(3), cfg)
+        assert len(exps) == 1, y
+    exps.clear()
+    _f_modular(Enclosure("0.3", "0.31"), range(3), cfg)
+    assert len(exps) == 2
+
+
+def _scaled_modular_f(y, cfg):
+    """f, f', f'' at y by the scaled forms that a box takes, eps = e^{-2 pi x} factored out of
+    the offset Q-series (module docstring), in plain Enclosure arithmetic."""
+    with cfg.scope():
+        x, pi = 1 / y, Enclosure.pi()
+        eps = (-(2 * pi * x)).exp()
+        p = _quadratic_series("Q-series", x, lambda j: j * (j + 1), range(4), cfg, a0=2)
+        g, g1, g2 = Jet(*p[1:]) / Jet(1 + eps * p[0], eps * p[1], eps * p[2])
+        return [pi / 4 - y / 2 - eps * g, x * x * eps * g1 - Enclosure("0.5"),
+                x ** 3 * eps * (-2 * g1 - x * g2)]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_thin_modular_f_is_no_wider_than_the_scaled_form(bits):
+    # the plain forms' sums are eps in size, so their gate and tails go to tol 2^-m <= tol eps,
+    # as the scaled sums of size 1 go to tol (to tol alone a 256-bit pass stops a term early:
+    # f'' at y = 0.89 came out 1e-40 wide against 1e-58); x = 1/y takes 32 more bits, as the
+    # plain f'' carries x's width through G' and G'' (up to 17 % wider at 128 bits without)
+    cfg = EvalConfig(precision_bits=bits)
+    for y in log_grid(0.01, 1.0, 201):
+        for k, (plain, scaled) in enumerate(zip(_f(y, range(3), cfg), _scaled_modular_f(y, cfg))):
+            assert plain.intersects(scaled), (k, y)
+            assert plain.width <= scaled.width, (k, y, plain.width, scaled.width)

@@ -19,9 +19,10 @@ from thetacert import (
     theta2_series,
     theta4_series,
 )
-from thetacert.enclosure import current_precision
+from thetacert.enclosure import _to_raw_pair, current_precision
 from thetacert.theta import (
     _PSI_NUMERATORS,
+    _TABLED_INDICES,
     _geometric_tail,
     _lambert_leading,
     _lambert_sum,
@@ -673,7 +674,7 @@ def test_raw_tails_match_their_enclosure_forms(monkeypatch, series, bits):
     cfg = EvalConfig(precision_bits=bits)
     raised = 0
     for n in (1, 2, 6):
-        def tails_after_n(what, cfg, start, step, tail, signs, gate_divisor=1):
+        def tails_after_n(what, cfg, start, step, tail, signs, **_):
             for k in range(1, n + 1):
                 step(k)
             return tail(n)
@@ -689,7 +690,7 @@ def test_raw_tails_match_their_enclosure_forms(monkeypatch, series, bits):
 
 def _tails_after(n):
     """A stand-in for certified_sum that takes n steps, then returns the tail bounds past n."""
-    def tails_after_n(what, cfg, start, step, tail, signs, gate_divisor=1):
+    def tails_after_n(what, cfg, start, step, tail, signs, **_):
         for k in range(1, n + 1):
             step(k)
         return tail(n)
@@ -792,9 +793,9 @@ def test_a_thin_quadratic_pass_does_enclosure_arithmetic_independent_of_its_term
 
     steps, inner = [], theta.certified_sum
 
-    def counting_steps(what, cfg, start, step, tail, signs, gate_divisor=1):
+    def counting_steps(what, cfg, start, step, tail, signs, **kwargs):
         return inner(what, cfg, start, lambda k: steps.append(k) or step(k), tail, signs,
-                     gate_divisor)
+                     **kwargs)
 
     monkeypatch.setattr(theta, "certified_sum", counting_steps)
     calls = _count_arithmetic(monkeypatch)
@@ -809,3 +810,59 @@ def test_a_thin_quadratic_pass_does_enclosure_arithmetic_independent_of_its_term
         terms.append(len(steps))
     assert terms == [2, 5]
     assert counts[0] == counts[1], counts
+
+
+# --- the y-independent constants of the quadratic series, tabled per precision ---
+
+
+def _fresh_constants(key, k):
+    """Index k's constants for a _quadratic_series pass keyed (a(1), a(2), a(3), scale shift,
+    precision, first order, top order), formed afresh by the pass's libmp operations."""
+    a1, a2, a3, shift, prec, first, top = key
+
+    def a(n):
+        return a1 + (n - 1) * (a2 - a1) + (n - 1) * (n - 2) // 2 * (a3 - 2 * a2 + a1)
+
+    with precision(prec):
+        pi = Enclosure.pi()
+    c = (libmp.mpf_shift(pi._lo, shift), libmp.mpf_shift(pi._hi, shift))
+    ca = libmp.mpi_mul(c, _to_raw_pair(a(k), prec), prec)
+    growth = _to_raw_pair(Fraction(a(k + 1), a(k)), prec)
+    return (ca, libmp.mpi_pow_int(ca, first, prec), libmp.mpi_pow_int(ca, top, prec),
+            libmp.mpi_pow_int(growth, top, prec),
+            [libmp.mpi_pow_int(ca, top - r, prec) for r in range(first, top + 1)])
+
+
+def test_tabled_series_constants_equal_fresh_ones(monkeypatch):
+    # theta4, theta2 and the Q-series with and without its offset, thin and on boxes, several
+    # order ranges, at 128 and 256 bits: every entry equals its fresh form endpoint for endpoint
+    from thetacert import theta
+
+    table = {}
+    monkeypatch.setattr(theta, "_SERIES_CONSTANTS", table)
+    for bits in (128, 256):
+        cfg = EvalConfig(precision_bits=bits)
+        for y in (Enclosure("0.3"), Enclosure(2), Enclosure("0.7", "0.707")):
+            for orders in (range(4), range(2, 3), range(1)):
+                _theta4(y, orders, cfg)
+                _theta2(y, orders, cfg)
+                with cfg.scope():
+                    for a0 in (0, 2):
+                        _quadratic_series("Q-series", y, lambda j: j * (j + 1), orders, cfg, a0=a0)
+    assert {key[4] for key in table} == {128, 256}
+    assert {key[:4] for key in table} == {(1, 4, 9, 0), (1, 9, 25, -2), (2, 6, 12, 0)}
+    for key, entries in table.items():
+        assert entries
+        for k, entry in entries.items():
+            assert entry == _fresh_constants(key, k), (key, k)
+
+
+def test_the_constant_table_holds_no_index_past_its_cap(cfg, monkeypatch):
+    # theta2 at y = 1e-5 takes about 1,500 terms; the table keeps only the first indices
+    from thetacert import theta
+
+    table = {}
+    monkeypatch.setattr(theta, "_SERIES_CONSTANTS", table)
+    theta2_series(Enclosure("1e-5"), 3, cfg)
+    assert len(table) == 1
+    assert all(len(v) <= _TABLED_INDICES and max(v) <= _TABLED_INDICES for v in table.values())
