@@ -46,13 +46,15 @@ def _print_directed(raw, digits: int, direction: int) -> str:
     if raw == _lm.fzero:
         return "0"
     prec = max(64, digits * 4)
-    s = _lm.to_str(raw, digits)
     with localcontext() as ctx:
         ctx.prec = digits + 10  # the +-ulp nudges must not be rounded away
         ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX  # f'' at y = 1e-6 is ~1e-2728727
-        try:
-            d = Decimal(s)
-        except InvalidOperation:  # |f'| at y = 1e20 is about 10^(-1.36e20)
+        try:  # |f'| at y = 1e20 is about 10^(-1.36e20); f'' at y = 1e-5000 has a binary
+            # exponent of 5,000 digits, which to_str takes ~40 s to fail to print
+            if abs(raw[2] + raw[3]) > 4 * MAX_EMAX:  # 2^(4 MAX_EMAX) > 10^(1.2 MAX_EMAX)
+                raise InvalidOperation
+            d = Decimal(_lm.to_str(raw, digits))
+        except InvalidOperation:
             raise DomainError("cannot print a value beyond the decimal exponent range") from None
         for _ in range(4):
             if direction < 0:

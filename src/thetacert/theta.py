@@ -24,7 +24,8 @@ c a(m) >= c a(n+1) for every omitted m; c = pi * scale, with a scale 2^k, is for
 pass by shifting pi's endpoints.
 ``_lambert_sum`` sums the Lambert terms, every requested order in one pass,
 with one tail bound per order tried once the largest term is below tol/16.
-Both take every exponential of a pass from one exp, q = e^{-c y} or u_1 = e^{-pi y},
+Both take every exponential of a pass from one exp, q = e^{-c y} or u_1 = e^{-pi y}
+(a Lambert box takes one more, at the midpoint of its mean-value form for m = 1),
 by q^{a(n+1)} = q^{a(n)} q^{a(n+1) - a(n)} (u_m = u_{m-1} u_1).  Every factor is a
 positive enclosure decreasing in y, so an outward-rounded product's lower end bounds
 its value at y.hi from below and its upper end its value at y.lo from above: it
@@ -46,7 +47,7 @@ Evaluators:
                          w_m = 2 (m odd), 1 (m even): one term formula, several orders in
                          one pass; f_eval/f_prime/f_second take it on thin y > 8, on boxes
                          in [1, oo) and with route="lambert" (a thin y in [1, 8]: _theta4);
-                         a box sums it from m = 2 after _lambert_leading's m = 1 term
+                         a box encloses its m = 1 term by a mean-value form, from one more exp
 
 The direct series are primitives valid for any y > 0 but converge slowly
 as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular` (theta4)
@@ -349,47 +350,34 @@ def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
         return Enclosure._from_mpi(value)
 
 
-def _lambert_leading(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
-    """The m = 1 term 2 pi^(k-1) psi^(k)(S) of `_lambert_sum` for each order k on a box S = pi y:
-    its natural form (s, u, v taken as independent) met with its mean-value form psi^(k)(s0) +
-    psi^(k+1)(S)(S - s0), s0 = pi times the midpoint rounded to nearest.  One `_psi` pass over
-    the hull of S and s0 gives the natural form and the slope psi^(k+1), one at s0 the centre."""
-    with cfg.scope():
-        y = _check_positive(as_enclosure(y), "lambert series")
-        prec, pi = current_precision(), Enclosure.pi()
-        s0 = pi * Enclosure(y.mid)
-        s = (pi * y).hull(s0)
-        u, u0 = (-s).exp(), (-s0).exp()
-        box = _psi((s._lo, s._hi), (u._lo, u._hi), range(orders[0], orders[-1] + 2), prec)
-        centre = _psi((s0._lo, s0._hi), (u0._lo, u0._hi), orders, prec)
-        terms = []
-        for k, n, slope, c in zip(orders, map(Enclosure._from_mpi, box), box[1:], centre):
-            m = Enclosure._from_mpi(c) + Enclosure._from_mpi(slope) * (s - s0)  # holds psi^(k)(S)
-            terms.append(2 * pi ** (k - 1) * Enclosure(max(m.lo, n.lo), min(m.hi, n.hi)))
-        return terms
-
-
-def _lambert_sum(y, orders: range, cfg: EvalConfig, first: int = 1) -> list[Enclosure]:
-    """f^(k) = sum_{m >= first} w_m (m pi)^(k-1) psi^(k)(m pi y) for each order k of `orders`,
-    in one pass; w_m is 2 for odd m, else 1, and first = 2 leaves the m = 1 term to
-    :func:`_lambert_leading`.  Each order has its own tail bound, and the tails are
-    tried once the largest requested |term| is small.  One exp per call: u_m = u_{m-1} u_1
+def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+    """f^(k) = sum_{m >= 1} w_m (m pi)^(k-1) psi^(k)(m pi y) for each order k of `orders`,
+    in one pass; w_m is 2 for odd m, else 1.  Each order has its own tail bound, and the tails
+    are tried once the largest requested |term| is small.  One exp per pass: u_m = u_{m-1} u_1
     with u_1 = e^{-pi y}, positive factors decreasing in y, so the outward-rounded product
     encloses e^{-m pi y} on a box and u_1's upper end bounds the tails.  The step runs on raw
-    intervals: s_m = pi y times the exact m, and the term w_m m^(k-1) * pi^(k-1) * psi^(k)."""
+    intervals: s_m = pi y times the exact m, and the term w_m m^(k-1) * pi^(k-1) * psi^(k).
+    A box (width > cfg.tol) takes one more exp, at s0 = pi times its midpoint rounded to
+    nearest, and its m = 1 term 2 pi^(k-1) psi^(k)(S), S = pi y, apart: the natural form (s, u,
+    v taken as independent) met with the mean-value form psi^(k)(s0) + psi^(k+1)(S)(S - s0),
+    from one `_psi` pass over S (the natural form and the slope) and one at s0; the kernel
+    then sums from m = 2.  The pass takes pi y as its hull with s0: pi y itself, as rounding
+    is monotone, unless y's endpoints carry more bits than the working precision."""
     if max(orders) > 2:  # the tails take |N_k| <= 2(1+s)^2, see _PSI_NUMERATORS
         raise ValueError(f"lambert series: orders must be at most 2, got {tuple(orders)}")
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "lambert series")
-        prec = current_precision()
+        prec, box = current_precision(), y.width > cfg.tol
         pi = Enclosure.pi()
         piy = pi * y
+        if box:
+            mid = _lm.mpi_mid((y._lo, y._hi), prec)
+            s0 = pi * Enclosure._from_mpi((mid, mid))
+            piy = piy.hull(s0)
         r = (-piy).exp()  # u_1 = e^{-pi y}; u_m = u_{m-1} u_1 = e^{-m pi y}
         scales = [pi ** (k - 1) for k in orders]
         mul, raw, piy_r, u = _lm.mpi_mul, _to_raw_pair, (piy._lo, piy._hi), (r._lo, r._hi)
         r_r, scale_rs, pow_int = u, [(c._lo, c._hi) for c in scales], _lm.mpi_pow_int
-        if first > 2:  # step(first) multiplies u once more, to u_first
-            u = pow_int(r_r, first - 1, prec)
         spread = pow_int(_lm.mpi_add(piy_r, _ONE, prec), 2, prec)  # (1 + pi y)^2
         bases = [mul(c, raw(4, prec), prec) for c in scale_rs]  # 4 scale
 
@@ -420,5 +408,19 @@ def _lambert_sum(y, orders: range, cfg: EvalConfig, first: int = 1) -> list[Encl
 
         what = f"lambert series (orders {orders[0]}..{orders[-1]})"
         signs = [1 if k == 0 else 0 for k in orders]  # psi > 0, so all terms of f are positive
-        return certified_sum(what, cfg, [Enclosure(0)] * len(orders), lambda n: step(n + first - 1),
-                             lambda n: tail(n + first - 1), signs, gate_divisor=16)
+        zeros = [_ZERO] * len(orders)
+        if not box:
+            return certified_sum(what, cfg, zeros, step, tail, signs, gate_divisor=16)
+        # m = 1 apart, on raw pairs rounded as on Enclosures: psi^(k) and its slope over S, and
+        # psi^(k) at s0
+        u0, cmp = (-s0).exp(), _lm.mpf_cmp
+        natural = _psi(piy_r, r_r, range(orders[0], orders[-1] + 2), prec)
+        centre = _psi((s0._lo, s0._hi), (u0._lo, u0._hi), orders, prec)
+        ds, two, lead = _lm.mpi_sub(piy_r, (s0._lo, s0._hi), prec), raw(2, prec), []
+        for scale, n, slope, c in zip(scale_rs, natural, natural[1:], centre):
+            m = _lm.mpi_add(c, mul(slope, ds, prec), prec)  # holds psi^(k)(S)
+            meet = (m[0] if cmp(m[0], n[0]) > 0 else n[0], m[1] if cmp(m[1], n[1]) < 0 else n[1])
+            lead.append(Enclosure._from_mpi(mul(mul(two, scale, prec), meet, prec)))
+        rest = certified_sum(what, cfg, zeros, lambda n: step(n + 1), lambda n: tail(n + 1), signs,
+                             gate_divisor=16)
+        return [t + part for t, part in zip(lead, rest)]

@@ -44,7 +44,7 @@ from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, _below, as_en
 from .envelopes import _envelope_poly, check_c_admissible
 from .exppoly import DegreeError, ExpPoly
 from .modular import _f_modular
-from .theta import _PSI_NUMERATORS, _lambert_leading, _lambert_sum, _theta2, _theta4
+from .theta import _PSI_NUMERATORS, _lambert_sum, _theta2, _theta4
 
 __all__ = [
     "GreekConstants",
@@ -452,8 +452,8 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
     modular on y <= _ROUTE_CUT = 1 and Lambert on y >= 1, so a caller's box [lo, hi] around 1
     (:func:`verify_convexity` cuts at 1) is, entry by entry, the hull of the routes on [lo, 1]
     and [1, hi]; a thin y (width <= cfg.tol) in [1, _THIN_CAP] is read off :func:`_f_jet` on
-    one theta4 pass instead.  A Lambert box takes m = 1 from :func:`_lambert_leading`, then
-    the pass from m = 2."""
+    one theta4 pass instead.  The Lambert route is :func:`_lambert_sum`, which encloses a
+    box's m = 1 term by its mean-value form."""
     if route == "modular":
         return _f_modular(y, orders, cfg)
     if route not in ("auto", "lambert"):
@@ -461,24 +461,17 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
     with cfg.scope():
         y = as_enclosure(y)
         if route == "lambert":
-            return _lambert(y, orders, cfg)
+            return _lambert_sum(y, orders, cfg)
         if y.hi <= _ROUTE_CUT:
             return _f_modular(y, orders, cfg)
         if y.lo >= _ROUTE_CUT and y.hi <= _THIN_CAP and y.width <= cfg.tol:
             jet = tuple(_f_jet(y, _theta4(y, range(orders[-1] + 2), cfg)))
             return [jet[k] for k in orders]
         if y.lo >= _ROUTE_CUT:
-            return _lambert(y, orders, cfg)
+            return _lambert_sum(y, orders, cfg)
         below = _f_modular(Enclosure(y.lo, _ROUTE_CUT), orders, cfg)
-        above = _lambert(Enclosure(_ROUTE_CUT, y.hi), orders, cfg)
+        above = _lambert_sum(Enclosure(_ROUTE_CUT, y.hi), orders, cfg)
         return [m.hull(lam) for m, lam in zip(below, above)]
-
-
-def _lambert(y: Enclosure, orders: range, cfg: EvalConfig) -> list[Enclosure]:
-    """The Lambert route of :func:`_f`, inside cfg.scope()."""
-    if y.width <= cfg.tol:
-        return _lambert_sum(y, orders, cfg)
-    return list(map(add, _lambert_leading(y, orders, cfg), _lambert_sum(y, orders, cfg, 2)))
 
 
 def f_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> Enclosure:

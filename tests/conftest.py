@@ -11,7 +11,8 @@ exact Fractions).  Tests assert that the library's enclosures contain
 these values; they are never fed back into the library.  Above them,
 `count_calls` counts the calls of one function for the work-count tests.
 Past them, plain-mpmath oracles at any precision: mp_scalar differentiates
-numerically, and mp_f_modular sums f's Q-series form directly.
+numerically, mp_f_modular sums f's Q-series form directly, and mp_lambert sums
+its Lambert form.
 
 Below them are the library's own routes by other means, which the tests compare
 it against: the theta4 product, h = f'' theta4^3, and handles on private routes
@@ -176,6 +177,22 @@ def mp_f_modular(y, prec):
         g1 = q[2] / q[0] - g * g
         g2 = q[3] / q[0] - 3 * q[1] * q[2] / q[0] ** 2 + 2 * g ** 3
         return mp.pi / 4 - y / 2 - g, x * x * g1 - mp.mpf(1) / 2, -x ** 3 * (2 * g1 + x * g2)
+
+
+def mp_lambert(y, k):
+    """f^(k)(y) = sum_{m >= 1} w_m (m pi)^(k-1) psi^(k)(m pi y), w_m = 2 (m odd), 1 (m even), at
+    50 digits, psi^(k) by mpmath's numerical differentiation of s^2/expm1(s): good to about
+    1e-45 relative."""
+    with mp.workdps(50):
+        total, m = mp.mpf(0), 1
+        while True:
+            s = m * mp.pi * mp.mpf(y)
+            term = (2 if m % 2 else 1) * (m * mp.pi) ** (k - 1) * mp.diff(
+                lambda t: t * t / mp.expm1(t), s, k)
+            total += term
+            if s > 10 and abs(term) < mp.mpf(10) ** -60 * abs(total):
+                return total
+            m += 1
 
 
 def mp_theta4(y):

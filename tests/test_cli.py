@@ -18,7 +18,7 @@ from thetacert import scanner
 from thetacert.cli import main
 from thetacert.report import decimal_bounds
 
-from conftest import verify_all_document
+from conftest import count_calls, verify_all_document
 
 
 def run_cli(*argv):
@@ -393,6 +393,14 @@ def test_verify_all_document_is_deterministic(tmp_path, capsys):
     assert first["summary"] == {"certified": 19, "failed": 0, "inconclusive": 0, "ok": True}
 
 
+def test_verify_all_takes_at_most_199_exps(tmp_path, capsys, monkeypatch):
+    # a deterministic work count beside the benchmark's times: a Lambert box takes 2 exps,
+    # its pass's u_1 and its leading term's at the midpoint
+    exps = count_calls(monkeypatch, thetacert.Enclosure, "exp")
+    verify_all_document(tmp_path / "all.json")
+    assert len(exps) <= 199, len(exps)
+
+
 #: the sandwich grid and the modular samples of `verify all`, as their check names print them
 _SANDWICH_YS = (
     "1.0", "1.12533558260076", "1.2663801734674", "1.425102670303", "1.60371874375133",
@@ -511,7 +519,8 @@ def _one_line_error(capsys) -> str:
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "function, y",
-    [("f'", "1e20"), ("f", "1e400"), ("theta2", "1e400"), ("theta4", "1e-400")],
+    [("f'", "1e20"), ("f", "1e400"), ("theta2", "1e400"), ("theta4", "1e-400"),
+     ("f''", "1e-5000")],  # the last has a decimal exponent of more than 4,300 digits
 )
 def test_eval_beyond_decimal_exponent_range_exits_one(capsys, function, y, fmt):
     assert run_cli("eval", function, "--y", y, "--format", fmt) == 1

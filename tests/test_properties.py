@@ -12,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
-from conftest import g_prime, h_direct, mp_scalar, mp_theta4, q_series_derivatives
+from conftest import g_prime, h_direct, mp_lambert, mp_scalar, mp_theta4, q_series_derivatives
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
-from thetacert.theta import _lambert_sum, _quadratic_series, psi
+from thetacert.theta import _quadratic_series, psi
 from thetacert.scanner import _f_a
 from thetacert.verifier import _ROUTE_CUT, _THIN_CAP, _f, f_eval, f_prime, f_second, g_second
 
@@ -123,15 +123,21 @@ def test_psi_box_contains_points(a, w, t, order):
 
 
 @settings(max_examples=20, deadline=None)
-@given(log_y=st.floats(min_value=-0.5, max_value=1.3, allow_nan=False),
-       first=st.integers(min_value=2, max_value=7))
-def test_lambert_sum_from_any_first_term_box_contains_its_ends(log_y, first):
-    # y in [0.32, 20]: the pass from m = first on [y, 1.01 y] against its two ends
+@given(log_y=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+       bits=st.sampled_from((128, 256)))
+def test_lambert_route_box_contains_its_ends(log_y, bits):
+    # y in [1, 100]: f, f', f'' on [y, 1.01 y] by the Lambert route, whose m = 1 term takes its
+    # mean-value form, against its two ends' thin enclosures and the mpmath Lambert sum there
+    cfg = EvalConfig(precision_bits=bits)
     y = 10 ** log_y
-    box = _lambert_sum(Enclosure(y, 1.01 * y), range(3), CFG, first)
-    for end in (y, 1.01 * y):
-        for k, (b, p) in enumerate(zip(box, _lambert_sum(Enclosure(end), range(3), CFG, first))):
-            assert b.contains(p), (y, first, k, end)
+    for k, fn in enumerate((f_eval, f_prime, f_second)):
+        box = fn(Enclosure(y, 1.01 * y), cfg, route="lambert")
+        for end in (y, 1.01 * y):
+            assert box.contains(fn(Enclosure(end), cfg, route="lambert")), (y, k, end)
+            value = mp_lambert(end, k)
+            with mp.workdps(50):
+                slack = abs(value) * mp.mpf(10) ** -45  # the oracle's differentiation error
+                assert box.lo <= value - slack and value + slack <= box.hi, (y, k, end, box)
 
 
 # --- the quadratic-exponent series against direct mpmath sums at 4x precision ---

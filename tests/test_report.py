@@ -6,6 +6,7 @@ import pytest
 
 from thetacert import (
     CertificationReport,
+    DomainError,
     Enclosure,
     EvalConfig,
     Status,
@@ -82,6 +83,12 @@ def test_decimal_bounds_outside_default_exponent_range(cfg, y):
         lo, hi = decimal_bounds(e, 40)
         with precision(300):
             assert Enclosure(lo, hi).contains(e)
+
+
+def test_decimal_bounds_past_the_int_to_str_limit_raise_domain_error(cfg):
+    # f'' at y = 1e-5000 has a decimal exponent of more than Python's 4,300 int-to-str digits
+    with pytest.raises(DomainError, match="decimal exponent range"):
+        decimal_bounds(f_second(Enclosure("1e-5000"), cfg=cfg), 40)
 
 
 @pytest.mark.parametrize("tolerance", [2.0 ** -100, "1e-900"])

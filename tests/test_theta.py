@@ -24,7 +24,6 @@ from thetacert.theta import (
     _PSI_NUMERATORS,
     _TABLED_INDICES,
     _geometric_tail,
-    _lambert_leading,
     _lambert_sum,
     _quadratic_series,
     _theta2,
@@ -360,50 +359,37 @@ def test_offset_pass_times_its_scale_meets_the_q_series(cfg, y, a0):
 # --- one exp per series pass ---
 
 
-def _count_exps(monkeypatch):
-    calls = []
-    inner = Enclosure.exp
-
-    def counting(self):
-        calls.append(self)
-        return inner(self)
-
-    monkeypatch.setattr(Enclosure, "exp", counting)
-    return calls
-
-
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("nu", [0, 1, 2, 3])
 def test_theta2_at_small_y_takes_one_exp(monkeypatch, nu, bits):
     # about 1,500 terms, each from the running product E_n R_n
     cfg = EvalConfig(precision_bits=bits)
-    calls = _count_exps(monkeypatch)
+    calls = count_calls(monkeypatch, Enclosure, "exp")
     theta2_series(1e-5, nu, cfg)
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
-    "evaluate",
+    "evaluate, exps",
     [
-        lambda cfg: _theta4(3, range(3), cfg),
-        lambda cfg: q_series_derivatives(2, cfg),
-        lambda cfg: _lambert_sum(Enclosure(1, "1.01"), range(3), cfg),
-        lambda cfg: _lambert_sum(Enclosure(30), range(3), cfg),
-        lambda cfg: _lambert_sum(Enclosure(1, "1.01"), range(3), cfg, 2),
+        (lambda cfg: _theta4(3, range(3), cfg), 1),
+        (lambda cfg: q_series_derivatives(2, cfg), 1),
+        (lambda cfg: _lambert_sum(Enclosure(1, "1.01"), range(3), cfg), 2),  # and m = 1 at s0
+        (lambda cfg: _lambert_sum(Enclosure(30), range(3), cfg), 1),
     ],
-    ids=["theta4", "q_series", "lambert-box", "lambert-thin-30", "lambert-box-from-2"],
+    ids=["theta4", "q_series", "lambert-box", "lambert-thin-30"],
 )
-def test_a_series_pass_takes_one_exp(cfg, monkeypatch, evaluate):
-    calls = _count_exps(monkeypatch)
+def test_a_series_pass_takes_one_exp(cfg, monkeypatch, evaluate, exps):
+    calls = count_calls(monkeypatch, Enclosure, "exp")
     evaluate(cfg)
-    assert len(calls) == 1
+    assert len(calls) == exps
 
 
-@pytest.mark.parametrize("y, exps", [(Enclosure(1, "1.01"), 3), (Enclosure("0.8", "0.807"), 3),
+@pytest.mark.parametrize("y, exps", [(Enclosure(1, "1.01"), 2), (Enclosure("0.8", "0.807"), 2),
                                      (Enclosure(30), 1)], ids=["box", "overlap-box", "thin"])
-def test_a_lambert_box_adds_two_exps_for_its_leading_term(cfg, monkeypatch, y, exps):
-    # the leading term's exps over the box and at its midpoint; a thin y keeps the single pass
-    calls = _count_exps(monkeypatch)
+def test_a_lambert_box_adds_one_exp_for_its_leading_term(cfg, monkeypatch, y, exps):
+    # the leading term's exp at the box's midpoint; over the box it shares the pass's u_1
+    calls = count_calls(monkeypatch, Enclosure, "exp")
     f_second(y, cfg, route="lambert")
     assert len(calls) == exps
 
@@ -458,11 +444,15 @@ def test_raw_psi_matches_the_reference_numerators(bits):
                          ids=str)
 @pytest.mark.parametrize("bits", [128, 256])
 def test_raw_lambert_terms_match_the_reference_numerators(monkeypatch, bits, orders):
-    # terms m = 1, 2, 3 of the pass: the odd and even weights, and w_m/m both exact and rounded
+    # the kernel's first three terms, m = 1, 2, 3 on a thin y and 2, 3, 4 on a box: the odd and
+    # even weights, and w_m/m both exact and rounded
     from thetacert import theta
 
+    steps = []
+
     def first_terms(what, cfg, start, step, tail, signs, gate_divisor=1):
-        return [step(m)[0] for m in (1, 2, 3)]
+        steps[:] = [step(n)[0] for n in (1, 2, 3)]
+        return start
 
     monkeypatch.setattr(theta, "certified_sum", first_terms)
     cfg = EvalConfig(precision_bits=bits)
@@ -472,14 +462,31 @@ def test_raw_lambert_terms_match_the_reference_numerators(monkeypatch, bits, ord
             y = s / pi
             piy = pi * y
             r = u = (-piy).exp()
-            for m, terms in enumerate(_lambert_sum(y, orders, cfg), start=1):
+            _lambert_sum(y, orders, cfg)
+            first = _lambert_first_term(y, cfg)
+            for m in range(1, first + 3):
                 u = u * r if m > 1 else u
-                for k, term in zip(orders, terms):
+                for k, term in zip(orders, steps[m - first] if m >= first else ()):
                     weight = Enclosure(Fraction((2 if m % 2 else 1) * m ** k, m))
                     assert term == weight * pi ** (k - 1) * _reference_psi(m * piy, u, k), (y, m, k)
 
 
+def _lambert_first_term(y, cfg):
+    """The term m at which a Lambert pass starts the kernel: 2 on a box, which takes m = 1
+    apart, else 1."""
+    return 2 if y.width > cfg.tol else 1
+
+
 # --- the leading Lambert term on a box: natural form met with the mean-value form ---
+
+
+def _leading_lambert_terms(monkeypatch, y, orders, cfg):
+    """The m = 1 terms of a Lambert box pass: the kernel from m = 2 stubbed to its zero starts,
+    to which the pass adds them exactly."""
+    from thetacert import theta
+
+    monkeypatch.setattr(theta, "certified_sum", lambda what, cfg, start, *args, **kw: start)
+    return _lambert_sum(y, orders, cfg)
 
 
 def _natural_leading(y, k):
@@ -491,55 +498,25 @@ def _natural_leading(y, k):
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("lo, hi", [("0.8", "0.807"), ("1", "1.01"), ("1.4", "1.414"), ("3", "3.03"),
                                     ("12", "12.6")])
-def test_leading_lambert_term_lies_inside_its_natural_form(bits, lo, hi):
+def test_leading_lambert_term_lies_inside_its_natural_form(monkeypatch, bits, lo, hi):
     cfg = EvalConfig(precision_bits=bits)
     with cfg.scope():
         y = Enclosure(lo, hi)
         for orders in (range(3), range(1), range(1, 2), range(2, 3)):
-            for k, lead in zip(orders, _lambert_leading(y, orders, cfg)):
+            for k, lead in zip(orders, _leading_lambert_terms(monkeypatch, y, orders, cfg)):
                 natural = _natural_leading(y, k)
                 assert natural.contains(lead), (orders, k)
                 if lo == "0.8":  # 6x narrower in every order
                     assert lead.width * 4 <= natural.width, (k, lead, natural)
 
 
-def test_leading_lambert_term_plus_the_pass_from_two_meets_the_whole_pass(cfg):
+def test_a_lambert_box_contains_its_thin_ends_and_midpoint(cfg):
     with cfg.scope():
         for y in (Enclosure("0.8", "0.807"), Enclosure(1, "1.01"), Enclosure(5, "5.05")):
-            whole = _lambert_sum(y, range(3), cfg)
-            for k, (lead, rest) in enumerate(zip(_lambert_leading(y, range(3), cfg),
-                                                 _lambert_sum(y, range(3), cfg, 2))):
-                assert whole[k].contains(lead + rest), (y, k)
-
-
-# --- the pass from any first term, for the orders its tail bound covers ---
-
-
-def _lambert_from(y, first, k):
-    """sum_{m >= first} w_m (m pi)^(k-1) psi^(k)(m pi y) at 50 digits, psi^(k) by mpmath's
-    numerical differentiation of s^2/expm1(s)."""
-    with mp.workdps(50):
-        total, m = mp.mpf(0), first
-        while True:
-            s = m * mp.pi * mp.mpf(y)
-            term = (2 if m % 2 else 1) * (m * mp.pi) ** (k - 1) * mp.diff(
-                lambda t: t * t / mp.expm1(t), s, k)
-            total += term
-            if s > 10 and abs(term) < mp.mpf(10) ** -60 * abs(total):
-                return total
-            m += 1
-
-
-@pytest.mark.parametrize("first", [3, 4, 7])
-def test_lambert_sum_from_a_later_first_term_contains_mpmath(cfg, first):
-    # term m = first takes u_first = e^{-first pi y}, not u_2
-    for y in ("0.3", "1", "2.5", "9"):
-        sums = _lambert_sum(Enclosure(y), range(3), cfg, first)
-        for k, enc in enumerate(sums):
-            value = _lambert_from(y, first, k)
-            with mp.workdps(50):
-                slack = abs(value) * mp.mpf(10) ** -45  # the oracle's differentiation error
-                assert enc.lo <= value + slack and value - slack <= enc.hi, (y, first, k, enc)
+            box = _lambert_sum(y, range(3), cfg)
+            for point in (y.lo, y.mid, y.hi):
+                for k, thin in enumerate(_lambert_sum(Enclosure(point), range(3), cfg)):
+                    assert box[k].contains(thin), (y, point, k)
 
 
 @pytest.mark.parametrize("orders", [range(4), range(3, 4)], ids=str)
@@ -659,15 +636,17 @@ _TAIL_SERIES = {
                                          a0=2),
         lambda y, n: _reference_quadratic_tails(y, lambda j: j * (j + 1), range(4), n, a0=2)),
     "lambert": (lambda y, cfg: _lambert_sum(y, range(3), cfg),
-                lambda y, n: _reference_lambert_tails(y, range(3), n)),
+                lambda y, n: _reference_lambert_tails(  # the tests' tolerance is the default
+                    y, range(3), n + _lambert_first_term(y, EvalConfig()) - 1)),
 }
 
 
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("series", list(_TAIL_SERIES))
 def test_raw_tails_match_their_enclosure_forms(monkeypatch, series, bits):
-    # the tail bounds right after steps 1, 2 and 6, endpoint for endpoint, or both raising
-    # ConvergenceError where a ratio is not below 1 (every series at y = 0.05, early on)
+    # the tail bounds right after the kernel's steps 1, 2 and 6 (past terms m = 1, 2 and 6, and
+    # m = 2, 3 and 7 on a Lambert box), endpoint for endpoint, or both raising ConvergenceError
+    # where a ratio is not below 1 (every series at y = 0.05, early on)
     from thetacert import theta
 
     evaluate, reference = _TAIL_SERIES[series]
@@ -677,12 +656,18 @@ def test_raw_tails_match_their_enclosure_forms(monkeypatch, series, bits):
         def tails_after_n(what, cfg, start, step, tail, signs, **_):
             for k in range(1, n + 1):
                 step(k)
-            return tail(n)
+            tails.append(tail(n))
+            return start
 
+        def recorded_tails():
+            evaluate(y, cfg)
+            return tails.pop()
+
+        tails = []
         monkeypatch.setattr(theta, "certified_sum", tails_after_n)
         for y in _TAIL_YS:
             with cfg.scope():
-                got, want = _outcome(lambda: evaluate(y, cfg)), _outcome(lambda: reference(y, n))
+                got, want = _outcome(recorded_tails), _outcome(lambda: reference(y, n))
             assert got == want, (series, y, n)
             raised += got is ConvergenceError
     assert 0 < raised < 3 * len(_TAIL_YS), raised
