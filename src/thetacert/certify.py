@@ -107,6 +107,8 @@ class CertificationReport:
     min_margin: Enclosure | None = None
     witness: Witness | None = None
     unresolved_box: Enclosure | None = None
+    #: why certify_sign stopped undecided: "box budget" or "depth limit"
+    reason: str = ""
     checks: list[Check] = field(default_factory=list)
     subreports: list["CertificationReport"] = field(default_factory=list)
 
@@ -140,6 +142,8 @@ class CertificationReport:
             parts.append(f"margin={_lm.to_str(self.min_margin._lo, 8)}")
         if self.witness is not None:
             parts.append(f"witness at {self.witness.y!r}")
+        if self.reason:
+            parts.append(f"stopped by the {self.reason}")
         failed = [c.name for c in self.checks if c.passed is False]
         if failed:
             parts.append("failed checks: " + ", ".join(failed))
@@ -232,7 +236,7 @@ def certify_sign(
         boxes += 1
         deepest = max(deepest, depth)
         if boxes > max_boxes:
-            report.status = Status.INCONCLUSIVE
+            report.status, report.reason = Status.INCONCLUSIVE, "box budget"
             report.unresolved_box = box
             break
         value = _evaluate(fn, box, cfg)
@@ -250,7 +254,7 @@ def certify_sign(
             report.witness = Witness(y=box, value=value, context=name)
             break
         if depth >= max_depth:
-            report.status = Status.INCONCLUSIVE
+            report.status, report.reason = Status.INCONCLUSIVE, "depth limit"
             report.unresolved_box = box
             break
         mid = _lm.mpf_shift(_lm.mpf_add(xa, xb, mid_prec, "n"), -1)

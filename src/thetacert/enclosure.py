@@ -10,7 +10,8 @@ operation set: +, -, *, /, exp, log, sqrt, rational powers of positive
 enclosures, and pi.  :class:`Jet` carries a value with its first two
 derivatives through products and quotients of Jets, so derivatives of a
 quotient such as y^2 theta4'/theta4 come out of its arithmetic rather than
-being differentiated by hand.
+being differentiated by hand.  :class:`Ball` is the midpoint-radius ball on
+Python integers that the thin series passes run on instead.
 
 Working precision is scoped with :func:`precision`::
 
@@ -24,7 +25,6 @@ threads.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,16 +68,22 @@ def current_precision() -> int:
     return _PRECISION.get()
 
 
-@contextlib.contextmanager
-def precision(bits: int):
-    """Scope the working precision for enclosure arithmetic."""
-    if bits < 53:
-        raise ValueError("precision below 53 bits is not supported")
-    token = _PRECISION.set(int(bits))
-    try:
-        yield
-    finally:
-        _PRECISION.reset(token)
+class precision:
+    """Scope the working precision for enclosure arithmetic: ``with precision(bits): ...``
+    (a class rather than a generator: every evaluation enters one, and this costs a fifth)."""
+
+    __slots__ = ("bits", "_token")
+
+    def __init__(self, bits: int):
+        if bits < 53:
+            raise ValueError("precision below 53 bits is not supported")
+        self.bits = int(bits)
+
+    def __enter__(self):
+        self._token = _PRECISION.set(self.bits)
+
+    def __exit__(self, *exc):
+        _PRECISION.reset(self._token)
 
 
 def _mpf(raw):
@@ -370,19 +376,245 @@ def _sign(v: Enclosure) -> int | None:
     return 1 if v.is_strictly_positive() else -1 if v.is_strictly_negative() else None
 
 
+#: a ball's midpoint carries this many bits above the working precision
+_BALL_GUARD_BITS = 32
+
+
+class Ball:
+    """A midpoint-radius ball [(m - r) 2^e, (m + r) 2^e]: Python integers m and r >= 0 over one
+    binary exponent e (van der Hoeven, *Ball arithmetic*, 2009; Johansson's Arb, 2017).
+
+    The thin passes of the series run on Balls: an operation costs a few integer products and
+    shifts where libmp's interval operations cost several normalized roundings.  Every
+    operation keeps |m| and r below 2^prec, prec the working precision plus _BALL_GUARD_BITS:
+    a truncation floors m and rounds r up past the dropped bits, so a result contains the exact
+    image of its operands.  The `_ball_*` functions take prec explicitly, with libmp's
+    signatures; the operators take it from the working precision and accept Balls, ints,
+    binary floats and Fractions (all exact but non-dyadic Fractions).  A Ball comes from a thin
+    Enclosure exactly (:meth:`of`) and returns to one by outward rounding (:meth:`enclosure`);
+    exp and pi come from the guarded Enclosure forms, so the trusted base is Python's integers
+    and those two mpmath kernels.
+    """
+
+    __slots__ = ("m", "r", "e")
+
+    def __init__(self, m: int, r: int, e: int):
+        self.m, self.r, self.e = m, r, e
+
+    @classmethod
+    def of(cls, enc: Enclosure) -> "Ball":
+        """The ball of an Enclosure: exact for a thin one."""
+        return _ball_of(enc._lo, enc._hi, current_precision() + _BALL_GUARD_BITS)
+
+    @classmethod
+    def pi(cls) -> "Ball":
+        """pi from :meth:`Enclosure.pi` at the ball's precision (cached per precision)."""
+        prec = current_precision() + _BALL_GUARD_BITS
+        ball = _PI_BALLS.get(prec)
+        if ball is None:
+            with precision(prec):
+                pi = Enclosure.pi()
+            ball = _PI_BALLS[prec] = _ball_of(pi._lo, pi._hi, prec)
+        return ball
+
+    def enclosure(self) -> Enclosure:
+        """The outward-rounded Enclosure at the working precision."""
+        prec, m, r = current_precision(), self.m, self.r
+        return Enclosure._from_mpi((_lm.from_man_exp(m - r, self.e, prec, "f"),
+                                    _lm.from_man_exp(m + r, self.e, prec, "c")))
+
+    def exp(self) -> "Ball":
+        """e^self by the guarded :meth:`Enclosure.exp`, at the ball's precision."""
+        prec = current_precision() + _BALL_GUARD_BITS
+        with precision(prec):
+            value = self.enclosure().exp()
+        return _ball_of(value._lo, value._hi, prec)
+
+    def _scaled(self, k: int) -> "Ball":
+        """self * 2^k, exactly."""
+        return Ball(self.m, self.r, self.e + k)
+
+    def is_strictly_positive(self) -> bool:
+        return self.m > self.r
+
+    def __neg__(self):
+        return Ball(-self.m, self.r, self.e)
+
+    def __pow__(self, n: int):
+        return _ball_pow_int(self, n, current_precision() + _BALL_GUARD_BITS)
+
+    def __repr__(self):
+        return "Ball" + repr(self.enclosure())[len("Enclosure"):]
+
+
+_PI_BALLS: dict[int, Ball] = {}
+_new = object.__new__  # the hot paths' constructor, without __init__'s frame
+
+
+def _ball(m: int, r: int, e: int, prec: int) -> Ball:
+    """The ball (m +- r) 2^e with m and r cut to `prec` bits: its ends rounded outward, the
+    lower one down and the upper one up, at the unit that leaves the midpoint prec bits."""
+    s, t = m.bit_length(), r.bit_length()
+    s = (s if s > t else t) + 1 - prec
+    if s > 0:
+        lo, hi = (m - r) >> s, -((-m - r) >> s)
+        m, r, e = lo + hi, hi - lo, e + s - 1
+    out = _new(Ball)
+    out.m, out.r, out.e = m, r, e
+    return out
+
+
+def _ball_of(lo, hi, prec: int) -> Ball:
+    """The ball of raw libmp endpoints lo <= hi: the ends at the finer exponent, exactly when
+    that leaves at most `prec` bits, else outward at the unit prec bits below the larger top;
+    then mid (lo + hi)/2 and radius (hi - lo)/2, cut to prec bits."""
+    (ls, lm, le, lbc), (hs, hm, he, hbc) = lo, hi
+    if lbc < 0 or hbc < 0:
+        raise DomainError("a ball needs finite endpoints")
+    lm, hm = -lm if ls else lm, -hm if hs else hm
+    le, he = le if lm else he, he if hm else le  # 0 takes the other end's exponent
+    e = max(min(le, he), max(le + lbc, he + hbc) - prec)
+    lm = lm << (le - e) if le >= e else lm >> (e - le)
+    hm = hm << (he - e) if he >= e else -(-hm >> (e - he))
+    return _ball(lm + hm, hm - lm, e - 1, prec)
+
+
+def _ball_const(value, prec: int) -> Ball:
+    """A Ball passes; an int or a dyadic Fraction or float is exact, another Fraction rounded."""
+    if type(value) is Ball:
+        return value
+    if isinstance(value, float):
+        value = Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Ball(value, 0, 0)
+    if not isinstance(value, Fraction):
+        raise TypeError(f"cannot build a ball from {type(value).__name__}")
+    n, d = value.numerator, value.denominator
+    if not d & (d - 1):
+        return Ball(n, 0, 1 - d.bit_length())
+    k = max(prec + d.bit_length() - n.bit_length(), 0)
+    return _ball((n << k) // d, 1, -k, prec)
+
+
+def _ball_mul(a: Ball, b: Ball, prec: int) -> Ball:
+    am, ar, bm, br = a.m, a.r, b.m, b.r
+    m, e = am * bm, a.e + b.e
+    # |(am + s)(bm + t) - am bm| <= (|am| + ar) br + |bm| ar for |s| <= ar, |t| <= br
+    r = ((am if am >= 0 else -am) + ar) * br + (bm if bm >= 0 else -bm) * ar if ar or br else 0
+    s, t = m.bit_length(), r.bit_length()
+    s = (s if s > t else t) - prec
+    if s > 0:  # cheaper than _ball's outward ends, which a product seldom needs
+        m, r, e = m >> s, (r >> s) + 2, e + s
+    out = _new(Ball)
+    out.m, out.r, out.e = m, r, e
+    return out
+
+
+def _ball_add(a: Ball, b: Ball, prec: int) -> Ball:
+    if a.e < b.e:
+        a, b = b, a
+    d = a.e - b.e  # b has the finer unit
+    if d <= 4 * prec:  # exact at b's unit, a short shift, then cut
+        return _ball((a.m << d) + b.m, (a.r << d) + b.r, b.e, prec)
+    if not (a.m or a.r):  # an exact 0 has no magnitude to align to
+        return b
+    if not (b.m or b.r):
+        return a
+    # far apart: take the ends to the unit `prec` bits below the larger top, outward, so that
+    # no shift is long
+    top = max(a.e + a.m.bit_length(), a.e + a.r.bit_length(), b.e + b.m.bit_length(),
+              b.e + b.r.bit_length())
+    e, lo, hi = max(b.e, top - prec), 0, 0
+    for x in (a, b):
+        k = x.e - e
+        if k >= 0:
+            lo, hi = lo + ((x.m - x.r) << k), hi + ((x.m + x.r) << k)
+        else:
+            lo, hi = lo + ((x.m - x.r) >> -k), hi - ((-x.m - x.r) >> -k)
+    return _ball(lo + hi, hi - lo, e - 1, prec)
+
+
+def _ball_sub(a: Ball, b: Ball, prec: int) -> Ball:
+    return _ball_add(a, Ball(-b.m, b.r, b.e), prec)
+
+
+def _ball_div(a: Ball, b: Ball, prec: int) -> Ball:
+    bm, br = b.m, b.r
+    den = abs(bm)
+    if den <= br:
+        raise DomainError("division by a ball containing zero")
+    am, ar = a.m, a.r
+    k = max(prec + den.bit_length() - am.bit_length(), 0)  # a quotient of about prec bits
+    # |(am + s)/(bm + t) - am/bm| <= (ar |bm| + |am| br) / (|bm| (|bm| - br)), in units of
+    # 2^(a.e - b.e - k); floor division takes one unit off the radius and one off the midpoint
+    r = ((ar * den + abs(am) * br) << k) // (den * (den - br)) + 2
+    return _ball((am << k) // bm, r, a.e - b.e - k, prec)
+
+
+_BALL_ONE = Ball(1, 0, 0)
+
+
+def _ball_pow_int(a: Ball, n: int, prec: int) -> Ball:
+    """a^n by repeated squaring (the factors taken as independent balls)."""
+    if n < 0:
+        return _ball_div(_BALL_ONE, _ball_pow_int(a, -n, prec), prec)
+    out = None
+    while n:
+        if n & 1:
+            out = a if out is None else _ball_mul(out, a, prec)
+        n >>= 1
+        if n:
+            a = _ball_mul(a, a, prec)
+    return _BALL_ONE if out is None else out
+
+
+def _ball_exceeds(b: Ball, t, lower: bool) -> bool:
+    """Whether b's lower end (`lower`) or upper end is above the positive raw mpf t."""
+    u = b.m - b.r if lower else b.m + b.r
+    if u <= 0:
+        return False
+    _, tm, te, tbc = t
+    top, t_top = u.bit_length() + b.e, tbc + te
+    if top != t_top:
+        return top > t_top
+    d = b.e - te  # equal tops: both shifts are short
+    return (u << d if d >= 0 else u) > (tm if d >= 0 else tm << -d)
+
+
+def _ball_operator(fn, swap=False):
+    """A Ball operator for fn(a, b, prec), at the working precision's ball precision."""
+    def operator(self, other):
+        prec = _PRECISION.get() + _BALL_GUARD_BITS
+        if type(other) is not Ball:
+            other = _ball_const(other, prec)
+        return fn(other, self, prec) if swap else fn(self, other, prec)
+    return operator
+
+
+Ball.__add__ = Ball.__radd__ = _ball_operator(_ball_add)
+Ball.__mul__ = Ball.__rmul__ = _ball_operator(_ball_mul)
+Ball.__sub__, Ball.__rsub__ = _ball_operator(_ball_sub), _ball_operator(_ball_sub, swap=True)
+Ball.__truediv__ = _ball_operator(_ball_div)
+Ball.__rtruediv__ = _ball_operator(_ball_div, swap=True)
+
+
 class Jet:
     """A function of one variable to second order: (value, first, second derivative),
-    each an Enclosure.
+    each an Enclosure, or each a Ball or an exact int.
 
     ``*`` and ``/`` of two Jets apply the product and quotient rules (forward-mode
     differentiation), so a product or quotient of Jets encloses its own derivatives.
     ``Jet(y, 1)`` is the variable y and ``Jet(c)`` a constant.  Unpacks as (v, d1, d2).
+    A Jet whose value is a Ball keeps its other entries as they are, so ints stay exact.
     """
 
     __slots__ = ("v", "d1", "d2")
 
     def __init__(self, v, d1=0, d2=0):
-        self.v, self.d1, self.d2 = as_enclosure(v), as_enclosure(d1), as_enclosure(d2)
+        if type(v) is Ball:
+            self.v, self.d1, self.d2 = v, d1, d2
+        else:
+            self.v, self.d1, self.d2 = as_enclosure(v), as_enclosure(d1), as_enclosure(d2)
 
     def __iter__(self):
         return iter((self.v, self.d1, self.d2))

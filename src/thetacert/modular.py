@@ -48,8 +48,7 @@ from fractions import Fraction
 from functools import cache
 
 from .certify import CertificationReport, Check
-from .enclosure import (DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, Jet, as_enclosure,
-                        precision)
+from .enclosure import DEFAULT_CONFIG, Ball, DomainError, Enclosure, EvalConfig, Jet, as_enclosure
 from .envelopes import log_grid
 from .theta import _check_order, _check_positive, _quadratic_series, _theta2, _theta4
 
@@ -92,7 +91,6 @@ def theta4_eval(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 #: sample points and combined-width bound of the modular identity check
 _IDENTITY_SAMPLES = 9
 _IDENTITY_WIDTH = 2.0 ** -80
-_MINUS_HALF = Enclosure(-0.5)  # f' = -1/2 + ..., exact
 
 
 def verify_modular_identities(
@@ -132,18 +130,21 @@ def verify_modular_identities(
 def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
     """f^(k)(y) for each order k of `orders` by the forms in the module docstring, all read off
     one Jet quotient at x = 1/y, from one pass over P_r for r <= max(orders) + 1: scaled on a
-    box, plain on a thin y (width <= cfg.tol, as in verifier._f), where 32 more bits on x keep
-    f'' no wider; 2 pi, pi/4 and y/2 by rounded shifts."""
+    box, plain on a thin y (width <= cfg.tol, as in verifier._f), which runs on Balls 32 bits
+    above the working precision, so that x carries them into f''; 2 pi, pi/4 and y/2 by
+    shifts."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "modular f series")
-        thin, pi = y.width <= cfg.tol, Enclosure.pi()
-        with precision(cfg.precision_bits + 32 * thin):
-            x = 1 / y
+        thin = y.width <= cfg.tol
+        if thin:
+            y = Ball.of(y)
+        pi = type(y).pi()
+        x = 1 / y
         scaled = (lambda v: v) if thin else (-(pi._scaled(1) * x)).exp().__mul__  # v or eps v
         p = _quadratic_series("Q-series", x, lambda j: j * (j + 1), range(orders[-1] + 2), cfg,
                               a0=0 if thin else 2, relative=thin)
         g, g1, g2 = Jet(*p[1:]) / Jet(1 + scaled(p[0]), *map(scaled, p[1:-1]))
         forms = (lambda: pi._scaled(-2) - y._scaled(-1) - scaled(g),  # formed only when requested
-                 lambda: _MINUS_HALF + scaled(x * x) * g1,
+                 lambda: scaled(x * x) * g1 - 0.5,
                  lambda: scaled(x ** 3) * (-(g1 + g1) - x * g2))
-        return [forms[k]() for k in orders]
+        return [forms[k]().enclosure() if thin else forms[k]() for k in orders]

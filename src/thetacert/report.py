@@ -111,6 +111,8 @@ def certification_record(report: CertificationReport, digits: int = DEFAULT_DECI
         rec["witness"] = _witness_record(report.witness, digits)
     if report.unresolved_box is not None:
         rec["unresolved_box"] = list(decimal_bounds(report.unresolved_box, digits))
+    if report.reason:
+        rec["reason"] = report.reason
     if report.checks:
         rec["checks"] = _check_records(report)
     if report.subreports:

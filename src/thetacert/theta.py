@@ -30,9 +30,16 @@ by q^{a(n+1)} = q^{a(n)} q^{a(n+1) - a(n)} (u_m = u_{m-1} u_1).  Every factor is
 positive enclosure decreasing in y, so an outward-rounded product's lower end bounds
 its value at y.hi from below and its upper end its value at y.lo from above: it
 encloses the exact range on any box, and its upper end bounds the omitted terms.
-Term steps, tail bounds and the kernel's partial sums run on raw libmp interval pairs at one
-precision read per pass, rounding each operation as its Enclosure form: the same bits.  Each
-term, tail bound and result becomes an Enclosure once, for the kernel's Enclosure contract.
+Term steps, tail bounds and the kernel's partial sums run in one of two arithmetics, which the
+type of y picks (``_arithmetic``), under the same stopping rule, tail formulas, gates and
+near-end contract.  For an Enclosure y they run on raw libmp interval pairs at one precision
+read per pass, rounding each operation as its Enclosure form: the same bits; each term, tail
+bound and result becomes an Enclosure once.  For a Ball y, the thin passes of verifier._f
+(width <= cfg.tol), they run on midpoint-radius Balls of Python integers 32 bits above the
+working precision: every truncation floors the midpoint and rounds the radius up, so each
+operation's result contains the exact image of its operands, and the results stay Balls until
+their caller rounds them outward into Enclosures, once.  The Ball path trusts Python's
+integers and the guarded mpmath exp and pi of the Enclosure forms, converted once per pass.
 
 Evaluators:
 
@@ -57,15 +64,25 @@ and :mod:`thetacert.verifier` (f).
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from mpmath import libmp as _lm
 
 from .enclosure import (
+    _BALL_GUARD_BITS,
     DEFAULT_CONFIG,
+    Ball,
     ConvergenceError,
     DomainError,
     Enclosure,
     EvalConfig,
+    _ball_add,
+    _ball_const,
+    _ball_div,
+    _ball_exceeds,
+    _ball_mul,
+    _ball_pow_int,
+    _ball_sub,
     _to_raw_pair,
     as_enclosure,
     current_precision,
@@ -99,13 +116,19 @@ _ZERO = Enclosure(0)  # exact at any precision
 _SIX, _MINUS_SIX, _TWELVE = ((_lm.from_int(c),) * 2 for c in (6, -6, 12))
 
 
+def _arithmetic(element) -> SimpleNamespace:
+    """The arithmetic of a kernel element or a series argument: Balls for a Ball, else pairs."""
+    return _BALLS if type(element) is Ball else _PAIRS
+
+
 def _geometric_tail(first, ratio, prec: int) -> tuple:
-    """first * (1 + r + r^2 + ...) on raw intervals, rounded as first / (1 - r), for a ratio r
-    certified below 1; raises ConvergenceError when 1 - r's lower end is not positive."""
-    rest = _lm.mpi_sub(_ONE, ratio, prec)
-    if _lm.mpf_sign(rest[0]) <= 0:
+    """first * (1 + r + r^2 + ...) on raw intervals or Balls, rounded as first / (1 - r), for a
+    ratio r certified below 1; raises ConvergenceError when 1 - r's lower end is not positive."""
+    ar = _arithmetic(ratio)
+    rest = ar.sub(ar.const(1, prec), ratio, prec)
+    if not ar.positive(rest):
         raise ConvergenceError("tail ratio not certified below 1")
-    return _lm.mpi_div(first, rest, prec)
+    return ar.div(first, rest, prec)
 
 
 def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_divisor: int = 1,
@@ -119,20 +142,21 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
     past term k, which must reach tol.  Gate and tails must be inclusion isotone in y, and
     tail raises ConvergenceError on a box wherever it does on a point.
     signs: +1 or -1 where every term has that sign, 0 where signs mix.
-    Enclosures in and out; the sums run on raw pairs at one precision read, rounding as
-    Enclosure addition does, and each result becomes an Enclosure once.
+    Enclosures in and out, summed on raw pairs at one precision read, rounding as Enclosure
+    addition does, each result an Enclosure once; or Balls in and out, summed on Balls.
     """
-    prec, add, cmp = current_precision(), _lm.mpi_add, _lm.mpf_cmp
+    ar = _arithmetic(start[0])
+    prec, add, unwrap, exceeds = current_precision() + ar.guard, ar.add, ar.unwrap, ar.exceeds
     tol = _lm.mpf_shift(cfg.tol._mpf_, -tol_shift)
     gate_tol = _lm.mpf_shift(tol, 1 - gate_divisor.bit_length())  # tol / gate_divisor, exact
-    sums = near = [(s._lo, s._hi) for s in start]
+    sums = near = [unwrap(s) for s in start]
     near_open = any(signs)  # near: the sums up to where the near-zero ends stop
     for k in range(1, cfg.max_terms + 1):
         terms, gate = step(k)
-        sums = [add(s, (t._lo, t._hi), prec) for s, t in zip(sums, terms)]
+        sums = [add(s, unwrap(t), prec) for s, t in zip(sums, terms)]
         if near_open:
             near = sums
-        if cmp(gate._lo if near_open else gate._hi, gate_tol) > 0:
+        if exceeds(gate, gate_tol, near_open):
             continue
         try:
             bounds = tail(k)
@@ -140,17 +164,19 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
             near_open = False
             continue
         if near_open:
-            near_open = any(cmp(b._lo, tol) > 0 for b in bounds)
-        if cmp(gate._hi, gate_tol) <= 0 and all(cmp(b._hi, tol) <= 0 for b in bounds):
-            return [_settle(s, b._hi, n, sign, prec)
+            near_open = any(exceeds(b, tol, True) for b in bounds)
+        if not exceeds(gate, gate_tol, False) and not any(exceeds(b, tol, False) for b in bounds):
+            return [ar.settle(s, b, n, sign, prec)
                     for s, n, b, sign in zip(sums, near, bounds, signs)]
     raise ConvergenceError(f"{what} did not reach tail tolerance within {cfg.max_terms} terms")
 
 
-def _settle(total: tuple, b, near: tuple, sign: int, prec: int) -> Enclosure:
-    """total + [0, b], [-b, 0] or [-b, b] on raw pairs (negating an mpf b would round to 53
-    bits), with the near-zero end of a one-signed sum taken from its shorter partial sum
-    `near`; the terms between them share the sign, so the true sum lies beyond near's end."""
+def _settle(total: tuple, bound: Enclosure, near: tuple, sign: int, prec: int) -> Enclosure:
+    """total + [0, b], [-b, 0] or [-b, b] on raw pairs, b the bound's upper end (negating an
+    mpf b would round to 53 bits), with the near-zero end of a one-signed sum taken from its
+    shorter partial sum `near`; the terms between them share the sign, so the true sum lies
+    beyond near's end."""
+    b = bound._hi
     tail = (_lm.fzero if sign > 0 else _lm.mpf_neg(b), _lm.fzero if sign < 0 else b)
     lo, hi = _lm.mpi_add(total, tail, prec)
     if sign > 0 and _lm.mpf_cmp(near[0], lo) < 0:
@@ -158,6 +184,44 @@ def _settle(total: tuple, b, near: tuple, sign: int, prec: int) -> Enclosure:
     if sign < 0 and _lm.mpf_cmp(near[1], hi) > 0:
         hi = near[1]
     return Enclosure._from_mpi((lo, hi))
+
+
+def _ball_settle(total: Ball, bound: Ball, near: Ball, sign: int, prec: int) -> Ball:
+    """_settle on Balls: the tail [0, b], [-b, 0] or [-b, b] is a ball, and a one-signed sum's
+    near-zero end moves out by the gap to near's, where near's lies beyond it."""
+    u, e = bound.m + bound.r, bound.e
+    out = _ball_add(total, Ball(sign * u, u, e - 1) if sign else Ball(0, u, e), prec)
+    if sign and near is not total:  # sign * m - r: the near-zero end, times sign, exactly
+        gap = _ball_sub(Ball(sign * out.m - out.r, 0, out.e),
+                        Ball(sign * near.m - near.r, 0, near.e), prec)
+        g = gap.m + gap.r
+        if g > 0:
+            out = _ball_add(out, Ball(-sign * g, g, gap.e - 1), prec)
+    return out
+
+
+def _identity(x):
+    return x
+
+
+#: The raw operations that the kernel and a quadratic pass run, with libmp's signatures: on
+#: libmp interval pairs, whose kernel elements are Enclosures (wrap, unwrap), or on Balls, which
+#: are their own; they run at the working precision plus `guard` bits.  positive(v): v's lower
+#: end is above 0; exceeds(x, t, lower): x's lower (or upper) end is above the positive raw mpf
+#: t; top(v): an integer with 2^(top - 1) <= v's upper end; settle: the kernel's result.
+_PAIRS = SimpleNamespace(
+    guard=0, mul=_lm.mpi_mul, add=_lm.mpi_add, sub=_lm.mpi_sub, div=_lm.mpi_div,
+    neg=_lm.mpi_neg, pow_int=_lm.mpi_pow_int, const=_to_raw_pair,
+    shift=lambda x, k: (_lm.mpf_shift(x[0], k), _lm.mpf_shift(x[1], k)),
+    wrap=Enclosure._from_mpi, unwrap=lambda x: (x._lo, x._hi),
+    positive=lambda x: _lm.mpf_sign(x[0]) > 0,
+    exceeds=lambda x, t, lower: _lm.mpf_cmp(x._lo if lower else x._hi, t) > 0,
+    top=lambda x: x[1][2] + x[1][3], settle=_settle)
+_BALLS = SimpleNamespace(
+    guard=_BALL_GUARD_BITS, mul=_ball_mul, add=_ball_add, sub=_ball_sub, div=_ball_div,
+    neg=lambda x, prec: -x, pow_int=_ball_pow_int, const=_ball_const, shift=Ball._scaled,
+    wrap=_identity, unwrap=_identity, positive=Ball.is_strictly_positive,
+    exceeds=_ball_exceeds, top=lambda b: (b.m + b.r).bit_length() + b.e, settle=_ball_settle)
 
 
 def _largest(sizes: list[tuple]) -> Enclosure:
@@ -170,8 +234,10 @@ def _largest(sizes: list[tuple]) -> Enclosure:
 
 
 #: `_quadratic_series` constants by (a(1), a(2), a(3), scale shift, precision, first and top
-#: order), then by index: a thin pass at 128 bits stops by index 6
+#: order), then by index: a thin pass at 128 bits stops by index 6; _BALL_CONSTANTS holds those
+#: of the Ball passes, by their precision
 _SERIES_CONSTANTS: dict[tuple, dict[int, tuple]] = {}
+_BALL_CONSTANTS: dict[tuple, dict[int, tuple]] = {}
 _TABLED_INDICES = 8
 
 
@@ -195,6 +261,8 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     fresh computation, each index stored on its own; past it a step forms c a(n) alone.
     `relative`: the sums go to tol times a power of two at most E_1 (gate and tails), as
     sums of size 1 go to tol, and not to tol itself.
+    An Enclosure y runs on raw pairs and returns Enclosures; a Ball y (a thin pass) runs on
+    Balls, 32 bits above the working precision throughout, and returns Balls.
     """
     if tuple(orders) != tuple(range(orders[0], orders[-1] + 1)):
         raise ValueError(f"{what}: orders must be consecutive, got {tuple(orders)}")
@@ -204,19 +272,22 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     a1, a2, a3 = a(1), a(2), a(3)
     if a(4) - 3 * a3 + 3 * a2 - a1:
         raise ValueError(f"{what}: the exponents a(n) must be quadratic in n")
-    shift, pi = num.bit_length() - den.bit_length(), Enclosure.pi()  # scale = 2^shift
-    c = (_lm.mpf_shift(pi._lo, shift), _lm.mpf_shift(pi._hi, shift))
+    ar = _arithmetic(y)
+    shift, pi = num.bit_length() - den.bit_length(), type(y).pi()  # scale = 2^shift
+    c = ar.shift(ar.unwrap(pi), shift)
     # q^a(n) has a(n) times q's relative width and the products' roundings add up to about
-    # n^2/2 ulps: 32 more bits keep both below a working ulp while a(n) < 2^24 (theta2 at 1e-5)
-    prec = current_precision()
-    chain_bits = prec + 32
-    with precision(chain_bits):
-        q = (-(Enclosure.pi() * y._scaled(shift))).exp()
+    # n^2/2 ulps: 32 more bits keep both below a working ulp while a(n) < 2^24 (theta2 at 1e-5);
+    # a Ball carries them already
+    prec = current_precision() + ar.guard
+    chain_bits = current_precision() + 32
+    with precision(chain_bits - ar.guard):
+        q = (-(type(y).pi() * y._scaled(shift))).exp()
         powers = (q ** (a1 - a0), q ** (a2 - a1), q ** (a3 - 2 * a2 + a1))
-    e, ratio, d = ((p._lo, p._hi) for p in powers)  # E_1, R_1, D as raw intervals
-    mul, pow_int, raw, div = _lm.mpi_mul, _lm.mpi_pow_int, _to_raw_pair, _lm.mpi_div
+    e, ratio, d = map(ar.unwrap, powers)  # E_1, R_1, D as raw intervals or Balls
+    mul, pow_int, raw, div, neg, wrap = ar.mul, ar.pow_int, ar.const, ar.div, ar.neg, ar.wrap
     w_r, first, top = raw(weight, prec), orders[0], orders[-1]
-    known = _SERIES_CONSTANTS.setdefault((a1, a2, a3, shift, prec, first, top), {})
+    table = _BALL_CONSTANTS if ar is _BALLS else _SERIES_CONSTANTS
+    known = table.setdefault((a1, a2, a3, shift, prec, first, top), {})
 
     def constants(k):  # c a(k), (c a(k))^first, (c a(k))^R, (a(k+1)/a(k))^R, (c a(k))^(R-r)
         entry = known.get(k)
@@ -243,19 +314,19 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
         terms = [mag]
         for _ in orders[1:]:
             terms.append(mul(terms[-1], ca, prec))
-        return [Enclosure._from_mpi(_lm.mpi_neg(t, prec) if (r + n * alternating) % 2 else t)
-                for r, t in zip(orders, terms)], Enclosure._from_mpi(mag)
+        return [wrap(neg(t, prec) if (r + n * alternating) % 2 else t)
+                for r, t in zip(orders, terms)], wrap(mag)
 
     def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}; on raw intervals,
         # the geometric tail of w * E_{n+1} * (c * a(n+1))^R, ratio growth^R * R_{n+1}
         _, _, ca_top, growth_top, lower = constants(n + 1)
         b = _geometric_tail(mul(mul(w_r, e, prec), ca_top, prec), mul(growth_top, ratio, prec),
                             prec)
-        return [Enclosure._from_mpi(div(b, power, prec)) for power in lower]
+        return [wrap(div(b, power, prec)) for power in lower]
 
-    sums = [Enclosure(start) if r == 0 else _ZERO for r in orders]
+    sums = [wrap(raw(start if r == 0 else 0, prec)) for r in orders]
     signs = [0 if alternating else (-1) ** r for r in orders]
-    shift = 1 - e[1][2] - e[1][3] if relative else 0  # 2^-shift <= E_1's upper end
+    shift = 1 - ar.top(e) if relative else 0  # 2^-shift <= E_1's upper end
     return certified_sum(what, cfg, sums, step, tail, signs, gate_divisor=4, tol_shift=shift)
 
 
@@ -271,9 +342,10 @@ def theta4_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
 
 
 def _theta4(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
-    """theta4^(r)(y) for each order r of `orders`, in one pass over the terms."""
+    """theta4^(r)(y) for each order r of `orders`, in one pass over the terms (Balls for a
+    Ball y)."""
     with cfg.scope():
-        y = _check_positive(as_enclosure(y), "theta4_series")
+        y = _check_positive(y if type(y) is Ball else as_enclosure(y), "theta4_series")
         return _quadratic_series("theta4_series", y, lambda k: k * k, orders, cfg,
                                  weight=2, alternating=True, start=1)
 

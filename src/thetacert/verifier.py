@@ -40,7 +40,7 @@ from operator import add
 
 from . import envelopes
 from .certify import CertificationReport, Check, certify_sign
-from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, Jet, _below, as_enclosure
+from .enclosure import DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet, _below, as_enclosure
 from .envelopes import _envelope_poly, check_c_admissible
 from .exppoly import DegreeError, ExpPoly
 from .modular import _f_modular
@@ -426,7 +426,7 @@ def h_reciprocal(y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _f_jet(y: Enclosure, t) -> Jet:
+def _f_jet(y: Enclosure | Ball, t) -> Jet:
     """f = y^2 theta4'/theta4 as a Jet in y, from t = (theta4, theta4', ...) at y; its
     entries are f, f', f'' up to order len(t) - 2.  y^2 is the exact Jet (y^2, 2y, 2): the bits of
     Jet(y, 1) * Jet(y, 1), without its products by 0 and 1.  Call inside a precision scope."""
@@ -439,11 +439,11 @@ _INTERVAL = ("0.05", 20)
 _OVERLAP = ("0.8", "1.25")
 #: the boundary of `auto`'s routes: modular on y <= 1, Lambert on y >= 1
 _ROUTE_CUT = 1
-#: `auto` reads a thin y in [1, _THIN_CAP] off the theta4 Jet, 5 terms at y = 1 to the Lambert
-#: sum's 28, and tighter; for all three orders (scan's f, f', f'') the Jet is cheaper to about
-#: y = 25 (127 against 203 us at y = 9), but for one order (eval, points) Lambert is cheaper from
-#: about y = 9 (f: 81 against 106 us, f'': 98 against 131 at y = 16; 128 bits, 2-core x86); the
-#: cap fixes the route of scan rows past 8; on boxes Lambert takes fewer boxes
+#: `auto` reads a thin y in [1, _THIN_CAP] off the theta4 Jet on Balls, 5 terms at y = 1 to the
+#: Lambert sum's 28; on Balls the Jet is cheaper than the Lambert sum through y = 25 for one
+#: order and for three (f: 0.6x at y = 9 and 0.8x at 25; f, f', f'': 0.4x at 9) and 100 times
+#: narrower there (128 bits, 2-core x86); the cap stays, as it fixes the route of scan rows past
+#: 8, and moving it is ROADMAP item 18's; on boxes Lambert takes fewer boxes
 _THIN_CAP = 8
 
 
@@ -452,7 +452,7 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
     modular on y <= _ROUTE_CUT = 1 and Lambert on y >= 1, so a caller's box [lo, hi] around 1
     (:func:`verify_convexity` cuts at 1) is, entry by entry, the hull of the routes on [lo, 1]
     and [1, hi]; a thin y (width <= cfg.tol) in [1, _THIN_CAP] is read off :func:`_f_jet` on
-    one theta4 pass instead.  The Lambert route is :func:`_lambert_sum`, which encloses a
+    one theta4 pass instead, on Balls, rounded into Enclosures once.  The Lambert route is :func:`_lambert_sum`, which encloses a
     box's m = 1 term by its mean-value form."""
     if route == "modular":
         return _f_modular(y, orders, cfg)
@@ -465,8 +465,9 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
         if y.hi <= _ROUTE_CUT:
             return _f_modular(y, orders, cfg)
         if y.lo >= _ROUTE_CUT and y.hi <= _THIN_CAP and y.width <= cfg.tol:
+            y = Ball.of(y)
             jet = tuple(_f_jet(y, _theta4(y, range(orders[-1] + 2), cfg)))
-            return [jet[k] for k in orders]
+            return [jet[k].enclosure() for k in orders]
         if y.lo >= _ROUTE_CUT:
             return _lambert_sum(y, orders, cfg)
         below = _f_modular(Enclosure(y.lo, _ROUTE_CUT), orders, cfg)

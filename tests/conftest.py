@@ -9,7 +9,8 @@ bracket constants come from an exact symbolic expansion of the envelope
 products (rational coefficients times powers of pi, recorded here as
 exact Fractions).  Tests assert that the library's enclosures contain
 these values; they are never fed back into the library.  Above them,
-`count_calls` counts the calls of one function for the work-count tests.
+`count_calls` counts the calls of one function, and `count_arithmetic` the Enclosure
+arithmetic, for the work-count tests.
 Past them, plain-mpmath oracles at any precision: mp_scalar differentiates
 numerically, mp_f_modular sums f's Q-series form directly, and mp_lambert sums
 its Lambert form.
@@ -49,6 +50,19 @@ def count_calls(monkeypatch, owner, name) -> list:
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def count_arithmetic(monkeypatch) -> list:
+    """Count every Enclosure arithmetic operation for the test, by operator name."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
+        def counting(self, *args, _inner=getattr(Enclosure, name), _name=name):
+            calls.append(_name)
+            return _inner(self, *args)
+
+        monkeypatch.setattr(Enclosure, name, counting)
     return calls
 
 

@@ -64,6 +64,21 @@ def test_touching_zero_is_inconclusive_not_failed(cfg):
     assert report.unresolved_box.contains(1)
 
 
+def test_an_inconclusive_report_names_the_bound_that_stopped_it(cfg):
+    # the depth limit and the box budget each stop a search undecided; the report, its
+    # summary and its JSON record say which, and a certified record carries no reason
+    from thetacert.report import certification_record
+
+    deep = certify_sign(_touching, (0, 2), +1, cfg, max_depth=12, name="touches")
+    wide = certify_sign(_touching, (0, 2), +1, cfg, max_boxes=20, name="touches")
+    for report, reason in ((deep, "depth limit"), (wide, "box budget")):
+        assert report.status is Status.INCONCLUSIVE and report.reason == reason
+        assert f"stopped by the {reason}" in report.summary()
+        assert certification_record(report)["reason"] == reason
+    certified = certify_sign(_parabola, (0, 5), +1, cfg, name="parabola")
+    assert certified.reason == "" and "reason" not in certification_record(certified)
+
+
 def test_escalation_resolves_marginal_boxes():
     # at 53 bits a margin near 2^-60 is undecidable; escalation to 106 decides
     shift = Enclosure(1) / Enclosure(2) ** 60

@@ -18,7 +18,7 @@ from thetacert import scanner
 from thetacert.cli import main
 from thetacert.report import decimal_bounds
 
-from conftest import count_calls, verify_all_document
+from conftest import count_arithmetic, count_calls, verify_all_document
 
 
 def run_cli(*argv):
@@ -399,6 +399,17 @@ def test_verify_all_takes_at_most_199_exps(tmp_path, capsys, monkeypatch):
     exps = count_calls(monkeypatch, thetacert.Enclosure, "exp")
     verify_all_document(tmp_path / "all.json")
     assert len(exps) <= 199, len(exps)
+
+
+def test_scan_takes_at_most_32_exps_and_192_enclosure_operations(capsys, monkeypatch):
+    # 16 thin rows: the thin f passes run on balls, one exp each and no Enclosure arithmetic;
+    # the rest is the family's power y^0.1 (an exp and a log) and its product, per row
+    exps = count_calls(monkeypatch, thetacert.Enclosure, "exp")
+    arithmetic = count_arithmetic(monkeypatch)
+    assert run_cli("scan", "--a", "2.1", "--resolution", "16") == 0
+    capsys.readouterr()
+    assert len(exps) <= 32, len(exps)
+    assert len(arithmetic) <= 192, len(arithmetic)
 
 
 #: the sandwich grid and the modular samples of `verify all`, as their check names print them

@@ -201,3 +201,58 @@ def test_repeated_tol_reads_parse_the_tolerance_once(monkeypatch):
 def test_nan_endpoint_rejected(endpoints):
     with pytest.raises(ValueError, match="NaN"):
         Enclosure(*endpoints)
+
+
+# --- midpoint-radius balls: each operation contains the exact image of its operands ---
+
+def _ball_ends(b):
+    """A Ball's ends as exact Fractions."""
+    from thetacert.enclosure import Ball
+
+    assert isinstance(b, Ball) and b.r >= 0
+    unit = Fraction(2) ** b.e
+    return (b.m - b.r) * unit, (b.m + b.r) * unit
+
+
+_ball_parts = st.tuples(st.integers(-2 ** 200, 2 ** 200), st.integers(0, 2 ** 40),
+                        st.integers(-400, 400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_ball_parts, b=_ball_parts, prec=st.sampled_from([85, 160, 288]))
+def test_ball_operations_contain_the_exact_image_of_their_operands(a, b, prec):
+    # wide and thin balls, far and near exponents: every op at the ends and midpoints of its
+    # operands stays inside its result ball, and so does its Enclosure rounded outward
+    from thetacert.enclosure import (Ball, _ball_add, _ball_div, _ball_mul, _ball_pow_int,
+                                     _ball_sub)
+
+    x, y = Ball(*a), Ball(*b)
+    points = [(p, q) for p in (*_ball_ends(x), Fraction(x.m) * Fraction(2) ** x.e)
+              for q in (*_ball_ends(y), Fraction(y.m) * Fraction(2) ** y.e)]
+    ops = [(_ball_add, lambda p, q: p + q), (_ball_sub, lambda p, q: p - q),
+           (_ball_mul, lambda p, q: p * q), (lambda u, v, n: _ball_pow_int(u, 3, n),
+                                             lambda p, q: p ** 3)]
+    if abs(y.m) > y.r:
+        ops.append((_ball_div, lambda p, q: p / q))
+    for op, exact in ops:
+        result = op(x, y, prec)
+        lo, hi = _ball_ends(result)
+        with precision(prec - 32):
+            enc = result.enclosure()
+        enc_lo, enc_hi = (Fraction((-1) ** sign * man) * Fraction(2) ** exp
+                          for sign, man, exp, _ in (enc._lo, enc._hi))
+        for p, q in points:
+            assert lo <= exact(p, q) <= hi, (op, a, b)
+            assert enc_lo <= exact(p, q) <= enc_hi, (op, a, b)
+
+
+def test_a_ball_round_trips_a_thin_enclosure_and_refuses_a_zero_divisor():
+    from thetacert.enclosure import Ball
+
+    with precision(128):
+        y = Enclosure("0.3")
+        assert Ball.of(y).enclosure() == y
+        quarter = (Ball.of(Enclosure(2)) / Ball.of(Enclosure(8))).enclosure()
+        assert quarter.contains(0.25) and quarter.width < 2.0 ** -128
+        with pytest.raises(DomainError):
+            Ball.of(y) / Ball.of(Enclosure(-1, 1))

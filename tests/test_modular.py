@@ -21,8 +21,8 @@ from thetacert import (
 from thetacert.enclosure import Jet
 from thetacert.envelopes import log_grid
 from thetacert.modular import _f_modular
-from thetacert.theta import _quadratic_series
-from thetacert.verifier import _f, f_eval, f_prime, f_second
+from thetacert.theta import _quadratic_series, _theta4
+from thetacert.verifier import _f, _f_jet, f_eval, f_prime, f_second
 
 from conftest import (
     F_SECOND_AT_HALF,
@@ -250,3 +250,27 @@ def test_thin_modular_f_is_no_wider_than_the_scaled_form(bits):
         for k, (plain, scaled) in enumerate(zip(_f(y, range(3), cfg), _scaled_modular_f(y, cfg))):
             assert plain.intersects(scaled), (k, y)
             assert plain.width <= scaled.width, (k, y, plain.width, scaled.width)
+
+
+def _thin_f_on_enclosures(y, cfg):
+    """f, f', f'' at a thin y by the thin routes' formulas in Enclosure arithmetic: the plain
+    modular forms with x = 1/y to 32 more bits for y <= 1, the theta4 Jet above."""
+    with cfg.scope():
+        if y.hi > 1:
+            return list(_f_jet(y, _theta4(y, range(4), cfg)))
+        with precision(cfg.precision_bits + 32):
+            x = 1 / y
+        pi = Enclosure.pi()
+        p = _quadratic_series("Q-series", x, lambda j: j * (j + 1), range(4), cfg, relative=True)
+        g, g1, g2 = Jet(*p[1:]) / Jet(1 + p[0], *p[1:-1])
+        return [pi / 4 - y / 2 - g, x * x * g1 - Enclosure("0.5"), x ** 3 * (-2 * g1 - x * g2)]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_thin_f_on_balls_is_at_most_twice_as_wide_as_on_enclosures(bits):
+    # the thin routes run on balls 32 bits above the working precision and round once
+    cfg = EvalConfig(precision_bits=bits)
+    for y in log_grid(1e-5, 8.0, 201):
+        for k, (ball, enc) in enumerate(zip(_f(y, range(3), cfg), _thin_f_on_enclosures(y, cfg))):
+            assert ball.intersects(enc), (k, y)
+            assert ball.width <= 2 * enc.width, (k, y, ball.width, enc.width)

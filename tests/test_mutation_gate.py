@@ -1,0 +1,74 @@
+"""The mutation gate of the proof (ROADMAP item 12): each mutant of the proof content is applied
+in process by monkeypatching a table or a record's bracket, and `verify` must then end
+non-certified (exit 1).
+
+A survivor still lets `verify all` end certified: it is a strict xfail that names the roadmap
+item meant to kill it, so the change that kills it must flip the entry into a passing pin.  A
+killed mutant runs only the suite that kills it, which `verify all` includes.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from thetacert import modular, verifier
+from thetacert.cli import main as cli_main
+from thetacert.exppoly import ExpPoly
+from thetacert.verifier import _Bracket
+
+
+def _bracket(name, poly):
+    """verifier.<name> with its polynomial replaced, name, variable and sign kept."""
+    old = getattr(verifier, name)
+    return name, _Bracket(old.name, old.var, old.sign, poly)
+
+
+def _move_corners(monkeypatch):
+    """Move the even f'' corner and both f' corners from 2 to 4: the brackets still hold past
+    4, and nothing ties a corner to y >= 2/pi."""
+    inner = verifier._certify_bracket
+    moved = (verifier._EVEN_CONVEX, verifier._EVEN_DECREASING, verifier._ODD_DECREASING)
+
+    def certify(bracket, corner, cfg, *premises):
+        return inner(bracket, 4 if bracket in moved and corner == 2 else corner, cfg, *premises)
+
+    monkeypatch.setattr(verifier, "_certify_bracket", certify)
+
+
+def _survivor(item, what):
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {what} survives")
+
+
+_MUTANTS = [
+    pytest.param("all", _bracket("_EVEN_CONVEX", ExpPoly({0: (-1, 1), -2: (2, 1)})),
+                 marks=_survivor(1, "t - 1 + e^(-2t)(t + 2) as the even f'' bracket"),
+                 id="even-convex-bracket"),
+    pytest.param("all", _bracket("_ODD_CONVEX", ExpPoly({0: (-3, 1)})),
+                 marks=_survivor(1, "s - 3 as the odd f'' bracket"), id="odd-convex-bracket"),
+    pytest.param("all", _bracket("_EVEN_DECREASING", ExpPoly({0: (2, -1), -2: (-1,)})),
+                 marks=_survivor(1, "2 - t - e^(-2t) as the even f' bracket"),
+                 id="even-decreasing-bracket"),
+    pytest.param("all", _bracket("_ODD_DECREASING", ExpPoly({0: (1, -1), -1: (-2,)})),
+                 marks=_survivor(1, "1 - s - 2e^(-s) as the odd f' bracket"),
+                 id="odd-decreasing-bracket"),
+    pytest.param("all", _move_corners,
+                 marks=_survivor(3, "the even f'' and both f' corners moved from 2 to 4"),
+                 id="corners-2-to-4"),
+    pytest.param("modular", (modular.MODULAR_COEFFICIENTS, 2, (Fraction(3, 4), 4, 1)),
+                 id="modular-table-row-2"),
+    pytest.param("small-y", (verifier._ROUNDED, "zeta", Fraction(1, 25)), id="rounded-zeta"),
+    pytest.param("g-chain", _bracket("_G_BRACKET", ExpPoly({0: (-6, -8, 5), -1: (6, 8, 1)})),
+                 id="g-bracket-x-squared"),
+]
+
+
+@pytest.mark.parametrize("suite, mutant", _MUTANTS)
+def test_a_mutant_of_the_proof_ends_non_certified(monkeypatch, capsys, suite, mutant):
+    if callable(mutant):
+        mutant(monkeypatch)
+    elif isinstance(mutant[0], str):
+        monkeypatch.setattr(verifier, *mutant)
+    else:
+        monkeypatch.setitem(*mutant)
+    assert cli_main(["verify", suite]) == 1
+    capsys.readouterr()

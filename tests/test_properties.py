@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
-from conftest import g_prime, h_direct, mp_lambert, mp_scalar, mp_theta4, q_series_derivatives
+from conftest import (g_prime, h_direct, mp_f_modular, mp_lambert, mp_scalar, mp_theta2, mp_theta4,
+                      q_series_derivatives)
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
 from thetacert.theta import _quadratic_series, psi
 from thetacert.scanner import _f_a
@@ -414,3 +415,49 @@ def test_offset_q_series_contains_direct_sum(x, bits):
     for r in range(4):
         _assert_deep_chain(box, on_thin[r], on_box[r], lambda v: _q_offset_direct(v, r, 4 * bits),
                            cfg)
+
+
+# --- every eval function at thin points over [1e-8, 1e8], against oracles ---
+
+#: one thin point a decade; theta2 from 1e-4 only, as below that the library's own direct theta2
+#: sum runs to tens of thousands of terms (ROADMAP item 18)
+_DECADES = [f"1e{k}" for k in range(-8, 9)]
+
+
+def _oracle(function, nu, y, bits):
+    """(value, slack) of an eval function at the exact point y: direct sums and the modular f
+    at 4x the working precision, numerical derivatives of y^(-1/2) theta(1/y) where a direct
+    sum would run long, and the 50-digit Lambert f above 1."""
+    dps = 4 * prec_to_dps(bits)
+    if function == "f":
+        if y > 1:
+            value = mp_lambert(y, nu)
+            return value, abs(value) * mp.mpf(10) ** -40
+        value = mp_f_modular(y, 4 * bits)[nu]
+    elif y >= 0.01:  # theta4's cancellation costs 1.2/y bits
+        value = (_theta2_direct if function == "theta2" else _theta4_direct)(y, nu, 4 * bits)
+    else:
+        other = mp_theta4 if function == "theta2" else mp_theta2
+        value = mp_scalar(lambda t: other(1 / t) / mp.sqrt(t), y, nu, dps)
+    return value, abs(value) * mp.mpf(2) ** (-2 * bits)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_every_eval_function_at_thin_points_contains_its_oracle(bits):
+    # out to y = 1e-8 and 1e8: the thin f routes on balls reach x = 1/y = 1e8
+    cfg = EvalConfig(precision_bits=bits)
+    evaluate = {"theta2": theta2_series, "theta4": theta4_eval,
+                "f": lambda y, nu, cfg: (f_eval, f_prime, f_second)[nu](y, cfg)}
+    for text in _DECADES:
+        with cfg.scope():
+            y = Enclosure(text)
+        for function, orders in (("theta2", range(4)), ("theta4", range(4)), ("f", range(3))):
+            if function == "theta2" and float(text) < 1e-4:
+                continue
+            for nu in orders:
+                value = evaluate[function](y, nu, cfg)
+                exact, slack = _oracle(function, nu, y.lo, bits)
+                with mp.workprec(4 * bits):
+                    assert value.lo - slack <= exact <= value.hi + slack, (
+                        f"{function} order {nu} at y = {text}, {bits} bits: {value!r} misses "
+                        f"{mp.nstr(exact, 25)}")

@@ -43,6 +43,7 @@ from conftest import (
     THETA4_DERIVS_AT_1,
     THETA2_DERIVS_AT_1,
     assert_contains,
+    count_arithmetic,
     count_calls,
     mp_scalar,
     mp_theta4,
@@ -757,18 +758,6 @@ def test_geometric_tail_needs_a_ratio_below_one(ratio):
         _geometric_tail((libmp.fone, libmp.fone), (r._lo, r._hi), 128)
 
 
-def _count_arithmetic(monkeypatch):
-    calls = []
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
-        def counting(self, *args, _inner=getattr(Enclosure, name), _name=name):
-            calls.append(_name)
-            return _inner(self, *args)
-
-        monkeypatch.setattr(Enclosure, name, counting)
-    return calls
-
-
 def test_a_thin_quadratic_pass_does_enclosure_arithmetic_independent_of_its_terms(
         cfg, monkeypatch):
     # the partial sums and the tails run on raw intervals: only the setup does Enclosure
@@ -783,7 +772,7 @@ def test_a_thin_quadratic_pass_does_enclosure_arithmetic_independent_of_its_term
                      **kwargs)
 
     monkeypatch.setattr(theta, "certified_sum", counting_steps)
-    calls = _count_arithmetic(monkeypatch)
+    calls = count_arithmetic(monkeypatch)
     counts, terms = [], []
     for x in (50, "1.1"):
         calls.clear()

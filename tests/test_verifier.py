@@ -41,6 +41,7 @@ from conftest import (
     H_AT_HALF,
     QUAD_ROOT,
     assert_contains,
+    count_arithmetic,
     g_eval,
     g_polys_with_middle_term_flipped,
     g_prime,
@@ -362,6 +363,33 @@ def test_every_order_comes_from_one_series_pass(cfg, monkeypatch, evaluate):
     monkeypatch.setattr(theta, "certified_sum", counting)
     evaluate(cfg)
     assert len(calls) == 1, calls
+
+
+def test_a_thin_f_does_enclosure_arithmetic_independent_of_its_terms(cfg, monkeypatch):
+    # the thin routes run on balls end to end: the modular one at y = 0.01 and 0.5, the theta4
+    # Jet at 2 and 7.9, in two or four terms, with the same (no) Enclosure arithmetic
+    from thetacert import theta
+    from thetacert.verifier import _f
+
+    steps, inner = [], theta.certified_sum
+
+    def counting_steps(what, cfg, start, step, tail, signs, **kwargs):
+        return inner(what, cfg, start, lambda k: steps.append(k) or step(k), tail, signs,
+                     **kwargs)
+
+    monkeypatch.setattr(theta, "certified_sum", counting_steps)
+    calls = count_arithmetic(monkeypatch)
+    counts, terms = [], []
+    for y in ("0.01", "0.5", 2, "7.9"):
+        with cfg.scope():
+            y = Enclosure(y)
+        calls.clear()
+        steps.clear()
+        _f(y, range(3), cfg)
+        counts.append(len(calls))
+        terms.append(len(steps))
+    assert terms == [2, 4, 4, 2], terms
+    assert counts == [0] * 4, counts
 
 
 def test_h_over_theta4_cubed_equals_f_second(cfg):
