@@ -392,8 +392,9 @@ class Ball:
     signatures; the operators take it from the working precision and accept Balls, ints,
     binary floats and Fractions (all exact but non-dyadic Fractions).  A Ball comes from a thin
     Enclosure exactly (:meth:`of`) and returns to one by outward rounding (:meth:`enclosure`);
-    exp and pi come from the guarded Enclosure forms, so the trusted base is Python's integers
-    and those two mpmath kernels.
+    pi comes from :meth:`Enclosure.pi`, exp and log from one kernel call each at the midpoint
+    (:func:`_ball_transcendental`), so the trusted base is Python's integers and mpmath's exp,
+    log and pi, trusted as the guarded Enclosure forms trust them.
     """
 
     __slots__ = ("m", "r", "e")
@@ -424,11 +425,16 @@ class Ball:
                                     _lm.from_man_exp(m + r, self.e, prec, "c")))
 
     def exp(self) -> "Ball":
-        """e^self by the guarded :meth:`Enclosure.exp`, at the ball's precision."""
-        prec = current_precision() + _BALL_GUARD_BITS
-        with precision(prec):
-            value = self.enclosure().exp()
-        return _ball_of(value._lo, value._hi, prec)
+        """e^self: e^(m + t) - e^m = e^m (e^t - 1), and e^d - 1 <= 2d for |t| <= d <= 1/2."""
+        return _ball_transcendental(self, _lm.mpf_exp,
+                                    lambda v, unit: _ceil_shift(self.r * v, self.e + 1))
+
+    def log(self) -> "Ball":
+        """log self: |log(m + t) - log m| <= d/(m - d) for |t| <= d < m."""
+        if self.m <= self.r:
+            raise DomainError("log requires a strictly positive ball")
+        return _ball_transcendental(
+            self, _lm.mpf_log, lambda v, unit: -(-_ceil_shift(self.r, -unit) // (self.m - self.r)))
 
     def _scaled(self, k: int) -> "Ball":
         """self * 2^k, exactly."""
@@ -440,8 +446,11 @@ class Ball:
     def __neg__(self):
         return Ball(-self.m, self.r, self.e)
 
-    def __pow__(self, n: int):
-        return _ball_pow_int(self, n, current_precision() + _BALL_GUARD_BITS)
+    def __pow__(self, p):
+        """self^p for an exact rational p: an integer by repeated squaring, else exp(p log self)."""
+        if (p := Fraction(p)).denominator != 1:
+            return (self.log() * p).exp()
+        return _ball_pow_int(self, p.numerator, current_precision() + _BALL_GUARD_BITS)
 
     def __repr__(self):
         return "Ball" + repr(self.enclosure())[len("Enclosure"):]
@@ -503,8 +512,9 @@ def _ball_mul(a: Ball, b: Ball, prec: int) -> Ball:
     r = ((am if am >= 0 else -am) + ar) * br + (bm if bm >= 0 else -bm) * ar if ar or br else 0
     s, t = m.bit_length(), r.bit_length()
     s = (s if s > t else t) - prec
-    if s > 0:  # cheaper than _ball's outward ends, which a product seldom needs
-        m, r, e = m >> s, (r >> s) + 2, e + s
+    if s > 0:  # m floored, r rounded up and one unit more where m drops nonzero bits
+        q = m >> s
+        m, r, e = q, -(-r >> s) + (q << s != m), e + s
     out = _new(Ball)
     out.m, out.r, out.e = m, r, e
     return out
@@ -546,12 +556,36 @@ def _ball_div(a: Ball, b: Ball, prec: int) -> Ball:
     am, ar = a.m, a.r
     k = max(prec + den.bit_length() - am.bit_length(), 0)  # a quotient of about prec bits
     # |(am + s)/(bm + t) - am/bm| <= (ar |bm| + |am| br) / (|bm| (|bm| - br)), in units of
-    # 2^(a.e - b.e - k); floor division takes one unit off the radius and one off the midpoint
-    r = ((ar * den + abs(am) * br) << k) // (den * (den - br)) + 2
-    return _ball((am << k) // bm, r, a.e - b.e - k, prec)
+    # 2^(a.e - b.e - k), rounded up; the floored midpoint takes one unit more if inexact
+    m, rest = divmod(am << k, bm)
+    r = -(-((ar * den + abs(am) * br) << k) // (den * (den - br)))
+    return _ball(m, r + (rest != 0), a.e - b.e - k, prec)
 
 
 _BALL_ONE = Ball(1, 0, 0)
+
+
+def _ceil_shift(n: int, k: int) -> int:
+    """The least integer >= n 2^k."""
+    return n << k if k >= 0 else -(-n >> -k)
+
+
+def _ball_transcendental(x: Ball, fn, spread) -> Ball:
+    """fn(x), fn = mpf_exp or mpf_log: one kernel call at x's midpoint m, to nearest at the
+    Enclosure forms' guard bits, trusted to _TRANSCENDENTAL_PAD_ULPS + 1 ulps as they trust it,
+    then spread(v, unit) units of 2^unit more, v >= |fn(m)| in them: a bound on |fn(m + t) -
+    fn(m)| for |t| <= x's radius r <= 1/2.  A wider x (thin y past 2^(prec - 3) or below its
+    inverse make pi y or pi/y that wide) takes the Enclosure form, two calls."""
+    prec = _PRECISION.get() + _BALL_GUARD_BITS
+    if x.r and (x.e >= 0 or x.r > 1 << (-1 - x.e)):
+        with precision(prec):
+            wide = x.enclosure()
+            return _ball_of(*_guarded_transcendental(fn, wide._lo, wide._hi), prec)
+    wp = prec + _TRANSCENDENTAL_GUARD_BITS
+    sign, man, exp, bc = fn(_lm.from_man_exp(x.m, x.e), wp, "n")
+    unit, pad = exp + bc - wp, _TRANSCENDENTAL_PAD_ULPS + 1  # one ulp of the value at wp
+    m = man << (wp - bc)
+    return _ball(-m if sign else m, pad + spread(m + pad, unit), unit, prec)
 
 
 def _ball_pow_int(a: Ball, n: int, prec: int) -> Ball:
@@ -579,6 +613,12 @@ def _ball_exceeds(b: Ball, t, lower: bool) -> bool:
         return top > t_top
     d = b.e - te  # equal tops: both shifts are short
     return (u << d if d >= 0 else u) > (tm if d >= 0 else tm << -d)
+
+
+def _thin_ball(y: Enclosure, cfg: EvalConfig) -> Ball | None:
+    """The Ball of a thin y (width <= cfg.tol, read off the Ball's integers); None for a box."""
+    ball = Ball.of(y)
+    return None if _ball_exceeds(Ball(ball.r, 0, ball.e + 1), cfg.tol._mpf_, False) else ball
 
 
 def _ball_operator(fn, swap=False):

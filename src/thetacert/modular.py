@@ -48,7 +48,8 @@ from fractions import Fraction
 from functools import cache
 
 from .certify import CertificationReport, Check
-from .enclosure import DEFAULT_CONFIG, Ball, DomainError, Enclosure, EvalConfig, Jet, as_enclosure
+from .enclosure import (DEFAULT_CONFIG, Ball, DomainError, Enclosure, EvalConfig, Jet, _thin_ball,
+                        as_enclosure)
 from .envelopes import log_grid
 from .theta import _check_order, _check_positive, _quadratic_series, _theta2, _theta4
 
@@ -127,17 +128,17 @@ def verify_modular_identities(
             for nu, c in zip(orders, checks)]
 
 
-def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
+def _f_modular(y, orders: range, cfg: EvalConfig) -> list:
     """f^(k)(y) for each order k of `orders` by the forms in the module docstring, all read off
     one Jet quotient at x = 1/y, from one pass over P_r for r <= max(orders) + 1: scaled on a
-    box, plain on a thin y (width <= cfg.tol, as in verifier._f), which runs on Balls 32 bits
-    above the working precision, so that x carries them into f''; 2 pi, pi/4 and y/2 by
-    shifts."""
+    box, plain on a thin y, which runs on Balls 32 bits above the working precision, so that x
+    carries them into f''; 2 pi, pi/4 and y/2 by shifts.  A Ball y returns Balls; a thin
+    Enclosure (width <= cfg.tol, as in verifier._f) its Ball's results, rounded outward once."""
     with cfg.scope():
-        y = _check_positive(as_enclosure(y), "modular f series")
-        thin = y.width <= cfg.tol
-        if thin:
-            y = Ball.of(y)
+        thin = type(y) is Ball
+        y = _check_positive(y if thin else as_enclosure(y), "modular f series")
+        if not thin and (ball := _thin_ball(y, cfg)) is not None:
+            return [v.enclosure() for v in _f_modular(ball, orders, cfg)]
         pi = type(y).pi()
         x = 1 / y
         scaled = (lambda v: v) if thin else (-(pi._scaled(1) * x)).exp().__mul__  # v or eps v
@@ -147,4 +148,4 @@ def _f_modular(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
         forms = (lambda: pi._scaled(-2) - y._scaled(-1) - scaled(g),  # formed only when requested
                  lambda: scaled(x * x) * g1 - 0.5,
                  lambda: scaled(x ** 3) * (-(g1 + g1) - x * g2))
-        return [forms[k]().enclosure() if thin else forms[k]() for k in orders]
+        return [forms[k]() for k in orders]

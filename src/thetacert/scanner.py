@@ -2,10 +2,10 @@
 
 Since f_a = y^(a-2) f with f the a = 2 member, f_a and its first two derivatives are the
 entries of one Jet product: the power y^r (1, r/y, r(r-1)/y^2), r = a - 2, times (f, f', f'')
-from the certified routes (the scan's points are thin: one theta4 pass on [1, 8]).  Each entry
-is formed alone, by the product rule with the Jet's operations in its order, from r and
-r(r-1) enclosed once per exponent and precision.  At a = 2 the power is the constant 1, so the
-family evaluator specializes exactly to the proven-convex member.
+from the certified routes.  It runs on the type of y: a scan's points are thin, so a row is one
+pass on Balls (y^r by one log and one exp, or exactly for an integer r, and one series pass for
+f), rounded into an Enclosure once; a box runs on Enclosures.  At a = 2 the power is the constant
+1, so the family evaluator specializes exactly to the proven-convex member.
 
 The search is one-sided by design: a returned :class:`Witness` carries a
 strictly negative enclosure of f_a'' and rigorously disproves convexity at
@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .certify import Witness
-from .enclosure import DEFAULT_CONFIG, Enclosure, EvalConfig, as_enclosure, precision
+from .enclosure import DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet, _thin_ball, as_enclosure
 from .envelopes import log_grid
 from .verifier import _f
 
@@ -46,27 +45,16 @@ class ExponentQuery:
         log_grid(lo, hi, self.resolution)  # raises when [lo, hi] is too narrow for the grid
 
 
-@lru_cache(maxsize=64)
-def _exponent(a, bits: int) -> tuple[Fraction, Enclosure, Enclosure]:
-    """r = a - 2, with r and r(r-1) enclosed at `bits`: once per exponent and precision."""
-    with precision(bits):
-        return (r := Fraction(a) - 2), Enclosure(r), Enclosure(r * (r - 1))
-
-
-def _f_a(a, y, order: int, cfg: EvalConfig) -> Enclosure:
-    """Entry `order` of the Jet y^(a-2) (f, f', f''), formed alone with the Jet product's
-    operations in its order: the power's entries and f's derivatives up to `order` only."""
-    r, r_enc, r_r1 = _exponent(a, cfg.precision_bits)
+def _f_a(a, y, order: int, cfg: EvalConfig):
+    """Entry `order` of the Jet y^(a-2) (f, f', f''), from f's derivatives up to `order`: Balls
+    for a Ball y, an outward-rounded Enclosure of its Ball's entry for a thin Enclosure (width <=
+    cfg.tol), Enclosures for a box."""
     with cfg.scope():
-        y = as_enclosure(y)
-        f = _f(y, range(order + 1), cfg)
-        p = y ** r if r.denominator <= 2 else (y.log() * r_enc).exp()  # y ** r's bits
-        if order == 0:
-            return p * f[0]
-        p1 = p * r_enc / y
-        if order == 1:
-            return p1 * f[0] + p * f[1]
-        return p * r_r1 / (y * y) * f[0] + (p1 + p1) * f[1] + p * f[2]
+        if type(y) is not Ball and (ball := _thin_ball(y := as_enclosure(y), cfg)) is not None:
+            return _f_a(a, ball, order, cfg).enclosure()
+        p = y ** (r := Fraction(a) - 2)
+        power = Jet(p, p * r / y, p * (r * (r - 1)) / (y * y))
+        return tuple(power * Jet(*_f(y, range(order + 1), cfg)))[order]
 
 
 def f_a_second(a, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:

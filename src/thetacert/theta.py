@@ -39,7 +39,8 @@ bound and result becomes an Enclosure once.  For a Ball y, the thin passes of ve
 working precision: every truncation floors the midpoint and rounds the radius up, so each
 operation's result contains the exact image of its operands, and the results stay Balls until
 their caller rounds them outward into Enclosures, once.  The Ball path trusts Python's
-integers and the guarded mpmath exp and pi of the Enclosure forms, converted once per pass.
+integers, mpmath's pi as Enclosure.pi encloses it, and one mpmath exp per pass, at q's midpoint
+(Ball.exp).
 
 Evaluators:
 
@@ -52,8 +53,8 @@ Evaluators:
   _lambert_sum(y, orders) f^(k)(y) for f(y) = y^2 theta4'(y)/theta4(y), as the Lambert-type
                          sum f^(k)(y) = sum_{m>=1} w_m (m pi)^(k-1) psi^(k)(m pi y),
                          w_m = 2 (m odd), 1 (m even): one term formula, several orders in
-                         one pass; f_eval/f_prime/f_second take it on thin y > 8, on boxes
-                         in [1, oo) and with route="lambert" (a thin y in [1, 8]: _theta4);
+                         one pass; f_eval/f_prime/f_second take it on boxes in [1, oo) and
+                         with route="lambert" (a thin y above 1 takes _theta4's Jet);
                          a box encloses its m = 1 term by a mean-value form, from one more exp
 
 The direct series are primitives valid for any y > 0 but converge slowly

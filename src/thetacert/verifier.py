@@ -40,11 +40,12 @@ from operator import add
 
 from . import envelopes
 from .certify import CertificationReport, Check, certify_sign
-from .enclosure import DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet, _below, as_enclosure
+from .enclosure import (DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet, _ball_exceeds, _below,
+                        _thin_ball, as_enclosure)
 from .envelopes import _envelope_poly, check_c_admissible
 from .exppoly import DegreeError, ExpPoly
 from .modular import _f_modular
-from .theta import _PSI_NUMERATORS, _lambert_sum, _theta2, _theta4
+from .theta import _ONE, _PSI_NUMERATORS, _lambert_sum, _theta2, _theta4
 
 __all__ = [
     "GreekConstants",
@@ -439,35 +440,32 @@ _INTERVAL = ("0.05", 20)
 _OVERLAP = ("0.8", "1.25")
 #: the boundary of `auto`'s routes: modular on y <= 1, Lambert on y >= 1
 _ROUTE_CUT = 1
-#: `auto` reads a thin y in [1, _THIN_CAP] off the theta4 Jet on Balls, 5 terms at y = 1 to the
-#: Lambert sum's 28; on Balls the Jet is cheaper than the Lambert sum through y = 25 for one
-#: order and for three (f: 0.6x at y = 9 and 0.8x at 25; f, f', f'': 0.4x at 9) and 100 times
-#: narrower there (128 bits, 2-core x86); the cap stays, as it fixes the route of scan rows past
-#: 8, and moving it is ROADMAP item 18's; on boxes Lambert takes fewer boxes
-_THIN_CAP = 8
 
 
-def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure]:
-    """f^(k)(y) for each order k of `orders`, from one series pass per route.  `auto` is
-    modular on y <= _ROUTE_CUT = 1 and Lambert on y >= 1, so a caller's box [lo, hi] around 1
-    (:func:`verify_convexity` cuts at 1) is, entry by entry, the hull of the routes on [lo, 1]
-    and [1, hi]; a thin y (width <= cfg.tol) in [1, _THIN_CAP] is read off :func:`_f_jet` on
-    one theta4 pass instead, on Balls, rounded into Enclosures once.  The Lambert route is :func:`_lambert_sum`, which encloses a
-    box's m = 1 term by its mean-value form."""
+def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list:
+    """f^(k)(y) for each order k of `orders`, from one series pass per route.  `auto` takes a box
+    modular on y <= _ROUTE_CUT = 1 and Lambert (:func:`_lambert_sum`) on y >= 1, so a box [lo, hi]
+    around 1 is, entry by entry, the hull of the routes on [lo, 1] and [1, hi].  A thin y (width
+    <= cfg.tol) runs on its Ball, routed by the Ball's integers: modular up to 1, else
+    :func:`_f_jet` on one theta4 pass, 5 terms at y = 1 to Lambert's 28 and, past 8, cheaper and
+    35 (128 bits) to 10^33 (256) times narrower.  A Ball returns Balls, a thin Enclosure
+    its Ball's results rounded outward once."""
     if route == "modular":
         return _f_modular(y, orders, cfg)
     if route not in ("auto", "lambert"):
         raise ValueError(f"unknown route {route!r}")
     with cfg.scope():
-        y = as_enclosure(y)
         if route == "lambert":
             return _lambert_sum(y, orders, cfg)
+        given = type(y) is Ball
+        ball = y if given else _thin_ball(y := as_enclosure(y), cfg)
+        if ball is not None:
+            if not _ball_exceeds(ball, _ONE[1], False):  # at most 1
+                return _f_modular(y, orders, cfg)
+            jet = tuple(_f_jet(ball, _theta4(ball, range(orders[-1] + 2), cfg)))
+            return [jet[k] if given else jet[k].enclosure() for k in orders]
         if y.hi <= _ROUTE_CUT:
             return _f_modular(y, orders, cfg)
-        if y.lo >= _ROUTE_CUT and y.hi <= _THIN_CAP and y.width <= cfg.tol:
-            y = Ball.of(y)
-            jet = tuple(_f_jet(y, _theta4(y, range(orders[-1] + 2), cfg)))
-            return [jet[k].enclosure() for k in orders]
         if y.lo >= _ROUTE_CUT:
             return _lambert_sum(y, orders, cfg)
         below = _f_modular(Enclosure(y.lo, _ROUTE_CUT), orders, cfg)
@@ -477,7 +475,7 @@ def _f(y, orders: range, cfg: EvalConfig, route: str = "auto") -> list[Enclosure
 
 def f_eval(y, cfg: EvalConfig = DEFAULT_CONFIG, route: str = "auto") -> Enclosure:
     """f(y) = y^2 theta4'(y)/theta4(y) routed as :func:`_f`: modular below 1, Lambert above
-    (a thin y up to _THIN_CAP from the theta4 Jet), a box across 1 split there and hulled."""
+    (a thin y from the theta4 Jet), a box across 1 split there and hulled."""
     return _f(y, range(1), cfg, route)[0]
 
 

@@ -412,6 +412,19 @@ def test_scan_takes_at_most_32_exps_and_192_enclosure_operations(capsys, monkeyp
     assert len(arithmetic) <= 192, len(arithmetic)
 
 
+def test_scan_rows_take_three_kernel_calls_and_no_enclosure_arithmetic(capsys, monkeypatch):
+    # 16 thin rows, each one ball pass: the theta4 or Q-series pass's exp, and y^0.1's log and
+    # exp, one mpmath kernel call each; the row is rounded into an Enclosure once
+    import mpmath.libmp
+
+    calls = [count_calls(monkeypatch, mpmath.libmp, name) for name in ("mpf_exp", "mpf_log")]
+    arithmetic = count_arithmetic(monkeypatch)
+    assert run_cli("scan", "--a", "2.1", "--resolution", "16") == 0
+    capsys.readouterr()
+    assert sum(map(len, calls)) <= 48, [len(c) for c in calls]
+    assert not arithmetic, arithmetic
+
+
 #: the sandwich grid and the modular samples of `verify all`, as their check names print them
 _SANDWICH_YS = (
     "1.0", "1.12533558260076", "1.2663801734674", "1.425102670303", "1.60371874375133",

@@ -234,6 +234,15 @@ def test_ball_operations_contain_the_exact_image_of_their_operands(a, b, prec):
                                              lambda p, q: p ** 3)]
     if abs(y.m) > y.r:
         ops.append((_ball_div, lambda p, q: p / q))
+    # exact operands give exact results: a product that drops only zero bits, a quotient by
+    # itself, an exact 0 over any divisor
+    short = Ball(x.m >> max(x.m.bit_length() - prec, 0), 0, x.e)  # at most prec bits
+    assert _ball_ends(_ball_mul(short, Ball(1 << 400, 0, -7), prec)) == (
+        (_ball_ends(short)[0] * 2 ** 393,) * 2)
+    if y.m:
+        assert _ball_ends(_ball_div(Ball(y.m, 0, y.e), Ball(y.m, 0, y.e), prec)) == (1, 1)
+    if abs(y.m) > y.r:
+        assert _ball_ends(_ball_div(Ball(0, 0, x.e), y, prec)) == (0, 0)
     for op, exact in ops:
         result = op(x, y, prec)
         lo, hi = _ball_ends(result)
@@ -256,3 +265,46 @@ def test_a_ball_round_trips_a_thin_enclosure_and_refuses_a_zero_divisor():
         assert quarter.contains(0.25) and quarter.width < 2.0 ** -128
         with pytest.raises(DomainError):
             Ball.of(y) / Ball.of(Enclosure(-1, 1))
+
+
+def _exact(b):
+    """A Ball's ends and midpoint as mpf at the current mpmath precision."""
+    return [mp.ldexp(m, b.e) for m in (b.m - b.r, b.m + b.r, b.m)]
+
+
+@st.composite
+def _kernel_balls(draw):
+    """A ball around a dyadic midpoint in [-150, 150] with a radius from 0 to 1/2, or past it."""
+    e = draw(st.integers(-320, -2))
+    m = (draw(st.integers(-150, 150)) << -e) + draw(st.integers(-(1 << -e), 1 << -e))
+    half = 1 << (-1 - e)
+    r = draw(st.one_of(st.just(0), st.integers(0, 2 ** 40), st.integers(0, half),
+                       st.integers(half + 1, 4 * half)))
+    return m, r, e
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=_kernel_balls(),
+       p=st.fractions(-4, 4, max_denominator=40).filter(lambda f: f.denominator > 1),
+       prec=st.sampled_from([85, 160, 288]))
+def test_ball_exp_log_and_powers_contain_the_exact_image(parts, p, prec):
+    # one kernel call at the midpoint, plus the derivative bound, holds exp, log and y^p (p not
+    # an integer: exp(p log y)) at the ends and midpoint of radii up to 1/2 (wider ones take the
+    # Enclosure form); log refuses a ball that reaches 0
+    from thetacert.enclosure import Ball
+
+    x = Ball(*parts)
+    cases = [(Ball.exp, mp.exp)]
+    if x.m > x.r:
+        cases += [(Ball.log, mp.log),
+                  (lambda b: b ** p, lambda v: v ** (mp.mpf(p.numerator) / p.denominator))]
+    else:
+        with precision(prec - 32), pytest.raises(DomainError):
+            x.log()
+    for fn, exact in cases:
+        with precision(prec - 32):
+            result = fn(x)
+        with mp.workprec(4 * prec):
+            lo, hi, _ = _exact(result)
+            for point in _exact(x):
+                assert lo <= exact(point) <= hi, (fn, parts, p, prec)

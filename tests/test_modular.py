@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath.libmp
 import pytest
 from mpmath import mp
 
@@ -216,15 +217,16 @@ def test_thin_modular_f_contains_oracle_and_meets_the_box_form(bits):
 
 
 def test_thin_modular_f_takes_one_exponential(cfg, monkeypatch):
-    # a thin y takes only the Q-series' q = e^{-pi x}; a box takes eps = e^{-2 pi x} as well
-    exps = count_calls(monkeypatch, Enclosure, "exp")
+    # a thin y takes only the Q-series' q = e^{-pi x}, one kernel call on its Ball; a box takes
+    # eps = e^{-2 pi x} as well, each guarded Enclosure exp two kernel calls
+    exps = count_calls(monkeypatch, mpmath.libmp, "mpf_exp")
     for y in (Enclosure("0.3"), Enclosure(0.01), Enclosure(1)):
         exps.clear()
         _f_modular(y, range(3), cfg)
         assert len(exps) == 1, y
     exps.clear()
     _f_modular(Enclosure("0.3", "0.31"), range(3), cfg)
-    assert len(exps) == 2
+    assert len(exps) == 4
 
 
 def _scaled_modular_f(y, cfg):

@@ -35,6 +35,20 @@ def _move_corners(monkeypatch):
     monkeypatch.setattr(verifier, "_certify_bracket", certify)
 
 
+def _table_entry(nu, j, value):
+    """MODULAR_COEFFICIENTS with entry j of row nu replaced."""
+    row = modular.MODULAR_COEFFICIENTS[nu]
+    return modular.MODULAR_COEFFICIENTS, nu, row[:j] + (value,) + row[j + 1:]
+
+
+def _h_term(i, coeff=None, power=None):
+    """verifier._H_TERMS with term i's coefficient or power of y replaced."""
+    terms = verifier._H_TERMS
+    c, p, factors = terms[i]
+    term = (c if coeff is None else coeff, p if power is None else power, factors)
+    return "_H_TERMS", terms[:i] + (term,) + terms[i + 1:]
+
+
 def _survivor(item, what):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {what} survives")
 
@@ -56,6 +70,15 @@ _MUTANTS = [
                  id="corners-2-to-4"),
     pytest.param("modular", (modular.MODULAR_COEFFICIENTS, 2, (Fraction(3, 4), 4, 1)),
                  id="modular-table-row-2"),
+    pytest.param("modular", _table_entry(3, 3, Fraction(-2)), id="modular-table-row-3-last"),
+    *(pytest.param("modular", _table_entry(nu, 0, modular.MODULAR_COEFFICIENTS[nu][0] * f),
+                   id=f"modular-table-row-{nu}-first-times-{f}")
+      for nu in (1, 2, 3) for f in (Fraction(1, 2), 2)),
+    *(pytest.param("greek", _h_term(i, coeff + d), id=f"h-term-{i}-coefficient{d:+}")
+      for i, (coeff, _, _) in enumerate(verifier._H_TERMS) for d in (-1, 1)),
+    pytest.param("greek", _h_term(4, power=0), id="h-term-4-power-of-y-0"),
+    pytest.param("greek", ("_SLOTS", {**verifier._SLOTS, "epsilon": (-27, 1, +1)}),
+                 id="epsilon-slot-sign"),
     pytest.param("small-y", (verifier._ROUNDED, "zeta", Fraction(1, 25)), id="rounded-zeta"),
     pytest.param("g-chain", _bracket("_G_BRACKET", ExpPoly({0: (-6, -8, 5), -1: (6, 8, 1)})),
                  id="g-bracket-x-squared"),

@@ -15,9 +15,10 @@ from mpmath.libmp import prec_to_dps
 from conftest import (g_prime, h_direct, mp_f_modular, mp_lambert, mp_scalar, mp_theta2, mp_theta4,
                       q_series_derivatives)
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
+from thetacert.enclosure import Jet
 from thetacert.theta import _quadratic_series, psi
 from thetacert.scanner import _f_a
-from thetacert.verifier import _ROUTE_CUT, _THIN_CAP, _f, f_eval, f_prime, f_second, g_second
+from thetacert.verifier import _ROUTE_CUT, _f, f_eval, f_prime, f_second, g_second
 
 CFG = EvalConfig()
 
@@ -266,9 +267,9 @@ def test_jet_derivatives_on_boxes_contain_oracle(u, t, quantity):
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_f_a_at_thin_points_of_the_scan_range_contains_oracle(bits):
-    # scan's own range: thin y log-uniform on [0.01, 50], which reaches all three thin routes
-    # of f (modular to 1, the theta4 Jet to _THIN_CAP, Lambert past it), for each entry of
-    # the family's Jet against the 4x-precision oracle
+    # scan's own range: thin y log-uniform on [0.01, 50], which reaches both thin routes of f
+    # (modular to 1, the theta4 Jet past it, also past 8), for each entry of the family's Jet
+    # against the 4x-precision oracle
     cfg = EvalConfig(precision_bits=bits)
     dps = prec_to_dps(4 * bits)
     rng = random.Random(bits)
@@ -276,12 +277,54 @@ def test_f_a_at_thin_points_of_the_scan_range_contains_oracle(bits):
     for a in ("1", "2.15", "2.5", "4"):
         for _ in range(6):
             y = 0.01 * 5000.0 ** rng.random()
-            routes.add("modular" if y <= _ROUTE_CUT else "jet" if y <= _THIN_CAP else "lambert")
+            routes.add("modular" if y <= _ROUTE_CUT else "jet" if y <= 8 else "jet past 8")
             for k in range(3):
                 _assert_contains_direct(_f_a(a, Enclosure(y), k, cfg),
                                         mp_scalar(_mp_f_a(a), y, k, dps=dps),
                                         f"f_a order {k} at a = {a}, y = {y!r}, {bits} bits")
-    assert routes == {"modular", "jet", "lambert"}
+    assert routes == {"modular", "jet", "jet past 8"}
+
+
+def _mp_f_direct(y, prec):
+    """f, f', f'' at y by plain mpmath at `prec` bits: mp_f_modular up to 1, past it the direct
+    theta4 sums (-1)^k (-pi k^2)^r e^{-pi k^2 y} through the quotient rule for y^2 theta4'/theta4."""
+    if y <= 1:
+        return mp_f_modular(y, prec)
+    with mp.workprec(prec):
+        y, t, k = mp.mpf(y), [mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)], 1
+        while True:
+            c = mp.pi * k * k
+            terms = [2 * (-1) ** k * (-c) ** r * mp.exp(-c * y) for r in range(4)]
+            t = [s + term for s, term in zip(t, terms)]
+            if all(abs(term) <= abs(s) * mp.mpf(2) ** -prec for s, term in zip(t, terms)):
+                break
+            k += 1
+        g = t[1] / t[0]
+        g1 = (t[2] - g * t[1]) / t[0]
+        g2 = (t[3] - 2 * g1 * t[1] - g * t[2]) / t[0]
+        return y * y * g, 2 * y * g + y * y * g1, 2 * g + 4 * y * g1 + y * y * g2
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(20, 80), u=st.floats(min_value=-3, max_value=3, allow_nan=False),
+       bits=st.sampled_from((128, 256)))
+@example(k=60, u=-1.5, bits=128)  # a = 3 near y = 0.03, where the row is -1 + 1e-88
+def test_thin_scan_row_contains_direct_sum_and_is_no_wider_than_the_enclosure_product(k, u, bits):
+    # a = k/20 and y = 10^u: one ball pass against the oracle y^r (f, f', f'') from direct sums
+    # at 4x precision, and against the Jet product on Enclosures of f's rounded entries
+    cfg, a, y = EvalConfig(precision_bits=bits), Fraction(k, 20), 10.0 ** u
+    value = f_a_second(a, y, cfg)
+    with mp.workprec(4 * bits):
+        f, f1, f2 = _mp_f_direct(y, 4 * bits)
+        r, yy = mp.mpf(a.numerator) / a.denominator - 2, mp.mpf(y)
+        exact = r * (r - 1) * yy ** (r - 2) * f + 2 * r * yy ** (r - 1) * f1 + yy ** r * f2
+        _assert_contains_direct(value, exact, f"f_a'' at a = {a}, y = {y!r}, {bits} bits")
+    with cfg.scope():
+        thin, r = Enclosure(y), a - 2
+        p = thin ** r
+        power = Jet(p, p * r / thin, p * (r * (r - 1)) / (thin * thin))
+        reference = tuple(power * Jet(*_f(thin, range(3), cfg)))[2]
+    assert value.intersects(reference) and value.width <= reference.width, (a, y, bits)
 
 
 #: 10^u for 1%-wide boxes in [0.3, 5], or boxes that straddle 1

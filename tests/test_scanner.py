@@ -114,7 +114,8 @@ def test_family_value_and_slope_compose(cfg):
 
 @pytest.mark.parametrize("bits", [128, 256])
 def test_each_entry_is_the_jet_products(bits):
-    # _f_a forms one entry alone; the Jet product y^(a-2) (f, f', f'') is its reference
+    # the Jet product y^(a-2) (f, f', f'') on Enclosures is the reference: a box runs on it bit
+    # for bit, a thin y on Balls, which must meet it and be no wider
     cfg = EvalConfig(precision_bits=bits)
     for a in ("1", "2", "2.1", "3.7"):
         r = Fraction(a) - 2
@@ -124,4 +125,9 @@ def test_each_entry_is_the_jet_products(bits):
                 power = Jet(p, p * r / y, p * (r * (r - 1)) / (y * y))
                 reference = tuple(power * Jet(*_f(y, range(3), cfg)))
             for order in range(3):
-                assert _f_a(a, y, order, cfg) == reference[order], (a, y, order)
+                value, what = _f_a(a, y, order, cfg), (a, y, order)
+                if y.width > cfg.tol:
+                    assert value == reference[order], what
+                else:
+                    assert value.intersects(reference[order]), what
+                    assert value.width <= reference[order].width, what

@@ -29,8 +29,10 @@ from thetacert import (
     verify_odd_terms_large_y,
     verify_small_y_chain,
 )
+from thetacert.enclosure import EvalConfig
 from thetacert.envelopes import log_grid
-from thetacert.verifier import _EVEN_CONVEX, _ODD_CONVEX, _Bracket, _certify_bracket, greek_bracket
+from thetacert.verifier import (_EVEN_CONVEX, _ODD_CONVEX, _Bracket, _certify_bracket, _f,
+                                greek_bracket)
 
 from conftest import (
     G_AT_1,
@@ -42,6 +44,7 @@ from conftest import (
     QUAD_ROOT,
     assert_contains,
     count_arithmetic,
+    count_calls,
     g_eval,
     g_polys_with_middle_term_flipped,
     g_prime,
@@ -740,7 +743,7 @@ def test_convexity_overlap_still_cross_checks_both_routes(monkeypatch, cfg):
     assert any(y.lo < 1 for y in lambert_ys)
 
 
-# -- thin points in [1, _THIN_CAP] take the theta4 Jet, boxes never do ----------
+# -- thin points above 1 take the theta4 Jet, boxes never do -----------------------
 
 
 def _record_theta4_jet(monkeypatch):
@@ -758,19 +761,44 @@ def _record_theta4_jet(monkeypatch):
     return jet_ys
 
 
-def test_auto_route_takes_thin_points_up_to_the_cap_from_the_theta4_jet(monkeypatch, cfg):
-    from thetacert.verifier import _THIN_CAP
+def test_auto_route_takes_every_thin_point_above_one_from_the_theta4_jet(monkeypatch, cfg):
+    from thetacert import verifier
 
     jet_ys = _record_theta4_jet(monkeypatch)
-    lambert_ys, modular_xs = _record_route_arguments(monkeypatch)
-    f_second(Enclosure(_THIN_CAP), cfg)
-    assert len(jet_ys) == 1 and not lambert_ys
-    just_above = Enclosure(f"{_THIN_CAP}.000000000000000000001")
-    assert just_above.lo > _THIN_CAP
-    f_second(just_above, cfg)
-    assert len(jet_ys) == 1 and lambert_ys == [just_above]
+    lambert = count_calls(monkeypatch, verifier, "_lambert_sum")
+    modular = count_calls(monkeypatch, verifier, "_f_modular")
+    ys = ("1.000000000000000000001", 8, "8.000000000000000000001", 30, "1e5", 1e300)
+    for y in ys:
+        f_second(Enclosure(y), cfg)
+    assert len(jet_ys) == len(ys) and not lambert and not modular
     f_second(Enclosure(1), cfg)  # exactly 1 stays modular
-    assert len(jet_ys) == 1 and len(modular_xs) == 1
+    assert len(jet_ys) == len(ys) and len(modular) == 1
+    f_second(Enclosure(8, 9), cfg)  # a box takes the Lambert sum
+    assert len(jet_ys) == len(ys) and len(lambert) == 1
+
+
+@pytest.mark.parametrize("y", [9, 30, "1e5"])
+def test_a_thin_f_past_eight_takes_the_jet_and_one_exp_kernel_call(monkeypatch, cfg, y):
+    import mpmath.libmp
+
+    from thetacert import verifier
+
+    jet_ys = _record_theta4_jet(monkeypatch)
+    exps = count_calls(monkeypatch, mpmath.libmp, "mpf_exp")
+    verifier._f(Enclosure(y), range(3), cfg)
+    assert len(jet_ys) == 1 and len(exps) == 1
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_thin_f_past_eight_has_full_relative_precision(bits):
+    # f, f', f'' at 25 log-spaced y in (8, 1e8], each no wider than 2^-(bits - 40) relative
+    # (the thin Lambert sum gave 4.4e-46 at y = 8.5 and 256 bits)
+    cfg = EvalConfig(precision_bits=bits)
+    for y in log_grid(8.5, 1e8, 25):
+        for k, value in enumerate(_f(y, range(3), cfg)):
+            assert not value.contains_zero(), (bits, y, k)
+            size = min(abs(value.lo), abs(value.hi))
+            assert value.width <= size * mp.mpf(2) ** (40 - bits), (bits, y, k, value)
 
 
 def test_convexity_sign_records_never_straddle_the_route_boundary(monkeypatch, cfg):
