@@ -589,9 +589,10 @@ def _ball_transcendental(x: Ball, fn, spread) -> Ball:
 
 
 def _ball_pow_int(a: Ball, n: int, prec: int) -> Ball:
-    """a^n by repeated squaring (the factors taken as independent balls)."""
+    """a^n by repeated squaring (the factors taken as independent balls), of 1/a for n < 0:
+    one division, by a ball that excludes 0, where a ball of a^|n| could reach it."""
     if n < 0:
-        return _ball_div(_BALL_ONE, _ball_pow_int(a, -n, prec), prec)
+        a, n = _ball_div(_BALL_ONE, a, prec), -n
     out = None
     while n:
         if n & 1:

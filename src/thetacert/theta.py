@@ -22,19 +22,20 @@ from the first omitted term at y.lo; it is tried once the first requested order'
 below tol/4.  A lower order r's tail is at most that bound over (c a(n+1))^(R-r), as
 c a(m) >= c a(n+1) for every omitted m; c = pi * scale, with a scale 2^k, is formed once per
 pass by shifting pi's endpoints.
-``_lambert_sum`` sums the Lambert terms, every requested order in one pass,
+``_lambert_sum`` sums the Lambert terms from m = 2, every requested order in one pass,
 with one tail bound per order tried once the largest term is below tol/16.
 Both take every exponential of a pass from one exp, q = e^{-c y} or u_1 = e^{-pi y}
-(a Lambert box takes one more, at the midpoint of its mean-value form for m = 1),
+(a Lambert pass takes one more, at the midpoint of its mean-value form for m = 1),
 by q^{a(n+1)} = q^{a(n)} q^{a(n+1) - a(n)} (u_m = u_{m-1} u_1).  Every factor is a
 positive enclosure decreasing in y, so an outward-rounded product's lower end bounds
 its value at y.hi from below and its upper end its value at y.lo from above: it
 encloses the exact range on any box, and its upper end bounds the omitted terms.
-Term steps, tail bounds and the kernel's partial sums run in one of two arithmetics, which the
-type of y picks (``_arithmetic``), under the same stopping rule, tail formulas, gates and
-near-end contract.  For an Enclosure y they run on raw libmp interval pairs at one precision
-read per pass, rounding each operation as its Enclosure form: the same bits; each term, tail
-bound and result becomes an Enclosure once.  For a Ball y, the thin passes of verifier._f
+Term steps, gates, tail bounds and the kernel's partial sums are raw values of one of two
+arithmetics, which the type of y picks (``_arithmetic``), under the same stopping rule, tail
+formulas, gates and near-end contract.  For an Enclosure y they run on raw libmp interval pairs
+at one precision read per pass, rounding each operation as its Enclosure form: the same bits;
+only the kernel's `settle` makes Enclosures, one per result.  For a Ball y, the thin passes of
+verifier._f
 (width <= cfg.tol), they run on midpoint-radius Balls of Python integers 32 bits above the
 working precision: every truncation floors the midpoint and rounds the radius up, so each
 operation's result contains the exact image of its operands, and the results stay Balls until
@@ -49,13 +50,16 @@ Evaluators:
   theta2_series(y, nu)   nu-th derivative of theta2(y) = sum exp(-pi y (n+1/2)^2);
                          _theta2(y, orders) gives several orders in one pass
   psi(s, k)              the Lambert term psi(s) = s^2/(e^s - 1) and its derivatives
-                         psi^(k)(s) = u N_k(s, 1-u, u)/(1-u)^(k+1), u = e^{-s}, k <= 3
+                         psi^(k)(s) = u N_k(s, 1-u, u)/(1-u)^(k+1), u = e^{-s}, k <= 3;
+                         _numerators(s, v, u, orders, ar) is the one transcription of N_k,
+                         which the g-chain anchor also runs, on ExpPoly
   _lambert_sum(y, orders) f^(k)(y) for f(y) = y^2 theta4'(y)/theta4(y), as the Lambert-type
                          sum f^(k)(y) = sum_{m>=1} w_m (m pi)^(k-1) psi^(k)(m pi y),
                          w_m = 2 (m odd), 1 (m even): one term formula, several orders in
                          one pass; f_eval/f_prime/f_second take it on boxes in [1, oo) and
-                         with route="lambert" (a thin y above 1 takes _theta4's Jet);
-                         a box encloses its m = 1 term by a mean-value form, from one more exp
+                         with route="lambert" (a thin y above 1 takes _theta4's Jet); every
+                         pass encloses its m = 1 term by a mean-value form met with its natural
+                         form, from one more exp
 
 The direct series are primitives valid for any y > 0 but converge slowly
 as y -> 0; public dispatch for small y lives in :mod:`thetacert.modular` (theta4)
@@ -113,8 +117,6 @@ def _check_positive(y: Enclosure, what: str) -> Enclosure:
 
 
 _ONE = (_lm.fone, _lm.fone)
-_ZERO = Enclosure(0)  # exact at any precision
-_SIX, _MINUS_SIX, _TWELVE = ((_lm.from_int(c),) * 2 for c in (6, -6, 12))
 
 
 def _arithmetic(element) -> SimpleNamespace:
@@ -137,24 +139,24 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
     """The series kernel; its contract is in the module docstring.
 
     start: the partial sums before term 1.  step(k) for k = 1 .. cfg.max_terms: (terms,
-    gate), the k-th term of each sum and a positive enclosure; the tails are tried once
-    gate.hi <= tol / gate_divisor, a power of two, where tol = cfg.tol 2^-tol_shift.
-    tail(k), called right after step(k): enclosures whose upper ends bound the omitted |tails|
+    gate), the k-th term of each sum and a positive value; the tails are tried once gate's
+    upper end is at most tol / gate_divisor, a power of two, where tol = cfg.tol 2^-tol_shift.
+    tail(k), called right after step(k): values whose upper ends bound the omitted |tails|
     past term k, which must reach tol.  Gate and tails must be inclusion isotone in y, and
     tail raises ConvergenceError on a box wherever it does on a point.
     signs: +1 or -1 where every term has that sign, 0 where signs mix.
-    Enclosures in and out, summed on raw pairs at one precision read, rounding as Enclosure
-    addition does, each result an Enclosure once; or Balls in and out, summed on Balls.
+    Raw values of one arithmetic in, summed on libmp pairs at one precision read, rounding as
+    Enclosure addition does, or on Balls; `settle` alone makes each result, an Enclosure or a Ball.
     """
     ar = _arithmetic(start[0])
-    prec, add, unwrap, exceeds = current_precision() + ar.guard, ar.add, ar.unwrap, ar.exceeds
+    prec, add, exceeds = current_precision() + ar.guard, ar.add, ar.exceeds
     tol = _lm.mpf_shift(cfg.tol._mpf_, -tol_shift)
     gate_tol = _lm.mpf_shift(tol, 1 - gate_divisor.bit_length())  # tol / gate_divisor, exact
-    sums = near = [unwrap(s) for s in start]
+    sums = near = start
     near_open = any(signs)  # near: the sums up to where the near-zero ends stop
     for k in range(1, cfg.max_terms + 1):
         terms, gate = step(k)
-        sums = [add(s, unwrap(t), prec) for s, t in zip(sums, terms)]
+        sums = [add(s, t, prec) for s, t in zip(sums, terms)]
         if near_open:
             near = sums
         if exceeds(gate, gate_tol, near_open):
@@ -172,12 +174,12 @@ def certified_sum(what: str, cfg: EvalConfig, start, step, tail, signs, gate_div
     raise ConvergenceError(f"{what} did not reach tail tolerance within {cfg.max_terms} terms")
 
 
-def _settle(total: tuple, bound: Enclosure, near: tuple, sign: int, prec: int) -> Enclosure:
+def _settle(total: tuple, bound: tuple, near: tuple, sign: int, prec: int) -> Enclosure:
     """total + [0, b], [-b, 0] or [-b, b] on raw pairs, b the bound's upper end (negating an
     mpf b would round to 53 bits), with the near-zero end of a one-signed sum taken from its
     shorter partial sum `near`; the terms between them share the sign, so the true sum lies
     beyond near's end."""
-    b = bound._hi
+    b = bound[1]
     tail = (_lm.fzero if sign > 0 else _lm.mpf_neg(b), _lm.fzero if sign < 0 else b)
     lo, hi = _lm.mpi_add(total, tail, prec)
     if sign > 0 and _lm.mpf_cmp(near[0], lo) < 0:
@@ -201,37 +203,32 @@ def _ball_settle(total: Ball, bound: Ball, near: Ball, sign: int, prec: int) -> 
     return out
 
 
-def _identity(x):
-    return x
-
-
-#: The raw operations that the kernel and a quadratic pass run, with libmp's signatures: on
-#: libmp interval pairs, whose kernel elements are Enclosures (wrap, unwrap), or on Balls, which
-#: are their own; they run at the working precision plus `guard` bits.  positive(v): v's lower
-#: end is above 0; exceeds(x, t, lower): x's lower (or upper) end is above the positive raw mpf
-#: t; top(v): an integer with 2^(top - 1) <= v's upper end; settle: the kernel's result.
+#: The raw operations of the kernel, a quadratic pass and `_numerators`, with libmp's signatures,
+#: on libmp interval pairs or on Balls, at the working precision plus `guard` bits.  unwrap: pi's
+#: or a q power's raw value; positive(v): v's lower end is above 0; exceeds(x, t, lower): x's
+#: lower (or upper) end is above the positive raw mpf t; top(v): an integer with 2^(top - 1) <=
+#: v's upper end; settle: the kernel's result.
 _PAIRS = SimpleNamespace(
     guard=0, mul=_lm.mpi_mul, add=_lm.mpi_add, sub=_lm.mpi_sub, div=_lm.mpi_div,
     neg=_lm.mpi_neg, pow_int=_lm.mpi_pow_int, const=_to_raw_pair,
-    shift=lambda x, k: (_lm.mpf_shift(x[0], k), _lm.mpf_shift(x[1], k)),
-    wrap=Enclosure._from_mpi, unwrap=lambda x: (x._lo, x._hi),
-    positive=lambda x: _lm.mpf_sign(x[0]) > 0,
-    exceeds=lambda x, t, lower: _lm.mpf_cmp(x._lo if lower else x._hi, t) > 0,
+    shift=lambda x, k, f=_lm.mpf_shift: (f(x[0], k), f(x[1], k)),
+    unwrap=lambda x: (x._lo, x._hi), positive=lambda x: _lm.mpf_sign(x[0]) > 0,
+    exceeds=lambda x, t, lower: _lm.mpf_cmp(x[0] if lower else x[1], t) > 0,
     top=lambda x: x[1][2] + x[1][3], settle=_settle)
 _BALLS = SimpleNamespace(
     guard=_BALL_GUARD_BITS, mul=_ball_mul, add=_ball_add, sub=_ball_sub, div=_ball_div,
     neg=lambda x, prec: -x, pow_int=_ball_pow_int, const=_ball_const, shift=Ball._scaled,
-    wrap=_identity, unwrap=_identity, positive=Ball.is_strictly_positive,
+    unwrap=lambda x: x, positive=Ball.is_strictly_positive,
     exceeds=_ball_exceeds, top=lambda b: (b.m + b.r).bit_length() + b.e, settle=_ball_settle)
 
 
-def _largest(sizes: list[tuple]) -> Enclosure:
+def _largest(sizes: list[tuple]) -> tuple:
     """[largest lower end, largest upper end] of raw intervals: inclusion isotone in each."""
     lo, hi = sizes[0]
     for a, b in sizes[1:]:
         lo = a if _lm.mpf_cmp(a, lo) > 0 else lo
         hi = b if _lm.mpf_cmp(b, hi) > 0 else hi
-    return Enclosure._from_mpi((lo, hi))
+    return lo, hi
 
 
 #: `_quadratic_series` constants by (a(1), a(2), a(3), scale shift, precision, first and top
@@ -285,7 +282,7 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
         q = (-(type(y).pi() * y._scaled(shift))).exp()
         powers = (q ** (a1 - a0), q ** (a2 - a1), q ** (a3 - 2 * a2 + a1))
     e, ratio, d = map(ar.unwrap, powers)  # E_1, R_1, D as raw intervals or Balls
-    mul, pow_int, raw, div, neg, wrap = ar.mul, ar.pow_int, ar.const, ar.div, ar.neg, ar.wrap
+    mul, pow_int, raw, div, neg = ar.mul, ar.pow_int, ar.const, ar.div, ar.neg
     w_r, first, top = raw(weight, prec), orders[0], orders[-1]
     table = _BALL_CONSTANTS if ar is _BALLS else _SERIES_CONSTANTS
     known = table.setdefault((a1, a2, a3, shift, prec, first, top), {})
@@ -315,17 +312,17 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
         terms = [mag]
         for _ in orders[1:]:
             terms.append(mul(terms[-1], ca, prec))
-        return [wrap(neg(t, prec) if (r + n * alternating) % 2 else t)
-                for r, t in zip(orders, terms)], wrap(mag)
+        return [neg(t, prec) if (r + n * alternating) % 2 else t
+                for r, t in zip(orders, terms)], mag
 
     def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}; on raw intervals,
         # the geometric tail of w * E_{n+1} * (c * a(n+1))^R, ratio growth^R * R_{n+1}
         _, _, ca_top, growth_top, lower = constants(n + 1)
         b = _geometric_tail(mul(mul(w_r, e, prec), ca_top, prec), mul(growth_top, ratio, prec),
                             prec)
-        return [wrap(div(b, power, prec)) for power in lower]
+        return [div(b, power, prec) for power in lower]
 
-    sums = [wrap(raw(start if r == 0 else 0, prec)) for r in orders]
+    sums = [raw(start if r == 0 else 0, prec) for r in orders]
     signs = [0 if alternating else (-1) ** r for r in orders]
     shift = 1 - ar.top(e) if relative else 0  # 2^-shift <= E_1's upper end
     return certified_sum(what, cfg, sums, step, tail, signs, gate_divisor=4, tol_shift=shift)
@@ -372,41 +369,40 @@ def theta2_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure
     return _theta2(y, range(nu, nu + 1), cfg)[0]
 
 
-#: N_k(s, v, u) with psi^(k)(s) = u N_k / v^(k+1), u = e^{-s}, v = 1 - u, and N_{k+1} =
-#: v(N_k' - N_k) - (k+1) u N_k; the triangle inequality gives |N_k| <= 2(1+s)^2 for k <= 2, which
-#: the Lambert tails use.  The reference transcription, bare constants on the left so that it also
-#: runs on ExpPoly: `_psi` runs this grouping on raw intervals, the tests hold it to these
-#: lambdas and the recursion, and the g-chain anchor reads N_2 as g = e^{2s} N_2.  Written by hand rather than as a Jet of s^2 u/(1 - u): on s in
-#: pi [1, 1.01] that Jet's psi'' is 0.054 wide against 0.018 here, and at 128 bits it takes
-#: 238 us against 109 us (one core of a 2-core x86 machine, Python 3.11, pure-Python mpmath 1.3)
-_PSI_NUMERATORS = (
-    lambda s, v, u: s * s,
-    lambda s, v, u: s * (2 * v - s),
-    lambda s, v, u: 2 * v * v - 4 * s * v + s * s * (1 + u),
-    lambda s, v, u: -6 + 6 * s - s * s + u * (12 - 4 * s * s) - u * u * (6 + 6 * s + s * s),
-)
+def _numerators(s, v, u, orders: range, ar, prec: int) -> list:
+    """N_k(s, v, u) for each order k of `orders`, in the arithmetic `ar`: psi^(k)(s) = u N_k /
+    v^(k+1), u = e^{-s}, v = 1 - u, and N_{k+1} = v(N_k' - N_k) - (k+1) u N_k; the triangle
+    inequality gives |N_k| <= 2(1+s)^2 for k <= 2, which the Lambert tails use.  The one
+    transcription: `_psi` runs it on raw pairs, the g-chain anchor (g = e^{2s} N_2) and the tests
+    of the recursion on ExpPoly, reading it here at call time.  2v and 4s are exact shifts, and
+    each constant is formed in the numerator that needs it.  Written by hand rather than as a Jet
+    of s^2 u/(1 - u): on s in pi [1, 1.01] that Jet's psi'' is 0.054 wide against 0.018 here,
+    and at 128 bits it takes 238 us against 109 us (one core of a 2-core x86 machine, Python
+    3.11, pure-Python mpmath 1.3)."""
+    mul, add, sub, const = ar.mul, ar.add, ar.sub, ar.const
+    v2, s4 = ar.shift(v, 1), ar.shift(s, 2)
+
+    def n3():  # 6s - 6 - s^2 + u(12 - 4s^2) - u^2(6s + 6 + s^2)
+        s6, ss = mul(s, const(6, prec), prec), mul(s, s, prec)
+        lead = add(sub(add(s6, const(-6, prec), prec), ss, prec),
+                   mul(u, sub(const(12, prec), mul(s4, s, prec), prec), prec), prec)
+        return sub(lead, mul(mul(u, u, prec), add(add(s6, const(6, prec), prec), ss, prec), prec),
+                   prec)
+    numerators = (lambda: mul(s, s, prec), lambda: mul(s, sub(v2, s, prec), prec),  # N_0, N_1
+                  lambda: add(sub(mul(v2, v, prec), mul(s4, v, prec), prec),
+                              mul(mul(s, s, prec), add(u, const(1, prec), prec), prec), prec), n3)
+    return [numerators[k]() for k in orders]
 
 
 def _psi(s, u, orders: range, prec: int) -> list[tuple]:
-    """psi^(k)(s) for each order k of `orders` as raw intervals at `prec` bits, for raw s > 0
-    and u of e^{-s} over s; one u serves every order.  The _PSI_NUMERATORS grouping rounded as
-    on Enclosures, 2v and 4s exact: for s within `prec` bits, the reference's endpoints."""
-    mul, add, sub, shift = _lm.mpi_mul, _lm.mpi_add, _lm.mpi_sub, _lm.mpf_shift
-    v = sub(_ONE, u, prec)
+    """psi^(k)(s) = u N_k / v^(k+1) for each order k of `orders` as raw intervals at `prec` bits,
+    for raw s > 0 and u of e^{-s} over s; one u serves every order, and N_k is `_numerators`."""
+    v = _lm.mpi_sub(_ONE, u, prec)
     if _lm.mpf_sign(v[0]) <= 0:  # v's upper end 1 - u.lo is positive, as u.lo < 1
         raise DomainError("division by an enclosure containing zero")
-    v2, s4 = (shift(v[0], 1), shift(v[1], 1)), (shift(s[0], 2), shift(s[1], 2))
-
-    def n3():  # the N_3 lambda's operations in its order
-        s6, ss = mul(s, _SIX, prec), mul(s, s, prec)
-        lead = add(sub(add(s6, _MINUS_SIX, prec), ss, prec),
-                   mul(u, sub(_TWELVE, mul(s4, s, prec), prec), prec), prec)
-        return sub(lead, mul(mul(u, u, prec), add(add(s6, _SIX, prec), ss, prec), prec), prec)
-    numerators = (lambda: mul(s, s, prec), lambda: mul(s, sub(v2, s, prec), prec),  # N_0, N_1
-                  lambda: add(sub(mul(v2, v, prec), mul(s4, v, prec), prec),
-                              mul(mul(s, s, prec), add(u, _ONE, prec), prec), prec), n3)
-    return [_lm.mpi_div(mul(u, numerators[k](), prec), _lm.mpi_pow_int(v, k + 1, prec), prec)
-            for k in orders]
+    mul, div, pow_int = _lm.mpi_mul, _lm.mpi_div, _lm.mpi_pow_int
+    return [div(mul(u, n, prec), pow_int(v, k + 1, prec), prec)
+            for k, n in zip(orders, _numerators(s, v, u, orders, _PAIRS, prec))]
 
 
 def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -414,8 +410,8 @@ def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
     from the raw-interval `_psi` of the Lambert sums.
     Sound for s > 0 but wide as s -> 0, as v = 1 - e^-s is off by ~2^-prec: at 128 bits psi''
     is 4.6e-20 wide at s = 1e-10 and 4.6e20 at s = 1e-30.  The Lambert sums use s >= pi y."""
-    if order not in range(len(_PSI_NUMERATORS)):
-        raise ValueError(f"psi order must be 0, 1, 2 or 3, got {order}")
+    if order not in DERIVATIVE_ORDERS:
+        raise ValueError(f"psi order must be one of {DERIVATIVE_ORDERS}, got {order}")
     with cfg.scope():
         s = _check_positive(as_enclosure(s), "psi")
         u = (-s).exp()
@@ -425,75 +421,68 @@ def psi(s, order: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
 
 def _lambert_sum(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
     """f^(k) = sum_{m >= 1} w_m (m pi)^(k-1) psi^(k)(m pi y) for each order k of `orders`,
-    in one pass; w_m is 2 for odd m, else 1.  Each order has its own tail bound, and the tails
-    are tried once the largest requested |term| is small.  One exp per pass: u_m = u_{m-1} u_1
-    with u_1 = e^{-pi y}, positive factors decreasing in y, so the outward-rounded product
-    encloses e^{-m pi y} on a box and u_1's upper end bounds the tails.  The step runs on raw
-    intervals: s_m = pi y times the exact m, and the term w_m m^(k-1) * pi^(k-1) * psi^(k).
-    A box (width > cfg.tol) takes one more exp, at s0 = pi times its midpoint rounded to
-    nearest, and its m = 1 term 2 pi^(k-1) psi^(k)(S), S = pi y, apart: the natural form (s, u,
-    v taken as independent) met with the mean-value form psi^(k)(s0) + psi^(k+1)(S)(S - s0),
-    from one `_psi` pass over S (the natural form and the slope) and one at s0; the kernel
-    then sums from m = 2.  The pass takes pi y as its hull with s0: pi y itself, as rounding
-    is monotone, unless y's endpoints carry more bits than the working precision."""
-    if max(orders) > 2:  # the tails take |N_k| <= 2(1+s)^2, see _PSI_NUMERATORS
+    in one pass for any y, thin or a box; w_m is 2 for odd m, else 1.  Two exps per pass:
+    u_1 = e^{-pi y}, with u_m = u_{m-1} u_1, positive factors decreasing in y, so the
+    outward-rounded product encloses e^{-m pi y} on a box and u_1's upper end bounds the tails;
+    and one at s0 = pi times y's midpoint rounded to nearest.  The m = 1 term 2 pi^(k-1)
+    psi^(k)(S), S = pi y, comes apart: its natural form (s, u, v taken as independent) met with
+    the mean-value form psi^(k)(s0) + psi^(k+1)(S)(S - s0), from one `_psi` pass over S (the
+    natural form and the slope) and one at s0; on a thin y, s0 = S and the lead is its natural
+    form.  The kernel then sums from m = 2 on raw intervals: s_m = pi y times the exact m, and the
+    term w_m m^(k-1) * pi^(k-1) * psi^(k), each order with its own tail bound, tried once the
+    largest requested |term| is small.  The pass takes pi y as its hull with s0: pi y itself, as
+    rounding is monotone, unless y's endpoints carry more bits than the working precision."""
+    if max(orders) > 2:  # the tails take |N_k| <= 2(1+s)^2, see _numerators
         raise ValueError(f"lambert series: orders must be at most 2, got {tuple(orders)}")
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "lambert series")
-        prec, box = current_precision(), y.width > cfg.tol
-        pi = Enclosure.pi()
-        piy = pi * y
-        if box:
-            mid = _lm.mpi_mid((y._lo, y._hi), prec)
-            s0 = pi * Enclosure._from_mpi((mid, mid))
-            piy = piy.hull(s0)
-        r = (-piy).exp()  # u_1 = e^{-pi y}; u_m = u_{m-1} u_1 = e^{-m pi y}
-        scales = [pi ** (k - 1) for k in orders]
-        mul, raw, piy_r, u = _lm.mpi_mul, _to_raw_pair, (piy._lo, piy._hi), (r._lo, r._hi)
-        r_r, scale_rs, pow_int = u, [(c._lo, c._hi) for c in scales], _lm.mpi_pow_int
+        prec, pi = current_precision(), Enclosure.pi()
+        mid = _lm.mpi_mid((y._lo, y._hi), prec)
+        s0 = pi * Enclosure._from_mpi((mid, mid))
+        piy = (pi * y).hull(s0)
+        r, u0 = (-piy).exp(), (-s0).exp()  # u_1 = e^{-pi y}; u_m = u_{m-1} u_1 = e^{-m pi y}
+        mul, raw, pow_int, cmp = _lm.mpi_mul, _to_raw_pair, _lm.mpi_pow_int, _lm.mpf_cmp
+        piy_r, s0_r, r_r = (piy._lo, piy._hi), (s0._lo, s0._hi), (r._lo, r._hi)
+        scale_rs = [(c._lo, c._hi) for c in (pi ** (k - 1) for k in orders)]
         spread = pow_int(_lm.mpi_add(piy_r, _ONE, prec), 2, prec)  # (1 + pi y)^2
         bases = [mul(c, raw(4, prec), prec) for c in scale_rs]  # 4 scale
+        u = r_r
 
-        def step(m):
+        def step(k):  # the kernel's term k is m = k + 1
             nonlocal u
-            u = mul(u, r_r, prec) if m > 1 else u
+            m, u = k + 1, mul(u, r_r, prec)
             w = 2 if m % 2 else 1  # w_m m^(k-1): exact for k >= 1, w_m/m rounded outward for k = 0
             psis = _psi(mul(piy_r, raw(m, prec), prec), u, orders, prec)
             terms = [mul(mul(raw(w * m ** (k - 1) if k else Fraction(w, m), prec), scale, prec),
                          psi_k, prec) for k, scale, psi_k in zip(orders, scale_rs, psis)]
-            return ([Enclosure._from_mpi(t) for t in terms],
-                    _largest([_lm.mpi_abs(t, prec) for t in terms]))
+            return terms, _largest([_lm.mpi_abs(t, prec) for t in terms])
 
-        def tail(n):
-            # for m > n: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2, so
-            # with p = k + 1 and w_m <= 2 a term is at most 4 scale d^p (1+pi y)^2 m^p r^m and
+        def tail(j):
+            # for m > n = j + 1: u <= r^m, 1/v <= d and |N_k| <= 2(1+m pi y)^2 <= 2 m^2 (1+pi y)^2,
+            # so with p = k + 1 and w_m <= 2 a term is at most 4 scale d^p (1+pi y)^2 m^p r^m and
             # a term ratio at most ((n+2)/(n+1))^p r, all at r's upper end e^{-pi y.lo}; on raw
             # intervals, each product rounded left to right as on Enclosures
+            n = j + 1
             rn = pow_int(r_r, n + 1, prec)
             d, growth = _geometric_tail(_ONE, rn, prec), raw(Fraction(n + 2, n + 1), prec)
             tails = []
             for p, first in zip((k + 1 for k in orders), bases):
                 for factor in (pow_int(d, p, prec), spread, raw((n + 1) ** p, prec), rn):
                     first = mul(first, factor, prec)
-                tails.append(Enclosure._from_mpi(
-                    _geometric_tail(first, mul(pow_int(growth, p, prec), r_r, prec), prec)))
+                tails.append(_geometric_tail(first, mul(pow_int(growth, p, prec), r_r, prec), prec))
             return tails
 
-        what = f"lambert series (orders {orders[0]}..{orders[-1]})"
-        signs = [1 if k == 0 else 0 for k in orders]  # psi > 0, so all terms of f are positive
-        zeros = [_ZERO] * len(orders)
-        if not box:
-            return certified_sum(what, cfg, zeros, step, tail, signs, gate_divisor=16)
         # m = 1 apart, on raw pairs rounded as on Enclosures: psi^(k) and its slope over S, and
         # psi^(k) at s0
-        u0, cmp = (-s0).exp(), _lm.mpf_cmp
         natural = _psi(piy_r, r_r, range(orders[0], orders[-1] + 2), prec)
-        centre = _psi((s0._lo, s0._hi), (u0._lo, u0._hi), orders, prec)
-        ds, two, lead = _lm.mpi_sub(piy_r, (s0._lo, s0._hi), prec), raw(2, prec), []
+        centre = _psi(s0_r, (u0._lo, u0._hi), orders, prec)
+        ds, two, lead = _lm.mpi_sub(piy_r, s0_r, prec), raw(2, prec), []
         for scale, n, slope, c in zip(scale_rs, natural, natural[1:], centre):
             m = _lm.mpi_add(c, mul(slope, ds, prec), prec)  # holds psi^(k)(S)
             meet = (m[0] if cmp(m[0], n[0]) > 0 else n[0], m[1] if cmp(m[1], n[1]) < 0 else n[1])
             lead.append(Enclosure._from_mpi(mul(mul(two, scale, prec), meet, prec)))
-        rest = certified_sum(what, cfg, zeros, lambda n: step(n + 1), lambda n: tail(n + 1), signs,
+        what = f"lambert series (orders {orders[0]}..{orders[-1]})"
+        signs = [1 if k == 0 else 0 for k in orders]  # psi > 0, so all terms of f are positive
+        rest = certified_sum(what, cfg, [(_lm.fzero, _lm.fzero)] * len(orders), step, tail, signs,
                              gate_divisor=16)
         return [t + part for t, part in zip(lead, rest)]

@@ -37,15 +37,16 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 
-from . import envelopes
+from . import envelopes, theta
 from .certify import CertificationReport, Check, certify_sign
 from .enclosure import (DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet, _ball_exceeds, _below,
                         _thin_ball, as_enclosure)
 from .envelopes import _envelope_poly, check_c_admissible
 from .exppoly import DegreeError, ExpPoly
 from .modular import _f_modular
-from .theta import _ONE, _PSI_NUMERATORS, _lambert_sum, _theta2, _theta4
+from .theta import _ONE, _lambert_sum, _theta2, _theta4
 
 __all__ = [
     "GreekConstants",
@@ -101,6 +102,10 @@ def _certify_bracket(bracket: _Bracket, corner, cfg: EvalConfig, *premises: Chec
 
 #: x = pi y and e = e^x, the variable and the exponential of the g-chain
 _X, _E = ExpPoly({0: (0, 1)}), ExpPoly.exponential(1)
+#: theta._numerators' arithmetic on ExpPoly (a precision argument ignored): exact at rate 1
+_EXPPOLYS = SimpleNamespace(mul=lambda a, b, _: a * b, add=lambda a, b, _: a + b,
+                            sub=lambda a, b, _: a - b, shift=lambda a, k: a.scale(2 ** k),
+                            const=lambda c, _: ExpPoly.exponential(0, c))
 
 
 def _g_polys() -> tuple[ExpPoly, ExpPoly, ExpPoly]:
@@ -143,11 +148,12 @@ def verify_g_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
     """Certify the whole g-argument: g''(y) > 0 for pi y >= 1 + sqrt 3,
     g'(1) > 0, g(1) > 0, hence g(y) > 0 for all y >= 1: psi'' > 0 on [pi, oo)."""
     g, gp, gpp = _G
-    # transcription anchor, exact in x: g is e^{2x} N_2 = (e^x - 1)^3 psi''(x), the term the
-    # Lambert evaluator sums, and its g'' is both the display and e^{2x} B, B certified below
-    # (a corrupted g or B breaks this, not the positivity, which would only get easier)
+    # transcription anchor, exact in x: g is e^{2x} N_2 = (e^x - 1)^3 psi''(x), N_2 from the
+    # Lambert evaluator's own theta._numerators, and its g'' is both the display and e^{2x} B,
+    # B certified below (a corrupted g or B breaks this, not the positivity, which would only
+    # get easier)
     u = ExpPoly.exponential(-1)
-    n2 = _PSI_NUMERATORS[2](_X, 1 - u, u).shift(2)
+    n2 = theta._numerators(_X, 1 - u, u, (2,), _EXPPOLYS, 0)[0].shift(2)
     gaps = (g - n2, gpp - _G_DISPLAY, gpp - _G_BRACKET.poly.shift(2))
     checks = [Check("g'' matches its displayed grouping", not any(gap.terms() for gap in gaps),
                     "g - e^{2x} N_2, g'' - display, g'' - e^{2x} B: every coefficient exactly 0")]

@@ -10,7 +10,8 @@ products (rational coefficients times powers of pi, recorded here as
 exact Fractions).  Tests assert that the library's enclosures contain
 these values; they are never fed back into the library.  Above them,
 `count_calls` counts the calls of one function, and `count_arithmetic` the Enclosure
-arithmetic, for the work-count tests.
+arithmetic, for the work-count tests; `n2_mutant` is the one psi numerator transcription with a
+mutated N_2, for the tests that require the g-chain anchor to catch it.
 Past them, plain-mpmath oracles at any precision: mp_scalar differentiates
 numerically, mp_f_modular sums f's Q-series form directly, and mp_lambert sums
 its Lambert form.
@@ -27,7 +28,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from thetacert import ConvergenceError, Enclosure, EvalConfig, precision
+from thetacert import ConvergenceError, Enclosure, EvalConfig, precision, theta
 from thetacert.cli import main as cli_main
 from thetacert.enclosure import DEFAULT_CONFIG, as_enclosure
 from thetacert.modular import _theta4_flipped
@@ -64,6 +65,23 @@ def count_arithmetic(monkeypatch) -> list:
 
         monkeypatch.setattr(Enclosure, name, counting)
     return calls
+
+
+def n2_mutant(sv_shift=2, u_coefficient=1):
+    """theta._numerators with N_2 = 2v^2 - 2^sv_shift s v + s^2 (1 + u_coefficient u) in its
+    grouping, in any arithmetic; the defaults give the true N_2, and the other orders are kept."""
+    inner = theta._numerators
+
+    def numerators(s, v, u, orders, ar, prec):
+        out = inner(s, v, u, orders, ar, prec)
+        if 2 in orders:
+            mul, add, sub, const = ar.mul, ar.add, ar.sub, ar.const
+            out[list(orders).index(2)] = add(
+                sub(mul(ar.shift(v, 1), v, prec), mul(ar.shift(s, sv_shift), v, prec), prec),
+                mul(mul(s, s, prec), add(mul(const(u_coefficient, prec), u, prec), const(1, prec),
+                                         prec), prec), prec)
+        return out
+    return numerators
 
 
 # transcribed from a standard 50-digit table of pi, independent of this code

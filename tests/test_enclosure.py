@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from thetacert import (
@@ -285,22 +285,28 @@ def _kernel_balls(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(parts=_kernel_balls(),
-       p=st.fractions(-4, 4, max_denominator=40).filter(lambda f: f.denominator > 1),
+       p=st.one_of(st.fractions(-4, 4, max_denominator=40).filter(lambda f: f.denominator > 1),
+                   st.integers(-4, -1).map(Fraction)),
        prec=st.sampled_from([85, 160, 288]))
+@example(parts=(4, 2, -2), p=Fraction(-2), prec=160)  # [1/2, 3/2]: its square's ball reaches 0
 def test_ball_exp_log_and_powers_contain_the_exact_image(parts, p, prec):
     # one kernel call at the midpoint, plus the derivative bound, holds exp, log and y^p (p not
-    # an integer: exp(p log y)) at the ends and midpoint of radii up to 1/2 (wider ones take the
-    # Enclosure form); log refuses a ball that reaches 0
+    # an integer: exp(p log y); p from -1 to -4 on any ball without 0: one inversion, then
+    # squaring) at the ends and midpoint of radii up to 1/2 (wider ones take the Enclosure form);
+    # log refuses a ball that reaches 0
     from thetacert.enclosure import Ball
 
     x = Ball(*parts)
     cases = [(Ball.exp, mp.exp)]
+    power = (lambda b: b ** p, lambda v: v ** p.numerator if p.denominator == 1
+             else v ** (mp.mpf(p.numerator) / p.denominator))
     if x.m > x.r:
-        cases += [(Ball.log, mp.log),
-                  (lambda b: b ** p, lambda v: v ** (mp.mpf(p.numerator) / p.denominator))]
+        cases += [(Ball.log, mp.log), power]
     else:
         with precision(prec - 32), pytest.raises(DomainError):
             x.log()
+        if p.denominator == 1 and -x.m > x.r:
+            cases.append(power)
     for fn, exact in cases:
         with precision(prec - 32):
             result = fn(x)

@@ -208,11 +208,12 @@ def test_sign_from_past_the_corner_means_strictly_signed(terms, corner, sign, of
 
 def test_psi_numerators_run_on_exp_polys():
     # s = x, u = e^-x, v = 1 - u: int constants on the left, and N_1 = s (2v - s) exactly
-    from thetacert.theta import _PSI_NUMERATORS
+    from thetacert.theta import _numerators
+    from thetacert.verifier import _EXPPOLYS
 
     s = ExpPoly({0: (0, 1)})
     u = ExpPoly.exponential(-1)
-    n1 = _PSI_NUMERATORS[1](s, 1 - u, u)
+    (n1,) = _numerators(s, 1 - u, u, (1,), _EXPPOLYS, 0)
     assert n1.exponents() == [-1, 0]
     assert n1.coefficient(0) == tuple(map(Enclosure, (0, 2, -1)))
     assert n1.coefficient(-1) == tuple(map(Enclosure, (0, -2, 0)))
@@ -223,12 +224,14 @@ def test_psi_numerators_run_on_exp_polys():
 def test_psi_numerators_are_one_derivation():
     # psi^(k) = u N_k/v^(k+1) with u = e^-s, v = 1 - u, so N_{k+1} = v(N_k' - N_k) - (k+1) u N_k:
     # every coefficient of the difference is exactly 0
-    from thetacert.theta import _PSI_NUMERATORS
+    from thetacert.theta import _numerators
+    from thetacert.verifier import _EXPPOLYS
 
     s, u = ExpPoly({0: (0, 1)}), ExpPoly.exponential(-1)
     v = 1 - u
+    numerators = _numerators(s, v, u, range(4), _EXPPOLYS, 0)
     for k in range(3):  # N_1, N_2 and N_3 from the entry before
-        n, following = _PSI_NUMERATORS[k](s, v, u), _PSI_NUMERATORS[k + 1](s, v, u)
+        n, following = numerators[k], numerators[k + 1]
         gap = following - (v * (n.derivative() - n) - (k + 1) * u * n)
         assert not gap.terms(), (k, gap)
 

@@ -4,17 +4,22 @@ non-certified (exit 1).
 
 A survivor still lets `verify all` end certified: it is a strict xfail that names the roadmap
 item meant to kill it, so the change that kills it must flip the entry into a passing pin.  A
-killed mutant runs only the suite that kills it, which `verify all` includes.
+killed mutant runs only the suite that kills it, which `verify all` includes.  The engine gets
+planted counterexamples: quantities with a negative dip that `certify_sign` must not certify.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from thetacert import modular, verifier
+from thetacert import Enclosure, EvalConfig, modular, theta, verifier
+from thetacert.certify import Status, certify_sign
 from thetacert.cli import main as cli_main
 from thetacert.exppoly import ExpPoly
 from thetacert.verifier import _Bracket
+
+from conftest import n2_mutant
 
 
 def _bracket(name, poly):
@@ -47,6 +52,12 @@ def _h_term(i, coeff=None, power=None):
     c, p, factors = terms[i]
     term = (c if coeff is None else coeff, p if power is None else power, factors)
     return "_H_TERMS", terms[:i] + (term,) + terms[i + 1:]
+
+
+def _n2(**mutation):
+    """Replace N_2 in theta._numerators, the psi numerators that the Lambert sum evaluates and
+    the g-chain anchor reads."""
+    return lambda monkeypatch: monkeypatch.setattr(theta, "_numerators", n2_mutant(**mutation))
 
 
 def _survivor(item, what):
@@ -82,6 +93,8 @@ _MUTANTS = [
     pytest.param("small-y", (verifier._ROUNDED, "zeta", Fraction(1, 25)), id="rounded-zeta"),
     pytest.param("g-chain", _bracket("_G_BRACKET", ExpPoly({0: (-6, -8, 5), -1: (6, 8, 1)})),
                  id="g-bracket-x-squared"),
+    pytest.param("g-chain", _n2(sv_shift=1), id="psi-n2-minus-2sv"),
+    pytest.param("g-chain", _n2(u_coefficient=2), id="psi-n2-one-plus-2u"),
 ]
 
 
@@ -95,3 +108,18 @@ def test_a_mutant_of_the_proof_ends_non_certified(monkeypatch, capsys, suite, mu
         monkeypatch.setitem(*mutant)
     assert cli_main(["verify", suite]) == 1
     capsys.readouterr()
+
+
+def _dip(c):
+    """(y - c)^2 - (5e-13)^2: positive on every box but those within 5e-13 of c."""
+    def q(box, cfg):
+        with cfg.scope():
+            return (box - c) ** 2 - Enclosure("5e-13") ** 2
+    return q
+
+
+@pytest.mark.parametrize("c", [random.Random(12).uniform(0.05, 20), 1, "0.05", 20],
+                         ids=["interior", "at-the-cut", "at-the-lower-end", "at-the-upper-end"])
+def test_a_planted_dip_is_never_certified(c):
+    report = certify_sign(_dip(Enclosure(c)), ("0.05", 20), +1, EvalConfig(), cuts=(1,))
+    assert report.status is not Status.CERTIFIED, report.boxes_examined

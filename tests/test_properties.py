@@ -16,7 +16,7 @@ from conftest import (g_prime, h_direct, mp_f_modular, mp_lambert, mp_scalar, mp
                       q_series_derivatives)
 from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
 from thetacert.enclosure import Jet
-from thetacert.theta import _quadratic_series, psi
+from thetacert.theta import _PAIRS, _numerators, _quadratic_series, psi
 from thetacert.scanner import _f_a
 from thetacert.verifier import _ROUTE_CUT, _f, f_eval, f_prime, f_second, g_second
 
@@ -122,6 +122,21 @@ def test_bisection_halves_tighten(a, w):
 def test_psi_box_contains_points(a, w, t, order):
     box, point = _box_and_point(a, w, t)
     assert psi(box, order, CFG).contains(psi(point, order, CFG))
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=200.0, exclude_min=True, allow_nan=False),
+       bits=st.sampled_from((128, 256)))
+def test_psi_numerators_hold_the_lambert_tail_premise(s, bits):
+    # the Lambert tails take |N_k(s)| <= 2(1 + s)^2 for k <= 2 (u, v in [0, 1] and the triangle
+    # inequality): the evaluator's own numerators on thin s, enclosure against enclosure
+    with EvalConfig(precision_bits=bits).scope():
+        s = Enclosure(s)
+        u = (-s).exp()
+        bound = 2 * (1 + s) ** 2
+        numerators = _numerators(*((x._lo, x._hi) for x in (s, 1 - u, u)), range(3), _PAIRS, bits)
+        for k, n in enumerate(numerators):
+            assert abs(Enclosure._from_mpi(n)).hi <= bound.lo, (s, k)
 
 
 @settings(max_examples=20, deadline=None)

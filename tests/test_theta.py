@@ -1,5 +1,6 @@
 """Theta series, product form, and the Lambert-type log-derivative sums."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from thetacert import (
 )
 from thetacert.enclosure import _to_raw_pair, current_precision
 from thetacert.theta import (
-    _PSI_NUMERATORS,
+    DERIVATIVE_ORDERS,
     _TABLED_INDICES,
     _geometric_tail,
     _lambert_sum,
@@ -376,7 +377,7 @@ def test_theta2_at_small_y_takes_one_exp(monkeypatch, nu, bits):
         (lambda cfg: _theta4(3, range(3), cfg), 1),
         (lambda cfg: q_series_derivatives(2, cfg), 1),
         (lambda cfg: _lambert_sum(Enclosure(1, "1.01"), range(3), cfg), 2),  # and m = 1 at s0
-        (lambda cfg: _lambert_sum(Enclosure(30), range(3), cfg), 1),
+        (lambda cfg: _lambert_sum(Enclosure(30), range(3), cfg), 2),
     ],
     ids=["theta4", "q_series", "lambert-box", "lambert-thin-30"],
 )
@@ -387,16 +388,45 @@ def test_a_series_pass_takes_one_exp(cfg, monkeypatch, evaluate, exps):
 
 
 @pytest.mark.parametrize("y, exps", [(Enclosure(1, "1.01"), 2), (Enclosure("0.8", "0.807"), 2),
-                                     (Enclosure(30), 1)], ids=["box", "overlap-box", "thin"])
+                                     (Enclosure(30), 2)], ids=["box", "overlap-box", "thin"])
 def test_a_lambert_box_adds_one_exp_for_its_leading_term(cfg, monkeypatch, y, exps):
-    # the leading term's exp at the box's midpoint; over the box it shares the pass's u_1
+    # the leading term's exp at the midpoint, a thin y's own point; over the box it shares the
+    # pass's u_1
     calls = count_calls(monkeypatch, Enclosure, "exp")
     f_second(y, cfg, route="lambert")
     assert len(calls) == exps
 
 
+@pytest.mark.parametrize("evaluate, few, many", [
+    (lambda y, cfg: _theta2(y, range(4), cfg), Enclosure(2), Enclosure("1e-3")),
+    (lambda y, cfg: _lambert_sum(y, range(3), cfg), Enclosure(30), Enclosure("0.8", "0.808")),
+], ids=["theta2", "lambert"])
+def test_a_series_pass_makes_raw_results_once(cfg, monkeypatch, evaluate, few, many):
+    # terms, gates, tails and partial sums stay raw: a pass makes as many Enclosures by
+    # _from_mpi at a few terms as at dozens or hundreds
+    from thetacert import theta
+
+    steps, inner = [], theta.certified_sum
+
+    def counting_steps(what, cfg, start, step, tail, signs, **kwargs):
+        return inner(what, cfg, start, lambda k: steps.append(k) or step(k), tail, signs,
+                     **kwargs)
+
+    monkeypatch.setattr(theta, "certified_sum", counting_steps)
+    made = count_calls(monkeypatch, Enclosure, "_from_mpi")
+    counts, terms = [], []
+    for y in (few, many):
+        made.clear()
+        steps.clear()
+        evaluate(y, cfg)
+        counts.append(len(made))
+        terms.append(len(steps))
+    assert terms[0] <= 8 and terms[1] >= 25, terms
+    assert counts[0] == counts[1], counts
+
+
 def test_a_lambert_pass_builds_enclosures_independent_of_its_terms(cfg, monkeypatch):
-    # the step runs on raw intervals: only the setup and the tail attempts build Enclosures,
+    # the step and the tails run on raw intervals: only the setup builds Enclosures,
     # whether the pass sums dozens of terms ([0.8, 0.808]) or two (y = 30)
     boxes = [Enclosure(1, "1.01"), Enclosure("0.8", "0.808"), Enclosure(30)]
     calls, inner = [], Enclosure.__init__
@@ -414,13 +444,23 @@ def test_a_lambert_pass_builds_enclosures_independent_of_its_terms(cfg, monkeypa
     assert counts[0] == counts[1] == counts[2], counts
 
 
-# --- the raw-interval psi and Lambert steps against the _PSI_NUMERATORS reference ---
+# --- the raw-interval psi and Lambert steps against a reference copy of the numerators ---
+
+
+#: N_k(s, v, u) with psi^(k)(s) = u N_k / v^(k+1), u = e^{-s}, v = 1 - u: a copy of
+#: theta._numerators kept apart from it, in its grouping, as Enclosure expressions
+_REFERENCE_NUMERATORS = (
+    lambda s, v, u: s * s,
+    lambda s, v, u: s * (2 * v - s),
+    lambda s, v, u: 2 * v * v - 4 * s * v + s * s * (1 + u),
+    lambda s, v, u: -6 + 6 * s - s * s + u * (12 - 4 * s * s) - u * u * (6 + 6 * s + s * s),
+)
 
 
 def _reference_psi(s, u, k):
-    """psi^(k)(s) from the _PSI_NUMERATORS transcription in Enclosure arithmetic."""
+    """psi^(k)(s) from the reference numerators in Enclosure arithmetic."""
     v = 1 - u
-    return u * _PSI_NUMERATORS[k](s, v, u) / v ** (k + 1)
+    return u * _REFERENCE_NUMERATORS[k](s, v, u) / v ** (k + 1)
 
 
 def _psi_arguments(pi):
@@ -437,7 +477,7 @@ def test_raw_psi_matches_the_reference_numerators(bits):
     cfg = EvalConfig(precision_bits=bits)
     with cfg.scope():
         for s in _psi_arguments(Enclosure.pi()):
-            for k in range(len(_PSI_NUMERATORS)):
+            for k in DERIVATIVE_ORDERS:
                 assert psi(s, k, cfg) == _reference_psi(s, (-s).exp(), k), (s, k)
 
 
@@ -445,15 +485,15 @@ def test_raw_psi_matches_the_reference_numerators(bits):
                          ids=str)
 @pytest.mark.parametrize("bits", [128, 256])
 def test_raw_lambert_terms_match_the_reference_numerators(monkeypatch, bits, orders):
-    # the kernel's first three terms, m = 1, 2, 3 on a thin y and 2, 3, 4 on a box: the odd and
-    # even weights, and w_m/m both exact and rounded
+    # the kernel's first three terms, m = 2, 3, 4 (m = 1 is the lead): the odd and even weights,
+    # and w_m/m both exact and rounded
     from thetacert import theta
 
     steps = []
 
     def first_terms(what, cfg, start, step, tail, signs, gate_divisor=1):
-        steps[:] = [step(n)[0] for n in (1, 2, 3)]
-        return start
+        steps[:] = [[Enclosure._from_mpi(t) for t in step(n)[0]] for n in (1, 2, 3)]
+        return [Enclosure._from_mpi(s) for s in start]
 
     monkeypatch.setattr(theta, "certified_sum", first_terms)
     cfg = EvalConfig(precision_bits=bits)
@@ -464,18 +504,15 @@ def test_raw_lambert_terms_match_the_reference_numerators(monkeypatch, bits, ord
             piy = pi * y
             r = u = (-piy).exp()
             _lambert_sum(y, orders, cfg)
-            first = _lambert_first_term(y, cfg)
-            for m in range(1, first + 3):
+            for m in range(1, _LAMBERT_FIRST_TERM + 3):
                 u = u * r if m > 1 else u
-                for k, term in zip(orders, steps[m - first] if m >= first else ()):
+                for k, term in zip(orders, steps[m - _LAMBERT_FIRST_TERM] if m > 1 else ()):
                     weight = Enclosure(Fraction((2 if m % 2 else 1) * m ** k, m))
                     assert term == weight * pi ** (k - 1) * _reference_psi(m * piy, u, k), (y, m, k)
 
 
-def _lambert_first_term(y, cfg):
-    """The term m at which a Lambert pass starts the kernel: 2 on a box, which takes m = 1
-    apart, else 1."""
-    return 2 if y.width > cfg.tol else 1
+#: the term m at which a Lambert pass starts the kernel: every pass takes m = 1 apart
+_LAMBERT_FIRST_TERM = 2
 
 
 # --- the leading Lambert term on a box: natural form met with the mean-value form ---
@@ -486,7 +523,8 @@ def _leading_lambert_terms(monkeypatch, y, orders, cfg):
     to which the pass adds them exactly."""
     from thetacert import theta
 
-    monkeypatch.setattr(theta, "certified_sum", lambda what, cfg, start, *args, **kw: start)
+    monkeypatch.setattr(theta, "certified_sum", lambda what, cfg, start, *args, **kw: [
+        Enclosure._from_mpi(s) for s in start])
     return _lambert_sum(y, orders, cfg)
 
 
@@ -542,21 +580,26 @@ def test_quadratic_series_rejects_non_quadratic_exponents(cfg):
         _quadratic_series("cubic", Enclosure(1), lambda k: k ** 3, range(1), cfg)
 
 
+def _raw(x: Enclosure) -> tuple:
+    """The raw libmp pair of an Enclosure, as the kernel takes its values."""
+    return x._lo, x._hi
+
+
 def _halving_sum(y, cfg, attempts):
     """certified_sum of y 2^-k over k >= 1 (exactly y), one-signed, whose tail bound raises
     ConvergenceError below term 103 whatever y is; `attempts` records each tail call."""
     def step(k):
-        term = y / Enclosure(2) ** k
+        term = _raw(y / Enclosure(2) ** k)
         return [term], term
 
     def tail(k):
         attempts.append(k)
         if k < 103:
             raise ConvergenceError("tail not certified yet")
-        return [y / Enclosure(2) ** k]
+        return [_raw(y / Enclosure(2) ** k)]
 
     with cfg.scope():
-        return certified_sum("halving", cfg, [Enclosure(0)], step, tail, [+1])[0]
+        return certified_sum("halving", cfg, [_raw(Enclosure(0))], step, tail, [+1])[0]
 
 
 def test_a_raising_tail_stops_the_near_end(cfg):
@@ -637,8 +680,7 @@ _TAIL_SERIES = {
                                          a0=2),
         lambda y, n: _reference_quadratic_tails(y, lambda j: j * (j + 1), range(4), n, a0=2)),
     "lambert": (lambda y, cfg: _lambert_sum(y, range(3), cfg),
-                lambda y, n: _reference_lambert_tails(  # the tests' tolerance is the default
-                    y, range(3), n + _lambert_first_term(y, EvalConfig()) - 1)),
+                lambda y, n: _reference_lambert_tails(y, range(3), n + _LAMBERT_FIRST_TERM - 1)),
 }
 
 
@@ -646,7 +688,7 @@ _TAIL_SERIES = {
 @pytest.mark.parametrize("series", list(_TAIL_SERIES))
 def test_raw_tails_match_their_enclosure_forms(monkeypatch, series, bits):
     # the tail bounds right after the kernel's steps 1, 2 and 6 (past terms m = 1, 2 and 6, and
-    # m = 2, 3 and 7 on a Lambert box), endpoint for endpoint, or both raising ConvergenceError
+    # m = 2, 3 and 7 on a Lambert pass), endpoint for endpoint, or both raising ConvergenceError
     # where a ratio is not below 1 (every series at y = 0.05, early on)
     from thetacert import theta
 
@@ -657,8 +699,8 @@ def test_raw_tails_match_their_enclosure_forms(monkeypatch, series, bits):
         def tails_after_n(what, cfg, start, step, tail, signs, **_):
             for k in range(1, n + 1):
                 step(k)
-            tails.append(tail(n))
-            return start
+            tails.append([Enclosure._from_mpi(b) for b in tail(n)])
+            return [Enclosure._from_mpi(s) for s in start]
 
         def recorded_tails():
             evaluate(y, cfg)
@@ -679,7 +721,7 @@ def _tails_after(n):
     def tails_after_n(what, cfg, start, step, tail, signs, **_):
         for k in range(1, n + 1):
             step(k)
-        return tail(n)
+        return [Enclosure._from_mpi(b) for b in tail(n)]
     return tails_after_n
 
 
@@ -730,6 +772,63 @@ def test_quadratic_tail_bounds_hold_the_omitted_terms(monkeypatch, series, bits)
                 assert bound.hi >= direct, (series, y, n, r, mp.nstr(direct, 20))
             checked += 1
     assert checked >= 2 * len(_TAIL_YS), checked
+
+
+def _psi_closed_forms(s):
+    """psi, psi' and psi'' at s from s^2/D, D = e^s - 1, differentiated by hand: 2s/D - s^2 E/D^2
+    and 2/D - 4sE/D^2 - s^2 E/D^2 + 2 s^2 E^2/D^3, E = e^s."""
+    e = mp.exp(s)
+    d = e - 1
+    return (s * s / d, 2 * s / d - s * s * e / d ** 2,
+            2 / d - 4 * s * e / d ** 2 - s * s * e / d ** 2 + 2 * s * s * e * e / d ** 3)
+
+
+@functools.lru_cache
+def _omitted_lambert_terms(y, n, prec):
+    """sum_{m > n} w_m (m pi)^(k-1) |psi^(k)(m pi y)| for k = 0, 1, 2 at `prec` bits, summed
+    term by term until the terms are decreasing and below 2^-prec of each sum."""
+    with mp.workprec(prec):
+        y, sums, last, m = mp.mpf(y), [mp.mpf(0)] * 3, None, n + 1
+        while True:
+            s = m * mp.pi * y
+            terms = [(2 if m % 2 else 1) * (m * mp.pi) ** (k - 1) * abs(p)
+                     for k, p in enumerate(_psi_closed_forms(s))]
+            sums = [a + b for a, b in zip(sums, terms)]
+            if (last is not None and all(a < b for a, b in zip(terms, last))
+                    and all(a <= b * mp.mpf(2) ** -prec for a, b in zip(terms, sums))):
+                return sums
+            last, m = terms, m + 1
+
+
+_LAMBERT_TAIL_YS = [Enclosure(lo) for lo in ("0.8", "1", "3", "30")] + [
+    Enclosure(lo, hi) for lo, hi in (("0.8", "0.808"), ("1", "1.01"), ("3", "3.03"),
+                                     ("30", "30.3"))]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_lambert_tail_bounds_hold_the_omitted_terms(monkeypatch, bits):
+    # right after the kernel's steps 1, 2 and 6 (past m = 2, 3 and 7), each order's bound holds
+    # the direct 4x-precision sum of the omitted |terms| at both ends of y; no bound raises
+    # ConvergenceError from y = 0.8 on
+    from thetacert import theta
+
+    cfg = EvalConfig(precision_bits=bits)
+    for n in (1, 2, 6):
+        def tails_after_n(what, cfg, start, step, tail, signs, **_):
+            for k in range(1, n + 1):
+                step(k)
+            tails.append([Enclosure._from_mpi(b) for b in tail(n)])
+            return [Enclosure._from_mpi(s) for s in start]
+
+        tails = []
+        monkeypatch.setattr(theta, "certified_sum", tails_after_n)
+        for y in _LAMBERT_TAIL_YS:
+            _lambert_sum(y, range(3), cfg)
+            bounds = tails.pop()
+            for end in (y.lo, y.hi):
+                omitted = _omitted_lambert_terms(end, n + _LAMBERT_FIRST_TERM - 1, 4 * bits)
+                for k, (bound, direct) in enumerate(zip(bounds, omitted)):
+                    assert bound.hi >= direct, (y, n, k, end, mp.nstr(direct, 20))
 
 
 def test_a_tail_attempt_takes_one_geometric_bound(cfg, monkeypatch):

@@ -47,6 +47,7 @@ from conftest import (
     count_calls,
     g_eval,
     g_polys_with_middle_term_flipped,
+    n2_mutant,
     g_prime,
     g_second_display,
     h_direct,
@@ -662,13 +663,13 @@ def _assert_only_the_anchor_breaks(report):
 
 
 def test_g_chain_anchor_ties_g_to_the_psi_numerator(monkeypatch, cfg):
-    # g = e^{2x} N_2 with N_2 the Lambert evaluator's psi'' numerator: s^2(1 + 2u) in place
-    # of s^2(1 + u) breaks the anchor
-    from thetacert import verifier
+    # g = e^{2x} N_2 with N_2 the Lambert evaluator's own psi'' numerator, theta._numerators:
+    # s^2(1 + 2u) in place of s^2(1 + u) breaks the anchor, and the unmutated copy does not
+    from thetacert import theta
 
-    numerators = list(verifier._PSI_NUMERATORS)
-    numerators[2] = lambda s, v, u: 2 * v * v - 4 * s * v + s * s * (1 + 2 * u)
-    monkeypatch.setattr(verifier, "_PSI_NUMERATORS", tuple(numerators))
+    monkeypatch.setattr(theta, "_numerators", n2_mutant())
+    assert verify_g_chain(cfg).status is Status.CERTIFIED
+    monkeypatch.setattr(theta, "_numerators", n2_mutant(u_coefficient=2))
     _assert_only_the_anchor_breaks(verify_g_chain(cfg))
 
 
