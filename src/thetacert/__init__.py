@@ -26,7 +26,6 @@ from .envelopes import (
     check_c_admissible,
     log_grid,
     lower_envelope,
-    tail_integral,
     upper_envelope,
     verify_sandwiches,
 )

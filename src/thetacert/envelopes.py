@@ -11,15 +11,15 @@ holds with
 
 (one ExpPoly form, which the envelope-product bracket of
 :mod:`thetacert.verifier` shares) and the inflation constants c_0 = 0.00001,
-c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  ``verify_sandwiches`` checks it on
-a grid, one report per order, with the envelope polys built once per call and
+c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  The lower envelope is theta2's first two
+terms by construction: its keys, amplitude and powers are read from `theta._THETA2`, the
+one statement of theta2's terms that `_theta2` sums.  ``verify_sandwiches`` checks the
+sandwich on a grid, one report per order, with the envelope polys built once per call and
 one theta2 pass and one exponential e^{-pi y/4} per point for all orders.  The
-admissibility of the c_nu is itself re-proved here, summing no series: the omitted
-odd terms m >= 5 of the theta2 sum are a sub-sum of sum_{n>=25} n^nu e^{-pi n y/4}, as the
-m^2 are distinct integers >= 25, and that sum is at most the explicit integral
-int_24^oo t^nu e^{-pi t y/4} dt, its terms decreasing past 4 nu/pi < 24; the integral's
-closed form gives the inflation factor e^{9 pi y/4} 9^(-nu) * integral, which must stay below
-c_nu at y = 1 and decreases on all of y > 0 because every coefficient of it is positive.
+admissibility of the c_nu is proved from the same statement, for every y >= 1, by two
+computed checks: every omitted exponent a(k), k >= 3, exceeds a(2), so each term of the
+inflation factor e^{9 pi y/4} 9^(-nu) sum_{k>=3} a(k)^nu e^{-pi a(k) y/4} decreases in y;
+and that factor at y = 1, one certified series pass, tail included, is below c_nu.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from fractions import Fraction
 from .certify import CertificationReport, Check
 from .enclosure import DEFAULT_CONFIG, DomainError, Enclosure, EvalConfig, _below, as_enclosure
 from .exppoly import ExpPoly
-from .theta import _check_order, _theta2
+from . import theta
+from .theta import _check_order, _quadratic_series, _theta2
 
 __all__ = [
     "EnvelopeConstants",
@@ -39,7 +40,6 @@ __all__ = [
     "lower_envelope",
     "upper_envelope",
     "verify_sandwiches",
-    "tail_integral",
     "admissibility_factor",
     "check_c_admissible",
     "log_grid",
@@ -77,12 +77,16 @@ def _check_domain(y: Enclosure) -> Enclosure:
 
 
 def _envelope_poly(nu: int, inflation=0) -> ExpPoly:
-    """amp (e^{-pi y/4} + (1 + inflation) 9^nu e^{-9 pi y/4}), amp = 2 pi^nu / 4^nu: rate pi/4,
-    keys -1 and -9; inflation 0 is the lower envelope.  Call inside a precision scope."""
-    pi = Enclosure.pi()
-    amp = 2 * pi ** _check_order(nu) / Enclosure(4 ** nu)
-    return ExpPoly({-1: (amp,), -9: (amp * Enclosure(9 ** nu) * (1 + Enclosure(inflation)),)},
-                   pi / 4)
+    """amp (a(1)^nu e^{-pi a(1) y/4} + (1 + inflation) a(2)^nu e^{-pi a(2) y/4}), theta2's
+    terms 1 and 2 as `theta._THETA2` states them (a(1) = 1, a(2) = 9), amp = 2 pi^nu / 4^nu:
+    rate pi/4, keys -a(1) and -a(2); inflation 0 is the lower envelope.  Call inside a
+    precision scope."""
+    terms, pi = theta._THETA2, Enclosure.pi()
+    amp = terms.weight * pi ** _check_order(nu) / Enclosure(terms.scale ** -nu)
+    a1, a2 = terms.a(1), terms.a(2)
+    return ExpPoly({-a1: (amp * Enclosure(a1 ** nu),),
+                    -a2: (amp * Enclosure(a2 ** nu) * (1 + Enclosure(inflation)),)},
+                   pi * terms.scale)
 
 
 def _envelope(y, nu: int, inflation, cfg: EvalConfig) -> Enclosure:
@@ -173,81 +177,35 @@ def verify_sandwiches(grid, orders, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Ce
     return reports
 
 
-#: the lower end of the tail integral, below every omitted theta2 exponent
-_TAIL_START = 24
-#: the omitted theta2 exponents a(k) = (2k + 3)^2 = 9 + 12k + 4k^2, k >= 1 (the odd squares
-#: m^2 >= 25), as their coefficients of k^0, k^1, k^2
-_OMITTED_EXPONENTS = (9, 12, 4)
-
-
-def _tail_coefficients(nu: int) -> list[int]:
-    """C_j = nu!/(nu-j)! T^(nu-j), j = 0..nu, T = _TAIL_START: the integration-by-parts
-    coefficients of int_T^oo t^nu e^{-s t} dt = e^{-T s} sum_j C_j / s^(j+1)."""
-    return [math.perm(nu, j) * _TAIL_START ** (nu - j) for j in range(nu + 1)]
-
-
-def tail_integral(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """Closed form of int_T^oo t^nu e^{-s t} dt with s = pi y / 4 and T = _TAIL_START = 24.
-
-    Integration by parts gives e^{-T s} * sum_{j=0}^{nu} C_j / s^(j+1), C_j from
-    :func:`_tail_coefficients`.
-    """
-    nu = _check_order(nu)
-    with cfg.scope():
-        y = _check_domain(as_enclosure(y))
-        s = Enclosure.pi() * y / 4
-        total = Enclosure(0)
-        for j, coeff in enumerate(_tail_coefficients(nu)):
-            total = total + Enclosure(coeff) / s ** (j + 1)
-        return (-(_TAIL_START * s)).exp() * total
-
-
 def admissibility_factor(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """e^{9 pi y/4} 9^(-nu) * tail_integral(nu, y); must stay below c_nu."""
+    """e^{pi a(2) y/4} a(2)^-nu sum_{k>=3} a(k)^nu e^{-pi a(k) y/4}, theta2's terms from the third
+    over the envelopes' second, for a and the scale 1/4 of `theta._THETA2`: the least c_nu
+    admissible at y.  One certified pass over a(k + 2) with offset a(2), tail included, divided
+    by (-pi/4)^nu, then by a(2)^nu."""
+    terms, nu = theta._THETA2, _check_order(nu)
     with cfg.scope():
-        y = _check_domain(as_enclosure(y))
-        boost = (Enclosure(9) * Enclosure.pi() * y / 4).exp()
-        return boost * tail_integral(nu, y, cfg) / Enclosure(9 ** nu)
+        y, a2 = _check_domain(as_enclosure(y)), terms.a(2)
+        (excess,) = _quadratic_series("theta2 excess", y, lambda k: terms.a(k + 2),
+                                      range(nu, nu + 1), cfg, scale=terms.scale, a0=a2)
+        return excess / (-(Enclosure.pi() * terms.scale)) ** nu / Enclosure(a2 ** nu)
 
 
 def check_c_admissible(nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:
-    """Certify that c_nu dominates the envelope error for every y >= 1.
-
-    Four computed steps, none of which sums a series:
-      1. the omitted odd-m excess sum_{m>=5 odd} m^(2 nu) e^{-pi m^2 y/4} is a sub-sum of
-         sum_{n>=25} n^nu e^{-pi n y/4} at every y, strictly smaller as 26 is no odd square:
-         the exponents a(k) are strictly increasing integers > 24 once a(1) is, the first
-         difference at k = 1 is positive and the second is a non-negative constant;
-      2. t^nu e^{-pi t y/4} is non-increasing past 4 nu/(pi y) <= 4 nu/pi < 24 for y >= 1,
-         so that sum is at most :func:`tail_integral`;
-      3. the inflation factor at y = 1 is strictly below c_nu;
-      4. the factor is 9^-nu e^{-15 pi y/4} sum_j base_j y^-(j+1) with
-         base_j = C_j (4/pi)^(j+1), so it decreases on all of y > 0 once
-         every base_j is positive, and y = 1 is the worst case.
+    """Certify that c_nu dominates theta2's omitted terms for every y >= 1, in two checks on
+    theta2's own statement `theta._THETA2`:
+      1. every omitted exponent a(k), k >= 3, exceeds a(2): a(3) - a(2) > 0, a(4) - a(3) > 0
+         and a constant second difference >= 0 (a is quadratic, as the excess pass checks), so
+         every term of :func:`admissibility_factor` decreases in y and the factor's supremum
+         on y >= 1 is its value at y = 1;
+      2. that value is strictly below c_nu.
     """
-    c = PAPER_CONSTANTS.for_order(nu)
-    c0, c1, c2 = _OMITTED_EXPONENTS
-    # a(1), a(2) - a(1) and a(k + 2) - 2 a(k + 1) + a(k), which is constant as a is quadratic
-    start, step, bend = c0 + c1 + c2, c1 + 3 * c2, 2 * c2
-    checks = [Check("subset of the integer sum", start > _TAIL_START and step > 0 and bend >= 0,
-                    f"a(k) = (2k + 3)^2 has a(1) = {start}, a(2) - a(1) = {step} and the constant "
-                    f"second difference {bend}: distinct integers > {_TAIL_START}")]
+    c, a = PAPER_CONSTANTS.for_order(nu), theta._THETA2.a
+    rise, step, bend = a(3) - a(2), a(4) - a(3), a(5) - 2 * a(4) + a(3)
+    checks = [Check("excess terms decay", rise > 0 and step > 0 and bend >= 0,
+                    f"a(3) - a(2) = {rise}, a(4) - a(3) = {step} and the constant second "
+                    f"difference {bend}: a(k) > a(2) for every k >= 3")]
     with cfg.scope():
-        turn = Enclosure(4 * nu) / Enclosure.pi()
-        checks.append(Check("monotone integrand", _below(turn, _TAIL_START),
-                            f"t^nu e^(-pi t y/4) is non-increasing past 4 nu/pi = {turn!r}"))
         factor = admissibility_factor(nu, Enclosure(1), cfg)
         checks.append(Check("factor below c at y=1", _below(factor, Enclosure(c)),
                             f"factor={factor!r}, c={float(c)}"))
-        bases = [Enclosure(coeff) * (4 / Enclosure.pi()) ** (j + 1)
-                 for j, coeff in enumerate(_tail_coefficients(nu))]
-    positive = {_below(0, b) for b in bases}  # every base_j > 0, three-valued
-    checks.append(
-        Check(
-            "factor decreasing on y > 0",
-            False if False in positive else None if None in positive else True,
-            "factor = 9^-nu e^{-15 pi y/4} sum_j base_j y^-(j+1) with every base_j > 0: "
-            f"{bases!r}",
-        )
-    )
     return CertificationReport.chain(f"c-admissibility-nu{nu}", checks)

@@ -14,8 +14,9 @@ end no later than any of its points, and its enclosure contains theirs.
 Two callers own the term and tail formulas.
 ``_quadratic_series`` sums w_n (-c a(n))^r e^{-c (a(n) - a0) y} for an integer a(n) of degree
 at most 2, several orders r in one pass: theta4 (a = k^2, alternating), theta2 (a = (2k-1)^2,
-c = pi/4) and the modular Q-series (a = j(j+1)); the offset a0 keeps e^{-c a0 y}, which swings
-by orders of magnitude across a box, out of the sum.  As a(n+1) - a(n) never falls and
+c = pi/4, stated once in _THETA2; the envelopes' admissibility sums its terms from the third)
+and the modular Q-series (a = j(j+1)); the offset a0 keeps e^{-c a0 y}, which swings by orders
+of magnitude across a box, out of the sum.  As a(n+1) - a(n) never falls and
 a(n+1)/a(n) never rises, every term ratio past term n is at most (a(n+2)/a(n+1))^r
 e^{-c (a(n+2) - a(n+1)) y.lo}, whatever a0, which bounds the top order R's tail geometrically
 from the first omitted term at y.lo; it is tried once the first requested order's term is
@@ -348,12 +349,18 @@ def _theta4(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
                                  weight=2, alternating=True, start=1)
 
 
+#: theta2(y) = sum_{k>=1} weight e^{-pi scale a(k) y} = sum 2 e^{-pi (2k - 1)^2 y/4}, stated
+#: once: `_theta2` sums it, and :mod:`thetacert.envelopes` reads it at call time for the
+#: envelopes (its terms 1 and 2) and for their admissibility (its terms from 3 on)
+_THETA2 = SimpleNamespace(a=lambda k: (2 * k - 1) ** 2, scale=Fraction(1, 4), weight=2)
+
+
 def _theta2(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
-    """theta2^(r)(y) for each order r of `orders`, in one pass over the terms."""
+    """theta2^(r)(y) for each order r of `orders`, in one pass over the terms of `_THETA2`."""
     with cfg.scope():
         y = _check_positive(as_enclosure(y), "theta2_series")
-        return _quadratic_series("theta2_series", y, lambda k: (2 * k - 1) ** 2, orders, cfg,
-                                 scale=Fraction(1, 4), weight=2)
+        return _quadratic_series("theta2_series", y, _THETA2.a, orders, cfg,
+                                 scale=_THETA2.scale, weight=_THETA2.weight)
 
 
 def theta2_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
@@ -378,20 +385,25 @@ def _numerators(s, v, u, orders: range, ar, prec: int) -> list:
     each constant is formed in the numerator that needs it.  Written by hand rather than as a Jet
     of s^2 u/(1 - u): on s in pi [1, 1.01] that Jet's psi'' is 0.054 wide against 0.018 here,
     and at 128 bits it takes 238 us against 109 us (one core of a 2-core x86 machine, Python
-    3.11, pure-Python mpmath 1.3)."""
+    3.11, pure-Python mpmath 1.3).  A call forms only the requested numerators."""
     mul, add, sub, const = ar.mul, ar.add, ar.sub, ar.const
     v2, s4 = ar.shift(v, 1), ar.shift(s, 2)
-
-    def n3():  # 6s - 6 - s^2 + u(12 - 4s^2) - u^2(6s + 6 + s^2)
-        s6, ss = mul(s, const(6, prec), prec), mul(s, s, prec)
-        lead = add(sub(add(s6, const(-6, prec), prec), ss, prec),
-                   mul(u, sub(const(12, prec), mul(s4, s, prec), prec), prec), prec)
-        return sub(lead, mul(mul(u, u, prec), add(add(s6, const(6, prec), prec), ss, prec), prec),
-                   prec)
-    numerators = (lambda: mul(s, s, prec), lambda: mul(s, sub(v2, s, prec), prec),  # N_0, N_1
-                  lambda: add(sub(mul(v2, v, prec), mul(s4, v, prec), prec),
-                              mul(mul(s, s, prec), add(u, const(1, prec), prec), prec), prec), n3)
-    return [numerators[k]() for k in orders]
+    out = []
+    for k in orders:
+        if k == 0:  # s^2
+            out.append(mul(s, s, prec))
+        elif k == 1:  # s(2v - s)
+            out.append(mul(s, sub(v2, s, prec), prec))
+        elif k == 2:  # 2v^2 - 4sv + s^2(1 + u)
+            out.append(add(sub(mul(v2, v, prec), mul(s4, v, prec), prec),
+                           mul(mul(s, s, prec), add(u, const(1, prec), prec), prec), prec))
+        else:  # 6s - 6 - s^2 + u(12 - 4s^2) - u^2(6s + 6 + s^2)
+            s6, ss = mul(s, const(6, prec), prec), mul(s, s, prec)
+            lead = add(sub(add(s6, const(-6, prec), prec), ss, prec),
+                       mul(u, sub(const(12, prec), mul(s4, s, prec), prec), prec), prec)
+            out.append(sub(lead, mul(mul(u, u, prec), add(add(s6, const(6, prec), prec), ss, prec),
+                                     prec), prec))
+    return out
 
 
 def _psi(s, u, orders: range, prec: int) -> list[tuple]:

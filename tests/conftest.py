@@ -3,8 +3,8 @@
 The decimal strings below were produced by independent oracles before the
 library was written: theta values come from mpmath.jtheta (a separate
 implementation of the same functions) evaluated at 60 significant digits
-with derivatives by mpmath.diff; g and the admissibility factors come
-from direct high-precision evaluation of their closed forms; the six
+with derivatives by mpmath.diff; g comes from direct high-precision
+evaluation of its closed form; the six
 bracket constants come from an exact symbolic expansion of the envelope
 products (rational coefficients times powers of pi, recorded here as
 exact Fractions).  Tests assert that the library's enclosures contain
@@ -13,8 +13,8 @@ these values; they are never fed back into the library.  Above them,
 arithmetic, for the work-count tests; `n2_mutant` is the one psi numerator transcription with a
 mutated N_2, for the tests that require the g-chain anchor to catch it.
 Past them, plain-mpmath oracles at any precision: mp_scalar differentiates
-numerically, mp_f_modular sums f's Q-series form directly, and mp_lambert sums
-its Lambert form.
+numerically, mp_f_modular sums f's Q-series form directly, mp_lambert sums
+its Lambert form, and mp_admissibility_factor sums theta2's omitted odd terms.
 
 Below them are the library's own routes by other means, which the tests compare
 it against: the theta4 product, h = f'' theta4^3, and handles on private routes
@@ -117,14 +117,6 @@ G_SECOND_AT_1 = "53472.16190675611214814675065349407607647"
 QUAD_ROOT = "0.8696387816055827210490940250579981654663"
 
 LOWER_ENVELOPE_1_0 = "0.9135791322176027896035474960472590103731"
-
-# e^{9 pi/4} 9^{-nu} int_24^oo t^nu e^{-pi t/4} dt, 30 digits
-ADMISSIBILITY_FACTORS = {
-    0: "9.73865075884610354227143596866e-6",
-    1: "2.73474726078704938340237099842e-5",
-    2: "7.69903795235505940344039986183e-5",
-    3: "2.17349405573747465262649348967e-4",
-}
 
 H_AT_1 = "0.2385965910918037786180493797"
 H_AT_HALF = "0.00236558473909953920992181933675"
@@ -233,6 +225,16 @@ def mp_theta4(y):
 
 def mp_theta2(y):
     return mp.jtheta(2, 0, mp.e ** (-mp.pi * y))
+
+
+def mp_admissibility_factor(nu, y):
+    """e^{9 pi y/4} 9^-nu sum_{m >= 5 odd} m^(2 nu) e^{-pi m^2 y/4}, theta2's omitted terms over
+    the envelopes' second, by mpmath's nsum at the ambient precision."""
+    y = mp.mpf(y)
+    def term(j):
+        m = 2 * j + 1
+        return m ** (2 * nu) * mp.exp(-mp.pi * (m * m - 9) * y / 4)
+    return mp.nsum(term, [2, mp.inf]) / 9 ** nu
 
 
 # --- the library's routes by other means ---

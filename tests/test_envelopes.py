@@ -18,13 +18,13 @@ from thetacert import (
     log_grid,
     lower_envelope,
     precision,
-    tail_integral,
     theta2_series,
     upper_envelope,
     verify_sandwiches,
 )
 
-from conftest import ADMISSIBILITY_FACTORS, LOWER_ENVELOPE_1_0, assert_contains, count_calls, mp_theta2
+from conftest import (LOWER_ENVELOPE_1_0, assert_contains, count_calls, mp_admissibility_factor,
+                      mp_theta2)
 
 
 def test_lower_envelope_values(cfg):
@@ -41,7 +41,7 @@ def test_envelope_domain_error(cfg):
     with pytest.raises(DomainError):
         lower_envelope(Enclosure("0.5"), 0, cfg)
     with pytest.raises(DomainError):
-        tail_integral(0, Enclosure("0.9"), cfg)
+        admissibility_factor(0, Enclosure("0.9"), cfg)
 
 
 def test_upper_envelope_definitional_identities(cfg):
@@ -85,35 +85,13 @@ def test_sandwich_fails_without_inflation(cfg, monkeypatch):
         assert report.status is Status.FAILED, f"nu={nu} should fail with deflated constants"
 
 
-def test_tail_integral_closed_forms(cfg):
-    with precision(256):
-        pi = Enclosure.pi()
-        # nu = 0: (4/pi) e^{-6 pi}
-        e0 = tail_integral(0, 1, cfg)
-        assert e0.intersects((4 / pi) * (-(6 * pi)).exp())
-        # nu = 1: e^{-6 pi} (24/s + 1/s^2), s = pi/4
-        s = pi / 4
-        e1 = tail_integral(1, 1, cfg)
-        assert e1.intersects((-(6 * pi)).exp() * (24 / s + 1 / s ** 2))
-    # monotone in y
-    assert tail_integral(3, 2, cfg).hi < tail_integral(3, 1, cfg).lo
-    assert tail_integral(3, 2, cfg).is_strictly_positive()
-
-
-def test_tail_integral_against_quadrature(cfg):
-    # independent oracle: adaptive numerical quadrature at high precision
-    with mp.workprec(300):
-        for nu in range(4):
-            oracle = mp.quad(lambda t: t ** nu * mp.e ** (-mp.pi * t / 4), [24, mp.inf])
-            enc = tail_integral(nu, 1, cfg)
-            with precision(300):
-                assert enc.contains(oracle) or abs(enc - Enclosure(oracle)).hi < 1e-40
-
-
 def test_admissibility_factors_against_oracle(cfg):
+    # the exact factor: theta2's omitted terms over the envelopes' second, summed by mpmath
     for nu in range(4):
         fac = admissibility_factor(nu, 1, cfg)
-        assert_contains(fac, ADMISSIBILITY_FACTORS[nu], slack=1e-33)
+        with mp.workdps(50):
+            assert fac.lo <= mp_admissibility_factor(nu, 1) <= fac.hi
+        assert fac.width < 1e-41
 
 
 def test_admissibility_certified_for_paper_constants(cfg):
@@ -141,14 +119,14 @@ def test_admissibility_fails_for_too_small_candidate(cfg, monkeypatch):
     assert report.status is Status.FAILED
 
 
-def _thirds():
-    return EnvelopeConstants(*(c / 3 for c in EnvelopeConstants().as_tuple()))
+def _divided(d):
+    return EnvelopeConstants(*(c / d for c in EnvelopeConstants().as_tuple()))
 
 
 def test_admissibility_tightness_third_fails(cfg, monkeypatch):
-    # c_nu / 3 is inadmissible for every order (the factors sit at
-    # 0.97, 0.91, 0.96, 0.72 of their constants)
-    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", _thirds())
+    # the exact factors sit at 0.349, 0.323, 0.336 and 0.249 of their constants: c_nu / 3 is
+    # refuted at nu = 0 and 2 only, and c_nu / 5 at every order
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", _divided(5))
     fails = 0
     for nu in range(4):
         report = check_c_admissible(nu, cfg)
@@ -158,15 +136,14 @@ def test_admissibility_tightness_third_fails(cfg, monkeypatch):
 
 def test_both_envelope_checks_read_one_constants_table(monkeypatch, capsys):
     # the sandwiches and the admissibility read PAPER_CONSTANTS at call time: with c_nu / 3
-    # the sandwich fails where the true value sits above it at y = 1 (nu = 0, 2) and the
-    # admissibility fails at every order
-    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", _thirds())
+    # both fail where the true value sits above the upper envelope at y = 1 (nu = 0, 2)
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", _divided(3))
     assert cli.main(["verify", "envelopes"]) == 1
     lines = capsys.readouterr().out.splitlines()
     failed = [line.split()[1].rstrip(":").split("@")[0] for line in lines
               if line.startswith("[FAILED]")]
     assert failed == ["theta2-envelope-sandwich-nu0", "theta2-envelope-sandwich-nu2",
-                      *(f"c-admissibility-nu{nu}" for nu in range(4))]
+                      "c-admissibility-nu0", "c-admissibility-nu2"]
 
 
 def test_admissibility_candidate_inside_factor_is_inconclusive(cfg, monkeypatch):
@@ -178,7 +155,7 @@ def test_admissibility_candidate_inside_factor_is_inconclusive(cfg, monkeypatch)
     monkeypatch.setattr(envelopes, "PAPER_CONSTANTS", inside)
     report = check_c_admissible(0, cfg)
     assert report.status is Status.INCONCLUSIVE
-    assert [c.passed for c in report.checks] == [True, True, None, True]
+    assert [c.passed for c in report.checks] == [True, None]
 
 
 def test_log_grid_shape():
@@ -218,7 +195,7 @@ def test_log_grid_rejects_intervals_too_narrow_for_its_points():
 
 
 def test_admissibility_runs_no_subdivision(cfg, monkeypatch):
-    # the signs of the factor's bases already prove it decreasing on y > 0
+    # the decay check already proves the factor's supremum on y >= 1 is its value at y = 1
     from thetacert import envelopes
 
     def subdivision(*args, **kwargs):
@@ -274,41 +251,33 @@ def test_sandwich_suite_takes_two_exponentials_per_point(cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("nu", range(4))
-def test_admissibility_takes_two_exponentials_and_sums_no_series(cfg, nu, monkeypatch):
-    # one in the tail integral and one for its boost e^{9 pi y/4}; steps 1 and 2 are exact,
-    # so the series kernel, which every quadratic-exponent pass goes through, is never called
+def test_admissibility_takes_one_exponential_and_one_series_pass(cfg, nu, monkeypatch):
+    # the decay check is integer arithmetic; the factor at y = 1 is one excess pass, whose
+    # q = e^{-pi y/4} is its one exp
     from thetacert import theta
 
     exps, inner = [], Enclosure.exp
     monkeypatch.setattr(Enclosure, "exp", lambda self: exps.append(self) or inner(self))
     passes = count_calls(monkeypatch, theta, "certified_sum")
     check_c_admissible(nu, cfg)
-    assert len(exps) == 2
-    assert passes == []
+    assert len(exps) == 1
+    assert len(passes) == 1
 
 
-def test_omitted_exponents_are_the_odd_squares_from_25():
-    assert [sum(c * k ** i for i, c in enumerate(envelopes._OMITTED_EXPONENTS))
-            for k in range(1, 8)] == [m * m for m in range(5, 19, 2)]
+def test_omitted_exponents_are_the_odd_squares_from_25(cfg, monkeypatch):
+    # the excess pass reads theta2's statement: its exponents are m^2 for odd m >= 5, its
+    # offset the envelopes' second exponent 3^2 and its scale theta2's 1/4
+    passes, inner = [], envelopes._quadratic_series
 
+    def counting(*args, **kwargs):
+        passes.append((args, kwargs))
+        return inner(*args, **kwargs)
 
-def test_tail_start_past_the_omitted_exponents_fails_the_subset_check(cfg, monkeypatch):
-    # integers from 26 on miss the omitted exponent 25: every order fails on step 1
-    monkeypatch.setattr(envelopes, "_TAIL_START", 25)
-    for nu in range(4):
-        report = check_c_admissible(nu, cfg)
-        assert report.status is Status.FAILED
-        assert report.checks[0].name == "subset of the integer sum"
-        assert report.checks[0].passed is False
-
-
-def test_tail_start_below_the_integrand_turn_fails_the_monotone_check(cfg, monkeypatch):
-    # t^nu e^{-pi t/4} turns down at 4 nu/pi: 2.55 and 3.82 for nu = 2 and 3 lie past 2
-    monkeypatch.setattr(envelopes, "_TAIL_START", 2)
-    monotone = [check_c_admissible(nu, cfg).checks[1] for nu in range(4)]
-    assert {c.name for c in monotone} == {"monotone integrand"}
-    assert [c.passed for c in monotone] == [True, True, False, False]
-    assert [check_c_admissible(nu, cfg).status for nu in (2, 3)] == [Status.FAILED] * 2
+    monkeypatch.setattr(envelopes, "_quadratic_series", counting)
+    admissibility_factor(0, 1, cfg)
+    [((_, _, a, _, _), kwargs)] = passes
+    assert [a(k) for k in range(1, 8)] == [m * m for m in range(5, 19, 2)]
+    assert (kwargs["a0"], kwargs["scale"]) == (9, Fraction(1, 4))
 
 
 @pytest.mark.parametrize("nu", [4, -1])

@@ -10,6 +10,7 @@ planted counterexamples: quantities with a negative dip that `certify_sign` must
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -60,6 +61,13 @@ def _n2(**mutation):
     return lambda monkeypatch: monkeypatch.setattr(theta, "_numerators", n2_mutant(**mutation))
 
 
+def _theta2(**change):
+    """Replace theta._THETA2, the one statement of theta2's terms, with `change` applied: theta2,
+    its envelopes and their admissibility all read it."""
+    return lambda monkeypatch: monkeypatch.setattr(
+        theta, "_THETA2", SimpleNamespace(**{**vars(theta._THETA2), **change}))
+
+
 def _survivor(item, what):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {what} survives")
 
@@ -82,6 +90,7 @@ _MUTANTS = [
     pytest.param("modular", (modular.MODULAR_COEFFICIENTS, 2, (Fraction(3, 4), 4, 1)),
                  id="modular-table-row-2"),
     pytest.param("modular", _table_entry(3, 3, Fraction(-2)), id="modular-table-row-3-last"),
+    pytest.param("modular", _theta2(weight=3), id="theta2-weight-3"),
     *(pytest.param("modular", _table_entry(nu, 0, modular.MODULAR_COEFFICIENTS[nu][0] * f),
                    id=f"modular-table-row-{nu}-first-times-{f}")
       for nu in (1, 2, 3) for f in (Fraction(1, 2), 2)),

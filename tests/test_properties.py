@@ -12,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import prec_to_dps
 
-from conftest import (g_prime, h_direct, mp_f_modular, mp_lambert, mp_scalar, mp_theta2, mp_theta4,
-                      q_series_derivatives)
-from thetacert import Enclosure, EvalConfig, f_a_second, h_reciprocal, theta2_series, theta4_eval, theta4_series
+from conftest import (g_prime, h_direct, mp_admissibility_factor, mp_f_modular, mp_lambert,
+                      mp_scalar, mp_theta2, mp_theta4, q_series_derivatives)
+from thetacert import (Enclosure, EvalConfig, admissibility_factor, f_a_second, h_reciprocal,
+                       theta2_series, theta4_eval, theta4_series)
 from thetacert.enclosure import Jet
 from thetacert.theta import _PAIRS, _numerators, _quadratic_series, psi
 from thetacert.scanner import _f_a
@@ -519,3 +520,24 @@ def test_every_eval_function_at_thin_points_contains_its_oracle(bits):
                     assert value.lo - slack <= exact <= value.hi + slack, (
                         f"{function} order {nu} at y = {text}, {bits} bits: {value!r} misses "
                         f"{mp.nstr(exact, 25)}")
+
+
+_admissibility_y = st.floats(min_value=1.0, max_value=60.0, allow_nan=False)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@settings(max_examples=25, deadline=None)
+@given(y=_admissibility_y, nu=_order)
+def test_admissibility_factor_contains_its_direct_sum(bits, y, nu):
+    factor = admissibility_factor(nu, y, EvalConfig(precision_bits=bits))
+    with mp.workprec(4 * bits):
+        assert factor.lo <= mp_admissibility_factor(nu, y) <= factor.hi
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@settings(max_examples=25, deadline=None)
+@given(y=_admissibility_y, nu=_order)
+def test_admissibility_factor_decreases_in_y(bits, y, nu):
+    # the premise of the decay check, numerically: the factor at 1.01 y lies below its value at y
+    cfg = EvalConfig(precision_bits=bits)
+    assert admissibility_factor(nu, 1.01 * y, cfg).hi < admissibility_factor(nu, y, cfg).lo
