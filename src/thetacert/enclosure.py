@@ -92,13 +92,13 @@ def _mpf(raw):
 
 def _to_raw_pair(value, prec):
     """Exact or outward-rounded raw endpoints for a scalar."""
+    if type(value) is int or isinstance(value, int) and not isinstance(value, bool):  # commonest
+        raw = _lm.from_int(value)
+        return raw, raw
     if isinstance(value, Enclosure):
         return value._lo, value._hi
     if isinstance(value, bool):
         raise TypeError("bool is not a valid enclosure endpoint")
-    if isinstance(value, int):
-        raw = _lm.from_int(value)
-        return raw, raw
     if isinstance(value, float):
         raw = _lm.from_float(value)  # floats convert exactly
         return raw, raw
@@ -446,11 +446,9 @@ class Ball:
     def __neg__(self):
         return Ball(-self.m, self.r, self.e)
 
-    def __pow__(self, p):
-        """self^p for an exact rational p: an integer by repeated squaring, else exp(p log self)."""
-        if (p := Fraction(p)).denominator != 1:
-            return (self.log() * p).exp()
-        return _ball_pow_int(self, p.numerator, current_precision() + _BALL_GUARD_BITS)
+    def __pow__(self, n: int):
+        """self^n for an int n, by repeated squaring."""
+        return _ball_pow_int(self, n, current_precision() + _BALL_GUARD_BITS)
 
     def __repr__(self):
         return "Ball" + repr(self.enclosure())[len("Enclosure"):]

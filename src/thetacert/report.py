@@ -1,9 +1,9 @@
 """Machine-readable verification reports.
 
-Enclosures serialize as decimal [lo, hi] string pairs with *outward*
-decimal rounding (lo printed rounded down, hi rounded up, both verified
-against the binary endpoints), so a printed interval still contains the
-true value and the report remains a proof artifact after serialization.
+Enclosures serialize as decimal [lo, hi] string pairs with *outward* decimal
+rounding (lo rounded down, hi up, each its binary endpoint times a power of ten,
+every rounding its way, then floored or ceiled), so a printed interval still
+contains the true value and the report remains a proof artifact after serialization.
 Parsing a report and re-serializing it reproduces the enclosure strings
 verbatim: the strings are the canonical representation, never re-derived
 from floats.
@@ -15,7 +15,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation, localcontext
+from decimal import MAX_EMAX
 
 from mpmath import libmp as _lm
 
@@ -32,42 +32,41 @@ SCHEMA_VERSION = "1"
 DEFAULT_DECIMAL_DIGITS = 40
 
 
-def _decimal_ulp(d: Decimal, digits: int) -> Decimal:
-    return Decimal(1).scaleb(d.adjusted() - digits + 1)
+# F = 2^128 log10(2), floored: (e F >> 128) - 1 <= floor(e log10(2)) for |e| < 2^127
+_LOG10_2 = _lm.to_fixed(_lm.mpf_div(_lm.mpf_ln2(160), _lm.mpf_ln10(160), 160), 128)
 
 
 def _print_directed(raw, digits: int, direction: int) -> str:
-    """Decimal string of a raw mpf, rounded toward -oo (direction < 0) or +oo.
-
-    to_str rounds to nearest, so nudge by one unit in the last printed place
-    until the printed decimal provably lies on the required side (checked by
-    re-parsing with directed rounding).
-    """
+    """Decimal string of a raw mpf v at `digits` significant digits, rounded toward -oo
+    (direction < 0) or +oo by one directed scaling: |v| 10^k, k = digits - 1 - E for an E <=
+    floor(log10 |v|), formed by libmp at wp bits with every rounding toward the bound's side,
+    floored or ceiled to an integer N and cut to `digits` digits in the same direction (a nested
+    floor or ceiling is the direct one), so N is exact whenever the scaling is.  Laid out as
+    to_str lays it out, trailing zeros stripped, then as str(Decimal) does."""
     if raw == _lm.fzero:
         return "0"
-    prec = max(64, digits * 4)
-    with localcontext() as ctx:
-        ctx.prec = digits + 10  # the +-ulp nudges must not be rounded away
-        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX  # f'' at y = 1e-6 is ~1e-2728727
-        try:  # |f'| at y = 1e20 is about 10^(-1.36e20); f'' at y = 1e-5000 has a binary
-            # exponent of 5,000 digits, which to_str takes ~40 s to fail to print
-            if abs(raw[2] + raw[3]) > 4 * MAX_EMAX:  # 2^(4 MAX_EMAX) > 10^(1.2 MAX_EMAX)
-                raise InvalidOperation
-            d = Decimal(_lm.to_str(raw, digits))
-        except InvalidOperation:
-            raise DomainError("cannot print a value beyond the decimal exponent range") from None
-        for _ in range(4):
-            if direction < 0:
-                back = _lm.from_str(str(d), prec, "c")  # ceiling of printed value
-                if _lm.mpf_cmp(back, raw) <= 0:
-                    return str(d)
-                d = d - _decimal_ulp(d, digits)
-            else:
-                back = _lm.from_str(str(d), prec, "f")  # floor of printed value
-                if _lm.mpf_cmp(back, raw) >= 0:
-                    return str(d)
-                d = d + _decimal_ulp(d, digits)
-    raise AssertionError("directed decimal printing did not settle")
+    sign, man, exp, bc = raw
+    if not man or abs(exp + bc) > 4 * MAX_EMAX:  # f'' at y = 1e-5000: an exponent of 5,000 digits
+        raise DomainError("cannot print a non-finite value or one past the decimal exponent range")
+    rnd, other = ("u", "d") if (direction > 0) != bool(sign) else ("d", "u")  # for |v|
+    wp, k = max(bc, 4 * digits) + 64, digits - ((exp + bc - 1) * _LOG10_2 >> 128)
+    power = _lm.mpf_pow_int(_lm.ften, abs(k), wp, rnd if k >= 0 else other)  # divides if k < 0
+    scaled = (_lm.mpf_mul if k >= 0 else _lm.mpf_div)((0, man, exp, bc), power, wp, rnd)
+    n, top = _lm.to_int(scaled, rnd), 10 ** digits
+    while n >= top:
+        n, k = -(-n // 10) if rnd == "u" else n // 10, k - 1
+    c = (text := str(n)).rstrip("0")
+    q = len(text) - len(c) - k  # the value is c 10^q
+    point = len(c) + q  # the leading digit's exponent, plus one
+    if min(-(digits // 3), -5) < point - 1 < digits:  # to_str's fixed point writes "12.0"
+        c, q = (c + "0" * (q + 1), -1) if q >= 0 else (c, q)
+    elif len(c) == 1:  # and its exponent form "1.0e-30"
+        c, q = c + "0", q - 1
+    if q > 0 or point < -5:  # str(Decimal)'s exponent form
+        text = f"{c[0]}{'.' * (len(c) > 1)}{c[1:]}E{point - 1:+d}"
+    else:
+        text = c[:point] + "." * (q < 0) + c[point:] if point > 0 else "0." + "0" * -point + c
+    return "-" + text if sign else text
 
 
 def decimal_bounds(enc: Enclosure, digits: int = DEFAULT_DECIMAL_DIGITS) -> tuple[str, str]:
@@ -85,12 +84,6 @@ def _witness_record(w: Witness, digits: int) -> dict:
         "y": list(decimal_bounds(w.y, digits)),
         "value": list(decimal_bounds(w.value, digits)),
     }
-
-
-def _check_records(report: CertificationReport) -> list[dict]:
-    return [
-        {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-    ]
 
 
 def certification_record(report: CertificationReport, digits: int = DEFAULT_DECIMAL_DIGITS) -> dict:
@@ -114,7 +107,7 @@ def certification_record(report: CertificationReport, digits: int = DEFAULT_DECI
     if report.reason:
         rec["reason"] = report.reason
     if report.checks:
-        rec["checks"] = _check_records(report)
+        rec["checks"] = [dict(name=c.name, passed=c.passed, detail=c.detail) for c in report.checks]
     if report.subreports:
         rec["subreports"] = [certification_record(r, digits) for r in report.subreports]
     return rec
@@ -186,7 +179,7 @@ class ReportDocument:
     def from_json(cls, text: str) -> "ReportDocument":
         """Parse a serialized document; enclosure strings are kept verbatim."""
         data = json.loads(text)
-        doc = cls(
+        return cls(
             command=data["command"],
             config=EvalConfig(
                 precision_bits=data["config"]["precision_bits"],
@@ -200,4 +193,3 @@ class ReportDocument:
             started_at=data["started_at"],
             finished_at=data["finished_at"],
         )
-        return doc

@@ -18,9 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .certify import Witness
-from .enclosure import DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet, _thin_ball, as_enclosure
+from .enclosure import (_BALL_GUARD_BITS, DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet,
+                        _ball_const, _thin_ball, as_enclosure)
 from .envelopes import log_grid
 from .verifier import _f
 
@@ -45,6 +47,14 @@ class ExponentQuery:
         log_grid(lo, hi, self.resolution)  # raises when [lo, hi] is too narrow for the grid
 
 
+@lru_cache(maxsize=64)
+def _exponent(a, prec: int) -> tuple:
+    """r = a - 2 (an int if integral) and r(r - 1), exact and as Balls at `prec` bits; cached."""
+    r = Fraction(a) - 2
+    r = r.numerator if r.denominator == 1 else r
+    return r, r * (r - 1), _ball_const(r, prec), _ball_const(r * (r - 1), prec)
+
+
 def _f_a(a, y, order: int, cfg: EvalConfig):
     """Entry `order` of the Jet y^(a-2) (f, f', f''), from f's derivatives up to `order`: Balls
     for a Ball y, an outward-rounded Enclosure of its Ball's entry for a thin Enclosure (width <=
@@ -52,8 +62,11 @@ def _f_a(a, y, order: int, cfg: EvalConfig):
     with cfg.scope():
         if type(y) is not Ball and (ball := _thin_ball(y := as_enclosure(y), cfg)) is not None:
             return _f_a(a, ball, order, cfg).enclosure()
-        p = y ** (r := Fraction(a) - 2)
-        power = Jet(p, p * r / y, p * (r * (r - 1)) / (y * y))
+        r, r_r1, r_ball, r_r1_ball = _exponent(a, cfg.precision_bits + _BALL_GUARD_BITS)
+        p = (y.log() * r_ball).exp() if type(y) is Ball and type(r) is not int else y ** r
+        if type(y) is Ball:
+            r, r_r1 = r_ball, r_r1_ball
+        power = Jet(p, p * r / y, p * r_r1 / (y * y))
         return tuple(power * Jet(*_f(y, range(order + 1), cfg)))[order]
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
@@ -22,6 +23,15 @@ def test_exact_integer_addition():
     e = Enclosure(1) + Enclosure(2)
     assert e.contains(3)
     assert e.width <= mp.mpf(2) ** (-125)
+
+
+def test_integer_endpoints_are_exact_and_bools_are_refused():
+    # ints of any size, and int subclasses other than bool, convert exactly
+    big = 3 ** 200
+    assert Enclosure(big)._lo == Enclosure(big)._hi == mpmath.libmp.from_int(big)
+    assert Enclosure(type("Count", (int,), {})(7)).lo == 7
+    with pytest.raises(TypeError, match="bool"):
+        Enclosure(True)
 
 
 def test_interval_product_signs():
@@ -298,7 +308,8 @@ def test_ball_exp_log_and_powers_contain_the_exact_image(parts, p, prec):
 
     x = Ball(*parts)
     cases = [(Ball.exp, mp.exp)]
-    power = (lambda b: b ** p, lambda v: v ** p.numerator if p.denominator == 1
+    power = (lambda b: b ** p.numerator if p.denominator == 1 else (b.log() * p).exp(),
+             lambda v: v ** p.numerator if p.denominator == 1
              else v ** (mp.mpf(p.numerator) / p.denominator))
     if x.m > x.r:
         cases += [(Ball.log, mp.log), power]

@@ -1,8 +1,12 @@
 """Report serialization: outward decimal bounds and JSON round-trips."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from mpmath import libmp
 
 from thetacert import (
     CertificationReport,
@@ -21,9 +25,12 @@ from thetacert import (
 )
 from thetacert.report import (
     ReportDocument,
+    _print_directed,
     certification_record,
     decimal_bounds,
 )
+
+from conftest import count_calls
 
 
 def test_decimal_bounds_are_outward():
@@ -89,6 +96,61 @@ def test_decimal_bounds_past_the_int_to_str_limit_raise_domain_error(cfg):
     # f'' at y = 1e-5000 has a decimal exponent of more than Python's 4,300 int-to-str digits
     with pytest.raises(DomainError, match="decimal exponent range"):
         decimal_bounds(f_second(Enclosure("1e-5000"), cfg=cfg), 40)
+
+
+def test_decimal_bounds_keep_every_digit_below_a_power_of_ten():
+    # 1 - 1e-25 floors to twenty nines at 20 digits, not to nineteen
+    with precision(128):
+        lo, hi = decimal_bounds(Enclosure(1) - Enclosure("1e-25"), 20)
+    assert lo == "0." + "9" * 20 and hi == "1.0"
+
+
+@pytest.mark.parametrize("ends", [(0, float("inf")), (float("-inf"), 0)])
+def test_decimal_bounds_of_an_infinite_endpoint_raise_domain_error(ends):
+    with pytest.raises(DomainError, match="non-finite"):
+        decimal_bounds(Enclosure(*ends), 20)
+
+
+@pytest.mark.parametrize("y", ["1e-6", "1e8"])
+def test_decimal_bounds_parse_and_print_no_decimal_strings(monkeypatch, cfg, y):
+    # one directed scaling per bound: no to_str, and no from_str re-parse of its own output
+    values = [fn(Enclosure(y), cfg=cfg) for fn in (f_eval, f_prime, f_second, theta4_eval)]
+    calls = [count_calls(monkeypatch, libmp, name) for name in ("from_str", "to_str")]
+    for digits in (20, 40):
+        for value in values:
+            decimal_bounds(value, digits)
+    assert calls == [[], []]
+
+
+@settings(max_examples=300, deadline=None)
+@given(man=st.integers(1, 2 ** 300), exp=st.integers(-10 ** 4, 10 ** 4), negative=st.booleans(),
+       digits=st.integers(1, 60), direction=st.sampled_from([-1, 1]))
+@example(man=1, exp=0, negative=False, digits=1, direction=1)
+@example(man=10 ** 20 - 1, exp=0, negative=True, digits=19, direction=-1)
+# a 20-digit decimal plus or minus 5^-30 2^-136 or 2^-119 (the product by 10^30 is inexact), and
+# one plus 2^95 (the quotient by 10^30 is): an inward rounding in the scaling would cross it
+@example(man=4590849630796321969758253800601, exp=-136, negative=False, digits=20, direction=1)
+@example(man=51004893510779705148384103, exp=-119, negative=False, digits=20, direction=-1)
+@example(man=380719526756810004118, exp=95, negative=False, digits=20, direction=1)
+@example(man=380719526756810004118, exp=95, negative=True, digits=20, direction=-1)
+def test_printed_bound_is_the_directed_rounding(man, exp, negative, digits, direction):
+    # v = +-man 2^exp exactly.  The printed bound p has at most `digits` significant digits, lies
+    # on its side of v, and is the nearest such number there: one step of its last digit toward
+    # v (a tenth of a unit where that shrinks a power of ten) crosses v
+    raw = libmp.from_man_exp(-man if negative else man, exp)
+    v = Fraction(-man if negative else man) * Fraction(2) ** exp
+    text = _print_directed(raw, digits, direction)
+    d = Decimal(text)
+    p, unit = Fraction(d), Fraction(10) ** (d.adjusted() - digits + 1)
+    assert len("".join(map(str, d.as_tuple().digits)).rstrip("0")) <= digits
+    shrinks = (p > 0) == (direction > 0)
+    step = unit / 10 if shrinks and abs(p) == Fraction(10) ** d.adjusted() else unit
+    if direction < 0:
+        assert p <= v < p + step
+    else:
+        assert p - step < v <= p
+    # the layout of to_str at `digits` digits, trailing zeros stripped, through str(Decimal)
+    assert str(Decimal(libmp.to_str(libmp.from_str(text, 4 * digits + 64, "n"), digits))) == text
 
 
 @pytest.mark.parametrize("tolerance", [2.0 ** -100, "1e-900"])
