@@ -25,14 +25,12 @@ from .envelopes import (
     admissibility_factor,
     check_c_admissible,
     log_grid,
-    lower_envelope,
-    upper_envelope,
     verify_sandwiches,
 )
 from .exppoly import DegreeError, ExpPoly
 from .modular import MODULAR_COEFFICIENTS, theta4_eval, verify_modular_identities
 from .scanner import ExponentQuery, f_a_second, scan_rows
-from .theta import theta2_series, theta4_series
+from .theta import theta2_series
 from .verifier import (
     GreekConstants,
     QUANTITIES,

@@ -3,10 +3,10 @@
 ``certify_sign(fn, [a, b], sign)`` proves that a quantity keeps a strict
 sign on an interval: it evaluates the quantity's enclosure on a box,
 accepts the box if the enclosure is strictly signed, bisects otherwise,
-and stops at a configurable depth (with one precision-escalation retry)
-before giving up.  The outcome is a :class:`CertificationReport` whose
-``certified`` status constitutes a rigorous proof of the sign claim on
-the whole interval; a ``failed`` status carries a :class:`Witness` box on
+and gives up at a configurable depth; every box is evaluated at the
+config's own precision.  The outcome is a :class:`CertificationReport`
+whose ``certified`` status constitutes a rigorous proof of the sign claim
+on the whole interval; a ``failed`` status carries a :class:`Witness` box on
 which the *opposite* strict sign was established, and ``inconclusive``
 records the deepest undecided box without asserting anything.
 
@@ -166,11 +166,6 @@ def _evaluate(fn, box: Enclosure, cfg: EvalConfig) -> Enclosure | None:
         return None
 
 
-def _sign_of(v: Enclosure | None) -> int | None:
-    """+1 or -1 for a strictly signed enclosure, None when undecided or missing."""
-    return None if v is None else _sign(v)
-
-
 def _margin(v: Enclosure, sign: int):
     return v.lo if sign > 0 else -v.hi
 
@@ -192,14 +187,14 @@ def certify_sign(
     at least the requested set.  Evaluation failures (e.g. a tail bound
     not converging on a wide box) count as undecided and trigger a split.
 
-    Work is bounded two ways: boxes are never split beyond `max_depth`
-    (with one precision-escalation retry there), and at most `max_boxes`
-    boxes are examined in total.  Quantities whose certifiable box width
-    shrinks exponentially along the interval (e.g. values with a decaying
-    exponential factor that interval arithmetic cannot divide out) exhaust
-    the budget and come back `inconclusive` instead of running forever;
-    every verification suite in this package stays orders of magnitude
-    below the default budget.
+    Work is bounded two ways: boxes are never split beyond `max_depth`,
+    and at most `max_boxes` boxes are examined in total; every box is
+    evaluated at cfg's precision, so a finer margin needs a finer cfg.
+    Quantities whose certifiable box width shrinks exponentially along the
+    interval (e.g. values with a decaying exponential factor that interval
+    arithmetic cannot divide out) exhaust the budget and come back
+    `inconclusive` instead of running forever; every verification suite in
+    this package stays orders of magnitude below the default budget.
 
     `cuts` inside (a, b) split it into pieces (an inexact cut at its lower
     bound), examined left to right from depth 0 under one budget and one
@@ -240,9 +235,7 @@ def certify_sign(
             report.unresolved_box = box
             break
         value = _evaluate(fn, box, cfg)
-        if depth >= max_depth and _sign_of(value) is None:
-            value = _evaluate(fn, box, cfg.escalated())
-        got = _sign_of(value)
+        got = None if value is None else _sign(value)
         if got == sign:
             m = _margin(value, sign)
             if worst is None or m < worst:

@@ -10,7 +10,8 @@ Exit codes are stable across subcommands: 0 = success / fully certified,
 1 = verification failure, inconclusive result or evaluation error (a value
 beyond the decimal exponent range included), 2 = usage error (bad arguments:
 a non-finite number, an --interval with LO >= HI, --digits below 1, a
-convexity option on another suite).
+convexity option on another suite, a --json or --csv PATH that cannot be
+opened for writing).
 The default working precision is 128 bits and can be overridden with
 --precision or the THETACERT_PRECISION environment variable.
 """
@@ -31,7 +32,7 @@ from .envelopes import log_grid, verify_sandwiches
 from .modular import theta4_eval, verify_modular_identities
 from .report import ReportDocument, decimal_bounds
 from .scanner import ExponentQuery, find_witness_in_rows, scan_rows
-from .theta import theta2_series
+from .theta import DERIVATIVE_ORDERS, theta2_series
 from .verifier import (
     _INTERVAL,
     _ROUTE_CUT,
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a function to a certified enclosure")
     p_eval.add_argument("function", choices=EVAL_FUNCTIONS)
     p_eval.add_argument("--y", required=True, help="argument, a positive decimal")
-    p_eval.add_argument("--order", type=int, default=0, choices=(0, 1, 2, 3),
+    p_eval.add_argument("--order", type=int, default=0, choices=DERIVATIVE_ORDERS,
                         help="derivative order (theta functions only)")
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
     p_eval.add_argument("--digits", type=int, default=40, help="decimal digits printed")
@@ -134,6 +135,15 @@ def _parse_number(text: str, what: str, cfg: EvalConfig, positive: bool = True) 
 def _usage_error(message: str) -> int:
     print(f"thetacert: error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot write the {what} to {path}: {exc.strerror or exc}"))
+    print(f"{what} written to {path}")
 
 
 def _cmd_eval(args, cfg: EvalConfig) -> int:
@@ -243,9 +253,7 @@ def _cmd_verify(args, cfg: EvalConfig) -> int:
                 all_ok = False
     doc.finish()
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(doc.to_json())
-        print(f"report written to {args.json_path}")
+        _write(args.json_path, doc.to_json(), "report")
     summary = doc.summary
     print(
         f"suites: {len(order)}  certifications: {summary['certified']} certified, "
@@ -263,6 +271,8 @@ def _cmd_scan(args, cfg: EvalConfig) -> int:
         )
     except (ValueError, TypeError) as exc:
         return _usage_error(str(exc))
+    except ZeroDivisionError:  # Fraction("1/0")
+        return _usage_error(f"--a must be a finite number, got {args.a!r}")
     rows = scan_rows(query, cfg)
     witness = find_witness_in_rows(query, rows)
     lines = ["y,f_second_lo,f_second_hi"]
@@ -275,9 +285,7 @@ def _cmd_scan(args, cfg: EvalConfig) -> int:
         lines.append(f"# witness,{ylo},{yhi},{vlo},{vhi}")
     text = "\n".join(lines) + "\n"
     if args.csv_path:
-        with open(args.csv_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"scan written to {args.csv_path}")
+        _write(args.csv_path, text, "scan")
     else:
         sys.stdout.write(text)
     if witness is not None:

@@ -702,13 +702,5 @@ class EvalConfig:
         """Context manager installing this config's working precision."""
         return precision(self.precision_bits)
 
-    def escalated(self) -> "EvalConfig":
-        """Copy with doubled working precision (used by sign certification)."""
-        return EvalConfig(
-            precision_bits=2 * self.precision_bits,
-            tail_tolerance=self.tail_tolerance,
-            max_terms=self.max_terms,
-        )
-
 
 DEFAULT_CONFIG = EvalConfig()

@@ -2,16 +2,15 @@
 
 For nu in {0,1,2,3} the sandwich
 
-    0 < lower_envelope(y, nu) < (-1)^nu theta2^(nu)(y) < upper_envelope(y, nu)
+    0 < _envelope_poly(nu)(y) < (-1)^nu theta2^(nu)(y) < _envelope_poly(nu, c_nu)(y)
 
 holds with
 
-    lower = (2 pi^nu / 4^nu) (e^{-pi y/4} + 9^nu e^{-9 pi y/4})
-    upper = (2 pi^nu / 4^nu) (e^{-pi y/4} + (1 + c_nu) 9^nu e^{-9 pi y/4})
+    _envelope_poly(nu, c) = (2 pi^nu / 4^nu) (e^{-pi y/4} + (1 + c) 9^nu e^{-9 pi y/4})
 
 (one ExpPoly form, which the envelope-product bracket of
 :mod:`thetacert.verifier` shares) and the inflation constants c_0 = 0.00001,
-c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  The lower envelope is theta2's first two
+c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  The lower envelope (c = 0) is theta2's first two
 terms by construction: its keys, amplitude and powers are read from `theta._THETA2`, the
 one statement of theta2's terms that `_theta2` sums.  ``verify_sandwiches`` checks the
 sandwich on a grid, one report per order, with the envelope polys built once per call and
@@ -37,8 +36,6 @@ from .theta import _check_order, _quadratic_series, _theta2
 __all__ = [
     "EnvelopeConstants",
     "PAPER_CONSTANTS",
-    "lower_envelope",
-    "upper_envelope",
     "verify_sandwiches",
     "admissibility_factor",
     "check_c_admissible",
@@ -87,21 +84,6 @@ def _envelope_poly(nu: int, inflation=0) -> ExpPoly:
     return ExpPoly({-a1: (amp * Enclosure(a1 ** nu),),
                     -a2: (amp * Enclosure(a2 ** nu) * (1 + Enclosure(inflation)),)},
                    pi * terms.scale)
-
-
-def _envelope(y, nu: int, inflation, cfg: EvalConfig) -> Enclosure:
-    with cfg.scope():
-        return _envelope_poly(nu, inflation).eval(_check_domain(as_enclosure(y)), cfg)
-
-
-def lower_envelope(y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """The two-term lower envelope of (-1)^nu theta2^(nu) on [1, oo)."""
-    return _envelope(y, nu, 0, cfg)
-
-
-def upper_envelope(y, nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """The inflated two-term upper envelope of (-1)^nu theta2^(nu) on [1, oo)."""
-    return _envelope(y, nu, PAPER_CONSTANTS.for_order(nu), cfg)
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[Enclosure]:

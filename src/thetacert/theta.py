@@ -46,8 +46,8 @@ integers, mpmath's pi as Enclosure.pi encloses it, and one mpmath exp per pass, 
 
 Evaluators:
 
-  theta4_series(y, nu)   nu-th derivative of theta4(y) = sum (-1)^k exp(-pi k^2 y);
-                         _theta4(y, orders) gives several orders in one pass
+  _theta4(y, orders)     derivatives of theta4(y) = sum (-1)^k exp(-pi k^2 y), several orders
+                         in one pass; modular.theta4_eval is the public theta4
   theta2_series(y, nu)   nu-th derivative of theta2(y) = sum exp(-pi y (n+1/2)^2);
                          _theta2(y, orders) gives several orders in one pass
   psi(s, k)              the Lambert term psi(s) = s^2/(e^s - 1) and its derivatives
@@ -96,7 +96,6 @@ from .enclosure import (
 )
 
 __all__ = [
-    "theta4_series",
     "theta2_series",
     "psi",
     "DERIVATIVE_ORDERS",
@@ -329,23 +328,13 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     return certified_sum(what, cfg, sums, step, tail, signs, gate_divisor=4, tol_shift=shift)
 
 
-def theta4_series(y, nu: int = 0, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """Enclosure of theta4^(nu)(y) by the termwise-differentiated sum.
-
-    The nu-th derivative term at index k is (-1)^k (-pi k^2)^nu exp(-pi k^2 y);
-    the symmetric sum over all integers collapses to 1 (for nu = 0) plus twice
-    the k >= 1 terms.
-    """
-    nu = _check_order(nu)
-    return _theta4(y, range(nu, nu + 1), cfg)[0]
-
-
 def _theta4(y, orders: range, cfg: EvalConfig) -> list[Enclosure]:
     """theta4^(r)(y) for each order r of `orders`, in one pass over the terms (Balls for a
-    Ball y)."""
+    Ball y): the r-th derivative term at index k is (-1)^k (-pi k^2)^r e^{-pi k^2 y}, and the
+    symmetric sum over all integers is 1 (at r = 0) plus twice the k >= 1 terms."""
     with cfg.scope():
-        y = _check_positive(y if type(y) is Ball else as_enclosure(y), "theta4_series")
-        return _quadratic_series("theta4_series", y, lambda k: k * k, orders, cfg,
+        y = _check_positive(y if type(y) is Ball else as_enclosure(y), "theta4 series")
+        return _quadratic_series("theta4 series", y, lambda k: k * k, orders, cfg,
                                  weight=2, alternating=True, start=1)
 
 

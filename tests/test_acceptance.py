@@ -29,7 +29,7 @@ from thetacert import (
     f_second,
     precision,
     theta2_series,
-    theta4_series,
+    theta4_eval,
     verify_convexity,
     verify_decreasing_argument,
     verify_even_terms_large_y,
@@ -214,16 +214,16 @@ def test_acceptance_6_cross_representation():
     with precision(256):
         for y in pts:
             for nu in range(4):
-                series = theta4_series(y, nu, CFG)
+                series = theta4_eval(y, nu, CFG)
                 flip = theta4_via_modular(y, nu, CFG)
                 assert series.intersects(flip), f"nu={nu}, y={y.lo}"
                 assert (series.width + flip.width) < mp.mpf(2) ** -80
             product = theta4_product(y, CFG)
-            series0 = theta4_series(y, 0, CFG)
+            series0 = theta4_eval(y, 0, CFG)
             assert product.intersects(series0)
             assert (product.width + series0.width) < mp.mpf(2) ** -80
         for y in log_grid(0.3, 5.0, 20):
-            lhs = h_direct(y, CFG) / theta4_series(y, 0, CFG) ** 3
+            lhs = h_direct(y, CFG) / theta4_eval(y, 0, CFG) ** 3
             rhs = f_second(y, CFG, route="lambert")
             assert lhs.intersects(rhs), f"h/theta4^3 vs f'' at y={y.lo}"
     elapsed = time.perf_counter() - t0
@@ -256,7 +256,8 @@ def test_acceptance_7_exponent_witness(tmp_path, capsys):
     # soundness: re-certify the witness value at doubled precision
     query = ExponentQuery(a=Fraction(21, 10))
     witness = find_witness_in_rows(query, scan_rows(query, CFG))
-    assert f_a_second(Fraction(21, 10), witness.y, CFG.escalated()).is_strictly_negative()
+    doubled = EvalConfig(precision_bits=2 * CFG.precision_bits)
+    assert f_a_second(Fraction(21, 10), witness.y, doubled).is_strictly_negative()
 
 
 def test_acceptance_8_finite_difference_suite():
@@ -290,8 +291,8 @@ def test_acceptance_8_finite_difference_suite():
         for nu in (0, 1, 2):
             pairs.append(
                 (
-                    lambda y, nu=nu: theta4_series(y, nu, CFG),
-                    lambda y, nu=nu: theta4_series(y, nu + 1, CFG),
+                    lambda y, nu=nu: theta4_eval(y, nu, CFG),
+                    lambda y, nu=nu: theta4_eval(y, nu + 1, CFG),
                     theta4_scalar,
                     nu + 3,
                 )

@@ -79,10 +79,9 @@ def test_an_inconclusive_report_names_the_bound_that_stopped_it(cfg):
     assert certified.reason == "" and "reason" not in certification_record(certified)
 
 
-def test_escalation_resolves_marginal_boxes():
-    # at 53 bits a margin near 2^-60 is undecidable; escalation to 106 decides
-    shift = Enclosure(1) / Enclosure(2) ** 60
-
+def test_margin_of_two_to_the_minus_60_certifies_at_53_bits():
+    # 2^-60 is exact at 53 bits, so the halves [2, 3] and [3, 4] of the undecided box [2, 4]
+    # certify with that margin at the config's own precision: 3 boxes, depth 1
     def marginal(box, cfg):
         with cfg.scope():
             return (box - 3) * (box - 3) + Enclosure(1) / Enclosure(2) ** 60

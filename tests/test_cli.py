@@ -239,6 +239,26 @@ def test_loose_cancellation_is_inconclusive(capsys, suite):
 def test_scan_bad_exponent_usage_error():
     assert run_cli("scan", "--a", "two-point-one") == 2
     assert run_cli("scan", "--a", "2.1", "--interval", "5", "1") == 2
+    assert run_cli("scan", "--a", "1/0") == 2
+
+
+def _unwritable(tmp_path, kind):
+    """A path in a missing directory, or a path that is a directory."""
+    return str(tmp_path / "missing" / "out") if kind == "missing" else str(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_verify_unwritable_report_path_usage_error(tmp_path, capsys, kind):
+    path = _unwritable(tmp_path, kind)
+    assert run_cli("verify", "greek", "--json", path) == 2
+    assert f"cannot write the report to {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_scan_unwritable_csv_path_usage_error(tmp_path, capsys, kind):
+    path = _unwritable(tmp_path, kind)
+    assert run_cli("scan", "--a", "2.1", "--resolution", "8", "--csv", path) == 2
+    assert f"cannot write the scan to {path}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("interval", [("2", "1"), ("1", "1"), ("0.1", "0.1")])

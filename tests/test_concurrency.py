@@ -3,7 +3,7 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from thetacert import Enclosure, EvalConfig, certify_sign, f_second, theta, theta4_series
+from thetacert import Enclosure, EvalConfig, certify_sign, f_second, theta, theta4_eval
 from thetacert.envelopes import log_grid
 from thetacert.theta import _theta4
 
@@ -24,9 +24,9 @@ def test_parallel_mixed_precisions_do_not_interfere():
     hi = EvalConfig(precision_bits=192)
     jobs = [(lo, "0.7"), (hi, "0.7"), (lo, "2"), (hi, "2")] * 3
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda j: theta4_series(Enclosure(j[1]), 0, j[0]), jobs))
+        results = list(pool.map(lambda j: theta4_eval(Enclosure(j[1]), 0, j[0]), jobs))
     for (cfg, y), enc in zip(jobs, results):
-        assert enc == theta4_series(Enclosure(y), 0, cfg)
+        assert enc == theta4_eval(Enclosure(y), 0, cfg)
         # higher precision gives the tighter enclosure
     assert results[1].width < results[0].width
 

@@ -16,10 +16,8 @@ from thetacert import (
     admissibility_factor,
     check_c_admissible,
     log_grid,
-    lower_envelope,
     precision,
     theta2_series,
-    upper_envelope,
     verify_sandwiches,
 )
 
@@ -27,19 +25,26 @@ from conftest import (LOWER_ENVELOPE_1_0, assert_contains, count_calls, mp_admis
                       mp_theta2)
 
 
+def _envelope(y, nu, cfg, upper=False):
+    """The lower (or inflated upper) envelope of order nu at y, as the sandwich builds it."""
+    with cfg.scope():
+        inflation = envelopes.PAPER_CONSTANTS.for_order(nu) if upper else 0
+        return envelopes._envelope_poly(nu, inflation).eval(y, cfg)
+
+
 def test_lower_envelope_values(cfg):
-    e = lower_envelope(1, 0, cfg)
+    e = _envelope(1, 0, cfg)
     assert_contains(e, LOWER_ENVELOPE_1_0)
     with precision(256):
         pi = Enclosure.pi()
         expected = (pi / 2) * (-(pi / 4)).exp() + (9 * pi / 2) * (-(9 * pi / 4)).exp()
-        assert lower_envelope(1, 1, cfg).intersects(expected)
-    assert lower_envelope(50, 0, cfg).hi < 1e-16
+        assert _envelope(1, 1, cfg).intersects(expected)
+    assert _envelope(50, 0, cfg).hi < 1e-16
 
 
 def test_envelope_domain_error(cfg):
     with pytest.raises(DomainError):
-        lower_envelope(Enclosure("0.5"), 0, cfg)
+        verify_sandwiches([Enclosure("0.5")], (0,), cfg)
     with pytest.raises(DomainError):
         admissibility_factor(0, Enclosure("0.9"), cfg)
 
@@ -48,17 +53,17 @@ def test_upper_envelope_definitional_identities(cfg):
     with precision(256):
         pi = Enclosure.pi()
         # at nu=0 the difference upper - lower is c0 * 2 e^{-9 pi y/4}
-        diff = upper_envelope(1, 0, cfg) - lower_envelope(1, 0, cfg)
+        diff = _envelope(1, 0, cfg, upper=True) - _envelope(1, 0, cfg)
         assert diff.intersects(Enclosure(Fraction(1, 100000)) * 2 * (-(9 * pi / 4)).exp())
         # at (y=2, nu=2): c2 * 2 * 81 pi^2 e^{-9 pi/2} / 16
-        diff2 = upper_envelope(2, 2, cfg) - lower_envelope(2, 2, cfg)
+        diff2 = _envelope(2, 2, cfg, upper=True) - _envelope(2, 2, cfg)
         expected = Enclosure(Fraction(8, 100000)) * 2 * Enclosure(81) * pi ** 2 * (
             -(9 * pi / 2)
         ).exp() / 16
         assert diff2.intersects(expected)
         # at (y=1, nu=3) the second-term coefficient is 2 * 1.0003 * 9^3 pi^3 / 4^3
         coeff = Enclosure("1.0003") * 2 * Enclosure(729) * pi ** 3 / 64
-        up = upper_envelope(1, 3, cfg)
+        up = _envelope(1, 3, cfg, upper=True)
         first = 2 * pi ** 3 / 64 * (-(pi / 4)).exp()
         assert (up - first).intersects(coeff * (-(9 * pi / 4)).exp())
 
@@ -289,8 +294,8 @@ def test_sandwich_rejects_unknown_order(cfg, nu):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda cfg: lower_envelope(1, 4, cfg),
-        lambda cfg: upper_envelope(1, -1, cfg),
+        lambda cfg: _envelope(1, 4, cfg),
+        lambda cfg: _envelope(1, -1, cfg, upper=True),
         lambda cfg: check_c_admissible(4, cfg),
     ],
     ids=["lower_envelope", "upper_envelope", "check_c_admissible"],

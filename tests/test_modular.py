@@ -16,7 +16,6 @@ from thetacert import (
     precision,
     theta2_series,
     theta4_eval,
-    theta4_series,
     verify_modular_identities,
 )
 from thetacert.enclosure import Jet
@@ -99,7 +98,7 @@ def test_small_argument_against_product_form(cfg):
 @pytest.mark.parametrize("nu", [0, 1, 2, 3])
 def test_modular_vs_series_at_1(cfg, nu):
     a = theta4_via_modular(1, nu, cfg)
-    b = theta4_series(1, nu, cfg)
+    b = theta4_eval(1, nu, cfg)
     assert a.intersects(b)
     with precision(256):
         assert (a.width + b.width) < mp.mpf(2) ** -80

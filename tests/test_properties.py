@@ -15,9 +15,9 @@ from mpmath.libmp import prec_to_dps
 from conftest import (g_prime, h_direct, mp_admissibility_factor, mp_f_modular, mp_lambert,
                       mp_scalar, mp_theta2, mp_theta4, q_series_derivatives)
 from thetacert import (Enclosure, EvalConfig, admissibility_factor, f_a_second, h_reciprocal,
-                       theta2_series, theta4_eval, theta4_series)
+                       theta2_series, theta4_eval)
 from thetacert.enclosure import Jet
-from thetacert.theta import _PAIRS, _numerators, _quadratic_series, psi
+from thetacert.theta import _PAIRS, _numerators, _quadratic_series, _theta4, psi
 from thetacert.scanner import _f_a
 from thetacert.verifier import _ROUTE_CUT, _f, f_eval, f_prime, f_second, g_second
 
@@ -39,7 +39,8 @@ def _box_and_point(a, w, t):
 @given(a=_anchor, w=_width, t=_frac, nu=_order)
 def test_theta4_box_contains_points(a, w, t, nu):
     box, point = _box_and_point(a, w, t)
-    assert theta4_series(box, nu, CFG).contains(theta4_series(point, nu, CFG))
+    orders = range(nu, nu + 1)
+    assert _theta4(box, orders, CFG)[0].contains(_theta4(point, orders, CFG)[0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -46,7 +46,8 @@ def test_witness_found_at_21(cfg):
 def test_witness_sound_at_doubled_precision(cfg):
     query = ExponentQuery(a=Fraction(21, 10))
     witness = find_witness_in_rows(query, scan_rows(query, cfg))
-    recheck = f_a_second(Fraction(21, 10), witness.y, cfg.escalated())
+    doubled = EvalConfig(precision_bits=2 * cfg.precision_bits)
+    recheck = f_a_second(Fraction(21, 10), witness.y, doubled)
     assert recheck.is_strictly_negative()
     assert recheck.intersects(witness.value)
 

@@ -18,7 +18,7 @@ from thetacert import (
     h_reciprocal,
     precision,
     theta2_series,
-    theta4_series,
+    theta4_eval,
 )
 from thetacert.enclosure import _to_raw_pair, current_precision
 from thetacert.theta import (
@@ -55,29 +55,29 @@ from conftest import (
 
 
 def test_theta4_at_1_matches_oracle(cfg):
-    e = theta4_series(1, 0, cfg)
+    e = theta4_eval(1, 0, cfg)
     assert_contains(e, THETA4_AT_1)
     assert e.width < 1e-35
 
 
 def test_theta4_large_argument(cfg):
-    e = theta4_series(10, 0, cfg)
+    e = theta4_eval(10, 0, cfg)
     assert_contains(e, THETA4_AT_10)
     with precision(256):
         assert abs(e - Enclosure(1)).hi < 3e-13  # k = 0 term dominates
 
 
 def test_theta4_derivative_signs_and_values(cfg):
-    d1 = theta4_series(1, 1, cfg)
+    d1 = theta4_eval(1, 1, cfg)
     assert d1.is_strictly_positive()  # leading correction +2 pi e^{-pi y}
     for nu, oracle in THETA4_DERIVS_AT_1.items():
-        assert_contains(theta4_series(1, nu, cfg), oracle)
+        assert_contains(theta4_eval(1, nu, cfg), oracle)
 
 
 @pytest.mark.parametrize(
     "series",
     [
-        lambda y, c: theta4_series(y, 0, c),
+        lambda y, c: _theta4(y, range(0, 1), c)[0],
         lambda y, c: theta2_series(y, 0, c),
         lambda y, c: f_eval(y, c, route="lambert"),
         lambda y, c: f_prime(y, c, route="lambert"),
@@ -88,9 +88,9 @@ def test_theta4_derivative_signs_and_values(cfg):
 )
 def test_theta4_domain_and_convergence_errors(cfg, series):
     with pytest.raises(DomainError):
-        theta4_series(Enclosure(-1, 1), 0, cfg)
+        theta4_eval(Enclosure(-1, 1), 0, cfg)
     with pytest.raises(DomainError):
-        theta4_series(0, 0, cfg)
+        _theta4(0, range(0, 1), cfg)[0]
     tiny = EvalConfig(precision_bits=128, max_terms=3)
     with pytest.raises(ConvergenceError):
         series(Enclosure("0.01"), tiny)
@@ -100,7 +100,7 @@ def test_theta4_symmetric_tail_is_negated_exactly():
     # the tail [-b, b] needs -b exactly: -b rounded to 53 bits puts the
     # lower end above theta4'(y) here, by a relative 8e-117
     y = mp.mpf("24.4375")
-    e = theta4_series(y, 1, EvalConfig(precision_bits=512))
+    e = theta4_eval(y, 1, EvalConfig(precision_bits=512))
     with mp.workprec(1536):
         ref = mp.mpf(0)
         for k in range(1, 8):  # the k = 8 term is below e^{-4900}
@@ -110,7 +110,7 @@ def test_theta4_symmetric_tail_is_negated_exactly():
 
 @pytest.mark.parametrize("y", ["0.5", "1", "2", "5"])
 def test_product_and_series_agree(cfg, y):
-    a = theta4_series(Enclosure(y), 0, cfg)
+    a = theta4_eval(Enclosure(y), 0, cfg)
     b = theta4_product(Enclosure(y), cfg)
     assert a.intersects(b)
     with precision(256):
@@ -122,7 +122,7 @@ def test_product_and_series_agree(cfg, y):
 def test_theta2_fixed_point(cfg):
     # the flip relation at its fixed point y = 1 forces theta2(1) = theta4(1)
     a = theta2_series(1, 0, cfg)
-    b = theta4_series(1, 0, cfg)
+    b = theta4_eval(1, 0, cfg)
     assert a.intersects(b)
     assert_contains(a, THETA4_AT_1)
 
@@ -158,7 +158,7 @@ def test_f_lambert_matches_log_derivative(cfg):
         direct = f_eval(Enclosure(y), cfg, route="lambert")
         with precision(256):
             ye = Enclosure(y)
-            ratio = ye * ye * theta4_series(ye, 1, cfg) / theta4_series(ye, 0, cfg)
+            ratio = ye * ye * theta4_eval(ye, 1, cfg) / theta4_eval(ye, 0, cfg)
         assert direct.intersects(ratio)
 
 
@@ -202,8 +202,8 @@ def test_theta4_finite_difference_ladder(cfg, nu):
     with precision(320):
         hi = Enclosure(1) + Enclosure(h)
         lo = Enclosure(1) - Enclosure(h)
-        fd = (theta4_series(hi, nu, cfg) - theta4_series(lo, nu, cfg)) / Enclosure(2 * h)
-        d = theta4_series(1, nu + 1, cfg)
+        fd = (theta4_eval(hi, nu, cfg) - theta4_eval(lo, nu, cfg)) / Enclosure(2 * h)
+        d = theta4_eval(1, nu + 1, cfg)
         err = abs(fd - d)
     third = abs(mp_scalar(mp_theta4, 1, nu + 3, dps=30))
     assert err.hi <= 10 * h ** 2 * max(third, mp.mpf(1))
@@ -211,9 +211,9 @@ def test_theta4_finite_difference_ladder(cfg, nu):
 
 def test_wide_box_evaluation_contains_point_values(cfg):
     box = Enclosure(1, 2)
-    e = theta4_series(box, 0, cfg)
+    e = theta4_eval(box, 0, cfg)
     for y in ("1", "1.5", "2"):
-        assert e.contains(theta4_series(Enclosure(y), 0, cfg))
+        assert e.contains(theta4_eval(Enclosure(y), 0, cfg))
     fbox = f_second(box, cfg, route="lambert")
     assert fbox.contains(f_second(Enclosure("1.5"), cfg, route="lambert"))
 
