@@ -11,7 +11,7 @@ Exit codes are stable across subcommands: 0 = success / fully certified,
 beyond the decimal exponent range included), 2 = usage error (bad arguments:
 a non-finite number, an --interval with LO >= HI, --digits below 1, a
 convexity option on another suite, a --json or --csv PATH that cannot be
-opened for writing).
+opened for writing; a --json PATH is checked before any suite runs).
 The default working precision is 128 bits and can be overridden with
 --precision or the THETACERT_PRECISION environment variable.
 """
@@ -68,7 +68,9 @@ VERIFY_SUITES = (
 SUITE_ALIASES = {"lemma1": "envelopes"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="thetacert",
         description="Certified theta-function evaluation and inequality verification.",
@@ -135,6 +137,14 @@ def _parse_number(text: str, what: str, cfg: EvalConfig, positive: bool = True) 
 def _usage_error(message: str) -> int:
     print(f"thetacert: error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _check_writable(path: str, what: str) -> None:
+    """Exit 2 before any work unless `path` opens for appending (which keeps what it holds)."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot write the {what} to {path}: {exc.strerror or exc}"))
 
 
 def _write(path: str, text: str, what: str) -> None:
@@ -214,6 +224,8 @@ def _cmd_verify(args, cfg: EvalConfig) -> int:
         lo, hi = (_parse_number(text, "--interval", cfg, positive=False) for text in args.interval)
         if not lo.hi < hi.lo:
             return _usage_error(f"--interval needs LO < HI, got {' '.join(args.interval)}")
+    if args.json_path:
+        _check_writable(args.json_path, "report")
     doc = ReportDocument(command=f"verify {suite}", config=cfg,
                          decimal_digits=args.digits).start()
     # the small-y chain is a suite, the decreasing suite's premise and, as its

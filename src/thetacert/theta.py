@@ -207,17 +207,21 @@ def _ball_settle(total: Ball, bound: Ball, near: Ball, sign: int, prec: int) -> 
 #: on libmp interval pairs or on Balls, at the working precision plus `guard` bits.  unwrap: pi's
 #: or a q power's raw value; positive(v): v's lower end is above 0; exceeds(x, t, lower): x's
 #: lower (or upper) end is above the positive raw mpf t; top(v): an integer with 2^(top - 1) <=
-#: v's upper end; settle: the kernel's result.
+#: v's upper end; scaled(v, k, prec): a chain value v times 2^k, rounded outward to prec bits as
+#: that product rounds (a Ball chain value has no more, so is only shifted); settle: the result.
 _PAIRS = SimpleNamespace(
     guard=0, mul=_lm.mpi_mul, add=_lm.mpi_add, sub=_lm.mpi_sub, div=_lm.mpi_div,
     neg=_lm.mpi_neg, pow_int=_lm.mpi_pow_int, const=_to_raw_pair,
     shift=lambda x, k, f=_lm.mpf_shift: (f(x[0], k), f(x[1], k)),
+    scaled=lambda x, k, prec, f=_lm.mpf_shift, pos=_lm.mpf_pos: (f(pos(x[0], prec, "f"), k),
+                                                                 f(pos(x[1], prec, "c"), k)),
     unwrap=lambda x: (x._lo, x._hi), positive=lambda x: _lm.mpf_sign(x[0]) > 0,
     exceeds=lambda x, t, lower: _lm.mpf_cmp(x[0] if lower else x[1], t) > 0,
     top=lambda x: x[1][2] + x[1][3], settle=_settle)
 _BALLS = SimpleNamespace(
     guard=_BALL_GUARD_BITS, mul=_ball_mul, add=_ball_add, sub=_ball_sub, div=_ball_div,
     neg=lambda x, prec: -x, pow_int=_ball_pow_int, const=_ball_const, shift=Ball._scaled,
+    scaled=lambda x, k, prec: Ball(x.m, x.r, x.e + k),
     unwrap=lambda x: x, positive=Ball.is_strictly_positive,
     exceeds=_ball_exceeds, top=lambda b: (b.m + b.r).bit_length() + b.e, settle=_ball_settle)
 
@@ -246,9 +250,10 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     c = pi * scale with a scale 2^k, so y * scale and c are exact shifts; a(n) is an integer
     polynomial of degree at most 2 with a(n+1) - a(n) non-decreasing and a(n+1)/a(n)
     non-increasing, as the geometric tail bound needs; w_n = weight, times (-1)^n if
-    `alternating`.  The offset a0 <= a(1) multiplies every term by e^{c a0 y}; with a0 = a(1)
-    the first term is exact.  Each order after the first is the previous term times c a(n), so
-    the orders must be consecutive.  Call inside cfg.scope().
+    `alternating`, for a weight 2^j: w_n E_n is E_n rounded to the working precision and shifted
+    by j, the product's bits without an interval product.  The offset a0 <= a(1) multiplies every
+    term by e^{c a0 y}; with a0 = a(1) the first term is exact.  Each order after the first is the
+    previous term times c a(n), so the orders must be consecutive.  Call inside cfg.scope().
     One exp per call: q = e^{-c y}, E_n = q^(a(n) - a0), R_n = q^(a(n+1) - a(n)), and
     E_{n+1} = E_n R_n, R_{n+1} = R_n D with D = q^(a(3) - 2 a(2) + a(1)), the constant second
     difference (D = 1 for a linear a).  These positive factors decrease in y, so each
@@ -267,6 +272,8 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     num, den = scale.as_integer_ratio()
     if num <= 0 or num & (num - 1) or den & (den - 1):
         raise ValueError(f"{what}: the scale must be a power of two, got {scale}")
+    if type(weight) is not int or weight <= 0 or weight & (weight - 1):
+        raise ValueError(f"{what}: the weight must be a power of two, got {weight}")
     a1, a2, a3 = a(1), a(2), a(3)
     if a(4) - 3 * a3 + 3 * a2 - a1:
         raise ValueError(f"{what}: the exponents a(n) must be quadratic in n")
@@ -282,8 +289,8 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
         q = (-(type(y).pi() * y._scaled(shift))).exp()
         powers = (q ** (a1 - a0), q ** (a2 - a1), q ** (a3 - 2 * a2 + a1))
     e, ratio, d = map(ar.unwrap, powers)  # E_1, R_1, D as raw intervals or Balls
-    mul, pow_int, raw, div, neg = ar.mul, ar.pow_int, ar.const, ar.div, ar.neg
-    w_r, first, top = raw(weight, prec), orders[0], orders[-1]
+    mul, pow_int, raw, div, neg, scaled = ar.mul, ar.pow_int, ar.const, ar.div, ar.neg, ar.scaled
+    first, top, w_shift = orders[0], orders[-1], weight.bit_length() - 1  # weight = 2^w_shift
     table = _BALL_CONSTANTS if ar is _BALLS else _SERIES_CONSTANTS
     known = table.setdefault((a1, a2, a3, shift, prec, first, top), {})
 
@@ -300,7 +307,7 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
 
     def step(n):  # on raw intervals, as w * E_n * (c * a(n))^r would round
         nonlocal e, ratio
-        mag = mul(w_r, e, prec)
+        mag = scaled(e, w_shift, prec)
         e, ratio = mul(e, ratio, chain_bits), mul(ratio, d, chain_bits)
         if n <= _TABLED_INDICES:
             ca, ca_first = constants(n)[:2]
@@ -318,8 +325,8 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     def tail(n):  # right after step(n), e and ratio hold E_{n+1} and R_{n+1}; on raw intervals,
         # the geometric tail of w * E_{n+1} * (c * a(n+1))^R, ratio growth^R * R_{n+1}
         _, _, ca_top, growth_top, lower = constants(n + 1)
-        b = _geometric_tail(mul(mul(w_r, e, prec), ca_top, prec), mul(growth_top, ratio, prec),
-                            prec)
+        b = _geometric_tail(mul(scaled(e, w_shift, prec), ca_top, prec),
+                            mul(growth_top, ratio, prec), prec)
         return [div(b, power, prec) for power in lower]
 
     sums = [raw(start if r == 0 else 0, prec) for r in orders]

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report files, CSV format."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -128,6 +129,33 @@ def test_scan_evaluates_grid_once(monkeypatch, capsys, a, calls):
     monkeypatch.setattr(scanner, "f_a_second", counting)
     assert run_cli("scan", "--a", a, "--resolution", "16") == 0
     assert count == calls
+
+
+def test_scan_builds_its_grid_once(monkeypatch, capsys):
+    # the query keeps the grid it builds to validate itself, and scan_rows reads it
+    calls = count_calls(monkeypatch, scanner, "log_grid")
+    assert run_cli("scan", "--a", "2.5", "--resolution", "16") == 0
+    assert len(calls) == 1
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from thetacert import cli
+
+    builds, inner = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "thetacert":  # the top-level parser, not a subcommand's
+            builds.append(kwargs)
+        inner(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    try:
+        assert run_cli("eval", "theta4", "--y", "1") == 0
+        assert run_cli("eval", "theta4", "--y", "2") == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert len(builds) == 1
 
 
 def test_scan_without_grid_witness_reports_none(capsys):
@@ -259,6 +287,16 @@ def test_scan_unwritable_csv_path_usage_error(tmp_path, capsys, kind):
     path = _unwritable(tmp_path, kind)
     assert run_cli("scan", "--a", "2.1", "--resolution", "8", "--csv", path) == 2
     assert f"cannot write the scan to {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_verify_unwritable_report_path_runs_no_suite(monkeypatch, tmp_path, capsys, kind):
+    from thetacert import cli
+
+    calls = count_calls(monkeypatch, cli, "checked_greek_constants")
+    assert run_cli("verify", "greek", "--json", _unwritable(tmp_path, kind)) == 2
+    assert calls == []
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("interval", [("2", "1"), ("1", "1"), ("0.1", "0.1")])

@@ -91,6 +91,8 @@ _MUTANTS = [
                  id="modular-table-row-2"),
     pytest.param("modular", _table_entry(3, 3, Fraction(-2)), id="modular-table-row-3-last"),
     pytest.param("modular", _theta2(weight=3), id="theta2-weight-3"),
+    # a weight that is not a power of two is refused by the series; this one must fail the proof
+    pytest.param("modular", _theta2(weight=4), id="theta2-weight-4"),
     *(pytest.param("modular", _table_entry(nu, 0, modular.MODULAR_COEFFICIENTS[nu][0] * f),
                    id=f"modular-table-row-{nu}-first-times-{f}")
       for nu in (1, 2, 3) for f in (Fraction(1, 2), 2)),

@@ -15,8 +15,8 @@ from thetacert import (
     precision,
     scan_rows,
 )
-from thetacert.enclosure import Jet
-from thetacert.scanner import _f_a, find_witness_in_rows
+from thetacert.enclosure import _BALL_GUARD_BITS, Ball, Jet
+from thetacert.scanner import _exponent, _f_a, find_witness_in_rows
 from thetacert.verifier import _f
 
 from conftest import WITNESS_21_VALUE, WITNESS_21_Y, assert_contains, mp_theta4, mp_scalar
@@ -132,3 +132,27 @@ def test_each_entry_is_the_jet_products(bits):
                 else:
                     assert value.intersects(reference[order]), what
                     assert value.width <= reference[order].width, what
+
+
+@pytest.mark.parametrize("a", [3, Fraction(47, 20)], ids=["integer-r", "fractional-r"])
+@pytest.mark.parametrize("kind", ["ball", "box"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_row_entry_is_the_jet_products_entry_bit_for_bit(cfg, a, kind, k):
+    # _f_a forms one entry by the product rule, in the Jet product's operation order
+    with cfg.scope():
+        if kind == "ball":
+            y = Ball.of(Enclosure("1.3"))
+            r, _, r_ball, r_r1_ball = _exponent(a, cfg.precision_bits + _BALL_GUARD_BITS)
+            p = y ** r if type(r) is int else (y.log() * r_ball).exp()
+            r, r_r1 = r_ball, r_r1_ball
+        else:
+            y = Enclosure("0.8", "0.81")
+            r = Fraction(a) - 2
+            p, r_r1 = y ** r, r * (r - 1)
+        expected = tuple(Jet(p, p * r / y, p * r_r1 / (y * y)) * Jet(*_f(y, range(k + 1), cfg)))[k]
+    value = _f_a(a, y, k, cfg)
+    assert type(value) is type(expected)
+    if kind == "ball":
+        assert (value.m, value.r, value.e) == (expected.m, expected.r, expected.e)
+    else:
+        assert value == expected

@@ -850,6 +850,14 @@ def test_quadratic_series_rejects_a_scale_that_is_not_a_power_of_two(cfg, scale)
                           scale=scale)
 
 
+@pytest.mark.parametrize("weight", [3, 6, 0])
+def test_quadratic_series_rejects_a_weight_that_is_not_a_power_of_two(cfg, weight):
+    # a weight 2^j is applied to each term as an exact shift, not as an interval product
+    with cfg.scope(), pytest.raises(ValueError, match="weight must be a power of two"):
+        _quadratic_series("theta2", Enclosure(1), lambda k: (2 * k - 1) ** 2, range(2), cfg,
+                          scale=Fraction(1, 4), weight=weight)
+
+
 @pytest.mark.parametrize("ratio", [(1, 1), ("0.5", 1), ("0.5", 2), (2, 3)])
 def test_geometric_tail_needs_a_ratio_below_one(ratio):
     with pytest.raises(ConvergenceError):
