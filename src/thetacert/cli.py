@@ -9,7 +9,7 @@ Three subcommands:
 Exit codes are stable across subcommands: 0 = success / fully certified,
 1 = verification failure, inconclusive result or evaluation error (a value
 beyond the decimal exponent range included), 2 = usage error (bad arguments:
-a non-finite number, an --interval with LO >= HI, --digits below 1, a
+a non-finite number, an --interval with LO >= HI, --digits below 1 or above 4300, a
 convexity option on another suite, a --json or --csv PATH that cannot be
 opened for writing; a --json PATH is checked before any suite runs).
 The default working precision is 128 bits and can be overridden with
@@ -30,7 +30,7 @@ from .certify import CertificationReport, certify_sign
 from .enclosure import DomainError, Enclosure, EnclosureError, EvalConfig
 from .envelopes import log_grid, verify_sandwiches
 from .modular import theta4_eval, verify_modular_identities
-from .report import ReportDocument, decimal_bounds
+from .report import MAX_DECIMAL_DIGITS, ReportDocument, decimal_bounds
 from .scanner import ExponentQuery, find_witness_in_rows, scan_rows
 from .theta import DERIVATIVE_ORDERS, theta2_series
 from .verifier import (
@@ -313,8 +313,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.digits < 1:
-        return _usage_error(f"--digits must be at least 1, got {args.digits}")
+    if not 1 <= args.digits <= MAX_DECIMAL_DIGITS:
+        return _usage_error(f"--digits must be from 1 to {MAX_DECIMAL_DIGITS}, got {args.digits}")
     try:
         cfg = _make_config(args)
     except ValueError as exc:

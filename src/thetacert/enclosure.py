@@ -487,9 +487,7 @@ def _ball_of(lo, hi, prec: int) -> Ball:
 
 
 def _ball_const(value, prec: int) -> Ball:
-    """A Ball passes; an int or a dyadic Fraction or float is exact, another Fraction rounded."""
-    if type(value) is Ball:
-        return value
+    """An int or a dyadic Fraction or float is exact, another Fraction rounded."""
     if isinstance(value, float):
         value = Fraction(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -560,7 +558,10 @@ def _ball_div(a: Ball, b: Ball, prec: int) -> Ball:
     return _ball(m, r + (rest != 0), a.e - b.e - k, prec)
 
 
-_BALL_ONE = Ball(1, 0, 0)
+#: the exact constants of the thin passes, built once: a pass's start sums and its tail's 1 - r,
+#: and f's 1 + Q, 1/y, f' + 1/2 and the 2 of y^2's second derivative
+_BALL_ZERO, _BALL_ONE = Ball(0, 0, 0), Ball(1, 0, 0)
+_BALL_TWO, _BALL_HALF = Ball(2, 0, 0), Ball(1, 0, -1)
 
 
 def _ceil_shift(n: int, k: int) -> int:
@@ -677,9 +678,8 @@ class EvalConfig:
 
     precision_bits: working precision for enclosure arithmetic (>= 53).
     tail_tolerance: absolute bound each truncated series tail must reach
-        before a sum is accepted; a float, or a decimal string for
-        magnitudes a float cannot express (e.g. "1e-900" for comparisons
-        whose margins decay like e^{-6 pi y}).
+        before a sum is accepted; a float, or a decimal string such as
+        "1e-900" for magnitudes a float cannot express.
     max_terms: hard cap on series/product terms; exceeding it raises
         ConvergenceError rather than returning an unverified value.
     tol: tail_tolerance as an mpf, parsed once, when the config is made.

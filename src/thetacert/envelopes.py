@@ -8,17 +8,19 @@ holds with
 
     _envelope_poly(nu, c) = (2 pi^nu / 4^nu) (e^{-pi y/4} + (1 + c) 9^nu e^{-9 pi y/4})
 
-(one ExpPoly form, which the envelope-product bracket of
-:mod:`thetacert.verifier` shares) and the inflation constants c_0 = 0.00001,
-c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  The lower envelope (c = 0) is theta2's first two
-terms by construction: its keys, amplitude and powers are read from `theta._THETA2`, the
-one statement of theta2's terms that `_theta2` sums.  ``verify_sandwiches`` checks the
-sandwich on a grid, one report per order, with the envelope polys built once per call and
-one theta2 pass and one exponential e^{-pi y/4} per point for all orders.  The
-admissibility of the c_nu is proved from the same statement, for every y >= 1, by two
-computed checks: every omitted exponent a(k), k >= 3, exceeds a(2), so each term of the
-inflation factor e^{9 pi y/4} 9^(-nu) sum_{k>=3} a(k)^nu e^{-pi a(k) y/4} decreases in y;
-and that factor at y = 1, one certified series pass, tail included, is below c_nu.
+(one ExpPoly form, which the envelope-product bracket of :mod:`thetacert.verifier` shares) and
+the inflation constants c_0 = 0.00001, c_1 = 0.00003, c_2 = 0.00008, c_3 = 0.0003.  The lower
+envelope (c = 0) is theta2's first two terms by construction: its keys, amplitude and powers are
+read from `theta._THETA2`, the one statement of theta2's terms that `_theta2` sums.  With
+amp = 2 (pi/4)^nu and the factor F = e^{9 pi y/4} 9^(-nu) sum_{k>=3} a(k)^nu e^{-pi a(k) y/4},
+the middle minus the lower envelope is amp 9^nu e^{-9 pi y/4} F and the upper envelope minus the
+middle amp 9^nu e^{-9 pi y/4} (c_nu - F): the strict sandwich at y is exactly 0 < F < c_nu.
+``verify_sandwiches`` checks it on a grid, one report per order, at the working precision: one
+series pass per point gives F for every order, a sum of positive terms with no cancellation, and
+at y = 1 theta2 is also compared with the envelope polys directly.  The admissibility of the c_nu
+is proved from the same statement, for every y >= 1, by two computed checks: every omitted
+exponent a(k), k >= 3, exceeds a(2), so each term of F decreases in y; and F at y = 1, one
+certified series pass, tail included, is below c_nu.
 """
 
 from __future__ import annotations
@@ -67,12 +69,6 @@ class EnvelopeConstants:
 PAPER_CONSTANTS = EnvelopeConstants()
 
 
-def _check_domain(y: Enclosure) -> Enclosure:
-    if not (y.lo >= 1):
-        raise DomainError(f"envelopes are only established for y >= 1, got {y!r}")
-    return y
-
-
 def _envelope_poly(nu: int, inflation=0) -> ExpPoly:
     """amp (a(1)^nu e^{-pi a(1) y/4} + (1 + inflation) a(2)^nu e^{-pi a(2) y/4}), theta2's
     terms 1 and 2 as `theta._THETA2` states them (a(1) = 1, a(2) = 9), amp = 2 pi^nu / 4^nu:
@@ -98,78 +94,70 @@ def log_grid(lo: float, hi: float, count: int) -> list[Enclosure]:
     return [Enclosure(x) for x in pts]  # floats convert exactly: width-0 points
 
 
-def _sandwich_config(y_hi: float, cfg: EvalConfig) -> EvalConfig:
-    """Precision/tolerance adequate for the sandwich margins at this point.
-
-    The lower gap is the omitted m >= 5 theta2 term, relatively of size
-    e^{-6 pi y}; deciding it needs about 6 pi y / ln 2 ~ 27.2 y bits and a
-    tail tolerance well below e^{-25 pi y / 4} ~ 10^{-8.53 y}.
-    """
-    bits = max(cfg.precision_bits, int(27.3 * y_hi) + 96)
-    decade = int(8.6 * y_hi) + 40
-    return EvalConfig(
-        precision_bits=bits, tail_tolerance=f"1e-{decade}", max_terms=cfg.max_terms
-    )
-
-
-def _sandwich_point(y: Enclosure, envelopes, cfg: EvalConfig):
-    """(True / False / None (undecided), detail) for the strict sandwich at one point, per
-    (nu, lower, upper) envelope-poly triple of `envelopes`: one theta2 pass over the orders at
-    the :func:`_sandwich_config` precision, and one exponential that every envelope shares."""
-    point_cfg = _sandwich_config(float(y.hi), cfg)
-    with point_cfg.scope():
-        thetas = _theta2(y, range(max((nu for nu, _, _ in envelopes), default=0) + 1), point_cfg)
-        shared = {}  # e^{-pi y/4} and its powers, filled by the first envelope
-        verdicts = []
-        for nu, lower, upper in envelopes:
-            mid = -thetas[nu] if nu % 2 == 1 else thetas[nu]
-            low, upp = lower.eval(y, point_cfg, shared), upper.eval(y, point_cfg, shared)
-            if low.is_strictly_positive() and low.hi < mid.lo and mid.hi < upp.lo:
-                verdicts.append((True, "strict on both sides"))
-            # a disproof needs the wrong ordering to hold on whole enclosures
-            elif mid.hi < low.lo or upp.hi < mid.lo or low.hi <= 0:
-                verdicts.append((False, f"lower={low!r} mid={mid!r} upper={upp!r}"))
-            else:
-                verdicts.append((None, f"enclosures overlap at {point_cfg.precision_bits} bits"))
-    return verdicts
+def _sides(y: Enclosure, envelopes, cfg: EvalConfig) -> list[tuple]:
+    """(lower, (-1)^nu theta2^(nu), upper) at y per (nu, lower, upper) envelope-poly triple, at
+    the working precision: one theta2 pass, and one exponential that every envelope shares."""
+    with cfg.scope():
+        thetas, shared = _theta2(y, range(max(nu for nu, _, _ in envelopes) + 1), cfg), {}
+        return [(lower.eval(y, cfg, shared), -thetas[nu] if nu % 2 else thetas[nu],
+                 upper.eval(y, cfg, shared)) for nu, lower, upper in envelopes]
 
 
 def verify_sandwiches(grid, orders, cfg: EvalConfig = DEFAULT_CONFIG) -> list[CertificationReport]:
-    """Certify lower < (-1)^nu theta2^(nu) < upper strictly at each grid point, one report
-    per order nu of `orders`; each grid point is evaluated once for all of them.
-
-    The working precision scales with y (:func:`_sandwich_config`): the strict
-    gaps shrink like e^{-6 pi y}, so a fixed precision would go inconclusive
-    long before y = 100 even though the inequalities are comfortably true.
-    Enclosures that still overlap at that precision produce an `inconclusive`
-    report (distinct from a disproof, which records the offending point).
-    """
+    """Certify lower < (-1)^nu theta2^(nu) < upper strictly at each grid point, one report per
+    order nu of `orders`, at the working precision: 0 < F < c_nu (module docstring) for every
+    order from one series pass per point, and at y = 1 also 0 < lower < mid < upper by
+    :func:`_sides`, which ties `_envelope_poly` to theta2.  An undecided point makes the report
+    `inconclusive`; a disproof's detail gives lower, mid and upper there, evaluated only then."""
     orders = [_check_order(nu) for nu in orders]
     with cfg.scope():
-        points = [_check_domain(as_enclosure(y)) for y in grid]
-    with _sandwich_config(max((float(y.hi) for y in points), default=1), cfg).scope():
+        points = [as_enclosure(y) for y in grid]  # each checked by its excess pass
         envelopes = [(nu, _envelope_poly(nu), _envelope_poly(nu, PAPER_CONSTANTS.for_order(nu)))
                      for nu in orders]
-    per_point = [_sandwich_point(y, envelopes, cfg) for y in points]
-    reports = []
-    for nu, outcomes in zip(orders, zip(*per_point)):
-        checks = [Check(f"sandwich at y={y.lo}", *o) for y, o in zip(points, outcomes)]
-        reports.append(CertificationReport.chain(f"theta2-envelope-sandwich-nu{nu}", checks,
-                                                 interval=(points[0].lo, points[-1].hi)))
-    return reports
+    checks = [[] for _ in orders]
+    for y in points if orders else ():
+        factors = _admissibility_factors(y, orders, cfg)
+        sides = _sides(y, envelopes, cfg) if y.lo == y.hi == 1 else None
+        with cfg.scope():
+            for i, (nu, factor) in enumerate(zip(orders, factors)):
+                pairs = [(0, factor), (factor, PAPER_CONSTANTS.for_order(nu))]
+                if sides:  # 0 < lower < mid < upper
+                    low, mid, upp = sides[i]
+                    pairs += [(0, low), (low, mid), (mid, upp)]
+                outcomes = [_below(a, b) for a, b in pairs]
+                if False in outcomes:  # a disproof needs the wrong ordering on whole enclosures
+                    low, mid, upp = (sides or _sides(y, envelopes, cfg))[i]
+                    verdict = False, f"lower={low!r} mid={mid!r} upper={upp!r}"
+                elif None in outcomes:
+                    verdict = None, f"undecided at {cfg.precision_bits} bits: factor={factor!r}"
+                else:
+                    verdict = True, "strict on both sides"
+                checks[i].append(Check(f"sandwich at y={y.lo}", *verdict))
+    return [CertificationReport.chain(f"theta2-envelope-sandwich-nu{nu}", checks[i],
+                                      interval=(points[0].lo, points[-1].hi))
+            for i, nu in enumerate(orders) if points]
+
+
+def _admissibility_factors(y, orders, cfg: EvalConfig) -> list[Enclosure]:
+    """F = e^{pi a(2) y/4} a(2)^-nu sum_{k>=3} a(k)^nu e^{-pi a(k) y/4} for each order nu of
+    `orders`, theta2's terms from the third over the envelopes' second, for a and the scale 1/4
+    of `theta._THETA2`: one certified pass over a(k + 2) with offset a(2), tail included, for
+    every order up to the largest, each divided by (-pi/4)^nu, then by a(2)^nu."""
+    terms = theta._THETA2
+    with cfg.scope():
+        y, a2 = as_enclosure(y), terms.a(2)
+        if not y.lo >= 1:
+            raise DomainError(f"envelopes are only established for y >= 1, got {y!r}")
+        span = range(min(orders), max(orders) + 1)
+        excess = _quadratic_series("theta2 excess", y, lambda k: terms.a(k + 2), span, cfg,
+                                   scale=terms.scale, a0=a2)
+        rate = -(Enclosure.pi() * terms.scale)
+        return [excess[nu - span.start] / rate ** nu / Enclosure(a2 ** nu) for nu in orders]
 
 
 def admissibility_factor(nu: int, y, cfg: EvalConfig = DEFAULT_CONFIG) -> Enclosure:
-    """e^{pi a(2) y/4} a(2)^-nu sum_{k>=3} a(k)^nu e^{-pi a(k) y/4}, theta2's terms from the third
-    over the envelopes' second, for a and the scale 1/4 of `theta._THETA2`: the least c_nu
-    admissible at y.  One certified pass over a(k + 2) with offset a(2), tail included, divided
-    by (-pi/4)^nu, then by a(2)^nu."""
-    terms, nu = theta._THETA2, _check_order(nu)
-    with cfg.scope():
-        y, a2 = _check_domain(as_enclosure(y)), terms.a(2)
-        (excess,) = _quadratic_series("theta2 excess", y, lambda k: terms.a(k + 2),
-                                      range(nu, nu + 1), cfg, scale=terms.scale, a0=a2)
-        return excess / (-(Enclosure.pi() * terms.scale)) ** nu / Enclosure(a2 ** nu)
+    """The factor F of order nu at y (:func:`_admissibility_factors`): the least admissible c_nu."""
+    return _admissibility_factors(y, [_check_order(nu)], cfg)[0]
 
 
 def check_c_admissible(nu: int, cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationReport:

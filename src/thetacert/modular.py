@@ -48,8 +48,8 @@ from fractions import Fraction
 from functools import cache
 
 from .certify import CertificationReport, Check
-from .enclosure import (DEFAULT_CONFIG, Ball, DomainError, Enclosure, EvalConfig, Jet, _thin_ball,
-                        as_enclosure)
+from .enclosure import (_BALL_HALF, _BALL_ONE, DEFAULT_CONFIG, Ball, DomainError, Enclosure,
+                        EvalConfig, Jet, _thin_ball, as_enclosure)
 from .envelopes import log_grid
 from .theta import _check_order, _check_positive, _quadratic_series, _theta2, _theta4
 
@@ -139,13 +139,13 @@ def _f_modular(y, orders: range, cfg: EvalConfig) -> list:
         y = _check_positive(y if thin else as_enclosure(y), "modular f series")
         if not thin and (ball := _thin_ball(y, cfg)) is not None:
             return [v.enclosure() for v in _f_modular(ball, orders, cfg)]
-        pi = type(y).pi()
-        x = 1 / y
+        pi, (one, half) = type(y).pi(), (_BALL_ONE, _BALL_HALF) if thin else (1, 0.5)
+        x = one / y
         scaled = (lambda v: v) if thin else (-(pi._scaled(1) * x)).exp().__mul__  # v or eps v
         p = _quadratic_series("Q-series", x, lambda j: j * (j + 1), range(orders[-1] + 2), cfg,
                               a0=0 if thin else 2, relative=thin)
-        g, g1, g2 = Jet(*p[1:]) / Jet(1 + scaled(p[0]), *map(scaled, p[1:-1]))
+        g, g1, g2 = Jet(*p[1:]) / Jet(scaled(p[0]) + one, *map(scaled, p[1:-1]))
         forms = (lambda: pi._scaled(-2) - y._scaled(-1) - scaled(g),  # formed only when requested
-                 lambda: scaled(x * x) * g1 - 0.5,
+                 lambda: scaled(x * x) * g1 - half,
                  lambda: scaled(x ** 3) * (-(g1 + g1) - x * g2))
         return [forms[k]() for k in orders]

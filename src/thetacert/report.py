@@ -30,6 +30,8 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 DEFAULT_DECIMAL_DIGITS = 40
+#: the most digits a bound prints: Python's default limit on converting an int to a str
+MAX_DECIMAL_DIGITS = 4300
 
 
 # F = 2^128 log10(2), floored: (e F >> 128) - 1 <= floor(e log10(2)) for |e| < 2^127
@@ -70,7 +72,9 @@ def _print_directed(raw, digits: int, direction: int) -> str:
 
 
 def decimal_bounds(enc: Enclosure, digits: int = DEFAULT_DECIMAL_DIGITS) -> tuple[str, str]:
-    """Outward-rounded decimal strings (lo, hi) for an enclosure."""
+    """Outward-rounded decimal strings (lo, hi) of an enclosure, 1 to MAX_DECIMAL_DIGITS digits."""
+    if not 1 <= digits <= MAX_DECIMAL_DIGITS:
+        raise ValueError(f"decimal bounds take 1 to {MAX_DECIMAL_DIGITS} digits, got {digits}")
     return (
         _print_directed(enc._lo, digits, -1),
         _print_directed(enc._hi, digits, +1),

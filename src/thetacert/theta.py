@@ -76,6 +76,8 @@ from mpmath import libmp as _lm
 
 from .enclosure import (
     _BALL_GUARD_BITS,
+    _BALL_ONE,
+    _BALL_ZERO,
     DEFAULT_CONFIG,
     Ball,
     ConvergenceError,
@@ -128,7 +130,7 @@ def _geometric_tail(first, ratio, prec: int) -> tuple:
     """first * (1 + r + r^2 + ...) on raw intervals or Balls, rounded as first / (1 - r), for a
     ratio r certified below 1; raises ConvergenceError when 1 - r's lower end is not positive."""
     ar = _arithmetic(ratio)
-    rest = ar.sub(ar.const(1, prec), ratio, prec)
+    rest = ar.sub(ar.one, ratio, prec)
     if not ar.positive(rest):
         raise ConvergenceError("tail ratio not certified below 1")
     return ar.div(first, rest, prec)
@@ -208,10 +210,11 @@ def _ball_settle(total: Ball, bound: Ball, near: Ball, sign: int, prec: int) -> 
 #: or a q power's raw value; positive(v): v's lower end is above 0; exceeds(x, t, lower): x's
 #: lower (or upper) end is above the positive raw mpf t; top(v): an integer with 2^(top - 1) <=
 #: v's upper end; scaled(v, k, prec): a chain value v times 2^k, rounded outward to prec bits as
-#: that product rounds (a Ball chain value has no more, so is only shifted); settle: the result.
+#: that product rounds (a Ball chain value has no more, so is only shifted); settle: the result;
+#: zero and one: those exact values, built once.
 _PAIRS = SimpleNamespace(
     guard=0, mul=_lm.mpi_mul, add=_lm.mpi_add, sub=_lm.mpi_sub, div=_lm.mpi_div,
-    neg=_lm.mpi_neg, pow_int=_lm.mpi_pow_int, const=_to_raw_pair,
+    neg=_lm.mpi_neg, pow_int=_lm.mpi_pow_int, const=_to_raw_pair, zero=(_lm.fzero,) * 2, one=_ONE,
     shift=lambda x, k, f=_lm.mpf_shift: (f(x[0], k), f(x[1], k)),
     scaled=lambda x, k, prec, f=_lm.mpf_shift, pos=_lm.mpf_pos: (f(pos(x[0], prec, "f"), k),
                                                                  f(pos(x[1], prec, "c"), k)),
@@ -221,7 +224,7 @@ _PAIRS = SimpleNamespace(
 _BALLS = SimpleNamespace(
     guard=_BALL_GUARD_BITS, mul=_ball_mul, add=_ball_add, sub=_ball_sub, div=_ball_div,
     neg=lambda x, prec: -x, pow_int=_ball_pow_int, const=_ball_const, shift=Ball._scaled,
-    scaled=lambda x, k, prec: Ball(x.m, x.r, x.e + k),
+    scaled=lambda x, k, prec: Ball(x.m, x.r, x.e + k), zero=_BALL_ZERO, one=_BALL_ONE,
     unwrap=lambda x: x, positive=Ball.is_strictly_positive,
     exceeds=_ball_exceeds, top=lambda b: (b.m + b.r).bit_length() + b.e, settle=_ball_settle)
 
@@ -272,6 +275,8 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
     num, den = scale.as_integer_ratio()
     if num <= 0 or num & (num - 1) or den & (den - 1):
         raise ValueError(f"{what}: the scale must be a power of two, got {scale}")
+    if start not in (0, 1):
+        raise ValueError(f"{what}: the start, the sum at order 0, must be 0 or 1, got {start}")
     if type(weight) is not int or weight <= 0 or weight & (weight - 1):
         raise ValueError(f"{what}: the weight must be a power of two, got {weight}")
     a1, a2, a3 = a(1), a(2), a(3)
@@ -329,7 +334,7 @@ def _quadratic_series(what, y, a, orders: range, cfg, scale=1, weight=1, alterna
                             mul(growth_top, ratio, prec), prec)
         return [div(b, power, prec) for power in lower]
 
-    sums = [raw(start if r == 0 else 0, prec) for r in orders]
+    sums = [ar.one if r == 0 and start else ar.zero for r in orders]
     signs = [0 if alternating else (-1) ** r for r in orders]
     shift = 1 - ar.top(e) if relative else 0  # 2^-shift <= E_1's upper end
     return certified_sum(what, cfg, sums, step, tail, signs, gate_divisor=4, tol_shift=shift)

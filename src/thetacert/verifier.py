@@ -41,8 +41,8 @@ from types import SimpleNamespace
 
 from . import envelopes, theta
 from .certify import CertificationReport, Check, certify_sign
-from .enclosure import (DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet, _ball_exceeds, _below,
-                        _thin_ball, as_enclosure)
+from .enclosure import (_BALL_TWO, DEFAULT_CONFIG, Ball, Enclosure, EvalConfig, Jet, _ball_exceeds,
+                        _below, _thin_ball, as_enclosure)
 from .envelopes import _envelope_poly, check_c_admissible
 from .exppoly import DegreeError, ExpPoly
 from .modular import _f_modular
@@ -437,7 +437,7 @@ def _f_jet(y: Enclosure | Ball, t) -> Jet:
     """f = y^2 theta4'/theta4 as a Jet in y, from t = (theta4, theta4', ...) at y; its
     entries are f, f', f'' up to order len(t) - 2.  y^2 is the exact Jet (y^2, 2y, 2): the bits of
     Jet(y, 1) * Jet(y, 1), without its products by 0 and 1.  Call inside a precision scope."""
-    return Jet(y * y, y + y, 2) * (Jet(*t[1:]) / Jet(*t[:3]))
+    return Jet(y * y, y + y, _BALL_TWO if type(y) is Ball else 2) * (Jet(*t[1:]) / Jet(*t[:3]))
 
 
 #: the working interval of the desk-scale convexity certification

@@ -620,6 +620,22 @@ def test_digits_below_one_usage_error(capsys, digits):
     assert run_cli("verify", "greek", "--digits", digits) == 2
 
 
+@pytest.mark.parametrize("digits, code", [(4300, 0), (4301, 2)])
+def test_digits_above_4300_usage_error(tmp_path, capsys, digits, code):
+    # 4,300 is Python's default limit on int-to-str conversion: the most digits a bound prints
+    path = tmp_path / "greek.json"
+    assert run_cli("eval", "f", "--y", "1", "--digits", str(digits)) == code
+    assert run_cli("scan", "--a", "2.1", "--resolution", "8", "--digits", str(digits)) == code
+    assert run_cli("verify", "greek", "--digits", str(digits), "--json", str(path)) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.count("--digits must be from 1 to 4300") == 3 and not path.exists()
+    else:
+        # a 128-bit bound is a dyadic of about 130 digits: printed whole, trailing zeros stripped
+        assert out.startswith("f(1) in [0.297109903806619159709192485176116135813490431610579170")
+        assert json.loads(path.read_text())["decimal_digits"] == 4300
+
+
 def test_verify_quantity_cuts_f_prime_at_the_route_boundary(tmp_path, capsys):
     # [0.05, 1] on the modular route and [1, 20] on the Lambert route, as in verify_convexity
     path = tmp_path / "f_prime.json"
@@ -665,10 +681,16 @@ def _count_kernel_runs(monkeypatch):
 
 @pytest.mark.parametrize("suite, passes", [("envelopes", 40), ("modular", 9)])
 def test_sampled_suites_take_one_theta2_pass_per_point(monkeypatch, capsys, suite, passes):
-    # every sample point serves all four derivative orders from one theta2 pass
+    # every sample point serves all four derivative orders from one pass: theta2's own for the
+    # modular samples; theta2's terms from the third for the sandwich grid, whose direct
+    # comparison at y = 1 takes the one theta2 pass, and whose suite adds one excess pass per
+    # order for the admissibility at y = 1
     calls = _count_kernel_runs(monkeypatch)
     assert run_cli("verify", suite) == 0
-    assert calls.count("theta2_series") == passes
+    if suite == "envelopes":
+        assert (calls.count("theta2 excess"), calls.count("theta2_series")) == (passes + 4, 1)
+    else:
+        assert calls.count("theta2_series") == passes
 
 
 def test_envelope_suite_shares_envelope_exponentials(monkeypatch, capsys):

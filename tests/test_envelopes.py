@@ -236,6 +236,17 @@ def test_deflating_one_constant_fails_only_its_order(cfg, monkeypatch):
     assert together[3].checks[0].detail.startswith("lower=")
 
 
+def test_points_past_1_are_decided_by_the_factor_alone(cfg, monkeypatch):
+    # with c_3 at half the factor F at y = 2, the upper envelope sits below theta2 there, and
+    # back above it at y = 4, where F has fallen by about e^{-8 pi}
+    man, exp = admissibility_factor(3, 2, cfg).lo.man_exp
+    monkeypatch.setattr(envelopes, "PAPER_CONSTANTS",
+                        EnvelopeConstants(c3=Fraction(man) * Fraction(2) ** exp / 2))
+    (report,) = verify_sandwiches([Enclosure(2), Enclosure(4)], (3,), cfg)
+    assert [c.passed for c in report.checks] == [False, True]
+    assert report.checks[0].detail.startswith("lower=")
+
+
 def test_sandwich_reads_the_envelope_constants_at_each_call(cfg, monkeypatch):
     # no envelope poly outlives its call: a deflated c_3 fails nu = 3, and once the patch is
     # undone the same process certifies it again
@@ -248,11 +259,20 @@ def test_sandwich_reads_the_envelope_constants_at_each_call(cfg, monkeypatch):
 
 
 def test_sandwich_suite_takes_two_exponentials_per_point(cfg, monkeypatch):
-    # one for the point's theta2 pass, one that every envelope of every order shares
+    # at most two: one for the point's excess pass, which serves every order, and at y = 1 the
+    # direct comparison's two, its theta2 pass's and one that every envelope of every order shares
     exps, inner = [], Enclosure.exp
     monkeypatch.setattr(Enclosure, "exp", lambda self: exps.append(self) or inner(self))
     verify_sandwiches(log_grid(1.0, 100.0, 40), range(4), cfg)
-    assert len(exps) == 80
+    assert len(exps) == 40 + 2
+
+
+@pytest.mark.parametrize("bits", [53, 64, 80, 512])
+def test_envelope_suite_certifies_at_every_precision(bits, capsys):
+    # the sandwich decides each point at the working precision, with no ramp to hide the low end
+    assert cli.main(["--precision", str(bits), "verify", "envelopes"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "certifications: 8 certified, 0 failed, 0 inconclusive")
 
 
 @pytest.mark.parametrize("nu", range(4))

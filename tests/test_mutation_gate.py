@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from thetacert import Enclosure, EvalConfig, modular, theta, verifier
+from thetacert import Enclosure, EvalConfig, envelopes, modular, theta, verifier
 from thetacert.certify import Status, certify_sign
 from thetacert.cli import main as cli_main
 from thetacert.exppoly import ExpPoly
@@ -68,6 +68,22 @@ def _theta2(**change):
         theta, "_THETA2", SimpleNamespace(**{**vars(theta._THETA2), **change}))
 
 
+def _envelopes(amplitude=Fraction(1, 4), inflated=9):
+    """Replace `_envelope_poly`, which the sandwich and the envelope-product bracket read, by a
+    transcription with the amplitude 2 (pi amplitude)^nu and the inflation (1 + c) on the term
+    of e^{-pi a y/4} with a = `inflated`; the defaults transcribe it unchanged."""
+    def poly(nu, inflation=0):
+        pi = Enclosure.pi()
+        amp = 2 * (pi * Enclosure(amplitude)) ** nu
+        return ExpPoly({-a: (amp * a ** nu * (1 + Enclosure(inflation) if a == inflated else 1),)
+                        for a in (1, 9)}, pi / 4)
+
+    def mutant(monkeypatch):
+        for module in (envelopes, verifier):
+            monkeypatch.setattr(module, "_envelope_poly", poly)
+    return mutant
+
+
 def _survivor(item, what):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {what} survives")
 
@@ -87,6 +103,10 @@ _MUTANTS = [
     pytest.param("all", _move_corners,
                  marks=_survivor(3, "the even f'' and both f' corners moved from 2 to 4"),
                  id="corners-2-to-4"),
+    # the sandwich decides y > 1 from theta2's own terms: its direct comparison at y = 1 must
+    # catch a wrong amplitude, and the envelope-product bracket the inflation on the wrong term
+    pytest.param("envelopes", _envelopes(amplitude=4), id="envelope-amplitude-4-to-the-nu"),
+    pytest.param("greek", _envelopes(inflated=1), id="envelope-inflation-on-first-term"),
     pytest.param("modular", (modular.MODULAR_COEFFICIENTS, 2, (Fraction(3, 4), 4, 1)),
                  id="modular-table-row-2"),
     pytest.param("modular", _table_entry(3, 3, Fraction(-2)), id="modular-table-row-3-last"),
@@ -118,6 +138,14 @@ def test_a_mutant_of_the_proof_ends_non_certified(monkeypatch, capsys, suite, mu
     else:
         monkeypatch.setitem(*mutant)
     assert cli_main(["verify", suite]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["envelopes", "greek"])
+def test_the_unmutated_envelope_transcription_certifies(monkeypatch, capsys, suite):
+    # the envelope mutants above differ from `_envelope_poly` only by their mutation
+    _envelopes()(monkeypatch)
+    assert cli_main(["verify", suite]) == 0
     capsys.readouterr()
 
 

@@ -98,6 +98,16 @@ def test_decimal_bounds_past_the_int_to_str_limit_raise_domain_error(cfg):
         decimal_bounds(f_second(Enclosure("1e-5000"), cfg=cfg), 40)
 
 
+@pytest.mark.parametrize("digits", [0, 4301])
+def test_decimal_bounds_outside_1_to_4300_digits_raise_value_error(digits):
+    # a bound of 4,301 digits is past Python's int-to-str limit: refused before any printing
+    with pytest.raises(ValueError, match="1 to 4300 digits"):
+        decimal_bounds(Enclosure(1, 2), digits)
+    with precision(128):
+        lo, hi = decimal_bounds(Enclosure(1) / 3, 4300)
+    assert lo.startswith("0.33333") and hi.startswith("0.33333") and lo < hi
+
+
 def test_decimal_bounds_keep_every_digit_below_a_power_of_ten():
     # 1 - 1e-25 floors to twenty nines at 20 digits, not to nineteen
     with precision(128):
