@@ -32,7 +32,6 @@ from .modular import MODULAR_COEFFICIENTS, theta4_eval, verify_modular_identitie
 from .scanner import ExponentQuery, f_a_second, scan_rows
 from .theta import theta2_series
 from .verifier import (
-    GreekConstants,
     QUANTITIES,
     checked_greek_constants,
     f_eval,

@@ -189,7 +189,7 @@ def _cmd_eval(args, cfg: EvalConfig) -> int:
 def _suite_greek(args, cfg, doc: ReportDocument | None):
     checks, greek = checked_greek_constants(cfg)
     if greek is not None:
-        for name, value in greek.as_dict().items():
+        for name, value in greek.items():
             if doc is not None:
                 doc.add_value(name, value)
             else:

@@ -14,10 +14,11 @@ envelope (c = 0) is theta2's first two terms by construction: its keys, amplitud
 read from `theta._THETA2`, the one statement of theta2's terms that `_theta2` sums.  With
 amp = 2 (pi/4)^nu and the factor F = e^{9 pi y/4} 9^(-nu) sum_{k>=3} a(k)^nu e^{-pi a(k) y/4},
 the middle minus the lower envelope is amp 9^nu e^{-9 pi y/4} F and the upper envelope minus the
-middle amp 9^nu e^{-9 pi y/4} (c_nu - F): the strict sandwich at y is exactly 0 < F < c_nu.
-``verify_sandwiches`` checks it on a grid, one report per order, at the working precision: one
-series pass per point gives F for every order, a sum of positive terms with no cancellation, and
-at y = 1 theta2 is also compared with the envelope polys directly.  The admissibility of the c_nu
+middle amp 9^nu e^{-9 pi y/4} (c_nu - F), as the envelopes share their e^{-pi y/4} term: the
+strict sandwich at y is exactly 0 < F < c_nu.  ``verify_sandwiches`` checks it on a grid, one
+report per order, at the working precision: one series pass per point gives F for every order, a
+sum of positive terms with no cancellation, and at y = 1 theta2 is also compared with the envelope
+polys directly; each report's last check is that shared term.  The admissibility of the c_nu
 is proved from the same statement, for every y >= 1, by two computed checks: every omitted
 exponent a(k), k >= 3, exceeds a(2), so each term of F decreases in y; and F at y = 1, one
 certified series pass, tail included, is below c_nu.
@@ -107,8 +108,9 @@ def verify_sandwiches(grid, orders, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Ce
     """Certify lower < (-1)^nu theta2^(nu) < upper strictly at each grid point, one report per
     order nu of `orders`, at the working precision: 0 < F < c_nu (module docstring) for every
     order from one series pass per point, and at y = 1 also 0 < lower < mid < upper by
-    :func:`_sides`, which ties `_envelope_poly` to theta2.  An undecided point makes the report
-    `inconclusive`; a disproof's detail gives lower, mid and upper there, evaluated only then."""
+    :func:`_sides`, which ties `_envelope_poly` to theta2; last, F's premise, that the envelopes'
+    e^{-pi y/4} coefficients are equal.  An undecided point makes the report `inconclusive`; a
+    disproof's detail gives lower, mid and upper there, evaluated only then."""
     orders = [_check_order(nu) for nu in orders]
     with cfg.scope():
         points = [as_enclosure(y) for y in grid]  # each checked by its excess pass
@@ -133,6 +135,11 @@ def verify_sandwiches(grid, orders, cfg: EvalConfig = DEFAULT_CONFIG) -> list[Ce
                 else:
                     verdict = True, "strict on both sides"
                 checks[i].append(Check(f"sandwich at y={y.lo}", *verdict))
+    first = -theta._THETA2.a(1)  # F's premise: upper = lower but for (1 + c) on e^{-9 pi y/4}
+    for (_, lower, upper), out in zip(envelopes, checks):
+        low, upp = lower.coefficient(first), upper.coefficient(first)
+        out.append(Check("envelopes share the e^(-pi y/4) term", low == upp,
+                         f"lower {low[0]!r}, upper {upp[0]!r}"))
     return [CertificationReport.chain(f"theta2-envelope-sandwich-nu{nu}", checks[i],
                                       interval=(points[0].lo, points[-1].hi))
             for i, nu in enumerate(orders) if points]

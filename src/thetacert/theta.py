@@ -33,14 +33,14 @@ its value at y.hi from below and its upper end its value at y.lo from above: it
 encloses the exact range on any box, and its upper end bounds the omitted terms.
 Term steps, gates, tail bounds and the kernel's partial sums are raw values of one of two
 arithmetics, which the type of y picks (``_arithmetic``), under the same stopping rule, tail
-formulas, gates and near-end contract.  For an Enclosure y they run on raw libmp interval pairs
-at one precision read per pass, rounding each operation as its Enclosure form: the same bits;
-only the kernel's `settle` makes Enclosures, one per result.  For a Ball y, the thin passes of
-verifier._f
-(width <= cfg.tol), they run on midpoint-radius Balls of Python integers 32 bits above the
-working precision: every truncation floors the midpoint and rounds the radius up, so each
-operation's result contains the exact image of its operands, and the results stay Balls until
-their caller rounds them outward into Enclosures, once.  The Ball path trusts Python's
+formulas and gates.  For an Enclosure y they run on raw libmp interval pairs at one precision
+read per pass, rounding each operation as its Enclosure form: the same bits; only the kernel's
+`settle` makes Enclosures, one per result.  For a Ball y, the thin passes of verifier._f (width
+<= cfg.tol), they run on midpoint-radius Balls of Python integers 32 bits above the working
+precision: every truncation floors the midpoint and rounds the radius up, so each operation's
+result contains the exact image of its operands.  A Ball is a point, and the near-end rule is the
+box contract, so a Ball takes its partial sum plus the tail; the results stay Balls until their
+caller rounds them outward into Enclosures, once.  The Ball path trusts Python's
 integers, mpmath's pi as Enclosure.pi encloses it, and one mpmath exp per pass, at q's midpoint
 (Ball.exp).
 
@@ -192,17 +192,10 @@ def _settle(total: tuple, bound: tuple, near: tuple, sign: int, prec: int) -> En
 
 
 def _ball_settle(total: Ball, bound: Ball, near: Ball, sign: int, prec: int) -> Ball:
-    """_settle on Balls: the tail [0, b], [-b, 0] or [-b, b] is a ball, and a one-signed sum's
-    near-zero end moves out by the gap to near's, where near's lies beyond it."""
+    """total plus the tail [0, b], [-b, 0] or [-b, b] as a ball.  A Ball is a point, and the
+    near-end rule is the box contract, so `near` is not read."""
     u, e = bound.m + bound.r, bound.e
-    out = _ball_add(total, Ball(sign * u, u, e - 1) if sign else Ball(0, u, e), prec)
-    if sign and near is not total:  # sign * m - r: the near-zero end, times sign, exactly
-        gap = _ball_sub(Ball(sign * out.m - out.r, 0, out.e),
-                        Ball(sign * near.m - near.r, 0, near.e), prec)
-        g = gap.m + gap.r
-        if g > 0:
-            out = _ball_add(out, Ball(-sign * g, g, gap.e - 1), prec)
-    return out
+    return _ball_add(total, Ball(sign * u, u, e - 1) if sign else Ball(0, u, e), prec)
 
 
 #: The raw operations of the kernel, a quadratic pass and `_numerators`, with libmp's signatures,

@@ -33,7 +33,7 @@ engine behind interval claims is :func:`thetacert.certify.certify_sign`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -49,7 +49,6 @@ from .modular import _f_modular
 from .theta import _ONE, _lambert_sum, _theta2, _theta4
 
 __all__ = [
-    "GreekConstants",
     "g_second",
     "verify_g_chain",
     "verify_even_terms_large_y",
@@ -220,21 +219,6 @@ def verify_odd_terms_large_y(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationR
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreekConstants:
-    """The collected bracket coefficients, all positive, alpha < gamma, beta < delta."""
-
-    alpha: Enclosure
-    beta: Enclosure
-    gamma: Enclosure
-    delta: Enclosure
-    epsilon: Enclosure
-    zeta: Enclosure
-
-    def as_dict(self) -> dict[str, Enclosure]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 #: h(1/y) = y^{9/2} sum_terms coeff y^power a_i a_j a_k over (coeff, power, (i, j, k)), with
 #: a_nu = (-1)^nu theta2^(nu)(y) > 0: :func:`h_reciprocal` sums it on theta2 values,
 #: :func:`greek_bracket` on envelopes
@@ -291,35 +275,33 @@ _SLOTS = {"alpha": (-11, 1, +1), "beta": (-11, 0, -1), "gamma": (-19, 1, -1),
           "delta": (-19, 0, -1), "epsilon": (-27, 1, -1), "zeta": (-27, 0, -1)}
 
 
-def _greek_checks(poly: ExpPoly) -> tuple[list[Check], GreekConstants | None]:
-    """The e^{6 pi y} cancellation, then the constants read off the bracket by _SLOTS and
-    their sign/order invariants; the constants come back None unless every check passed."""
+def _greek_checks(poly: ExpPoly) -> tuple[list[Check], dict[str, Enclosure] | None]:
+    """The e^{6 pi y} cancellation, then the constants read off the bracket by _SLOTS, keyed and
+    ordered as there, and their sign/order invariants; None unless every check passed."""
     checks = [_cancellation_check(poly)]
     if not checks[0].passed:
         return checks, None
-    greek = GreekConstants(
-        **{name: sign * poly.coefficient(k)[i] for name, (k, i, sign) in _SLOTS.items()}
-    )
+    greek = {name: sign * poly.coefficient(k)[i] for name, (k, i, sign) in _SLOTS.items()}
     checks += [Check(f"{name} strictly positive", _below(0, value), "")
-               for name, value in greek.as_dict().items()]
-    checks.append(Check("alpha < gamma", _below(greek.alpha, greek.gamma), ""))
-    checks.append(Check("beta < delta", _below(greek.beta, greek.delta), ""))
+               for name, value in greek.items()]
+    checks.append(Check("alpha < gamma", _below(greek["alpha"], greek["gamma"]), ""))
+    checks.append(Check("beta < delta", _below(greek["beta"], greek["delta"]), ""))
     return checks, greek if all(c.passed for c in checks) else None
 
 
 def checked_greek_constants(
     cfg: EvalConfig = DEFAULT_CONFIG,
-) -> tuple[list[Check], GreekConstants | None]:
+) -> tuple[list[Check], dict[str, Enclosure] | None]:
     """Expand the envelope-product bracket and collect its six constants, with their checks:
     the e^{6 pi y} cancellation (False when the coefficients miss 0, a transcription error;
     None when they enclose 0 too widely to confirm it), then the six "strictly positive"
-    checks, alpha < gamma and beta < delta; the constants come back None when a check did
-    not pass."""
+    checks, alpha < gamma and beta < delta; the constants, {name: value} in _SLOTS order,
+    come back None when a check did not pass."""
     with cfg.scope():
         return _greek_checks(greek_bracket(cfg))
 
 
-#: the constants rounded in the weakening direction: alpha down, the rest up
+#: the constants rounded in the weakening direction: down where _SLOTS signs +1 (alpha), else up
 _ROUNDED = {
     "alpha": 1984,
     "beta": 632,
@@ -394,8 +376,8 @@ def verify_small_y_chain(cfg: EvalConfig = DEFAULT_CONFIG) -> CertificationRepor
 
     r = _ROUNDED
     with cfg.scope():
-        for name, value in greek.as_dict().items():
-            down = name == "alpha"
+        for name, value in greek.items():
+            down = _SLOTS[name][2] > 0
             checks.append(
                 Check(
                     f"rounding direction {name} {'>=' if down else '<='} {r[name]}",

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
@@ -69,6 +70,21 @@ def test_verify_greek_writes_report(tmp_path, capsys):
     lo, hi = values["alpha"]["enclosure"]
     assert float(lo) <= 1984.33 <= float(hi) or abs(float(lo) - 1984.323) < 1e-3
     assert data["summary"]["ok"] is True
+
+
+_GREEK_ORDER = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+
+
+def test_verify_greek_lists_the_constants_alpha_to_zeta(tmp_path, capsys):
+    # text and JSON both follow verifier._SLOTS, the one statement of the six constants
+    assert run_cli("verify", "greek") == 0
+    lines = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  ") and " in [" in line]
+    assert lines == _GREEK_ORDER
+    out = tmp_path / "greek.json"
+    assert run_cli("verify", "greek", "--json", str(out)) == 0
+    results = json.loads(out.read_text())["results"]
+    assert [r["name"] for r in results if r["type"] == "value"] == _GREEK_ORDER
 
 
 def test_verify_wrong_sign_exits_one(capsys):
@@ -349,6 +365,33 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+def _readme_cli_block():
+    """(argv, exit code) for each command of the README's CLI block, read as a shell would: 1
+    where its comment says "exits 1", else 0."""
+    readme = (Path(thetacert.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [(shlex.split(command), 1 if "exits 1" in comment else 0)
+            for command, _, comment in (line.partition("#") for line in block.splitlines())]
+
+
+@pytest.mark.parametrize("argv, code", _readme_cli_block(),
+                         ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_the_readme_cli_block_runs_as_documented(argv, code, tmp_path, monkeypatch, capsys):
+    # `thetacert ...` in process, `python -m thetacert ...` by subprocess, files under tmp_path
+    monkeypatch.chdir(tmp_path)
+    if argv[:3] == ["python", "-m", "thetacert"]:
+        env = {**os.environ, "PYTHONPATH": str(Path(thetacert.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, *argv[1:]], capture_output=True, text=True, env=env)
+        assert proc.returncode == code, proc.stderr
+    else:
+        assert argv[0] == "thetacert"
+        assert main(argv[1:]) == code
+    capsys.readouterr()
+    for name in argv:
+        if name.endswith((".json", ".csv")):
+            assert (tmp_path / name).stat().st_size > 0, name
+
+
 def test_verify_all_derives_small_y_chain_once(monkeypatch, capsys):
     from thetacert import cli, verifier
 
@@ -509,7 +552,8 @@ _GREEK_CHECKS = (
 #: each certification record and ("value", name) of each value record, with no values
 _VERIFY_ALL_SKELETON = [
     *((f"theta2-envelope-sandwich-nu{nu}@[1.0,100.0]", "certified",
-       tuple(f"sandwich at y={y}" for y in _SANDWICH_YS)) for nu in range(4)),
+       (*(f"sandwich at y={y}" for y in _SANDWICH_YS), "envelopes share the e^(-pi y/4) term"))
+      for nu in range(4)),
     *_ADMISSIBILITY,
     *((f"modular-identity-nu{nu}@[0.5,2.0]", "certified",
        tuple(f"agreement at y={y}" for y in _MODULAR_YS)) for nu in range(4)),

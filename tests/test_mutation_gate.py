@@ -104,9 +104,9 @@ _MUTANTS = [
                  marks=_survivor(3, "the even f'' and both f' corners moved from 2 to 4"),
                  id="corners-2-to-4"),
     # the sandwich decides y > 1 from theta2's own terms: its direct comparison at y = 1 must
-    # catch a wrong amplitude, and the envelope-product bracket the inflation on the wrong term
+    # catch a wrong amplitude, and its check of F's premise the inflation on the wrong term
     pytest.param("envelopes", _envelopes(amplitude=4), id="envelope-amplitude-4-to-the-nu"),
-    pytest.param("greek", _envelopes(inflated=1), id="envelope-inflation-on-first-term"),
+    pytest.param("envelopes", _envelopes(inflated=1), id="envelope-inflation-on-first-term"),
     pytest.param("modular", (modular.MODULAR_COEFFICIENTS, 2, (Fraction(3, 4), 4, 1)),
                  id="modular-table-row-2"),
     pytest.param("modular", _table_entry(3, 3, Fraction(-2)), id="modular-table-row-3-last"),

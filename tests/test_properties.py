@@ -523,6 +523,38 @@ def test_every_eval_function_at_thin_points_contains_its_oracle(bits):
                         f"{mp.nstr(exact, 25)}")
 
 
+#: where a 1 %-wide box [y, 1.01 y] of each eval function lies: theta2 within [1e-3, 1e3], the
+#: others within [0.05, 20], the ranges where the benchmark's `points` oracle trusts mpmath
+_BOX_RANGES = {"theta2": (1e-3, 1e3), "theta4": (0.05, 20.0), "f": (0.05, 20.0)}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("function", sorted(_BOX_RANGES))
+@settings(max_examples=8, deadline=None)
+@given(t=_frac)
+@example(t=0.0)
+@example(t=1.0)
+def test_every_eval_function_on_1_percent_boxes_contains_its_oracle(bits, function, t):
+    # y = lo (hi/(1.01 lo))^t log-uniform, and the box's enclosure of every order contains the
+    # 4x-precision oracle at both ends and at the midpoint
+    cfg = EvalConfig(precision_bits=bits)
+    evaluate = {"theta2": theta2_series, "theta4": theta4_eval,
+                "f": lambda y, nu, cfg: (f_eval, f_prime, f_second)[nu](y, cfg)}[function]
+    lo, hi = _BOX_RANGES[function]
+    y = lo * (hi / (1.01 * lo)) ** t
+    box = Enclosure(y, 1.01 * y)
+    with mp.workprec(4 * bits):
+        points = (mp.mpf(y), (mp.mpf(y) + mp.mpf(1.01 * y)) / 2, mp.mpf(1.01 * y))
+    for nu in range(3 if function == "f" else 4):
+        value = evaluate(box, nu, cfg)
+        for point in points:
+            exact, slack = _oracle(function, nu, point, bits)
+            with mp.workprec(4 * bits):
+                assert value.lo - slack <= exact <= value.hi + slack, (
+                    f"{function} order {nu} on {box!r} at {mp.nstr(point, 20)}, {bits} bits: "
+                    f"{value!r} misses {mp.nstr(exact, 25)}")
+
+
 _admissibility_y = st.floats(min_value=1.0, max_value=60.0, allow_nan=False)
 
 

@@ -20,7 +20,7 @@ from thetacert import (
     theta2_series,
     theta4_eval,
 )
-from thetacert.enclosure import _to_raw_pair, current_precision
+from thetacert.enclosure import Ball, _to_raw_pair, current_precision
 from thetacert.theta import (
     DERIVATIVE_ORDERS,
     _TABLED_INDICES,
@@ -614,6 +614,29 @@ def test_a_raising_tail_stops_the_near_end(cfg):
         assert attempts[0] < 103
         assert point.contains(Enclosure(y))
         assert box.contains(point), f"box {box!r} misses the point {y}: {point!r}"
+
+
+def test_a_ball_settles_as_its_partial_sum_plus_the_tail():
+    # sum 2^-k over k >= 1 is exactly 1; the tail bound past term k is the ball 2^-k (1 +- 1/2),
+    # and tol = 0.9 2^-20 lies inside its radius at k = 20: the lower end passes there, the upper
+    # end one term later.  A Ball is a point, so the result is the partial sum to k = 21 plus
+    # [0, upper end of the tail bound], with no near-end copy from k = 20.
+    tol, attempts = 0.9 * 2.0 ** -20, []
+    cfg = EvalConfig(tail_tolerance=tol)
+
+    def tail(k):
+        attempts.append(k)
+        return [Ball(2, 1, -k - 1)]
+
+    with cfg.scope():
+        result = certified_sum("halving balls", cfg, [Ball(0, 0, 0)],
+                               lambda k: ([Ball(1, 0, -k)], Ball(0, 0, 0)), tail, [+1])[0]
+    assert Fraction(3, 2 ** 21) > tol >= Fraction(1, 2 ** 21)  # the tail's ends at k = 20
+    assert attempts[-1] == 21 and Fraction(3, 2 ** 22) <= tol
+    with cfg.scope():
+        partial = 1 - Fraction(1, 2 ** 21)
+        assert result.enclosure() == Enclosure(partial, partial + Fraction(3, 2 ** 22))
+        assert result.enclosure().contains(Enclosure(1))
 
 
 # --- the raw-interval tails and partial sums against their Enclosure forms ---

@@ -219,9 +219,16 @@ def test_greek_constants_equal_exact_rationals(cfg):
         pi = Enclosure.pi()
         for name, (rational, pi_power) in GREEK_EXACT.items():
             exact = Enclosure(rational) * pi ** pi_power
-            got = getattr(greek, name)
+            got = greek[name]
             assert got.intersects(exact), f"{name}: {got!r} vs exact {exact!r}"
             assert got.width < 1e-8
+
+
+def test_greek_constants_are_keyed_and_ordered_as_the_slots(cfg):
+    from thetacert.verifier import _SLOTS
+
+    greek = checked_greek_constants(cfg)[1]
+    assert list(greek) == list(_SLOTS) == ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 
 
 def test_greek_leading_cancellation(cfg):
@@ -233,9 +240,9 @@ def test_greek_leading_cancellation(cfg):
 
 def test_greek_order_invariants(cfg):
     greek = checked_greek_constants(cfg)[1]
-    assert greek.alpha.hi < greek.gamma.lo
-    assert greek.beta.hi < greek.delta.lo
-    for value in greek.as_dict().values():
+    assert greek["alpha"].hi < greek["gamma"].lo
+    assert greek["beta"].hi < greek["delta"].lo
+    for value in greek.values():
         assert value.is_strictly_positive()
 
 
